@@ -10,21 +10,24 @@ step k is a member, valued at the trajectory's remaining cost from step k.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .costs import INF, ensure_cost
-from .errors import InfeasibleSeedError, UnusableTrajectoryError
+from .errors import (
+    InfeasibleSeedError,
+    SampleSetIntegrityError,
+    UnusableTrajectoryError,
+)
 from .model import (
     Policy,
     ProblemDef,
     Trajectory,
-    state_key,
     states_equal,
 )
+from .sample_sets import Target
 
 
 @dataclass(frozen=True)
@@ -55,36 +58,6 @@ class BudgetConstraintSpec:
             raise ValueError("budget must be nonnegative")
         if self.usage_quad is not None:
             object.__setattr__(self, "usage_quad", np.asarray(self.usage_quad, dtype=float))
-
-
-@dataclass(frozen=True)
-class InformationStateMap:
-    """Extension point: an information state computed from the history.
-
-    reduce() maps a whole prefix [(x_0, u_0), ...] to the info value;
-    transition() advances it one step. The two must be consistent:
-    reduce(prefix + [(x, u)]) == transition(reduce(prefix), x, u).
-    """
-
-    initial: float
-    reduce: Callable[[list], float]
-    transition: Callable[[float, object, object], float]
-
-
-def budget_information_map(spec: BudgetConstraintSpec) -> InformationStateMap:
-    """The additive-budget instance of the information-state law."""
-
-    def reduce_prefix(prefix):
-        e = spec.e_max
-        for x, u in prefix:
-            e = e - spec.per_step_usage(x, u)
-        return e
-
-    return InformationStateMap(
-        initial=spec.e_max,
-        reduce=reduce_prefix,
-        transition=lambda e, x, u: e - spec.per_step_usage(x, u),
-    )
 
 
 @dataclass(frozen=True)
@@ -181,12 +154,106 @@ class BudgetSampleSet:
         k = self.match_index(s)
         return self.seed.tail_costs[k] if k is not None else INF
 
+    def sample_id(self, s):
+        return self.match_index(s)
+
+    def sample_value(self, k, s) -> float:
+        """Seed step k's recorded tail, if s has the budget to cover its usage
+        (the base state is not matched)."""
+        if k is None:
+            return self.terminal_cost(s)
+        return self.seed.tail_costs[k] if float(s.info) >= self.tail_usages[k] else INF
+
+    def shooting_targets(self, s) -> list:
+        """Every seed step whose tail usage fits the remaining budget, with
+        the control-energy ball the rest of that budget allows."""
+        if not isinstance(s, AugmentedState):
+            raise ValueError("budget sample set requires an augmented state")
+        scale = _usage_scale(self.spec)
+        out = []
+        for k in range(len(self.seed.states)):
+            head = float(s.info) - self.tail_usages[k]
+            if head < 0.0:
+                continue  # not enough budget left to finish from this sample
+            out.append(Target(state=np.asarray(self.seed.states[k], dtype=float),
+                              value=self.seed.tail_costs[k],
+                              ball_radius=float(np.sqrt(head / scale)), sample_id=k))
+        return out
+
+    def to_doc(self) -> dict:
+        from .serialization import encode_value, trajectory_to_doc
+        spec = self.spec
+        if spec.usage_quad is None:
+            raise TypeError("only quadratic usage specs serialize; "
+                            "general usage callables are code, not data")
+        return {
+            "format": "budget-sample-set",
+            "version": 1,
+            "label": self.label,
+            "eps_state": self.eps_state,
+            "anchor_usage": self.anchor_usage,
+            "e_max": spec.e_max,
+            "usage_quad": [[float(c) for c in row] for row in spec.usage_quad],
+            "seed": trajectory_to_doc(self.seed),
+            "usages": [encode_value(u) for u in self.usages],
+            "tail_usages": [encode_value(t) for t in self.tail_usages],
+        }
+
+    def reverify(self) -> None:
+        """Membership is reconstructed from the seed: recompute every per-step
+        usage and the backward accumulation and demand exact agreement."""
+        seed, spec = self.seed, self.spec
+        for k, u in enumerate(seed.controls):
+            measured = float(spec.per_step_usage(seed.states[k], u))
+            if measured != self.usages[k]:
+                raise SampleSetIntegrityError(
+                    f"stored usage at step {k} is {self.usages[k]!r}, "
+                    f"recomputed {measured!r}", state=seed.states[k])
+        tail = float(self.anchor_usage)
+        n = len(seed.controls)
+        if self.tail_usages[n] != tail:
+            raise SampleSetIntegrityError(
+                f"stored terminal tail usage {self.tail_usages[n]!r} differs from "
+                f"anchor {tail!r}", state=seed.states[n])
+        for k in range(n - 1, -1, -1):
+            tail = self.usages[k] + tail
+            if self.tail_usages[k] != tail:
+                raise SampleSetIntegrityError(
+                    f"stored tail usage at step {k} is {self.tail_usages[k]!r}, "
+                    f"recomputed {tail!r}", state=seed.states[k])
+        if self.tail_usages[0] > spec.e_max:
+            raise SampleSetIntegrityError(
+                f"seed needs {self.tail_usages[0]!r} of resource, budget is {spec.e_max!r}")
+
+    def verify(self, problem: ProblemDef, policies, rng, samples: int):
+        """Exact usage accounting, then membership of drawn members."""
+        try:
+            self.reverify()
+        except SampleSetIntegrityError as exc:
+            yield False, None, [f"usage accounting violation: {exc}"]
+            return
+        yield True, f"usage accounting: PASS ({len(self)} members)", []
+        inside = sum(1 for _ in range(samples) if self.contains(self.sample_member(rng)))
+        yield (inside == samples,
+               f"sampled membership: {inside}/{samples} drawn members contained", [])
+
     def sample_member(self, rng: np.random.Generator) -> AugmentedState:
         # Frontier entries have no recorded successor, so sample before it.
         k = int(rng.integers(0, max(1, len(self.seed.controls))))
         lo = self.tail_usages[k]
         e = float(lo + rng.uniform(0.0, max(0.0, self.spec.e_max - lo)))
         return AugmentedState(self.seed.states[k], e)
+
+
+def _usage_scale(spec: BudgetConstraintSpec) -> float:
+    """c for a usage matrix c*I (1 without one); shooting needs a round ball."""
+    if spec.usage_quad is None:
+        return 1.0
+    uq = spec.usage_quad
+    scale = float(uq[0, 0])
+    if not np.allclose(uq, scale * np.eye(uq.shape[0])):
+        raise ValueError("shooting supports usage matrices c*I only")
+    return scale
 
 
 def augment_sample_set(traj: Trajectory, spec: BudgetConstraintSpec, *,

@@ -16,7 +16,7 @@ import sys
 
 import numpy as np
 
-from .budget import AugmentedState, BudgetSampleSet
+from .budget import AugmentedState
 from .catalog import INSTANCES, InstanceBundle, make_instance
 from .engine import (
     run_classical_mpc,
@@ -32,8 +32,7 @@ from .errors import (
     SolverFailureError,
 )
 from .lookahead import SolverConfig
-from .model import check_fixed_point, check_upper_bound
-from .sample_sets import AnalyticSampleSet, ExplicitSampleSet, merge, verify_invariance
+from .sample_sets import merge
 from .serialization import (
     append_summary,
     read_json,
@@ -90,8 +89,7 @@ def _merge_config(args: argparse.Namespace, keys) -> dict:
 def _solver_config(bundle: InstanceBundle, opts: dict) -> SolverConfig:
     cfg = bundle.solver_defaults
     overrides = {}
-    for field in ("ell", "eps_term", "eps_tail", "max_iters", "seed",
-                  "workers", "mode_cap", "backend"):
+    for field in ("ell", "eps_term", "eps_tail", "max_iters", "mode_cap", "backend"):
         if opts.get(field) is not None:
             overrides[field] = opts[field]
     return dataclasses.replace(cfg, **overrides) if overrides else cfg
@@ -114,6 +112,19 @@ def _pick_set(bundle: InstanceBundle, names: str | None):
 
 def _default_policy(bundle: InstanceBundle):
     return next(iter(bundle.base_policies.values()))
+
+
+def _run_mpc(bundle: InstanceBundle, x0, cfg: SolverConfig, horizon: int, policy,
+             ell: int | None = None):
+    """The classical receding-horizon baseline under the bundle's MPC notes."""
+    notes = bundle.notes
+    mpc_cfg = dataclasses.replace(
+        cfg, ell=ell if ell is not None else notes.get("mpc_ell", cfg.ell),
+        mode_cap=notes.get("mpc_mode_cap", cfg.mode_cap))
+    return run_classical_mpc(bundle.problem, x0, mpc_cfg, horizon,
+                             terminal=notes.get("mpc_terminal", "origin"),
+                             terminal_quadratic=bundle.mpc_quadratic,
+                             base_policy=policy)
 
 
 def _report_chain(run, set_value: float, gate: bool = True) -> bool:
@@ -144,7 +155,7 @@ def _write_artifacts(run, bundle, x0, out_dir: str, tag: str, summary: str | Non
 
 
 RUN_KEYS = ("instance", "variant", "x0", "start_index", "ell", "horizon",
-            "set", "seed", "workers", "sweeps", "mpc_horizon", "eps_term",
+            "set", "sweeps", "mpc_horizon", "eps_term",
             "eps_tail", "max_iters", "mode_cap", "backend", "budget",
             "disturb_step", "disturb", "out_dir", "summary")
 
@@ -192,15 +203,7 @@ def cmd_run(args: argparse.Namespace) -> int:
                               AugmentedState(np.asarray(x0, dtype=float), float(cap)),
                               cfg, horizon, base_policy=policy, variant="augmented")
         elif variant == "classical-mpc":
-            mpc_ell = opts.get("mpc_horizon", bundle.notes.get("mpc_ell", cfg.ell))
-            mpc_cfg = dataclasses.replace(
-                cfg, ell=mpc_ell,
-                mode_cap=bundle.notes.get("mpc_mode_cap", cfg.mode_cap))
-            run = run_classical_mpc(
-                bundle.problem, x0, mpc_cfg, horizon,
-                terminal=bundle.notes.get("mpc_terminal", "origin"),
-                terminal_quadratic=bundle.mpc_quadratic,
-                base_policy=policy)
+            run = _run_mpc(bundle, x0, cfg, horizon, policy, opts.get("mpc_horizon"))
         elif variant == "disturbance":
             sset = _pick_set(bundle, opts.get("set"))
             step = opts.get("disturb_step", 3)
@@ -229,7 +232,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
     print(f"instance={bundle.name} variant={variant} x0={x0!r}")
     print(f"status={run.status} steps={run.steps} total_cost={run.total_cost:.6f}")
-    if bundle.name == "four-city-tour":
+    if "optimal_tour" in bundle.notes:
         print(f"tour: {run.trajectory.states[-1]}")
     set_value = run.initial_set_value
     if variant == "disturbance":
@@ -249,81 +252,15 @@ def cmd_run(args: argparse.Namespace) -> int:
 VERIFY_KEYS = ("instance", "set", "set_file", "trusted", "samples", "seed")
 
 
-def _verify_explicit(bundle: InstanceBundle, sset: ExplicitSampleSet) -> int:
-    policies = {p.id: p for p in bundle.base_policies.values()}
-    report = verify_invariance(bundle.problem, policies, sset)
-    if not report.passed:
-        for v in report.violations[:5]:
-            print(f"invariance violation at {v.state!r}: {v.reason}", file=sys.stderr)
-        return EXIT_PROPERTY
-    print(f"invariance: PASS ({len(sset)} members)")
-
-    values = sset.terminal_cost
-    states = [e.state for e in sset.entries() if e.successor is not None]
-    multi = len(sset.policy_ids) > 1
-    failures = []
-    for pid in sset.policy_ids:
-        pol = policies[pid]
-        own = [e.state for e in sset.entries()
-               if e.policy_id == pid and e.successor is not None]
-        if not own:
-            continue
-        rep = (check_upper_bound if multi else check_fixed_point)(
-            bundle.problem, pol, values, own)
-        failures.extend(rep.failures)
-    kind = "upper-bound" if multi else "fixed-point"
-    if failures:
-        for row in failures[:5]:
-            print(f"{kind} violation at state {row.state!r}: "
-                  f"residual {row.residual:.3e}", file=sys.stderr)
-        return EXIT_PROPERTY
-    print(f"{kind}: PASS ({len(states)} states checked)")
-    return EXIT_OK
-
-
-def _verify_analytic(bundle, sset: AnalyticSampleSet, samples: int, seed: int) -> int:
-    rng = np.random.default_rng(seed)
-    policies = {p.id: p for p in bundle.base_policies.values()}
-    pol = policies[sset.policy_ids[0]]
-    states = [sset.sample_member(rng) for _ in range(samples)]
-    rep = check_fixed_point(bundle.problem, pol, sset.terminal_cost, states)
-    if not rep.passed:
-        for row in rep.failures[:5]:
-            print(f"fixed-point violation at {row.state!r}: "
-                  f"residual {row.residual:.3e}", file=sys.stderr)
-        return EXIT_PROPERTY
-    print(f"fixed-point: PASS ({samples} sampled members)")
-    return EXIT_OK
-
-
-def _verify_budget(sset: BudgetSampleSet, samples: int, seed: int) -> int:
-    from .serialization import _reverify_budget_set
-    try:
-        _reverify_budget_set(sset)
-    except SampleSetIntegrityError as exc:
-        print(f"usage accounting violation: {exc}", file=sys.stderr)
-        return EXIT_PROPERTY
-    print(f"usage accounting: PASS ({len(sset)} members)")
-    rng = np.random.default_rng(seed)
-    inside = 0
-    for _ in range(samples):
-        if sset.contains(sset.sample_member(rng)):
-            inside += 1
-    print(f"sampled membership: {inside}/{samples} drawn members contained")
-    return EXIT_OK if inside == samples else EXIT_PROPERTY
-
-
 def cmd_verify(args: argparse.Namespace) -> int:
     opts = _merge_config(args, VERIFY_KEYS)
     if "instance" not in opts:
         print("error: --instance is required", file=sys.stderr)
         return EXIT_PROPERTY
     bundle = make_instance(opts["instance"])
-    samples = opts.get("samples", 200)
-    seed = opts.get("seed", 0)
+    policies = {p.id: p for p in bundle.base_policies.values()}
 
     if opts.get("set_file"):
-        policies = {p.id: p for p in bundle.base_policies.values()}
         try:
             sset = sample_set_from_doc(
                 read_json(opts["set_file"]),
@@ -343,61 +280,66 @@ def cmd_verify(args: argparse.Namespace) -> int:
             return EXIT_PROPERTY
         sset = pool[name]
 
-    if isinstance(sset, ExplicitSampleSet):
-        return _verify_explicit(bundle, sset)
-    if isinstance(sset, AnalyticSampleSet):
-        return _verify_analytic(bundle, sset, samples, seed)
-    if isinstance(sset, BudgetSampleSet):
-        return _verify_budget(sset, samples, seed)
-    print(f"error: cannot verify {type(sset).__name__}", file=sys.stderr)
-    return EXIT_PROPERTY
+    rng = np.random.default_rng(opts.get("seed", 0))
+    for passed, line, failures in sset.verify(bundle.problem, policies, rng,
+                                              opts.get("samples", 200)):
+        if line:
+            print(line)
+        for msg in failures:
+            print(msg, file=sys.stderr)
+        if not passed:
+            return EXIT_PROPERTY
+    return EXIT_OK
 
 
-TABLE_KEYS = ("instance", "out_dir", "horizon", "workers")
+TABLE_KEYS = ("instance", "out_dir", "horizon")
 
 
 def _fmt(v) -> str:
     return "" if v is None else f"{v:.4f}"
 
 
-def _table_rows(bundle: InstanceBundle, horizon: int, workers: int | None):
-    """(x0 label, base cost, rollout cost, baseline cost) rows for one instance."""
+def _start_label(x0) -> str:
+    """A start's table label: its coordinates, its token, or "start"."""
+    if isinstance(x0, np.ndarray):
+        return ",".join(f"{c:g}" for c in x0.ravel())
+    return x0 if isinstance(x0, str) else "start"
+
+
+def _base_cost(bundle: InstanceBundle, policy, x0) -> float:
+    """The recorded base cost from x0, one number or keyed by policy or start."""
+    if "base_cost" in bundle.notes:
+        return bundle.notes["base_cost"]
+    costs = bundle.notes["base_costs"]
+    return costs[policy.id] if policy.id in costs else costs[tuple(x0)]
+
+
+def _table_rows(bundle: InstanceBundle, horizon: int):
+    """(x0 label, base cost, rollout cost, baseline cost) rows for one instance.
+
+    Each start is rolled out on the default set and on every merged set;
+    bundles with an agent partition roll out agent by agent, and bundles
+    whose notes name an MPC terminal also get the classical baseline.
+    """
     cfg = bundle.solver_defaults
-    if workers:
-        cfg = dataclasses.replace(cfg, workers=workers)
     policy = _default_policy(bundle)
+    names = [bundle.default_set] + [n for n in bundle.sample_sets if n.startswith("merged")]
     rows = []
-    if bundle.name == "four-city-tour":
-        base = bundle.notes["base_costs"][policy.id]
-        for name in ("cdb", "merged", "merged+abd"):
-            run = run_rollout(bundle.problem, bundle.sample_sets[name], "A", cfg,
-                              horizon, base_policy=policy)
-            rows.append((f"A [{name}]", base, run.total_cost, None))
-        return rows
-    if bundle.name == "two-vehicle-grid":
-        run = run_multiagent(bundle.problem,
-                             bundle.sample_sets[bundle.default_set],
-                             bundle.start_states[0], cfg, horizon,
-                             bundle.partition, policy)
-        rows.append(("start", bundle.notes["base_cost"], run.total_cost, None))
-        return rows
-    for i, x0 in enumerate(bundle.start_states):
-        if bundle.name == "hybrid-spiral":
-            base = bundle.notes["base_costs"][tuple(x0)]
-        else:
-            base = bundle.notes["base_cost"]
-        sset = bundle.sample_sets[bundle.default_set]
-        roll = run_rollout(bundle.problem, sset, x0, cfg, horizon,
-                           base_policy=policy)
-        mpc_ell = bundle.notes.get("mpc_ell", cfg.ell)
-        mpc_cfg = dataclasses.replace(
-            cfg, ell=mpc_ell, mode_cap=bundle.notes.get("mpc_mode_cap", cfg.mode_cap))
-        mpc = run_classical_mpc(bundle.problem, x0, mpc_cfg, horizon,
-                                terminal=bundle.notes.get("mpc_terminal", "origin"),
-                                terminal_quadratic=bundle.mpc_quadratic,
-                                base_policy=policy)
-        label = ",".join(f"{c:g}" for c in np.asarray(x0).ravel())
-        rows.append((label, base, roll.total_cost, mpc.total_cost))
+    for x0 in bundle.start_states:
+        base = _base_cost(bundle, policy, x0)
+        for name in names:
+            sset = bundle.sample_sets[name]
+            if bundle.partition is not None:
+                run = run_multiagent(bundle.problem, sset, x0, cfg, horizon,
+                                     bundle.partition, policy)
+            else:
+                run = run_rollout(bundle.problem, sset, x0, cfg, horizon,
+                                  base_policy=policy)
+            mpc = None
+            if "mpc_terminal" in bundle.notes:
+                mpc = _run_mpc(bundle, x0, cfg, horizon, policy).total_cost
+            label = _start_label(x0) + (f" [{name}]" if len(names) > 1 else "")
+            rows.append((label, base, run.total_cost, mpc))
     return rows
 
 
@@ -407,7 +349,7 @@ def cmd_table(args: argparse.Namespace) -> int:
         print("error: --instance is required", file=sys.stderr)
         return EXIT_PROPERTY
     bundle = make_instance(opts["instance"])
-    rows = _table_rows(bundle, opts.get("horizon", 200), opts.get("workers"))
+    rows = _table_rows(bundle, opts.get("horizon", 200))
 
     header = ("instance", "x0", "base_cost", "rollout_cost", "baseline_mpc_cost")
     cells = [[bundle.name, label, _fmt(b), _fmt(r), _fmt(m)]
@@ -418,14 +360,15 @@ def cmd_table(args: argparse.Namespace) -> int:
     for c in cells:
         lines.append("  ".join(v.ljust(w) for v, w in zip(c, widths)))
     text = "\n".join(lines) + "\n"
-    print(text, end="")
 
+    # artifacts first, so a closed stdout pipe cannot skip them
     out_dir = opts.get("out_dir", os.path.join("runs", bundle.name))
     os.makedirs(out_dir, exist_ok=True)
     csv_lines = [",".join(header)]
     csv_lines += [",".join(c) for c in cells]
     write_text("\n".join(csv_lines) + "\n", os.path.join(out_dir, "table.csv"))
     write_text(text, os.path.join(out_dir, "table.txt"))
+    print(text, end="")
     print(f"wrote {os.path.join(out_dir, 'table.csv')}")
     return EXIT_OK
 
@@ -462,8 +405,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--ell", type=int)
     run.add_argument("--horizon", type=int)
     run.add_argument("--set", help="sample set name(s), comma-merged")
-    run.add_argument("--seed", type=int)
-    run.add_argument("--workers", type=int)
     run.add_argument("--sweeps", type=int)
     run.add_argument("--mpc-horizon", type=int, dest="mpc_horizon")
     run.add_argument("--eps-term", type=float, dest="eps_term")
@@ -491,7 +432,6 @@ def build_parser() -> argparse.ArgumentParser:
     tab = sub.add_parser("table", help="emit the instance's summary table")
     add_common(tab)
     tab.add_argument("--horizon", type=int)
-    tab.add_argument("--workers", type=int)
     tab.add_argument("--out-dir", dest="out_dir")
     tab.set_defaults(fn=cmd_table)
 
@@ -503,7 +443,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader of stdout went away (`ddrollout ... | head`): end quietly,
+        # and point stdout at devnull so the final flush at exit cannot fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     except RolloutError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PROPERTY

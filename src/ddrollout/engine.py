@@ -13,12 +13,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import fsum
 
+import numpy as np
+
 from .budget import base_view
 from .costs import INF
 from .errors import InfeasibleStepError, InitialInfeasibilityError
-from .lookahead import SolverConfig, _discrete_minimize, solve
+from .lookahead import (
+    LookaheadSolution,
+    SolverConfig,
+    _discrete_minimize,
+    base_plan,
+    replay,
+    solve,
+)
 from .model import FiniteControls, Policy, ProblemDef, Trajectory
-from .shooting import FreeTerminal
+from .sample_sets import ExplicitSampleSet, FreeTerminal, SampleEntry
 
 
 @dataclass(frozen=True)
@@ -52,42 +61,14 @@ def _tails_from(stage_costs, terminal_tail):
     return tuple(tails)
 
 
-def _finish(states, controls, stage_costs, values, reports, cfg, status,
-            closing, variant, initial_set_value, policy_id):
-    terminated = status == "stopped"
-    tails = None
-    if status in ("stopped", "closed_in_set"):
-        tails = _tails_from(stage_costs, closing if status == "closed_in_set" else 0.0)
-    traj = Trajectory(
-        states=tuple(states),
-        controls=tuple(controls),
-        stage_costs=tuple(stage_costs),
-        policy_id=policy_id,
-        terminated_in_stopping_set=terminated,
-        tail_costs=tails,
-    )
-    return RolloutRun(
-        trajectory=traj,
-        per_step_values=tuple(values),
-        solver_reports=tuple(reports),
-        config=cfg,
-        status=status,
-        closing_tail=closing if status == "closed_in_set" else 0.0,
-        variant=variant,
-        initial_set_value=initial_set_value,
-    )
+def _drive(problem: ProblemDef, sset, x0, cfg: SolverConfig, horizon: int, step,
+           disturbance=None, residual_close: bool = True, variant: str = "basic",
+           policy_id: str = "rollout") -> RolloutRun:
+    """The rollout driving loop shared by every variant.
 
-
-def run_rollout(problem: ProblemDef, sset, x0, cfg: SolverConfig, horizon: int,
-                base_policy: Policy | None = None, disturbance=None,
-                residual_close: bool = True, variant: str = "basic",
-                policy_id: str = "rollout") -> RolloutRun:
-    """Roll the lookahead policy forward from x0 for at most horizon steps.
-
-    disturbance, when given, is called as disturbance(t, x_next) after each
-    nominal transition and its return value replaces the state; an
-    unresolvable state after a disturbance ends the run with a flagged
-    status instead of raising.
+    step(x, prev) returns the lookahead solution at x (prev is the previous
+    step's solution, or None) and the report recorded for it; the loop
+    applies its first control.
     """
     states = [x0]
     controls, stage_costs, values, reports = [], [], [], []
@@ -108,15 +89,7 @@ def run_rollout(problem: ProblemDef, sset, x0, cfg: SolverConfig, horizon: int,
                 closing = tc
                 break
 
-        seeds = []
-        if prev is not None and len(prev.controls) == cfg.ell and base_policy is not None:
-            shifted = tuple(prev.controls[1:])
-            try:
-                ext = base_policy.action(base_view(prev.terminal_state))
-                seeds.append(shifted + (ext,))
-            except Exception:
-                pass
-        sol = solve(problem, sset, x, cfg, seeds=seeds, base_policy=base_policy)
+        sol, report = step(x, prev)
 
         if sol.value == INF:
             if t == 0:
@@ -137,11 +110,62 @@ def run_rollout(problem: ProblemDef, sset, x0, cfg: SolverConfig, horizon: int,
         controls.append(u)
         stage_costs.append(g)
         values.append(sol.value)
-        reports.append(_report_of(sol))
+        reports.append(report)
         prev = sol
 
-    return _finish(states, controls, stage_costs, values, reports, cfg, status,
-                   closing, variant, initial_set_value, policy_id)
+    tails = None
+    if status in ("stopped", "closed_in_set"):
+        tails = _tails_from(stage_costs, closing)
+    traj = Trajectory(
+        states=tuple(states),
+        controls=tuple(controls),
+        stage_costs=tuple(stage_costs),
+        policy_id=policy_id,
+        terminated_in_stopping_set=status == "stopped",
+        tail_costs=tails,
+    )
+    return RolloutRun(
+        trajectory=traj,
+        per_step_values=tuple(values),
+        solver_reports=tuple(reports),
+        config=cfg,
+        status=status,
+        closing_tail=closing,
+        variant=variant,
+        initial_set_value=initial_set_value,
+    )
+
+
+def _shifted_plan(prev, base_policy: Policy | None, ell: int):
+    """The previous plan moved one step on and extended by the base policy."""
+    if prev is None or base_policy is None or len(prev.controls) != ell:
+        return None
+    return tuple(prev.controls[1:]) + (base_policy.action(base_view(prev.terminal_state)),)
+
+
+def run_rollout(problem: ProblemDef, sset, x0, cfg: SolverConfig, horizon: int,
+                base_policy: Policy | None = None, disturbance=None,
+                residual_close: bool = True, variant: str = "basic",
+                policy_id: str = "rollout") -> RolloutRun:
+    """Roll the lookahead policy forward from x0 for at most horizon steps.
+
+    disturbance, when given, is called as disturbance(t, x_next) after each
+    nominal transition and its return value replaces the state; an
+    unresolvable state after a disturbance ends the run with a flagged
+    status instead of raising.
+    """
+
+    def step(x, prev):
+        seeds = []
+        if cfg.backend != "discrete":  # the discrete search takes no seeds
+            shifted = _shifted_plan(prev, base_policy, cfg.ell)
+            if shifted is not None:
+                seeds.append(shifted)
+        sol = solve(problem, sset, x, cfg, seeds=seeds, base_policy=base_policy)
+        return sol, _report_of(sol)
+
+    return _drive(problem, sset, x0, cfg, horizon, step, disturbance=disturbance,
+                  residual_close=residual_close, variant=variant, policy_id=policy_id)
 
 
 def _report_of(sol):
@@ -171,10 +195,6 @@ def run_classical_mpc(problem: ProblemDef, x0, cfg: SolverConfig, horizon: int,
     unconstrained under a designed quadratic cost (zero by default).
     """
     if terminal == "origin":
-        import numpy as np
-
-        from .sample_sets import ExplicitSampleSet, SampleEntry
-
         dim = np.asarray(x0, dtype=float).size
         tset = ExplicitSampleSet([SampleEntry(np.zeros(dim), 0.0, "terminal")],
                                  label="origin")
@@ -208,28 +228,6 @@ class AgentPartition:
     combine: object
 
 
-def _plan_of_policy(problem, policy, x, ell):
-    plan = []
-    cur = x
-    for _ in range(ell):
-        u = policy.action(base_view(cur))
-        if problem.stage_cost(cur, u) == INF:
-            return None
-        plan.append(u)
-        cur = problem.dynamics(cur, u)
-    return tuple(plan)
-
-
-def _eval_plan(problem, sset, x, plan):
-    states = [x]
-    for u in plan:
-        states.append(problem.dynamics(states[-1], u))
-    total = sset.terminal_cost(states[-1])
-    for k in range(len(plan) - 1, -1, -1):
-        total = problem.stage_cost(states[k], plan[k]) + total
-    return total, states[-1]
-
-
 def run_multiagent(problem: ProblemDef, sset, x0, cfg: SolverConfig, horizon: int,
                    partition: AgentPartition, base_policy: Policy,
                    sweeps: int = 2) -> RolloutRun:
@@ -241,66 +239,35 @@ def run_multiagent(problem: ProblemDef, sset, x0, cfg: SolverConfig, horizon: in
     sweeps. The incumbent only ever improves, so the step value stays at or
     below the base policy's.
     """
-    states = [x0]
-    controls, stage_costs, values, reports = [], [], [], []
-    initial_set_value = sset.terminal_cost(x0)
-    prev_plan = None
-    prev_terminal = None
-    status = "horizon"
-    closing = 0.0
 
-    for t in range(horizon):
-        x = states[-1]
-        if problem.is_stopping(x):
-            status = "stopped"
-            break
-        tc = sset.terminal_cost(x)
-        if tc <= cfg.eps_tail:
-            status = "closed_in_set"
-            closing = tc
-            break
-
-        candidates = []
-        base_plan = _plan_of_policy(problem, base_policy, x, cfg.ell)
-        if base_plan is not None:
-            candidates.append(base_plan)
-        if prev_plan is not None and prev_terminal is not None:
-            candidates.append(tuple(prev_plan[1:])
-                              + (base_policy.action(base_view(prev_terminal)),))
-
+    def step(x, prev):
         value, plan = INF, None
-        for idx, cand in enumerate(candidates):
-            v, _ = _eval_plan(problem, sset, x, cand)
-            if plan is None or v < value:
-                value, plan = v, cand
-        if plan is None or value == INF:
-            if t == 0:
-                raise InitialInfeasibilityError(x)
-            raise InfeasibleStepError(t, x)
+        for cand in (base_plan(problem, base_policy, x, cfg.ell),
+                     _shifted_plan(prev, base_policy, cfg.ell)):
+            if cand is not None:
+                v, _, _ = replay(problem, x, cand, sset.terminal_cost)
+                if plan is None or v < value:
+                    value, plan = v, cand
+        if value == INF:
+            return LookaheadSolution(controls=(), terminal_state=None, value=INF), None
 
         sweep_values = [value]
         for _ in range(sweeps):
             for agent in partition.agents:
-                def controls_at(state, step, _plan=plan, _agent=agent):
+                def controls_at(state, k, _plan=plan, _agent=agent):
                     opts = partition.options(state, _agent)
                     return FiniteControls(tuple(
-                        partition.combine(_plan[step], _agent, o) for o in opts))
+                        partition.combine(_plan[k], _agent, o) for o in opts))
 
                 _, rec = _discrete_minimize(problem, sset, x, cfg.ell, controls_at)
-                v, ctrl, term, _sid = rec(x, cfg.ell)
+                v, ctrl, _term, _sid = rec(x, cfg.ell)
                 if v < value:
                     value, plan = v, ctrl
             sweep_values.append(value)
 
-        _, terminal = _eval_plan(problem, sset, x, plan)
-        u = plan[0]
-        g = problem.stage_cost(x, u)
-        states.append(problem.dynamics(x, u))
-        controls.append(u)
-        stage_costs.append(g)
-        values.append(value)
-        reports.append({"value": value, "sweep_values": tuple(sweep_values)})
-        prev_plan, prev_terminal = plan, terminal
+        _, visited, _ = replay(problem, x, plan, sset.terminal_cost)
+        sol = LookaheadSolution(controls=plan, terminal_state=visited[-1], value=value)
+        return sol, {"value": value, "sweep_values": tuple(sweep_values)}
 
-    return _finish(states, controls, stage_costs, values, reports, cfg, status,
-                   closing, "multiagent", initial_set_value, "multiagent-rollout")
+    return _drive(problem, sset, x0, cfg, horizon, step, variant="multiagent",
+                  policy_id="multiagent-rollout")

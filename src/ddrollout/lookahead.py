@@ -11,9 +11,10 @@ backends live in the shooting module and are dispatched through solve().
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Callable, Iterable, Sequence
 
+from .budget import base_view
 from .costs import INF
 from .errors import AssumptionViolationError
 from .model import (
@@ -21,7 +22,6 @@ from .model import (
     FiniteControls,
     Policy,
     ProblemDef,
-    control_key,
     state_key,
 )
 
@@ -37,14 +37,7 @@ class SolverConfig:
     eps_term: float = 1e-6      # terminal-state mismatch accepted by shooting
     eps_tail: float = 1e-6      # residual tail cost that closes a rollout run
     max_iters: int = 5000       # projected-gradient iteration cap
-    penalty_init: float = 1e2   # terminal-mismatch penalty continuation start
-    penalty_growth: float = 10.0
-    penalty_max: float = 1e12
-    seed: int = 0
-    workers: int = 1
-    node_cap: int = 2_000_000
     mode_cap: int = 128         # hybrid: exhaustive mode enumeration up to this many
-    diagnostics: bool = True
 
     def __post_init__(self):
         if self.ell < 1:
@@ -77,31 +70,39 @@ class LookaheadSolution:
         """Re-evaluate the plan's objective from scratch (for audits)."""
         if self.value == INF:
             return INF
-        states = [x]
-        for u in self.controls:
-            states.append(problem.dynamics(states[-1], u))
-        if self.terminal_sample_id is not None and hasattr(sset, "tail_usages"):
-            # budget-augmented set: the id is a seed index; re-check that the
-            # remaining budget still covers the recorded tail usage
-            k = self.terminal_sample_id
-            covered = float(states[-1].info) >= sset.tail_usages[k]
-            terminal = sset.seed.tail_costs[k] if covered else INF
-        elif self.terminal_sample_id is not None and hasattr(sset, "entries"):
-            terminal = _entry_value(sset, self.terminal_sample_id)
-        else:
-            terminal = sset.terminal_cost(states[-1])
-        total = terminal
-        for k in range(len(self.controls) - 1, -1, -1):
-            g = problem.stage_cost(states[k], self.controls[k])
-            total = g + total
-        return total
+        sid = self.terminal_sample_id
+        return replay(problem, x, self.controls, lambda t: sset.sample_value(sid, t))[0]
 
 
-def _entry_value(sset, sample_id) -> float:
-    for e in sset.entries():
-        if state_key(e.state) == sample_id:
-            return e.value
-    return INF
+def replay(problem: ProblemDef, x, controls, terminal: Callable) -> tuple[float, list, list]:
+    """Exact objective of a concrete plan from x, with the states it visits
+    and its stage costs.
+
+    terminal prices the final state. Stage costs are added right to left as
+    g + total, the association the discrete search uses, so replaying one
+    of its plans reproduces the value bit for bit.
+    """
+    states = [x]
+    for u in controls:
+        states.append(problem.dynamics(states[-1], u))
+    costs = [problem.stage_cost(s, u) for s, u in zip(states, controls)]
+    total = terminal(states[-1])
+    for g in reversed(costs):
+        total = g + total
+    return total, states, costs
+
+
+def base_plan(problem: ProblemDef, policy: Policy, x, ell: int) -> tuple | None:
+    """The base policy's ell-step plan from x; None if a step is infeasible."""
+    plan = []
+    cur = x
+    for _ in range(ell):
+        u = policy.action(base_view(cur))
+        if problem.stage_cost(cur, u) == INF:
+            return None
+        plan.append(u)
+        cur = problem.dynamics(cur, u)
+    return tuple(plan)
 
 
 def _sorted_controls(spec) -> tuple:
@@ -112,14 +113,6 @@ def _sorted_controls(spec) -> tuple:
     if not spec.controls:
         raise ValueError("control set must be nonempty")
     return tuple(sorted(spec.controls))
-
-
-def _sample_id_at(sset, x):
-    if hasattr(sset, "lookup"):
-        e = sset.lookup(x)
-        if e is not None:
-            return state_key(e.state)
-    return None
 
 
 def _discrete_minimize(problem: ProblemDef, sset, x, ell: int,
@@ -141,7 +134,7 @@ def _discrete_minimize(problem: ProblemDef, sset, x, ell: int,
             return hit
         if depth_left == 0:
             v = sset.terminal_cost(state)
-            out = (v, (), state if v < INF else None, _sample_id_at(sset, state) if v < INF else None)
+            out = (v, (), state if v < INF else None, sset.sample_id(state) if v < INF else None)
             memo[key] = out
             return out
         step = ell - depth_left
@@ -169,9 +162,7 @@ def solve_discrete(problem: ProblemDef, sset, x, cfg: SolverConfig) -> Lookahead
     _, rec = _discrete_minimize(problem, sset, x, cfg.ell,
                                 lambda s, k: problem.control_set(s))
     value, controls, terminal, sid = rec(x, cfg.ell)
-    stages = None
-    if cfg.diagnostics:
-        stages = tuple(rec(x, k)[0] for k in range(cfg.ell + 1))
+    stages = tuple(rec(x, k)[0] for k in range(cfg.ell + 1))
     return LookaheadSolution(
         controls=controls,
         terminal_state=terminal,

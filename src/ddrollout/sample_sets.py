@@ -5,6 +5,19 @@ A sample set plays two roles in lookahead: it is the terminal constraint
 the recorded cost of finishing the job with its base policy). Explicit sets
 store finitely many sampled states; analytic sets describe infinitely many
 members through a predicate and an evaluator.
+
+Every terminal set, including the budget-augmented set and the free
+terminal of the classical baseline, answers one protocol:
+
+    contains(x), terminal_cost(x)   membership and the recorded cost
+    sample_id(x)                    the sample certifying x, or None
+    sample_value(sid, x)            the value sample sid gives terminal x
+    shooting_targets(x)             terminal targets for the shooting backend
+    to_doc()                        the stored document (TypeError if code)
+
+Sets holding recorded data also answer verify(problem, policies, rng,
+samples): their certificate checks in order, each yielded as (passed,
+report line, failure lines); a check runs only if the caller continues.
 """
 
 from __future__ import annotations
@@ -21,6 +34,8 @@ from .model import (
     Policy,
     ProblemDef,
     Trajectory,
+    check_fixed_point,
+    check_upper_bound,
     is_vector_state,
     state_key,
     states_equal,
@@ -39,6 +54,23 @@ class SampleEntry:
     value: float
     policy_id: str
     successor: object | None = None
+
+
+@dataclass(frozen=True)
+class Target:
+    """A terminal target for the shooting backend.
+
+    A target with a state pins the terminal state to it at the recorded
+    value; ball_radius, when set, bounds the plan's control norm by the
+    budget left after the sample's tail. A target without a state leaves
+    the terminal free under the quadratic cost quad (zero when None).
+    """
+
+    state: np.ndarray | None = None
+    value: float = 0.0
+    quad: np.ndarray | None = None
+    ball_radius: float | None = None
+    sample_id: object = None
 
 
 class ExplicitSampleSet:
@@ -113,6 +145,63 @@ class ExplicitSampleSet:
         e = self.lookup(x)
         return e.value if e is not None else INF
 
+    def sample_id(self, x):
+        e = self.lookup(x)
+        return state_key(e.state) if e is not None else None
+
+    def sample_value(self, sample_id, x) -> float:
+        """The recorded value of the entry keyed sample_id (x is not matched)."""
+        if sample_id is None:
+            return self.terminal_cost(x)
+        idx = self._by_key.get(sample_id)
+        return self._entries[idx].value if idx is not None else INF
+
+    def shooting_targets(self, x) -> list:
+        return [Target(state=np.asarray(e.state, dtype=float), value=e.value,
+                       sample_id=state_key(e.state)) for e in self._entries]
+
+    def to_doc(self) -> dict:
+        from .serialization import encode_value
+        return {
+            "format": "explicit-sample-set",
+            "version": 1,
+            "label": self.label,
+            "eps_state": self.eps_state,
+            "analytic_tail": self.analytic_tail,
+            "policy_ids": list(self.policy_ids),
+            "entries": [{
+                "state": encode_value(e.state),
+                "value": encode_value(e.value),
+                "policy_id": e.policy_id,
+                "successor": None if e.successor is None else encode_value(e.successor),
+            } for e in self._entries],
+        }
+
+    def verify(self, problem: ProblemDef, policies, rng, samples: int):
+        """Invariance, then the fixed-point (one policy) or upper-bound
+        (merged policies) certificate on every member with a successor."""
+        report = verify_invariance(problem, policies, self)
+        yield (report.passed,
+               f"invariance: PASS ({len(self)} members)" if report.passed else None,
+               [f"invariance violation at {v.state!r}: {v.reason}"
+                for v in report.violations[:5]])
+        multi = len(self.policy_ids) > 1
+        kind = "upper-bound" if multi else "fixed-point"
+        failures = []
+        for pid in self.policy_ids:
+            pol = policies[pid]
+            own = [e.state for e in self._entries
+                   if e.policy_id == pid and e.successor is not None]
+            if own:
+                rep = (check_upper_bound if multi else check_fixed_point)(
+                    problem, pol, self.terminal_cost, own)
+                failures.extend(rep.failures)
+        checked = sum(1 for e in self._entries if e.successor is not None)
+        yield (not failures,
+               None if failures else f"{kind}: PASS ({checked} states checked)",
+               [f"{kind} violation at state {row.state!r}: residual {row.residual:.3e}"
+                for row in failures[:5]])
+
 
 def _neighbor_cells(cell: tuple):
     if len(cell) == 0:
@@ -150,6 +239,70 @@ class AnalyticSampleSet:
 
     def terminal_cost(self, x) -> float:
         return ensure_cost(self._value(x)) if self.contains(x) else INF
+
+    def sample_id(self, x):
+        return None
+
+    def sample_value(self, sample_id, x) -> float:
+        return self.terminal_cost(x)
+
+    def shooting_targets(self, x) -> list:
+        if self.quadratic is None:
+            raise ValueError("analytic sample set needs a quadratic evaluator for shooting")
+        return [Target(quad=self.quadratic)]
+
+    def to_doc(self) -> dict:
+        raise TypeError(f"{type(self).__name__} is defined by code, not data; "
+                        "reconstruct it from its instance in the catalog")
+
+    def verify(self, problem: ProblemDef, policies, rng, samples: int):
+        """The fixed-point certificate on randomly drawn members."""
+        states = [self.sample_member(rng) for _ in range(samples)]
+        rep = check_fixed_point(problem, policies[self.policy_ids[0]],
+                                self.terminal_cost, states)
+        yield (rep.passed,
+               f"fixed-point: PASS ({samples} sampled members)" if rep.passed else None,
+               [f"fixed-point violation at {row.state!r}: residual {row.residual:.3e}"
+                for row in rep.failures[:5]])
+
+
+class FreeTerminal:
+    """Pseudo terminal set: every state admissible, smooth quadratic cost.
+
+    Used by the classical receding-horizon baseline, where the terminal
+    cost is a design choice rather than recorded data.
+    """
+
+    def __init__(self, quadratic: np.ndarray | None = None, label: str = "free-terminal"):
+        self.quadratic = None if quadratic is None else np.asarray(quadratic, dtype=float)
+        self.label = label
+        self.analytic_tail = False
+
+    @property
+    def policy_ids(self) -> tuple:
+        return ()
+
+    def contains(self, x) -> bool:
+        return True
+
+    def terminal_cost(self, x) -> float:
+        if self.quadratic is None:
+            return 0.0
+        v = np.asarray(x, dtype=float)
+        return float(v @ self.quadratic @ v)
+
+    def sample_id(self, x):
+        return None
+
+    def sample_value(self, sample_id, x) -> float:
+        return self.terminal_cost(x)
+
+    def shooting_targets(self, x) -> list:
+        return [Target(quad=self.quadratic)]
+
+    def to_doc(self) -> dict:
+        raise TypeError(f"{type(self).__name__} is defined by code, not data; "
+                        "reconstruct it from its instance in the catalog")
 
 
 def build_from_trajectory(traj: Trajectory, label: str | None = None,

@@ -255,40 +255,8 @@ def trajectory_from_csv(text: str) -> Trajectory:
 
 
 def sample_set_to_doc(sset) -> dict:
-    if isinstance(sset, ExplicitSampleSet):
-        return {
-            "format": "explicit-sample-set",
-            "version": 1,
-            "label": sset.label,
-            "eps_state": sset.eps_state,
-            "analytic_tail": sset.analytic_tail,
-            "policy_ids": list(sset.policy_ids),
-            "entries": [{
-                "state": encode_value(e.state),
-                "value": encode_value(e.value),
-                "policy_id": e.policy_id,
-                "successor": None if e.successor is None else encode_value(e.successor),
-            } for e in sset.entries()],
-        }
-    if isinstance(sset, BudgetSampleSet):
-        spec = sset.spec
-        if spec.usage_quad is None:
-            raise TypeError("only quadratic usage specs serialize; "
-                            "general usage callables are code, not data")
-        return {
-            "format": "budget-sample-set",
-            "version": 1,
-            "label": sset.label,
-            "eps_state": sset.eps_state,
-            "anchor_usage": sset.anchor_usage,
-            "e_max": spec.e_max,
-            "usage_quad": [[float(c) for c in row] for row in spec.usage_quad],
-            "seed": trajectory_to_doc(sset.seed),
-            "usages": [encode_value(u) for u in sset.usages],
-            "tail_usages": [encode_value(t) for t in sset.tail_usages],
-        }
-    raise TypeError(f"{type(sset).__name__} is defined by code, not data; "
-                    "reconstruct it from its instance in the catalog")
+    """The set's stored document; sets defined by code raise TypeError."""
+    return sset.to_doc()
 
 
 def _quadratic_usage(mat: np.ndarray):
@@ -332,36 +300,9 @@ def sample_set_from_doc(doc: dict, *, problem=None, policies=None,
                                label=doc["label"], eps_state=doc["eps_state"],
                                anchor_usage=float(doc["anchor_usage"]))
         if not trusted:
-            _reverify_budget_set(sset)
+            sset.reverify()
         return sset
     raise ValueError(f"not a sample-set document: format={fmt!r}")
-
-
-def _reverify_budget_set(sset: BudgetSampleSet) -> None:
-    """Membership is reconstructed from the seed: recompute every per-step
-    usage and the backward accumulation and demand exact agreement."""
-    seed, spec = sset.seed, sset.spec
-    for k, u in enumerate(seed.controls):
-        measured = float(spec.per_step_usage(seed.states[k], u))
-        if measured != sset.usages[k]:
-            raise SampleSetIntegrityError(
-                f"stored usage at step {k} is {sset.usages[k]!r}, "
-                f"recomputed {measured!r}", state=seed.states[k])
-    tail = float(sset.anchor_usage)
-    n = len(seed.controls)
-    if sset.tail_usages[n] != tail:
-        raise SampleSetIntegrityError(
-            f"stored terminal tail usage {sset.tail_usages[n]!r} differs from "
-            f"anchor {tail!r}", state=seed.states[n])
-    for k in range(n - 1, -1, -1):
-        tail = sset.usages[k] + tail
-        if sset.tail_usages[k] != tail:
-            raise SampleSetIntegrityError(
-                f"stored tail usage at step {k} is {sset.tail_usages[k]!r}, "
-                f"recomputed {tail!r}", state=seed.states[k])
-    if sset.tail_usages[0] > spec.e_max:
-        raise SampleSetIntegrityError(
-            f"seed needs {sset.tail_usages[0]!r} of resource, budget is {spec.e_max!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -373,13 +314,18 @@ def config_to_dict(cfg: SolverConfig) -> dict:
     return dataclasses.asdict(cfg)
 
 
+# fields of earlier SolverConfig versions; stored runs still carry them
+_RETIRED_CONFIG_FIELDS = frozenset({"seed", "workers", "node_cap", "diagnostics",
+                                   "penalty_init", "penalty_growth", "penalty_max"})
+
+
 def config_from_dict(d: dict) -> SolverConfig:
     import dataclasses
     known = {f.name for f in dataclasses.fields(SolverConfig)}
-    extra = set(d) - known
+    extra = set(d) - known - _RETIRED_CONFIG_FIELDS
     if extra:
         raise ValueError(f"unknown solver config fields: {sorted(extra)}")
-    return SolverConfig(**d)
+    return SolverConfig(**{k: v for k, v in d.items() if k in known})
 
 
 def run_to_doc(run) -> dict:

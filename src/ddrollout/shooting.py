@@ -7,50 +7,27 @@ by projected gradient with fixed step 1/L; terminal equality to a sampled
 state is enforced by a quadratic mismatch penalty driven below eps_term by
 continuation. Budget-augmented problems add an exact ball constraint on the
 control energy, handled by bisection on its multiplier. Subproblems are
-independent, may run on a thread pool, and are reduced in deterministic
-(value, index) order so parallel and serial runs agree exactly.
+reduced in deterministic (value, index) order.
 """
 
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .budget import AugmentedState, BudgetSampleSet, base_view
+from .budget import base_view
 from .costs import INF
 from .errors import SolverFailureError
-from .lookahead import LookaheadSolution, SolverConfig
-from .model import BoxControls, Policy, ProblemDef, state_key
-from .sample_sets import AnalyticSampleSet, ExplicitSampleSet
+from .lookahead import LookaheadSolution, SolverConfig, base_plan, replay
+from .model import BoxControls, Policy, ProblemDef
+from .sample_sets import FreeTerminal, Target  # FreeTerminal: public alias
 
-
-class FreeTerminal:
-    """Pseudo terminal set: every state admissible, smooth quadratic cost.
-
-    Used by the classical receding-horizon baseline, where the terminal
-    cost is a design choice rather than recorded data.
-    """
-
-    def __init__(self, quadratic: np.ndarray | None = None, label: str = "free-terminal"):
-        self.quadratic = None if quadratic is None else np.asarray(quadratic, dtype=float)
-        self.label = label
-        self.analytic_tail = False
-
-    @property
-    def policy_ids(self) -> tuple:
-        return ()
-
-    def contains(self, x) -> bool:
-        return True
-
-    def terminal_cost(self, x) -> float:
-        if self.quadratic is None:
-            return 0.0
-        v = np.asarray(x, dtype=float)
-        return float(v @ self.quadratic @ v)
+# terminal-mismatch penalty continuation: start, growth factor, ceiling
+PENALTY_INIT = 1e2
+PENALTY_GROWTH = 10.0
+PENALTY_MAX = 1e12
 
 
 # ---------------------------------------------------------------------------
@@ -195,102 +172,48 @@ def _assemble(pl, x0: np.ndarray, ell: int, sigma, lo_full, hi_full) -> _Assembl
 
 
 # ---------------------------------------------------------------------------
-# Targets
-
-
-@dataclass(frozen=True)
-class _Target:
-    kind: str                      # "free" | "sample" | "budget"
-    state: np.ndarray | None = None
-    value: float = 0.0
-    quad: np.ndarray | None = None
-    ball_radius: float | None = None
-    sample_id: object = None
-
-
-def _targets_for(sset, x, eps_term: float, usage_scale: float) -> list:
-    if isinstance(sset, (AnalyticSampleSet, FreeTerminal)):
-        if isinstance(sset, AnalyticSampleSet) and sset.quadratic is None:
-            raise ValueError("analytic sample set needs a quadratic evaluator for shooting")
-        return [_Target(kind="free", quad=sset.quadratic)]
-    if isinstance(sset, ExplicitSampleSet):
-        return [
-            _Target(kind="sample", state=np.asarray(e.state, dtype=float),
-                    value=e.value, sample_id=state_key(e.state))
-            for e in sset.entries()
-        ]
-    if isinstance(sset, BudgetSampleSet):
-        if not isinstance(x, AugmentedState):
-            raise ValueError("budget sample set requires an augmented state")
-        out = []
-        for k in range(len(sset.seed.states)):
-            head = float(x.info) - sset.tail_usages[k]
-            if head < 0.0:
-                continue  # not enough budget left to finish from this sample
-            out.append(_Target(
-                kind="budget",
-                state=np.asarray(sset.seed.states[k], dtype=float),
-                value=sset.seed.tail_costs[k],
-                ball_radius=float(np.sqrt(head / usage_scale)),
-                sample_id=k,
-            ))
-        return out
-    raise TypeError(f"unsupported terminal set {type(sset).__name__} for shooting")
-
-
-def _usage_scale(budget_spec) -> float:
-    if budget_spec is None or budget_spec.usage_quad is None:
-        return 1.0
-    uq = budget_spec.usage_quad
-    scale = float(uq[0, 0])
-    if not np.allclose(uq, scale * np.eye(uq.shape[0])):
-        raise ValueError("shooting supports usage matrices c*I only")
-    return scale
-
-
-# ---------------------------------------------------------------------------
 # Exact evaluation of a concrete control plan
 
 
-def _plan_value(problem: ProblemDef, sset, x, controls, target: _Target | None,
-                eps_term: float):
-    """Simulate the true (extended-cost) problem and price the plan exactly.
+def _plan_value(problem: ProblemDef, sset, x, controls, target: Target, eps_term: float):
+    """Replay the plan exactly against one target.
 
-    Returns (value, states, mismatch, state_box_violations).
+    A free target prices the terminal state with the set's cost; a sample
+    target gives its recorded value only to a terminal state within
+    eps_term of it. Returns (value, states, stage costs, mismatch).
     """
-    states = [x]
-    for u in controls:
-        states.append(problem.dynamics(states[-1], u))
-    terminal = states[-1]
-    base_terminal = terminal.base if isinstance(terminal, AugmentedState) else terminal
-
     mismatch = None
-    if target is not None and target.state is not None:
-        mismatch = float(np.max(np.abs(np.asarray(base_terminal, dtype=float) - target.state),
+
+    def terminal(s):
+        nonlocal mismatch
+        if target.state is None:
+            return sset.terminal_cost(s)
+        mismatch = float(np.max(np.abs(np.asarray(base_view(s), dtype=float) - target.state),
                                 initial=0.0))
+        if not mismatch <= eps_term:
+            return INF
+        if target.ball_radius is None:
+            return target.value
+        return sset.sample_value(target.sample_id, s)  # the budget must cover the tail
 
-    if target is None or target.kind == "free":
-        tval = sset.terminal_cost(terminal)
-    elif target.kind == "sample":
-        tval = target.value if mismatch is not None and mismatch <= eps_term else INF
-    else:  # budget: base state must match and the remaining budget must cover the tail
-        k = target.sample_id
-        enough = float(terminal.info) >= sset.tail_usages[k]
-        tval = target.value if (mismatch is not None and mismatch <= eps_term and enough) else INF
+    value, states, costs = replay(problem, x, controls, terminal)
+    return value, states, costs, mismatch
 
-    violations = []
-    total = tval
+
+def _box_violations(problem: ProblemDef, states, costs) -> list:
+    """(step, overshoot) for each infeasible stage whose state leaves the box."""
     pl = _problem_pl(problem)
-    for k in range(len(controls) - 1, -1, -1):
-        g = problem.stage_cost(states[k], controls[k])
-        if g == INF and pl is not None and pl.state_box is not None:
-            xb = states[k].base if isinstance(states[k], AugmentedState) else states[k]
-            lo, hi = pl.state_box
+    if pl.state_box is None:
+        return []
+    lo, hi = pl.state_box
+    out = []
+    for k in range(len(costs) - 1, -1, -1):
+        if costs[k] == INF:
+            xb = base_view(states[k])
             over = np.maximum(xb - hi, 0.0) + np.maximum(lo - xb, 0.0)
             if float(np.max(over, initial=0.0)) > pl.box_tol:
-                violations.append((k, over))
-        total = g + total
-    return total, states, mismatch, violations
+                out.append((k, over))
+    return out
 
 
 def _problem_pl(problem: ProblemDef):
@@ -318,8 +241,7 @@ def solve_continuous(problem: ProblemDef, sset, x, cfg: SolverConfig,
     pl = _problem_pl(problem)
     if pl is None:
         raise ValueError("shooting backends need piecewise-linear problem structure")
-    budget_spec = problem.budget.spec if problem.budget is not None else None
-    base_x = np.asarray(x.base if isinstance(x, AugmentedState) else x, dtype=float)
+    base_x = np.asarray(base_view(x), dtype=float)
     ell = cfg.ell
 
     base_problem = problem.budget.base if problem.budget is not None else problem
@@ -331,14 +253,13 @@ def solve_continuous(problem: ProblemDef, sset, x, cfg: SolverConfig,
     hi_full = np.tile(box.hi, ell)
 
     n_modes = len(pl.modes)
-    usage_scale = _usage_scale(budget_spec)
-    targets = _targets_for(sset, x, cfg.eps_term, usage_scale)
+    targets = sset.shooting_targets(x)
 
     seed_plans = [tuple(s) for s in seeds if len(tuple(s)) == ell]
     if base_policy is not None:
-        plan = _base_plan(problem, base_policy, x, ell)
+        plan = base_plan(problem, base_policy, x, ell)
         if plan is not None:
-            seed_plans.append(plan)
+            seed_plans.append(tuple(np.asarray(u, dtype=float) for u in plan))
     seed_by_target = _index_seeds(problem, x, seed_plans, targets, eps_term=cfg.eps_term)
 
     candidates = [_evaluate_seed(problem, sset, x, plan, targets, cfg.eps_term)
@@ -372,7 +293,7 @@ def solve_continuous(problem: ProblemDef, sset, x, cfg: SolverConfig,
             if sig not in assembled:
                 assembled[sig] = _assemble(pl, base_x, ell, sig, lo_full, hi_full)
             for t_idx, target in enumerate(targets):
-                if target.kind != "free":
+                if target.state is not None:
                     if target.value >= bound:
                         continue  # stage costs are nonnegative: cannot win
                     gap = np.abs(target.state - assembled[sig].phis[ell])
@@ -391,27 +312,15 @@ def solve_continuous(problem: ProblemDef, sset, x, cfg: SolverConfig,
         exact_pred = n_modes == 1
         results = []
         cur_bound = bound
-        chunk = 16  # fixed so the outcome does not depend on the worker count
+        chunk = 16  # the running bound tightens between chunks, not within one
         for start in range(0, len(jobs), chunk):
             batch = [j for j in jobs[start:start + chunk]
-                     if targets[j[2]].kind == "free"
+                     if targets[j[2]].state is None
                      or targets[j[2]].value < cur_bound]
-            if not batch:
-                continue
-
-            def run_job(job, bnd=INF):
-                _, sig, t_idx = job
-                return _solve_candidate(problem, sset, x, assembled[sig],
-                                        targets[t_idx], lo_full, hi_full, m, cfg,
-                                        seed_by_target.get(t_idx),
-                                        prune_bound=bnd, exact_prediction=exact_pred)
-
-            bnd = cur_bound
-            if cfg.workers > 1 and len(batch) > 1:
-                with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-                    out = list(pool.map(lambda j: run_job(j, bnd), batch))
-            else:
-                out = [run_job(j, bnd) for j in batch]
+            out = [_solve_candidate(problem, sset, x, assembled[sig], targets[t_idx],
+                                    lo_full, hi_full, m, cfg, seed_by_target.get(t_idx),
+                                    prune_bound=cur_bound, exact_prediction=exact_pred)
+                   for _, sig, t_idx in batch]
             results.extend(out)
             for value, _, _ in out:
                 if value < cur_bound:
@@ -498,18 +407,6 @@ def _realized_modes(pl, base_x, controls) -> tuple:
     return tuple(sig)
 
 
-def _base_plan(problem, base_policy, x, ell):
-    plan = []
-    cur = x
-    for _ in range(ell):
-        u = base_policy.action(base_view(cur))
-        if problem.stage_cost(cur, u) == INF:
-            return None
-        plan.append(np.asarray(u, dtype=float))
-        cur = problem.dynamics(cur, u)
-    return tuple(plan)
-
-
 def _index_seeds(problem, x, seed_plans, targets, eps_term):
     """Map target index -> stacked warm-start vector from a seed plan."""
     out = {}
@@ -520,7 +417,7 @@ def _index_seeds(problem, x, seed_plans, targets, eps_term):
         cur = x
         for u in plan:
             cur = problem.dynamics(cur, u)
-        base_term = cur.base if isinstance(cur, AugmentedState) else cur
+        base_term = base_view(cur)
         for t_idx, t in enumerate(targets):
             if t.state is None:
                 out.setdefault(t_idx, z)
@@ -532,7 +429,7 @@ def _index_seeds(problem, x, seed_plans, targets, eps_term):
     return out
 
 
-def _solve_candidate(problem, sset, x, asm: _Assembled, target: _Target,
+def _solve_candidate(problem, sset, x, asm: _Assembled, target: Target,
                      lo_full, hi_full, m, cfg: SolverConfig, warm,
                      prune_bound=INF, exact_prediction=False):
     ell = len(asm.gammas) - 1
@@ -545,7 +442,7 @@ def _solve_candidate(problem, sset, x, asm: _Assembled, target: _Target,
     state_pen_b = None
 
     for _state_round in range(4):
-        if target.kind == "free":
+        if target.state is None:
             quad = target.quad
             if quad is None:
                 h = asm.h0.copy()
@@ -562,7 +459,7 @@ def _solve_candidate(problem, sset, x, asm: _Assembled, target: _Target,
             mismatch_pred = 0.0
             penalty = 0.0
         else:
-            penalty = cfg.penalty_init
+            penalty = PENALTY_INIT
             pen_offset = float(np.dot(phi_l - target.state, phi_l - target.state))
             while True:
                 gq = g_l.T
@@ -571,7 +468,7 @@ def _solve_candidate(problem, sset, x, asm: _Assembled, target: _Target,
                 if state_pen_h is not None:
                     h = h + state_pen_h
                     b = b + state_pen_b
-                if target.kind == "budget":
+                if target.ball_radius is not None:
                     z, converged, it = _ball_box_qp(h, b, lo_full, hi_full,
                                                     target.ball_radius, z, cfg.max_iters)
                 else:
@@ -579,7 +476,7 @@ def _solve_candidate(problem, sset, x, asm: _Assembled, target: _Target,
                 iters_total += it
                 mismatch_pred = float(np.max(np.abs(phi_l + g_l @ z - target.state),
                                              initial=0.0))
-                if mismatch_pred <= 0.9 * cfg.eps_term or penalty >= cfg.penalty_max:
+                if mismatch_pred <= 0.9 * cfg.eps_term or penalty >= PENALTY_MAX:
                     break
                 if exact_prediction and converged and state_pen_h is None \
                         and prune_bound < INF:
@@ -591,28 +488,28 @@ def _solve_candidate(problem, sset, x, asm: _Assembled, target: _Target,
                         diag = {"mismatch": None, "predicted_mismatch": mismatch_pred,
                                 "penalty": penalty, "iterations": iters_total,
                                 "converged": True, "sample_id": target.sample_id,
-                                "mode_sequence": None, "pruned": True}
+                                "pruned": True}
                         return INF, (), diag
                 jump = penalty * mismatch_pred / max(0.45 * cfg.eps_term, 1e-300)
-                penalty = min(cfg.penalty_max,
-                              max(penalty * cfg.penalty_growth, jump))
+                penalty = min(PENALTY_MAX, max(penalty * PENALTY_GROWTH, jump))
 
         controls = tuple(z[k * m:(k + 1) * m].copy() for k in range(ell))
-        value, states, mismatch, violations = _plan_value(
-            problem, sset, x, controls, target, cfg.eps_term)
+        value, states, costs, mismatch = _plan_value(problem, sset, x, controls,
+                                                     target, cfg.eps_term)
 
-        if target.kind == "budget" and value == INF and mismatch is not None \
+        if target.ball_radius is not None and value == INF and mismatch is not None \
                 and mismatch <= cfg.eps_term:
             # exact budget repair: shrink the plan until the accounting holds
             for _ in range(3):
                 z = z * (1.0 - 1e-12)
                 controls = tuple(z[k * m:(k + 1) * m].copy() for k in range(ell))
-                value, states, mismatch, violations = _plan_value(
-                    problem, sset, x, controls, target, cfg.eps_term)
+                value, states, costs, mismatch = _plan_value(problem, sset, x, controls,
+                                                             target, cfg.eps_term)
                 if value < INF:
                     break
 
-        if value < INF or not violations:
+        violations = _box_violations(problem, states, costs) if value == INF else []
+        if not violations:
             break
         # add quadratic penalties on the violated state-box rows and retry
         weight = 1e4 * (100.0 ** _state_round)
@@ -623,7 +520,7 @@ def _solve_candidate(problem, sset, x, asm: _Assembled, target: _Target,
         for k, over in violations:
             for i in np.nonzero(over > 0.0)[0]:
                 row = asm.gammas[k][i]
-                xb = states[k].base if isinstance(states[k], AugmentedState) else states[k]
+                xb = base_view(states[k])
                 bound = hi_box[i] if xb[i] > hi_box[i] else lo_box[i]
                 state_pen_h += 2.0 * weight * np.outer(row, row)
                 state_pen_b += 2.0 * weight * (asm.phis[k][i] - bound) * row
@@ -635,7 +532,6 @@ def _solve_candidate(problem, sset, x, asm: _Assembled, target: _Target,
         "iterations": iters_total,
         "converged": converged,
         "sample_id": target.sample_id,
-        "mode_sequence": None,
     }
     return value, controls, diag
 
@@ -645,14 +541,9 @@ def _evaluate_seed(problem, sset, x, plan, targets, eps_term):
     if not plan:
         return None
     best = None
-    if any(t.kind == "free" for t in targets):
-        value, _, mismatch, _ = _plan_value(problem, sset, x, plan, None, eps_term)
-        best = (value, plan, {"mismatch": mismatch, "converged": True,
-                              "sample_id": None, "seed": True})
-    else:
-        for t in targets:
-            value, _, mismatch, _ = _plan_value(problem, sset, x, plan, t, eps_term)
-            if best is None or value < best[0]:
-                best = (value, plan, {"mismatch": mismatch, "converged": True,
-                                      "sample_id": t.sample_id, "seed": True})
+    for t in [t for t in targets if t.state is None] or targets:
+        value, _, _, mismatch = _plan_value(problem, sset, x, plan, t, eps_term)
+        if best is None or value < best[0]:
+            best = (value, plan, {"mismatch": mismatch, "converged": True,
+                                  "sample_id": t.sample_id, "seed": True})
     return best

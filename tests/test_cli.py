@@ -3,9 +3,13 @@
 import copy
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ddrollout
 from ddrollout import make_instance
 from ddrollout.cli import main
 from ddrollout.serialization import dumps_json, read_json, sample_set_to_doc, write_text
@@ -147,3 +151,25 @@ def test_config_file_merges_and_flags_override(capsys, tmp_path):
                            "--out-dir", str(override))
     assert code == 0
     assert os.path.exists(override / "basic-0.json")
+
+
+@pytest.mark.parametrize("argv", [
+    ("list-instances",),
+    ("table", "--instance", "tsp"),
+])
+def test_closed_stdout_pipe_ends_quietly(tmp_path, argv):
+    # the reader closes its end before the first line arrives, like a
+    # `| head` that has already exited; nothing may reach stderr
+    pkg_root = str(Path(ddrollout.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (pkg_root, os.environ.get("PYTHONPATH")) if p))
+    if argv[0] == "table":
+        argv += ("--out-dir", str(tmp_path))
+    proc = subprocess.Popen([sys.executable, "-m", "ddrollout.cli", *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=120) == 0, err
+    assert "Traceback" not in err and "BrokenPipeError" not in err
+    if argv[0] == "table":  # artifacts are written before anything is printed
+        assert (tmp_path / "table.csv").exists() and (tmp_path / "table.txt").exists()

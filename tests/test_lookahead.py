@@ -1,11 +1,15 @@
 """Exact lookahead against a no-memo reference, plus the restriction layer."""
 
+import ast
+import dataclasses
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ddrollout
 from ddrollout import (
     AssumptionViolationError,
     FiniteControls,
@@ -155,3 +159,30 @@ def test_solve_dispatches_to_the_discrete_backend():
     a = solve(problem, sset, n - 1, _cfg(2))
     b = solve_discrete(problem, sset, n - 1, _cfg(2))
     assert a.value == b.value and a.controls == b.controls
+
+
+def test_every_solver_config_field_is_read():
+    """Each SolverConfig knob is read somewhere in the package.
+
+    The package names its configs cfg, mpc_cfg, run.config or
+    bundle.solver_defaults, so a read is an attribute load on one of those
+    names; the class body itself does not count.
+    """
+    receivers = {"cfg", "mpc_cfg", "config", "solver_defaults"}
+    read = set()
+    for path in Path(ddrollout.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        own = set()
+        if path.name == "lookahead.py":
+            cls = next(n for n in tree.body
+                       if isinstance(n, ast.ClassDef) and n.name == "SolverConfig")
+            own = {id(n) for n in ast.walk(cls)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load) \
+                    and id(node) not in own:
+                base = node.value
+                name = base.id if isinstance(base, ast.Name) else getattr(base, "attr", None)
+                if name in receivers:
+                    read.add(node.attr)
+    unread = {f.name for f in dataclasses.fields(SolverConfig)} - read
+    assert not unread, f"SolverConfig fields nothing reads: {sorted(unread)}"

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from ddrollout import (
     AnalyticSampleSet,
+    AugmentedState,
     ExplicitSampleSet,
     Policy,
     SampleEntry,
@@ -150,3 +151,25 @@ def test_any_base_built_set_is_invariant(seed):
     traj = simulate_policy(problem, base, n - 1)
     sset = build_from_trajectory(traj)
     assert verify_invariance(problem, base, sset).passed
+
+
+def _member_of(kind, request):
+    if kind == "explicit":
+        sset = request.getfixturevalue("spiral").sample_sets["trajectory-0"]
+        return sset, sset.entries()[3].state + 2e-10  # within the state tolerance
+    if kind == "merged":
+        sset = request.getfixturevalue("tour").sample_sets["merged"]
+        return sset, sset.entries()[2].state
+    if kind == "analytic":
+        return request.getfixturevalue("spiral").sample_sets["disk"], np.array([3.0, -4.0])
+    sset = request.getfixturevalue("integrator").augmented_sets["budget"]
+    return sset, AugmentedState(sset.seed.states[5], sset.tail_usages[5] + 0.01)
+
+
+@pytest.mark.parametrize("kind", ["explicit", "merged", "analytic", "budget"])
+def test_member_cost_is_the_value_of_its_certifying_sample(kind, request):
+    sset, x = _member_of(kind, request)
+    assert sset.contains(x)
+    sid = sset.sample_id(x)
+    assert (sid is None) == (kind == "analytic")  # a predicate set has no samples
+    assert sset.terminal_cost(x) == sset.sample_value(sid, x) < INF

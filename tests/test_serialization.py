@@ -172,3 +172,23 @@ def test_config_dict_roundtrip():
     assert config_from_dict(config_to_dict(cfg)) == cfg
     with pytest.raises(ValueError):
         config_from_dict({"ell": 2, "wibble": 1})
+
+
+def test_run_documents_with_retired_config_fields_still_load(grid):
+    cfg = SolverConfig(ell=2, backend="discrete")
+    run = run_rollout(grid.problem, grid.sample_sets["trajectory"],
+                      grid.start_states[0], cfg, horizon=40)
+    doc = json.loads(dumps_json(run_to_doc(run)))
+    # the config block as earlier versions wrote it, retired knobs included
+    doc["config"] = {
+        "ell": 2, "backend": "discrete", "eps_term": 1e-06, "eps_tail": 1e-06,
+        "max_iters": 5000, "penalty_init": 100.0, "penalty_growth": 10.0,
+        "penalty_max": 1e12, "seed": 0, "workers": 1, "node_cap": 2000000,
+        "mode_cap": 128, "diagnostics": True,
+    }
+    back = run_from_doc(doc)
+    assert back.config == cfg
+    assert back.total_cost == run.total_cost
+    # only the retired names are forgiven
+    with pytest.raises(ValueError):
+        config_from_dict({"ell": 2, "seed": 0, "wibble": 1})

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
-from ddrollout import SolverConfig, run_rollout
+from ddrollout import AugmentedState, SolverConfig, run_rollout
 from ddrollout.costs import INF
 from ddrollout.shooting import FreeTerminal, solve_continuous
 
@@ -191,3 +191,16 @@ def test_disk_terminal_lands_inside_the_disk(spiral):
                            replace(spiral.solver_defaults, ell=5))
     assert sol.value < INF
     assert disk.contains(sol.terminal_state)
+
+
+def test_budget_solve_replays_to_its_value(integrator):
+    problem = integrator.augmented_problem
+    sset = integrator.augmented_sets["budget"]
+    policy = next(iter(integrator.base_policies.values()))
+    x0 = AugmentedState(integrator.start_states[0], integrator.budget_spec.e_max)
+    sol = solve_continuous(problem, sset, x0, _cfg(4), base_policy=policy)
+    assert sol.value < INF
+    assert sol.terminal_sample_id is not None
+    # the replay prices the terminal with the seed step's recorded tail,
+    # after checking the remaining budget covers that step's usage
+    assert sol.recompute(problem, sset, x0) == sol.value
