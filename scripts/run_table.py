@@ -1,118 +1,42 @@
 """Headline comparison across all built-in instances.
 
-For each instance this runs the recorded base policy, the sample-set
-rollout, and (where a sensible horizon exists) the classical receding
-horizon baseline, then prints one aligned table. Costs are realized
-closed-loop totals, not lookahead predictions.
+Runs `ddrollout table` once per instance: the recorded base cost, the
+sample-set rollout and, where the instance names one, the classical
+receding-horizon baseline, each as a realized closed-loop total. Each
+instance writes its table.csv and table.txt to its own output directory.
 
 Usage:
-    python3 scripts/run_table.py [--out results/table.csv]
+    python3 scripts/run_table.py [--instance NAME] [--horizon N] [--out-dir DIR]
 """
 
 import argparse
-import csv
 import os
 import sys
-import time
-from dataclasses import replace
 
-from ddrollout import (
-    INSTANCES,
-    make_instance,
-    run_classical_mpc,
-    run_multiagent,
-    run_rollout,
-    simulate_policy,
-    trajectory_cost,
-)
+from ddrollout import cli
+from ddrollout.catalog import INSTANCES
 
 
-def base_cost(bundle, x0):
-    policy = next(iter(bundle.base_policies.values()))
-    traj = simulate_policy(bundle.problem, policy, x0)
-    return trajectory_cost(traj)
-
-
-def rows_for(name):
-    bundle = make_instance(name)
-    policy = next(iter(bundle.base_policies.values()))
-    sset = bundle.sample_sets[bundle.default_set]
-    out = []
-
-    if name == "four-city-tour":
-        # richer sample sets, same start; the tour is the interesting output
-        for label in ("cdb", "merged", "merged+abd"):
-            parts = label.split("+")
-            cur = bundle.sample_sets[parts[0]]
-            if len(parts) > 1:
-                from ddrollout import merge
-                cur = merge([bundle.sample_sets[p] for p in parts], label=label)
-            cfg = bundle.solver_defaults
-            run = run_rollout(bundle.problem, cur, bundle.start_states[0], cfg, 8)
-            tour = "".join(run.trajectory.states[-1])
-            out.append((name, f"A [{label}]",
-                        bundle.notes["base_costs"]["prefers-cdb"],
-                        run.total_cost, None, tour))
-        return out
-
-    if name == "two-vehicle-grid":
-        cfg = replace(bundle.solver_defaults, ell=2)
-        run = run_multiagent(bundle.problem, sset, bundle.start_states[0], cfg,
-                             40, bundle.partition, policy)
-        out.append((name, "start", bundle.notes["base_cost"], run.total_cost,
-                    None, None))
-        return out
-
-    for x0 in bundle.start_states:
-        cfg = bundle.solver_defaults
-        run = run_rollout(bundle.problem, sset, x0, cfg, 80, base_policy=policy)
-        mpc_cfg = replace(cfg, ell=bundle.notes.get("mpc_ell", cfg.ell),
-                          mode_cap=bundle.notes.get("mpc_mode_cap", cfg.mode_cap))
-        mpc = run_classical_mpc(
-            bundle.problem, x0, mpc_cfg, 80,
-            terminal=bundle.notes.get("mpc_terminal", "origin"),
-            terminal_quadratic=bundle.mpc_quadratic, base_policy=policy)
-        label = ",".join(f"{float(c):g}" for c in x0)
-        out.append((name, label, base_cost(bundle, x0), run.total_cost,
-                    mpc.total_cost, None))
-    return out
-
-
-def main(argv=None):
+def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--out", default=None, help="also write rows as CSV")
     ap.add_argument("--instance", default=None,
                     help="restrict to one instance (default: all)")
+    ap.add_argument("--horizon", type=int, default=None)
+    ap.add_argument("--out-dir", default=None,
+                    help="parent of the per-instance output directories "
+                         "(default: runs/<instance>)")
     args = ap.parse_args(argv)
 
-    names = [args.instance] if args.instance else list(INSTANCES)
-    all_rows = []
-    for name in names:
-        t0 = time.perf_counter()
-        all_rows.extend(rows_for(name))
-        print(f"[{name}] done in {time.perf_counter() - t0:.1f}s", file=sys.stderr)
-
-    header = ("instance", "start", "base", "rollout", "receding_horizon", "tour")
-    widths = [max(len(h), 18) for h in header]
-    fmt = lambda v: "" if v is None else (v if isinstance(v, str) else f"{v:.4f}")
-    print("  ".join(h.ljust(w) for h, w in zip(header, widths)))
-    for row in all_rows:
-        print("  ".join(fmt(v).ljust(w) for v, w in zip(row, widths)))
-
-    for row in all_rows:
-        base, roll = row[2], row[3]
-        if roll > base + 1e-6 * max(1.0, abs(base)):
-            print(f"WARNING: rollout above base on {row[0]} at {row[1]}",
-                  file=sys.stderr)
-
-    if args.out:
-        os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
-        with open(args.out, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(header)
-            w.writerows([["" if v is None else v for v in r] for r in all_rows])
-        print(f"wrote {args.out}", file=sys.stderr)
+    code = cli.EXIT_OK
+    for name in [args.instance] if args.instance else list(INSTANCES):
+        argv = ["table", "--instance", name]
+        if args.out_dir is not None:
+            argv += ["--out-dir", os.path.join(args.out_dir, name)]
+        if args.horizon is not None:
+            argv += ["--horizon", str(args.horizon)]
+        code = max(code, cli.main(argv))
+    return code
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

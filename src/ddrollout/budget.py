@@ -60,14 +60,6 @@ class BudgetConstraintSpec:
             object.__setattr__(self, "usage_quad", np.asarray(self.usage_quad, dtype=float))
 
 
-@dataclass(frozen=True)
-class BudgetLayer:
-    """Marks an augmented ProblemDef and links back to its base problem."""
-
-    base: ProblemDef
-    spec: BudgetConstraintSpec
-
-
 def base_view(state):
     """Strip budget augmentation from a state.
 
@@ -104,7 +96,7 @@ def augment_problem(problem: ProblemDef, spec: BudgetConstraintSpec) -> ProblemD
         stopping_predicate=stopping,
         eps_state=problem.eps_state,
         name=f"{problem.name}+budget",
-        budget=BudgetLayer(base=problem, spec=spec),
+        pl=problem.pl,
     )
 
 

@@ -86,13 +86,12 @@ def _merge_config(args: argparse.Namespace, keys) -> dict:
     return merged
 
 
+SOLVER_KEYS = tuple(f.name for f in dataclasses.fields(SolverConfig))
+
+
 def _solver_config(bundle: InstanceBundle, opts: dict) -> SolverConfig:
-    cfg = bundle.solver_defaults
-    overrides = {}
-    for field in ("ell", "eps_term", "eps_tail", "max_iters", "mode_cap", "backend"):
-        if opts.get(field) is not None:
-            overrides[field] = opts[field]
-    return dataclasses.replace(cfg, **overrides) if overrides else cfg
+    overrides = {k: opts[k] for k in SOLVER_KEYS if opts.get(k) is not None}
+    return dataclasses.replace(bundle.solver_defaults, **overrides)
 
 
 def _pick_set(bundle: InstanceBundle, names: str | None):
@@ -154,10 +153,9 @@ def _write_artifacts(run, bundle, x0, out_dir: str, tag: str, summary: str | Non
     print(f"wrote {csv_path}")
 
 
-RUN_KEYS = ("instance", "variant", "x0", "start_index", "ell", "horizon",
-            "set", "sweeps", "mpc_horizon", "eps_term",
-            "eps_tail", "max_iters", "mode_cap", "backend", "budget",
-            "disturb_step", "disturb", "out_dir", "summary")
+RUN_KEYS = ("instance", "variant", "x0", "start_index", "horizon", "set", "sweeps",
+            "mpc_horizon", "budget", "disturb_step", "disturb", "out_dir",
+            "summary") + SOLVER_KEYS
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -408,8 +406,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--sweeps", type=int)
     run.add_argument("--mpc-horizon", type=int, dest="mpc_horizon")
     run.add_argument("--eps-term", type=float, dest="eps_term")
-    run.add_argument("--eps-tail", type=float, dest="eps_tail")
-    run.add_argument("--max-iters", type=int, dest="max_iters")
     run.add_argument("--mode-cap", type=int, dest="mode_cap")
     run.add_argument("--backend")
     run.add_argument("--budget", type=float)

@@ -3,7 +3,7 @@
 Each loop applies the first control of a fresh lookahead solve, steps the
 dynamics, and repeats. Runs close out in one of four ways: the state enters
 the stopping region ("stopped"), the sample set already prices the state
-below eps_tail ("closed_in_set", the recorded tail is appended to the cost),
+below EPS_TAIL ("closed_in_set", the recorded tail is appended to the cost),
 the step horizon runs out ("horizon"), or a disturbance pushes the state
 somewhere the solver cannot price ("infeasible_after_disturbance").
 """
@@ -28,6 +28,8 @@ from .lookahead import (
 )
 from .model import FiniteControls, Policy, ProblemDef, Trajectory
 from .sample_sets import ExplicitSampleSet, FreeTerminal, SampleEntry
+
+EPS_TAIL = 1e-6  # residual tail cost that closes a rollout run
 
 
 @dataclass(frozen=True)
@@ -84,7 +86,7 @@ def _drive(problem: ProblemDef, sset, x0, cfg: SolverConfig, horizon: int, step,
             break
         if residual_close:
             tc = sset.terminal_cost(x)
-            if tc <= cfg.eps_tail:
+            if tc <= EPS_TAIL:
                 status = "closed_in_set"
                 closing = tc
                 break

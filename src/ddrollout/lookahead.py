@@ -30,13 +30,11 @@ BACKENDS = ("discrete", "shooting", "hybrid")
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Tunable solver parameters; every tolerance used anywhere lives here."""
+    """Solver parameters that callers choose per run."""
 
     ell: int = 1
     backend: str = "discrete"
     eps_term: float = 1e-6      # terminal-state mismatch accepted by shooting
-    eps_tail: float = 1e-6      # residual tail cost that closes a rollout run
-    max_iters: int = 5000       # projected-gradient iteration cap
     mode_cap: int = 128         # hybrid: exhaustive mode enumeration up to this many
 
     def __post_init__(self):

@@ -183,7 +183,6 @@ class ProblemDef:
     eps_state: float = EPS_STATE
     name: str = "problem"
     pl: PiecewiseLinearStructure | None = None
-    budget: object | None = None  # BudgetLayer for augmented problems
 
     def is_stopping(self, x) -> bool:
         return bool(self.stopping_predicate(x)) if self.stopping_predicate else False

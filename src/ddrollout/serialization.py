@@ -316,7 +316,8 @@ def config_to_dict(cfg: SolverConfig) -> dict:
 
 # fields of earlier SolverConfig versions; stored runs still carry them
 _RETIRED_CONFIG_FIELDS = frozenset({"seed", "workers", "node_cap", "diagnostics",
-                                   "penalty_init", "penalty_growth", "penalty_max"})
+                                   "penalty_init", "penalty_growth", "penalty_max",
+                                   "eps_tail", "max_iters"})
 
 
 def config_from_dict(d: dict) -> SolverConfig:

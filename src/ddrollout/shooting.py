@@ -3,11 +3,13 @@
 For piecewise-linear dynamics with quadratic stage costs the l-step problem
 decomposes into independent subproblems, one per (mode sequence, terminal
 target) pair. Each subproblem is a box-constrained quadratic program solved
-by projected gradient with fixed step 1/L; terminal equality to a sampled
-state is enforced by a quadratic mismatch penalty driven below eps_term by
+exactly: by one least-squares solve when its optimum is interior, otherwise
+by a primal active-set method. Terminal equality to a sampled state is
+enforced by a quadratic mismatch penalty driven below eps_term by
 continuation. Budget-augmented problems add an exact ball constraint on the
 control energy, handled by bisection on its multiplier. Subproblems are
-reduced in deterministic (value, index) order.
+solved cheapest tail first against a running bound and reduced in
+deterministic (value, index) order.
 """
 
 from __future__ import annotations
@@ -38,69 +40,65 @@ def _qp_obj(h, b, z) -> float:
     return 0.5 * float(z @ h @ z) + float(b @ z)
 
 
-def _polish_box(h, b, lo, hi, z):
-    """Exact solve on the inactive face; accepted only if it improves."""
-    g = h @ z + b
-    tol = 1e-10 * (1.0 + float(np.max(np.abs(np.concatenate([lo, hi])), initial=0.0)))
-    at_lo = (z <= lo + tol) & (g > 0)
-    at_hi = (z >= hi - tol) & (g < 0)
-    active = at_lo | at_hi
-    free = ~active
-    if not free.any():
-        return z
-    cand = z.copy()
-    cand[at_lo] = lo[at_lo]
-    cand[at_hi] = hi[at_hi]
-    rhs = -b[free]
-    if active.any():
-        rhs = rhs - h[np.ix_(free, active)] @ cand[active]
+def _box_qp(h, b, lo, hi):
+    """Minimize 0.5 z'hz + b'z over the box lo <= z <= hi.
+
+    The objective is a convex least squares (b lies in the range of h on
+    every face), so each face has a minimizer. An interior unconstrained
+    optimum is returned as is. Otherwise a primal active-set method (Nocedal
+    & Wright, Numerical Optimization, sec. 16.5) starts from the clipped
+    optimum: it minimizes on the free face, steps to the first bound that
+    blocks and holds it, and at a face minimizer frees the held bound with
+    the most negative multiplier, until none is negative. Returns
+    (z, converged, iterations); converged is False only when the loop hits
+    its bound of 4 (n + 1) face solves.
+    """
     try:
-        cand[free] = np.linalg.lstsq(h[np.ix_(free, free)], rhs, rcond=None)[0]
+        z = np.linalg.lstsq(h, -b, rcond=None)[0]
     except np.linalg.LinAlgError:
-        return z
-    np.clip(cand, lo, hi, out=cand)
-    return cand if _qp_obj(h, b, cand) < _qp_obj(h, b, z) else z
+        return np.clip(np.zeros_like(b), lo, hi), False, 0
+    margin = 1e-12 * (1.0 + float(np.abs(z).max(initial=0.0)))
+    if np.all(z > lo + margin) and np.all(z < hi - margin):
+        return z, True, 1
+    z = np.clip(z, lo, hi)
+    at_lo, at_hi = z <= lo, z >= hi  # the working set of held bounds
+    for it in range(1, 4 * (z.size + 1) + 1):
+        free = ~(at_lo | at_hi)
+        step = np.zeros_like(z)
+        if free.any():
+            g = h @ z + b
+            step[free] = np.linalg.lstsq(h[np.ix_(free, free)], -g[free], rcond=None)[0]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            room = np.where(step < 0, (lo - z) / step,
+                            np.where(step > 0, (hi - z) / step, np.inf))
+        k = int(np.argmin(room))
+        if room[k] < 1.0:  # blocked: move to the bound and hold it
+            z = np.clip(z + room[k] * step, lo, hi)
+            if step[k] < 0:
+                z[k], at_lo[k] = lo[k], True
+            else:
+                z[k], at_hi[k] = hi[k], True
+            continue
+        z = np.clip(z + step, lo, hi)
+        g = h @ z + b
+        # multipliers of the held bounds, forgiving rounding in the gradient
+        tol = 1e-11 * (np.abs(h) @ np.abs(z) + np.abs(b))
+        mult = np.where(at_lo, g + tol, np.where(at_hi, tol - g, np.inf))
+        k = int(np.argmin(mult))
+        if mult[k] >= 0.0:
+            return z, True, it
+        at_lo[k] = at_hi[k] = False
+    return z, False, it
 
 
-def _box_qp(h, b, lo, hi, z0, max_iters):
-    """Projected gradient with step 1/L, least-squares warm start, and
-    periodic face polishing. Returns (z, converged, iterations)."""
-    lip = max(float(np.linalg.eigvalsh(h)[-1]), 1e-9)
-    z = np.clip(z0, lo, hi)
-    try:
-        z_ls = np.linalg.lstsq(h, -b, rcond=None)[0]
-    except np.linalg.LinAlgError:
-        z_ls = None
-    if z_ls is not None:
-        margin = 1e-12 * (1.0 + float(np.abs(z_ls).max(initial=0.0)))
-        if np.all(z_ls > lo + margin) and np.all(z_ls < hi - margin):
-            return z_ls, True, 1  # interior stationary point is the optimum
-        cand = np.clip(z_ls, lo, hi)
-        if _qp_obj(h, b, cand) <= _qp_obj(h, b, z):
-            z = cand
-    z = _polish_box(h, b, lo, hi, z)
-    converged, it = False, 0
-    inv_lip = 1.0 / lip
-    for it in range(1, max_iters + 1):
-        z_new = np.clip(z - inv_lip * (h @ z + b), lo, hi)
-        if it % 16 == 0:
-            z_new = _polish_box(h, b, lo, hi, z_new)
-        disp = float(np.abs(z_new - z).max(initial=0.0))
-        z = z_new
-        if disp <= 1e-11 * (1.0 + float(np.abs(z).max(initial=0.0))):
-            converged = True
-            break
-    return z, converged, it
-
-
-def _ball_box_qp(h, b, lo, hi, radius, z0, max_iters):
+def _ball_box_qp(h, b, lo, hi, radius):
     """Minimize over box AND ||z|| <= radius.
 
     The ball multiplier is found by bisection: z(lam) solves the box QP for
     h + 2*lam*I, and ||z(lam)|| decreases in lam. Returns the feasible-side
     solution, so the ball constraint holds at the result.
     """
-    z, conv, iters = _box_qp(h, b, lo, hi, z0, max_iters)
+    z, conv, iters = _box_qp(h, b, lo, hi)
     if float(np.linalg.norm(z)) <= radius:
         return z, conv, iters
     if radius <= 0.0:
@@ -108,7 +106,7 @@ def _ball_box_qp(h, b, lo, hi, radius, z0, max_iters):
     eye = np.eye(h.shape[0])
     lam_hi = 1.0
     while lam_hi < 1e16:
-        z, conv, it = _box_qp(h + 2.0 * lam_hi * eye, b, lo, hi, z, max_iters)
+        z, conv, it = _box_qp(h + 2.0 * lam_hi * eye, b, lo, hi)
         iters += it
         if float(np.linalg.norm(z)) <= radius:
             break
@@ -119,7 +117,7 @@ def _ball_box_qp(h, b, lo, hi, radius, z0, max_iters):
         if lam_hi - lam_lo <= 1e-13 * lam_hi:
             break
         lam = 0.5 * (lam_lo + lam_hi)
-        z, conv, it = _box_qp(h + 2.0 * lam * eye, b, lo, hi, z, max_iters)
+        z, conv, it = _box_qp(h + 2.0 * lam * eye, b, lo, hi)
         iters += it
         norm = float(np.linalg.norm(z))
         if norm <= radius:
@@ -202,7 +200,7 @@ def _plan_value(problem: ProblemDef, sset, x, controls, target: Target, eps_term
 
 def _box_violations(problem: ProblemDef, states, costs) -> list:
     """(step, overshoot) for each infeasible stage whose state leaves the box."""
-    pl = _problem_pl(problem)
+    pl = problem.pl
     if pl.state_box is None:
         return []
     lo, hi = pl.state_box
@@ -214,14 +212,6 @@ def _box_violations(problem: ProblemDef, states, costs) -> list:
             if float(np.max(over, initial=0.0)) > pl.box_tol:
                 out.append((k, over))
     return out
-
-
-def _problem_pl(problem: ProblemDef):
-    if problem.pl is not None:
-        return problem.pl
-    if problem.budget is not None:
-        return problem.budget.base.pl
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -238,14 +228,13 @@ def solve_continuous(problem: ProblemDef, sset, x, cfg: SolverConfig,
     returned value at or below every supplied plan, which is what the
     stepwise-descent guarantee needs from an approximate solver.
     """
-    pl = _problem_pl(problem)
+    pl = problem.pl
     if pl is None:
         raise ValueError("shooting backends need piecewise-linear problem structure")
     base_x = np.asarray(base_view(x), dtype=float)
     ell = cfg.ell
 
-    base_problem = problem.budget.base if problem.budget is not None else problem
-    box = base_problem.control_set(base_x)
+    box = problem.control_set(x)
     if not isinstance(box, BoxControls):
         raise ValueError("shooting backends need box control sets")
     m = box.lo.size
@@ -260,7 +249,6 @@ def solve_continuous(problem: ProblemDef, sset, x, cfg: SolverConfig,
         plan = base_plan(problem, base_policy, x, ell)
         if plan is not None:
             seed_plans.append(tuple(np.asarray(u, dtype=float) for u in plan))
-    seed_by_target = _index_seeds(problem, x, seed_plans, targets, eps_term=cfg.eps_term)
 
     candidates = [_evaluate_seed(problem, sset, x, plan, targets, cfg.eps_term)
                   for plan in seed_plans]
@@ -309,22 +297,16 @@ def solve_continuous(problem: ProblemDef, sset, x, cfg: SolverConfig,
         # cheap tails first so the running bound can retire the rest early
         jobs.sort(key=lambda j: (targets[j[2]].value, j[2], j[0]))
 
-        exact_pred = n_modes == 1
         results = []
-        cur_bound = bound
-        chunk = 16  # the running bound tightens between chunks, not within one
-        for start in range(0, len(jobs), chunk):
-            batch = [j for j in jobs[start:start + chunk]
-                     if targets[j[2]].state is None
-                     or targets[j[2]].value < cur_bound]
-            out = [_solve_candidate(problem, sset, x, assembled[sig], targets[t_idx],
-                                    lo_full, hi_full, m, cfg, seed_by_target.get(t_idx),
-                                    prune_bound=cur_bound, exact_prediction=exact_pred)
-                   for _, sig, t_idx in batch]
-            results.extend(out)
-            for value, _, _ in out:
-                if value < cur_bound:
-                    cur_bound = value
+        for _, sig, t_idx in jobs:
+            target = targets[t_idx]
+            if target.state is not None and target.value >= bound:
+                continue
+            out = _solve_candidate(problem, sset, x, assembled[sig], target,
+                                   lo_full, hi_full, m, cfg, prune_bound=bound,
+                                   exact_prediction=n_modes == 1)
+            results.append(out)
+            bound = min(bound, out[0])
         return results
 
     def reduce_best():
@@ -407,35 +389,12 @@ def _realized_modes(pl, base_x, controls) -> tuple:
     return tuple(sig)
 
 
-def _index_seeds(problem, x, seed_plans, targets, eps_term):
-    """Map target index -> stacked warm-start vector from a seed plan."""
-    out = {}
-    for plan in seed_plans:
-        if not plan:
-            continue
-        z = np.concatenate([np.asarray(u, dtype=float).ravel() for u in plan])
-        cur = x
-        for u in plan:
-            cur = problem.dynamics(cur, u)
-        base_term = base_view(cur)
-        for t_idx, t in enumerate(targets):
-            if t.state is None:
-                out.setdefault(t_idx, z)
-            else:
-                gap = float(np.max(np.abs(np.asarray(base_term, dtype=float) - t.state),
-                                   initial=0.0))
-                if gap <= max(eps_term * 10.0, 1e-3):
-                    out.setdefault(t_idx, z)
-    return out
-
-
 def _solve_candidate(problem, sset, x, asm: _Assembled, target: Target,
-                     lo_full, hi_full, m, cfg: SolverConfig, warm,
+                     lo_full, hi_full, m, cfg: SolverConfig,
                      prune_bound=INF, exact_prediction=False):
     ell = len(asm.gammas) - 1
     g_l = asm.gammas[ell]
     phi_l = asm.phis[ell]
-    z = warm.copy() if warm is not None else np.zeros(lo_full.size)
     iters_total = 0
     converged = True
     state_pen_h = None
@@ -454,7 +413,7 @@ def _solve_candidate(problem, sset, x, asm: _Assembled, target: Target,
             if state_pen_h is not None:
                 h = h + state_pen_h
                 b = b + state_pen_b
-            z, converged, it = _box_qp(h, b, lo_full, hi_full, z, cfg.max_iters)
+            z, converged, it = _box_qp(h, b, lo_full, hi_full)
             iters_total += it
             mismatch_pred = 0.0
             penalty = 0.0
@@ -470,9 +429,9 @@ def _solve_candidate(problem, sset, x, asm: _Assembled, target: Target,
                     b = b + state_pen_b
                 if target.ball_radius is not None:
                     z, converged, it = _ball_box_qp(h, b, lo_full, hi_full,
-                                                    target.ball_radius, z, cfg.max_iters)
+                                                    target.ball_radius)
                 else:
-                    z, converged, it = _box_qp(h, b, lo_full, hi_full, z, cfg.max_iters)
+                    z, converged, it = _box_qp(h, b, lo_full, hi_full)
                 iters_total += it
                 mismatch_pred = float(np.max(np.abs(phi_l + g_l @ z - target.state),
                                              initial=0.0))
@@ -516,7 +475,7 @@ def _solve_candidate(problem, sset, x, asm: _Assembled, target: Target,
         if state_pen_h is None:
             state_pen_h = np.zeros_like(asm.h0)
             state_pen_b = np.zeros(asm.b0.size)
-        lo_box, hi_box = _problem_pl(problem).state_box
+        lo_box, hi_box = problem.pl.state_box
         for k, over in violations:
             for i in np.nonzero(over > 0.0)[0]:
                 row = asm.gammas[k][i]

@@ -1,5 +1,6 @@
 """Continuous backend against independent quadratic-programming oracles."""
 
+import itertools
 import math
 from dataclasses import replace
 
@@ -9,7 +10,7 @@ from scipy.optimize import minimize
 
 from ddrollout import AugmentedState, SolverConfig, run_rollout
 from ddrollout.costs import INF
-from ddrollout.shooting import FreeTerminal, solve_continuous
+from ddrollout.shooting import FreeTerminal, _ball_box_qp, _box_qp, solve_continuous
 
 
 def _cfg(ell, **kw):
@@ -204,3 +205,54 @@ def test_budget_solve_replays_to_its_value(integrator):
     # the replay prices the terminal with the seed step's recorded tail,
     # after checking the remaining budget covers that step's usage
     assert sol.recompute(problem, sset, x0) == sol.value
+
+
+def _qp_obj(h, b, z):
+    return 0.5 * float(z @ h @ z) + float(b @ z)
+
+
+def _face_oracle(h, b, lo, hi):
+    """Exact box-QP optimum by brute force over faces: each variable held at
+    its lower bound, at its upper bound, or free, the free block solved by
+    least squares and kept when it lands inside the box."""
+    best = math.inf
+    for held in itertools.product(("free", "lo", "hi"), repeat=b.size):
+        free = np.array([s == "free" for s in held])
+        z = np.where([s == "lo" for s in held], lo, hi)
+        if free.any():
+            rhs = -b[free] - h[np.ix_(free, ~free)] @ z[~free]
+            z[free] = np.linalg.lstsq(h[np.ix_(free, free)], rhs, rcond=None)[0]
+            slack = 1e-9 * (1.0 + float(np.abs(z).max()))
+            if np.any(z < lo - slack) or np.any(z > hi + slack):
+                continue
+        best = min(best, _qp_obj(h, b, np.clip(z, lo, hi)))
+    return best
+
+
+def _penalty_qp(rng, n):
+    """A random box QP shaped like a shooting subproblem: a least-squares
+    running cost, rank deficient when control effort is free, plus a
+    terminal-mismatch penalty of weight up to 1e12."""
+    rows = int(rng.integers(1, n + 2))
+    m = rng.standard_normal((rows, n))
+    g = rng.standard_normal((2, n))
+    pen = 10.0 ** rng.uniform(0.0, 12.0)
+    h = 2.0 * m.T @ m + 2.0 * pen * g.T @ g
+    b = 2.0 * m.T @ rng.standard_normal(rows) + 2.0 * pen * g.T @ (3.0 * rng.standard_normal(2))
+    return h, b, -rng.uniform(0.1, 2.0, n), rng.uniform(0.1, 2.0, n)
+
+
+def test_box_qp_matches_face_enumeration():
+    rng = np.random.default_rng(7)
+    for trial in range(300):
+        h, b, lo, hi = _penalty_qp(rng, int(rng.integers(1, 6)))
+        z, converged, _ = _box_qp(h, b, lo, hi)
+        assert converged
+        assert np.all(z >= lo) and np.all(z <= hi)
+        ref = _face_oracle(h, b, lo, hi)
+        assert _qp_obj(h, b, z) == pytest.approx(ref, rel=1e-9, abs=1e-9)
+        if trial % 5 == 0:  # the energy ball cuts through the box optimum
+            radius = rng.uniform(0.0, 1.0) * float(np.linalg.norm(z))
+            zb, _, _ = _ball_box_qp(h, b, lo, hi, radius)
+            assert float(np.linalg.norm(zb)) <= radius
+            assert np.all(zb >= lo) and np.all(zb <= hi)
