@@ -27,7 +27,7 @@ from .model import (
     Trajectory,
     states_equal,
 )
-from .sample_sets import Target
+from .sample_sets import GridIndex, Target
 
 
 @dataclass(frozen=True)
@@ -122,6 +122,9 @@ class BudgetSampleSet:
         self.anchor_usage = anchor_usage
         self.analytic_tail = not seed.terminated_in_stopping_set
         self._policy_id = seed.policy_id
+        self._grid = GridIndex(eps_state)
+        for k, xk in enumerate(seed.states):
+            self._grid.add(xk, k)
 
     @property
     def policy_ids(self) -> tuple:
@@ -131,13 +134,13 @@ class BudgetSampleSet:
         return len(self.seed.states)
 
     def match_index(self, s: AugmentedState) -> int | None:
-        """Index of the seed step this augmented state certifies, else None."""
+        """The earliest seed step this augmented state certifies, else None."""
         if not isinstance(s, AugmentedState):
             return None
-        for k, xk in enumerate(self.seed.states):
-            if states_equal(s.base, xk, self.eps_state) and s.info >= self.tail_usages[k]:
-                return k
-        return None
+        return min((k for k in self._grid.near(s.base)
+                    if s.info >= self.tail_usages[k]
+                    and states_equal(s.base, self.seed.states[k], self.eps_state)),
+                   default=None)
 
     def contains(self, s) -> bool:
         return self.match_index(s) is not None
@@ -148,13 +151,6 @@ class BudgetSampleSet:
 
     def sample_id(self, s):
         return self.match_index(s)
-
-    def sample_value(self, k, s) -> float:
-        """Seed step k's recorded tail, if s has the budget to cover its usage
-        (the base state is not matched)."""
-        if k is None:
-            return self.terminal_cost(s)
-        return self.seed.tail_costs[k] if float(s.info) >= self.tail_usages[k] else INF
 
     def shooting_targets(self, s) -> list:
         """Every seed step whose tail usage fits the remaining budget, with
@@ -169,7 +165,7 @@ class BudgetSampleSet:
                 continue  # not enough budget left to finish from this sample
             out.append(Target(state=np.asarray(self.seed.states[k], dtype=float),
                               value=self.seed.tail_costs[k],
-                              ball_radius=float(np.sqrt(head / scale)), sample_id=k))
+                              ball_radius=float(np.sqrt(head / scale))))
         return out
 
     def to_doc(self) -> dict:

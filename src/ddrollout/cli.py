@@ -405,7 +405,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--set", help="sample set name(s), comma-merged")
     run.add_argument("--sweeps", type=int)
     run.add_argument("--mpc-horizon", type=int, dest="mpc_horizon")
-    run.add_argument("--eps-term", type=float, dest="eps_term")
     run.add_argument("--mode-cap", type=int, dest="mode_cap")
     run.add_argument("--backend")
     run.add_argument("--budget", type=float)

@@ -34,7 +34,6 @@ class SolverConfig:
 
     ell: int = 1
     backend: str = "discrete"
-    eps_term: float = 1e-6      # terminal-state mismatch accepted by shooting
     mode_cap: int = 128         # hybrid: exhaustive mode enumeration up to this many
 
     def __post_init__(self):
@@ -42,8 +41,6 @@ class SolverConfig:
             raise ValueError("lookahead depth must be at least 1")
         if self.backend not in BACKENDS:
             raise ValueError(f"unknown backend {self.backend!r}; expected one of {BACKENDS}")
-        if self.eps_term <= 0:
-            raise ValueError("eps_term must be positive")
         if self.mode_cap < 1:
             raise ValueError("mode_cap must be at least 1")
 
@@ -53,7 +50,7 @@ class LookaheadSolution:
     """An l-step control plan with its achieved value.
 
     value is the exact objective of the plan: stage costs accumulated
-    right-to-left plus the terminal sample's recorded cost. An infeasible
+    right-to-left plus the terminal set's cost of its final state. An infeasible
     problem is reported as value +inf with an empty plan.
     """
 
@@ -68,8 +65,7 @@ class LookaheadSolution:
         """Re-evaluate the plan's objective from scratch (for audits)."""
         if self.value == INF:
             return INF
-        sid = self.terminal_sample_id
-        return replay(problem, x, self.controls, lambda t: sset.sample_value(sid, t))[0]
+        return replay(problem, x, self.controls, sset.terminal_cost)[0]
 
 
 def replay(problem: ProblemDef, x, controls, terminal: Callable) -> tuple[float, list, list]:

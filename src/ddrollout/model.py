@@ -100,7 +100,7 @@ def states_equal(a, b, eps: float = EPS_STATE) -> bool:
             return False
         if a.shape != b.shape:
             return False
-        return bool(np.max(np.abs(a - b), initial=0.0) <= eps)
+        return bool(np.abs(a - b).max(initial=0.0) <= eps)
     return a == b
 
 

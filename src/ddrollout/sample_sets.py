@@ -11,9 +11,12 @@ terminal of the classical baseline, answers one protocol:
 
     contains(x), terminal_cost(x)   membership and the recorded cost
     sample_id(x)                    the sample certifying x, or None
-    sample_value(sid, x)            the value sample sid gives terminal x
     shooting_targets(x)             terminal targets for the shooting backend
     to_doc()                        the stored document (TypeError if code)
+
+terminal_cost is the one price of a plan's final state: every backend and
+every audit replays a plan and hands its terminal state to it, so a plan
+earns a recorded value only by ending inside the set's own tolerance.
 
 Sets holding recorded data also answer verify(problem, policies, rng,
 samples): their certificate checks in order, each yielded as (passed,
@@ -22,6 +25,7 @@ report line, failure lines); a check runs only if the caller continues.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
@@ -64,13 +68,37 @@ class Target:
     value; ball_radius, when set, bounds the plan's control norm by the
     budget left after the sample's tail. A target without a state leaves
     the terminal free under the quadratic cost quad (zero when None).
+    Either way the solved plan is priced by the set's terminal_cost.
     """
 
     state: np.ndarray | None = None
     value: float = 0.0
     quad: np.ndarray | None = None
     ball_radius: float | None = None
-    sample_id: object = None
+
+
+class GridIndex:
+    """Positions of states, found by tolerance. Vector states are hashed
+    into cubes of side eps, so every state within eps of a query (infinity
+    norm) lies in its cube or a neighbouring one; other states by exact key."""
+
+    def __init__(self, eps: float):
+        self.eps = eps
+        self._cells: dict = {}
+
+    def _cell(self, x) -> tuple:
+        return tuple(math.floor(c / self.eps) for c in x.tolist())
+
+    def add(self, x, idx: int) -> None:
+        key = self._cell(x) if is_vector_state(x) else state_key(x)
+        self._cells.setdefault(key, []).append(idx)
+
+    def near(self, x) -> list:
+        """Positions of the added states that may match x."""
+        if not is_vector_state(x):
+            return self._cells.get(state_key(x), [])
+        return [i for cell in itertools.product(*((c - 1, c, c + 1) for c in self._cell(x)))
+                for i in self._cells.get(cell, ())]
 
 
 class ExplicitSampleSet:
@@ -87,7 +115,7 @@ class ExplicitSampleSet:
         self.analytic_tail = analytic_tail
         self._entries: list[SampleEntry] = []
         self._by_key: dict = {}
-        self._grid: dict = {}
+        self._grid = GridIndex(eps_state)
         for e in entries:
             self._add(e)
         if not self._entries:
@@ -95,16 +123,13 @@ class ExplicitSampleSet:
 
     # construction helpers -------------------------------------------------
 
-    def _cell(self, x: np.ndarray) -> tuple:
-        return tuple(int(math.floor(c / self.eps_state)) for c in x)
-
     def _add(self, e: SampleEntry) -> None:
         key = state_key(e.state)
         if key in self._by_key:
             raise ValueError(f"duplicate sample state {e.state!r}")
         self._by_key[key] = len(self._entries)
         if is_vector_state(e.state):
-            self._grid.setdefault(self._cell(e.state), []).append(len(self._entries))
+            self._grid.add(e.state, len(self._entries))
         self._entries.append(e)
 
     # queries --------------------------------------------------------------
@@ -124,17 +149,12 @@ class ExplicitSampleSet:
         return tuple(seen)
 
     def lookup(self, x) -> SampleEntry | None:
-        """The entry matching x within the state tolerance, else None."""
+        """The entry matching x within the state tolerance, else None; the
+        earliest entry wins when several match."""
         if is_vector_state(x):
-            base = self._cell(x)
-            best = None
-            for offsets in _neighbor_cells(base):
-                for idx in self._grid.get(offsets, ()):
-                    e = self._entries[idx]
-                    if states_equal(e.state, x, self.eps_state):
-                        if best is None or idx < best[0]:
-                            best = (idx, e)
-            return best[1] if best else None
+            hits = [i for i in self._grid.near(x)
+                    if states_equal(self._entries[i].state, x, self.eps_state)]
+            return self._entries[min(hits)] if hits else None
         idx = self._by_key.get(state_key(x))
         return self._entries[idx] if idx is not None else None
 
@@ -149,16 +169,9 @@ class ExplicitSampleSet:
         e = self.lookup(x)
         return state_key(e.state) if e is not None else None
 
-    def sample_value(self, sample_id, x) -> float:
-        """The recorded value of the entry keyed sample_id (x is not matched)."""
-        if sample_id is None:
-            return self.terminal_cost(x)
-        idx = self._by_key.get(sample_id)
-        return self._entries[idx].value if idx is not None else INF
-
     def shooting_targets(self, x) -> list:
-        return [Target(state=np.asarray(e.state, dtype=float), value=e.value,
-                       sample_id=state_key(e.state)) for e in self._entries]
+        return [Target(state=np.asarray(e.state, dtype=float), value=e.value)
+                for e in self._entries]
 
     def to_doc(self) -> dict:
         from .serialization import encode_value
@@ -203,16 +216,6 @@ class ExplicitSampleSet:
                 for row in failures[:5]])
 
 
-def _neighbor_cells(cell: tuple):
-    if len(cell) == 0:
-        yield cell
-        return
-    first, rest = cell[0], cell[1:]
-    for tail in _neighbor_cells(rest):
-        for d in (-1, 0, 1):
-            yield (first + d,) + tail
-
-
 class AnalyticSampleSet:
     """A predicate-defined sample set with an exact cost evaluator.
 
@@ -242,9 +245,6 @@ class AnalyticSampleSet:
 
     def sample_id(self, x):
         return None
-
-    def sample_value(self, sample_id, x) -> float:
-        return self.terminal_cost(x)
 
     def shooting_targets(self, x) -> list:
         if self.quadratic is None:
@@ -293,9 +293,6 @@ class FreeTerminal:
 
     def sample_id(self, x):
         return None
-
-    def sample_value(self, sample_id, x) -> float:
-        return self.terminal_cost(x)
 
     def shooting_targets(self, x) -> list:
         return [Target(quad=self.quadratic)]

@@ -317,7 +317,7 @@ def config_to_dict(cfg: SolverConfig) -> dict:
 # fields of earlier SolverConfig versions; stored runs still carry them
 _RETIRED_CONFIG_FIELDS = frozenset({"seed", "workers", "node_cap", "diagnostics",
                                    "penalty_init", "penalty_growth", "penalty_max",
-                                   "eps_tail", "max_iters"})
+                                   "eps_tail", "max_iters", "eps_term"})
 
 
 def config_from_dict(d: dict) -> SolverConfig:

@@ -5,11 +5,13 @@ decomposes into independent subproblems, one per (mode sequence, terminal
 target) pair. Each subproblem is a box-constrained quadratic program solved
 exactly: by one least-squares solve when its optimum is interior, otherwise
 by a primal active-set method. Terminal equality to a sampled state is
-enforced by a quadratic mismatch penalty driven below eps_term by
-continuation. Budget-augmented problems add an exact ball constraint on the
-control energy, handled by bisection on its multiplier. Subproblems are
-solved cheapest tail first against a running bound and reduced in
-deterministic (value, index) order.
+enforced by a quadratic mismatch penalty driven below the problem's state
+tolerance eps_state by continuation. Budget-augmented problems add an exact
+ball constraint on the control energy, handled by bisection on its
+multiplier. Every plan, solved or seeded, is priced by one exact replay with
+the set's own terminal_cost, so a plan earns a recorded value only by ending
+in the set. Subproblems are solved cheapest tail first against a running
+bound and reduced in deterministic (value, index) order.
 """
 
 from __future__ import annotations
@@ -26,8 +28,9 @@ from .lookahead import LookaheadSolution, SolverConfig, base_plan, replay
 from .model import BoxControls, Policy, ProblemDef
 from .sample_sets import FreeTerminal, Target  # FreeTerminal: public alias
 
-# terminal-mismatch penalty continuation: start, growth factor, ceiling
-PENALTY_INIT = 1e2
+# terminal-mismatch penalty continuation: start, growth factor, ceiling; the
+# start is high enough that one solve usually lands within eps_state
+PENALTY_INIT = 1e8
 PENALTY_GROWTH = 10.0
 PENALTY_MAX = 1e12
 
@@ -140,7 +143,10 @@ class _Assembled:
     row_norms: np.ndarray  # 2-norms of the terminal response rows
 
 
-def _assemble(pl, x0: np.ndarray, ell: int, sigma, lo_full, hi_full) -> _Assembled:
+def _assemble(pl, x0: np.ndarray, sigma, h_r, lo_full, hi_full) -> _Assembled:
+    """Condense the plan along mode sequence sigma; h_r is the control-cost
+    Hessian, which does not depend on sigma."""
+    ell = len(sigma)
     d = x0.size
     m = pl.modes[0].b.shape[1]
     width = ell * m
@@ -154,8 +160,7 @@ def _assemble(pl, x0: np.ndarray, ell: int, sigma, lo_full, hi_full) -> _Assembl
         gammas.append(nxt)
         phi = mode.a @ phi + mode.c
         phis.append(phi)
-    rblk = np.kron(np.eye(ell), pl.r)
-    h0 = 2.0 * rblk
+    h0 = h_r.copy()
     b0 = np.zeros(width)
     c0 = 0.0
     for k in range(ell):
@@ -173,29 +178,12 @@ def _assemble(pl, x0: np.ndarray, ell: int, sigma, lo_full, hi_full) -> _Assembl
 # Exact evaluation of a concrete control plan
 
 
-def _plan_value(problem: ProblemDef, sset, x, controls, target: Target, eps_term: float):
-    """Replay the plan exactly against one target.
-
-    A free target prices the terminal state with the set's cost; a sample
-    target gives its recorded value only to a terminal state within
-    eps_term of it. Returns (value, states, stage costs, mismatch).
-    """
-    mismatch = None
-
-    def terminal(s):
-        nonlocal mismatch
-        if target.state is None:
-            return sset.terminal_cost(s)
-        mismatch = float(np.max(np.abs(np.asarray(base_view(s), dtype=float) - target.state),
-                                initial=0.0))
-        if not mismatch <= eps_term:
-            return INF
-        if target.ball_radius is None:
-            return target.value
-        return sset.sample_value(target.sample_id, s)  # the budget must cover the tail
-
-    value, states, costs = replay(problem, x, controls, terminal)
-    return value, states, costs, mismatch
+def _mismatch(terminal, pinned) -> float | None:
+    """Infinity-norm distance from a plan's terminal state to the nearest
+    pinned target state, or None when no target state is pinned."""
+    if pinned is None:
+        return None
+    return float(np.abs(pinned - base_view(terminal)).max(axis=-1).min())
 
 
 def _box_violations(problem: ProblemDef, states, costs) -> list:
@@ -240,9 +228,12 @@ def solve_continuous(problem: ProblemDef, sset, x, cfg: SolverConfig,
     m = box.lo.size
     lo_full = np.tile(box.lo, ell)
     hi_full = np.tile(box.hi, ell)
+    h_r = 2.0 * np.kron(np.eye(ell), pl.r)
 
     n_modes = len(pl.modes)
     targets = sset.shooting_targets(x)
+    pinned = [t.state for t in targets if t.state is not None]
+    pinned = np.array(pinned) if pinned else None
 
     seed_plans = [tuple(s) for s in seeds if len(tuple(s)) == ell]
     if base_policy is not None:
@@ -250,8 +241,7 @@ def solve_continuous(problem: ProblemDef, sset, x, cfg: SolverConfig,
         if plan is not None:
             seed_plans.append(tuple(np.asarray(u, dtype=float) for u in plan))
 
-    candidates = [_evaluate_seed(problem, sset, x, plan, targets, cfg.eps_term)
-                  for plan in seed_plans]
+    candidates = [_evaluate_seed(problem, sset, x, plan, pinned) for plan in seed_plans]
 
     # mode sequences: full enumeration while it stays small, otherwise a
     # refinement loop that re-solves along the best plan's realized modes
@@ -279,7 +269,7 @@ def solve_continuous(problem: ProblemDef, sset, x, cfg: SolverConfig,
         jobs = []
         for sig_pos, sig in enumerate(sigs):
             if sig not in assembled:
-                assembled[sig] = _assemble(pl, base_x, ell, sig, lo_full, hi_full)
+                assembled[sig] = _assemble(pl, base_x, sig, h_r, lo_full, hi_full)
             for t_idx, target in enumerate(targets):
                 if target.state is not None:
                     if target.value >= bound:
@@ -291,7 +281,7 @@ def solve_continuous(problem: ProblemDef, sset, x, cfg: SolverConfig,
                         # reachable tube far below the control-box bound
                         reach = np.minimum(
                             reach, assembled[sig].row_norms * target.ball_radius)
-                    if np.any(gap > reach + cfg.eps_term + 1e-12):
+                    if np.any(gap > reach + problem.eps_state + 1e-12):
                         continue  # provably unreachable under box and energy ball
                 jobs.append((sig_pos, sig, t_idx))
         # cheap tails first so the running bound can retire the rest early
@@ -303,7 +293,7 @@ def solve_continuous(problem: ProblemDef, sset, x, cfg: SolverConfig,
             if target.state is not None and target.value >= bound:
                 continue
             out = _solve_candidate(problem, sset, x, assembled[sig], target,
-                                   lo_full, hi_full, m, cfg, prune_bound=bound,
+                                   lo_full, hi_full, m, prune_bound=bound,
                                    exact_prediction=n_modes == 1)
             results.append(out)
             bound = min(bound, out[0])
@@ -312,15 +302,13 @@ def solve_continuous(problem: ProblemDef, sset, x, cfg: SolverConfig,
     def reduce_best():
         best, best_idx, any_conv = None, -1, False
         for idx, cand in enumerate(candidates):
-            if cand is None:
-                continue
             value, controls, diag = cand
             any_conv = any_conv or diag.get("converged", True)
             if best is None or (value, idx) < (best[0], best_idx):
                 best, best_idx = (value, controls, diag), idx
         return best, any_conv
 
-    seed_bound = min((c[0] for c in candidates if c is not None), default=INF)
+    seed_bound = min((c[0] for c in candidates), default=INF)
     candidates.extend(run_batch(sequences, seed_bound))
     best, any_converged = reduce_best()
 
@@ -345,16 +333,16 @@ def solve_continuous(problem: ProblemDef, sset, x, cfg: SolverConfig,
                                  diagnostics={"candidates": len(candidates)})
 
     value, controls, diag = best
-    states = [x]
+    terminal = x
     for u in controls:
-        states.append(problem.dynamics(states[-1], u))
+        terminal = problem.dynamics(terminal, u)
     diag = dict(diag)
     diag["candidates"] = len(candidates)
     return LookaheadSolution(
         controls=tuple(controls),
-        terminal_state=states[-1],
+        terminal_state=terminal,
         value=value,
-        terminal_sample_id=diag.get("sample_id"),
+        terminal_sample_id=sset.sample_id(terminal),
         diagnostics=diag,
     )
 
@@ -367,9 +355,9 @@ def _refinement_plan(candidates, best):
         return best[1]
     near = None
     for cand in candidates:
-        if cand is None or not cand[1]:
+        if not cand[1]:
             continue
-        mis = (cand[2] or {}).get("mismatch")
+        mis = cand[2].get("mismatch")
         if mis is None:
             continue
         if near is None or mis < near[0]:
@@ -390,8 +378,7 @@ def _realized_modes(pl, base_x, controls) -> tuple:
 
 
 def _solve_candidate(problem, sset, x, asm: _Assembled, target: Target,
-                     lo_full, hi_full, m, cfg: SolverConfig,
-                     prune_bound=INF, exact_prediction=False):
+                     lo_full, hi_full, m, prune_bound=INF, exact_prediction=False):
     ell = len(asm.gammas) - 1
     g_l = asm.gammas[ell]
     phi_l = asm.phis[ell]
@@ -435,7 +422,7 @@ def _solve_candidate(problem, sset, x, asm: _Assembled, target: Target,
                 iters_total += it
                 mismatch_pred = float(np.max(np.abs(phi_l + g_l @ z - target.state),
                                              initial=0.0))
-                if mismatch_pred <= 0.9 * cfg.eps_term or penalty >= PENALTY_MAX:
+                if mismatch_pred <= 0.9 * problem.eps_state or penalty >= PENALTY_MAX:
                     break
                 if exact_prediction and converged and state_pen_h is None \
                         and prune_bound < INF:
@@ -446,26 +433,21 @@ def _solve_candidate(problem, sset, x, asm: _Assembled, target: Target,
                     if lower >= prune_bound + 1e-7 * (1.0 + abs(prune_bound)):
                         diag = {"mismatch": None, "predicted_mismatch": mismatch_pred,
                                 "penalty": penalty, "iterations": iters_total,
-                                "converged": True, "sample_id": target.sample_id,
-                                "pruned": True}
+                                "converged": True, "pruned": True}
                         return INF, (), diag
-                jump = penalty * mismatch_pred / max(0.45 * cfg.eps_term, 1e-300)
+                jump = penalty * mismatch_pred / max(0.45 * problem.eps_state, 1e-300)
                 penalty = min(PENALTY_MAX, max(penalty * PENALTY_GROWTH, jump))
 
-        controls = tuple(z[k * m:(k + 1) * m].copy() for k in range(ell))
-        value, states, costs, mismatch = _plan_value(problem, sset, x, controls,
-                                                     target, cfg.eps_term)
-
-        if target.ball_radius is not None and value == INF and mismatch is not None \
-                and mismatch <= cfg.eps_term:
-            # exact budget repair: shrink the plan until the accounting holds
-            for _ in range(3):
-                z = z * (1.0 - 1e-12)
-                controls = tuple(z[k * m:(k + 1) * m].copy() for k in range(ell))
-                value, states, costs, mismatch = _plan_value(problem, sset, x, controls,
-                                                             target, cfg.eps_term)
-                if value < INF:
-                    break
+        for repairs in range(4):
+            controls = tuple(z[k * m:(k + 1) * m].copy() for k in range(ell))
+            value, states, costs = replay(problem, x, controls, sset.terminal_cost)
+            mismatch = _mismatch(states[-1], target.state)
+            # exact budget repair: a plan that reached its sample but not the
+            # set is shrunk, at most three times, until the accounting holds
+            if target.ball_radius is None or value < INF or repairs == 3 \
+                    or not mismatch <= problem.eps_state:
+                break
+            z = z * (1.0 - 1e-12)
 
         violations = _box_violations(problem, states, costs) if value == INF else []
         if not violations:
@@ -490,19 +472,12 @@ def _solve_candidate(problem, sset, x, asm: _Assembled, target: Target,
         "penalty": penalty,
         "iterations": iters_total,
         "converged": converged,
-        "sample_id": target.sample_id,
     }
     return value, controls, diag
 
 
-def _evaluate_seed(problem, sset, x, plan, targets, eps_term):
-    """Price a concrete plan exactly against the best-matching target."""
-    if not plan:
-        return None
-    best = None
-    for t in [t for t in targets if t.state is None] or targets:
-        value, _, _, mismatch = _plan_value(problem, sset, x, plan, t, eps_term)
-        if best is None or value < best[0]:
-            best = (value, plan, {"mismatch": mismatch, "converged": True,
-                                  "sample_id": t.sample_id, "seed": True})
-    return best
+def _evaluate_seed(problem, sset, x, plan, pinned):
+    """Price a concrete plan exactly with the set's terminal cost."""
+    value, states, _ = replay(problem, x, plan, sset.terminal_cost)
+    return value, plan, {"mismatch": _mismatch(states[-1], pinned), "converged": True,
+                         "seed": True}

@@ -17,6 +17,7 @@ from ddrollout import (
     simulate_policy,
 )
 from ddrollout.costs import INF
+from ddrollout.model import Trajectory, states_equal
 
 
 def test_base_view_unwraps_only_augmented_states():
@@ -69,6 +70,27 @@ def test_membership_requires_state_match_and_budget_cover(integrator):
     assert bset.terminal_cost(AugmentedState(seed_state, need)) == \
         bset.seed.tail_costs[5]
     assert bset.terminal_cost(AugmentedState(seed_state, need * 0.5)) == INF
+
+
+def test_match_is_the_earliest_seed_step_that_matches_and_fits():
+    """The grid-indexed match agrees with a scan of the seed in step order,
+    on a seed that revisits states and on queries straddling grid cells."""
+    eps = 1e-9
+    a, b = np.array([3e-9, -1.0]), np.array([0.25, 7e-9])
+    states = (a, b, a + 0.6 * eps, b, np.zeros(2))
+    controls = tuple(np.array([0.1 * (k + 1)]) for k in range(4))
+    traj = Trajectory(states=states, controls=controls, stage_costs=(1.0,) * 4,
+                      policy_id="p", terminated_in_stopping_set=True,
+                      tail_costs=(4.0, 3.0, 2.0, 1.0, 0.0))
+    spec = BudgetConstraintSpec(per_step_usage=lambda x, u: float(u @ u), e_max=1.0)
+    bset = augment_sample_set(traj, spec)
+    rng = np.random.default_rng(3)
+    for _ in range(400):
+        x = states[int(rng.integers(0, 5))] + rng.uniform(-2.0 * eps, 2.0 * eps, 2)
+        e = float(rng.choice(bset.tail_usages + (0.5 * bset.tail_usages[1],)))
+        scan = next((k for k, xk in enumerate(states)
+                     if states_equal(x, xk, eps) and e >= bset.tail_usages[k]), None)
+        assert bset.match_index(AugmentedState(x, e)) == scan
 
 
 def test_augmented_base_policy_replays_the_base_run(integrator):

@@ -153,6 +153,16 @@ def test_config_file_merges_and_flags_override(capsys, tmp_path):
     assert os.path.exists(override / "basic-0.json")
 
 
+@pytest.mark.parametrize("retired", ["eps_term", "max_iters", "workers"])
+def test_config_file_naming_a_retired_solver_field_is_rejected(capsys, tmp_path, retired):
+    cfg_path = tmp_path / "job.json"
+    cfg_path.write_text(json.dumps({"instance": "grid", "horizon": 5, retired: 1}))
+    code, _, err = run_cli(capsys, "run", "--config", str(cfg_path),
+                           "--out-dir", str(tmp_path))
+    assert code == 1
+    assert f"unknown config keys: ['{retired}']" in err
+
+
 @pytest.mark.parametrize("argv", [
     ("list-instances",),
     ("table", "--instance", "tsp"),

@@ -168,7 +168,7 @@ def test_dumps_json_is_deterministic(integrator):
 
 
 def test_config_dict_roundtrip():
-    cfg = SolverConfig(ell=3, backend="hybrid", eps_term=1e-7, mode_cap=64)
+    cfg = SolverConfig(ell=3, backend="hybrid", mode_cap=64)
     assert config_from_dict(config_to_dict(cfg)) == cfg
     with pytest.raises(ValueError):
         config_from_dict({"ell": 2, "wibble": 1})
