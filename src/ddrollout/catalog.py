@@ -73,6 +73,7 @@ def make_hybrid_spiral(radius: float = 12.5, ell: int = 5) -> InstanceBundle:
     lo = np.array([-10.0, -10.0])
     hi = np.array([10.0, 10.0])
     box_tol = 1e-9
+    lo_tol, hi_tol = lo - box_tol, hi + box_tol
 
     def mode_of(x) -> int:
         return 0 if x[0] >= 0.0 else 1
@@ -84,7 +85,7 @@ def make_hybrid_spiral(radius: float = 12.5, ell: int = 5) -> InstanceBundle:
         return m.a @ x + m.b @ np.asarray(u, dtype=float)
 
     def stage_cost(x, u):
-        if np.any(x < lo - box_tol) or np.any(x > hi + box_tol):
+        if (x < lo_tol).any() or (x > hi_tol).any():
             return INF
         return float(x @ x)
 
@@ -106,7 +107,7 @@ def make_hybrid_spiral(radius: float = 12.5, ell: int = 5) -> InstanceBundle:
 
     def in_region(x) -> bool:
         x = np.asarray(x, dtype=float)
-        if np.any(x < lo - box_tol) or np.any(x > hi + box_tol):
+        if (x < lo_tol).any() or (x > hi_tol).any():
             return False
         return float(x @ x) <= r2 + 1e-12
 
@@ -150,7 +151,7 @@ def make_hybrid_spiral(radius: float = 12.5, ell: int = 5) -> InstanceBundle:
         sample_sets=sample_sets,
         default_set="disk",
         start_states=starts,
-        solver_defaults=SolverConfig(ell=ell, backend="hybrid"),
+        solver_defaults=SolverConfig(ell=ell),
         notes=notes,
         mpc_quadratic=None,
     )
@@ -179,6 +180,7 @@ def make_constrained_double_integrator(budget_cap: float = 0.5,
     lo = np.array([-4.0, -4.0])
     hi = np.array([4.0, 4.0])
     box_tol = 1e-9
+    lo_tol, hi_tol = lo - box_tol, hi + box_tol
 
     a_cl = a - b @ k_gain
     if max(abs(np.linalg.eigvals(a_cl))) >= 1.0:
@@ -190,7 +192,7 @@ def make_constrained_double_integrator(budget_cap: float = 0.5,
         return a @ x + b @ np.asarray(u, dtype=float)
 
     def stage_cost(x, u):
-        if np.any(x < lo - box_tol) or np.any(x > hi + box_tol):
+        if (x < lo_tol).any() or (x > hi_tol).any():
             return INF
         u = np.asarray(u, dtype=float)
         return float(x @ x) + float(u @ u)
@@ -221,7 +223,7 @@ def make_constrained_double_integrator(budget_cap: float = 0.5,
         raw = -(k_gain @ state)
         if abs(float(raw[0])) > 1.0 - 1e-9:
             raise ValueError("recorded gain saturates along the seed run")
-        if np.any(state < lo - box_tol) or np.any(state > hi + box_tol):
+        if (state < lo_tol).any() or (state > hi_tol).any():
             raise ValueError("seed run leaves the state box")
 
     spec = BudgetConstraintSpec(
@@ -252,7 +254,7 @@ def make_constrained_double_integrator(budget_cap: float = 0.5,
         sample_sets={"trajectory": traj_set},
         default_set="trajectory",
         start_states=(x0,),
-        solver_defaults=SolverConfig(ell=ell, backend="shooting"),
+        solver_defaults=SolverConfig(ell=ell),
         notes=notes,
         budget_spec=spec,
         augmented_problem=aug_problem,
@@ -383,7 +385,7 @@ def make_two_vehicle_grid(size: int = 5, ell: int = 4) -> InstanceBundle:
         sample_sets={"trajectory": sset},
         default_set="trajectory",
         start_states=(start,),
-        solver_defaults=SolverConfig(ell=ell, backend="discrete"),
+        solver_defaults=SolverConfig(ell=ell),
         notes={"base_cost": trajectory_cost(seed), "targets": targets},
         partition=partition,
     )
@@ -480,7 +482,7 @@ def make_tsp_variant(ell: int = 2) -> InstanceBundle:
         },
         default_set="cdb",
         start_states=("A",),
-        solver_defaults=SolverConfig(ell=ell, backend="discrete"),
+        solver_defaults=SolverConfig(ell=ell),
         notes={
             "base_costs": {"prefers-cdb": trajectory_cost(run0),
                            "prefers-bcd": trajectory_cost(run1)},

@@ -52,22 +52,31 @@ EXIT_SOLVER = 3
 CHAIN_SLACK = 1e-6  # relative tolerance for the improvement-chain report
 
 
-def _parse_x0(text: str):
-    """Accept '1,1' (vector), 'A' (token), or JSON for structured states."""
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError:
-        raw = None
-    if isinstance(raw, list):
-        def tup(v):
-            return tuple(tup(c) for c in v) if isinstance(v, list) else v
-        if all(isinstance(c, (int, float)) for c in raw):
-            return np.asarray(raw, dtype=float)
-        return tup(raw)
-    try:
-        return np.asarray([float(c) for c in text.split(",")], dtype=float)
-    except ValueError:
-        return text
+def _parse_x0(raw):
+    """A state from a flag or a config file: '1,1' or [1, 1] (vector, every
+    component finite), 'A' (token), or JSON for structured states."""
+    if isinstance(raw, str):
+        try:
+            value = json.loads(raw)
+        except json.JSONDecodeError:
+            value = None
+        if not isinstance(value, list):
+            try:
+                value = [float(c) for c in raw.split(",")]
+            except ValueError:
+                return raw
+        raw = value
+    if not isinstance(raw, list):
+        return raw
+    if all(isinstance(c, (int, float)) for c in raw):
+        x = np.asarray(raw, dtype=float)
+        if not np.isfinite(x).all():
+            raise ValueError(f"state components must be finite, got {raw!r}")
+        return x
+
+    def tup(v):
+        return tuple(tup(c) for c in v) if isinstance(v, list) else v
+    return tup(raw)
 
 
 def _merge_config(args: argparse.Namespace, keys) -> dict:
@@ -170,7 +179,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     policy = _default_policy(bundle)
 
     if opts.get("x0") is not None:
-        x0 = _parse_x0(opts["x0"]) if isinstance(opts["x0"], str) else opts["x0"]
+        x0 = _parse_x0(opts["x0"])
     else:
         x0 = bundle.start_states[opts.get("start_index", 0)]
 
@@ -405,8 +414,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--set", help="sample set name(s), comma-merged")
     run.add_argument("--sweeps", type=int)
     run.add_argument("--mpc-horizon", type=int, dest="mpc_horizon")
-    run.add_argument("--mode-cap", type=int, dest="mode_cap")
-    run.add_argument("--backend")
+    run.add_argument("--mode-cap", type=int, dest="mode_cap",
+                     help="most mode sequences the shooting solver may enumerate")
     run.add_argument("--budget", type=float)
     run.add_argument("--disturb-step", type=int, dest="disturb_step")
     run.add_argument("--disturb", help="disturbance vector, e.g. '0.5,-0.5'")

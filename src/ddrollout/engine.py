@@ -159,7 +159,7 @@ def run_rollout(problem: ProblemDef, sset, x0, cfg: SolverConfig, horizon: int,
 
     def step(x, prev):
         seeds = []
-        if cfg.backend != "discrete":  # the discrete search takes no seeds
+        if problem.pl is not None:  # only shooting takes seeds
             shifted = _shifted_plan(prev, base_policy, cfg.ell)
             if shifted is not None:
                 seeds.append(shifted)

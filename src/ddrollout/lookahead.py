@@ -4,9 +4,10 @@ The l-step problem from x minimizes
 
     sum_{k<l} g(x_k, u_k) + terminal(x_l)
 
-where terminal() is the sample set's recorded cost (+inf off the set). The
-discrete backend solves it exactly by memoized enumeration; the continuous
-backends live in the shooting module and are dispatched through solve().
+where terminal() is the sample set's recorded cost (+inf off the set).
+solve() picks the solver from the problem itself: a problem with
+piecewise-linear structure (problem.pl) goes to the shooting module, any
+other is solved exactly by memoized enumeration of its finite controls.
 """
 
 from __future__ import annotations
@@ -25,22 +26,16 @@ from .model import (
     state_key,
 )
 
-BACKENDS = ("discrete", "shooting", "hybrid")
-
-
 @dataclass(frozen=True)
 class SolverConfig:
     """Solver parameters that callers choose per run."""
 
     ell: int = 1
-    backend: str = "discrete"
-    mode_cap: int = 128         # hybrid: exhaustive mode enumeration up to this many
+    mode_cap: int = 128  # shooting: most mode sequences it may enumerate
 
     def __post_init__(self):
         if self.ell < 1:
             raise ValueError("lookahead depth must be at least 1")
-        if self.backend not in BACKENDS:
-            raise ValueError(f"unknown backend {self.backend!r}; expected one of {BACKENDS}")
         if self.mode_cap < 1:
             raise ValueError("mode_cap must be at least 1")
 
@@ -201,8 +196,9 @@ def solve_restricted(problem: ProblemDef, sset, x, restricted_controls: Callable
 
 def solve(problem: ProblemDef, sset, x, cfg: SolverConfig,
           seeds: Sequence = (), base_policy: Policy | None = None) -> LookaheadSolution:
-    """Dispatch to the configured backend."""
-    if cfg.backend == "discrete":
+    """Shooting for piecewise-linear problems, exact enumeration otherwise;
+    only shooting reads seeds and base_policy."""
+    if problem.pl is None:
         return solve_discrete(problem, sset, x, cfg)
     from .shooting import solve_continuous
 

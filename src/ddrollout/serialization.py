@@ -317,7 +317,7 @@ def config_to_dict(cfg: SolverConfig) -> dict:
 # fields of earlier SolverConfig versions; stored runs still carry them
 _RETIRED_CONFIG_FIELDS = frozenset({"seed", "workers", "node_cap", "diagnostics",
                                    "penalty_init", "penalty_growth", "penalty_max",
-                                   "eps_tail", "max_iters", "eps_term"})
+                                   "eps_tail", "max_iters", "eps_term", "backend"})
 
 
 def config_from_dict(d: dict) -> SolverConfig:
@@ -361,7 +361,7 @@ def run_from_doc(doc: dict):
     )
 
 
-SUMMARY_HEADER = ("instance", "x0", "ell", "backend", "total_cost",
+SUMMARY_HEADER = ("instance", "x0", "ell", "total_cost",
                   "lookahead_value", "set_value", "steps", "status")
 
 
@@ -371,7 +371,6 @@ def summary_row(run, instance: str, x0) -> tuple:
         instance,
         json.dumps(encode_value(x0), sort_keys=True),
         str(run.config.ell),
-        run.config.backend,
         repr(float(run.total_cost)),
         repr(float(first)) if first != "" else "",
         repr(float(run.initial_set_value)),

@@ -1,17 +1,21 @@
-"""Continuous lookahead backends: shooting with terminal sample targets.
+"""Continuous lookahead: shooting with terminal sample targets.
 
-For piecewise-linear dynamics with quadratic stage costs the l-step problem
-decomposes into independent subproblems, one per (mode sequence, terminal
-target) pair. Each subproblem is a box-constrained quadratic program solved
-exactly: by one least-squares solve when its optimum is interior, otherwise
-by a primal active-set method. Terminal equality to a sampled state is
-enforced by a quadratic mismatch penalty driven below the problem's state
-tolerance eps_state by continuation. Budget-augmented problems add an exact
-ball constraint on the control energy, handled by bisection on its
-multiplier. Every plan, solved or seeded, is priced by one exact replay with
-the set's own terminal_cost, so a plan earns a recorded value only by ending
-in the set. Subproblems are solved cheapest tail first against a running
-bound and reduced in deterministic (value, index) order.
+lookahead.solve sends every problem with piecewise-linear structure here.
+For such dynamics with quadratic stage costs the l-step problem decomposes
+into independent subproblems, one per (mode sequence, terminal target)
+pair. Every mode sequence that starts in the current state's mode is
+enumerated (hybrid MPC's mode-sequence enumeration); more than
+SolverConfig.mode_cap of them raises SearchSpaceError. Each subproblem is a
+box-constrained quadratic program solved exactly: by one least-squares
+solve when its optimum is interior, otherwise by a primal active-set
+method. The terminal term is one quadratic: a free target's own cost, or,
+for a target pinned to a sampled state, a mismatch penalty driven below the
+problem's state tolerance eps_state by continuation. Budget-augmented
+problems add an exact ball constraint on the control energy, handled by
+bisection on its multiplier. Every plan, solved or seeded, is priced by one
+exact replay with the set's own terminal_cost, so a plan earns a recorded
+value only by ending in the set. Subproblems are solved cheapest tail first
+against a running bound, and the first candidate of least value wins.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ import numpy as np
 
 from .budget import base_view
 from .costs import INF
-from .errors import SolverFailureError
+from .errors import SearchSpaceError, SolverFailureError
 from .lookahead import LookaheadSolution, SolverConfig, base_plan, replay
 from .model import BoxControls, Policy, ProblemDef
 from .sample_sets import FreeTerminal, Target  # FreeTerminal: public alias
@@ -208,7 +212,7 @@ def _box_violations(problem: ProblemDef, states, costs) -> list:
 
 def solve_continuous(problem: ProblemDef, sset, x, cfg: SolverConfig,
                      seeds=(), base_policy: Policy | None = None) -> LookaheadSolution:
-    """Solve the l-step lookahead with a shooting backend.
+    """Solve the l-step lookahead by shooting over every mode sequence.
 
     seeds are concrete control plans (tuples of control vectors) evaluated
     exactly and entered into the candidate pool; the recorded base policy,
@@ -218,19 +222,28 @@ def solve_continuous(problem: ProblemDef, sset, x, cfg: SolverConfig,
     """
     pl = problem.pl
     if pl is None:
-        raise ValueError("shooting backends need piecewise-linear problem structure")
+        raise ValueError("shooting needs piecewise-linear problem structure")
     base_x = np.asarray(base_view(x), dtype=float)
     ell = cfg.ell
 
     box = problem.control_set(x)
     if not isinstance(box, BoxControls):
-        raise ValueError("shooting backends need box control sets")
+        raise ValueError("shooting needs box control sets")
     m = box.lo.size
     lo_full = np.tile(box.lo, ell)
     hi_full = np.tile(box.hi, ell)
     h_r = 2.0 * np.kron(np.eye(ell), pl.r)
 
+    # every mode sequence that starts in x's own mode
     n_modes = len(pl.modes)
+    n_sequences = n_modes ** (ell - 1)
+    if n_sequences > cfg.mode_cap:
+        raise SearchSpaceError(f"{n_sequences} mode sequences of length {ell} "
+                               f"exceed mode_cap={cfg.mode_cap}")
+    first = pl.mode_of(base_x)
+    sequences = [(first,) + rest
+                 for rest in itertools.product(range(n_modes), repeat=ell - 1)]
+
     targets = sset.shooting_targets(x)
     pinned = [t.state for t in targets if t.state is not None]
     pinned = np.array(pinned) if pinned else None
@@ -242,91 +255,40 @@ def solve_continuous(problem: ProblemDef, sset, x, cfg: SolverConfig,
             seed_plans.append(tuple(np.asarray(u, dtype=float) for u in plan))
 
     candidates = [_evaluate_seed(problem, sset, x, plan, pinned) for plan in seed_plans]
+    bound = min((c[0] for c in candidates), default=INF)
 
-    # mode sequences: full enumeration while it stays small, otherwise a
-    # refinement loop that re-solves along the best plan's realized modes
-    if cfg.backend == "shooting":
-        if n_modes != 1:
-            raise ValueError("shooting backend expects a single dynamics mode; use hybrid")
-        sequences = [(0,) * ell]
-        exhaustive = True
-    else:
-        first = pl.mode_of(base_x)
-        exhaustive = n_modes ** (ell - 1) <= cfg.mode_cap
-        if exhaustive:
-            sequences = [(first,) + rest
-                         for rest in itertools.product(range(n_modes), repeat=ell - 1)]
-        else:
-            sequences = [_realized_modes(pl, base_x, ((np.zeros(m),) * ell))]
-            for plan in seed_plans:
-                sig = _realized_modes(pl, base_x, plan)
-                if sig not in sequences:
-                    sequences.append(sig)
+    jobs = []
+    for sig_pos, sig in enumerate(sequences):
+        asm = _assemble(pl, base_x, sig, h_r, lo_full, hi_full)
+        for t_idx, target in enumerate(targets):
+            if target.state is not None:
+                if target.value >= bound:
+                    continue  # stage costs are nonnegative: cannot win
+                gap = np.abs(target.state - asm.phis[ell])
+                reach = asm.reach
+                if target.ball_radius is not None:
+                    # Cauchy-Schwarz: a depleted energy ball shrinks the
+                    # reachable tube far below the control-box bound
+                    reach = np.minimum(reach, asm.row_norms * target.ball_radius)
+                if np.any(gap > reach + problem.eps_state + 1e-12):
+                    continue  # provably unreachable under box and energy ball
+            jobs.append((target.value, t_idx, sig_pos, asm))
+    # cheap tails first so the running bound can retire the rest early
+    jobs.sort(key=lambda j: j[:3])
 
-    assembled = {}
+    for _, t_idx, _, asm in jobs:
+        target = targets[t_idx]
+        if target.state is not None and target.value >= bound:
+            continue
+        out = _solve_candidate(problem, sset, x, asm, target, lo_full, hi_full, m,
+                               prune_bound=bound, exact_prediction=n_modes == 1)
+        candidates.append(out)
+        bound = min(bound, out[0])
 
-    def run_batch(sigs, bound):
-        jobs = []
-        for sig_pos, sig in enumerate(sigs):
-            if sig not in assembled:
-                assembled[sig] = _assemble(pl, base_x, sig, h_r, lo_full, hi_full)
-            for t_idx, target in enumerate(targets):
-                if target.state is not None:
-                    if target.value >= bound:
-                        continue  # stage costs are nonnegative: cannot win
-                    gap = np.abs(target.state - assembled[sig].phis[ell])
-                    reach = assembled[sig].reach
-                    if target.ball_radius is not None:
-                        # Cauchy-Schwarz: a depleted energy ball shrinks the
-                        # reachable tube far below the control-box bound
-                        reach = np.minimum(
-                            reach, assembled[sig].row_norms * target.ball_radius)
-                    if np.any(gap > reach + problem.eps_state + 1e-12):
-                        continue  # provably unreachable under box and energy ball
-                jobs.append((sig_pos, sig, t_idx))
-        # cheap tails first so the running bound can retire the rest early
-        jobs.sort(key=lambda j: (targets[j[2]].value, j[2], j[0]))
-
-        results = []
-        for _, sig, t_idx in jobs:
-            target = targets[t_idx]
-            if target.state is not None and target.value >= bound:
-                continue
-            out = _solve_candidate(problem, sset, x, assembled[sig], target,
-                                   lo_full, hi_full, m, prune_bound=bound,
-                                   exact_prediction=n_modes == 1)
-            results.append(out)
-            bound = min(bound, out[0])
-        return results
-
-    def reduce_best():
-        best, best_idx, any_conv = None, -1, False
-        for idx, cand in enumerate(candidates):
-            value, controls, diag = cand
-            any_conv = any_conv or diag.get("converged", True)
-            if best is None or (value, idx) < (best[0], best_idx):
-                best, best_idx = (value, controls, diag), idx
-        return best, any_conv
-
-    seed_bound = min((c[0] for c in candidates), default=INF)
-    candidates.extend(run_batch(sequences, seed_bound))
-    best, any_converged = reduce_best()
-
-    if not exhaustive:
-        tried = set(sequences)
-        for _ in range(4):
-            plan = _refinement_plan(candidates, best)
-            if plan is None:
-                break
-            sig = _realized_modes(pl, base_x, plan)
-            if sig in tried:
-                break
-            tried.add(sig)
-            candidates.extend(run_batch([sig], best[0] if best else INF))
-            best, any_converged = reduce_best()
-
+    # the first candidate of least value
+    best = min(candidates, key=lambda c: c[0]) if candidates else None
     if best is None or best[0] == INF:
-        if not any_converged and candidates:
+        if candidates and not any(c[2].get("converged", True) for c in candidates):
             raise SolverFailureError("no shooting subproblem converged",
                                      incumbent=best)
         return LookaheadSolution(controls=(), terminal_state=None, value=INF,
@@ -347,108 +309,61 @@ def solve_continuous(problem: ProblemDef, sset, x, cfg: SolverConfig,
     )
 
 
-def _refinement_plan(candidates, best):
-    """The plan whose realized modes the refinement loop should try next:
-    the incumbent when finite, else the near-miss with the smallest
-    terminal mismatch."""
-    if best is not None and best[0] < INF:
-        return best[1]
-    near = None
-    for cand in candidates:
-        if not cand[1]:
-            continue
-        mis = cand[2].get("mismatch")
-        if mis is None:
-            continue
-        if near is None or mis < near[0]:
-            near = (mis, cand[1])
-    return near[1] if near is not None else None
-
-
-def _realized_modes(pl, base_x, controls) -> tuple:
-    """The mode sequence the true dynamics picks along a control plan."""
-    sig = []
-    cur = np.asarray(base_x, dtype=float)
-    for u in controls:
-        k = pl.mode_of(cur)
-        sig.append(k)
-        mode = pl.modes[k]
-        cur = mode.a @ cur + mode.b @ np.asarray(u, dtype=float)
-    return tuple(sig)
-
-
 def _solve_candidate(problem, sset, x, asm: _Assembled, target: Target,
                      lo_full, hi_full, m, prune_bound=INF, exact_prediction=False):
     ell = len(asm.gammas) - 1
     g_l = asm.gammas[ell]
     phi_l = asm.phis[ell]
+    is_pinned = target.state is not None
+    offset = phi_l - target.state if is_pinned else phi_l
+    pen_offset = float(np.dot(offset, offset))
     iters_total = 0
-    converged = True
     state_pen_h = None
     state_pen_b = None
 
     for _state_round in range(4):
-        if target.state is None:
-            quad = target.quad
-            if quad is None:
-                h = asm.h0.copy()
-                b = asm.b0.copy()
+        # the terminal term is one quadratic in the stacked controls: a free
+        # target's own cost, or a pinned target's mismatch penalty, which
+        # continuation raises until the terminal lands within eps_state
+        penalty = PENALTY_INIT if is_pinned else 0.0
+        while True:
+            h, b = asm.h0, asm.b0
+            if is_pinned:
+                w = 2.0 * penalty * g_l.T
             else:
-                gq = g_l.T @ quad
-                h = asm.h0 + 2.0 * gq @ g_l
-                b = asm.b0 + 2.0 * gq @ phi_l
+                w = None if target.quad is None else 2.0 * (g_l.T @ target.quad)
+            if w is not None:
+                h, b = h + w @ g_l, b + w @ offset
             if state_pen_h is not None:
-                h = h + state_pen_h
-                b = b + state_pen_b
-            z, converged, it = _box_qp(h, b, lo_full, hi_full)
+                h, b = h + state_pen_h, b + state_pen_b
+            if target.ball_radius is not None:
+                z, converged, it = _ball_box_qp(h, b, lo_full, hi_full, target.ball_radius)
+            else:
+                z, converged, it = _box_qp(h, b, lo_full, hi_full)
             iters_total += it
-            mismatch_pred = 0.0
-            penalty = 0.0
-        else:
-            penalty = PENALTY_INIT
-            pen_offset = float(np.dot(phi_l - target.state, phi_l - target.state))
-            while True:
-                gq = g_l.T
-                h = asm.h0 + 2.0 * penalty * gq @ g_l
-                b = asm.b0 + 2.0 * penalty * gq @ (phi_l - target.state)
-                if state_pen_h is not None:
-                    h = h + state_pen_h
-                    b = b + state_pen_b
-                if target.ball_radius is not None:
-                    z, converged, it = _ball_box_qp(h, b, lo_full, hi_full,
-                                                    target.ball_radius)
-                else:
-                    z, converged, it = _box_qp(h, b, lo_full, hi_full)
-                iters_total += it
-                mismatch_pred = float(np.max(np.abs(phi_l + g_l @ z - target.state),
-                                             initial=0.0))
-                if mismatch_pred <= 0.9 * problem.eps_state or penalty >= PENALTY_MAX:
-                    break
-                if exact_prediction and converged and state_pen_h is None \
-                        and prune_bound < INF:
-                    # the relaxed objective under-estimates the exact-constraint
-                    # running cost, so a dominated target can be abandoned early
-                    relaxed = _qp_obj(h, b, z) + asm.c0 + penalty * pen_offset
-                    lower = relaxed + target.value
-                    if lower >= prune_bound + 1e-7 * (1.0 + abs(prune_bound)):
-                        diag = {"mismatch": None, "predicted_mismatch": mismatch_pred,
-                                "penalty": penalty, "iterations": iters_total,
-                                "converged": True, "pruned": True}
-                        return INF, (), diag
-                jump = penalty * mismatch_pred / max(0.45 * problem.eps_state, 1e-300)
-                penalty = min(PENALTY_MAX, max(penalty * PENALTY_GROWTH, jump))
-
-        for repairs in range(4):
-            controls = tuple(z[k * m:(k + 1) * m].copy() for k in range(ell))
-            value, states, costs = replay(problem, x, controls, sset.terminal_cost)
-            mismatch = _mismatch(states[-1], target.state)
-            # exact budget repair: a plan that reached its sample but not the
-            # set is shrunk, at most three times, until the accounting holds
-            if target.ball_radius is None or value < INF or repairs == 3 \
-                    or not mismatch <= problem.eps_state:
+            if not is_pinned:
+                mismatch_pred = 0.0
                 break
-            z = z * (1.0 - 1e-12)
+            mismatch_pred = float(np.max(np.abs(phi_l + g_l @ z - target.state),
+                                         initial=0.0))
+            if mismatch_pred <= 0.9 * problem.eps_state or penalty >= PENALTY_MAX:
+                break
+            if exact_prediction and converged and state_pen_h is None \
+                    and prune_bound < INF:
+                # the relaxed objective under-estimates the exact-constraint
+                # running cost, so a dominated target can be abandoned early
+                relaxed = _qp_obj(h, b, z) + asm.c0 + penalty * pen_offset
+                lower = relaxed + target.value
+                if lower >= prune_bound + 1e-7 * (1.0 + abs(prune_bound)):
+                    diag = {"mismatch": None, "predicted_mismatch": mismatch_pred,
+                            "penalty": penalty, "iterations": iters_total,
+                            "converged": True, "pruned": True}
+                    return INF, (), diag
+            jump = penalty * mismatch_pred / max(0.45 * problem.eps_state, 1e-300)
+            penalty = min(PENALTY_MAX, max(penalty * PENALTY_GROWTH, jump))
 
+        controls = tuple(z[k * m:(k + 1) * m].copy() for k in range(ell))
+        value, states, costs = replay(problem, x, controls, sset.terminal_cost)
         violations = _box_violations(problem, states, costs) if value == INF else []
         if not violations:
             break
@@ -467,7 +382,7 @@ def _solve_candidate(problem, sset, x, asm: _Assembled, target: Target,
                 state_pen_b += 2.0 * weight * (asm.phis[k][i] - bound) * row
 
     diag = {
-        "mismatch": mismatch,
+        "mismatch": _mismatch(states[-1], target.state),
         "predicted_mismatch": mismatch_pred,
         "penalty": penalty,
         "iterations": iters_total,

@@ -182,7 +182,7 @@ def test_criterion_05_random_instances_match_oracle():
     for seed in range(50):
         problem, base, n, m = make_random_instance(seed)
         small, big = nested_pair(problem, base, n, seed)
-        cfg = replace(SolverConfig(), ell=cfg_ell, backend="discrete")
+        cfg = replace(SolverConfig(), ell=cfg_ell)
         for x in range(n):
             for sset in (small, big):
                 got = solve(problem, sset, x, cfg).value

@@ -153,7 +153,7 @@ def test_config_file_merges_and_flags_override(capsys, tmp_path):
     assert os.path.exists(override / "basic-0.json")
 
 
-@pytest.mark.parametrize("retired", ["eps_term", "max_iters", "workers"])
+@pytest.mark.parametrize("retired", ["eps_term", "max_iters", "workers", "backend"])
 def test_config_file_naming_a_retired_solver_field_is_rejected(capsys, tmp_path, retired):
     cfg_path = tmp_path / "job.json"
     cfg_path.write_text(json.dumps({"instance": "grid", "horizon": 5, retired: 1}))
@@ -161,6 +161,34 @@ def test_config_file_naming_a_retired_solver_field_is_rejected(capsys, tmp_path,
                            "--out-dir", str(tmp_path))
     assert code == 1
     assert f"unknown config keys: ['{retired}']" in err
+
+
+@pytest.mark.parametrize("x0", ["inf,0", "1e400,0", "nan,0"])
+def test_non_finite_x0_is_a_clean_error(capsys, tmp_path, x0):
+    code, _, err = run_cli(capsys, "run", "--instance", "integrator", "--x0", x0,
+                           "--horizon", "2", "--out-dir", str(tmp_path))
+    assert code == 1
+    assert err.startswith("error: ") and "must be finite" in err
+
+
+def test_config_file_x0_list_runs_like_the_flag_string(capsys, tmp_path):
+    outs = []
+    for i, x0 in enumerate(([-3.95, -0.05], "-3.95,-0.05")):
+        cfg_path = tmp_path / f"job{i}.json"
+        cfg_path.write_text(json.dumps({"instance": "integrator", "horizon": 3, "x0": x0,
+                                        "out_dir": str(tmp_path / "runs")}))
+        code, out, _ = run_cli(capsys, "run", "--config", str(cfg_path))
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1]
+    assert "x0=array([-3.95, -0.05])" in outs[0]
+
+
+def test_mode_sequences_over_the_cap_are_a_clean_error(capsys, tmp_path):
+    code, _, err = run_cli(capsys, "run", "--instance", "spiral", "--ell", "9",
+                           "--horizon", "2", "--out-dir", str(tmp_path))
+    assert code == 1
+    assert "256 mode sequences of length 9 exceed mode_cap=128" in err
 
 
 @pytest.mark.parametrize("argv", [

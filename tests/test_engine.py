@@ -38,7 +38,7 @@ def test_discrete_rollout_descends_and_stops(grid):
 def test_random_instance_rollout_matches_certified_chain():
     problem, base, n, _ = make_random_instance(41)
     _, sset = nested_pair(problem, base, n, 41)
-    cfg = replace(SolverConfig(), ell=2, backend="discrete")
+    cfg = replace(SolverConfig(), ell=2)
     for x0 in (n - 1, n // 2):
         if sset.terminal_cost(x0) == INF:
             continue

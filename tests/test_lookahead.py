@@ -5,6 +5,7 @@ import dataclasses
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,12 +27,13 @@ from ddrollout.lookahead import (
     solve_restricted,
     vi_sequence,
 )
+from ddrollout.shooting import solve_continuous
 
 from conftest import make_random_instance, nested_pair, plain_lookahead
 
 
 def _cfg(ell):
-    return replace(SolverConfig(), ell=ell, backend="discrete")
+    return replace(SolverConfig(), ell=ell)
 
 
 @settings(max_examples=40, deadline=None)
@@ -153,12 +155,24 @@ def test_restricted_value_is_sandwiched():
     assert full <= restricted <= sset.terminal_cost(n - 1)
 
 
-def test_solve_dispatches_to_the_discrete_backend():
+def test_solve_dispatches_to_the_discrete_backend(integrator):
+    """A problem without piecewise-linear structure is enumerated; one with
+    it goes to shooting, seeds and base policy included."""
     problem, base, n, _ = make_random_instance(3)
     sset = build_from_trajectory(simulate_policy(problem, base, n - 1))
     a = solve(problem, sset, n - 1, _cfg(2))
     b = solve_discrete(problem, sset, n - 1, _cfg(2))
     assert a.value == b.value and a.controls == b.controls
+
+    problem, sset = integrator.problem, integrator.sample_sets["trajectory"]
+    policy = next(iter(integrator.base_policies.values()))
+    x0 = integrator.start_states[0]
+    seed = (np.full(1, -0.5),) * 4
+    a = solve(problem, sset, x0, _cfg(4), seeds=[seed], base_policy=policy)
+    b = solve_continuous(problem, sset, x0, _cfg(4), seeds=[seed], base_policy=policy)
+    assert a.value == b.value < INF
+    assert np.array_equal(np.concatenate(a.controls), np.concatenate(b.controls))
+    assert repr(a.diagnostics) == repr(b.diagnostics)
 
 
 def test_every_solver_config_field_is_read():

@@ -144,7 +144,7 @@ def test_budget_set_roundtrip_and_tamper_detection(integrator):
 
 
 def test_run_roundtrip_and_summary(grid, tmp_path):
-    cfg = SolverConfig(ell=2, backend="discrete")
+    cfg = SolverConfig(ell=2)
     run = run_rollout(grid.problem, grid.sample_sets["trajectory"],
                       grid.start_states[0], cfg, horizon=40)
     doc = json.loads(dumps_json(run_to_doc(run)))
@@ -168,14 +168,14 @@ def test_dumps_json_is_deterministic(integrator):
 
 
 def test_config_dict_roundtrip():
-    cfg = SolverConfig(ell=3, backend="hybrid", mode_cap=64)
+    cfg = SolverConfig(ell=3, mode_cap=64)
     assert config_from_dict(config_to_dict(cfg)) == cfg
     with pytest.raises(ValueError):
         config_from_dict({"ell": 2, "wibble": 1})
 
 
 def test_run_documents_with_retired_config_fields_still_load(grid):
-    cfg = SolverConfig(ell=2, backend="discrete")
+    cfg = SolverConfig(ell=2)
     run = run_rollout(grid.problem, grid.sample_sets["trajectory"],
                       grid.start_states[0], cfg, horizon=40)
     doc = json.loads(dumps_json(run_to_doc(run)))

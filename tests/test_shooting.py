@@ -10,11 +10,12 @@ from scipy.optimize import minimize
 
 from ddrollout import AugmentedState, ExplicitSampleSet, SampleEntry, SolverConfig, run_rollout
 from ddrollout.costs import INF
+from ddrollout.errors import SearchSpaceError
 from ddrollout.shooting import FreeTerminal, _ball_box_qp, _box_qp, solve_continuous
 
 
 def _cfg(ell, **kw):
-    return replace(SolverConfig(), ell=ell, backend="shooting", **kw)
+    return replace(SolverConfig(), ell=ell, **kw)
 
 
 def _objective(problem, terminal_fn):
@@ -177,6 +178,24 @@ def test_hybrid_modes_replay_exactly(spiral):
     # reproduces the claimed objective, so the mode sequence was right
     assert sol.recompute(problem, sset, x0) == pytest.approx(sol.value, rel=1e-8)
     assert sol.value <= spiral.notes["base_costs"][(1.0, 1.0)] + 1e-9
+
+
+def test_mode_enumeration_is_capped_by_mode_cap(spiral):
+    """ell steps from x enumerate 2**(ell - 1) spiral mode sequences; more
+    than mode_cap of them is refused, never searched partially."""
+    problem = spiral.problem
+    disk = spiral.sample_sets["disk"]
+    x0 = np.array([1.0, 1.0])
+    at_cap = replace(spiral.solver_defaults, ell=8)
+    assert at_cap.mode_cap == 2 ** 7
+    sol = solve_continuous(problem, disk, x0, at_cap)
+    assert sol.value < INF and sol.diagnostics["candidates"] == 2 ** 7
+    with pytest.raises(SearchSpaceError, match="mode_cap=128"):
+        solve_continuous(problem, disk, x0, replace(at_cap, ell=9))
+    sol = solve_continuous(problem, disk, x0, replace(at_cap, ell=9, mode_cap=256))
+    assert sol.value < INF and sol.diagnostics["candidates"] == 2 ** 8
+    assert disk.contains(sol.terminal_state)
+    assert sol.recompute(problem, disk, x0) == sol.value
 
 
 def test_disk_terminal_lands_inside_the_disk(spiral):
