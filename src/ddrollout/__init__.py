@@ -34,7 +34,6 @@ from .engine import (
     run_classical_mpc,
     run_multiagent,
     run_rollout,
-    run_with_disturbance,
 )
 from .errors import (
     AssumptionViolationError,
@@ -75,12 +74,13 @@ from .model import (
 from .sample_sets import (
     AnalyticSampleSet,
     ExplicitSampleSet,
+    FreeTerminal,
     SampleEntry,
     build_from_trajectory,
     merge,
     verify_invariance,
 )
-from .shooting import FreeTerminal, solve_continuous
+from .shooting import solve_continuous
 
 __version__ = "0.1.0"
 
@@ -134,7 +134,6 @@ __all__ = [
     "run_classical_mpc",
     "run_multiagent",
     "run_rollout",
-    "run_with_disturbance",
     "simulate_policy",
     "solve",
     "solve_continuous",

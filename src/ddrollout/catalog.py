@@ -75,13 +75,11 @@ def make_hybrid_spiral(radius: float = 12.5, ell: int = 5) -> InstanceBundle:
     box_tol = 1e-9
     lo_tol, hi_tol = lo - box_tol, hi + box_tol
 
-    def mode_of(x) -> int:
-        return 0 if x[0] >= 0.0 else 1
-
     modes = (LinearMode(a_pos, b, zero), LinearMode(a_neg, b, zero))
 
     def dynamics(x, u):
-        m = modes[mode_of(x)]
+        # the scalar form of pl.mode_of: mode 0 holds the boundary x[0] = 0
+        m = modes[0] if x[0] >= 0.0 else modes[1]
         return m.a @ x + m.b @ np.asarray(u, dtype=float)
 
     def stage_cost(x, u):
@@ -89,8 +87,11 @@ def make_hybrid_spiral(radius: float = 12.5, ell: int = 5) -> InstanceBundle:
             return INF
         return float(x @ x)
 
-    pl = PiecewiseLinearStructure(modes=modes, mode_of=mode_of, q=q, r=r,
-                                  state_box=(lo, hi), box_tol=box_tol)
+    # mode 0 where -x[0] <= 0, mode 1 where x[0] <= 0
+    pl = PiecewiseLinearStructure(modes=modes, q=q, r=r, state_box=(lo, hi),
+                                  box_tol=box_tol,
+                                  region_f=np.array([[[-1.0, 0.0]], [[1.0, 0.0]]]),
+                                  region_g=np.zeros((2, 1)))
     problem = ProblemDef(
         dynamics=dynamics,
         stage_cost=stage_cost,
@@ -197,10 +198,8 @@ def make_constrained_double_integrator(budget_cap: float = 0.5,
         u = np.asarray(u, dtype=float)
         return float(x @ x) + float(u @ u)
 
-    pl = PiecewiseLinearStructure(
-        modes=(LinearMode(a, b, np.zeros(2)),),
-        mode_of=lambda x: 0,
-        q=q, r=r, state_box=(lo, hi), box_tol=box_tol)
+    pl = PiecewiseLinearStructure(modes=(LinearMode(a, b, np.zeros(2)),),
+                                  q=q, r=r, state_box=(lo, hi), box_tol=box_tol)
     problem = ProblemDef(
         dynamics=dynamics,
         stage_cost=stage_cost,

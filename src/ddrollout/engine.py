@@ -181,12 +181,6 @@ def _report_of(sol):
     return rep
 
 
-def run_with_disturbance(problem, sset, x0, cfg, horizon, disturbance,
-                         base_policy: Policy | None = None) -> RolloutRun:
-    return run_rollout(problem, sset, x0, cfg, horizon, base_policy=base_policy,
-                       disturbance=disturbance, variant="disturbance")
-
-
 def run_classical_mpc(problem: ProblemDef, x0, cfg: SolverConfig, horizon: int,
                       terminal: str = "origin", terminal_quadratic=None,
                       base_policy: Policy | None = None) -> RolloutRun:

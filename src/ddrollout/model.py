@@ -65,9 +65,6 @@ class BoxControls:
             return False
         return bool(np.all(v >= self.lo - eps) and np.all(v <= self.hi + eps))
 
-    def project(self, u: np.ndarray) -> np.ndarray:
-        return np.clip(np.asarray(u, dtype=float), self.lo, self.hi)
-
 
 ControlSetSpec = Union[FiniteControls, BoxControls]
 
@@ -123,12 +120,6 @@ def state_key(x) -> Hashable:
     return x
 
 
-def control_key(u) -> Hashable:
-    if isinstance(u, np.ndarray):
-        return ("vec", np.asarray(u, dtype=float).tobytes())
-    return u
-
-
 # ---------------------------------------------------------------------------
 # Piecewise-linear dynamics data used by the shooting solver
 
@@ -151,21 +142,53 @@ class LinearMode:
 class PiecewiseLinearStructure:
     """Smooth problem data the continuous solver needs.
 
-    The quadratic stage cost is x' q x + u' r u on the feasible region; the
+    Mode i is active where region_f[i] @ x <= region_g[i] (modes x rows x d
+    and modes x rows); the first such mode wins, and the dynamics must agree
+    with mode_of. Without regions the one mode is active everywhere. The
+    quadratic stage cost is x' q x + u' r u on the feasible region; the
     optional state box is enforced as a feasibility filter with tolerance
     box_tol (the extended-real stage cost must agree with it).
     """
 
     modes: tuple
-    mode_of: Callable[[np.ndarray], int]
     q: np.ndarray
     r: np.ndarray
     state_box: tuple | None = None
     box_tol: float = EPS_STATE
+    region_f: np.ndarray | None = None
+    region_g: np.ndarray | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "q", np.asarray(self.q, dtype=float))
         object.__setattr__(self, "r", np.asarray(self.r, dtype=float))
+        if self.region_f is None:
+            if len(self.modes) > 1:
+                raise ValueError("several modes need their regions")
+            f, g = np.zeros((1, 0, self.modes[0].a.shape[0])), np.zeros((1, 0))
+        else:
+            f, g = np.asarray(self.region_f, dtype=float), np.asarray(self.region_g, dtype=float)
+            if f.shape[:1] != (len(self.modes),) or g.shape != f.shape[:2]:
+                raise ValueError("region_f must be modes x rows x d, region_g modes x rows")
+        object.__setattr__(self, "region_f", f)
+        object.__setattr__(self, "region_g", g)
+
+    def mode_of(self, x) -> int:
+        """The first mode whose region holds x."""
+        inside = np.all(self.region_f @ x <= self.region_g, axis=1)
+        if not inside.any():
+            raise ValueError(f"state {x!r} lies in no mode region")
+        return int(np.argmax(inside))
+
+    def path_excess(self, sigma, xs) -> float:
+        """How far the states xs[k] lie outside the region of mode sigma[k]
+        or outside the state box widened by box_tol; <= 0 inside both."""
+        idx = list(sigma)
+        worst = ((self.region_f[idx] * xs[:, None, :]).sum(axis=2)
+                 - self.region_g[idx]).max(initial=-INF)
+        if self.state_box is not None:
+            lo, hi = self.state_box
+            worst = max(worst, np.maximum(xs - hi, lo - xs).max(initial=-INF) - self.box_tol)
+        return float(worst)
 
 
 # ---------------------------------------------------------------------------

@@ -256,10 +256,20 @@ class AnalyticSampleSet:
                         "reconstruct it from its instance in the catalog")
 
     def verify(self, problem: ProblemDef, policies, rng, samples: int):
-        """The fixed-point certificate on randomly drawn members."""
+        """Invariance, then the fixed-point certificate, on the same randomly
+        drawn members."""
+        policy = _policy_for(policies, self._policy_id)
         states = [self.sample_member(rng) for _ in range(samples)]
-        rep = check_fixed_point(problem, policies[self.policy_ids[0]],
-                                self.terminal_cost, states)
+        failures = []
+        for x in states:
+            if not self.contains(x):
+                failures.append(f"invariance violation at {x!r}: sampler produced a non-member")
+            elif not self.contains(problem.dynamics(x, policy.action(x))):
+                failures.append(f"invariance violation at {x!r}: successor not a member")
+        yield (not failures,
+               None if failures else f"invariance: PASS ({samples} sampled members)",
+               failures[:5])
+        rep = check_fixed_point(problem, policy, self.terminal_cost, states)
         yield (rep.passed,
                f"fixed-point: PASS ({samples} sampled members)" if rep.passed else None,
                [f"fixed-point violation at {row.state!r}: residual {row.residual:.3e}"
@@ -375,7 +385,6 @@ class InvarianceReport:
     passed: bool
     checked: int
     violations: tuple
-    sampled: bool = False
 
 
 def _policy_for(policies, policy_id: str) -> Policy:
@@ -388,42 +397,25 @@ def _policy_for(policies, policy_id: str) -> Policy:
     raise TypeError("policies must be a Policy or a mapping id -> Policy")
 
 
-def verify_invariance(problem: ProblemDef, policies, sset,
-                      rng: np.random.Generator | None = None,
-                      samples: int = 1000) -> InvarianceReport:
+def verify_invariance(problem: ProblemDef, policies,
+                      sset: ExplicitSampleSet) -> InvarianceReport:
     """Check that each member's successor under its own policy is a member.
 
-    Explicit sets are checked entry by entry (frontier entries of
-    analytic-tailed sets carry no recorded successor and are skipped).
-    Predicate-defined sets are checked on randomly sampled members.
+    Entries are checked one by one; frontier entries of analytic-tailed
+    sets carry no recorded successor and are skipped.
     """
     violations = []
-    if isinstance(sset, ExplicitSampleSet):
-        checked = 0
-        for e in sset.entries():
-            if e.successor is None:
-                if not sset.analytic_tail:
-                    violations.append(InvarianceViolation(e.state, None, "missing successor"))
-                continue
-            pol = _policy_for(policies, e.policy_id)
-            nxt = problem.dynamics(e.state, pol.action(e.state))
-            checked += 1
-            if not states_equal(nxt, e.successor, sset.eps_state):
-                violations.append(InvarianceViolation(e.state, nxt, "recorded successor mismatch"))
-            elif not sset.contains(nxt):
-                violations.append(InvarianceViolation(e.state, nxt, "successor not a member"))
-        return InvarianceReport(not violations, checked, tuple(violations))
-
-    rng = rng or np.random.default_rng(0)
-    pol = _policy_for(policies, sset.policy_ids[0])
     checked = 0
-    for _ in range(samples):
-        x = sset.sample_member(rng)
-        if not sset.contains(x):
-            violations.append(InvarianceViolation(x, None, "sampler produced a non-member"))
+    for e in sset.entries():
+        if e.successor is None:
+            if not sset.analytic_tail:
+                violations.append(InvarianceViolation(e.state, None, "missing successor"))
             continue
-        nxt = problem.dynamics(x, pol.action(x))
+        pol = _policy_for(policies, e.policy_id)
+        nxt = problem.dynamics(e.state, pol.action(e.state))
         checked += 1
-        if not sset.contains(nxt):
-            violations.append(InvarianceViolation(x, nxt, "successor not a member"))
-    return InvarianceReport(not violations, checked, tuple(violations), sampled=True)
+        if not states_equal(nxt, e.successor, sset.eps_state):
+            violations.append(InvarianceViolation(e.state, nxt, "recorded successor mismatch"))
+        elif not sset.contains(nxt):
+            violations.append(InvarianceViolation(e.state, nxt, "successor not a member"))
+    return InvarianceReport(not violations, checked, tuple(violations))

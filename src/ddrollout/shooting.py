@@ -12,10 +12,13 @@ method. The terminal term is one quadratic: a free target's own cost, or,
 for a target pinned to a sampled state, a mismatch penalty driven below the
 problem's state tolerance eps_state by continuation. Budget-augmented
 problems add an exact ball constraint on the control energy, handled by
-bisection on its multiplier. Every plan, solved or seeded, is priced by one
-exact replay with the set's own terminal_cost, so a plan earns a recorded
-value only by ending in the set. Subproblems are solved cheapest tail first
-against a running bound, and the first candidate of least value wins.
+bisection on its multiplier. Subproblems are solved cheapest tail first
+against a running bound. A solved plan is replayed only if its predicted
+states stay within eps_state of its mode sequence's regions and of the
+state box (where the condensed prediction is exact) and its predicted
+value beats the bound. That replay with the set's own terminal_cost is
+the one price of every plan, solved or seeded, so a plan earns a recorded
+value only by ending in the set. The first candidate of least value wins.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from .costs import INF
 from .errors import SearchSpaceError, SolverFailureError
 from .lookahead import LookaheadSolution, SolverConfig, base_plan, replay
 from .model import BoxControls, Policy, ProblemDef
-from .sample_sets import FreeTerminal, Target  # FreeTerminal: public alias
+from .sample_sets import Target
 
 # terminal-mismatch penalty continuation: start, growth factor, ceiling; the
 # start is high enough that one solve usually lands within eps_state
@@ -138,8 +141,9 @@ def _ball_box_qp(h, b, lo, hi, radius):
 
 @dataclass
 class _Assembled:
-    phis: list       # state offsets per step
-    gammas: list     # state response to the stacked control vector
+    sigma: tuple     # the mode sequence
+    phis: np.ndarray    # state offset per step, (ell + 1) x d
+    gammas: np.ndarray  # state response to the stacked controls, (ell + 1) x d x width
     h0: np.ndarray   # running-cost Hessian (terminal excluded)
     b0: np.ndarray
     c0: float        # constant part of the running cost
@@ -175,7 +179,8 @@ def _assemble(pl, x0: np.ndarray, sigma, h_r, lo_full, hi_full) -> _Assembled:
     u_abs = np.maximum(np.abs(lo_full), np.abs(hi_full))
     reach = np.abs(gammas[ell]) @ u_abs
     row_norms = np.linalg.norm(gammas[ell], axis=1)
-    return _Assembled(phis, gammas, h0, b0, c0, reach, row_norms)
+    return _Assembled(tuple(sigma), np.array(phis), np.array(gammas), h0, b0, c0,
+                      reach, row_norms)
 
 
 # ---------------------------------------------------------------------------
@@ -188,22 +193,6 @@ def _mismatch(terminal, pinned) -> float | None:
     if pinned is None:
         return None
     return float(np.abs(pinned - base_view(terminal)).max(axis=-1).min())
-
-
-def _box_violations(problem: ProblemDef, states, costs) -> list:
-    """(step, overshoot) for each infeasible stage whose state leaves the box."""
-    pl = problem.pl
-    if pl.state_box is None:
-        return []
-    lo, hi = pl.state_box
-    out = []
-    for k in range(len(costs) - 1, -1, -1):
-        if costs[k] == INF:
-            xb = base_view(states[k])
-            over = np.maximum(xb - hi, 0.0) + np.maximum(lo - xb, 0.0)
-            if float(np.max(over, initial=0.0)) > pl.box_tol:
-                out.append((k, over))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +270,7 @@ def solve_continuous(problem: ProblemDef, sset, x, cfg: SolverConfig,
         if target.state is not None and target.value >= bound:
             continue
         out = _solve_candidate(problem, sset, x, asm, target, lo_full, hi_full, m,
-                               prune_bound=bound, exact_prediction=n_modes == 1)
+                               bound=bound)
         candidates.append(out)
         bound = min(bound, out[0])
 
@@ -310,84 +299,68 @@ def solve_continuous(problem: ProblemDef, sset, x, cfg: SolverConfig,
 
 
 def _solve_candidate(problem, sset, x, asm: _Assembled, target: Target,
-                     lo_full, hi_full, m, prune_bound=INF, exact_prediction=False):
-    ell = len(asm.gammas) - 1
+                     lo_full, hi_full, m, bound=INF):
+    """Solve one subproblem and price its plan by replay, unless the plan
+    provably cannot win: its relaxed objective already exceeds bound, its
+    predicted path leaves the mode sequence or the state box (so the
+    prediction would not hold), or its predicted value does not beat bound.
+    Those candidates come back as +inf with an empty plan."""
+    ell = len(asm.sigma)
     g_l = asm.gammas[ell]
     phi_l = asm.phis[ell]
     is_pinned = target.state is not None
     offset = phi_l - target.state if is_pinned else phi_l
     pen_offset = float(np.dot(offset, offset))
+    slack = 1e-7 * (1.0 + abs(bound))
     iters_total = 0
-    state_pen_h = None
-    state_pen_b = None
 
-    for _state_round in range(4):
-        # the terminal term is one quadratic in the stacked controls: a free
-        # target's own cost, or a pinned target's mismatch penalty, which
-        # continuation raises until the terminal lands within eps_state
-        penalty = PENALTY_INIT if is_pinned else 0.0
-        while True:
-            h, b = asm.h0, asm.b0
-            if is_pinned:
-                w = 2.0 * penalty * g_l.T
-            else:
-                w = None if target.quad is None else 2.0 * (g_l.T @ target.quad)
-            if w is not None:
-                h, b = h + w @ g_l, b + w @ offset
-            if state_pen_h is not None:
-                h, b = h + state_pen_h, b + state_pen_b
-            if target.ball_radius is not None:
-                z, converged, it = _ball_box_qp(h, b, lo_full, hi_full, target.ball_radius)
-            else:
-                z, converged, it = _box_qp(h, b, lo_full, hi_full)
-            iters_total += it
-            if not is_pinned:
-                mismatch_pred = 0.0
-                break
-            mismatch_pred = float(np.max(np.abs(phi_l + g_l @ z - target.state),
-                                         initial=0.0))
-            if mismatch_pred <= 0.9 * problem.eps_state or penalty >= PENALTY_MAX:
-                break
-            if exact_prediction and converged and state_pen_h is None \
-                    and prune_bound < INF:
-                # the relaxed objective under-estimates the exact-constraint
-                # running cost, so a dominated target can be abandoned early
-                relaxed = _qp_obj(h, b, z) + asm.c0 + penalty * pen_offset
-                lower = relaxed + target.value
-                if lower >= prune_bound + 1e-7 * (1.0 + abs(prune_bound)):
-                    diag = {"mismatch": None, "predicted_mismatch": mismatch_pred,
-                            "penalty": penalty, "iterations": iters_total,
-                            "converged": True, "pruned": True}
-                    return INF, (), diag
-            jump = penalty * mismatch_pred / max(0.45 * problem.eps_state, 1e-300)
-            penalty = min(PENALTY_MAX, max(penalty * PENALTY_GROWTH, jump))
-
-        controls = tuple(z[k * m:(k + 1) * m].copy() for k in range(ell))
-        value, states, costs = replay(problem, x, controls, sset.terminal_cost)
-        violations = _box_violations(problem, states, costs) if value == INF else []
-        if not violations:
+    # the terminal term is one quadratic in the stacked controls: a free
+    # target's own cost, or a pinned target's mismatch penalty, which
+    # continuation raises until the terminal lands within eps_state
+    penalty = PENALTY_INIT if is_pinned else 0.0
+    pruned = False
+    while True:
+        h, b = asm.h0, asm.b0
+        if is_pinned:
+            w = 2.0 * penalty * g_l.T
+        else:
+            w = None if target.quad is None else 2.0 * (g_l.T @ target.quad)
+        if w is not None:
+            h, b = h + w @ g_l, b + w @ offset
+        if target.ball_radius is not None:
+            z, converged, it = _ball_box_qp(h, b, lo_full, hi_full, target.ball_radius)
+        else:
+            z, converged, it = _box_qp(h, b, lo_full, hi_full)
+        iters_total += it
+        if not is_pinned:
+            mismatch_pred = 0.0
             break
-        # add quadratic penalties on the violated state-box rows and retry
-        weight = 1e4 * (100.0 ** _state_round)
-        if state_pen_h is None:
-            state_pen_h = np.zeros_like(asm.h0)
-            state_pen_b = np.zeros(asm.b0.size)
-        lo_box, hi_box = problem.pl.state_box
-        for k, over in violations:
-            for i in np.nonzero(over > 0.0)[0]:
-                row = asm.gammas[k][i]
-                xb = base_view(states[k])
-                bound = hi_box[i] if xb[i] > hi_box[i] else lo_box[i]
-                state_pen_h += 2.0 * weight * np.outer(row, row)
-                state_pen_b += 2.0 * weight * (asm.phis[k][i] - bound) * row
+        mismatch_pred = float(np.max(np.abs(phi_l + g_l @ z - target.state),
+                                     initial=0.0))
+        if mismatch_pred <= 0.9 * problem.eps_state or penalty >= PENALTY_MAX:
+            break
+        # the relaxed objective under-estimates the running cost of every
+        # plan that follows sigma to the target, and no other plan is priced
+        relaxed = _qp_obj(h, b, z) + asm.c0 + penalty * pen_offset
+        if converged and relaxed + target.value >= bound + slack:
+            pruned = True
+            break
+        jump = penalty * mismatch_pred / max(0.45 * problem.eps_state, 1e-300)
+        penalty = min(PENALTY_MAX, max(penalty * PENALTY_GROWTH, jump))
 
-    diag = {
-        "mismatch": _mismatch(states[-1], target.state),
-        "predicted_mismatch": mismatch_pred,
-        "penalty": penalty,
-        "iterations": iters_total,
-        "converged": converged,
-    }
+    diag = {"mismatch": None, "predicted_mismatch": mismatch_pred,
+            "penalty": penalty, "iterations": iters_total, "converged": converged}
+    path = asm.phis[1:] + asm.gammas[1:] @ z  # predicted x_1 .. x_ell
+    # a pinned target's recorded value, or a free target's cost (zero value)
+    tail = target.value if target.quad is None else float(path[-1] @ target.quad @ path[-1])
+    if (pruned or problem.pl.path_excess(asm.sigma[1:], path[:-1]) > problem.eps_state
+            or _qp_obj(asm.h0, asm.b0, z) + asm.c0 + tail >= bound + slack):
+        diag["pruned"] = True
+        return INF, (), diag
+
+    controls = tuple(z[k * m:(k + 1) * m].copy() for k in range(ell))
+    value, states, _ = replay(problem, x, controls, sset.terminal_cost)
+    diag["mismatch"] = _mismatch(states[-1], target.state)
     return value, controls, diag
 
 

@@ -21,7 +21,6 @@ from ddrollout import (
     optimal_cost,
     run_multiagent,
     run_rollout,
-    run_with_disturbance,
     simulate_policy,
     trajectory_cost,
 )
@@ -284,9 +283,10 @@ def test_criterion_10_disturbances_never_crash(spiral):
     def huge_bump(t, x):
         return x + np.array([60.0, 60.0]) if t == 2 else x
 
-    recovered = run_with_disturbance(spiral.problem, sset, x0, cfg, 120,
-                                     small_bump)
-    lost = run_with_disturbance(spiral.problem, sset, x0, cfg, 40, huge_bump)
+    recovered = run_rollout(spiral.problem, sset, x0, cfg, 120,
+                            disturbance=small_bump, variant="disturbance")
+    lost = run_rollout(spiral.problem, sset, x0, cfg, 40,
+                       disturbance=huge_bump, variant="disturbance")
     ok = (recovered.status in ("stopped", "closed_in_set", "horizon")
           and math.isfinite(recovered.total_cost)
           and lost.status == "infeasible_after_disturbance"

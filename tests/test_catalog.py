@@ -8,7 +8,6 @@ from ddrollout import (
     resolve_instance_name,
     simulate_policy,
     trajectory_cost,
-    verify_invariance,
 )
 
 
@@ -39,8 +38,21 @@ def test_spiral_base_costs_are_the_recorded_ratios(spiral):
 def test_spiral_sets_are_invariant_under_their_policies(spiral):
     policies = {p.id: p for p in spiral.base_policies.values()}
     for name, sset in spiral.sample_sets.items():
-        report = verify_invariance(spiral.problem, policies, sset, samples=100)
-        assert report.passed, name
+        passed, line, _ = next(sset.verify(spiral.problem, policies,
+                                           np.random.default_rng(0), 100))
+        assert passed and line.startswith("invariance: PASS"), name
+
+
+def test_spiral_dynamics_apply_the_mode_its_regions_name(spiral):
+    problem, pl = spiral.problem, spiral.problem.pl
+    rng = np.random.default_rng(3)
+    edge = [np.array([c, 0.5]) for c in (0.0, -0.0, 1e-300, -1e-300)]
+    u = np.array([0.25])
+    for x in [rng.uniform(-10.0, 10.0, 2) for _ in range(200)] + edge:
+        mode = pl.modes[pl.mode_of(x)]
+        assert np.array_equal(problem.dynamics(x, u), mode.a @ x + mode.b @ u)
+    # the boundary x[0] = 0 (either sign of zero) belongs to mode 0
+    assert [pl.mode_of(x) for x in edge] == [0, 0, 0, 1]
 
 
 def test_integrator_tail_matrix_solves_the_lyapunov_identity(integrator):

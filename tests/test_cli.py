@@ -2,16 +2,18 @@
 
 import copy
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 import ddrollout
 from ddrollout import make_instance
-from ddrollout.cli import main
+from ddrollout.cli import _report_chain, main
 from ddrollout.serialization import dumps_json, read_json, sample_set_to_doc, write_text
 
 
@@ -211,3 +213,48 @@ def test_closed_stdout_pipe_ends_quietly(tmp_path, argv):
     assert "Traceback" not in err and "BrokenPipeError" not in err
     if argv[0] == "table":  # artifacts are written before anything is printed
         assert (tmp_path / "table.csv").exists() and (tmp_path / "table.txt").exists()
+
+
+def test_chain_slack_ignores_an_infinite_recorded_value(capsys):
+    # realized above the lookahead by 1e-3 relative: an infinite recorded
+    # value must not widen the slack enough to pass it
+    run = SimpleNamespace(total_cost=5.0 * (1.0 + 1e-3), per_step_values=(5.0,))
+    assert not _report_chain(run, math.inf)
+    assert ": FAIL" in capsys.readouterr().out
+    run = SimpleNamespace(total_cost=5.0, per_step_values=(5.0,))
+    assert _report_chain(run, math.inf)
+
+
+def test_run_ending_at_x0_checks_realized_against_recorded(capsys, tmp_path):
+    code, out, _ = run_cli(capsys, "run", "--instance", "spiral", "--x0", "0,0",
+                           "--out-dir", str(tmp_path))
+    assert code == 0
+    assert ("improvement chain: realized 0.000000 <= lookahead n/a "
+            "<= certified 0.000000 : PASS") in out
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--instance", "spiral", "--samples", "0"),
+    ("verify", "--instance", "spiral", "--samples", "-3"),
+    ("run", "--instance", "spiral", "--start-index", "7"),
+    ("run", "--instance", "spiral", "--start-index", "-1"),
+    ("run", "--instance", "grid", "--horizon", "0"),
+    ("run", "--instance", "grid", "--horizon", "-2"),
+    ("run", "--instance", "grid", "--variant", "multiagent", "--sweeps", "-1"),
+    ("table", "--instance", "tsp", "--horizon", "0"),
+])
+def test_out_of_range_counts_are_clean_errors(capsys, tmp_path, argv):
+    code, out, err = run_cli(capsys, *argv, *(("--out-dir", str(tmp_path))
+                                               if argv[0] != "verify" else ()))
+    assert code == 1
+    assert err.startswith("error: ") and "PASS" not in out
+    assert not list(tmp_path.iterdir())
+
+
+def test_out_of_range_count_in_a_config_file_is_a_clean_error(capsys, tmp_path):
+    cfg_path = tmp_path / "job.json"
+    cfg_path.write_text(json.dumps({"instance": "grid", "horizon": 0,
+                                    "out_dir": str(tmp_path / "runs")}))
+    code, _, err = run_cli(capsys, "run", "--config", str(cfg_path))
+    assert code == 1
+    assert err.startswith("error: horizon must be an integer in [1, inf), got 0")

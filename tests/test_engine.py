@@ -10,7 +10,6 @@ from ddrollout import (
     run_classical_mpc,
     run_multiagent,
     run_rollout,
-    run_with_disturbance,
 )
 from ddrollout.budget import AugmentedState
 from ddrollout.costs import INF
@@ -69,9 +68,9 @@ def test_disturbance_inside_coverage_recovers(spiral):
     policy = next(iter(spiral.base_policies.values()))
     cfg = replace(spiral.solver_defaults, ell=5)
     bump = lambda t, x: x + np.array([0.5, -0.5]) if t == 3 else x
-    run = run_with_disturbance(spiral.problem, spiral.sample_sets["disk"],
-                               np.array([1.0, 1.0]), cfg, 60, bump,
-                               base_policy=policy)
+    run = run_rollout(spiral.problem, spiral.sample_sets["disk"],
+                      np.array([1.0, 1.0]), cfg, 60, base_policy=policy,
+                      disturbance=bump, variant="disturbance")
     assert run.status in ("closed_in_set", "stopped", "horizon")
     assert run.total_cost < INF
     assert run.variant == "disturbance"
@@ -81,9 +80,9 @@ def test_disturbance_outside_coverage_flags_instead_of_crashing(spiral):
     policy = next(iter(spiral.base_policies.values()))
     cfg = replace(spiral.solver_defaults, ell=5)
     kick = lambda t, x: x + np.array([100.0, 100.0]) if t == 3 else x
-    run = run_with_disturbance(spiral.problem, spiral.sample_sets["disk"],
-                               np.array([1.0, 1.0]), cfg, 60, kick,
-                               base_policy=policy)
+    run = run_rollout(spiral.problem, spiral.sample_sets["disk"],
+                      np.array([1.0, 1.0]), cfg, 60, base_policy=policy,
+                      disturbance=kick, variant="disturbance")
     assert run.status == "infeasible_after_disturbance"
     # costs up to the flagged step are still reported
     assert run.total_cost < INF

@@ -7,6 +7,8 @@ from ddrollout import (
     BoxControls,
     CoverageError,
     FiniteControls,
+    LinearMode,
+    PiecewiseLinearStructure,
     Policy,
     ProblemDef,
     Trajectory,
@@ -17,7 +19,7 @@ from ddrollout import (
     validate_trajectory,
 )
 from ddrollout.costs import INF
-from ddrollout.model import as_value_fn, control_key, state_key, states_equal
+from ddrollout.model import as_value_fn, state_key, states_equal
 
 from conftest import make_random_instance
 
@@ -35,14 +37,20 @@ def test_state_key_distinguishes_kinds():
     # int 1 and vector [1.] must not collide in memo tables
     assert state_key(1) != state_key(np.array([1.0]))
     assert state_key(np.array([1.0, 2.0])) == state_key(np.array([1.0, 2.0]))
-    assert control_key("up") == "up"
 
 
-def test_box_controls_project_and_contain():
+def test_box_controls_contain():
     box = BoxControls(np.array([-1.0]), np.array([1.0]))
     assert box.contains(np.array([0.3]))
     assert not box.contains(np.array([1.5]))
-    assert box.project(np.array([2.0]))[0] == 1.0
+
+
+def test_several_modes_need_their_regions():
+    mode = LinearMode(np.eye(2), np.ones((2, 1)), np.zeros(2))
+    one = PiecewiseLinearStructure(modes=(mode,), q=np.eye(2), r=np.eye(1))
+    assert one.mode_of(np.array([-5.0, 3.0])) == 0
+    with pytest.raises(ValueError, match="regions"):
+        PiecewiseLinearStructure(modes=(mode, mode), q=np.eye(2), r=np.eye(1))
 
 
 def test_finite_controls_membership():

@@ -130,11 +130,30 @@ def test_analytic_set_membership_and_sampled_invariance():
     problem = ProblemDef(dynamics=problem_dyn, stage_cost=lambda x, u: 0.0,
                          control_set=lambda x: None)
     pol = Policy(action=lambda x: None, id="contract")
-    report = verify_invariance(problem, pol, sset, samples=200)
-    assert report.passed and report.sampled
+    passed, line, _ = next(sset.verify(problem, pol, np.random.default_rng(0), 200))
+    assert passed and line == "invariance: PASS (200 sampled members)"
     assert sset.contains(np.zeros(2))
     assert not sset.contains(np.array([2.0, 0.0]))
     assert sset.terminal_cost(np.array([0.5, 0.0])) == 0.5
+
+
+def test_analytic_verify_reports_a_successor_outside_the_set():
+    # members of the unit disk under a doubling map leave the disk
+    sset = AnalyticSampleSet(
+        label="disk", policy_id="double",
+        contains_fn=lambda x: float(x @ x) <= 1.0,
+        value_fn=lambda x: 0.0,
+        sample_member=_disk_point,
+    )
+    from ddrollout import ProblemDef
+
+    problem = ProblemDef(dynamics=lambda x, u: 2.0 * x, stage_cost=lambda x, u: 0.0,
+                         control_set=lambda x: None)
+    pol = Policy(action=lambda x: None, id="double")
+    checks = list(sset.verify(problem, {"double": pol}, np.random.default_rng(0), 50))
+    passed, line, failures = checks[0]
+    assert not passed and line is None
+    assert failures and "successor not a member" in failures[0]
 
 
 def _disk_point(rng):

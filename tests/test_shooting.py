@@ -9,9 +9,12 @@ import pytest
 from scipy.optimize import minimize
 
 from ddrollout import AugmentedState, ExplicitSampleSet, SampleEntry, SolverConfig, run_rollout
+from ddrollout import shooting
 from ddrollout.costs import INF
 from ddrollout.errors import SearchSpaceError
-from ddrollout.shooting import FreeTerminal, _ball_box_qp, _box_qp, solve_continuous
+from ddrollout.lookahead import replay
+from ddrollout.sample_sets import FreeTerminal, Target
+from ddrollout.shooting import _ball_box_qp, _box_qp, solve_continuous
 
 
 def _cfg(ell, **kw):
@@ -205,6 +208,53 @@ def test_disk_terminal_lands_inside_the_disk(spiral):
                            replace(spiral.solver_defaults, ell=5))
     assert sol.value < INF
     assert disk.contains(sol.terminal_state)
+
+
+def test_first_spiral_solve_replays_only_plans_that_can_win(spiral, monkeypatch):
+    """From (1,1) on trajectory-0 most subproblem plans leave the mode
+    sequence they were solved under; none of those is replayed."""
+    prices = []
+
+    def counting(*args):
+        out = replay(*args)
+        prices.append(out[0])
+        return out
+
+    monkeypatch.setattr(shooting, "replay", counting)
+    policy = next(iter(spiral.base_policies.values()))
+    sol = solve_continuous(spiral.problem, spiral.sample_sets["trajectory-0"],
+                           np.array([1.0, 1.0]), replace(spiral.solver_defaults, ell=5),
+                           base_policy=policy)
+    assert sol.value == 2.0974762193513916
+    assert len(prices) <= 100 and INF not in prices
+
+
+@pytest.mark.parametrize("side", ["region", "box"])
+def test_a_plan_off_its_path_by_two_eps_is_dropped_and_by_half_eps_replayed(
+        spiral, monkeypatch, side):
+    problem = spiral.problem
+    pl, eps = problem.pl, problem.eps_state
+    sin60 = math.sin(math.pi / 3.0)
+    replays = []
+    monkeypatch.setattr(shooting, "replay", lambda *a: replays.append(a) or replay(*a))
+    for off, want in ((2.0 * eps, 0), (0.5 * eps, 1)):
+        if side == "region":  # x_1[0] = -off, outside mode 0's x[0] >= 0
+            x0, sigma = np.array([1.0, (0.5 + off / 0.8) / sin60]), (0, 0)
+        else:  # x_1 inside mode 1, x_1[1] = hi + box_tol + off
+            x0, sigma = np.array([9.0, 7.0]), (0, 1)
+        asm = shooting._assemble(pl, x0, sigma, np.zeros((2, 2)), -np.ones(2), np.ones(2))
+        z = np.zeros(2)
+        if side == "box":
+            z[0] = pl.state_box[1][1] + pl.box_tol + off - asm.phis[1][1]
+        x1 = asm.phis[1] + asm.gammas[1] @ z
+        assert pl.path_excess(sigma[1:], x1[None]) == pytest.approx(off, rel=1e-3)
+        monkeypatch.setattr(shooting, "_box_qp", lambda h, b, lo, hi: (z, True, 1))
+        replays.clear()
+        value, controls, _ = shooting._solve_candidate(
+            problem, FreeTerminal(), x0, asm, Target(), -np.ones(2), np.ones(2), 1)
+        assert len(replays) == want  # the half-eps plan's replay is its price
+        if want == 0:
+            assert value == INF and controls == ()
 
 
 def test_budget_solve_replays_to_its_value(integrator):
