@@ -22,23 +22,13 @@ from .errors import (
     UnusableTrajectoryError,
 )
 from .model import (
+    AugmentedState,
     Policy,
     ProblemDef,
     Trajectory,
     states_equal,
 )
 from .sample_sets import GridIndex, Target
-
-
-@dataclass(frozen=True)
-class AugmentedState:
-    """A base state paired with the remaining resource budget."""
-
-    base: object
-    info: float
-
-    def __repr__(self):
-        return f"AugmentedState({self.base!r}, e={self.info:.6g})"
 
 
 @dataclass(frozen=True)

@@ -175,7 +175,7 @@ def _report_of(sol):
     if sol.per_stage_values is not None:
         rep["per_stage_values"] = sol.per_stage_values
     if sol.diagnostics:
-        for key in ("mismatch", "penalty", "iterations", "candidates", "converged"):
+        for key in ("mismatch", "iterations", "candidates", "converged"):
             if key in sol.diagnostics:
                 rep[key] = sol.diagnostics[key]
     return rep

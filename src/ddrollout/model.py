@@ -77,9 +77,15 @@ def is_vector_state(x) -> bool:
     return isinstance(x, np.ndarray)
 
 
-def _is_augmented(x) -> bool:
-    # Duck-typed so the budget module can define the class without a cycle.
-    return hasattr(x, "base") and hasattr(x, "info")
+@dataclass(frozen=True)
+class AugmentedState:
+    """A base state paired with the remaining resource budget (see budget)."""
+
+    base: object
+    info: float
+
+    def __repr__(self):
+        return f"AugmentedState({self.base!r}, e={self.info:.6g})"
 
 
 def states_equal(a, b, eps: float = EPS_STATE) -> bool:
@@ -88,10 +94,9 @@ def states_equal(a, b, eps: float = EPS_STATE) -> bool:
     Token states compare exactly; the info coordinate of augmented states
     compares exactly as well (resource accounting admits no slack).
     """
-    if _is_augmented(a) or _is_augmented(b):
-        if not (_is_augmented(a) and _is_augmented(b)):
-            return False
-        return a.info == b.info and states_equal(a.base, b.base, eps)
+    if isinstance(a, AugmentedState) or isinstance(b, AugmentedState):
+        return (isinstance(a, AugmentedState) and isinstance(b, AugmentedState)
+                and a.info == b.info and states_equal(a.base, b.base, eps))
     if is_vector_state(a) or is_vector_state(b):
         if not (is_vector_state(a) and is_vector_state(b)):
             return False
@@ -113,7 +118,7 @@ def controls_equal(a, b, eps: float = EPS_STATE) -> bool:
 
 def state_key(x) -> Hashable:
     """Exact hashable key for memo tables and value maps."""
-    if _is_augmented(x):
+    if isinstance(x, AugmentedState):
         return ("aug", state_key(x.base), float(x.info))
     if is_vector_state(x):
         return ("vec", np.asarray(x, dtype=float).tobytes())

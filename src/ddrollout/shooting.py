@@ -6,19 +6,18 @@ into independent subproblems, one per (mode sequence, terminal target)
 pair. Every mode sequence that starts in the current state's mode is
 enumerated (hybrid MPC's mode-sequence enumeration); more than
 SolverConfig.mode_cap of them raises SearchSpaceError. Each subproblem is a
-box-constrained quadratic program solved exactly: by one least-squares
-solve when its optimum is interior, otherwise by a primal active-set
-method. The terminal term is one quadratic: a free target's own cost, or,
-for a target pinned to a sampled state, a mismatch penalty driven below the
-problem's state tolerance eps_state by continuation. Budget-augmented
-problems add an exact ball constraint on the control energy, handled by
-bisection on its multiplier. Subproblems are solved cheapest tail first
-against a running bound. A solved plan is replayed only if its predicted
-states stay within eps_state of its mode sequence's regions and of the
-state box (where the condensed prediction is exact) and its predicted
-value beats the bound. That replay with the set's own terminal_cost is
-the one price of every plan, solved or seeded, so a plan earns a recorded
-value only by ending in the set. The first candidate of least value wins.
+box-constrained quadratic program solved exactly. A target pinned to a
+sampled state adds d equality rows that put the terminal state on it; a
+free target adds its own quadratic cost. Budget-augmented problems add an
+exact ball constraint on the control energy, handled by bisection on its
+multiplier. Subproblems are solved cheapest tail first against a running
+bound, and one whose box-free optimum cannot beat the bound stops there. A
+solved plan is replayed only if its predicted path meets its target and
+stays within eps_state of its mode sequence's regions and of the state box
+(where the condensed prediction is exact) and its predicted value beats the
+bound. That replay with the set's own terminal_cost is the one price of
+every plan, solved or seeded, so a plan earns a recorded value only by
+ending in the set. The first candidate of least value wins.
 """
 
 from __future__ import annotations
@@ -35,12 +34,6 @@ from .lookahead import LookaheadSolution, SolverConfig, base_plan, replay
 from .model import BoxControls, Policy, ProblemDef
 from .sample_sets import Target
 
-# terminal-mismatch penalty continuation: start, growth factor, ceiling; the
-# start is high enough that one solve usually lands within eps_state
-PENALTY_INIT = 1e8
-PENALTY_GROWTH = 10.0
-PENALTY_MAX = 1e12
-
 
 # ---------------------------------------------------------------------------
 # Quadratic subproblem machinery
@@ -50,34 +43,56 @@ def _qp_obj(h, b, z) -> float:
     return 0.5 * float(z @ h @ z) + float(b @ z)
 
 
-def _box_qp(h, b, lo, hi):
-    """Minimize 0.5 z'hz + b'z over the box lo <= z <= hi.
+def _kkt_solve(h, g, top, bottom):
+    """Least-squares solution (z, lam) of [h g'; g 0] [z; lam] = [top; bottom]."""
+    n = h.shape[0]
+    kkt = np.zeros((n + g.shape[0],) * 2)
+    kkt[:n, :n], kkt[:n, n:], kkt[n:, :n] = h, g.T, g
+    sol = np.linalg.lstsq(kkt, np.concatenate([top, bottom]), rcond=None)[0]
+    return sol[:n], sol[n:]
+
+
+def _meets(z, rows) -> bool:
+    """Whether z meets rows = (g, r, eps), g z = r to eps in the infinity norm."""
+    return rows is None or float(np.abs(rows[0] @ z - rows[1]).max(initial=0.0)) <= rows[2]
+
+
+def _box_qp(h, b, lo, hi, rows=None, z=None):
+    """Minimize 0.5 z'hz + b'z over the box lo <= z <= hi and the rows
+    g z = r of rows = (g, r, eps), if given.
 
     The objective is a convex least squares (b lies in the range of h on
-    every face), so each face has a minimizer. An interior unconstrained
-    optimum is returned as is. Otherwise a primal active-set method (Nocedal
-    & Wright, Numerical Optimization, sec. 16.5) starts from the clipped
-    optimum: it minimizes on the free face, steps to the first bound that
-    blocks and holds it, and at a face minimizer frees the held bound with
-    the most negative multiplier, until none is negative. Returns
-    (z, converged, iterations); converged is False only when the loop hits
-    its bound of 4 (n + 1) face solves.
+    every face), so each face has a minimizer. The box-free optimum z (one
+    KKT solve, unless the caller has it) is returned when it is interior.
+    Otherwise a primal active-set method (Nocedal & Wright, Numerical
+    Optimization, sec. 16.5) starts from the box point nearest the rows, or
+    the clipped optimum: it minimizes on the free face under the rows, steps
+    to the first bound that blocks and holds it, and at a face minimizer
+    frees the held bound with the most negative multiplier, until none is
+    negative. A start that misses the rows by more than eps, proving that no
+    box point meets them, is returned as is. Returns (z, converged,
+    iterations); converged is False only if a loop hits 4 (n + 1) face solves.
     """
-    try:
-        z = np.linalg.lstsq(h, -b, rcond=None)[0]
-    except np.linalg.LinAlgError:
-        return np.clip(np.zeros_like(b), lo, hi), False, 0
+    g, r, _ = rows or (np.zeros((0, b.size)), np.zeros(0), 0.0)
+    if z is None:
+        try:
+            z = _kkt_solve(h, g, -b, r)[0]
+        except np.linalg.LinAlgError:
+            return np.clip(np.zeros_like(b), lo, hi), False, 0
     margin = 1e-12 * (1.0 + float(np.abs(z).max(initial=0.0)))
-    if np.all(z > lo + margin) and np.all(z < hi - margin):
+    if np.all(z > lo + margin) and np.all(z < hi - margin) and _meets(z, rows):
         return z, True, 1
-    z = np.clip(z, lo, hi)
+    z, converged, iters = (_box_qp(g.T @ g, -g.T @ r, lo, hi) if r.size
+                           else (np.clip(z, lo, hi), True, 0))
+    if not _meets(z, rows):
+        return z, converged, iters
     at_lo, at_hi = z <= lo, z >= hi  # the working set of held bounds
     for it in range(1, 4 * (z.size + 1) + 1):
         free = ~(at_lo | at_hi)
-        step = np.zeros_like(z)
+        step, lam = np.zeros_like(z), np.zeros_like(r)
         if free.any():
-            g = h @ z + b
-            step[free] = np.linalg.lstsq(h[np.ix_(free, free)], -g[free], rcond=None)[0]
+            step[free], lam = _kkt_solve(h[np.ix_(free, free)], g[:, free],
+                                         -(h @ z + b)[free], np.zeros_like(r))
         with np.errstate(divide="ignore", invalid="ignore"):
             room = np.where(step < 0, (lo - z) / step,
                             np.where(step > 0, (hi - z) / step, np.inf))
@@ -90,33 +105,37 @@ def _box_qp(h, b, lo, hi):
                 z[k], at_hi[k] = hi[k], True
             continue
         z = np.clip(z + step, lo, hi)
-        g = h @ z + b
+        grad = h @ z + b + g.T @ lam
         # multipliers of the held bounds, forgiving rounding in the gradient
-        tol = 1e-11 * (np.abs(h) @ np.abs(z) + np.abs(b))
-        mult = np.where(at_lo, g + tol, np.where(at_hi, tol - g, np.inf))
+        tol = 1e-11 * (np.abs(h) @ np.abs(z) + np.abs(b) + np.abs(g.T) @ np.abs(lam))
+        mult = np.where(at_lo, grad + tol, np.where(at_hi, tol - grad, np.inf))
         k = int(np.argmin(mult))
         if mult[k] >= 0.0:
-            return z, True, it
+            return z, True, iters + it
         at_lo[k] = at_hi[k] = False
-    return z, False, it
+    return z, False, iters + it
 
 
-def _ball_box_qp(h, b, lo, hi, radius):
-    """Minimize over box AND ||z|| <= radius.
+def _ball_box_qp(h, b, lo, hi, radius, rows=None, z=None):
+    """Minimize over the box and the rows AND ||z|| <= radius (no ball if None).
 
     The ball multiplier is found by bisection: z(lam) solves the box QP for
     h + 2*lam*I, and ||z(lam)|| decreases in lam. Returns the feasible-side
     solution, so the ball constraint holds at the result.
     """
-    z, conv, iters = _box_qp(h, b, lo, hi)
-    if float(np.linalg.norm(z)) <= radius:
+    z, conv, iters = _box_qp(h, b, lo, hi, rows, z)
+    if radius is None or float(np.linalg.norm(z)) <= radius or not _meets(z, rows):
         return z, conv, iters
     if radius <= 0.0:
         return np.clip(np.zeros_like(z), lo, hi), True, iters
-    eye = np.eye(h.shape[0])
+
+    def shifted(lam):  # h + 2 lam I, scaled by 1 / (1 + 2 lam) so the rows stay well posed
+        s = 1.0 / (1.0 + 2.0 * lam)
+        return _box_qp(s * h + (1.0 - s) * np.eye(b.size), s * b, lo, hi, rows)
+
     lam_hi = 1.0
     while lam_hi < 1e16:
-        z, conv, it = _box_qp(h + 2.0 * lam_hi * eye, b, lo, hi)
+        z, conv, it = shifted(lam_hi)
         iters += it
         if float(np.linalg.norm(z)) <= radius:
             break
@@ -127,7 +146,7 @@ def _ball_box_qp(h, b, lo, hi, radius):
         if lam_hi - lam_lo <= 1e-13 * lam_hi:
             break
         lam = 0.5 * (lam_lo + lam_hi)
-        z, conv, it = _box_qp(h + 2.0 * lam * eye, b, lo, hi)
+        z, conv, it = shifted(lam)
         iters += it
         norm = float(np.linalg.norm(z))
         if norm <= radius:
@@ -139,7 +158,7 @@ def _ball_box_qp(h, b, lo, hi, radius):
     return best, conv, iters
 
 
-@dataclass
+@dataclass(slots=True)
 class _Assembled:
     sigma: tuple     # the mode sequence
     phis: np.ndarray    # state offset per step, (ell + 1) x d
@@ -149,6 +168,17 @@ class _Assembled:
     c0: float        # constant part of the running cost
     reach: np.ndarray  # componentwise bound on |x_l - phi_l|
     row_norms: np.ndarray  # 2-norms of the terminal response rows
+    affine: np.ndarray | None = None  # [q | p] of pinned_optimum, solved on first use
+
+    def pinned_optimum(self, r) -> np.ndarray:
+        """The box-free optimum p r + q of the running cost under the rows
+        gammas[ell] z = r: affine in r, so one KKT solve serves every target."""
+        if self.affine is None:
+            top = np.zeros((self.b0.size, r.size + 1))
+            top[:, 0] = -self.b0
+            self.affine = _kkt_solve(self.h0, self.gammas[-1], top,
+                                     np.eye(r.size, r.size + 1, 1))[0]
+        return self.affine[:, 1:] @ r + self.affine[:, 0]
 
 
 def _assemble(pl, x0: np.ndarray, sigma, h_r, lo_full, hi_full) -> _Assembled:
@@ -158,29 +188,24 @@ def _assemble(pl, x0: np.ndarray, sigma, h_r, lo_full, hi_full) -> _Assembled:
     d = x0.size
     m = pl.modes[0].b.shape[1]
     width = ell * m
-    phi = x0.astype(float)
-    gam = np.zeros((d, width))
-    phis, gammas = [phi], [gam]
+    phis = np.zeros((ell + 1, d))
+    gammas = np.zeros((ell + 1, d, width))
+    phis[0] = x0
     for k in range(ell):
         mode = pl.modes[sigma[k]]
-        nxt = mode.a @ gammas[-1]
-        nxt[:, k * m:(k + 1) * m] += mode.b
-        gammas.append(nxt)
-        phi = mode.a @ phi + mode.c
-        phis.append(phi)
-    h0 = h_r.copy()
-    b0 = np.zeros(width)
-    c0 = 0.0
-    for k in range(ell):
-        gq = gammas[k].T @ pl.q
-        h0 += 2.0 * gq @ gammas[k]
-        b0 += 2.0 * gq @ phis[k]
-        c0 += float(phis[k] @ pl.q @ phis[k])
+        gammas[k + 1] = mode.a @ gammas[k]
+        gammas[k + 1, :, k * m:(k + 1) * m] += mode.b
+        phis[k + 1] = mode.a @ phis[k] + mode.c
+    # running cost sum_k x_k' q x_k over k < ell, as stacked products
+    run_g = gammas[:ell].reshape(ell * d, width)
+    q_phi = phis[:ell] @ pl.q.T  # row k is q @ phi_k
+    h0 = h_r + 2.0 * run_g.T @ (pl.q @ gammas[:ell]).reshape(ell * d, width)
+    b0 = 2.0 * run_g.T @ q_phi.ravel()
+    c0 = float(np.vdot(phis[:ell], q_phi))
     u_abs = np.maximum(np.abs(lo_full), np.abs(hi_full))
     reach = np.abs(gammas[ell]) @ u_abs
     row_norms = np.linalg.norm(gammas[ell], axis=1)
-    return _Assembled(tuple(sigma), np.array(phis), np.array(gammas), h0, b0, c0,
-                      reach, row_norms)
+    return _Assembled(tuple(sigma), phis, gammas, h0, b0, c0, reach, row_norms)
 
 
 # ---------------------------------------------------------------------------
@@ -301,67 +326,39 @@ def solve_continuous(problem: ProblemDef, sset, x, cfg: SolverConfig,
 def _solve_candidate(problem, sset, x, asm: _Assembled, target: Target,
                      lo_full, hi_full, m, bound=INF):
     """Solve one subproblem and price its plan by replay, unless the plan
-    provably cannot win: its relaxed objective already exceeds bound, its
-    predicted path leaves the mode sequence or the state box (so the
+    provably cannot win: its box-free optimum already fails to beat bound,
+    its predicted terminal misses a pinned target or its predicted path
+    leaves the mode sequence or the state box by more than eps_state (so the
     prediction would not hold), or its predicted value does not beat bound.
     Those candidates come back as +inf with an empty plan."""
     ell = len(asm.sigma)
-    g_l = asm.gammas[ell]
-    phi_l = asm.phis[ell]
-    is_pinned = target.state is not None
-    offset = phi_l - target.state if is_pinned else phi_l
-    pen_offset = float(np.dot(offset, offset))
+    g_l, phi_l = asm.gammas[ell], asm.phis[ell]
+    h, b, rows, const = asm.h0, asm.b0, None, target.value
+    if target.state is not None:  # d exact rows pin x_l to the target
+        rows = (g_l, target.state - phi_l, problem.eps_state)
+        z = asm.pinned_optimum(rows[1])
+    else:  # the free target's own quadratic cost of x_l
+        if target.quad is not None:
+            w = 2.0 * (g_l.T @ target.quad)
+            h, b = h + w @ g_l, b + w @ phi_l
+            const += float(phi_l @ target.quad @ phi_l)
+        z = np.linalg.lstsq(h, -b, rcond=None)[0]
     slack = 1e-7 * (1.0 + abs(bound))
-    iters_total = 0
-
-    # the terminal term is one quadratic in the stacked controls: a free
-    # target's own cost, or a pinned target's mismatch penalty, which
-    # continuation raises until the terminal lands within eps_state
-    penalty = PENALTY_INIT if is_pinned else 0.0
-    pruned = False
-    while True:
-        h, b = asm.h0, asm.b0
-        if is_pinned:
-            w = 2.0 * penalty * g_l.T
-        else:
-            w = None if target.quad is None else 2.0 * (g_l.T @ target.quad)
-        if w is not None:
-            h, b = h + w @ g_l, b + w @ offset
-        if target.ball_radius is not None:
-            z, converged, it = _ball_box_qp(h, b, lo_full, hi_full, target.ball_radius)
-        else:
-            z, converged, it = _box_qp(h, b, lo_full, hi_full)
-        iters_total += it
-        if not is_pinned:
-            mismatch_pred = 0.0
-            break
-        mismatch_pred = float(np.max(np.abs(phi_l + g_l @ z - target.state),
-                                     initial=0.0))
-        if mismatch_pred <= 0.9 * problem.eps_state or penalty >= PENALTY_MAX:
-            break
-        # the relaxed objective under-estimates the running cost of every
-        # plan that follows sigma to the target, and no other plan is priced
-        relaxed = _qp_obj(h, b, z) + asm.c0 + penalty * pen_offset
-        if converged and relaxed + target.value >= bound + slack:
-            pruned = True
-            break
-        jump = penalty * mismatch_pred / max(0.45 * problem.eps_state, 1e-300)
-        penalty = min(PENALTY_MAX, max(penalty * PENALTY_GROWTH, jump))
-
-    diag = {"mismatch": None, "predicted_mismatch": mismatch_pred,
-            "penalty": penalty, "iterations": iters_total, "converged": converged}
-    path = asm.phis[1:] + asm.gammas[1:] @ z  # predicted x_1 .. x_ell
-    # a pinned target's recorded value, or a free target's cost (zero value)
-    tail = target.value if target.quad is None else float(path[-1] @ target.quad @ path[-1])
-    if (pruned or problem.pl.path_excess(asm.sigma[1:], path[:-1]) > problem.eps_state
-            or _qp_obj(asm.h0, asm.b0, z) + asm.c0 + tail >= bound + slack):
-        diag["pruned"] = True
-        return INF, (), diag
-
-    controls = tuple(z[k * m:(k + 1) * m].copy() for k in range(ell))
-    value, states, _ = replay(problem, x, controls, sset.terminal_cost)
-    diag["mismatch"] = _mismatch(states[-1], target.state)
-    return value, controls, diag
+    diag = {"mismatch": None, "iterations": 0, "converged": True}
+    # the box-free optimum bounds every box point's objective from below
+    if _qp_obj(h, b, z) + asm.c0 + const < bound + slack:
+        z, converged, it = _ball_box_qp(h, b, lo_full, hi_full, target.ball_radius, rows, z)
+        diag.update(iterations=it, converged=converged)
+        path = asm.phis[1:] + asm.gammas[1:] @ z  # predicted x_1 .. x_ell
+        if (_meets(z, rows)
+                and problem.pl.path_excess(asm.sigma[1:], path[:-1]) <= problem.eps_state
+                and _qp_obj(h, b, z) + asm.c0 + const < bound + slack):
+            controls = tuple(z[k * m:(k + 1) * m].copy() for k in range(ell))
+            value, states, _ = replay(problem, x, controls, sset.terminal_cost)
+            diag["mismatch"] = _mismatch(states[-1], target.state)
+            return value, controls, diag
+    diag["pruned"] = True
+    return INF, (), diag
 
 
 def _evaluate_seed(problem, sset, x, plan, pinned):

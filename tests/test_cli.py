@@ -193,6 +193,16 @@ def test_mode_sequences_over_the_cap_are_a_clean_error(capsys, tmp_path):
     assert "256 mode sequences of length 9 exceed mode_cap=128" in err
 
 
+def test_one_step_lookahead_stays_on_its_samples(capsys, tmp_path):
+    """With ell=1 the integrator cannot correct its first coordinate, so a
+    plan that lands near its sample rather than on it drifts off the set."""
+    code, out, err = run_cli(capsys, "run", "--instance", "integrator", "--ell", "1",
+                             "--horizon", "80", "--out-dir", str(tmp_path))
+    assert code == 0, err
+    assert "status=closed_in_set" in out
+    assert "improvement chain:" in out and ": PASS" in out
+
+
 @pytest.mark.parametrize("argv", [
     ("list-instances",),
     ("table", "--instance", "tsp"),

@@ -138,6 +138,8 @@ def test_sample_targets_beat_every_exact_interior_certificate(integrator):
     assert sol.value < INF
     # the terminal state reaches its sample to the set's own tolerance
     assert sset.contains(sol.terminal_state)
+    # and lands on it: the target is imposed as exact equality rows
+    assert min(np.abs(sol.terminal_state - e.state).max() for e in sset.entries()) <= 1e-12
     assert sol.terminal_sample_id == sset.sample_id(sol.terminal_state)
     # replaying the plan with the set's terminal cost reproduces the value
     assert sol.recompute(problem, sset, x0) == sol.value
@@ -225,7 +227,7 @@ def test_first_spiral_solve_replays_only_plans_that_can_win(spiral, monkeypatch)
     sol = solve_continuous(spiral.problem, spiral.sample_sets["trajectory-0"],
                            np.array([1.0, 1.0]), replace(spiral.solver_defaults, ell=5),
                            base_policy=policy)
-    assert sol.value == 2.0974762193513916
+    assert sol.value == 2.0974762193515346
     assert len(prices) <= 100 and INF not in prices
 
 
@@ -248,7 +250,8 @@ def test_a_plan_off_its_path_by_two_eps_is_dropped_and_by_half_eps_replayed(
             z[0] = pl.state_box[1][1] + pl.box_tol + off - asm.phis[1][1]
         x1 = asm.phis[1] + asm.gammas[1] @ z
         assert pl.path_excess(sigma[1:], x1[None]) == pytest.approx(off, rel=1e-3)
-        monkeypatch.setattr(shooting, "_box_qp", lambda h, b, lo, hi: (z, True, 1))
+        monkeypatch.setattr(shooting, "_box_qp",
+                            lambda h, b, lo, hi, rows=None, z0=None: (z, True, 1))
         replays.clear()
         value, controls, _ = shooting._solve_candidate(
             problem, FreeTerminal(), x0, asm, Target(), -np.ones(2), np.ones(2), 1)
@@ -280,6 +283,7 @@ def test_origin_terminal_is_reached_to_the_state_tolerance(spiral):
     sol = solve_continuous(problem, origin, x0, spiral.solver_defaults)
     assert sol.value < INF
     assert origin.contains(sol.terminal_state)
+    assert np.abs(sol.terminal_state).max() <= 1e-12  # on it, up to rounding
     assert sol.recompute(problem, origin, x0) == sol.value
 
 
@@ -287,48 +291,62 @@ def _qp_obj(h, b, z):
     return 0.5 * float(z @ h @ z) + float(b @ z)
 
 
-def _face_oracle(h, b, lo, hi):
-    """Exact box-QP optimum by brute force over faces: each variable held at
-    its lower bound, at its upper bound, or free, the free block solved by
-    least squares and kept when it lands inside the box."""
+def _face_oracle(h, b, lo, hi, g, r):
+    """Exact optimum of a box QP with the equality rows g z = r by brute force
+    over faces: each variable held at its lower bound, at its upper bound, or
+    free, the free block solved by a KKT least-squares solve and kept when it
+    meets the rows and lands inside the box; +inf when no face does."""
     best = math.inf
     for held in itertools.product(("free", "lo", "hi"), repeat=b.size):
         free = np.array([s == "free" for s in held])
         z = np.where([s == "lo" for s in held], lo, hi)
         if free.any():
-            rhs = -b[free] - h[np.ix_(free, ~free)] @ z[~free]
-            z[free] = np.linalg.lstsq(h[np.ix_(free, free)], rhs, rcond=None)[0]
+            nf = int(free.sum())
+            kkt = np.block([[h[np.ix_(free, free)], g[:, free].T],
+                            [g[:, free], np.zeros((r.size, r.size))]])
+            rhs = np.concatenate([-b[free] - h[np.ix_(free, ~free)] @ z[~free],
+                                  r - g[:, ~free] @ z[~free]])
+            z[free] = np.linalg.lstsq(kkt, rhs, rcond=None)[0][:nf]
             slack = 1e-9 * (1.0 + float(np.abs(z).max()))
             if np.any(z < lo - slack) or np.any(z > hi + slack):
                 continue
-        best = min(best, _qp_obj(h, b, np.clip(z, lo, hi)))
+        if np.abs(g @ z - r).max(initial=0.0) <= 1e-9:
+            best = min(best, _qp_obj(h, b, np.clip(z, lo, hi)))
     return best
 
 
-def _penalty_qp(rng, n):
+def _subproblem_qp(rng, n):
     """A random box QP shaped like a shooting subproblem: a least-squares
-    running cost, rank deficient when control effort is free, plus a
-    terminal-mismatch penalty of weight up to 1e12."""
+    running cost, rank deficient when control effort is free, and up to two
+    equality rows pinning a terminal state that the box may not reach."""
     rows = int(rng.integers(1, n + 2))
     m = rng.standard_normal((rows, n))
-    g = rng.standard_normal((2, n))
-    pen = 10.0 ** rng.uniform(0.0, 12.0)
-    h = 2.0 * m.T @ m + 2.0 * pen * g.T @ g
-    b = 2.0 * m.T @ rng.standard_normal(rows) + 2.0 * pen * g.T @ (3.0 * rng.standard_normal(2))
-    return h, b, -rng.uniform(0.1, 2.0, n), rng.uniform(0.1, 2.0, n)
+    h = 2.0 * m.T @ m
+    b = 2.0 * m.T @ rng.standard_normal(rows)
+    g = rng.standard_normal((int(rng.integers(0, 3)), n))
+    r = g @ rng.uniform(-2.0, 2.0, n)
+    return h, b, -rng.uniform(0.1, 2.0, n), rng.uniform(0.1, 2.0, n), g, r
 
 
 def test_box_qp_matches_face_enumeration():
     rng = np.random.default_rng(7)
     for trial in range(300):
-        h, b, lo, hi = _penalty_qp(rng, int(rng.integers(1, 6)))
-        z, converged, _ = _box_qp(h, b, lo, hi)
+        h, b, lo, hi, g, r = _subproblem_qp(rng, int(rng.integers(1, 6)))
+        rows = (g, r, 1e-9) if r.size else None
+        z, converged, _ = _box_qp(h, b, lo, hi, rows)
         assert converged
         assert np.all(z >= lo) and np.all(z <= hi)
-        ref = _face_oracle(h, b, lo, hi)
+        ref = _face_oracle(h, b, lo, hi, g, r)
+        miss = np.abs(g @ z - r).max(initial=0.0)
+        if ref == math.inf:  # no box point meets the rows
+            assert miss > 1e-9
+            continue
+        assert miss <= 1e-9
         assert _qp_obj(h, b, z) == pytest.approx(ref, rel=1e-9, abs=1e-9)
         if trial % 5 == 0:  # the energy ball cuts through the box optimum
-            radius = rng.uniform(0.0, 1.0) * float(np.linalg.norm(z))
-            zb, _, _ = _ball_box_qp(h, b, lo, hi, radius)
+            least = float(np.linalg.norm(_box_qp(np.eye(b.size), 0.0 * b, lo, hi, rows)[0]))
+            radius = least + rng.uniform(0.0, 1.0) * (float(np.linalg.norm(z)) - least)
+            zb, _, _ = _ball_box_qp(h, b, lo, hi, radius, rows)
             assert float(np.linalg.norm(zb)) <= radius
             assert np.all(zb >= lo) and np.all(zb <= hi)
+            assert np.abs(g @ zb - r).max(initial=0.0) <= 1e-9
