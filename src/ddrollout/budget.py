@@ -22,6 +22,7 @@ from .errors import (
     UnusableTrajectoryError,
 )
 from .model import (
+    EPS_STATE,
     AugmentedState,
     Policy,
     ProblemDef,
@@ -84,7 +85,6 @@ def augment_problem(problem: ProblemDef, spec: BudgetConstraintSpec) -> ProblemD
         stage_cost=stage_cost,
         control_set=lambda s: problem.control_set(s.base),
         stopping_predicate=stopping,
-        eps_state=problem.eps_state,
         name=f"{problem.name}+budget",
         pl=problem.pl,
     )
@@ -93,26 +93,24 @@ def augment_problem(problem: ProblemDef, spec: BudgetConstraintSpec) -> ProblemD
 class BudgetSampleSet:
     """Augmented sample set seeded by one budget-feasible trajectory.
 
-    Membership of (x, e): x matches some recorded x_k within the state
-    tolerance and e >= tail_usage_k, the remaining usage of the recording
-    from step k. The budget inequality is exact: resource accounting admits
-    no tolerance. The value at a member is the recording's remaining cost
+    Membership of (x, e): x matches some recorded x_k within EPS_STATE and
+    e >= tail_usage_k, the remaining usage of the recording from step k.
+    The budget inequality is exact: resource accounting admits no
+    tolerance. The value at a member is the recording's remaining cost
     tail_costs[k].
     """
 
     def __init__(self, seed: Trajectory, spec: BudgetConstraintSpec, *,
-                 usages, tail_usages, label: str, eps_state: float = 1e-9,
-                 anchor_usage: float = 0.0):
+                 usages, tail_usages, label: str, anchor_usage: float = 0.0):
         self.seed = seed
         self.spec = spec
         self.usages = tuple(usages)
         self.tail_usages = tuple(tail_usages)
         self.label = label
-        self.eps_state = eps_state
         self.anchor_usage = anchor_usage
         self.analytic_tail = not seed.terminated_in_stopping_set
         self._policy_id = seed.policy_id
-        self._grid = GridIndex(eps_state)
+        self._grid = GridIndex()
         for k, xk in enumerate(seed.states):
             self._grid.add(xk, k)
 
@@ -129,7 +127,7 @@ class BudgetSampleSet:
             return None
         return min((k for k in self._grid.near(s.base)
                     if s.info >= self.tail_usages[k]
-                    and states_equal(s.base, self.seed.states[k], self.eps_state)),
+                    and states_equal(s.base, self.seed.states[k])),
                    default=None)
 
     def contains(self, s) -> bool:
@@ -168,7 +166,7 @@ class BudgetSampleSet:
             "format": "budget-sample-set",
             "version": 1,
             "label": self.label,
-            "eps_state": self.eps_state,
+            "eps_state": EPS_STATE,
             "anchor_usage": self.anchor_usage,
             "e_max": spec.e_max,
             "usage_quad": [[float(c) for c in row] for row in spec.usage_quad],
@@ -235,7 +233,7 @@ def _usage_scale(spec: BudgetConstraintSpec) -> float:
 
 
 def augment_sample_set(traj: Trajectory, spec: BudgetConstraintSpec, *,
-                       label: str | None = None, eps_state: float = 1e-9,
+                       label: str | None = None,
                        tail_usage_anchor: Callable[[object], float] | None = None
                        ) -> BudgetSampleSet:
     """Build the augmented sample set certified by one recorded trajectory.
@@ -263,8 +261,7 @@ def augment_sample_set(traj: Trajectory, spec: BudgetConstraintSpec, *,
         raise InfeasibleSeedError(tail_usages[0], spec.e_max)
     return BudgetSampleSet(
         traj, spec, usages=usages, tail_usages=tail_usages,
-        label=label or f"budget[{traj.policy_id}]", eps_state=eps_state,
-        anchor_usage=anchor,
+        label=label or f"budget[{traj.policy_id}]", anchor_usage=anchor,
     )
 
 

@@ -22,7 +22,7 @@ from .costs import INF
 from .engine import AgentPartition
 from .errors import SearchSpaceError
 from .lookahead import SolverConfig
-from .model import (BoxControls, FiniteControls, LinearMode,
+from .model import (EPS_STATE, BoxControls, FiniteControls, LinearMode,
                     PiecewiseLinearStructure, Policy, ProblemDef,
                     simulate_policy, state_key, trajectory_cost)
 from .sample_sets import AnalyticSampleSet, build_from_trajectory, merge
@@ -72,8 +72,7 @@ def make_hybrid_spiral(radius: float = 12.5, ell: int = 5) -> InstanceBundle:
     r = np.zeros((1, 1))  # control effort is free; only the state is priced
     lo = np.array([-10.0, -10.0])
     hi = np.array([10.0, 10.0])
-    box_tol = 1e-9
-    lo_tol, hi_tol = lo - box_tol, hi + box_tol
+    lo_tol, hi_tol = lo - EPS_STATE, hi + EPS_STATE
 
     modes = (LinearMode(a_pos, b, zero), LinearMode(a_neg, b, zero))
 
@@ -89,7 +88,6 @@ def make_hybrid_spiral(radius: float = 12.5, ell: int = 5) -> InstanceBundle:
 
     # mode 0 where -x[0] <= 0, mode 1 where x[0] <= 0
     pl = PiecewiseLinearStructure(modes=modes, q=q, r=r, state_box=(lo, hi),
-                                  box_tol=box_tol,
                                   region_f=np.array([[[-1.0, 0.0]], [[1.0, 0.0]]]),
                                   region_g=np.zeros((2, 1)))
     problem = ProblemDef(
@@ -180,8 +178,7 @@ def make_constrained_double_integrator(budget_cap: float = 0.5,
     k_gain = np.array([[0.05, 0.3]])
     lo = np.array([-4.0, -4.0])
     hi = np.array([4.0, 4.0])
-    box_tol = 1e-9
-    lo_tol, hi_tol = lo - box_tol, hi + box_tol
+    lo_tol, hi_tol = lo - EPS_STATE, hi + EPS_STATE
 
     a_cl = a - b @ k_gain
     if max(abs(np.linalg.eigvals(a_cl))) >= 1.0:
@@ -199,7 +196,7 @@ def make_constrained_double_integrator(budget_cap: float = 0.5,
         return float(x @ x) + float(u @ u)
 
     pl = PiecewiseLinearStructure(modes=(LinearMode(a, b, np.zeros(2)),),
-                                  q=q, r=r, state_box=(lo, hi), box_tol=box_tol)
+                                  q=q, r=r, state_box=(lo, hi))
     problem = ProblemDef(
         dynamics=dynamics,
         stage_cost=stage_cost,

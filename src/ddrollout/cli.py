@@ -217,10 +217,12 @@ def cmd_run(args: argparse.Namespace) -> int:
         elif variant == "augmented":
             if bundle.augmented_problem is None:
                 raise ValueError(f"{bundle.name} has no budget augmentation")
-            cap = opts.get("budget", bundle.budget_spec.e_max)
+            cap = float(opts.get("budget", bundle.budget_spec.e_max))
+            if not cap >= 0.0:  # NaN fails too; inf is a budget that never binds
+                raise ValueError(f"budget must be nonnegative or inf, got {cap!r}")
             sset = bundle.augmented_sets["budget"]
             run = run_rollout(bundle.augmented_problem, sset,
-                              AugmentedState(np.asarray(x0, dtype=float), float(cap)),
+                              AugmentedState(np.asarray(x0, dtype=float), cap),
                               cfg, horizon, base_policy=policy, variant="augmented")
         elif variant == "classical-mpc":
             run = _run_mpc(bundle, x0, cfg, horizon, policy, opts.get("mpc_horizon"))

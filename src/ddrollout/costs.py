@@ -13,15 +13,6 @@ from typing import Iterable
 INF = math.inf
 
 
-def is_cost(v) -> bool:
-    """True when v is a valid cost: a nonnegative, non-NaN float (or +inf)."""
-    try:
-        f = float(v)
-    except (TypeError, ValueError):
-        return False
-    return f >= 0.0 and not math.isnan(f)
-
-
 def ensure_cost(v) -> float:
     """Validate and coerce a stage or tail cost; negative or NaN values are rejected."""
     f = float(v)

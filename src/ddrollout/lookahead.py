@@ -184,7 +184,7 @@ def solve_restricted(problem: ProblemDef, sset, x, restricted_controls: Callable
     def controls_at(state, step):
         spec = restricted_controls(state)
         if policy is not None and sset.contains(state):
-            if not spec.contains(policy.action(state), problem.eps_state):
+            if not spec.contains(policy.action(state)):
                 raise AssumptionViolationError(state, policy.action(state))
         return spec
 

@@ -23,7 +23,8 @@ from .errors import (
     InfeasibleTrajectoryError,
 )
 
-#: Tolerance for vector-state equality (infinity norm).
+#: The one state tolerance (infinity norm): vector-state equality, sample
+#: membership, the state box and mode regions, and control-set membership.
 EPS_STATE = 1e-9
 
 State = Union[Hashable, np.ndarray]
@@ -40,8 +41,8 @@ class FiniteControls:
 
     controls: tuple
 
-    def contains(self, u, eps: float = EPS_STATE) -> bool:
-        return any(controls_equal(u, c, eps) for c in self.controls)
+    def contains(self, u) -> bool:
+        return any(states_equal(u, c) for c in self.controls)
 
 
 @dataclass(frozen=True)
@@ -59,11 +60,11 @@ class BoxControls:
         if np.any(self.lo > self.hi):
             raise ValueError("control box has lo > hi")
 
-    def contains(self, u, eps: float = EPS_STATE) -> bool:
+    def contains(self, u) -> bool:
         v = np.asarray(u, dtype=float)
         if v.shape != self.lo.shape:
             return False
-        return bool(np.all(v >= self.lo - eps) and np.all(v <= self.hi + eps))
+        return bool(np.all(v >= self.lo - EPS_STATE) and np.all(v <= self.hi + EPS_STATE))
 
 
 ControlSetSpec = Union[FiniteControls, BoxControls]
@@ -88,31 +89,21 @@ class AugmentedState:
         return f"AugmentedState({self.base!r}, e={self.info:.6g})"
 
 
-def states_equal(a, b, eps: float = EPS_STATE) -> bool:
-    """Equality with an infinity-norm tolerance on vector components.
+def states_equal(a, b) -> bool:
+    """Equality within EPS_STATE (infinity norm) on vector components.
 
     Token states compare exactly; the info coordinate of augmented states
     compares exactly as well (resource accounting admits no slack).
     """
     if isinstance(a, AugmentedState) or isinstance(b, AugmentedState):
         return (isinstance(a, AugmentedState) and isinstance(b, AugmentedState)
-                and a.info == b.info and states_equal(a.base, b.base, eps))
+                and a.info == b.info and states_equal(a.base, b.base))
     if is_vector_state(a) or is_vector_state(b):
         if not (is_vector_state(a) and is_vector_state(b)):
             return False
         if a.shape != b.shape:
             return False
-        return bool(np.abs(a - b).max(initial=0.0) <= eps)
-    return a == b
-
-
-def controls_equal(a, b, eps: float = EPS_STATE) -> bool:
-    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
-        if not (isinstance(a, np.ndarray) and isinstance(b, np.ndarray)):
-            return False
-        if a.shape != b.shape:
-            return False
-        return bool(np.max(np.abs(a - b), initial=0.0) <= eps)
+        return bool(np.abs(a - b).max(initial=0.0) <= EPS_STATE)
     return a == b
 
 
@@ -152,14 +143,13 @@ class PiecewiseLinearStructure:
     with mode_of. Without regions the one mode is active everywhere. The
     quadratic stage cost is x' q x + u' r u on the feasible region; the
     optional state box is enforced as a feasibility filter with tolerance
-    box_tol (the extended-real stage cost must agree with it).
+    EPS_STATE (the extended-real stage cost must agree with it).
     """
 
     modes: tuple
     q: np.ndarray
     r: np.ndarray
     state_box: tuple | None = None
-    box_tol: float = EPS_STATE
     region_f: np.ndarray | None = None
     region_g: np.ndarray | None = None
 
@@ -186,13 +176,13 @@ class PiecewiseLinearStructure:
 
     def path_excess(self, sigma, xs) -> float:
         """How far the states xs[k] lie outside the region of mode sigma[k]
-        or outside the state box widened by box_tol; <= 0 inside both."""
+        or outside the state box widened by EPS_STATE; <= 0 inside both."""
         idx = list(sigma)
         worst = ((self.region_f[idx] * xs[:, None, :]).sum(axis=2)
                  - self.region_g[idx]).max(initial=-INF)
         if self.state_box is not None:
             lo, hi = self.state_box
-            worst = max(worst, np.maximum(xs - hi, lo - xs).max(initial=-INF) - self.box_tol)
+            worst = max(worst, np.maximum(xs - hi, lo - xs).max(initial=-INF) - EPS_STATE)
         return float(worst)
 
 
@@ -208,7 +198,6 @@ class ProblemDef:
     stage_cost: Callable[[State, Control], float]
     control_set: Callable[[State], ControlSetSpec]
     stopping_predicate: Callable[[State], bool] | None = None
-    eps_state: float = EPS_STATE
     name: str = "problem"
     pl: PiecewiseLinearStructure | None = None
 
@@ -266,7 +255,7 @@ class Trajectory:
 
 def _check_admissible(problem: ProblemDef, x, u, step: int) -> None:
     spec = problem.control_set(x)
-    if not spec.contains(u, problem.eps_state):
+    if not spec.contains(u):
         raise ConstraintViolationError(step, x, u)
 
 
@@ -330,7 +319,7 @@ def validate_trajectory(problem: ProblemDef, traj: Trajectory, rel: float = 1e-1
     """Assert the structural trajectory invariants; raises ValueError on failure."""
     for k, (x, u) in enumerate(zip(traj.states, traj.controls)):
         nxt = problem.dynamics(x, u)
-        if not states_equal(nxt, traj.states[k + 1], problem.eps_state):
+        if not states_equal(nxt, traj.states[k + 1]):
             raise ValueError(f"transition mismatch at step {k}")
         g = problem.stage_cost(x, u)
         if not math.isclose(g, traj.stage_costs[k], rel_tol=rel, abs_tol=rel):

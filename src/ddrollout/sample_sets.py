@@ -16,7 +16,7 @@ terminal of the classical baseline, answers one protocol:
 
 terminal_cost is the one price of a plan's final state: every backend and
 every audit replays a plan and hands its terminal state to it, so a plan
-earns a recorded value only by ending inside the set's own tolerance.
+earns a recorded value only by ending within model.EPS_STATE of a member.
 
 Sets holding recorded data also answer verify(problem, policies, rng,
 samples): their certificate checks in order, each yielded as (passed,
@@ -35,6 +35,7 @@ import numpy as np
 from .costs import INF, ensure_cost
 from .errors import UnusableTrajectoryError
 from .model import (
+    EPS_STATE,
     Policy,
     ProblemDef,
     Trajectory,
@@ -79,15 +80,15 @@ class Target:
 
 class GridIndex:
     """Positions of states, found by tolerance. Vector states are hashed
-    into cubes of side eps, so every state within eps of a query (infinity
-    norm) lies in its cube or a neighbouring one; other states by exact key."""
+    into cubes of side EPS_STATE, so every state within EPS_STATE of a query
+    (infinity norm) lies in its cube or a neighbouring one; other states by
+    exact key."""
 
-    def __init__(self, eps: float):
-        self.eps = eps
+    def __init__(self):
         self._cells: dict = {}
 
     def _cell(self, x) -> tuple:
-        return tuple(math.floor(c / self.eps) for c in x.tolist())
+        return tuple(math.floor(c / EPS_STATE) for c in x.tolist())
 
     def add(self, x, idx: int) -> None:
         key = self._cell(x) if is_vector_state(x) else state_key(x)
@@ -109,13 +110,12 @@ class ExplicitSampleSet:
     """
 
     def __init__(self, entries: Iterable[SampleEntry], label: str, *,
-                 eps_state: float = 1e-9, analytic_tail: bool = False):
+                 analytic_tail: bool = False):
         self.label = label
-        self.eps_state = eps_state
         self.analytic_tail = analytic_tail
         self._entries: list[SampleEntry] = []
         self._by_key: dict = {}
-        self._grid = GridIndex(eps_state)
+        self._grid = GridIndex()
         for e in entries:
             self._add(e)
         if not self._entries:
@@ -149,11 +149,11 @@ class ExplicitSampleSet:
         return tuple(seen)
 
     def lookup(self, x) -> SampleEntry | None:
-        """The entry matching x within the state tolerance, else None; the
+        """The entry matching x within EPS_STATE, else None; the
         earliest entry wins when several match."""
         if is_vector_state(x):
             hits = [i for i in self._grid.near(x)
-                    if states_equal(self._entries[i].state, x, self.eps_state)]
+                    if states_equal(self._entries[i].state, x)]
             return self._entries[min(hits)] if hits else None
         idx = self._by_key.get(state_key(x))
         return self._entries[idx] if idx is not None else None
@@ -179,7 +179,7 @@ class ExplicitSampleSet:
             "format": "explicit-sample-set",
             "version": 1,
             "label": self.label,
-            "eps_state": self.eps_state,
+            "eps_state": EPS_STATE,
             "analytic_tail": self.analytic_tail,
             "policy_ids": list(self.policy_ids),
             "entries": [{
@@ -312,8 +312,7 @@ class FreeTerminal:
                         "reconstruct it from its instance in the catalog")
 
 
-def build_from_trajectory(traj: Trajectory, label: str | None = None,
-                          eps_state: float = 1e-9) -> ExplicitSampleSet:
+def build_from_trajectory(traj: Trajectory, label: str | None = None) -> ExplicitSampleSet:
     """Turn a recorded trajectory with tail costs into an explicit sample set.
 
     The last state's successor is itself when the run terminated in the
@@ -341,7 +340,6 @@ def build_from_trajectory(traj: Trajectory, label: str | None = None,
     return ExplicitSampleSet(
         entries,
         label or f"samples[{traj.policy_id}]",
-        eps_state=eps_state,
         analytic_tail=not traj.terminated_in_stopping_set,
     )
 
@@ -364,11 +362,9 @@ def merge(sets: Iterable[ExplicitSampleSet], label: str | None = None) -> Explic
                 merged.append(e)
             elif e.value < merged[index[key]].value:
                 merged[index[key]] = e
-    eps = min(s.eps_state for s in sets)
     return ExplicitSampleSet(
         merged,
         label or "+".join(s.label for s in sets),
-        eps_state=eps,
         analytic_tail=any(s.analytic_tail for s in sets),
     )
 
@@ -414,7 +410,7 @@ def verify_invariance(problem: ProblemDef, policies,
         pol = _policy_for(policies, e.policy_id)
         nxt = problem.dynamics(e.state, pol.action(e.state))
         checked += 1
-        if not states_equal(nxt, e.successor, sset.eps_state):
+        if not states_equal(nxt, e.successor):
             violations.append(InvarianceViolation(e.state, nxt, "recorded successor mismatch"))
         elif not sset.contains(nxt):
             violations.append(InvarianceViolation(e.state, nxt, "successor not a member"))

@@ -39,7 +39,7 @@ import numpy as np
 from .budget import AugmentedState, BudgetConstraintSpec, BudgetSampleSet
 from .errors import SampleSetIntegrityError
 from .lookahead import SolverConfig
-from .model import Trajectory
+from .model import EPS_STATE, Trajectory
 from .sample_sets import ExplicitSampleSet, SampleEntry, verify_invariance
 
 INF = math.inf
@@ -254,11 +254,6 @@ def trajectory_from_csv(text: str) -> Trajectory:
 # Sample sets
 
 
-def sample_set_to_doc(sset) -> dict:
-    """The set's stored document; sets defined by code raise TypeError."""
-    return sset.to_doc()
-
-
 def _quadratic_usage(mat: np.ndarray):
     def usage(x, u):
         uu = np.asarray(u, dtype=float)
@@ -268,7 +263,14 @@ def _quadratic_usage(mat: np.ndarray):
 
 def sample_set_from_doc(doc: dict, *, problem=None, policies=None,
                         trusted: bool = False):
+    """Load a stored set. Its eps_state must be EPS_STATE, trusted or not:
+    membership has one tolerance, and a document cannot widen it."""
     fmt = doc.get("format")
+    if fmt not in ("explicit-sample-set", "budget-sample-set"):
+        raise ValueError(f"not a sample-set document: format={fmt!r}")
+    if doc["eps_state"] != EPS_STATE:
+        raise SampleSetIntegrityError(f"stored eps_state {doc['eps_state']!r} is not "
+                                      f"the state tolerance {EPS_STATE!r}")
     if fmt == "explicit-sample-set":
         entries = [SampleEntry(
             state=decode_value(e["state"]),
@@ -276,8 +278,7 @@ def sample_set_from_doc(doc: dict, *, problem=None, policies=None,
             policy_id=e["policy_id"],
             successor=None if e["successor"] is None else decode_value(e["successor"]),
         ) for e in doc["entries"]]
-        sset = ExplicitSampleSet(entries, doc["label"], eps_state=doc["eps_state"],
-                                 analytic_tail=doc["analytic_tail"])
+        sset = ExplicitSampleSet(entries, doc["label"], analytic_tail=doc["analytic_tail"])
         if not trusted:
             if problem is None or policies is None:
                 raise ValueError("loading an untrusted set needs the problem and "
@@ -289,20 +290,17 @@ def sample_set_from_doc(doc: dict, *, problem=None, policies=None,
                     f"stored set fails invariance at state {v.state!r}: {v.reason}",
                     state=v.state)
         return sset
-    if fmt == "budget-sample-set":
-        mat = np.asarray(doc["usage_quad"], dtype=float)
-        spec = BudgetConstraintSpec(per_step_usage=_quadratic_usage(mat),
-                                    e_max=float(doc["e_max"]), usage_quad=mat)
-        seed = trajectory_from_doc(doc["seed"])
-        usages = tuple(float(decode_value(u)) for u in doc["usages"])
-        tails = tuple(float(decode_value(t)) for t in doc["tail_usages"])
-        sset = BudgetSampleSet(seed, spec, usages=usages, tail_usages=tails,
-                               label=doc["label"], eps_state=doc["eps_state"],
-                               anchor_usage=float(doc["anchor_usage"]))
-        if not trusted:
-            sset.reverify()
-        return sset
-    raise ValueError(f"not a sample-set document: format={fmt!r}")
+    mat = np.asarray(doc["usage_quad"], dtype=float)
+    spec = BudgetConstraintSpec(per_step_usage=_quadratic_usage(mat),
+                                e_max=float(doc["e_max"]), usage_quad=mat)
+    seed = trajectory_from_doc(doc["seed"])
+    usages = tuple(float(decode_value(u)) for u in doc["usages"])
+    tails = tuple(float(decode_value(t)) for t in doc["tail_usages"])
+    sset = BudgetSampleSet(seed, spec, usages=usages, tail_usages=tails,
+                           label=doc["label"], anchor_usage=float(doc["anchor_usage"]))
+    if not trusted:
+        sset.reverify()
+    return sset
 
 
 # ---------------------------------------------------------------------------

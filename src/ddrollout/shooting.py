@@ -13,9 +13,9 @@ exact ball constraint on the control energy, handled by bisection on its
 multiplier. Subproblems are solved cheapest tail first against a running
 bound, and one whose box-free optimum cannot beat the bound stops there. A
 solved plan is replayed only if its predicted path meets its target and
-stays within eps_state of its mode sequence's regions and of the state box
-(where the condensed prediction is exact) and its predicted value beats the
-bound. That replay with the set's own terminal_cost is the one price of
+stays within model.EPS_STATE of its mode sequence's regions and of the
+state box (where the condensed prediction is exact) and its predicted value
+beats the bound. That replay with the set's own terminal_cost is the one price of
 every plan, solved or seeded, so a plan earns a recorded value only by
 ending in the set. The first candidate of least value wins.
 """
@@ -31,7 +31,7 @@ from .budget import base_view
 from .costs import INF
 from .errors import SearchSpaceError, SolverFailureError
 from .lookahead import LookaheadSolution, SolverConfig, base_plan, replay
-from .model import BoxControls, Policy, ProblemDef
+from .model import EPS_STATE, BoxControls, Policy, ProblemDef
 from .sample_sets import Target
 
 
@@ -53,13 +53,13 @@ def _kkt_solve(h, g, top, bottom):
 
 
 def _meets(z, rows) -> bool:
-    """Whether z meets rows = (g, r, eps), g z = r to eps in the infinity norm."""
-    return rows is None or float(np.abs(rows[0] @ z - rows[1]).max(initial=0.0)) <= rows[2]
+    """Whether z meets rows = (g, r), g z = r to EPS_STATE in the infinity norm."""
+    return rows is None or float(np.abs(rows[0] @ z - rows[1]).max(initial=0.0)) <= EPS_STATE
 
 
 def _box_qp(h, b, lo, hi, rows=None, z=None):
     """Minimize 0.5 z'hz + b'z over the box lo <= z <= hi and the rows
-    g z = r of rows = (g, r, eps), if given.
+    g z = r of rows = (g, r), if given.
 
     The objective is a convex least squares (b lies in the range of h on
     every face), so each face has a minimizer. The box-free optimum z (one
@@ -69,11 +69,11 @@ def _box_qp(h, b, lo, hi, rows=None, z=None):
     the clipped optimum: it minimizes on the free face under the rows, steps
     to the first bound that blocks and holds it, and at a face minimizer
     frees the held bound with the most negative multiplier, until none is
-    negative. A start that misses the rows by more than eps, proving that no
-    box point meets them, is returned as is. Returns (z, converged,
+    negative. A start that misses the rows by more than EPS_STATE, proving
+    that no box point meets them, is returned as is. Returns (z, converged,
     iterations); converged is False only if a loop hits 4 (n + 1) face solves.
     """
-    g, r, _ = rows or (np.zeros((0, b.size)), np.zeros(0), 0.0)
+    g, r = rows or (np.zeros((0, b.size)), np.zeros(0))
     if z is None:
         try:
             z = _kkt_solve(h, g, -b, r)[0]
@@ -121,13 +121,16 @@ def _ball_box_qp(h, b, lo, hi, radius, rows=None, z=None):
 
     The ball multiplier is found by bisection: z(lam) solves the box QP for
     h + 2*lam*I, and ||z(lam)|| decreases in lam. Returns the feasible-side
-    solution, so the ball constraint holds at the result.
+    solution, so the ball constraint holds at the result, unless the
+    least-norm point of box and rows already lies outside the ball: then no
+    point meets all three, and that point is returned without a search.
     """
     z, conv, iters = _box_qp(h, b, lo, hi, rows, z)
     if radius is None or float(np.linalg.norm(z)) <= radius or not _meets(z, rows):
         return z, conv, iters
-    if radius <= 0.0:
-        return np.clip(np.zeros_like(z), lo, hi), True, iters
+    least, least_conv, _ = _box_qp(np.eye(b.size), np.zeros(b.size), lo, hi, rows)
+    if float(np.linalg.norm(least)) >= radius:
+        return least, least_conv, iters
 
     def shifted(lam):  # h + 2 lam I, scaled by 1 / (1 + 2 lam) so the rows stay well posed
         s = 1.0 / (1.0 + 2.0 * lam)
@@ -284,7 +287,7 @@ def solve_continuous(problem: ProblemDef, sset, x, cfg: SolverConfig,
                     # Cauchy-Schwarz: a depleted energy ball shrinks the
                     # reachable tube far below the control-box bound
                     reach = np.minimum(reach, asm.row_norms * target.ball_radius)
-                if np.any(gap > reach + problem.eps_state + 1e-12):
+                if np.any(gap > reach + EPS_STATE + 1e-12):
                     continue  # provably unreachable under box and energy ball
             jobs.append((target.value, t_idx, sig_pos, asm))
     # cheap tails first so the running bound can retire the rest early
@@ -328,14 +331,14 @@ def _solve_candidate(problem, sset, x, asm: _Assembled, target: Target,
     """Solve one subproblem and price its plan by replay, unless the plan
     provably cannot win: its box-free optimum already fails to beat bound,
     its predicted terminal misses a pinned target or its predicted path
-    leaves the mode sequence or the state box by more than eps_state (so the
+    leaves the mode sequence or the state box by more than EPS_STATE (so the
     prediction would not hold), or its predicted value does not beat bound.
     Those candidates come back as +inf with an empty plan."""
     ell = len(asm.sigma)
     g_l, phi_l = asm.gammas[ell], asm.phis[ell]
     h, b, rows, const = asm.h0, asm.b0, None, target.value
     if target.state is not None:  # d exact rows pin x_l to the target
-        rows = (g_l, target.state - phi_l, problem.eps_state)
+        rows = (g_l, target.state - phi_l)
         z = asm.pinned_optimum(rows[1])
     else:  # the free target's own quadratic cost of x_l
         if target.quad is not None:
@@ -351,7 +354,7 @@ def _solve_candidate(problem, sset, x, asm: _Assembled, target: Target,
         diag.update(iterations=it, converged=converged)
         path = asm.phis[1:] + asm.gammas[1:] @ z  # predicted x_1 .. x_ell
         if (_meets(z, rows)
-                and problem.pl.path_excess(asm.sigma[1:], path[:-1]) <= problem.eps_state
+                and problem.pl.path_excess(asm.sigma[1:], path[:-1]) <= EPS_STATE
                 and _qp_obj(h, b, z) + asm.c0 + const < bound + slack):
             controls = tuple(z[k * m:(k + 1) * m].copy() for k in range(ell))
             value, states, _ = replay(problem, x, controls, sset.terminal_cost)

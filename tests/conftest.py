@@ -8,6 +8,7 @@ remaining controls jump anywhere. Stage costs are dyadic (multiples of
 can demand bit equality.
 """
 
+import copy
 import random
 
 import pytest
@@ -83,6 +84,17 @@ def plain_lookahead(problem, sset, x, ell):
         if v < best:
             best = v
     return best
+
+
+def widened_doc(sset, shift=5e-4, eps_state=1e-3) -> dict:
+    """sset's document with every recorded successor moved by shift and a
+    stored eps_state wide enough to forgive the move."""
+    doc = copy.deepcopy(sset.to_doc())
+    doc["eps_state"] = eps_state
+    for e in doc["entries"]:
+        if e["successor"] is not None:
+            e["successor"] = {"__vector__": [c + shift for c in e["successor"]["__vector__"]]}
+    return doc
 
 
 @pytest.fixture(scope="session")

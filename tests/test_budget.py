@@ -17,7 +17,7 @@ from ddrollout import (
     simulate_policy,
 )
 from ddrollout.costs import INF
-from ddrollout.model import Trajectory, states_equal
+from ddrollout.model import EPS_STATE, Trajectory, states_equal
 
 
 def test_base_view_unwraps_only_augmented_states():
@@ -75,7 +75,7 @@ def test_membership_requires_state_match_and_budget_cover(integrator):
 def test_match_is_the_earliest_seed_step_that_matches_and_fits():
     """The grid-indexed match agrees with a scan of the seed in step order,
     on a seed that revisits states and on queries straddling grid cells."""
-    eps = 1e-9
+    eps = EPS_STATE
     a, b = np.array([3e-9, -1.0]), np.array([0.25, 7e-9])
     states = (a, b, a + 0.6 * eps, b, np.zeros(2))
     controls = tuple(np.array([0.1 * (k + 1)]) for k in range(4))
@@ -89,7 +89,7 @@ def test_match_is_the_earliest_seed_step_that_matches_and_fits():
         x = states[int(rng.integers(0, 5))] + rng.uniform(-2.0 * eps, 2.0 * eps, 2)
         e = float(rng.choice(bset.tail_usages + (0.5 * bset.tail_usages[1],)))
         scan = next((k for k, xk in enumerate(states)
-                     if states_equal(x, xk, eps) and e >= bset.tail_usages[k]), None)
+                     if states_equal(x, xk) and e >= bset.tail_usages[k]), None)
         assert bset.match_index(AugmentedState(x, e)) == scan
 
 

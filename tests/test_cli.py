@@ -14,7 +14,9 @@ import pytest
 import ddrollout
 from ddrollout import make_instance
 from ddrollout.cli import _report_chain, main
-from ddrollout.serialization import dumps_json, read_json, sample_set_to_doc, write_text
+from ddrollout.serialization import dumps_json, read_json, write_text
+
+from conftest import widened_doc
 
 
 def run_cli(capsys, *argv):
@@ -93,7 +95,7 @@ def test_verify_passes_on_every_named_set(capsys):
 
 def test_verify_rejects_a_tampered_set_file(capsys, tmp_path):
     bundle = make_instance("spiral")
-    doc = copy.deepcopy(sample_set_to_doc(bundle.sample_sets["trajectory-0"]))
+    doc = copy.deepcopy(bundle.sample_sets["trajectory-0"].to_doc())
     doc["entries"][2]["successor"] = {"__vector__": [50.0, 50.0]}
     path = tmp_path / "bad-set.json"
     write_text(dumps_json(doc), str(path))
@@ -103,9 +105,19 @@ def test_verify_rejects_a_tampered_set_file(capsys, tmp_path):
     assert "rejected" in err
 
 
+def test_verify_rejects_a_set_file_that_widens_the_state_tolerance(capsys, tmp_path):
+    doc = widened_doc(make_instance("spiral").sample_sets["trajectory-0"])
+    path = tmp_path / "wide-set.json"
+    write_text(dumps_json(doc), str(path))
+    code, out, err = run_cli(capsys, "verify", "--instance", "spiral",
+                             "--set-file", str(path))
+    assert code == 1
+    assert "rejected" in err and "eps_state" in err and "PASS" not in out
+
+
 def test_verify_accepts_the_same_file_untampered(capsys, tmp_path):
     bundle = make_instance("spiral")
-    doc = sample_set_to_doc(bundle.sample_sets["trajectory-0"])
+    doc = bundle.sample_sets["trajectory-0"].to_doc()
     path = tmp_path / "good-set.json"
     write_text(dumps_json(doc), str(path))
     code, _, err = run_cli(capsys, "verify", "--instance", "spiral",
@@ -171,6 +183,30 @@ def test_non_finite_x0_is_a_clean_error(capsys, tmp_path, x0):
                            "--horizon", "2", "--out-dir", str(tmp_path))
     assert code == 1
     assert err.startswith("error: ") and "must be finite" in err
+
+
+@pytest.mark.parametrize("budget", ["nan", "-1", "-inf", "config:-0.5"])
+def test_a_negative_or_nan_budget_is_a_clean_error(capsys, tmp_path, budget):
+    argv = ["run", "--instance", "integrator", "--variant", "augmented",
+            "--horizon", "2", "--out-dir", str(tmp_path / "runs")]
+    if budget.startswith("config:"):
+        cfg_path = tmp_path / "job.json"
+        cfg_path.write_text(json.dumps({"budget": float(budget[7:])}))
+        argv += ["--config", str(cfg_path)]
+    else:
+        argv.append(f"--budget={budget}")
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert err.startswith("error: budget must be nonnegative or inf")
+    assert not (tmp_path / "runs").exists()
+
+
+def test_an_infinite_budget_runs(capsys, tmp_path):
+    code, out, err = run_cli(capsys, "run", "--instance", "integrator", "--variant",
+                             "augmented", "--budget", "inf", "--horizon", "2",
+                             "--out-dir", str(tmp_path))
+    assert code == 0, err
+    assert "status=horizon steps=2" in out
 
 
 def test_config_file_x0_list_runs_like_the_flag_string(capsys, tmp_path):

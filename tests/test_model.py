@@ -1,8 +1,11 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ddrollout
 from ddrollout import (
     BoxControls,
     CoverageError,
@@ -31,6 +34,26 @@ def test_states_equal_tolerates_eps_on_vectors():
     assert states_equal("A", "A")
     assert not states_equal("A", "B")
     assert states_equal((1, 2), (1, 2))
+
+
+def test_no_state_tolerance_knob_is_left():
+    """model.EPS_STATE is the one state tolerance: no parameter, dataclass
+    field or attribute in the package may carry another."""
+    knobs = {"eps", "eps_state", "box_tol"}
+    found = []
+    for path in Path(ddrollout.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = []
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                a = node.args
+                names = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs]
+            elif isinstance(node, ast.ClassDef):
+                names = [s.target.id for s in node.body
+                         if isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name)]
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+                names = [node.attr]
+            found += [f"{path.name}:{node.lineno} {n}" for n in names if n in knobs]
+    assert not found, found
 
 
 def test_state_key_distinguishes_kinds():

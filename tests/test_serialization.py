@@ -25,13 +25,14 @@ from ddrollout.serialization import (
     run_from_doc,
     run_to_doc,
     sample_set_from_doc,
-    sample_set_to_doc,
     summary_row,
     trajectory_from_csv,
     trajectory_from_doc,
     trajectory_to_csv,
     trajectory_to_doc,
 )
+
+from conftest import widened_doc
 
 
 def roundtrip(v):
@@ -103,7 +104,7 @@ def test_trajectory_csv_roundtrip_token_states(tour):
 
 def test_explicit_set_roundtrip_reverifies(spiral):
     sset = spiral.sample_sets["trajectory-0"]
-    doc = json.loads(dumps_json(sample_set_to_doc(sset)))
+    doc = json.loads(dumps_json(sset.to_doc()))
     policies = {p.id: p for p in spiral.base_policies.values()}
     back = sample_set_from_doc(doc, problem=spiral.problem, policies=policies)
     for e, f in zip(sset.entries(), back.entries()):
@@ -118,7 +119,7 @@ def test_explicit_set_corruption_is_caught(spiral):
     # pointing outside the set must be rejected
     sset = spiral.sample_sets["trajectory-0"]
     policies = {p.id: p for p in spiral.base_policies.values()}
-    doc = copy.deepcopy(sample_set_to_doc(sset))
+    doc = copy.deepcopy(sset.to_doc())
     doc["entries"][1]["successor"] = {"__vector__": [40.0, 40.0]}
     with pytest.raises(SampleSetIntegrityError):
         sample_set_from_doc(doc, problem=spiral.problem, policies=policies)
@@ -126,14 +127,26 @@ def test_explicit_set_corruption_is_caught(spiral):
     assert sample_set_from_doc(doc, trusted=True) is not None
 
 
+@pytest.mark.parametrize("trusted", [False, True])
+def test_a_stored_set_cannot_widen_the_state_tolerance(spiral, integrator, trusted):
+    policies = {p.id: p for p in spiral.base_policies.values()}
+    doc = widened_doc(spiral.sample_sets["trajectory-0"])
+    with pytest.raises(SampleSetIntegrityError, match="eps_state"):
+        sample_set_from_doc(doc, problem=spiral.problem, policies=policies, trusted=trusted)
+    budget = integrator.augmented_sets["budget"].to_doc()
+    budget["eps_state"] = 1e-3
+    with pytest.raises(SampleSetIntegrityError, match="eps_state"):
+        sample_set_from_doc(budget, trusted=trusted)
+
+
 def test_analytic_sets_do_not_serialize(spiral):
     with pytest.raises(TypeError):
-        sample_set_to_doc(spiral.sample_sets["disk"])
+        spiral.sample_sets["disk"].to_doc()
 
 
 def test_budget_set_roundtrip_and_tamper_detection(integrator):
     sset = integrator.augmented_sets["budget"]
-    doc = json.loads(dumps_json(sample_set_to_doc(sset)))
+    doc = json.loads(dumps_json(sset.to_doc()))
     back = sample_set_from_doc(doc)
     assert back.tail_usages == sset.tail_usages
     assert back.spec.e_max == sset.spec.e_max
@@ -163,7 +176,7 @@ def test_run_roundtrip_and_summary(grid, tmp_path):
 
 
 def test_dumps_json_is_deterministic(integrator):
-    doc = sample_set_to_doc(integrator.augmented_sets["budget"])
+    doc = integrator.augmented_sets["budget"].to_doc()
     assert dumps_json(doc) == dumps_json(copy.deepcopy(doc))
 
 

@@ -13,6 +13,7 @@ from ddrollout import shooting
 from ddrollout.costs import INF
 from ddrollout.errors import SearchSpaceError
 from ddrollout.lookahead import replay
+from ddrollout.model import EPS_STATE
 from ddrollout.sample_sets import FreeTerminal, Target
 from ddrollout.shooting import _ball_box_qp, _box_qp, solve_continuous
 
@@ -235,19 +236,19 @@ def test_first_spiral_solve_replays_only_plans_that_can_win(spiral, monkeypatch)
 def test_a_plan_off_its_path_by_two_eps_is_dropped_and_by_half_eps_replayed(
         spiral, monkeypatch, side):
     problem = spiral.problem
-    pl, eps = problem.pl, problem.eps_state
+    pl, eps = problem.pl, EPS_STATE
     sin60 = math.sin(math.pi / 3.0)
     replays = []
     monkeypatch.setattr(shooting, "replay", lambda *a: replays.append(a) or replay(*a))
     for off, want in ((2.0 * eps, 0), (0.5 * eps, 1)):
         if side == "region":  # x_1[0] = -off, outside mode 0's x[0] >= 0
             x0, sigma = np.array([1.0, (0.5 + off / 0.8) / sin60]), (0, 0)
-        else:  # x_1 inside mode 1, x_1[1] = hi + box_tol + off
+        else:  # x_1 inside mode 1, x_1[1] = hi + EPS_STATE + off
             x0, sigma = np.array([9.0, 7.0]), (0, 1)
         asm = shooting._assemble(pl, x0, sigma, np.zeros((2, 2)), -np.ones(2), np.ones(2))
         z = np.zeros(2)
         if side == "box":
-            z[0] = pl.state_box[1][1] + pl.box_tol + off - asm.phis[1][1]
+            z[0] = pl.state_box[1][1] + EPS_STATE + off - asm.phis[1][1]
         x1 = asm.phis[1] + asm.gammas[1] @ z
         assert pl.path_excess(sigma[1:], x1[None]) == pytest.approx(off, rel=1e-3)
         monkeypatch.setattr(shooting, "_box_qp",
@@ -332,7 +333,7 @@ def test_box_qp_matches_face_enumeration():
     rng = np.random.default_rng(7)
     for trial in range(300):
         h, b, lo, hi, g, r = _subproblem_qp(rng, int(rng.integers(1, 6)))
-        rows = (g, r, 1e-9) if r.size else None
+        rows = (g, r) if r.size else None
         z, converged, _ = _box_qp(h, b, lo, hi, rows)
         assert converged
         assert np.all(z >= lo) and np.all(z <= hi)
@@ -350,3 +351,15 @@ def test_box_qp_matches_face_enumeration():
             assert float(np.linalg.norm(zb)) <= radius
             assert np.all(zb >= lo) and np.all(zb <= hi)
             assert np.abs(g @ zb - r).max(initial=0.0) <= 1e-9
+
+
+def test_a_ball_below_the_least_norm_point_returns_without_a_search(monkeypatch):
+    """No box point lies in a ball smaller than the box's least-norm point
+    (1, 1), so that point comes back after the box QP and the least-norm QP,
+    and only the first counts as iterations."""
+    calls = []
+    monkeypatch.setattr(shooting, "_box_qp", lambda *a: calls.append(a) or _box_qp(*a))
+    lo, hi = np.ones(2), np.full(2, 10.0)
+    z, _, iterations = _ball_box_qp(np.eye(2), np.full(2, -5.0), lo, hi, 1.0)
+    assert len(calls) <= 2
+    assert np.array_equal(z, lo) and iterations == 1
