@@ -410,9 +410,17 @@ def cmd_list(_args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose usage errors exit EXIT_PROPERTY, the code for bad
+    input, rather than argparse's 2, which means an infeasible run here."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_PROPERTY, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="ddrollout",
-                                description=__doc__.splitlines()[0])
+    p = _Parser(prog="ddrollout", description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="command", required=True)
 
     def add_common(sp):

@@ -154,8 +154,10 @@ def run_rollout(problem: ProblemDef, sset, x0, cfg: SolverConfig, horizon: int,
     disturbance, when given, is called as disturbance(t, x_next) after each
     nominal transition and its return value replaces the state; an
     unresolvable state after a disturbance ends the run with a flagged
-    status instead of raising.
+    status instead of raising. Every step's solve shares one memo, which
+    lives as long as the run.
     """
+    memo: dict = {}
 
     def step(x, prev):
         seeds = []
@@ -163,7 +165,7 @@ def run_rollout(problem: ProblemDef, sset, x0, cfg: SolverConfig, horizon: int,
             shifted = _shifted_plan(prev, base_policy, cfg.ell)
             if shifted is not None:
                 seeds.append(shifted)
-        sol = solve(problem, sset, x, cfg, seeds=seeds, base_policy=base_policy)
+        sol = solve(problem, sset, x, cfg, seeds=seeds, base_policy=base_policy, memo=memo)
         return sol, _report_of(sol)
 
     return _drive(problem, sset, x0, cfg, horizon, step, disturbance=disturbance,

@@ -8,6 +8,12 @@ where terminal() is the sample set's recorded cost (+inf off the set).
 solve() picks the solver from the problem itself: a problem with
 piecewise-linear structure (problem.pl) goes to the shooting module, any
 other is solved exactly by memoized enumeration of its finite controls.
+
+Much of a solve does not depend on the state it starts from: the value of
+(state, depth) in the enumeration, and each mode sequence's KKT maps in
+shooting. A caller that solves the same problem, set and config many times
+(engine.run_rollout, once per step) passes one memo dict to every solve, and
+that work is done once; without a memo each solve starts afresh.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from typing import Callable, Iterable, Sequence
 
 from .budget import base_view
 from .costs import INF
-from .errors import AssumptionViolationError
+from .errors import AssumptionViolationError, SearchSpaceError
 from .model import (
     BoxControls,
     FiniteControls,
@@ -25,6 +31,9 @@ from .model import (
     ProblemDef,
     state_key,
 )
+
+NODE_CAP = 1_000_000  # most (state, depth) nodes one discrete solve may expand
+
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -105,22 +114,31 @@ def _sorted_controls(spec) -> tuple:
 
 
 def _discrete_minimize(problem: ProblemDef, sset, x, ell: int,
-                       controls_at: Callable) -> tuple[dict, Callable]:
+                       controls_at: Callable, memo: dict | None = None) -> tuple[dict, Callable]:
     """Memoized exact minimization; returns the memo and the recursion.
 
     Values are computed with right-associated additions so a later
     replay of the returned plan reproduces them bit for bit. Among
     minimizing plans the one deferring the least cost wins (smallest
     continuation value, so free self-loops cannot postpone progress
-    forever), then the earliest in sorted control order.
+    forever), then the earliest in sorted control order. memo may come from
+    earlier solves whose control map gave the same controls at every
+    (state, depth). Expanding more than NODE_CAP nodes (memo misses) raises
+    SearchSpaceError.
     """
-    memo: dict = {}
+    memo = {} if memo is None else memo
+    expanded = 0
 
     def rec(state, depth_left: int):
+        nonlocal expanded
         key = (state_key(state), depth_left)
         hit = memo.get(key)
         if hit is not None:
             return hit
+        expanded += 1
+        if expanded > NODE_CAP:
+            raise SearchSpaceError(f"discrete search expanded more than "
+                                   f"NODE_CAP={NODE_CAP} nodes")
         if depth_left == 0:
             v = sset.terminal_cost(state)
             out = (v, (), state if v < INF else None, sset.sample_id(state) if v < INF else None)
@@ -146,10 +164,12 @@ def _discrete_minimize(problem: ProblemDef, sset, x, ell: int,
     return memo, rec
 
 
-def solve_discrete(problem: ProblemDef, sset, x, cfg: SolverConfig) -> LookaheadSolution:
-    """Exact l-step lookahead by depth-bounded enumeration with memoization."""
+def solve_discrete(problem: ProblemDef, sset, x, cfg: SolverConfig,
+                   memo: dict | None = None) -> LookaheadSolution:
+    """Exact l-step lookahead by depth-bounded enumeration with memoization;
+    memo may be shared by solves of the same problem and set."""
     _, rec = _discrete_minimize(problem, sset, x, cfg.ell,
-                                lambda s, k: problem.control_set(s))
+                                lambda s, k: problem.control_set(s), memo)
     value, controls, terminal, sid = rec(x, cfg.ell)
     stages = tuple(rec(x, k)[0] for k in range(cfg.ell + 1))
     return LookaheadSolution(
@@ -195,11 +215,14 @@ def solve_restricted(problem: ProblemDef, sset, x, restricted_controls: Callable
 
 
 def solve(problem: ProblemDef, sset, x, cfg: SolverConfig,
-          seeds: Sequence = (), base_policy: Policy | None = None) -> LookaheadSolution:
+          seeds: Sequence = (), base_policy: Policy | None = None,
+          memo: dict | None = None) -> LookaheadSolution:
     """Shooting for piecewise-linear problems, exact enumeration otherwise;
-    only shooting reads seeds and base_policy."""
+    only shooting reads seeds and base_policy. memo, when given, must only
+    ever be passed with this problem, sset and cfg (see the module doc)."""
     if problem.pl is None:
-        return solve_discrete(problem, sset, x, cfg)
+        return solve_discrete(problem, sset, x, cfg, memo=memo)
     from .shooting import solve_continuous
 
-    return solve_continuous(problem, sset, x, cfg, seeds=seeds, base_policy=base_policy)
+    return solve_continuous(problem, sset, x, cfg, seeds=seeds, base_policy=base_policy,
+                            memo=memo)

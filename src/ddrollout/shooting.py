@@ -5,19 +5,25 @@ For such dynamics with quadratic stage costs the l-step problem decomposes
 into independent subproblems, one per (mode sequence, terminal target)
 pair. Every mode sequence that starts in the current state's mode is
 enumerated (hybrid MPC's mode-sequence enumeration); more than
-SolverConfig.mode_cap of them raises SearchSpaceError. Each subproblem is a
-box-constrained quadratic program solved exactly. A target pinned to a
-sampled state adds d equality rows that put the terminal state on it; a
+SolverConfig.mode_cap of them raises SearchSpaceError. The plan is condensed
+along all of them at once, as arrays stacked over the sequences, and every
+(sequence, target) pair is tested for reachability in one broadcast. Each
+subproblem is a box-constrained quadratic program solved exactly. A target
+pinned to a sampled state adds d equality rows that put the terminal state
+on it; its box-free optimum is affine in the target and in x0 with maps
+that depend on the mode sequence alone, so they are solved once and kept
+in the caller's memo (a rollout passes one memo to all of its steps). A
 free target adds its own quadratic cost. Budget-augmented problems add an
 exact ball constraint on the control energy, handled by bisection on its
 multiplier. Subproblems are solved cheapest tail first against a running
 bound, and one whose box-free optimum cannot beat the bound stops there. A
-solved plan is replayed only if its predicted path meets its target and
-stays within model.EPS_STATE of its mode sequence's regions and of the
-state box (where the condensed prediction is exact) and its predicted value
-beats the bound. That replay with the set's own terminal_cost is the one price of
-every plan, solved or seeded, so a plan earns a recorded value only by
-ending in the set. The first candidate of least value wins.
+solved plan is replayed only if its predicted path meets its target, it
+lies in its energy ball, its path stays within model.EPS_STATE of its mode
+sequence's regions and of the state box (where the condensed prediction is
+exact) and its predicted value beats the bound. That replay with the set's
+own terminal_cost is the one price of every plan, solved or seeded, so a
+plan earns a recorded value only by ending in the set. The first candidate
+of least value wins.
 """
 
 from __future__ import annotations
@@ -163,52 +169,90 @@ def _ball_box_qp(h, b, lo, hi, radius, rows=None, z=None):
 
 @dataclass(slots=True)
 class _Assembled:
-    sigma: tuple     # the mode sequence
+    """One mode sequence's condensed plan: row i of a _Condensed."""
+
+    sigma: tuple        # the mode sequence
     phis: np.ndarray    # state offset per step, (ell + 1) x d
     gammas: np.ndarray  # state response to the stacked controls, (ell + 1) x d x width
-    h0: np.ndarray   # running-cost Hessian (terminal excluded)
-    b0: np.ndarray
-    c0: float        # constant part of the running cost
-    reach: np.ndarray  # componentwise bound on |x_l - phi_l|
-    row_norms: np.ndarray  # 2-norms of the terminal response rows
-    affine: np.ndarray | None = None  # [q | p] of pinned_optimum, solved on first use
+    h0: np.ndarray      # running-cost Hessian (terminal excluded)
+    b0: np.ndarray      # running-cost gradient at z = 0, b_x x0 + b_c
+    c0: float           # constant part of the running cost
+    b_x: np.ndarray     # d columns: b0's response to x0
+    b_c: np.ndarray     # b0 at x0 = 0
+    x0: np.ndarray
+    memo: dict          # sigma -> [q_c | Q_x | P], kept across the solves that share it
 
     def pinned_optimum(self, r) -> np.ndarray:
-        """The box-free optimum p r + q of the running cost under the rows
-        gammas[ell] z = r: affine in r, so one KKT solve serves every target."""
-        if self.affine is None:
-            top = np.zeros((self.b0.size, r.size + 1))
-            top[:, 0] = -self.b0
-            self.affine = _kkt_solve(self.h0, self.gammas[-1], top,
-                                     np.eye(r.size, r.size + 1, 1))[0]
-        return self.affine[:, 1:] @ r + self.affine[:, 0]
+        """The box-free optimum P r + Q_x x0 + q_c of the running cost under
+        the rows gammas[ell] z = r. It is affine in r and in x0, and its
+        maps depend on sigma alone, so one KKT solve with 2d + 1 right-hand
+        sides serves every target from every state."""
+        d = r.size
+        affine = self.memo.get(self.sigma)
+        if affine is None:
+            top = np.zeros((self.b0.size, 2 * d + 1))
+            top[:, 0], top[:, 1:d + 1] = -self.b_c, -self.b_x
+            affine = self.memo[self.sigma] = _kkt_solve(
+                self.h0, self.gammas[-1], top, np.eye(d, 2 * d + 1, d + 1))[0]
+        return affine[:, d + 1:] @ r + affine[:, 1:d + 1] @ self.x0 + affine[:, 0]
 
 
-def _assemble(pl, x0: np.ndarray, sigma, h_r, lo_full, hi_full) -> _Assembled:
-    """Condense the plan along mode sequence sigma; h_r is the control-cost
-    Hessian, which does not depend on sigma."""
-    ell = len(sigma)
+@dataclass(slots=True)
+class _Condensed:
+    """Plans condensed along many mode sequences at once; axis 0 runs over
+    the sequences, and the fields are _Assembled's."""
+
+    sigmas: np.ndarray  # S x ell mode indices
+    phis: np.ndarray
+    gammas: np.ndarray
+    h0: np.ndarray
+    b0: np.ndarray
+    c0: np.ndarray
+    b_x: np.ndarray
+    b_c: np.ndarray
+    x0: np.ndarray
+    reach: np.ndarray      # componentwise bound on |x_l - phi_l|, S x d
+    row_norms: np.ndarray  # 2-norms of the terminal response rows, S x d
+
+    def at(self, i: int, memo: dict) -> _Assembled:
+        return _Assembled(tuple(self.sigmas[i].tolist()), self.phis[i], self.gammas[i],
+                          self.h0[i], self.b0[i], float(self.c0[i]), self.b_x[i],
+                          self.b_c[i], self.x0, memo)
+
+
+def _assemble(pl, x0: np.ndarray, sigmas: np.ndarray, h_r, lo_full, hi_full) -> _Condensed:
+    """Condense the plan along every mode sequence in sigmas (S x ell) at
+    once; h_r is the control-cost Hessian, which does not depend on sigma."""
+    n_seq, ell = sigmas.shape
     d = x0.size
     m = pl.modes[0].b.shape[1]
-    width = ell * m
-    phis = np.zeros((ell + 1, d))
-    gammas = np.zeros((ell + 1, d, width))
-    phis[0] = x0
-    for k in range(ell):
-        mode = pl.modes[sigma[k]]
-        gammas[k + 1] = mode.a @ gammas[k]
-        gammas[k + 1, :, k * m:(k + 1) * m] += mode.b
-        phis[k + 1] = mode.a @ phis[k] + mode.c
+    a, b, c = (np.stack([getattr(mode, f) for mode in pl.modes]) for f in "abc")
+    # columns of each step's state map: the offset at x0, the response to
+    # x0, the offset at x0 = 0 (phis, and b0 split as b_x x0 + b_c)
+    cols = np.zeros((n_seq, ell + 1, d, d + 2))
+    cols[:, 0, :, 0], cols[:, 0, :, 1:d + 1] = x0, np.eye(d)
+    gammas = np.zeros((n_seq, ell + 1, d, ell * m))
+    for k, modes in enumerate(sigmas.T):
+        cols[:, k + 1] = a[modes] @ cols[:, k]
+        cols[:, k + 1, :, 0] += c[modes]
+        cols[:, k + 1, :, -1] += c[modes]
+        # only the first k control blocks reach x_k
+        gammas[:, k + 1, :, :k * m] = a[modes] @ gammas[:, k, :, :k * m]
+        gammas[:, k + 1, :, k * m:(k + 1) * m] = b[modes]
+    phis = cols[..., 0]
     # running cost sum_k x_k' q x_k over k < ell, as stacked products
-    run_g = gammas[:ell].reshape(ell * d, width)
-    q_phi = phis[:ell] @ pl.q.T  # row k is q @ phi_k
-    h0 = h_r + 2.0 * run_g.T @ (pl.q @ gammas[:ell]).reshape(ell * d, width)
-    b0 = 2.0 * run_g.T @ q_phi.ravel()
-    c0 = float(np.vdot(phis[:ell], q_phi))
+    run_g = gammas[:, :ell].reshape(n_seq, ell * d, -1).transpose(0, 2, 1)
+    q_cols = pl.q @ cols[:, :ell]  # row k is q @ cols_k
+    h0 = run_g @ (pl.q @ gammas[:, :ell]).reshape(n_seq, ell * d, -1)
+    h0 *= 2.0  # in place: the S stacked Hessians are the largest arrays here
+    h0 += h_r
+    lin = 2.0 * run_g @ q_cols.reshape(n_seq, ell * d, d + 2)
+    c0 = np.einsum("skd,skd->s", phis[:, :ell], q_cols[..., 0])
     u_abs = np.maximum(np.abs(lo_full), np.abs(hi_full))
-    reach = np.abs(gammas[ell]) @ u_abs
-    row_norms = np.linalg.norm(gammas[ell], axis=1)
-    return _Assembled(tuple(sigma), phis, gammas, h0, b0, c0, reach, row_norms)
+    reach = np.abs(gammas[:, ell]) @ u_abs
+    row_norms = np.linalg.norm(gammas[:, ell], axis=2)
+    return _Condensed(sigmas, phis, gammas, h0, lin[..., 0], c0, lin[..., 1:d + 1],
+                      lin[..., -1], x0, reach, row_norms)
 
 
 # ---------------------------------------------------------------------------
@@ -228,18 +272,22 @@ def _mismatch(terminal, pinned) -> float | None:
 
 
 def solve_continuous(problem: ProblemDef, sset, x, cfg: SolverConfig,
-                     seeds=(), base_policy: Policy | None = None) -> LookaheadSolution:
+                     seeds=(), base_policy: Policy | None = None,
+                     memo: dict | None = None) -> LookaheadSolution:
     """Solve the l-step lookahead by shooting over every mode sequence.
 
     seeds are concrete control plans (tuples of control vectors) evaluated
     exactly and entered into the candidate pool; the recorded base policy,
     when given, contributes its own rollout plan. These anchors keep the
     returned value at or below every supplied plan, which is what the
-    stepwise-descent guarantee needs from an approximate solver.
+    stepwise-descent guarantee needs from an approximate solver. memo keeps
+    each mode sequence's pinned-optimum maps for later solves of the same
+    problem and config; without it they last for this solve only.
     """
     pl = problem.pl
     if pl is None:
         raise ValueError("shooting needs piecewise-linear problem structure")
+    memo = {} if memo is None else memo
     base_x = np.asarray(base_view(x), dtype=float)
     ell = cfg.ell
 
@@ -258,12 +306,13 @@ def solve_continuous(problem: ProblemDef, sset, x, cfg: SolverConfig,
         raise SearchSpaceError(f"{n_sequences} mode sequences of length {ell} "
                                f"exceed mode_cap={cfg.mode_cap}")
     first = pl.mode_of(base_x)
-    sequences = [(first,) + rest
-                 for rest in itertools.product(range(n_modes), repeat=ell - 1)]
+    sigmas = np.array([(first,) + rest
+                       for rest in itertools.product(range(n_modes), repeat=ell - 1)])
+    cond = _assemble(pl, base_x, sigmas, h_r, lo_full, hi_full)
 
     targets = sset.shooting_targets(x)
-    pinned = [t.state for t in targets if t.state is not None]
-    pinned = np.array(pinned) if pinned else None
+    pinned_at = [i for i, t in enumerate(targets) if t.state is not None]
+    pinned = np.array([targets[i].state for i in pinned_at]) if pinned_at else None
 
     seed_plans = [tuple(s) for s in seeds if len(tuple(s)) == ell]
     if base_policy is not None:
@@ -274,30 +323,32 @@ def solve_continuous(problem: ProblemDef, sset, x, cfg: SolverConfig,
     candidates = [_evaluate_seed(problem, sset, x, plan, pinned) for plan in seed_plans]
     bound = min((c[0] for c in candidates), default=INF)
 
-    jobs = []
-    for sig_pos, sig in enumerate(sequences):
-        asm = _assemble(pl, base_x, sig, h_r, lo_full, hi_full)
-        for t_idx, target in enumerate(targets):
-            if target.state is not None:
-                if target.value >= bound:
-                    continue  # stage costs are nonnegative: cannot win
-                gap = np.abs(target.state - asm.phis[ell])
-                reach = asm.reach
-                if target.ball_radius is not None:
-                    # Cauchy-Schwarz: a depleted energy ball shrinks the
-                    # reachable tube far below the control-box bound
-                    reach = np.minimum(reach, asm.row_norms * target.ball_radius)
-                if np.any(gap > reach + EPS_STATE + 1e-12):
-                    continue  # provably unreachable under box and energy ball
-            jobs.append((target.value, t_idx, sig_pos, asm))
+    # every (sequence, target) pair at once; free targets are always kept
+    keep = np.ones((len(sigmas), len(targets)), dtype=bool)
+    if pinned_at:
+        values = np.array([targets[i].value for i in pinned_at])
+        radii = [targets[i].ball_radius for i in pinned_at]
+        reach = cond.reach[:, None]  # S x 1 x d, against S x targets x d gaps
+        if any(r is not None for r in radii):
+            # Cauchy-Schwarz: a depleted energy ball shrinks the reachable
+            # tube far below the control-box bound
+            ball = np.array([r is not None for r in radii])[:, None]
+            shrunk = cond.row_norms[:, None] * np.array([r or 0.0 for r in radii])[:, None]
+            reach = np.where(ball, np.minimum(reach, shrunk), reach)
+        gap = np.abs(pinned - cond.phis[:, None, ell])
+        # stage costs are nonnegative, so a target valued at the bound cannot win
+        keep[:, pinned_at] = (values < bound) & ~np.any(gap > reach + EPS_STATE + 1e-12, axis=2)
     # cheap tails first so the running bound can retire the rest early
-    jobs.sort(key=lambda j: j[:3])
+    jobs = sorted((targets[t].value, int(t), int(s)) for s, t in zip(*np.nonzero(keep)))
 
-    for _, t_idx, _, asm in jobs:
+    views = {}
+    for _, t_idx, s in jobs:
         target = targets[t_idx]
         if target.state is not None and target.value >= bound:
             continue
-        out = _solve_candidate(problem, sset, x, asm, target, lo_full, hi_full, m,
+        if s not in views:
+            views[s] = cond.at(s, memo)
+        out = _solve_candidate(problem, sset, x, views[s], target, lo_full, hi_full, m,
                                bound=bound)
         candidates.append(out)
         bound = min(bound, out[0])
@@ -330,10 +381,12 @@ def _solve_candidate(problem, sset, x, asm: _Assembled, target: Target,
                      lo_full, hi_full, m, bound=INF):
     """Solve one subproblem and price its plan by replay, unless the plan
     provably cannot win: its box-free optimum already fails to beat bound,
-    its predicted terminal misses a pinned target or its predicted path
-    leaves the mode sequence or the state box by more than EPS_STATE (so the
-    prediction would not hold), or its predicted value does not beat bound.
-    Those candidates come back as +inf with an empty plan."""
+    its predicted terminal misses a pinned target, it lies outside the
+    target's energy ball (so its terminal budget falls short of the
+    target's tail), its predicted path leaves the mode sequence or the state
+    box by more than EPS_STATE (so the prediction would not hold), or its
+    predicted value does not beat bound. Those candidates come back as +inf
+    with an empty plan."""
     ell = len(asm.sigma)
     g_l, phi_l = asm.gammas[ell], asm.phis[ell]
     h, b, rows, const = asm.h0, asm.b0, None, target.value
@@ -354,6 +407,8 @@ def _solve_candidate(problem, sset, x, asm: _Assembled, target: Target,
         diag.update(iterations=it, converged=converged)
         path = asm.phis[1:] + asm.gammas[1:] @ z  # predicted x_1 .. x_ell
         if (_meets(z, rows)
+                and (target.ball_radius is None
+                     or float(np.linalg.norm(z)) <= target.ball_radius)
                 and problem.pl.path_excess(asm.sigma[1:], path[:-1]) <= EPS_STATE
                 and _qp_obj(h, b, z) + asm.c0 + const < bound + slack):
             controls = tuple(z[k * m:(k + 1) * m].copy() for k in range(ell))

@@ -201,6 +201,19 @@ def test_a_negative_or_nan_budget_is_a_clean_error(capsys, tmp_path, budget):
     assert not (tmp_path / "runs").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ("run", "--instance", "integrator", "--variant", "augmented", "--budget", "-inf"),
+    ("run", "--instance", "grid", "--no-such-flag"),
+])
+def test_usage_errors_exit_one(capsys, argv):
+    """Bad input exits 1; argparse's own 2 would read as an infeasible run."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ddrollout") and "error:" in err
+
+
 def test_an_infinite_budget_runs(capsys, tmp_path):
     code, out, err = run_cli(capsys, "run", "--instance", "integrator", "--variant",
                              "augmented", "--budget", "inf", "--horizon", "2",
