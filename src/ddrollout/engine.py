@@ -257,7 +257,7 @@ def run_multiagent(problem: ProblemDef, sset, x0, cfg: SolverConfig, horizon: in
                     return FiniteControls(tuple(
                         partition.combine(_plan[k], _agent, o) for o in opts))
 
-                _, rec = _discrete_minimize(problem, sset, x, cfg.ell, controls_at)
+                _, rec = _discrete_minimize(problem, sset, cfg.ell, controls_at)
                 v, ctrl, _term, _sid = rec(x, cfg.ell)
                 if v < value:
                     value, plan = v, ctrl

@@ -113,8 +113,8 @@ def _sorted_controls(spec) -> tuple:
     return tuple(sorted(spec.controls))
 
 
-def _discrete_minimize(problem: ProblemDef, sset, x, ell: int,
-                       controls_at: Callable, memo: dict | None = None) -> tuple[dict, Callable]:
+def _discrete_minimize(problem: ProblemDef, sset, ell: int, controls_at: Callable,
+                       memo: dict | None = None) -> tuple[dict, Callable]:
     """Memoized exact minimization; returns the memo and the recursion.
 
     Values are computed with right-associated additions so a later
@@ -168,7 +168,7 @@ def solve_discrete(problem: ProblemDef, sset, x, cfg: SolverConfig,
                    memo: dict | None = None) -> LookaheadSolution:
     """Exact l-step lookahead by depth-bounded enumeration with memoization;
     memo may be shared by solves of the same problem and set."""
-    _, rec = _discrete_minimize(problem, sset, x, cfg.ell,
+    _, rec = _discrete_minimize(problem, sset, cfg.ell,
                                 lambda s, k: problem.control_set(s), memo)
     value, controls, terminal, sid = rec(x, cfg.ell)
     stages = tuple(rec(x, k)[0] for k in range(cfg.ell + 1))
@@ -187,8 +187,7 @@ def vi_sequence(problem: ProblemDef, sset, states: Iterable, ell: int) -> dict:
     J_0 is the sample set's terminal cost and J_k the k-step lookahead
     value, all computed from one shared memo table.
     """
-    _, rec = _discrete_minimize(problem, sset, None, ell,
-                                lambda s, k: problem.control_set(s))
+    _, rec = _discrete_minimize(problem, sset, ell, lambda s, k: problem.control_set(s))
     return {state_key(x): [rec(x, k)[0] for k in range(ell + 1)] for x in states}
 
 
@@ -208,7 +207,7 @@ def solve_restricted(problem: ProblemDef, sset, x, restricted_controls: Callable
                 raise AssumptionViolationError(state, policy.action(state))
         return spec
 
-    _, rec = _discrete_minimize(problem, sset, x, cfg.ell, controls_at)
+    _, rec = _discrete_minimize(problem, sset, cfg.ell, controls_at)
     value, controls, terminal, sid = rec(x, cfg.ell)
     return LookaheadSolution(controls=controls, terminal_state=terminal,
                              value=value, terminal_sample_id=sid)

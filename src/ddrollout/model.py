@@ -174,16 +174,19 @@ class PiecewiseLinearStructure:
             raise ValueError(f"state {x!r} lies in no mode region")
         return int(np.argmax(inside))
 
-    def path_excess(self, sigma, xs) -> float:
-        """How far the states xs[k] lie outside the region of mode sigma[k]
-        or outside the state box widened by EPS_STATE; <= 0 inside both."""
-        idx = list(sigma)
-        worst = ((self.region_f[idx] * xs[:, None, :]).sum(axis=2)
-                 - self.region_g[idx]).max(initial=-INF)
+    def path_excess(self, sigma, xs):
+        """How far the states xs[..., k, :] lie outside the region of mode
+        sigma[..., k] or outside the state box widened by EPS_STATE; <= 0
+        inside both. Leading axes broadcast; one path gives a float."""
+        xs = np.asarray(xs)
+        f = np.take(self.region_f, sigma, axis=0)  # take: far cheaper than fancy indexing
+        rows = (f * xs[..., None, :]).sum(axis=-1) - np.take(self.region_g, sigma, axis=0)
+        worst = rows.max(axis=(-2, -1), initial=-INF)
         if self.state_box is not None:
             lo, hi = self.state_box
-            worst = max(worst, np.maximum(xs - hi, lo - xs).max(initial=-INF) - EPS_STATE)
-        return float(worst)
+            worst = np.maximum(worst, np.maximum(xs - hi, lo - xs).max(axis=(-2, -1), initial=-INF)
+                               - EPS_STATE)
+        return float(worst) if np.ndim(worst) == 0 else worst
 
 
 # ---------------------------------------------------------------------------

@@ -12,18 +12,24 @@ subproblem is a box-constrained quadratic program solved exactly. A target
 pinned to a sampled state adds d equality rows that put the terminal state
 on it; its box-free optimum is affine in the target and in x0 with maps
 that depend on the mode sequence alone, so they are solved once and kept
-in the caller's memo (a rollout passes one memo to all of its steps). A
-free target adds its own quadratic cost. Budget-augmented problems add an
-exact ball constraint on the control energy, handled by bisection on its
-multiplier. Subproblems are solved cheapest tail first against a running
-bound, and one whose box-free optimum cannot beat the bound stops there. A
-solved plan is replayed only if its predicted path meets its target, it
-lies in its energy ball, its path stays within model.EPS_STATE of its mode
-sequence's regions and of the state box (where the condensed prediction is
-exact) and its predicted value beats the bound. That replay with the set's
-own terminal_cost is the one price of every plan, solved or seeded, so a
-plan earns a recorded value only by ending in the set. The first candidate
-of least value wins.
+in the caller's memo (a rollout passes one memo to all of its steps). One
+more broadcast screens every pinned pair's box-free optimum: its objective
+(a lower bound on the subproblem), whether it lies strictly inside the
+control box, on the rows and in the energy ball, and whether its predicted
+path stays on its mode sequence. A free target adds its own quadratic
+cost. Budget-augmented problems add an exact ball constraint on the
+control energy, handled by bisection on its multiplier. Subproblems are
+taken cheapest tail first against a running bound, and one whose box-free
+optimum cannot beat the bound stops there. An interior pinned optimum is
+its subproblem's solution, so it goes straight to the replay; only free
+targets and box- or ball-active pinned optima reach the per-candidate box
+QP. A solved plan is replayed only if its predicted path meets its target,
+it lies in its energy ball, its path stays within model.EPS_STATE of its
+mode sequence's regions and of the state box (where the condensed
+prediction is exact) and its predicted value beats the bound. That replay
+with the set's own terminal_cost is the one price of every plan, solved or
+seeded, so a plan earns a recorded value only by ending in the set. The
+first candidate of least value wins.
 """
 
 from __future__ import annotations
@@ -175,54 +181,40 @@ class _Assembled:
     phis: np.ndarray    # state offset per step, (ell + 1) x d
     gammas: np.ndarray  # state response to the stacked controls, (ell + 1) x d x width
     h0: np.ndarray      # running-cost Hessian (terminal excluded)
-    b0: np.ndarray      # running-cost gradient at z = 0, b_x x0 + b_c
+    b0: np.ndarray      # running-cost gradient at z = 0
     c0: float           # constant part of the running cost
-    b_x: np.ndarray     # d columns: b0's response to x0
-    b_c: np.ndarray     # b0 at x0 = 0
-    x0: np.ndarray
-    memo: dict          # sigma -> [q_c | Q_x | P], kept across the solves that share it
-
-    def pinned_optimum(self, r) -> np.ndarray:
-        """The box-free optimum P r + Q_x x0 + q_c of the running cost under
-        the rows gammas[ell] z = r. It is affine in r and in x0, and its
-        maps depend on sigma alone, so one KKT solve with 2d + 1 right-hand
-        sides serves every target from every state."""
-        d = r.size
-        affine = self.memo.get(self.sigma)
-        if affine is None:
-            top = np.zeros((self.b0.size, 2 * d + 1))
-            top[:, 0], top[:, 1:d + 1] = -self.b_c, -self.b_x
-            affine = self.memo[self.sigma] = _kkt_solve(
-                self.h0, self.gammas[-1], top, np.eye(d, 2 * d + 1, d + 1))[0]
-        return affine[:, d + 1:] @ r + affine[:, 1:d + 1] @ self.x0 + affine[:, 0]
 
 
 @dataclass(slots=True)
 class _Condensed:
     """Plans condensed along many mode sequences at once; axis 0 runs over
-    the sequences, and the fields are _Assembled's."""
+    the sequences, and the fields are _Assembled's and these."""
 
     sigmas: np.ndarray  # S x ell mode indices
     phis: np.ndarray
     gammas: np.ndarray
     h0: np.ndarray
-    b0: np.ndarray
+    b0: np.ndarray      # b_x x0 + b_c
     c0: np.ndarray
-    b_x: np.ndarray
-    b_c: np.ndarray
+    b_x: np.ndarray     # d columns: b0's response to x0
+    b_c: np.ndarray     # b0 at x0 = 0
     x0: np.ndarray
     reach: np.ndarray      # componentwise bound on |x_l - phi_l|, S x d
     row_norms: np.ndarray  # 2-norms of the terminal response rows, S x d
 
-    def at(self, i: int, memo: dict) -> _Assembled:
+    def at(self, i: int) -> _Assembled:
         return _Assembled(tuple(self.sigmas[i].tolist()), self.phis[i], self.gammas[i],
-                          self.h0[i], self.b0[i], float(self.c0[i]), self.b_x[i],
-                          self.b_c[i], self.x0, memo)
+                          self.h0[i], self.b0[i], float(self.c0[i]))
+
+
+_CHUNK = 64  # sequences per stacked product in _assemble, capping its temporaries
 
 
 def _assemble(pl, x0: np.ndarray, sigmas: np.ndarray, h_r, lo_full, hi_full) -> _Condensed:
     """Condense the plan along every mode sequence in sigmas (S x ell) at
-    once; h_r is the control-cost Hessian, which does not depend on sigma."""
+    once; h_r is the control-cost Hessian, which does not depend on sigma.
+    The running-cost products go _CHUNK sequences at a time: each stacked
+    product is computed per sequence, so chunking changes no bit."""
     n_seq, ell = sigmas.shape
     d = x0.size
     m = pl.modes[0].b.shape[1]
@@ -239,20 +231,93 @@ def _assemble(pl, x0: np.ndarray, sigmas: np.ndarray, h_r, lo_full, hi_full) -> 
         # only the first k control blocks reach x_k
         gammas[:, k + 1, :, :k * m] = a[modes] @ gammas[:, k, :, :k * m]
         gammas[:, k + 1, :, k * m:(k + 1) * m] = b[modes]
-    phis = cols[..., 0]
+    phis = cols[..., 0].copy()  # a copy, so cols can go when _assemble returns
     # running cost sum_k x_k' q x_k over k < ell, as stacked products
     run_g = gammas[:, :ell].reshape(n_seq, ell * d, -1).transpose(0, 2, 1)
-    q_cols = pl.q @ cols[:, :ell]  # row k is q @ cols_k
-    h0 = run_g @ (pl.q @ gammas[:, :ell]).reshape(n_seq, ell * d, -1)
+    h0 = np.empty((n_seq, ell * m, ell * m))
+    lin = np.empty((n_seq, ell * m, d + 2))
+    c0 = np.empty(n_seq)
+    for lo in range(0, n_seq, _CHUNK):
+        part = slice(lo, lo + _CHUNK)
+        q_cols = pl.q @ cols[part, :ell]  # row k is q @ cols_k
+        np.matmul(run_g[part], (pl.q @ gammas[part, :ell]).reshape(-1, ell * d, ell * m),
+                  out=h0[part])
+        lin[part] = 2.0 * run_g[part] @ q_cols.reshape(-1, ell * d, d + 2)
+        c0[part] = np.einsum("skd,skd->s", phis[part, :ell], q_cols[..., 0])
     h0 *= 2.0  # in place: the S stacked Hessians are the largest arrays here
     h0 += h_r
-    lin = 2.0 * run_g @ q_cols.reshape(n_seq, ell * d, d + 2)
-    c0 = np.einsum("skd,skd->s", phis[:, :ell], q_cols[..., 0])
     u_abs = np.maximum(np.abs(lo_full), np.abs(hi_full))
     reach = np.abs(gammas[:, ell]) @ u_abs
     row_norms = np.linalg.norm(gammas[:, ell], axis=2)
     return _Condensed(sigmas, phis, gammas, h0, lin[..., 0], c0, lin[..., 1:d + 1],
                       lin[..., -1], x0, reach, row_norms)
+
+
+def _job_order(keep, tails):
+    """The (target, sequence) indices of the kept pairs, cheapest tail
+    first so the running bound can retire the rest early; ties go by
+    target, then sequence."""
+    s, t = np.nonzero(keep)
+    order = np.lexsort((s, t, tails[t]))
+    return t[order].tolist(), s[order].tolist()
+
+
+@dataclass(slots=True)
+class _Screen:
+    """Every pinned (sequence s, target t) pair's box-free optimum and its
+    tests; the tests are flat lists indexed by s * T + t, read once per job."""
+
+    z: np.ndarray   # S x T x width optima
+    lb: list        # objective of z: no box point does better
+    interior: list  # z strictly inside the box, on the rows and in the ball
+    on_path: list   # z's predicted path within EPS_STATE of the regions and the state box
+
+
+def _screen(pl, cond: _Condensed, states, values, radii, need, memo,
+            lo_full, hi_full) -> _Screen:
+    """Screen every (sequence, target) pair for the T pinned target states
+    (T x d, with values and ball radii, inf for none) in one broadcast.
+
+    Under the rows that pin x_l to target t, sequence s's box-free optimum
+    P_s (t - phi_l) + Q_s x0 + q_s is affine in t and in x0, with maps that
+    depend on s alone: one KKT solve with 2d + 1 right-hand sides per
+    sequence in need, kept in memo, stacked under the sequences' first mode.
+    Sequences never in need keep zero maps; their pairs are never read."""
+    n_seq, ell = cond.sigmas.shape
+    d, width, n_targets = cond.x0.size, cond.h0.shape[1], len(states)
+    first = int(cond.sigmas[0, 0])
+    if first not in memo:
+        memo[first] = np.zeros((n_seq, width, 2 * d + 1)), np.zeros(n_seq, dtype=bool)
+    maps, solved = memo[first]  # [q_s | Q_s | P_s]
+    for s in np.flatnonzero(need & ~solved).tolist():
+        top = np.zeros((width, 2 * d + 1))
+        top[:, 0], top[:, 1:d + 1] = -cond.b_c[s], -cond.b_x[s]
+        maps[s] = _kkt_solve(cond.h0[s], cond.gammas[s, ell], top,
+                             np.eye(d, 2 * d + 1, d + 1))[0]
+        solved[s] = True
+    rhs = states - cond.phis[:, None, ell]  # the rows' right-hand sides, S x T x d
+    # one matrix-vector product per pair, so each optimum has the bits of its own P_s @ r
+    z = (maps[:, None, :, d + 1:] @ rhs[..., None])[..., 0]
+    z += (maps[:, :, 1:d + 1] @ cond.x0)[:, None]
+    z += maps[:, None, :, 0]
+    lb = (0.5 * np.einsum("stw,stw->st", z @ cond.h0, z) + np.einsum("stw,sw->st", z, cond.b0)
+          + cond.c0[:, None] + values)
+    # a width-major copy: reductions over the width then run along whole rows
+    zw = np.ascontiguousarray(np.moveaxis(z, 2, 0))
+    margin = 1e-12 * (1.0 + np.abs(zw).max(axis=0, initial=0.0))
+    interior = np.all((zw > lo_full[:, None, None] + margin)
+                      & (zw < hi_full[:, None, None] - margin), axis=0)
+    zt = z.transpose(0, 2, 1)
+    miss = np.abs(cond.gammas[:, ell] @ zt - rhs.transpose(0, 2, 1)).max(axis=1, initial=0.0)
+    interior &= miss <= EPS_STATE
+    if np.isfinite(radii).any():
+        interior &= np.sqrt((zw * zw).sum(axis=0)) <= radii
+    # predicted x_1 .. x_{ell-1}, as an S x T x (ell - 1) x d view
+    path = cond.gammas[:, 1:ell].reshape(n_seq, -1, width) @ zt
+    path = (path.reshape(n_seq, ell - 1, d, n_targets)
+            + cond.phis[:, 1:ell, :, None]).transpose(0, 3, 1, 2)
+    on_path = pl.path_excess(cond.sigmas[:, None, 1:], path) <= EPS_STATE
+    return _Screen(z, lb.ravel().tolist(), interior.ravel().tolist(), on_path.ravel().tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -324,32 +389,47 @@ def solve_continuous(problem: ProblemDef, sset, x, cfg: SolverConfig,
     bound = min((c[0] for c in candidates), default=INF)
 
     # every (sequence, target) pair at once; free targets are always kept
+    tails = np.array([t.value for t in targets])
     keep = np.ones((len(sigmas), len(targets)), dtype=bool)
+    screen = None
     if pinned_at:
-        values = np.array([targets[i].value for i in pinned_at])
-        radii = [targets[i].ball_radius for i in pinned_at]
+        values = tails[pinned_at]
+        radii = np.array([np.inf if targets[i].ball_radius is None else targets[i].ball_radius
+                          for i in pinned_at])
         reach = cond.reach[:, None]  # S x 1 x d, against S x targets x d gaps
-        if any(r is not None for r in radii):
+        if np.isfinite(radii).any():
             # Cauchy-Schwarz: a depleted energy ball shrinks the reachable
             # tube far below the control-box bound
-            ball = np.array([r is not None for r in radii])[:, None]
-            shrunk = cond.row_norms[:, None] * np.array([r or 0.0 for r in radii])[:, None]
+            ball = np.isfinite(radii)[:, None]
+            shrunk = cond.row_norms[:, None] * np.where(ball, radii[:, None], 0.0)
             reach = np.where(ball, np.minimum(reach, shrunk), reach)
         gap = np.abs(pinned - cond.phis[:, None, ell])
         # stage costs are nonnegative, so a target valued at the bound cannot win
-        keep[:, pinned_at] = (values < bound) & ~np.any(gap > reach + EPS_STATE + 1e-12, axis=2)
-    # cheap tails first so the running bound can retire the rest early
-    jobs = sorted((targets[t].value, int(t), int(s)) for s, t in zip(*np.nonzero(keep)))
+        kept = (values < bound) & ~np.any(gap > reach + EPS_STATE + 1e-12, axis=2)
+        keep[:, pinned_at] = kept
+        screen = _screen(pl, cond, pinned, values, radii, kept.any(axis=1), memo,
+                         lo_full, hi_full)
+    column = dict(zip(pinned_at, range(len(pinned_at))))  # target -> screen column
 
     views = {}
-    for _, t_idx, s in jobs:
-        target = targets[t_idx]
-        if target.state is not None and target.value >= bound:
-            continue
+    for t, s in zip(*_job_order(keep, tails)):
+        target, p = targets[t], column.get(t)
+        if p is not None:
+            if target.value >= bound:
+                continue
+            i = s * len(pinned_at) + p
+            if not screen.lb[i] < bound + 1e-7 * (1.0 + abs(bound)):
+                candidates.append(_pruned(0))
+                continue
+            if screen.interior[i]:  # what _box_qp returns: z itself, in one iteration
+                candidates.append(_replayed(problem, sset, x, screen.z[s, p], m, target, 1)
+                                  if screen.on_path[i] else _pruned(1))
+                bound = min(bound, candidates[-1][0])
+                continue
         if s not in views:
-            views[s] = cond.at(s, memo)
+            views[s] = cond.at(s)
         out = _solve_candidate(problem, sset, x, views[s], target, lo_full, hi_full, m,
-                               bound=bound)
+                               bound=bound, z=None if p is None else screen.z[s, p])
         candidates.append(out)
         bound = min(bound, out[0])
 
@@ -378,45 +458,54 @@ def solve_continuous(problem: ProblemDef, sset, x, cfg: SolverConfig,
 
 
 def _solve_candidate(problem, sset, x, asm: _Assembled, target: Target,
-                     lo_full, hi_full, m, bound=INF):
-    """Solve one subproblem and price its plan by replay, unless the plan
-    provably cannot win: its box-free optimum already fails to beat bound,
-    its predicted terminal misses a pinned target, it lies outside the
-    target's energy ball (so its terminal budget falls short of the
-    target's tail), its predicted path leaves the mode sequence or the state
-    box by more than EPS_STATE (so the prediction would not hold), or its
-    predicted value does not beat bound. Those candidates come back as +inf
-    with an empty plan."""
+                     lo_full, hi_full, m, bound=INF, z=None):
+    """Solve one subproblem on its box (and ball) and price its plan by
+    replay, unless the plan provably cannot win: its predicted terminal
+    misses a pinned target, it lies outside the target's energy ball (so its
+    terminal budget falls short of the target's tail), its predicted path
+    leaves the mode sequence or the state box by more than EPS_STATE (so the
+    prediction would not hold), or its predicted value does not beat bound.
+    Those candidates come back as +inf with an empty plan. z is a pinned
+    target's box-free optimum, which _screen has found able to beat bound;
+    a free target (z None) solves for its own and stops there when it
+    cannot."""
     ell = len(asm.sigma)
     g_l, phi_l = asm.gammas[ell], asm.phis[ell]
     h, b, rows, const = asm.h0, asm.b0, None, target.value
+    slack = 1e-7 * (1.0 + abs(bound))
     if target.state is not None:  # d exact rows pin x_l to the target
         rows = (g_l, target.state - phi_l)
-        z = asm.pinned_optimum(rows[1])
     else:  # the free target's own quadratic cost of x_l
         if target.quad is not None:
             w = 2.0 * (g_l.T @ target.quad)
             h, b = h + w @ g_l, b + w @ phi_l
             const += float(phi_l @ target.quad @ phi_l)
         z = np.linalg.lstsq(h, -b, rcond=None)[0]
-    slack = 1e-7 * (1.0 + abs(bound))
-    diag = {"mismatch": None, "iterations": 0, "converged": True}
-    # the box-free optimum bounds every box point's objective from below
-    if _qp_obj(h, b, z) + asm.c0 + const < bound + slack:
-        z, converged, it = _ball_box_qp(h, b, lo_full, hi_full, target.ball_radius, rows, z)
-        diag.update(iterations=it, converged=converged)
-        path = asm.phis[1:] + asm.gammas[1:] @ z  # predicted x_1 .. x_ell
-        if (_meets(z, rows)
-                and (target.ball_radius is None
-                     or float(np.linalg.norm(z)) <= target.ball_radius)
-                and problem.pl.path_excess(asm.sigma[1:], path[:-1]) <= EPS_STATE
-                and _qp_obj(h, b, z) + asm.c0 + const < bound + slack):
-            controls = tuple(z[k * m:(k + 1) * m].copy() for k in range(ell))
-            value, states, _ = replay(problem, x, controls, sset.terminal_cost)
-            diag["mismatch"] = _mismatch(states[-1], target.state)
-            return value, controls, diag
-    diag["pruned"] = True
-    return INF, (), diag
+        # the box-free optimum bounds every box point's objective from below
+        if not _qp_obj(h, b, z) + asm.c0 + const < bound + slack:
+            return _pruned(0)
+    z, converged, it = _ball_box_qp(h, b, lo_full, hi_full, target.ball_radius, rows, z)
+    path = asm.phis[1:] + asm.gammas[1:] @ z  # predicted x_1 .. x_ell
+    if (_meets(z, rows)
+            and (target.ball_radius is None
+                 or float(np.linalg.norm(z)) <= target.ball_radius)
+            and problem.pl.path_excess(asm.sigma[1:], path[:-1]) <= EPS_STATE
+            and _qp_obj(h, b, z) + asm.c0 + const < bound + slack):
+        return _replayed(problem, sset, x, z, m, target, it, converged)
+    return _pruned(it, converged)
+
+
+def _replayed(problem, sset, x, z, m, target, iterations, converged=True):
+    """The plan z (stacked controls of width m) priced by its exact replay."""
+    controls = tuple(z[k * m:(k + 1) * m].copy() for k in range(z.size // m))
+    value, states, _ = replay(problem, x, controls, sset.terminal_cost)
+    return value, controls, {"mismatch": _mismatch(states[-1], target.state),
+                             "iterations": iterations, "converged": converged}
+
+
+def _pruned(iterations, converged=True):
+    return INF, (), {"mismatch": None, "iterations": iterations, "converged": converged,
+                     "pruned": True}
 
 
 def _evaluate_seed(problem, sset, x, plan, pinned):

@@ -7,11 +7,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ddrollout import SolverConfig, engine, lookahead, run_classical_mpc, run_rollout, shooting
+from ddrollout import (ExplicitSampleSet, SampleEntry, SolverConfig, engine, lookahead,
+                       run_classical_mpc, run_rollout, shooting)
 from ddrollout.budget import AugmentedState, base_view
 from ddrollout.cli import main
 from ddrollout.costs import INF
 from ddrollout.errors import SearchSpaceError
+from ddrollout.shooting import solve_continuous
 
 
 def _reference_assemble(pl, x0, sigma, h_r, lo_full, hi_full):
@@ -94,8 +96,17 @@ def test_spiral_mpc_with_its_memo_matches_memo_less_solves(spiral, monkeypatch):
                                  replace(spiral.solver_defaults, ell=6), 30,
                                  terminal="origin", base_policy=policy)
 
+    kkt_solve, map_solves = shooting._kkt_solve, []
+
+    def counting(h, g, top, bottom):
+        if top.ndim == 2:  # a sequence's maps; active-set faces have one right-hand side
+            map_solves.append(top.shape)
+        return kkt_solve(h, g, top, bottom)
+
+    monkeypatch.setattr(shooting, "_kkt_solve", counting)
     seen = _solves(monkeypatch, share=True)
     shared = run()
+    assert len(map_solves) == 64
     _solves(monkeypatch, share=False)
     alone = run()
     assert shared.status == alone.status == "closed_in_set"
@@ -103,8 +114,10 @@ def test_spiral_mpc_with_its_memo_matches_memo_less_solves(spiral, monkeypatch):
     np.testing.assert_allclose(shared.per_step_values, alone.per_step_values, rtol=1e-12)
     assert [r["sample_id"] for r in shared.solver_reports] == \
         [r["sample_id"] for r in alone.solver_reports]
-    # the 32 sequences from each of the two modes, each solved once
-    assert all(m is seen[0] for m in seen) and len(seen[0]) == 64
+    # the 32 sequences from each of the two modes, each solved once, kept
+    # stacked under their first mode
+    assert all(m is seen[0] for m in seen) and sorted(seen[0]) == [0, 1]
+    assert all(len(solved) == 32 and solved.all() for _, solved in seen[0].values())
 
 
 def test_rollouts_on_different_problems_do_not_share_work(spiral, integrator):
@@ -207,6 +220,12 @@ def _reference_jobs(problem, sset, x, ell):
     return [(j[3], j[0]) for j in sorted(jobs, key=lambda j: j[:3])]
 
 
+def _sorted_jobs(keep, tails):
+    """The job order as a sort of (tail value, target, sequence) tuples."""
+    return [(t, s) for _, t, s in sorted((tails[t], int(t), int(s))
+                                         for s, t in zip(*np.nonzero(keep)))]
+
+
 @pytest.mark.parametrize("case", ["spiral", "budget"])
 def test_the_broadcast_reach_prune_keeps_the_per_pair_job_list(spiral, integrator, monkeypatch,
                                                               case):
@@ -216,14 +235,230 @@ def test_the_broadcast_reach_prune_keeps_the_per_pair_job_list(spiral, integrato
     else:
         problem, sset, ell = integrator.augmented_problem, integrator.augmented_sets["budget"], 4
         x = AugmentedState(np.asarray(integrator.start_states[0], dtype=float), 0.2)
-    solved = []
+    job_order, orders = shooting._job_order, []
 
-    def record(problem, sset, x, asm, target, *args, **kwargs):
-        solved.append((asm.sigma, target.value))
-        return INF, (), {}
+    def record(keep, tails):
+        out = job_order(keep, tails)
+        orders.append((keep, tails, out))
+        return out
+
+    monkeypatch.setattr(shooting, "_job_order", record)
+    shooting.solve_continuous(problem, sset, x, replace(SolverConfig(), ell=ell))
+    (keep, tails, (t_idx, s_idx)), = orders
+    assert list(zip(t_idx, s_idx)) == _sorted_jobs(keep, tails)
+    first = problem.pl.mode_of(base_view(x))
+    sigmas = [(first,) + rest
+              for rest in itertools.product(range(len(problem.pl.modes)), repeat=ell - 1)]
+    targets = sset.shooting_targets(x)
+    want = _reference_jobs(problem, sset, x, ell)
+    assert [(sigmas[s], targets[t].value) for t, s in zip(t_idx, s_idx)] == want
+    assert 0 < len(want) < len(targets) * 2 ** (ell - 1)
+    # tied tail values go by target, then sequence
+    rng = np.random.default_rng(5)
+    keep, tails = rng.random((9, 7)) < 0.6, rng.integers(0, 3, 7).astype(float)
+    assert list(zip(*job_order(keep, tails))) == _sorted_jobs(keep, tails)
+
+
+@pytest.mark.parametrize("name,ell", [("spiral", 4), ("integrator", 3), ("integrator", 1)])
+def test_the_screen_agrees_with_each_pairs_own_tests(request, name, ell):
+    """Each pair's screened optimum is the per-pair affine map's, bit for
+    bit; it counts as interior exactly when _box_qp would return it as is
+    (and it lies in its ball); its bound is its objective; its path test
+    is path_excess on its own predicted path. Half the targets are reachable
+    inside the box, the rest are off the reachable set (at ell = 1 the two
+    rows outnumber the one control, so the optimum misses them)."""
+    pl = request.getfixturevalue(name).problem.pl
+    rng = np.random.default_rng(11)
+    lo, hi = -np.ones(ell), np.ones(ell)
+    h_r = 2.0 * np.kron(np.eye(ell), pl.r)
+    interior = []
+    for x0 in rng.uniform(-1.0, 1.0, (4, 2)):
+        sigmas = np.array([(pl.mode_of(x0),) + rest
+                           for rest in itertools.product(range(len(pl.modes)), repeat=ell - 1)])
+        cond = shooting._assemble(pl, x0, sigmas, h_r, lo, hi)
+        s0 = int(rng.integers(len(sigmas)))
+        reachable = cond.phis[s0, ell] + rng.uniform(-0.3, 0.3, (6, ell)) @ cond.gammas[s0, ell].T
+        states = np.concatenate([reachable, reachable + rng.normal(0.0, 0.05, (6, 2))])
+        values = rng.uniform(0.0, 5.0, len(states))
+        radii = np.where(rng.random(len(states)) < 0.5, rng.uniform(0.5, 2.0, len(states)), np.inf)
+        memo = {}
+        screen = shooting._screen(pl, cond, states, values, radii, np.ones(len(sigmas), bool),
+                                  memo, lo, hi)
+        maps, solved = memo[int(sigmas[0, 0])]
+        assert solved.all()
+        d = x0.size
+        for s, t in itertools.product(range(len(sigmas)), range(len(states))):
+            asm, i = cond.at(s), s * len(states) + t
+            rows = (asm.gammas[ell], states[t] - asm.phis[ell])
+            z = maps[s, :, d + 1:] @ rows[1] + maps[s, :, 1:d + 1] @ x0 + maps[s, :, 0]
+            assert np.array_equal(screen.z[s, t], z)
+            as_is = shooting._box_qp(asm.h0, asm.b0, lo, hi, rows, z)[0] is z
+            assert screen.interior[i] == (as_is and float(np.linalg.norm(z)) <= radii[t])
+            assert screen.lb[i] == pytest.approx(_qp_obj(asm.h0, asm.b0, z) + asm.c0 + values[t],
+                                                 rel=1e-12, abs=1e-12)
+            path = asm.phis[1:] + asm.gammas[1:] @ z
+            assert screen.on_path[i] == (pl.path_excess(asm.sigma[1:], path[:-1])
+                                         <= shooting.EPS_STATE)
+        interior += screen.interior
+    assert any(interior) and not all(interior)
+
+
+def _qp_obj(h, b, z):
+    return 0.5 * float(z @ h @ z) + float(b @ z)
+
+
+def _per_candidate(monkeypatch):
+    """Send every job of solve_continuous through one per-candidate solve,
+    the way the solver worked before the screen: the pinned optimum
+    P r + Q x0 + q from its sequence's own KKT maps, then the bound, the box
+    (and ball) QP, the target, ball and path checks, and the replay."""
+    screen, conds, maps = shooting._screen, [], {}
+
+    def no_screen(pl, cond, states, values, radii, need, memo, lo_full, hi_full):
+        conds.append(cond)
+        n = cond.sigmas.shape[0] * len(states)
+        z = np.zeros((cond.sigmas.shape[0], len(states), cond.h0.shape[1]))
+        return shooting._Screen(z, [-INF] * n, [False] * n, [False] * n)
+
+    def candidate(problem, sset, x, asm, target, lo_full, hi_full, m, bound=INF, z=None):
+        cond, ell = conds[-1], len(asm.sigma)
+        g_l, phi_l = asm.gammas[ell], asm.phis[ell]
+        h, b, rows, const = asm.h0, asm.b0, None, target.value
+        if target.state is not None:
+            rows = (g_l, target.state - phi_l)
+            s = [tuple(row) for row in cond.sigmas.tolist()].index(asm.sigma)
+            d = phi_l.size
+            if asm.sigma not in maps:
+                top = np.zeros((h.shape[0], 2 * d + 1))
+                top[:, 0], top[:, 1:d + 1] = -cond.b_c[s], -cond.b_x[s]
+                maps[asm.sigma] = shooting._kkt_solve(h, g_l, top, np.eye(d, 2 * d + 1, d + 1))[0]
+            affine = maps[asm.sigma]
+            z = affine[:, d + 1:] @ rows[1] + affine[:, 1:d + 1] @ cond.x0 + affine[:, 0]
+        else:
+            if target.quad is not None:
+                w = 2.0 * (g_l.T @ target.quad)
+                h, b = h + w @ g_l, b + w @ phi_l
+                const += float(phi_l @ target.quad @ phi_l)
+            z = np.linalg.lstsq(h, -b, rcond=None)[0]
+        slack = 1e-7 * (1.0 + abs(bound))
+        diag = {"mismatch": None, "iterations": 0, "converged": True}
+        if _qp_obj(h, b, z) + asm.c0 + const < bound + slack:
+            z, converged, it = shooting._ball_box_qp(h, b, lo_full, hi_full,
+                                                     target.ball_radius, rows, z)
+            diag.update(iterations=it, converged=converged)
+            path = asm.phis[1:] + asm.gammas[1:] @ z
+            if (shooting._meets(z, rows)
+                    and (target.ball_radius is None
+                         or float(np.linalg.norm(z)) <= target.ball_radius)
+                    and problem.pl.path_excess(asm.sigma[1:], path[:-1]) <= shooting.EPS_STATE
+                    and _qp_obj(h, b, z) + asm.c0 + const < bound + slack):
+                controls = tuple(z[k * m:(k + 1) * m].copy() for k in range(ell))
+                value, states, _ = shooting.replay(problem, x, controls, sset.terminal_cost)
+                diag["mismatch"] = shooting._mismatch(states[-1], target.state)
+                return value, controls, diag
+        diag["pruned"] = True
+        return INF, (), diag
+
+    monkeypatch.setattr(shooting, "_screen", no_screen)
+    monkeypatch.setattr(shooting, "_solve_candidate", candidate)
+
+
+def _screen_cases(spiral, integrator):
+    """(problem, set, x0, ell, policy, mode_cap) solves the screen must not change."""
+    rng = np.random.default_rng(7)
+    spiral_policy = next(iter(spiral.base_policies.values()))
+    for name in ("trajectory-0", "trajectory-1"):
+        for ell in range(3, 7):
+            x0 = rng.uniform(-9.0, 9.0, 2)
+            yield spiral.problem, spiral.sample_sets[name], x0, ell, spiral_policy, 128
+    origin = ExplicitSampleSet([SampleEntry(np.zeros(2), 0.0, "terminal")], label="origin")
+    for x0 in (np.array([1.0, 1.0]), rng.uniform(-9.0, 9.0, 2)):
+        yield spiral.problem, origin, x0, 8, spiral_policy, 128
+    policy = next(iter(integrator.base_policies.values()))
+    for x0 in (np.asarray(integrator.start_states[0], dtype=float), rng.uniform(-1.0, 1.0, 2)):
+        for ell in (1, 4):  # at ell = 1 the rows outnumber the controls
+            yield integrator.problem, integrator.sample_sets["trajectory"], x0, ell, policy, 128
+    base = np.asarray(integrator.start_states[0], dtype=float)
+    for budget in (0.1, 0.2, float(integrator.budget_spec.e_max)):
+        for ell in (3, 4):
+            yield (integrator.augmented_problem, integrator.augmented_sets["budget"],
+                   AugmentedState(base, budget), ell, policy, 128)
+
+
+def _pricing(priced):
+    """lookahead.replay, recording the bytes of every plan it prices."""
+    def replay(problem, x, controls, terminal):
+        priced.append(b"".join(np.asarray(u, dtype=float).tobytes() for u in controls))
+        return lookahead.replay(problem, x, controls, terminal)
+    return replay
+
+
+def test_the_screen_changes_no_solve(spiral, integrator, monkeypatch):
+    """Every case solved with the screen and with every job sent through
+    the per-candidate reference gives the same plan, value and report."""
+    fast_paths = 0
+    for problem, sset, x0, ell, policy, cap in _screen_cases(spiral, integrator):
+        cfg = replace(SolverConfig(), ell=ell, mode_cap=cap)
+        calls, got_priced, want_priced = [], [], []
+        solve_candidate = shooting._solve_candidate
+        with monkeypatch.context() as patched:
+            patched.setattr(shooting, "_solve_candidate",
+                            lambda *a, **k: calls.append(1) or solve_candidate(*a, **k))
+            patched.setattr(shooting, "replay", _pricing(got_priced))
+            got = solve_continuous(problem, sset, x0, cfg, base_policy=policy)
+        with monkeypatch.context() as patched:
+            _per_candidate(patched)
+            patched.setattr(shooting, "replay", _pricing(want_priced))
+            want = solve_continuous(problem, sset, x0, cfg, base_policy=policy)
+        # the same plans are priced, in the same order
+        assert got_priced == want_priced
+        assert got.value == want.value
+        assert len(got.controls) == len(want.controls)
+        assert all(np.array_equal(u, v) for u, v in zip(got.controls, want.controls))
+        keys = ("candidates", "iterations", "mismatch", "converged")
+        assert [got.diagnostics.get(k) for k in keys] == [want.diagnostics.get(k) for k in keys]
+        fast_paths += got.diagnostics["candidates"] - len(calls)
+    assert fast_paths > 0  # some jobs never reached the per-candidate solver
+
+
+def test_only_box_active_jobs_reach_the_per_candidate_solver(spiral, monkeypatch):
+    """A classical-MPC rollout (512 sequences, one origin target per step):
+    a job whose box-free optimum lies strictly inside the control box is
+    settled by the screen, so every job the per-candidate solver sees is
+    box-active. Only the first step's jobs are; every later step is settled
+    by the screen alone."""
+    policy = next(iter(spiral.base_policies.values()))
+    cfg = replace(spiral.solver_defaults, ell=10, mode_cap=512)
+    solve_candidate, seen, steps = shooting._solve_candidate, [], []
+
+    def record(problem, sset, x, asm, target, lo_full, hi_full, m, bound=INF, z=None):
+        margin = 1e-12 * (1.0 + float(np.abs(z).max()))
+        assert not (np.all(z > lo_full + margin) and np.all(z < hi_full - margin))
+        seen.append(len(steps))
+        return solve_candidate(problem, sset, x, asm, target, lo_full, hi_full, m,
+                               bound=bound, z=z)
+
+    def solve(*args, **kwargs):
+        steps.append(lookahead.solve(*args, **kwargs))
+        return steps[-1]
 
     monkeypatch.setattr(shooting, "_solve_candidate", record)
-    shooting.solve_continuous(problem, sset, x, replace(SolverConfig(), ell=ell))
-    want = _reference_jobs(problem, sset, x, ell)
-    assert solved == want
-    assert 0 < len(want) < len(sset.shooting_targets(x)) * 2 ** (ell - 1)
+    monkeypatch.setattr(engine, "solve", solve)
+    run = run_classical_mpc(spiral.problem, spiral.start_states[0], cfg, 40, terminal="origin",
+                            base_policy=policy)
+    assert run.status == "closed_in_set" and len(steps) == 16
+    assert seen == [0] * 512
+    assert sum(s.diagnostics["candidates"] for s in steps) > 16 * 512
+
+
+def test_assembling_in_chunks_changes_no_bit(spiral):
+    pl, ell = spiral.problem.pl, 10
+    sigmas = np.array(list(itertools.product(range(2), repeat=ell)))[:3 * shooting._CHUNK + 5]
+    lo, hi = -np.ones(ell), np.ones(ell)
+    h_r = 2.0 * np.kron(np.eye(ell), pl.r)
+    x0 = np.array([2.5, -1.5])
+    whole = shooting._assemble(pl, x0, sigmas, h_r, lo, hi)
+    for i, sigma in enumerate(sigmas[::37]):
+        alone = shooting._assemble(pl, x0, sigma[None], h_r, lo, hi)
+        for f in ("phis", "gammas", "h0", "b0", "c0", "b_x", "b_c", "reach", "row_norms"):
+            assert np.array_equal(getattr(whole, f)[37 * i], getattr(alone, f)[0]), f

@@ -246,7 +246,7 @@ def test_a_plan_off_its_path_by_two_eps_is_dropped_and_by_half_eps_replayed(
         else:  # x_1 inside mode 1, x_1[1] = hi + EPS_STATE + off
             x0, sigma = np.array([9.0, 7.0]), (0, 1)
         asm = shooting._assemble(pl, x0, np.array([sigma]), np.zeros((2, 2)),
-                                 -np.ones(2), np.ones(2)).at(0, {})
+                                 -np.ones(2), np.ones(2)).at(0)
         z = np.zeros(2)
         if side == "box":
             z[0] = pl.state_box[1][1] + EPS_STATE + off - asm.phis[1][1]
