@@ -18,18 +18,19 @@ more broadcast screens every pinned pair's box-free optimum: its objective
 control box, on the rows and in the energy ball, and whether its predicted
 path stays on its mode sequence. A free target adds its own quadratic
 cost. Budget-augmented problems add an exact ball constraint on the
-control energy, handled by bisection on its multiplier. Subproblems are
-taken cheapest tail first against a running bound, and one whose box-free
-optimum cannot beat the bound stops there. An interior pinned optimum is
-its subproblem's solution, so it goes straight to the replay; only free
-targets and box- or ball-active pinned optima reach the per-candidate box
-QP. A solved plan is replayed only if its predicted path meets its target,
-it lies in its energy ball, its path stays within model.EPS_STATE of its
-mode sequence's regions and of the state box (where the condensed
-prediction is exact) and its predicted value beats the bound. That replay
-with the set's own terminal_cost is the one price of every plan, solved or
-seeded, so a plan earns a recorded value only by ending in the set. The
-first candidate of least value wins.
+control energy: the exact trust-region step on the rows solves it when
+that step lies in the box, and bisection on its multiplier otherwise.
+Subproblems are taken cheapest tail first against a running bound, and one
+whose box-free optimum cannot beat the bound stops there. An interior
+pinned optimum is its subproblem's solution, so it goes straight to the
+replay; only free targets and box- or ball-active pinned optima reach the
+per-candidate box QP. A solved plan is replayed only if its predicted path
+meets its target, it lies in its energy ball, its path stays within
+model.EPS_STATE of its mode sequence's regions and of the state box (where
+the condensed prediction is exact) and its predicted value beats the bound.
+That replay with the set's own terminal_cost is the one price of every
+plan, solved or seeded, so a plan earns a recorded value only by ending in
+the set. The first candidate of least value wins.
 """
 
 from __future__ import annotations
@@ -128,18 +129,55 @@ def _box_qp(h, b, lo, hi, rows=None, z=None):
     return z, False, iters + it
 
 
+def _ball_step(h, b, lo, hi, radius, rows=None):
+    """The exact trust-region step (More & Sorensen 1983; Nocedal & Wright,
+    sec. 4.3) on the rows and the ball, aimed 5e-13 inside its sphere; None
+    when it leaves the box, when the ball does not bind on the rows, or when
+    N'hN is not safely positive definite (the hard case). With z_r the
+    least-norm solution of the rows and N an orthonormal basis of their null
+    space, z = z_r + N y meets the rows and ||z||^2 = ||z_r||^2 + ||y||^2, so
+    in y the ball is a trust region of radius delta. With N'hN = V e V',
+    ||y(lam)|| is closed form, and Newton on 1/||y(lam)|| = 1/delta climbs to
+    its root from lam = 0. A box point optimal without the box is optimal
+    with it."""
+    basis, z_r = np.eye(b.size), np.zeros(b.size)
+    if rows is not None:
+        u, sv, vt = np.linalg.svd(rows[0])
+        rank = int(np.sum(sv > sv.max(initial=0.0) * max(rows[0].shape) * np.finfo(float).eps))
+        basis, z_r = vt[rank:].T, vt[:rank].T @ ((u[:, :rank].T @ rows[1]) / sv[:rank])
+    delta2 = (radius * (1.0 - 5e-13)) ** 2 - float(z_r @ z_r)
+    e, v = np.linalg.eigh(basis.T @ h @ basis)
+    if delta2 <= 0.0 or e.size == 0 or e[0] <= 1e-10 * max(1.0, float(np.abs(e).max())):
+        return None
+    a, lam, delta = v.T @ (basis.T @ (h @ z_r + b)), 0.0, float(np.sqrt(delta2))
+    for _ in range(32):  # a ball that does not bind holds lam at 0 until the loop ends
+        y = a / (e + lam)  # V'y up to its sign
+        norm = float(np.linalg.norm(y))
+        if abs(norm - delta) <= 1e-13 * delta:
+            z = z_r - basis @ (v @ y)
+            return z if np.all(z >= lo) and np.all(z <= hi) and np.linalg.norm(z) <= radius else None
+        lam = max(0.0, lam + (norm / delta - 1.0) * norm ** 2 / float(y @ (y / (e + lam))))
+    return None
+
+
 def _ball_box_qp(h, b, lo, hi, radius, rows=None, z=None):
     """Minimize over the box and the rows AND ||z|| <= radius (no ball if None).
 
-    The ball multiplier is found by bisection: z(lam) solves the box QP for
-    h + 2*lam*I, and ||z(lam)|| decreases in lam. Returns the feasible-side
-    solution, so the ball constraint holds at the result, unless the
-    least-norm point of box and rows already lies outside the ball: then no
-    point meets all three, and that point is returned without a search.
+    A box QP optimum outside the ball goes to the exact trust-region step,
+    and a step inside the box is the answer, at one more face solve. When
+    the step declines, the ball multiplier is found by bisection: z(lam)
+    solves the box QP for h + 2*lam*I, ||z(lam)|| decreases in lam, and the
+    feasible-side solution comes back with its own convergence flag, so the
+    ball holds at the result, unless the least-norm point of box and rows
+    already lies outside the ball: then no point meets all three, and that
+    point is returned without a search.
     """
     z, conv, iters = _box_qp(h, b, lo, hi, rows, z)
     if radius is None or float(np.linalg.norm(z)) <= radius or not _meets(z, rows):
         return z, conv, iters
+    step = _ball_step(h, b, lo, hi, radius, rows)
+    if step is not None:
+        return step, True, iters + 1
     least, least_conv, _ = _box_qp(np.eye(b.size), np.zeros(b.size), lo, hi, rows)
     if float(np.linalg.norm(least)) >= radius:
         return least, least_conv, iters
@@ -156,7 +194,7 @@ def _ball_box_qp(h, b, lo, hi, radius, rows=None, z=None):
             break
         lam_hi *= 8.0
     lam_lo = 0.0
-    best = z
+    best = z, conv
     for _ in range(64):
         if lam_hi - lam_lo <= 1e-13 * lam_hi:
             break
@@ -165,46 +203,30 @@ def _ball_box_qp(h, b, lo, hi, radius, rows=None, z=None):
         iters += it
         norm = float(np.linalg.norm(z))
         if norm <= radius:
-            lam_hi, best = lam, z
+            lam_hi, best = lam, (z, conv)
             if norm >= radius * (1.0 - 1e-12):
                 break  # multiplier tight: the ball is active to spec
         else:
             lam_lo = lam
-    return best, conv, iters
-
-
-@dataclass(slots=True)
-class _Assembled:
-    """One mode sequence's condensed plan: row i of a _Condensed."""
-
-    sigma: tuple        # the mode sequence
-    phis: np.ndarray    # state offset per step, (ell + 1) x d
-    gammas: np.ndarray  # state response to the stacked controls, (ell + 1) x d x width
-    h0: np.ndarray      # running-cost Hessian (terminal excluded)
-    b0: np.ndarray      # running-cost gradient at z = 0
-    c0: float           # constant part of the running cost
+    return (*best, iters)
 
 
 @dataclass(slots=True)
 class _Condensed:
     """Plans condensed along many mode sequences at once; axis 0 runs over
-    the sequences, and the fields are _Assembled's and these."""
+    the sequences."""
 
     sigmas: np.ndarray  # S x ell mode indices
-    phis: np.ndarray
-    gammas: np.ndarray
-    h0: np.ndarray
-    b0: np.ndarray      # b_x x0 + b_c
-    c0: np.ndarray
+    phis: np.ndarray    # state offset per step, S x (ell + 1) x d
+    gammas: np.ndarray  # state response to the stacked controls, S x (ell + 1) x d x width
+    h0: np.ndarray      # running-cost Hessian (terminal excluded)
+    b0: np.ndarray      # running-cost gradient at z = 0: b_x x0 + b_c
+    c0: np.ndarray      # constant part of the running cost
     b_x: np.ndarray     # d columns: b0's response to x0
     b_c: np.ndarray     # b0 at x0 = 0
     x0: np.ndarray
     reach: np.ndarray      # componentwise bound on |x_l - phi_l|, S x d
     row_norms: np.ndarray  # 2-norms of the terminal response rows, S x d
-
-    def at(self, i: int) -> _Assembled:
-        return _Assembled(tuple(self.sigmas[i].tolist()), self.phis[i], self.gammas[i],
-                          self.h0[i], self.b0[i], float(self.c0[i]))
 
 
 _CHUNK = 64  # sequences per stacked product in _assemble, capping its temporaries
@@ -411,7 +433,6 @@ def solve_continuous(problem: ProblemDef, sset, x, cfg: SolverConfig,
                          lo_full, hi_full)
     column = dict(zip(pinned_at, range(len(pinned_at))))  # target -> screen column
 
-    views = {}
     for t, s in zip(*_job_order(keep, tails)):
         target, p = targets[t], column.get(t)
         if p is not None:
@@ -426,9 +447,7 @@ def solve_continuous(problem: ProblemDef, sset, x, cfg: SolverConfig,
                                   if screen.on_path[i] else _pruned(1))
                 bound = min(bound, candidates[-1][0])
                 continue
-        if s not in views:
-            views[s] = cond.at(s)
-        out = _solve_candidate(problem, sset, x, views[s], target, lo_full, hi_full, m,
+        out = _solve_candidate(problem, sset, x, cond, s, target, lo_full, hi_full, m,
                                bound=bound, z=None if p is None else screen.z[s, p])
         candidates.append(out)
         bound = min(bound, out[0])
@@ -457,9 +476,9 @@ def solve_continuous(problem: ProblemDef, sset, x, cfg: SolverConfig,
     )
 
 
-def _solve_candidate(problem, sset, x, asm: _Assembled, target: Target,
+def _solve_candidate(problem, sset, x, cond: _Condensed, s: int, target: Target,
                      lo_full, hi_full, m, bound=INF, z=None):
-    """Solve one subproblem on its box (and ball) and price its plan by
+    """Solve sequence s's subproblem on its box (and ball) and price its plan by
     replay, unless the plan provably cannot win: its predicted terminal
     misses a pinned target, it lies outside the target's energy ball (so its
     terminal budget falls short of the target's tail), its predicted path
@@ -469,9 +488,9 @@ def _solve_candidate(problem, sset, x, asm: _Assembled, target: Target,
     target's box-free optimum, which _screen has found able to beat bound;
     a free target (z None) solves for its own and stops there when it
     cannot."""
-    ell = len(asm.sigma)
-    g_l, phi_l = asm.gammas[ell], asm.phis[ell]
-    h, b, rows, const = asm.h0, asm.b0, None, target.value
+    sigma, phis, gammas = cond.sigmas[s], cond.phis[s], cond.gammas[s]
+    g_l, phi_l = gammas[-1], phis[-1]
+    h, b, rows, const = cond.h0[s], cond.b0[s], None, target.value
     slack = 1e-7 * (1.0 + abs(bound))
     if target.state is not None:  # d exact rows pin x_l to the target
         rows = (g_l, target.state - phi_l)
@@ -482,15 +501,15 @@ def _solve_candidate(problem, sset, x, asm: _Assembled, target: Target,
             const += float(phi_l @ target.quad @ phi_l)
         z = np.linalg.lstsq(h, -b, rcond=None)[0]
         # the box-free optimum bounds every box point's objective from below
-        if not _qp_obj(h, b, z) + asm.c0 + const < bound + slack:
+        if not _qp_obj(h, b, z) + cond.c0[s] + const < bound + slack:
             return _pruned(0)
     z, converged, it = _ball_box_qp(h, b, lo_full, hi_full, target.ball_radius, rows, z)
-    path = asm.phis[1:] + asm.gammas[1:] @ z  # predicted x_1 .. x_ell
+    path = phis[1:] + gammas[1:] @ z  # predicted x_1 .. x_ell
     if (_meets(z, rows)
             and (target.ball_radius is None
                  or float(np.linalg.norm(z)) <= target.ball_radius)
-            and problem.pl.path_excess(asm.sigma[1:], path[:-1]) <= EPS_STATE
-            and _qp_obj(h, b, z) + asm.c0 + const < bound + slack):
+            and problem.pl.path_excess(sigma[1:], path[:-1]) <= EPS_STATE
+            and _qp_obj(h, b, z) + cond.c0[s] + const < bound + slack):
         return _replayed(problem, sset, x, z, m, target, it, converged)
     return _pruned(it, converged)
 

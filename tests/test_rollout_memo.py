@@ -148,15 +148,16 @@ def test_no_replayed_plan_lies_outside_its_energy_ball(integrator, monkeypatch):
     radius, balls, dropped = [None], [], []
     solve_candidate, ball_box_qp = shooting._solve_candidate, shooting._ball_box_qp
 
-    def candidate(problem, sset, x, asm, target, *args, **kwargs):
+    def candidate(problem, sset, x, cond, s, target, *args, **kwargs):
         radius[0] = target.ball_radius
         balls.clear()
-        out = solve_candidate(problem, sset, x, asm, target, *args, **kwargs)
+        out = solve_candidate(problem, sset, x, cond, s, target, *args, **kwargs)
         radius[0] = None
+        ell = cond.sigmas.shape[1]
         for z in balls:  # the plan the ball solve returned, if any
             if target.ball_radius is not None and np.linalg.norm(z) > target.ball_radius:
-                m = len(z) // len(asm.sigma)
-                plan = tuple(z[k * m:(k + 1) * m] for k in range(len(asm.sigma)))
+                m = len(z) // ell
+                plan = tuple(z[k * m:(k + 1) * m] for k in range(ell))
                 dropped.append(lookahead.replay(problem, x, plan, sset.terminal_cost)[0])
         return out
 
@@ -288,16 +289,17 @@ def test_the_screen_agrees_with_each_pairs_own_tests(request, name, ell):
         assert solved.all()
         d = x0.size
         for s, t in itertools.product(range(len(sigmas)), range(len(states))):
-            asm, i = cond.at(s), s * len(states) + t
-            rows = (asm.gammas[ell], states[t] - asm.phis[ell])
+            i = s * len(states) + t
+            h0, b0, phis, gammas = cond.h0[s], cond.b0[s], cond.phis[s], cond.gammas[s]
+            rows = (gammas[ell], states[t] - phis[ell])
             z = maps[s, :, d + 1:] @ rows[1] + maps[s, :, 1:d + 1] @ x0 + maps[s, :, 0]
             assert np.array_equal(screen.z[s, t], z)
-            as_is = shooting._box_qp(asm.h0, asm.b0, lo, hi, rows, z)[0] is z
+            as_is = shooting._box_qp(h0, b0, lo, hi, rows, z)[0] is z
             assert screen.interior[i] == (as_is and float(np.linalg.norm(z)) <= radii[t])
-            assert screen.lb[i] == pytest.approx(_qp_obj(asm.h0, asm.b0, z) + asm.c0 + values[t],
+            assert screen.lb[i] == pytest.approx(_qp_obj(h0, b0, z) + cond.c0[s] + values[t],
                                                  rel=1e-12, abs=1e-12)
-            path = asm.phis[1:] + asm.gammas[1:] @ z
-            assert screen.on_path[i] == (pl.path_excess(asm.sigma[1:], path[:-1])
+            path = phis[1:] + gammas[1:] @ z
+            assert screen.on_path[i] == (pl.path_excess(sigmas[s, 1:], path[:-1])
                                          <= shooting.EPS_STATE)
         interior += screen.interior
     assert any(interior) and not all(interior)
@@ -320,19 +322,20 @@ def _per_candidate(monkeypatch):
         z = np.zeros((cond.sigmas.shape[0], len(states), cond.h0.shape[1]))
         return shooting._Screen(z, [-INF] * n, [False] * n, [False] * n)
 
-    def candidate(problem, sset, x, asm, target, lo_full, hi_full, m, bound=INF, z=None):
-        cond, ell = conds[-1], len(asm.sigma)
-        g_l, phi_l = asm.gammas[ell], asm.phis[ell]
-        h, b, rows, const = asm.h0, asm.b0, None, target.value
+    def candidate(problem, sset, x, cond, s, target, lo_full, hi_full, m, bound=INF, z=None):
+        assert cond is conds[-1]
+        sigma, ell = tuple(cond.sigmas[s].tolist()), cond.sigmas.shape[1]
+        phis, gammas, c0 = cond.phis[s], cond.gammas[s], cond.c0[s]
+        g_l, phi_l = gammas[ell], phis[ell]
+        h, b, rows, const = cond.h0[s], cond.b0[s], None, target.value
         if target.state is not None:
             rows = (g_l, target.state - phi_l)
-            s = [tuple(row) for row in cond.sigmas.tolist()].index(asm.sigma)
             d = phi_l.size
-            if asm.sigma not in maps:
+            if sigma not in maps:
                 top = np.zeros((h.shape[0], 2 * d + 1))
                 top[:, 0], top[:, 1:d + 1] = -cond.b_c[s], -cond.b_x[s]
-                maps[asm.sigma] = shooting._kkt_solve(h, g_l, top, np.eye(d, 2 * d + 1, d + 1))[0]
-            affine = maps[asm.sigma]
+                maps[sigma] = shooting._kkt_solve(h, g_l, top, np.eye(d, 2 * d + 1, d + 1))[0]
+            affine = maps[sigma]
             z = affine[:, d + 1:] @ rows[1] + affine[:, 1:d + 1] @ cond.x0 + affine[:, 0]
         else:
             if target.quad is not None:
@@ -342,16 +345,16 @@ def _per_candidate(monkeypatch):
             z = np.linalg.lstsq(h, -b, rcond=None)[0]
         slack = 1e-7 * (1.0 + abs(bound))
         diag = {"mismatch": None, "iterations": 0, "converged": True}
-        if _qp_obj(h, b, z) + asm.c0 + const < bound + slack:
+        if _qp_obj(h, b, z) + c0 + const < bound + slack:
             z, converged, it = shooting._ball_box_qp(h, b, lo_full, hi_full,
                                                      target.ball_radius, rows, z)
             diag.update(iterations=it, converged=converged)
-            path = asm.phis[1:] + asm.gammas[1:] @ z
+            path = phis[1:] + gammas[1:] @ z
             if (shooting._meets(z, rows)
                     and (target.ball_radius is None
                          or float(np.linalg.norm(z)) <= target.ball_radius)
-                    and problem.pl.path_excess(asm.sigma[1:], path[:-1]) <= shooting.EPS_STATE
-                    and _qp_obj(h, b, z) + asm.c0 + const < bound + slack):
+                    and problem.pl.path_excess(sigma[1:], path[:-1]) <= shooting.EPS_STATE
+                    and _qp_obj(h, b, z) + c0 + const < bound + slack):
                 controls = tuple(z[k * m:(k + 1) * m].copy() for k in range(ell))
                 value, states, _ = shooting.replay(problem, x, controls, sset.terminal_cost)
                 diag["mismatch"] = shooting._mismatch(states[-1], target.state)
@@ -431,11 +434,11 @@ def test_only_box_active_jobs_reach_the_per_candidate_solver(spiral, monkeypatch
     cfg = replace(spiral.solver_defaults, ell=10, mode_cap=512)
     solve_candidate, seen, steps = shooting._solve_candidate, [], []
 
-    def record(problem, sset, x, asm, target, lo_full, hi_full, m, bound=INF, z=None):
+    def record(problem, sset, x, cond, s, target, lo_full, hi_full, m, bound=INF, z=None):
         margin = 1e-12 * (1.0 + float(np.abs(z).max()))
         assert not (np.all(z > lo_full + margin) and np.all(z < hi_full - margin))
         seen.append(len(steps))
-        return solve_candidate(problem, sset, x, asm, target, lo_full, hi_full, m,
+        return solve_candidate(problem, sset, x, cond, s, target, lo_full, hi_full, m,
                                bound=bound, z=z)
 
     def solve(*args, **kwargs):

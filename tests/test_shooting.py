@@ -245,18 +245,18 @@ def test_a_plan_off_its_path_by_two_eps_is_dropped_and_by_half_eps_replayed(
             x0, sigma = np.array([1.0, (0.5 + off / 0.8) / sin60]), (0, 0)
         else:  # x_1 inside mode 1, x_1[1] = hi + EPS_STATE + off
             x0, sigma = np.array([9.0, 7.0]), (0, 1)
-        asm = shooting._assemble(pl, x0, np.array([sigma]), np.zeros((2, 2)),
-                                 -np.ones(2), np.ones(2)).at(0)
+        cond = shooting._assemble(pl, x0, np.array([sigma]), np.zeros((2, 2)),
+                                  -np.ones(2), np.ones(2))
         z = np.zeros(2)
         if side == "box":
-            z[0] = pl.state_box[1][1] + EPS_STATE + off - asm.phis[1][1]
-        x1 = asm.phis[1] + asm.gammas[1] @ z
+            z[0] = pl.state_box[1][1] + EPS_STATE + off - cond.phis[0, 1, 1]
+        x1 = cond.phis[0, 1] + cond.gammas[0, 1] @ z
         assert pl.path_excess(sigma[1:], x1[None]) == pytest.approx(off, rel=1e-3)
         monkeypatch.setattr(shooting, "_box_qp",
                             lambda h, b, lo, hi, rows=None, z0=None: (z, True, 1))
         replays.clear()
         value, controls, _ = shooting._solve_candidate(
-            problem, FreeTerminal(), x0, asm, Target(), -np.ones(2), np.ones(2), 1)
+            problem, FreeTerminal(), x0, cond, 0, Target(), -np.ones(2), np.ones(2), 1)
         assert len(replays) == want  # the half-eps plan's replay is its price
         if want == 0:
             assert value == INF and controls == ()
@@ -364,3 +364,158 @@ def test_a_ball_below_the_least_norm_point_returns_without_a_search(monkeypatch)
     z, _, iterations = _ball_box_qp(np.eye(2), np.full(2, -5.0), lo, hi, 1.0)
     assert len(calls) <= 2
     assert np.array_equal(z, lo) and iterations == 1
+
+
+def test_the_bisection_reports_the_flag_of_the_plan_it_returns(monkeypatch):
+    """The bisection returns its last feasible-side solve, so it must report
+    that solve's convergence flag, not the flag of whichever solve came last.
+    Here every box QP reports converged=False exactly when it lands outside
+    the ball. Past a cliff at lam = 3 the norm drops from 2 to 1/2, so no
+    solve lands in the acceptance band: the search ends on its interval test
+    after infeasible-side solves just below the cliff. The exact step aims
+    at z = 1, outside the box, so it declines."""
+    b, lo, hi, radius = np.array([-4.0]), np.array([-10.0]), np.array([0.9]), 1.0
+    outside = []
+
+    def box_qp(h, b_s, lo, hi, rows=None, z=None):
+        if not b_s.any():  # the least-norm point of the box: the origin
+            return np.zeros(1), True, 1
+        lam = 0.5 * (b[0] / b_s[0] - 1.0)  # b_s = b / (1 + 2 lam)
+        z = np.array([-2.0 if lam < 3.0 else 0.5])
+        outside.append(float(np.linalg.norm(z)) > radius)
+        return z, not outside[-1], 1
+
+    monkeypatch.setattr(shooting, "_box_qp", box_qp)
+    z, converged, _ = _ball_box_qp(np.eye(1), b, lo, hi, radius)
+    assert outside[-1] and outside.count(False) >= 2  # the last solve was infeasible
+    assert z.tolist() == [0.5] and converged
+
+
+def _ball_kkt_gap(h, b, lo, hi, g, r, radius, z):
+    """A certified bound on how far z's objective lies above the minimum
+    over the box, the rows g z = r and the ball ||z|| <= radius. Stationarity
+    grad + g'nu - a_lo + a_hi + mu z = 0 is solved in least squares with
+    nu free, a nonnegative on the bounds z sits at and mu nonnegative if z is
+    on the sphere. For every feasible z', convexity and those signs give
+    f(z') - f(z) >= res'(z' - z) >= -||res|| ||hi - lo||."""
+    from scipy.optimize import lsq_linear
+
+    n, scale = b.size, 1.0 + float(np.abs(z).max(initial=0.0))
+    cols = [g.T, -np.eye(n)[:, z <= lo + 1e-9 * scale], np.eye(n)[:, z >= hi - 1e-9 * scale]]
+    if float(np.linalg.norm(z)) >= radius * (1.0 - 1e-9):
+        cols.append(z[:, None])
+    a = np.hstack(cols)
+    lower = np.r_[np.full(g.shape[0], -np.inf), np.zeros(a.shape[1] - g.shape[0])]
+    grad = h @ z + b
+    if a.shape[1]:
+        fit = lsq_linear(a, -grad, bounds=(lower, np.inf), method="bvls")
+        grad = grad + a @ fit.x
+    return float(np.linalg.norm(grad)) * float(np.linalg.norm(hi - lo))
+
+
+def test_the_ball_qp_is_optimal_by_a_kkt_certificate():
+    """On random box QPs with up to two rows and an energy ball, the ball
+    solve returns a feasible point whose certified gap to the optimum is
+    below 1e-8 (1 + |f|). The instances cover a singular h (the hard case),
+    a trust-region step that leaves the box, a zero radius, a radius below
+    the least-norm point of box and rows (then that point comes back) and
+    rank-deficient rows."""
+    rng = np.random.default_rng(17)
+    seen = dict.fromkeys(("hard", "box active", "interior", "zero", "below least",
+                          "rank-deficient rows"), 0)
+    for trial in range(120):
+        n = int(rng.integers(1, 6))
+        h, b, lo, hi, g, r = _subproblem_qp(rng, n)
+        if trial % 3 == 0:  # strictly convex
+            h = h + np.diag(rng.uniform(0.1, 1.0, n))
+        if trial % 7 == 0 and r.size:  # the second row repeats the first
+            g, r = np.vstack([g[:1], 2.0 * g[:1]]), np.r_[r[:1], 2.0 * r[:1]]
+        rows = (g, r) if r.size else None
+        z = _box_qp(h, b, lo, hi, rows)[0]
+        least_value = _face_oracle(np.eye(n), np.zeros(n), lo, hi, g, r)
+        if least_value == math.inf:  # no box point meets the rows
+            continue
+        least = math.sqrt(2.0 * least_value)
+        kind = trial % 4
+        if kind == 0:
+            radius = 0.0
+        elif kind == 1:
+            radius = least * rng.uniform(0.2, 0.9)
+        else:
+            radius = least + rng.uniform(0.05, 0.95) * (float(np.linalg.norm(z)) - least)
+        zb, converged, _ = _ball_box_qp(h, b, lo, hi, radius, rows)
+        assert converged
+        assert np.all(zb >= lo) and np.all(zb <= hi)
+        assert np.abs(g @ zb - r).max(initial=0.0) <= 1e-9
+        norm = float(np.linalg.norm(zb))
+        if radius < least * (1.0 - 1e-9):  # no point meets all three
+            assert norm == pytest.approx(least, rel=1e-9, abs=1e-12)
+            seen["zero" if radius == 0.0 else "below least"] += 1
+            continue
+        assert norm <= radius
+        if radius == 0.0:  # the origin is the only feasible point
+            seen["zero"] += 1
+            continue
+        gap = _ball_kkt_gap(h, b, lo, hi, g, r, radius, zb)
+        assert gap <= 1e-8 * (1.0 + abs(_qp_obj(h, b, zb))), trial
+        if norm >= radius * (1.0 - 1e-9):
+            null = np.linalg.svd(g)[2][np.linalg.matrix_rank(g):] if r.size else np.eye(n)
+            eig = np.linalg.eigvalsh(null @ h @ null.T)
+            if eig.size and eig[0] <= 1e-10 * max(1.0, float(np.abs(eig).max())):
+                seen["hard"] += 1
+            elif np.any(zb <= lo + 1e-9) or np.any(zb >= hi - 1e-9):
+                seen["box active"] += 1
+            else:
+                seen["interior"] += 1
+        if r.size and np.linalg.matrix_rank(g) < g.shape[0]:
+            seen["rank-deficient rows"] += 1
+    assert all(seen.values()), seen
+
+
+def test_the_exact_ball_step_matches_the_bisection_on_the_augmented_rollout(
+        integrator, monkeypatch):
+    """The 40-step augmented rollout as shipped, and with the exact
+    trust-region step forced to decline so that every ball-active plan goes
+    through the bisection: the same status, steps and samples, per-step
+    values within 1e-9 relative, and every ball plan inside its ball unless
+    no point of box and rows lies in it (then the least-norm point comes back
+    after two box QPs under the rows). The shipped run never bisects."""
+    policy = next(iter(integrator.base_policies.values()))
+    x0 = AugmentedState(np.asarray(integrator.start_states[0], dtype=float),
+                        float(integrator.budget_spec.e_max))
+    box_qp, ball_box_qp = shooting._box_qp, shooting._ball_box_qp
+
+    def rollout():
+        tally, solves = {"bisected": 0, "no point": 0, "calls": 0}, [0]
+
+        def counted(h, b, lo, hi, rows=None, z=None):
+            solves[0] += rows is not None  # not the start-point QP inside _box_qp
+            return box_qp(h, b, lo, hi, rows, z)
+
+        def ball(h, b, lo, hi, radius, rows=None, z=None):
+            solves[0] = 0
+            out = ball_box_qp(h, b, lo, hi, radius, rows, z)
+            tally["calls"] += 1
+            tally["bisected"] += solves[0] > 2
+            if float(np.linalg.norm(out[0])) > radius:
+                assert solves[0] == 2
+                tally["no point"] += 1
+            return out
+
+        with monkeypatch.context() as patched:
+            patched.setattr(shooting, "_box_qp", counted)
+            patched.setattr(shooting, "_ball_box_qp", ball)
+            run = run_rollout(integrator.augmented_problem, integrator.augmented_sets["budget"],
+                              x0, replace(integrator.solver_defaults, ell=4), 40,
+                              base_policy=policy, variant="augmented")
+        return run, tally
+
+    shipped, shipped_tally = rollout()
+    monkeypatch.setattr(shooting, "_ball_step", lambda *args, **kwargs: None)
+    forced, forced_tally = rollout()
+    assert (shipped.status, shipped.steps) == (forced.status, forced.steps) == ("horizon", 40)
+    assert ([r["sample_id"] for r in shipped.solver_reports]
+            == [r["sample_id"] for r in forced.solver_reports])
+    assert np.allclose(shipped.per_step_values, forced.per_step_values, rtol=1e-9, atol=0.0)
+    assert shipped_tally == {"bisected": 0, "no point": 10, "calls": 50}
+    assert forced_tally == {"bisected": 40, "no point": 10, "calls": 50}
