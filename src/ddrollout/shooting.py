@@ -145,6 +145,8 @@ def _ball_step(h, b, lo, hi, radius, rows=None):
         u, sv, vt = np.linalg.svd(rows[0])
         rank = int(np.sum(sv > sv.max(initial=0.0) * max(rows[0].shape) * np.finfo(float).eps))
         basis, z_r = vt[rank:].T, vt[:rank].T @ ((u[:, :rank].T @ rows[1]) / sv[:rank])
+    # aimed inside the bisection's band [radius (1 - 1e-12), radius]: a plan on
+    # the sphere to rounding can replay with less energy than its tail uses
     delta2 = (radius * (1.0 - 5e-13)) ** 2 - float(z_r @ z_r)
     e, v = np.linalg.eigh(basis.T @ h @ basis)
     if delta2 <= 0.0 or e.size == 0 or e[0] <= 1e-10 * max(1.0, float(np.abs(e).max())):

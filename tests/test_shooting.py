@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.optimize import minimize
+from scipy.optimize import lsq_linear, minimize
 
 from ddrollout import AugmentedState, ExplicitSampleSet, SampleEntry, SolverConfig, run_rollout
 from ddrollout import shooting
@@ -398,8 +398,6 @@ def _ball_kkt_gap(h, b, lo, hi, g, r, radius, z):
     nu free, a nonnegative on the bounds z sits at and mu nonnegative if z is
     on the sphere. For every feasible z', convexity and those signs give
     f(z') - f(z) >= res'(z' - z) >= -||res|| ||hi - lo||."""
-    from scipy.optimize import lsq_linear
-
     n, scale = b.size, 1.0 + float(np.abs(z).max(initial=0.0))
     cols = [g.T, -np.eye(n)[:, z <= lo + 1e-9 * scale], np.eye(n)[:, z >= hi - 1e-9 * scale]]
     if float(np.linalg.norm(z)) >= radius * (1.0 - 1e-9):
