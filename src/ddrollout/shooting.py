@@ -129,6 +129,50 @@ def _box_qp(h, b, lo, hi, rows=None, z=None):
     return z, False, iters + it
 
 
+def _svd_rank(g):
+    """Full SVD of g and its numerical rank."""
+    u, sv, vt = np.linalg.svd(g)
+    return u, sv, vt, int(np.sum(sv > sv.max(initial=0.0) * max(g.shape) * np.finfo(float).eps))
+
+
+def _row_factors(h, g):
+    """The pseudoinverse g+ of terminal rows g (d x width) and, for a
+    quadratic objective with Hessian h, its least curvature along each
+    coordinate on the rows.
+
+    With N an orthonormal basis of null(g), every z on the rows differs from
+    their optimum z* by N y, and moving coordinate i by e costs at least
+    e^2 / (2 M_ii), M = N (N'hN)^-1 N'. The curvature is 1 / M_ii, shrunk by
+    1e-6 against rounding, and +inf where the rows fix z_i (M_ii = 0). It is
+    zero, so it lifts nothing, when N'hN is not safely positive definite;
+    both are zero when g is rank deficient (z* may then miss the rows)."""
+    width, d = h.shape[0], g.shape[0]
+    u, sv, vt, rank = _svd_rank(g)
+    if rank < d:
+        return np.zeros((width, d)), np.zeros(width)
+    pinv = vt[:rank].T @ (u.T / sv[:, None])
+    basis = vt[rank:].T
+    e, v = np.linalg.eigh(basis.T @ h @ basis)
+    if e.size and e[0] <= 1e-10 * max(1.0, float(np.abs(e).max())):
+        return pinv, np.zeros(width)
+    m_diag = ((basis @ v) ** 2 / e).sum(axis=1)
+    curvature = np.full(width, np.inf)
+    np.divide(1.0 - 1e-6, m_diag, out=curvature, where=m_diag > 0.0)
+    return pinv, curvature
+
+
+def _lift(pinv, curvature, z, lo, hi) -> float:
+    """How far every box point on the rows lies above the rows' optimum z
+    in objective: 0.5 max_i e_i^2 / M_ii over the coordinates z leaves the
+    box by e_i > 0 (the others add nothing, whatever their curvature). A
+    point that meets the rows only to EPS_STATE lies within
+    EPS_STATE sum_j |g+_ij| of one on them in coordinate i, so each e_i is
+    that much smaller."""
+    e = np.maximum(lo - z, z - hi) - EPS_STATE * np.abs(pinv).sum(axis=1)
+    out = e > 0.0
+    return 0.5 * float(np.max(e[out] ** 2 * curvature[out], initial=0.0))
+
+
 def _ball_step(h, b, lo, hi, radius, rows=None):
     """The exact trust-region step (More & Sorensen 1983; Nocedal & Wright,
     sec. 4.3) on the rows and the ball, aimed 5e-13 inside its sphere; None
@@ -142,8 +186,7 @@ def _ball_step(h, b, lo, hi, radius, rows=None):
     with it."""
     basis, z_r = np.eye(b.size), np.zeros(b.size)
     if rows is not None:
-        u, sv, vt = np.linalg.svd(rows[0])
-        rank = int(np.sum(sv > sv.max(initial=0.0) * max(rows[0].shape) * np.finfo(float).eps))
+        u, sv, vt, rank = _svd_rank(rows[0])
         basis, z_r = vt[rank:].T, vt[:rank].T @ ((u[:, :rank].T @ rows[1]) / sv[:rank])
     # aimed inside the bisection's band [radius (1 - 1e-12), radius]: a plan on
     # the sphere to rounding can replay with less energy than its tail uses
@@ -287,6 +330,50 @@ def _job_order(keep, tails):
 
 
 @dataclass(slots=True)
+class _SequenceMaps:
+    """Per-sequence data of the terminal rows for the S sequences that start
+    in one mode (axis 0), kept in a rollout's memo under that mode; each part
+    is filled for a sequence on its first need."""
+
+    maps: np.ndarray       # S x width x (2d + 1): [q_s | Q_s | P_s], the pinned optimum's maps
+    solved: np.ndarray     # S flags: maps filled
+    pinv: np.ndarray       # S x width x d: the rows' pseudoinverse, zero if rank deficient
+    curvature: np.ndarray  # S x width: _row_factors' 1 / M_ii
+    factored: np.ndarray   # S flags: pinv and curvature filled
+
+
+def _sequence_maps(memo, cond: _Condensed) -> _SequenceMaps:
+    """The memo's entry for cond's sequences, made empty on first use."""
+    first = int(cond.sigmas[0, 0])
+    if first not in memo:
+        (n_seq, width), d = cond.b0.shape, cond.x0.size
+        memo[first] = _SequenceMaps(np.zeros((n_seq, width, 2 * d + 1)),
+                                    np.zeros(n_seq, dtype=bool), np.zeros((n_seq, width, d)),
+                                    np.zeros((n_seq, width)), np.zeros(n_seq, dtype=bool))
+    return memo[first]
+
+
+def _factor(seqs: _SequenceMaps, cond: _Condensed, need):
+    """Fill pinv and curvature for every sequence index in need."""
+    for s in need:
+        if not seqs.factored[s]:
+            seqs.pinv[s], seqs.curvature[s] = _row_factors(cond.h0[s], cond.gammas[s, -1])
+            seqs.factored[s] = True
+
+
+def _beyond_ball(seqs: _SequenceMaps, rhs, radii):
+    """Which (sequence, target) pairs have no point on their rows g z = rhs
+    (S x T x d) within EPS_STATE and inside the ball ||z|| <= radius (T,
+    inf for none). The least-norm solution g+ rhs is the shortest point on
+    the rows, and one that meets them only to EPS_STATE in the infinity norm
+    is shorter by at most ||g+|| sqrt(d) EPS_STATE. Sequences with zero g+
+    (rank-deficient rows, or never factored) are never beyond."""
+    least = np.linalg.norm(np.einsum("swd,std->stw", seqs.pinv, rhs), axis=2)
+    tol = np.linalg.norm(seqs.pinv, axis=(1, 2)) * np.sqrt(rhs.shape[2]) * EPS_STATE
+    return least > radii * (1.0 + 1e-12) + tol[:, None]
+
+
+@dataclass(slots=True)
 class _Screen:
     """Every pinned (sequence s, target t) pair's box-free optimum and its
     tests; the tests are flat lists indexed by s * T + t, read once per job."""
@@ -305,14 +392,12 @@ def _screen(pl, cond: _Condensed, states, values, radii, need, memo,
     Under the rows that pin x_l to target t, sequence s's box-free optimum
     P_s (t - phi_l) + Q_s x0 + q_s is affine in t and in x0, with maps that
     depend on s alone: one KKT solve with 2d + 1 right-hand sides per
-    sequence in need, kept in memo, stacked under the sequences' first mode.
-    Sequences never in need keep zero maps; their pairs are never read."""
+    sequence in need, kept in memo's _SequenceMaps. Sequences never in need
+    keep zero maps; their pairs are never read."""
     n_seq, ell = cond.sigmas.shape
     d, width, n_targets = cond.x0.size, cond.h0.shape[1], len(states)
-    first = int(cond.sigmas[0, 0])
-    if first not in memo:
-        memo[first] = np.zeros((n_seq, width, 2 * d + 1)), np.zeros(n_seq, dtype=bool)
-    maps, solved = memo[first]  # [q_s | Q_s | P_s]
+    seqs = _sequence_maps(memo, cond)
+    maps, solved = seqs.maps, seqs.solved
     for s in np.flatnonzero(need & ~solved).tolist():
         top = np.zeros((width, 2 * d + 1))
         top[:, 0], top[:, 1:d + 1] = -cond.b_c[s], -cond.b_x[s]
@@ -415,8 +500,9 @@ def solve_continuous(problem: ProblemDef, sset, x, cfg: SolverConfig,
     # every (sequence, target) pair at once; free targets are always kept
     tails = np.array([t.value for t in targets])
     keep = np.ones((len(sigmas), len(targets)), dtype=bool)
-    screen = None
+    screen = seqs = None
     if pinned_at:
+        seqs = _sequence_maps(memo, cond)
         values = tails[pinned_at]
         radii = np.array([np.inf if targets[i].ball_radius is None else targets[i].ball_radius
                           for i in pinned_at])
@@ -427,9 +513,13 @@ def solve_continuous(problem: ProblemDef, sset, x, cfg: SolverConfig,
             ball = np.isfinite(radii)[:, None]
             shrunk = cond.row_norms[:, None] * np.where(ball, radii[:, None], 0.0)
             reach = np.where(ball, np.minimum(reach, shrunk), reach)
-        gap = np.abs(pinned - cond.phis[:, None, ell])
+        rhs = pinned - cond.phis[:, None, ell]  # S x targets x d
         # stage costs are nonnegative, so a target valued at the bound cannot win
-        kept = (values < bound) & ~np.any(gap > reach + EPS_STATE + 1e-12, axis=2)
+        kept = (values < bound) & ~np.any(np.abs(rhs) > reach + EPS_STATE + 1e-12, axis=2)
+        if np.isfinite(radii).any():
+            # no point of the rows lies in the ball (g+ comes with the lift's factors)
+            _factor(seqs, cond, np.flatnonzero((kept & np.isfinite(radii)).any(axis=1)).tolist())
+            kept &= ~_beyond_ball(seqs, rhs, radii)
         keep[:, pinned_at] = kept
         screen = _screen(pl, cond, pinned, values, radii, kept.any(axis=1), memo,
                          lo_full, hi_full)
@@ -440,15 +530,22 @@ def solve_continuous(problem: ProblemDef, sset, x, cfg: SolverConfig,
         if p is not None:
             if target.value >= bound:
                 continue
-            i = s * len(pinned_at) + p
-            if not screen.lb[i] < bound + 1e-7 * (1.0 + abs(bound)):
-                candidates.append(_pruned(0))
+            i, slack = s * len(pinned_at) + p, 1e-7 * (1.0 + abs(bound))
+            if not screen.lb[i] < bound + slack:
+                candidates.append(_pruned("bound", 0))
                 continue
             if screen.interior[i]:  # what _box_qp returns: z itself, in one iteration
                 candidates.append(_replayed(problem, sset, x, screen.z[s, p], m, target, 1)
-                                  if screen.on_path[i] else _pruned(1))
+                                  if screen.on_path[i] else _pruned("path", 1))
                 bound = min(bound, candidates[-1][0])
                 continue
+            # a box-active optimum: every box point on the rows costs more
+            if bound < INF:
+                _factor(seqs, cond, (s,))
+                lift = _lift(seqs.pinv[s], seqs.curvature[s], screen.z[s, p], lo_full, hi_full)
+                if not screen.lb[i] + lift < bound + slack:
+                    candidates.append(_pruned("lift", 0))
+                    continue
         out = _solve_candidate(problem, sset, x, cond, s, target, lo_full, hi_full, m,
                                bound=bound, z=None if p is None else screen.z[s, p])
         candidates.append(out)
@@ -461,7 +558,8 @@ def solve_continuous(problem: ProblemDef, sset, x, cfg: SolverConfig,
             raise SolverFailureError("no shooting subproblem converged",
                                      incumbent=best)
         return LookaheadSolution(controls=(), terminal_state=None, value=INF,
-                                 diagnostics={"candidates": len(candidates)})
+                                 diagnostics={"candidates": len(candidates),
+                                              "pruned_by": _pruned_by(candidates)})
 
     value, controls, diag = best
     terminal = x
@@ -469,6 +567,7 @@ def solve_continuous(problem: ProblemDef, sset, x, cfg: SolverConfig,
         terminal = problem.dynamics(terminal, u)
     diag = dict(diag)
     diag["candidates"] = len(candidates)
+    diag["pruned_by"] = _pruned_by(candidates)
     return LookaheadSolution(
         controls=tuple(controls),
         terminal_state=terminal,
@@ -504,16 +603,18 @@ def _solve_candidate(problem, sset, x, cond: _Condensed, s: int, target: Target,
         z = np.linalg.lstsq(h, -b, rcond=None)[0]
         # the box-free optimum bounds every box point's objective from below
         if not _qp_obj(h, b, z) + cond.c0[s] + const < bound + slack:
-            return _pruned(0)
+            return _pruned("bound", 0)
     z, converged, it = _ball_box_qp(h, b, lo_full, hi_full, target.ball_radius, rows, z)
     path = phis[1:] + gammas[1:] @ z  # predicted x_1 .. x_ell
-    if (_meets(z, rows)
-            and (target.ball_radius is None
-                 or float(np.linalg.norm(z)) <= target.ball_radius)
-            and problem.pl.path_excess(sigma[1:], path[:-1]) <= EPS_STATE
-            and _qp_obj(h, b, z) + cond.c0[s] + const < bound + slack):
-        return _replayed(problem, sset, x, z, m, target, it, converged)
-    return _pruned(it, converged)
+    if not _meets(z, rows):
+        return _pruned("rows", it, converged)
+    if not (target.ball_radius is None or float(np.linalg.norm(z)) <= target.ball_radius):
+        return _pruned("ball", it, converged)
+    if not problem.pl.path_excess(sigma[1:], path[:-1]) <= EPS_STATE:
+        return _pruned("path", it, converged)
+    if not _qp_obj(h, b, z) + cond.c0[s] + const < bound + slack:
+        return _pruned("bound", it, converged)
+    return _replayed(problem, sset, x, z, m, target, it, converged)
 
 
 def _replayed(problem, sset, x, z, m, target, iterations, converged=True):
@@ -524,9 +625,19 @@ def _replayed(problem, sset, x, z, m, target, iterations, converged=True):
                              "iterations": iterations, "converged": converged}
 
 
-def _pruned(iterations, converged=True):
+_RULES = ("bound", "lift", "path", "rows", "ball")
+
+
+def _pruned(rule, iterations, converged=True):
+    """A candidate dropped unpriced, with the rule (one of _RULES) that dropped it."""
     return INF, (), {"mismatch": None, "iterations": iterations, "converged": converged,
-                     "pruned": True}
+                     "pruned": rule}
+
+
+def _pruned_by(candidates) -> dict:
+    """How many candidates each rule dropped."""
+    rules = [c[2].get("pruned") for c in candidates]
+    return {rule: rules.count(rule) for rule in _RULES}
 
 
 def _evaluate_seed(problem, sset, x, plan, pinned):

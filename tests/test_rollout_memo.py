@@ -117,7 +117,7 @@ def test_spiral_mpc_with_its_memo_matches_memo_less_solves(spiral, monkeypatch):
     # the 32 sequences from each of the two modes, each solved once, kept
     # stacked under their first mode
     assert all(m is seen[0] for m in seen) and sorted(seen[0]) == [0, 1]
-    assert all(len(solved) == 32 and solved.all() for _, solved in seen[0].values())
+    assert all(len(seqs.solved) == 32 and seqs.solved.all() for seqs in seen[0].values())
 
 
 def test_rollouts_on_different_problems_do_not_share_work(spiral, integrator):
@@ -144,7 +144,10 @@ def test_rollouts_on_different_problems_do_not_share_work(spiral, integrator):
 def test_no_replayed_plan_lies_outside_its_energy_ball(integrator, monkeypatch):
     """A plan outside its target's ball ends with less budget than the
     target's tail needs, so it is dropped before the replay; replaying it
-    anyway prices it +inf, so dropping it changes no value."""
+    anyway prices it +inf, so dropping it changes no value. On this rollout
+    every such plan comes from a pair whose rows alone leave the ball, so
+    the shipped least-norm prune drops them all before their solve; the
+    first run switches that prune off."""
     radius, balls, dropped = [None], [], []
     solve_candidate, ball_box_qp = shooting._solve_candidate, shooting._ball_box_qp
 
@@ -177,11 +180,22 @@ def test_no_replayed_plan_lies_outside_its_energy_ball(integrator, monkeypatch):
     policy = next(iter(integrator.base_policies.values()))
     x0 = AugmentedState(np.asarray(integrator.start_states[0], dtype=float),
                         float(integrator.budget_spec.e_max))
-    run = run_rollout(integrator.augmented_problem, integrator.augmented_sets["budget"], x0,
-                      replace(integrator.solver_defaults, ell=4), 40, base_policy=policy,
-                      variant="augmented")
-    assert run.steps == 40
-    assert dropped and all(v == INF for v in dropped)
+
+    def rollout():
+        dropped.clear()
+        run = run_rollout(integrator.augmented_problem, integrator.augmented_sets["budget"], x0,
+                          replace(integrator.solver_defaults, ell=4), 40, base_policy=policy,
+                          variant="augmented")
+        assert run.steps == 40
+        assert all(v == INF for v in dropped)
+        return len(dropped)
+
+    beyond_ball = shooting._beyond_ball
+    monkeypatch.setattr(shooting, "_beyond_ball",
+                        lambda seqs, rhs, radii: np.zeros(rhs.shape[:2], dtype=bool))
+    assert rollout() > 0
+    monkeypatch.setattr(shooting, "_beyond_ball", beyond_ball)
+    assert rollout() == 0
 
 
 def test_a_discrete_search_past_the_node_cap_raises(grid, monkeypatch, capsys, tmp_path):
@@ -285,7 +299,7 @@ def test_the_screen_agrees_with_each_pairs_own_tests(request, name, ell):
         memo = {}
         screen = shooting._screen(pl, cond, states, values, radii, np.ones(len(sigmas), bool),
                                   memo, lo, hi)
-        maps, solved = memo[int(sigmas[0, 0])]
+        maps, solved = memo[int(sigmas[0, 0])].maps, memo[int(sigmas[0, 0])].solved
         assert solved.all()
         d = x0.size
         for s, t in itertools.product(range(len(sigmas)), range(len(states))):
@@ -465,3 +479,75 @@ def test_assembling_in_chunks_changes_no_bit(spiral):
         alone = shooting._assemble(pl, x0, sigma[None], h_r, lo, hi)
         for f in ("phis", "gammas", "h0", "b0", "c0", "b_x", "b_c", "reach", "row_norms"):
             assert np.array_equal(getattr(whole, f)[37 * i], getattr(alone, f)[0]), f
+
+
+def test_the_curvature_lift_changes_no_rollout(spiral, monkeypatch):
+    """The 40-step spiral trajectory-0 rollout from (1, 1) at ell = 5, as
+    shipped and with every sequence's curvature forced to zero (so the lift
+    prunes nothing): the runs are identical, and the lift keeps two thirds
+    of the box-active jobs from the per-candidate solver."""
+    policy = next(iter(spiral.base_policies.values()))
+    solve_candidate, row_factors = shooting._solve_candidate, shooting._row_factors
+
+    def rollout(flat):
+        calls = []
+        with monkeypatch.context() as patched:
+            patched.setattr(shooting, "_solve_candidate",
+                            lambda *a, **k: calls.append(1) or solve_candidate(*a, **k))
+            if flat:
+                patched.setattr(shooting, "_row_factors",
+                                lambda h, g: (row_factors(h, g)[0], np.zeros(h.shape[0])))
+            run = run_rollout(spiral.problem, spiral.sample_sets["trajectory-0"],
+                              np.array([1.0, 1.0]), replace(spiral.solver_defaults, ell=5), 40,
+                              base_policy=policy)
+        return run, len(calls)
+
+    shipped, shipped_calls = rollout(flat=False)
+    forced, forced_calls = rollout(flat=True)
+    assert repr(shipped) == repr(forced)
+    assert shipped_calls <= 340 and forced_calls == 992
+
+
+def test_a_classical_mpc_rollout_computes_no_lift(spiral, monkeypatch):
+    """Every box-active job of the classical-MPC benchmark rollout meets an
+    infinite running bound, so no sequence's curvature is ever computed."""
+    def no_lift(h, g):
+        raise AssertionError("lift computed")
+
+    monkeypatch.setattr(shooting, "_row_factors", no_lift)
+    policy = next(iter(spiral.base_policies.values()))
+    run = run_classical_mpc(spiral.problem, spiral.start_states[0],
+                            replace(spiral.solver_defaults, ell=10, mode_cap=512), 40,
+                            terminal="origin", base_policy=policy)
+    assert run.status == "closed_in_set"
+
+
+def test_every_candidate_is_a_seed_a_replay_or_pruned_by_one_rule(spiral, monkeypatch):
+    """On the first spiral trajectory-0 solve, the per-rule prune counts,
+    the replayed jobs and the seeds add up to the candidates; the run's
+    step report still copies only its four solver keys."""
+    replayed, seeds = shooting._replayed, shooting._evaluate_seed
+    counts = {"replayed": 0, "seeds": 0}
+
+    def replay_counted(*args, **kwargs):
+        counts["replayed"] += 1
+        return replayed(*args, **kwargs)
+
+    def seed_counted(*args, **kwargs):
+        counts["seeds"] += 1
+        return seeds(*args, **kwargs)
+
+    monkeypatch.setattr(shooting, "_replayed", replay_counted)
+    monkeypatch.setattr(shooting, "_evaluate_seed", seed_counted)
+    policy = next(iter(spiral.base_policies.values()))
+    sol = solve_continuous(spiral.problem, spiral.sample_sets["trajectory-0"],
+                           np.array([1.0, 1.0]), replace(spiral.solver_defaults, ell=5),
+                           base_policy=policy)
+    rules = sol.diagnostics["pruned_by"]
+    assert sorted(rules) == sorted(shooting._RULES)
+    assert all(rules[r] > 0 for r in ("bound", "lift", "path"))
+    assert counts["seeds"] == 1
+    assert sum(rules.values()) + counts["replayed"] + counts["seeds"] == \
+        sol.diagnostics["candidates"]
+    assert set(engine._report_of(sol)) == {"value", "sample_id", "mismatch", "iterations",
+                                           "candidates", "converged"}

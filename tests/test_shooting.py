@@ -477,7 +477,8 @@ def test_the_exact_ball_step_matches_the_bisection_on_the_augmented_rollout(
     through the bisection: the same status, steps and samples, per-step
     values within 1e-9 relative, and every ball plan inside its ball unless
     no point of box and rows lies in it (then the least-norm point comes back
-    after two box QPs under the rows). The shipped run never bisects."""
+    after two box QPs under the rows). The shipped run never bisects, and the
+    least-norm ball prune leaves no pair without a point in its ball."""
     policy = next(iter(integrator.base_policies.values()))
     x0 = AugmentedState(np.asarray(integrator.start_states[0], dtype=float),
                         float(integrator.budget_spec.e_max))
@@ -515,5 +516,91 @@ def test_the_exact_ball_step_matches_the_bisection_on_the_augmented_rollout(
     assert ([r["sample_id"] for r in shipped.solver_reports]
             == [r["sample_id"] for r in forced.solver_reports])
     assert np.allclose(shipped.per_step_values, forced.per_step_values, rtol=1e-9, atol=0.0)
-    assert shipped_tally == {"bisected": 0, "no point": 10, "calls": 50}
-    assert forced_tally == {"bisected": 40, "no point": 10, "calls": 50}
+    assert shipped_tally == {"bisected": 0, "no point": 0, "calls": 40}
+    assert forced_tally == {"bisected": 40, "no point": 0, "calls": 40}
+
+
+def test_the_curvature_lift_never_lifts_the_bound_above_the_box_optimum():
+    """The rows' optimum z* (a KKT solve) bounds every box point on the rows
+    from below by its objective lb, and every such point lies at least
+    _lift above it. On random box QPs with rows, lb + lift never exceeds the
+    face-enumerated optimum (+inf when no box point meets the rows). The
+    instances cover rank-deficient rows and a singular h (both lift nothing),
+    a free-effort coordinate (a zero row and column of h), a coordinate the
+    rows fix (M_ii = 0: +inf outside the box, nothing inside) and optima
+    inside the box (no violation)."""
+    rng = np.random.default_rng(29)
+    seen = dict.fromkeys(("lifted", "rank-deficient rows", "singular", "free effort",
+                          "fixed", "no violation", "infeasible"), 0)
+    for trial in range(300):
+        n = int(rng.integers(1, 5))
+        h, b, lo, hi, g, r = _subproblem_qp(rng, n)
+        if not r.size:
+            g = rng.standard_normal((1, n))
+            r = g @ rng.uniform(-2.0, 2.0, n)
+        kind = trial % 5
+        if kind == 1 and g.shape[0] == 2:  # the second row repeats the first
+            g, r = np.vstack([g[:1], 2.0 * g[:1]]), np.r_[r[:1], 2.0 * r[:1]]
+        elif kind == 2:  # coordinate k costs nothing
+            k = int(rng.integers(n))
+            h[k], h[:, k], b[k] = 0.0, 0.0, 0.0
+            seen["free effort"] += 1
+        elif kind == 3:  # the first row fixes coordinate k: inside, outside, or just
+            k = int(rng.integers(n))  # outside by less than the rows' tolerance
+            g = np.vstack([np.eye(n)[k], g[1:]])
+            r = np.r_[rng.choice([rng.uniform(-2.5, 2.5), hi[k] + 1e-11, lo[k] - 1e-11]), r[1:]]
+        z = shooting._kkt_solve(h, g, -b, r)[0]
+        lb = _qp_obj(h, b, z)
+        pinv, curvature = shooting._row_factors(h, g)
+        lift = shooting._lift(pinv, curvature, z, lo, hi)
+        ref = _face_oracle(h, b, lo, hi, g, r)
+        assert lift >= 0.0  # never NaN
+        assert lb + lift <= ref + 1e-9 * (1.0 + abs(ref)), trial
+        rank = np.linalg.matrix_rank(g)
+        if rank < g.shape[0]:
+            assert not curvature.any() and not pinv.any()
+            seen["rank-deficient rows"] += 1
+        else:
+            np.testing.assert_allclose(pinv, np.linalg.pinv(g), rtol=1e-9, atol=1e-12)
+            null = np.linalg.svd(g)[2][rank:]
+            eig = np.linalg.eigvalsh(null @ h @ null.T)
+            if eig.size and eig[0] <= 1e-10 * max(1.0, float(np.abs(eig).max())):
+                assert not curvature.any()
+                seen["singular"] += 1
+        if kind == 3 and curvature.any():
+            assert curvature[k] >= 1e12, curvature
+            seen["fixed"] += 1
+        if np.all(z >= lo) and np.all(z <= hi):
+            assert lift == 0.0
+            seen["no violation"] += 1
+        elif ref == INF:
+            seen["infeasible"] += 1
+        elif 0.0 < lift < INF:
+            seen["lifted"] += 1
+    assert all(seen.values()), seen
+
+
+def test_the_least_norm_ball_prune_drops_only_rows_that_leave_the_ball():
+    """A pair is beyond its ball when the least-norm point of its rows,
+    less what the rows' EPS_STATE tolerance allows, is longer than the
+    radius; rank-deficient rows are never beyond."""
+    rng = np.random.default_rng(31)
+    for trial in range(60):
+        n, d = int(rng.integers(2, 6)), 2
+        g = rng.standard_normal((d, n))
+        if trial % 4 == 0:
+            g[1] = 2.0 * g[0]
+        h = np.eye(n)
+        pinv = shooting._row_factors(h, g)[0]
+        seqs = shooting._SequenceMaps(np.zeros((1, n, 2 * d + 1)), np.ones(1, bool), pinv[None],
+                                      np.zeros((1, n)), np.ones(1, bool))
+        r = rng.uniform(-2.0, 2.0, (3, d))
+        least = np.linalg.norm(r @ pinv.T, axis=1)
+        radii = np.array([least[0] * 0.999, least[1] * 1.001, np.inf])
+        beyond = shooting._beyond_ball(seqs, r[None], radii)[0]
+        if trial % 4 == 0:
+            assert not beyond.any()
+        else:
+            # the least-norm point meets the rows, so a ball holding it is never beyond
+            assert np.abs(g @ (pinv @ r[1]) - r[1]).max() <= 1e-12
+            assert beyond.tolist() == [True, False, False]
