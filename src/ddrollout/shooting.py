@@ -19,18 +19,27 @@ control box, on the rows and in the energy ball, and whether its predicted
 path stays on its mode sequence. A free target adds its own quadratic
 cost. Budget-augmented problems add an exact ball constraint on the
 control energy: the exact trust-region step on the rows solves it when
-that step lies in the box, and bisection on its multiplier otherwise.
+that step lies in the box, and bisection on its multiplier otherwise. A
+pinned pair whose rows' least-norm solution g+ (t - phi_l) already lies
+outside its ball has no plan and is dropped with the unreachable ones.
 Subproblems are taken cheapest tail first against a running bound, and one
 whose box-free optimum cannot beat the bound stops there. An interior
 pinned optimum is its subproblem's solution, so it goes straight to the
-replay; only free targets and box- or ball-active pinned optima reach the
-per-candidate box QP. A solved plan is replayed only if its predicted path
-meets its target, it lies in its energy ball, its path stays within
-model.EPS_STATE of its mode sequence's regions and of the state box (where
-the condensed prediction is exact) and its predicted value beats the bound.
+replay. A pinned optimum that leaves the box by e_i in coordinate i lifts
+its bound by the least cost of moving back, 0.5 e_i^2 / M_ii with M the
+inverse of the Hessian reduced to the rows' null space (per sequence, kept
+in the memo with g+); under a finite running bound, a pair whose lifted
+bound cannot beat it stops there too. Only free targets and the remaining
+box- or ball-active pinned optima reach the per-candidate box QP. A solved
+plan is replayed only if its predicted path meets its target, it lies in
+its energy ball, its path stays within model.EPS_STATE of its mode
+sequence's regions and of the state box (where the condensed prediction
+is exact) and its predicted value beats the bound.
 That replay with the set's own terminal_cost is the one price of every
 plan, solved or seeded, so a plan earns a recorded value only by ending in
-the set. The first candidate of least value wins.
+the set. The first candidate of least value wins. Every dropped candidate
+records the rule that dropped it (_RULES), and the solution's diagnostics
+count them by rule ("pruned_by").
 """
 
 from __future__ import annotations

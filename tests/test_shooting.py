@@ -527,8 +527,9 @@ def test_the_curvature_lift_never_lifts_the_bound_above_the_box_optimum():
     face-enumerated optimum (+inf when no box point meets the rows). The
     instances cover rank-deficient rows and a singular h (both lift nothing),
     a free-effort coordinate (a zero row and column of h), a coordinate the
-    rows fix (M_ii = 0: +inf outside the box, nothing inside) and optima
-    inside the box (no violation)."""
+    rows fix (M_ii = 0 to rounding: it lifts to +inf outside the box, and
+    nothing inside it or outside by less than the rows' EPS_STATE allows)
+    and optima inside the box (no violation)."""
     rng = np.random.default_rng(29)
     seen = dict.fromkeys(("lifted", "rank-deficient rows", "singular", "free effort",
                           "fixed", "no violation", "infeasible"), 0)
@@ -594,13 +595,15 @@ def test_the_least_norm_ball_prune_drops_only_rows_that_leave_the_ball():
         pinv = shooting._row_factors(h, g)[0]
         seqs = shooting._SequenceMaps(np.zeros((1, n, 2 * d + 1)), np.ones(1, bool), pinv[None],
                                       np.zeros((1, n)), np.ones(1, bool))
-        r = rng.uniform(-2.0, 2.0, (3, d))
+        r = rng.uniform(-2.0, 2.0, (4, d))
         least = np.linalg.norm(r @ pinv.T, axis=1)
-        radii = np.array([least[0] * 0.999, least[1] * 1.001, np.inf])
+        # a point meeting the rows to EPS_STATE may be this much shorter
+        give = np.linalg.norm(pinv) * math.sqrt(d) * EPS_STATE
+        radii = np.array([least[0] * 0.999, least[1] * 1.001, least[2] - 0.5 * give, np.inf])
         beyond = shooting._beyond_ball(seqs, r[None], radii)[0]
         if trial % 4 == 0:
             assert not beyond.any()
         else:
             # the least-norm point meets the rows, so a ball holding it is never beyond
             assert np.abs(g @ (pinv @ r[1]) - r[1]).max() <= 1e-12
-            assert beyond.tolist() == [True, False, False]
+            assert beyond.tolist() == [True, False, False, False]
