@@ -145,41 +145,44 @@ def _svd_rank(g):
 
 
 def _row_factors(h, g):
-    """The pseudoinverse g+ of terminal rows g (d x width) and, for a
-    quadratic objective with Hessian h, its least curvature along each
-    coordinate on the rows.
+    """The pseudoinverse g+ of terminal rows g (d x width), how far a point
+    that meets the rows only to EPS_STATE may lie from one on them in each
+    coordinate (EPS_STATE sum_j |g+_ij|), and, for a quadratic objective
+    with Hessian h, its least curvature along each coordinate on the rows.
 
     With N an orthonormal basis of null(g), every z on the rows differs from
     their optimum z* by N y, and moving coordinate i by e costs at least
     e^2 / (2 M_ii), M = N (N'hN)^-1 N'. The curvature is 1 / M_ii, shrunk by
     1e-6 against rounding, and +inf where the rows fix z_i (M_ii = 0). It is
     zero, so it lifts nothing, when N'hN is not safely positive definite;
-    both are zero when g is rank deficient (z* may then miss the rows)."""
+    all three are zero when g is rank deficient (z* may then miss the rows)."""
     width, d = h.shape[0], g.shape[0]
     u, sv, vt, rank = _svd_rank(g)
     if rank < d:
-        return np.zeros((width, d)), np.zeros(width)
+        return np.zeros((width, d)), np.zeros(width), np.zeros(width)
     pinv = vt[:rank].T @ (u.T / sv[:, None])
+    give = EPS_STATE * np.abs(pinv).sum(axis=1)
     basis = vt[rank:].T
     e, v = np.linalg.eigh(basis.T @ h @ basis)
     if e.size and e[0] <= 1e-10 * max(1.0, float(np.abs(e).max())):
-        return pinv, np.zeros(width)
+        return pinv, give, np.zeros(width)
     m_diag = ((basis @ v) ** 2 / e).sum(axis=1)
     curvature = np.full(width, np.inf)
     np.divide(1.0 - 1e-6, m_diag, out=curvature, where=m_diag > 0.0)
-    return pinv, curvature
+    return pinv, give, curvature
 
 
-def _lift(pinv, curvature, z, lo, hi) -> float:
+def _lift(give, curvature, z, lo, hi) -> float:
     """How far every box point on the rows lies above the rows' optimum z
     in objective: 0.5 max_i e_i^2 / M_ii over the coordinates z leaves the
     box by e_i > 0 (the others add nothing, whatever their curvature). A
-    point that meets the rows only to EPS_STATE lies within
-    EPS_STATE sum_j |g+_ij| of one on them in coordinate i, so each e_i is
-    that much smaller."""
-    e = np.maximum(lo - z, z - hi) - EPS_STATE * np.abs(pinv).sum(axis=1)
+    point that meets the rows only to EPS_STATE lies within give_i of one
+    on them in coordinate i, so each e_i is that much smaller."""
+    e = np.maximum(lo - z, z - hi)
+    e -= give
     out = e > 0.0
-    return 0.5 * float(np.max(e[out] ** 2 * curvature[out], initial=0.0))
+    e = e[out]
+    return 0.5 * float((e * e * curvature[out]).max(initial=0.0))
 
 
 def _ball_step(h, b, lo, hi, radius, rows=None):
@@ -347,8 +350,9 @@ class _SequenceMaps:
     maps: np.ndarray       # S x width x (2d + 1): [q_s | Q_s | P_s], the pinned optimum's maps
     solved: np.ndarray     # S flags: maps filled
     pinv: np.ndarray       # S x width x d: the rows' pseudoinverse, zero if rank deficient
+    give: np.ndarray       # S x width: _row_factors' room the rows' tolerance leaves
     curvature: np.ndarray  # S x width: _row_factors' 1 / M_ii
-    factored: np.ndarray   # S flags: pinv and curvature filled
+    factored: np.ndarray   # S flags: pinv, give and curvature filled
 
 
 def _sequence_maps(memo, cond: _Condensed) -> _SequenceMaps:
@@ -358,15 +362,17 @@ def _sequence_maps(memo, cond: _Condensed) -> _SequenceMaps:
         (n_seq, width), d = cond.b0.shape, cond.x0.size
         memo[first] = _SequenceMaps(np.zeros((n_seq, width, 2 * d + 1)),
                                     np.zeros(n_seq, dtype=bool), np.zeros((n_seq, width, d)),
-                                    np.zeros((n_seq, width)), np.zeros(n_seq, dtype=bool))
+                                    np.zeros((n_seq, width)), np.zeros((n_seq, width)),
+                                    np.zeros(n_seq, dtype=bool))
     return memo[first]
 
 
 def _factor(seqs: _SequenceMaps, cond: _Condensed, need):
-    """Fill pinv and curvature for every sequence index in need."""
+    """Fill pinv, give and curvature for every sequence index in need."""
     for s in need:
         if not seqs.factored[s]:
-            seqs.pinv[s], seqs.curvature[s] = _row_factors(cond.h0[s], cond.gammas[s, -1])
+            seqs.pinv[s], seqs.give[s], seqs.curvature[s] = _row_factors(cond.h0[s],
+                                                                         cond.gammas[s, -1])
             seqs.factored[s] = True
 
 
@@ -374,12 +380,13 @@ def _beyond_ball(seqs: _SequenceMaps, rhs, radii):
     """Which (sequence, target) pairs have no point on their rows g z = rhs
     (S x T x d) within EPS_STATE and inside the ball ||z|| <= radius (T,
     inf for none). The least-norm solution g+ rhs is the shortest point on
-    the rows, and one that meets them only to EPS_STATE in the infinity norm
-    is shorter by at most ||g+|| sqrt(d) EPS_STATE. Sequences with zero g+
-    (rank-deficient rows, or never factored) are never beyond."""
-    least = np.linalg.norm(np.einsum("swd,std->stw", seqs.pinv, rhs), axis=2)
-    tol = np.linalg.norm(seqs.pinv, axis=(1, 2)) * np.sqrt(rhs.shape[2]) * EPS_STATE
-    return least > radii * (1.0 + 1e-12) + tol[:, None]
+    the rows, and one that meets them only to EPS_STATE lies within give_i
+    of one on them in each coordinate i, so it is shorter by at most
+    sum_i give_i. Sequences with zero g+ (rank-deficient rows, or never
+    factored) are never beyond."""
+    least = rhs @ seqs.pinv.transpose(0, 2, 1)
+    least = np.sqrt(np.einsum("stw,stw->st", least, least))
+    return least > radii * (1.0 + 1e-12) + seqs.give.sum(axis=1)[:, None]
 
 
 @dataclass(slots=True)
@@ -551,7 +558,7 @@ def solve_continuous(problem: ProblemDef, sset, x, cfg: SolverConfig,
             # a box-active optimum: every box point on the rows costs more
             if bound < INF:
                 _factor(seqs, cond, (s,))
-                lift = _lift(seqs.pinv[s], seqs.curvature[s], screen.z[s, p], lo_full, hi_full)
+                lift = _lift(seqs.give[s], seqs.curvature[s], screen.z[s, p], lo_full, hi_full)
                 if not screen.lb[i] + lift < bound + slack:
                     candidates.append(_pruned("lift", 0))
                     continue

@@ -496,7 +496,7 @@ def test_the_curvature_lift_changes_no_rollout(spiral, monkeypatch):
                             lambda *a, **k: calls.append(1) or solve_candidate(*a, **k))
             if flat:
                 patched.setattr(shooting, "_row_factors",
-                                lambda h, g: (row_factors(h, g)[0], np.zeros(h.shape[0])))
+                                lambda h, g: (*row_factors(h, g)[:2], np.zeros(h.shape[0])))
             run = run_rollout(spiral.problem, spiral.sample_sets["trajectory-0"],
                               np.array([1.0, 1.0]), replace(spiral.solver_defaults, ell=5), 40,
                               base_policy=policy)

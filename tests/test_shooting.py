@@ -552,17 +552,18 @@ def test_the_curvature_lift_never_lifts_the_bound_above_the_box_optimum():
             r = np.r_[rng.choice([rng.uniform(-2.5, 2.5), hi[k] + 1e-11, lo[k] - 1e-11]), r[1:]]
         z = shooting._kkt_solve(h, g, -b, r)[0]
         lb = _qp_obj(h, b, z)
-        pinv, curvature = shooting._row_factors(h, g)
-        lift = shooting._lift(pinv, curvature, z, lo, hi)
+        pinv, give, curvature = shooting._row_factors(h, g)
+        lift = shooting._lift(give, curvature, z, lo, hi)
         ref = _face_oracle(h, b, lo, hi, g, r)
         assert lift >= 0.0  # never NaN
         assert lb + lift <= ref + 1e-9 * (1.0 + abs(ref)), trial
         rank = np.linalg.matrix_rank(g)
         if rank < g.shape[0]:
-            assert not curvature.any() and not pinv.any()
+            assert not curvature.any() and not pinv.any() and not give.any()
             seen["rank-deficient rows"] += 1
         else:
             np.testing.assert_allclose(pinv, np.linalg.pinv(g), rtol=1e-9, atol=1e-12)
+            assert np.array_equal(give, EPS_STATE * np.abs(pinv).sum(axis=1))
             null = np.linalg.svd(g)[2][rank:]
             eig = np.linalg.eigvalsh(null @ h @ null.T)
             if eig.size and eig[0] <= 1e-10 * max(1.0, float(np.abs(eig).max())):
@@ -592,14 +593,13 @@ def test_the_least_norm_ball_prune_drops_only_rows_that_leave_the_ball():
         if trial % 4 == 0:
             g[1] = 2.0 * g[0]
         h = np.eye(n)
-        pinv = shooting._row_factors(h, g)[0]
+        pinv, give, _ = shooting._row_factors(h, g)
         seqs = shooting._SequenceMaps(np.zeros((1, n, 2 * d + 1)), np.ones(1, bool), pinv[None],
-                                      np.zeros((1, n)), np.ones(1, bool))
+                                      give[None], np.zeros((1, n)), np.ones(1, bool))
         r = rng.uniform(-2.0, 2.0, (4, d))
         least = np.linalg.norm(r @ pinv.T, axis=1)
-        # a point meeting the rows to EPS_STATE may be this much shorter
-        give = np.linalg.norm(pinv) * math.sqrt(d) * EPS_STATE
-        radii = np.array([least[0] * 0.999, least[1] * 1.001, least[2] - 0.5 * give, np.inf])
+        # a point meeting the rows to EPS_STATE may be up to give.sum() shorter
+        radii = np.array([least[0] * 0.999, least[1] * 1.001, least[2] - 0.5 * give.sum(), np.inf])
         beyond = shooting._beyond_ball(seqs, r[None], radii)[0]
         if trial % 4 == 0:
             assert not beyond.any()
