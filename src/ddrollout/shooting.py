@@ -533,7 +533,7 @@ def solve_continuous(problem: ProblemDef, sset, x, cfg: SolverConfig,
         # stage costs are nonnegative, so a target valued at the bound cannot win
         kept = (values < bound) & ~np.any(np.abs(rhs) > reach + EPS_STATE + 1e-12, axis=2)
         if np.isfinite(radii).any():
-            # no point of the rows lies in the ball (g+ comes with the lift's factors)
+            # drop pairs whose rows have no point in the ball (g+ is one of the lift's factors)
             _factor(seqs, cond, np.flatnonzero((kept & np.isfinite(radii)).any(axis=1)).tolist())
             kept &= ~_beyond_ball(seqs, rhs, radii)
         keep[:, pinned_at] = kept
