@@ -14,7 +14,6 @@ from .budget import (
     AugmentedState,
     BudgetConstraintSpec,
     BudgetSampleSet,
-    augment_policy,
     augment_problem,
     augment_sample_set,
     base_view,
@@ -38,7 +37,6 @@ from .engine import (
 from .errors import (
     AssumptionViolationError,
     ConstraintViolationError,
-    CoverageError,
     InfeasibleSeedError,
     InfeasibleStepError,
     InfeasibleTrajectoryError,
@@ -69,7 +67,6 @@ from .model import (
     check_upper_bound,
     simulate_policy,
     trajectory_cost,
-    validate_trajectory,
 )
 from .sample_sets import (
     AnalyticSampleSet,
@@ -94,7 +91,6 @@ __all__ = [
     "BudgetConstraintSpec",
     "BudgetSampleSet",
     "ConstraintViolationError",
-    "CoverageError",
     "ExplicitSampleSet",
     "FiniteControls",
     "FreeTerminal",
@@ -119,7 +115,6 @@ __all__ = [
     "SolverFailureError",
     "Trajectory",
     "UnusableTrajectoryError",
-    "augment_policy",
     "augment_problem",
     "augment_sample_set",
     "base_view",
@@ -140,7 +135,6 @@ __all__ = [
     "solve_discrete",
     "solve_restricted",
     "trajectory_cost",
-    "validate_trajectory",
     "verify_invariance",
     "vi_sequence",
 ]

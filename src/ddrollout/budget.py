@@ -24,7 +24,6 @@ from .errors import (
 from .model import (
     EPS_STATE,
     AugmentedState,
-    Policy,
     ProblemDef,
     Trajectory,
     states_equal,
@@ -108,7 +107,6 @@ class BudgetSampleSet:
         self.tail_usages = tuple(tail_usages)
         self.label = label
         self.anchor_usage = anchor_usage
-        self.analytic_tail = not seed.terminated_in_stopping_set
         self._policy_id = seed.policy_id
         self._grid = GridIndex()
         for k, xk in enumerate(seed.states):
@@ -176,30 +174,22 @@ class BudgetSampleSet:
         }
 
     def reverify(self) -> None:
-        """Membership is reconstructed from the seed: recompute every per-step
-        usage and the backward accumulation and demand exact agreement."""
-        seed, spec = self.seed, self.spec
-        for k, u in enumerate(seed.controls):
-            measured = float(spec.per_step_usage(seed.states[k], u))
-            if measured != self.usages[k]:
+        """Membership is reconstructed from the seed: recompute the usage
+        ledger and demand exact agreement with the stored one."""
+        usages, tails = _ledger(self.seed, self.spec, self.anchor_usage)
+        for what, stored, measured in (("usage", self.usages, usages),
+                                       ("tail usage", self.tail_usages, tails)):
+            if len(stored) != len(measured):
+                raise SampleSetIntegrityError(f"{len(stored)} stored {what} entries, "
+                                              f"the seed has {len(measured)}")
+            k = next((k for k, (a, b) in enumerate(zip(stored, measured)) if a != b), None)
+            if k is not None:
                 raise SampleSetIntegrityError(
-                    f"stored usage at step {k} is {self.usages[k]!r}, "
-                    f"recomputed {measured!r}", state=seed.states[k])
-        tail = float(self.anchor_usage)
-        n = len(seed.controls)
-        if self.tail_usages[n] != tail:
+                    f"stored {what} at step {k} is {stored[k]!r}, recomputed {measured[k]!r}",
+                    state=self.seed.states[k])
+        if tails[0] > self.spec.e_max:
             raise SampleSetIntegrityError(
-                f"stored terminal tail usage {self.tail_usages[n]!r} differs from "
-                f"anchor {tail!r}", state=seed.states[n])
-        for k in range(n - 1, -1, -1):
-            tail = self.usages[k] + tail
-            if self.tail_usages[k] != tail:
-                raise SampleSetIntegrityError(
-                    f"stored tail usage at step {k} is {self.tail_usages[k]!r}, "
-                    f"recomputed {tail!r}", state=seed.states[k])
-        if self.tail_usages[0] > spec.e_max:
-            raise SampleSetIntegrityError(
-                f"seed needs {self.tail_usages[0]!r} of resource, budget is {spec.e_max!r}")
+                f"seed needs {tails[0]!r} of resource, budget is {self.spec.e_max!r}")
 
     def verify(self, problem: ProblemDef, policies, rng, samples: int):
         """Exact usage accounting, then membership of drawn members."""
@@ -232,6 +222,16 @@ def _usage_scale(spec: BudgetConstraintSpec) -> float:
     return scale
 
 
+def _ledger(seed: Trajectory, spec: BudgetConstraintSpec, anchor: float):
+    """The seed's per-step usages and its remaining usage from each state:
+    tail_k = usage_k + tail_{k+1}, ending at anchor."""
+    usages = [ensure_cost(spec.per_step_usage(x, u)) for x, u in zip(seed.states, seed.controls)]
+    tails = [anchor]
+    for u in reversed(usages):
+        tails.append(u + tails[-1])
+    return usages, tails[::-1]
+
+
 def augment_sample_set(traj: Trajectory, spec: BudgetConstraintSpec, *,
                        label: str | None = None,
                        tail_usage_anchor: Callable[[object], float] | None = None
@@ -246,30 +246,14 @@ def augment_sample_set(traj: Trajectory, spec: BudgetConstraintSpec, *,
     """
     if traj.tail_costs is None:
         raise UnusableTrajectoryError("seed trajectory has no tail costs")
-    usages = [ensure_cost(spec.per_step_usage(x, u))
-              for x, u in zip(traj.states, traj.controls)]
-    n = len(usages)
     if traj.terminated_in_stopping_set or tail_usage_anchor is None:
         anchor = 0.0
     else:
         anchor = ensure_cost(tail_usage_anchor(traj.states[-1]))
-    tail_usages = [0.0] * (n + 1)
-    tail_usages[n] = anchor
-    for k in range(n - 1, -1, -1):
-        tail_usages[k] = usages[k] + tail_usages[k + 1]
+    usages, tail_usages = _ledger(traj, spec, anchor)
     if tail_usages[0] > spec.e_max:
         raise InfeasibleSeedError(tail_usages[0], spec.e_max)
     return BudgetSampleSet(
         traj, spec, usages=usages, tail_usages=tail_usages,
         label=label or f"budget[{traj.policy_id}]", anchor_usage=anchor,
-    )
-
-
-def augment_policy(policy: Policy, spec: BudgetConstraintSpec) -> Policy:
-    """Lift a base-space policy to augmented states (action ignores e)."""
-    return Policy(
-        action=lambda s: policy.action(s.base),
-        id=policy.id,
-        analytic_cost=None if policy.analytic_cost is None
-        else (lambda s: policy.analytic_cost(s.base)),
     )

@@ -56,13 +56,14 @@ def _rotation(theta: float) -> np.ndarray:
     return 0.8 * np.array([[c, -s], [s, c]])
 
 
-def make_hybrid_spiral(radius: float = 12.5, ell: int = 5) -> InstanceBundle:
+def make_hybrid_spiral() -> InstanceBundle:
     """Two rotation modes selected by the sign of the first coordinate,
     contracting by 0.8 per step; one scalar actuator on the second state.
 
     The uncontrolled system spirals into the origin, so the do-nothing
     policy has the exact quadratic cost x'x / 0.36 and the disk of that
-    policy's trajectories is an analytic sample set.
+    policy's trajectories (radius 12.5, so one step from any member stays
+    in the state box) is an analytic sample set.
     """
     a_pos = _rotation(math.pi / 3.0)
     a_neg = _rotation(-math.pi / 3.0)
@@ -102,7 +103,7 @@ def make_hybrid_spiral(radius: float = 12.5, ell: int = 5) -> InstanceBundle:
                    analytic_cost=lambda x: float(x @ x) / 0.36)
 
     p_tail = np.eye(2) / 0.36
-    r2 = radius * radius
+    r2 = 12.5 ** 2
 
     def in_region(x) -> bool:
         x = np.asarray(x, dtype=float)
@@ -125,11 +126,6 @@ def make_hybrid_spiral(radius: float = 12.5, ell: int = 5) -> InstanceBundle:
         quadratic=p_tail,
     )
 
-    # the region must be forward invariant under the recorded policy:
-    # 0.8 * radius must keep every member inside the state box
-    if 0.8 * radius > float(hi[0]):
-        raise ValueError("disk radius too large for forward invariance")
-
     starts = (np.array([1.0, 1.0]), np.array([8.0, -9.0]))
     # horizon-10 enumeration needs 2^9 mode sequences, over the default cap
     notes = {"base_costs": {}, "mpc_ell": 10, "mpc_terminal": "origin",
@@ -150,7 +146,7 @@ def make_hybrid_spiral(radius: float = 12.5, ell: int = 5) -> InstanceBundle:
         sample_sets=sample_sets,
         default_set="disk",
         start_states=starts,
-        solver_defaults=SolverConfig(ell=ell),
+        solver_defaults=SolverConfig(ell=5),
         notes=notes,
         mpc_quadratic=None,
     )
@@ -160,10 +156,9 @@ def make_hybrid_spiral(radius: float = 12.5, ell: int = 5) -> InstanceBundle:
 # Double integrator with state box and a control-energy budget
 
 
-def make_constrained_double_integrator(budget_cap: float = 0.5,
-                                       seed_steps: int = 80,
-                                       ell: int = 4) -> InstanceBundle:
-    """Position/velocity chain under a +-4 state box and unit control box.
+def make_constrained_double_integrator() -> InstanceBundle:
+    """Position/velocity chain under a +-4 state box and unit control box,
+    with a control-energy budget of 0.5.
 
     The recorded policy is a deliberately gentle stabilizing gain, so its
     trajectory is admissible everywhere and leaves obvious room for
@@ -212,7 +207,7 @@ def make_constrained_double_integrator(budget_cap: float = 0.5,
                   analytic_cost=lambda x: float(x @ p_tail @ x))
 
     x0 = np.array([-3.95, -0.05])
-    seed = simulate_policy(problem, base, x0, max_steps=seed_steps)
+    seed = simulate_policy(problem, base, x0, max_steps=80)
     # the analytic tails and the energy ledger are only exact while the
     # gain never saturates and the state stays in the box; check both
     for state in seed.states:
@@ -224,7 +219,7 @@ def make_constrained_double_integrator(budget_cap: float = 0.5,
 
     spec = BudgetConstraintSpec(
         per_step_usage=lambda x, u: float(np.asarray(u) @ np.asarray(u)),
-        e_max=budget_cap,
+        e_max=0.5,
         usage_quad=np.array([[1.0]]),
     )
     traj_set = build_from_trajectory(seed, label="gentle-gain-run")
@@ -240,7 +235,7 @@ def make_constrained_double_integrator(budget_cap: float = 0.5,
         "usage_matrix": p_usage,
         "mpc_terminal": "free",
     }
-    if notes["base_energy"] > budget_cap:
+    if notes["base_energy"] > spec.e_max:
         raise ValueError("budget cap below the recorded policy's own energy")
 
     return InstanceBundle(
@@ -250,7 +245,7 @@ def make_constrained_double_integrator(budget_cap: float = 0.5,
         sample_sets={"trajectory": traj_set},
         default_set="trajectory",
         start_states=(x0,),
-        solver_defaults=SolverConfig(ell=ell),
+        solver_defaults=SolverConfig(ell=4),
         notes=notes,
         budget_spec=spec,
         augmented_problem=aug_problem,
@@ -272,8 +267,8 @@ _MOVES = {
 }
 
 
-def make_two_vehicle_grid(size: int = 5, ell: int = 4) -> InstanceBundle:
-    """Two vehicles crossing a square grid, one move each per step.
+def make_two_vehicle_grid() -> InstanceBundle:
+    """Two vehicles crossing a 5x5 grid, one move each per step.
 
     Cost counts moves (waiting is free). Landing on the same cell or
     swapping cells is forbidden. The recorded policy routes vehicle one
@@ -282,11 +277,9 @@ def make_two_vehicle_grid(size: int = 5, ell: int = 4) -> InstanceBundle:
     """
     start = ((0, 2), (2, 0))
     targets = ((4, 2), (2, 4))
-    if size != 5:
-        raise ValueError("the recorded route is built for the 5x5 grid")
 
     def on_grid(cell) -> bool:
-        return 0 <= cell[0] < size and 0 <= cell[1] < size
+        return 0 <= cell[0] < 5 and 0 <= cell[1] < 5
 
     def apply_move(cell, move):
         d = _MOVES[move]
@@ -381,7 +374,7 @@ def make_two_vehicle_grid(size: int = 5, ell: int = 4) -> InstanceBundle:
         sample_sets={"trajectory": sset},
         default_set="trajectory",
         start_states=(start,),
-        solver_defaults=SolverConfig(ell=ell),
+        solver_defaults=SolverConfig(ell=4),
         notes={"base_cost": trajectory_cost(seed), "targets": targets},
         partition=partition,
     )
@@ -404,7 +397,7 @@ def _tour_complete(seq: str) -> bool:
     return len(seq) > 1 and seq.endswith("A") and all(c in seq for c in _CITIES)
 
 
-def make_tsp_variant(ell: int = 2) -> InstanceBundle:
+def make_tsp_variant() -> InstanceBundle:
     """Shortest closed tour over four cities, framed as control: a state is
     the visit sequence so far and a control names the next city. Illegal
     moves (revisits, early return) price at infinity; completed tours are
@@ -478,7 +471,7 @@ def make_tsp_variant(ell: int = 2) -> InstanceBundle:
         },
         default_set="cdb",
         start_states=("A",),
-        solver_defaults=SolverConfig(ell=ell),
+        solver_defaults=SolverConfig(ell=2),
         notes={
             "base_costs": {"prefers-cdb": trajectory_cost(run0),
                            "prefers-bcd": trajectory_cost(run1)},
@@ -514,12 +507,12 @@ def resolve_instance_name(name: str) -> str:
     return ALIASES.get(name, name)
 
 
-def make_instance(name: str, **kwargs) -> InstanceBundle:
+def make_instance(name: str) -> InstanceBundle:
     name = resolve_instance_name(name)
     if name not in INSTANCES:
         known = ", ".join(sorted(INSTANCES))
         raise KeyError(f"unknown instance {name!r}; known: {known}")
-    return INSTANCES[name](**kwargs)
+    return INSTANCES[name]()
 
 
 def optimal_cost(problem: ProblemDef, x0, node_cap: int = 500_000):

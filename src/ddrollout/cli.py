@@ -184,8 +184,8 @@ def cmd_run(args: argparse.Namespace) -> int:
         print("error: --instance is required", file=sys.stderr)
         return EXIT_PROPERTY
     bundle = make_instance(opts["instance"])
-    _check_counts(opts, horizon=(1, math.inf), sweeps=(0, math.inf),
-                  start_index=(0, len(bundle.start_states)))
+    _check_counts(opts, horizon=(1, math.inf), sweeps=(0, math.inf), ell=(1, math.inf),
+                  mode_cap=(1, math.inf), start_index=(0, len(bundle.start_states)))
     variant = opts.get("variant", "basic")
     cfg = _solver_config(bundle, opts)
     horizon = opts.get("horizon", 200)

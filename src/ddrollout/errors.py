@@ -27,14 +27,6 @@ class InfeasibleTrajectoryError(RolloutError):
         super().__init__(f"infinite stage cost at state {state!r}, control {control!r} (step {step})")
 
 
-class CoverageError(RolloutError):
-    """A value table is missing an entry needed for a check."""
-
-    def __init__(self, state):
-        self.state = state
-        super().__init__(f"no value recorded for state {state!r}")
-
-
 class UnusableTrajectoryError(RolloutError):
     """A trajectory lacks the data required by an operation (e.g. tail costs)."""
 

@@ -10,22 +10,21 @@ problems), or resource-augmented pairs built by the budget module.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
-from typing import Callable, Hashable, Iterable, Mapping, Sequence, Union
+from dataclasses import dataclass
+from typing import Callable, Hashable, Iterable, Union
 
 import numpy as np
 
 from .costs import INF, ensure_cost, sum_costs
-from .errors import (
-    ConstraintViolationError,
-    CoverageError,
-    InfeasibleTrajectoryError,
-)
+from .errors import ConstraintViolationError, InfeasibleTrajectoryError
 
 #: The one state tolerance (infinity norm): vector-state equality, sample
 #: membership, the state box and mode regions, and control-set membership.
 EPS_STATE = 1e-9
+#: Certificate tolerances: a fixed-point residual relative to max(1, |v(x)|),
+#: and the rounding an upper bound may fall short by, relative likewise.
+EPS_RESIDUAL = 1e-8
+EPS_SLACK = 1e-12
 
 State = Union[Hashable, np.ndarray]
 Control = Union[Hashable, np.ndarray]
@@ -248,9 +247,6 @@ class Trajectory:
     def __len__(self) -> int:
         return len(self.controls)
 
-    def cost(self) -> float:
-        return trajectory_cost(self)
-
 
 # ---------------------------------------------------------------------------
 # Operations
@@ -318,43 +314,6 @@ def trajectory_cost(traj: Trajectory) -> float:
     return sum_costs(traj.stage_costs)
 
 
-def validate_trajectory(problem: ProblemDef, traj: Trajectory, rel: float = 1e-10) -> None:
-    """Assert the structural trajectory invariants; raises ValueError on failure."""
-    for k, (x, u) in enumerate(zip(traj.states, traj.controls)):
-        nxt = problem.dynamics(x, u)
-        if not states_equal(nxt, traj.states[k + 1]):
-            raise ValueError(f"transition mismatch at step {k}")
-        g = problem.stage_cost(x, u)
-        if not math.isclose(g, traj.stage_costs[k], rel_tol=rel, abs_tol=rel):
-            raise ValueError(f"stage cost mismatch at step {k}")
-    if traj.tail_costs is not None:
-        for k in range(len(traj.controls)):
-            lhs = traj.tail_costs[k]
-            rhs = traj.stage_costs[k] + traj.tail_costs[k + 1]
-            if abs(lhs - rhs) > rel * max(1.0, abs(lhs)):
-                raise ValueError(f"tail cost recursion fails at step {k}")
-        if traj.terminated_in_stopping_set and traj.tail_costs[-1] != 0.0:
-            raise ValueError("terminated trajectory must end with zero tail cost")
-
-
-def as_value_fn(values) -> Callable[[State], float]:
-    """Adapt a mapping or callable into a total value lookup.
-
-    Mappings are keyed by state_key; a missing state raises CoverageError.
-    """
-    if callable(values):
-        return values
-    table = {state_key(k): v for k, v in values.items()}
-
-    def lookup(x):
-        key = state_key(x)
-        if key not in table:
-            raise CoverageError(x)
-        return table[key]
-
-    return lookup
-
-
 @dataclass(frozen=True)
 class ResidualRow:
     state: object
@@ -381,19 +340,13 @@ def _backed_up(problem: ProblemDef, policy: Policy, value_fn, x) -> float:
     return g + value_fn(nxt) if g != INF else INF
 
 
-def check_fixed_point(
-    problem: ProblemDef,
-    policy: Policy,
-    values,
-    states: Iterable,
-    eps_residual: float = 1e-8,
-) -> CheckReport:
+def check_fixed_point(problem: ProblemDef, policy: Policy, value_fn: Callable[[State], float],
+                      states: Iterable) -> CheckReport:
     """Check v(x) = g(x, policy(x)) + v(f(x, policy(x))) on the given states.
 
-    The residual is relative to max(1, |v(x)|). Two infinities agree; one
-    infinity against a finite value fails.
+    The residual is relative to max(1, |v(x)|) and passes up to EPS_RESIDUAL.
+    Two infinities agree; one infinity against a finite value fails.
     """
-    value_fn = as_value_fn(values)
     rows = []
     for x in states:
         v = value_fn(x)
@@ -402,24 +355,18 @@ def check_fixed_point(
             resid = 0.0 if v == b else INF
         else:
             resid = abs(v - b) / max(1.0, abs(v))
-        rows.append(ResidualRow(x, v, b, resid, resid <= eps_residual))
+        rows.append(ResidualRow(x, v, b, resid, resid <= EPS_RESIDUAL))
     return CheckReport(tuple(rows), all(r.ok for r in rows))
 
 
-def check_upper_bound(
-    problem: ProblemDef,
-    policy: Policy,
-    candidate,
-    states: Iterable,
-    eps_slack: float = 1e-12,
-) -> CheckReport:
+def check_upper_bound(problem: ProblemDef, policy: Policy, value_fn: Callable[[State], float],
+                      states: Iterable) -> CheckReport:
     """Check g(x, policy(x)) + c(f(x, policy(x))) <= c(x) on the given states.
 
-    Passing certifies the candidate as an upper bound on the policy's cost
-    from those states. Equality passes; the slack tolerance only absorbs
-    floating-point rounding.
+    Passing certifies the candidate c as an upper bound on the policy's cost
+    from those states. Equality passes; EPS_SLACK only absorbs floating-point
+    rounding.
     """
-    value_fn = as_value_fn(candidate)
     rows = []
     for x in states:
         v = value_fn(x)
@@ -430,7 +377,7 @@ def check_upper_bound(
             ok, resid = False, INF
         else:
             slack = v - b
-            ok = slack >= -eps_slack * max(1.0, abs(v))
+            ok = slack >= -EPS_SLACK * max(1.0, abs(v))
             resid = max(0.0, -slack)
         rows.append(ResidualRow(x, v, b, resid, ok))
     return CheckReport(tuple(rows), all(r.ok for r in rows))

@@ -283,10 +283,10 @@ class FreeTerminal:
     cost is a design choice rather than recorded data.
     """
 
-    def __init__(self, quadratic: np.ndarray | None = None, label: str = "free-terminal"):
+    label = "free-terminal"
+
+    def __init__(self, quadratic: np.ndarray | None = None):
         self.quadratic = None if quadratic is None else np.asarray(quadratic, dtype=float)
-        self.label = label
-        self.analytic_tail = False
 
     @property
     def policy_ids(self) -> tuple:

@@ -7,7 +7,8 @@ pair. Every mode sequence that starts in the current state's mode is
 enumerated (hybrid MPC's mode-sequence enumeration); more than
 SolverConfig.mode_cap of them raises SearchSpaceError. The plan is condensed
 along all of them at once, as arrays stacked over the sequences, and every
-(sequence, target) pair is tested for reachability in one broadcast. Each
+(sequence, target) pair is tested for reachability in one broadcast: each
+coordinate of its target must lie within the control box's reach. Each
 subproblem is a box-constrained quadratic program solved exactly. A target
 pinned to a sampled state adds d equality rows that put the terminal state
 on it; its box-free optimum is affine in the target and in x0 with maps
@@ -35,9 +36,10 @@ plan is replayed only if its predicted path meets its target, it lies in
 its energy ball, its path stays within model.EPS_STATE of its mode
 sequence's regions and of the state box (where the condensed prediction
 is exact) and its predicted value beats the bound.
-That replay with the set's own terminal_cost is the one price of every
-plan, solved or seeded, so a plan earns a recorded value only by ending in
-the set. The first candidate of least value wins. Every dropped candidate
+That replay with the set's own terminal_cost (_priced) is the one price of
+every plan, solved or seeded, so a plan earns a recorded value only by
+ending in the set. The first candidate of least value wins, and its
+replayed final state is the solution's terminal state. Every dropped candidate
 records the rule that dropped it (_RULES), and the solution's diagnostics
 count them by rule ("pruned_by").
 """
@@ -282,8 +284,7 @@ class _Condensed:
     b_x: np.ndarray     # d columns: b0's response to x0
     b_c: np.ndarray     # b0 at x0 = 0
     x0: np.ndarray
-    reach: np.ndarray      # componentwise bound on |x_l - phi_l|, S x d
-    row_norms: np.ndarray  # 2-norms of the terminal response rows, S x d
+    reach: np.ndarray   # componentwise bound on |x_l - phi_l|, S x d
 
 
 _CHUNK = 64  # sequences per stacked product in _assemble, capping its temporaries
@@ -327,9 +328,8 @@ def _assemble(pl, x0: np.ndarray, sigmas: np.ndarray, h_r, lo_full, hi_full) -> 
     h0 += h_r
     u_abs = np.maximum(np.abs(lo_full), np.abs(hi_full))
     reach = np.abs(gammas[:, ell]) @ u_abs
-    row_norms = np.linalg.norm(gammas[:, ell], axis=2)
     return _Condensed(sigmas, phis, gammas, h0, lin[..., 0], c0, lin[..., 1:d + 1],
-                      lin[..., -1], x0, reach, row_norms)
+                      lin[..., -1], x0, reach)
 
 
 def _job_order(keep, tails):
@@ -510,7 +510,8 @@ def solve_continuous(problem: ProblemDef, sset, x, cfg: SolverConfig,
         if plan is not None:
             seed_plans.append(tuple(np.asarray(u, dtype=float) for u in plan))
 
-    candidates = [_evaluate_seed(problem, sset, x, plan, pinned) for plan in seed_plans]
+    candidates = [_priced(problem, sset, x, plan, pinned, converged=True, seed=True)
+                  for plan in seed_plans]
     bound = min((c[0] for c in candidates), default=INF)
 
     # every (sequence, target) pair at once; free targets are always kept
@@ -522,16 +523,10 @@ def solve_continuous(problem: ProblemDef, sset, x, cfg: SolverConfig,
         values = tails[pinned_at]
         radii = np.array([np.inf if targets[i].ball_radius is None else targets[i].ball_radius
                           for i in pinned_at])
-        reach = cond.reach[:, None]  # S x 1 x d, against S x targets x d gaps
-        if np.isfinite(radii).any():
-            # Cauchy-Schwarz: a depleted energy ball shrinks the reachable
-            # tube far below the control-box bound
-            ball = np.isfinite(radii)[:, None]
-            shrunk = cond.row_norms[:, None] * np.where(ball, radii[:, None], 0.0)
-            reach = np.where(ball, np.minimum(reach, shrunk), reach)
         rhs = pinned - cond.phis[:, None, ell]  # S x targets x d
         # stage costs are nonnegative, so a target valued at the bound cannot win
-        kept = (values < bound) & ~np.any(np.abs(rhs) > reach + EPS_STATE + 1e-12, axis=2)
+        kept = (values < bound) & ~np.any(np.abs(rhs) > cond.reach[:, None] + EPS_STATE + 1e-12,
+                                          axis=2)
         if np.isfinite(radii).any():
             # drop pairs whose rows have no point in the ball (g+ is one of the lift's factors)
             _factor(seqs, cond, np.flatnonzero((kept & np.isfinite(radii)).any(axis=1)).tolist())
@@ -551,7 +546,9 @@ def solve_continuous(problem: ProblemDef, sset, x, cfg: SolverConfig,
                 candidates.append(_pruned("bound", 0))
                 continue
             if screen.interior[i]:  # what _box_qp returns: z itself, in one iteration
-                candidates.append(_replayed(problem, sset, x, screen.z[s, p], m, target, 1)
+                plan = tuple(screen.z[s, p].reshape(-1, m).copy())
+                candidates.append(_priced(problem, sset, x, plan, target.state, iterations=1,
+                                          converged=True)
                                   if screen.on_path[i] else _pruned("path", 1))
                 bound = min(bound, candidates[-1][0])
                 continue
@@ -577,19 +574,13 @@ def solve_continuous(problem: ProblemDef, sset, x, cfg: SolverConfig,
                                  diagnostics={"candidates": len(candidates),
                                               "pruned_by": _pruned_by(candidates)})
 
-    value, controls, diag = best
-    terminal = x
-    for u in controls:
-        terminal = problem.dynamics(terminal, u)
-    diag = dict(diag)
-    diag["candidates"] = len(candidates)
-    diag["pruned_by"] = _pruned_by(candidates)
+    value, controls, diag, terminal = best
     return LookaheadSolution(
-        controls=tuple(controls),
+        controls=controls,
         terminal_state=terminal,
         value=value,
         terminal_sample_id=sset.sample_id(terminal),
-        diagnostics=diag,
+        diagnostics={**diag, "candidates": len(candidates), "pruned_by": _pruned_by(candidates)},
     )
 
 
@@ -630,15 +621,16 @@ def _solve_candidate(problem, sset, x, cond: _Condensed, s: int, target: Target,
         return _pruned("path", it, converged)
     if not _qp_obj(h, b, z) + cond.c0[s] + const < bound + slack:
         return _pruned("bound", it, converged)
-    return _replayed(problem, sset, x, z, m, target, it, converged)
+    return _priced(problem, sset, x, tuple(z.reshape(-1, m).copy()), target.state,
+                   iterations=it, converged=converged)
 
 
-def _replayed(problem, sset, x, z, m, target, iterations, converged=True):
-    """The plan z (stacked controls of width m) priced by its exact replay."""
-    controls = tuple(z[k * m:(k + 1) * m].copy() for k in range(z.size // m))
+def _priced(problem, sset, x, controls, pinned, **diag):
+    """A candidate: the plan priced by its exact replay with the set's
+    terminal_cost, as (value, controls, diagnostics, terminal state); the
+    diagnostics add the terminal's mismatch to the pinned target states."""
     value, states, _ = replay(problem, x, controls, sset.terminal_cost)
-    return value, controls, {"mismatch": _mismatch(states[-1], target.state),
-                             "iterations": iterations, "converged": converged}
+    return value, controls, {"mismatch": _mismatch(states[-1], pinned), **diag}, states[-1]
 
 
 _RULES = ("bound", "lift", "path", "rows", "ball")
@@ -647,17 +639,10 @@ _RULES = ("bound", "lift", "path", "rows", "ball")
 def _pruned(rule, iterations, converged=True):
     """A candidate dropped unpriced, with the rule (one of _RULES) that dropped it."""
     return INF, (), {"mismatch": None, "iterations": iterations, "converged": converged,
-                     "pruned": rule}
+                     "pruned": rule}, None
 
 
 def _pruned_by(candidates) -> dict:
     """How many candidates each rule dropped."""
     rules = [c[2].get("pruned") for c in candidates]
     return {rule: rules.count(rule) for rule in _RULES}
-
-
-def _evaluate_seed(problem, sset, x, plan, pinned):
-    """Price a concrete plan exactly with the set's terminal cost."""
-    value, states, _ = replay(problem, x, plan, sset.terminal_cost)
-    return value, plan, {"mismatch": _mismatch(states[-1], pinned), "converged": True,
-                         "seed": True}

@@ -9,7 +9,7 @@ from ddrollout import (
     AugmentedState,
     BudgetConstraintSpec,
     InitialInfeasibilityError,
-    augment_policy,
+    Policy,
     augment_problem,
     augment_sample_set,
     base_view,
@@ -95,7 +95,7 @@ def test_match_is_the_earliest_seed_step_that_matches_and_fits():
 
 def test_augmented_base_policy_replays_the_base_run(integrator):
     policy = next(iter(integrator.base_policies.values()))
-    aug_policy = augment_policy(policy, integrator.budget_spec)
+    aug_policy = Policy(action=lambda s: policy.action(s.base), id=policy.id)
     s0 = AugmentedState(integrator.start_states[0], 0.5)
     traj = simulate_policy(integrator.augmented_problem, aug_policy, s0,
                            max_steps=30)

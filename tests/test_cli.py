@@ -310,10 +310,13 @@ def test_out_of_range_counts_are_clean_errors(capsys, tmp_path, argv):
     assert not list(tmp_path.iterdir())
 
 
-def test_out_of_range_count_in_a_config_file_is_a_clean_error(capsys, tmp_path):
+@pytest.mark.parametrize("key,value", [("horizon", 0), ("ell", 2.5), ("ell", True),
+                                       ("ell", 0), ("mode_cap", "x"), ("mode_cap", 0)])
+def test_out_of_range_count_in_a_config_file_is_a_clean_error(capsys, tmp_path, key, value):
     cfg_path = tmp_path / "job.json"
-    cfg_path.write_text(json.dumps({"instance": "grid", "horizon": 0,
+    cfg_path.write_text(json.dumps({"instance": "grid", key: value,
                                     "out_dir": str(tmp_path / "runs")}))
     code, _, err = run_cli(capsys, "run", "--config", str(cfg_path))
     assert code == 1
-    assert err.startswith("error: horizon must be an integer in [1, inf), got 0")
+    assert err.startswith(f"error: {key} must be an integer in [1, inf), got {value!r}")
+    assert not (tmp_path / "runs").exists()

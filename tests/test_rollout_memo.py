@@ -3,6 +3,7 @@ per run, and sharing it changes no result."""
 
 import itertools
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -36,8 +37,7 @@ def _reference_assemble(pl, x0, sigma, h_r, lo_full, hi_full):
         c0 += float(phis[k] @ pl.q @ phis[k])
     u_abs = np.maximum(np.abs(lo_full), np.abs(hi_full))
     reach = np.abs(gammas[ell]) @ u_abs
-    row_norms = np.array([np.linalg.norm(row) for row in gammas[ell]])
-    return phis, gammas, h0, b0, c0, reach, row_norms
+    return phis, gammas, h0, b0, c0, reach
 
 
 @pytest.mark.parametrize("name,ell", [("spiral", 5), ("integrator", 4)])
@@ -52,7 +52,7 @@ def test_batched_condensation_matches_a_per_sequence_loop(request, name, ell):
         for i, sigma in enumerate(sigmas):
             ref = _reference_assemble(pl, x0, tuple(sigma), h_r, lo, hi)
             got = (cond.phis[i], cond.gammas[i], cond.h0[i], cond.b0[i], cond.c0[i],
-                   cond.reach[i], cond.row_norms[i])
+                   cond.reach[i])
             for g, r in zip(got, ref):
                 scale = max(1.0, float(np.abs(r).max()))
                 np.testing.assert_allclose(g, r, rtol=1e-12, atol=1e-12 * scale)
@@ -214,7 +214,10 @@ def test_a_discrete_search_past_the_node_cap_raises(grid, monkeypatch, capsys, t
 
 
 def _reference_jobs(problem, sset, x, ell):
-    """The (sequence, target) pairs a per-pair reach test keeps, in job order."""
+    """The (sequence, target) pairs per-pair tests keep, in job order: the
+    componentwise box reach, and for a target with an energy ball, full-rank
+    rows whose least-norm solution lies in the ball widened by the room the
+    rows' tolerance leaves."""
     pl = problem.pl
     base_x = np.asarray(base_view(x), dtype=float)
     lo = np.tile(problem.control_set(x).lo, ell)
@@ -226,13 +229,42 @@ def _reference_jobs(problem, sset, x, ell):
         phis, gammas, *_ = _reference_assemble(pl, base_x, sigma, np.zeros((ell, ell)), lo, hi)
         reach_box = np.abs(gammas[ell]) @ np.maximum(np.abs(lo), np.abs(hi))
         for t, target in enumerate(sset.shooting_targets(x)):
-            reach = reach_box
-            if target.ball_radius is not None:
-                reach = np.minimum(reach, np.linalg.norm(gammas[ell], axis=1) * target.ball_radius)
-            if np.any(np.abs(target.state - phis[ell]) > reach + shooting.EPS_STATE + 1e-12):
+            rhs = target.state - phis[ell]
+            if np.any(np.abs(rhs) > reach_box + shooting.EPS_STATE + 1e-12):
                 continue
+            g = gammas[ell]
+            if target.ball_radius is not None and np.linalg.matrix_rank(g) == len(g):
+                pinv = np.linalg.pinv(g)
+                room = shooting.EPS_STATE * np.abs(pinv).sum()
+                if np.linalg.norm(pinv @ rhs) > target.ball_radius * (1.0 + 1e-12) + room:
+                    continue
             jobs.append((target.value, t, s, sigma))
     return [(j[3], j[0]) for j in sorted(jobs, key=lambda j: j[:3])]
+
+
+def test_the_least_norm_ball_test_drops_every_pair_a_cauchy_schwarz_bound_would():
+    """For full-rank rows g, r_i = g_i g+ r, so |r_i| <= |g_i| |g+ r|: a pair
+    whose row i the ball cannot reach by Cauchy-Schwarz, |r_i| > |g_i|
+    radius (+ EPS_STATE), has its least-norm point outside the ball, and
+    _beyond_ball drops it. Seeded random rows, right-hand sides and radii;
+    the two tests' tolerances differ only within EPS_STATE |g_i| sum|g+| of
+    the threshold, a band such draws do not meet."""
+    rng = np.random.default_rng(17)
+    d, n_seq, n_targets = 2, 6, 50
+    for width in (2, 3, 5, 8):
+        g = rng.normal(size=(n_seq, d, width)) * rng.uniform(0.1, 3.0, (n_seq, 1, 1))
+        factors = [shooting._row_factors(np.eye(width), rows) for rows in g]
+        seqs = SimpleNamespace(pinv=np.array([f[0] for f in factors]),
+                               give=np.array([f[1] for f in factors]))
+        rhs = rng.normal(0.0, 2.0, (n_seq, n_targets, d))
+        radii = rng.uniform(0.05, 3.0, n_targets)
+        shrunk = np.linalg.norm(g, axis=2)[:, None] * radii[:, None]
+        cauchy_schwarz = np.any(np.abs(rhs) > shrunk + shooting.EPS_STATE + 1e-12, axis=2)
+        beyond = shooting._beyond_ball(seqs, rhs, radii)
+        assert cauchy_schwarz.any() and not cauchy_schwarz.all()
+        assert not (cauchy_schwarz & ~beyond).any()
+        if width > d:  # the least-norm test is the sharper one
+            assert (beyond & ~cauchy_schwarz).any()
 
 
 def _sorted_jobs(keep, tails):
@@ -372,9 +404,9 @@ def _per_candidate(monkeypatch):
                 controls = tuple(z[k * m:(k + 1) * m].copy() for k in range(ell))
                 value, states, _ = shooting.replay(problem, x, controls, sset.terminal_cost)
                 diag["mismatch"] = shooting._mismatch(states[-1], target.state)
-                return value, controls, diag
+                return value, controls, diag, states[-1]
         diag["pruned"] = True
-        return INF, (), diag
+        return INF, (), diag, None
 
     monkeypatch.setattr(shooting, "_screen", no_screen)
     monkeypatch.setattr(shooting, "_solve_candidate", candidate)
@@ -477,7 +509,7 @@ def test_assembling_in_chunks_changes_no_bit(spiral):
     whole = shooting._assemble(pl, x0, sigmas, h_r, lo, hi)
     for i, sigma in enumerate(sigmas[::37]):
         alone = shooting._assemble(pl, x0, sigma[None], h_r, lo, hi)
-        for f in ("phis", "gammas", "h0", "b0", "c0", "b_x", "b_c", "reach", "row_norms"):
+        for f in ("phis", "gammas", "h0", "b0", "c0", "b_x", "b_c", "reach"):
             assert np.array_equal(getattr(whole, f)[37 * i], getattr(alone, f)[0]), f
 
 
@@ -526,19 +558,13 @@ def test_every_candidate_is_a_seed_a_replay_or_pruned_by_one_rule(spiral, monkey
     """On the first spiral trajectory-0 solve, the per-rule prune counts,
     the replayed jobs and the seeds add up to the candidates; the run's
     step report still copies only its four solver keys."""
-    replayed, seeds = shooting._replayed, shooting._evaluate_seed
-    counts = {"replayed": 0, "seeds": 0}
+    priced, counts = shooting._priced, {"replayed": 0, "seeds": 0}
 
-    def replay_counted(*args, **kwargs):
-        counts["replayed"] += 1
-        return replayed(*args, **kwargs)
+    def counted(*args, **diag):
+        counts["seeds" if diag.get("seed") else "replayed"] += 1
+        return priced(*args, **diag)
 
-    def seed_counted(*args, **kwargs):
-        counts["seeds"] += 1
-        return seeds(*args, **kwargs)
-
-    monkeypatch.setattr(shooting, "_replayed", replay_counted)
-    monkeypatch.setattr(shooting, "_evaluate_seed", seed_counted)
+    monkeypatch.setattr(shooting, "_priced", counted)
     policy = next(iter(spiral.base_policies.values()))
     sol = solve_continuous(spiral.problem, spiral.sample_sets["trajectory-0"],
                            np.array([1.0, 1.0]), replace(spiral.solver_defaults, ell=5),

@@ -255,7 +255,7 @@ def test_a_plan_off_its_path_by_two_eps_is_dropped_and_by_half_eps_replayed(
         monkeypatch.setattr(shooting, "_box_qp",
                             lambda h, b, lo, hi, rows=None, z0=None: (z, True, 1))
         replays.clear()
-        value, controls, _ = shooting._solve_candidate(
+        value, controls, *_ = shooting._solve_candidate(
             problem, FreeTerminal(), x0, cond, 0, Target(), -np.ones(2), np.ones(2), 1)
         assert len(replays) == want  # the half-eps plan's replay is its price
         if want == 0:
