@@ -176,7 +176,10 @@ class BudgetSampleSet:
     def reverify(self) -> None:
         """Membership is reconstructed from the seed: recompute the usage
         ledger and demand exact agreement with the stored one."""
-        usages, tails = _ledger(self.seed, self.spec, self.anchor_usage)
+        try:
+            usages, tails = _ledger(self.seed, self.spec, self.anchor_usage)
+        except ValueError as exc:  # a stored usage matrix that prices a step below zero
+            raise SampleSetIntegrityError(f"usage ledger: {exc}") from exc
         for what, stored, measured in (("usage", self.usages, usages),
                                        ("tail usage", self.tail_usages, tails)):
             if len(stored) != len(measured):

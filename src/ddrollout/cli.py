@@ -99,7 +99,7 @@ SOLVER_KEYS = tuple(f.name for f in dataclasses.fields(SolverConfig))
 
 
 def _solver_config(bundle: InstanceBundle, opts: dict) -> SolverConfig:
-    overrides = {k: opts[k] for k in SOLVER_KEYS if opts.get(k) is not None}
+    overrides = {k: opts[k] for k in SOLVER_KEYS if k in opts}
     return dataclasses.replace(bundle.solver_defaults, **overrides)
 
 

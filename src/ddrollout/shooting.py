@@ -545,11 +545,13 @@ def solve_continuous(problem: ProblemDef, sset, x, cfg: SolverConfig,
             if not screen.lb[i] < bound + slack:
                 candidates.append(_pruned("bound", 0))
                 continue
+            if screen.interior[i] and not screen.on_path[i]:
+                candidates.append(_pruned("path", 1))
+                continue
             if screen.interior[i]:  # what _box_qp returns: z itself, in one iteration
                 plan = tuple(screen.z[s, p].reshape(-1, m).copy())
                 candidates.append(_priced(problem, sset, x, plan, target.state, iterations=1,
-                                          converged=True)
-                                  if screen.on_path[i] else _pruned("path", 1))
+                                          converged=True))
                 bound = min(bound, candidates[-1][0])
                 continue
             # a box-active optimum: every box point on the rows costs more

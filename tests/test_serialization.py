@@ -154,6 +154,10 @@ def test_budget_set_roundtrip_and_tamper_detection(integrator):
     bad["tail_usages"][3] = float(decode_value(bad["tail_usages"][3])) + 1e-9
     with pytest.raises(SampleSetIntegrityError):
         sample_set_from_doc(bad)
+    bad = copy.deepcopy(doc)
+    bad["usage_quad"] = [[-1.0]]  # prices every step below zero
+    with pytest.raises(SampleSetIntegrityError, match="usage ledger"):
+        sample_set_from_doc(bad)
 
 
 def test_run_roundtrip_and_summary(grid, tmp_path):
