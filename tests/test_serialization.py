@@ -155,6 +155,10 @@ def test_budget_set_roundtrip_and_tamper_detection(integrator):
     with pytest.raises(SampleSetIntegrityError):
         sample_set_from_doc(bad)
     bad = copy.deepcopy(doc)
+    bad["usages"].pop()  # a ledger one step short of its seed
+    with pytest.raises(SampleSetIntegrityError, match="stored usage entries"):
+        sample_set_from_doc(bad)
+    bad = copy.deepcopy(doc)
     bad["usage_quad"] = [[-1.0]]  # prices every step below zero
     with pytest.raises(SampleSetIntegrityError, match="usage ledger"):
         sample_set_from_doc(bad)
