@@ -5,43 +5,55 @@ For such dynamics with quadratic stage costs the l-step problem decomposes
 into independent subproblems, one per (mode sequence, terminal target)
 pair. Every mode sequence that starts in the current state's mode is
 enumerated (hybrid MPC's mode-sequence enumeration); more than
-SolverConfig.mode_cap of them raises SearchSpaceError. The plan is condensed
-along all of them at once, as arrays stacked over the sequences, and every
-(sequence, target) pair is tested for reachability in one broadcast: each
-coordinate of its target must lie within the control box's reach. Each
-subproblem is a box-constrained quadratic program solved exactly. A target
-pinned to a sampled state adds d equality rows that put the terminal state
-on it; its box-free optimum is affine in the target and in x0 with maps
-that depend on the mode sequence alone, so they are solved once and kept
-in the caller's memo (a rollout passes one memo to all of its steps). One
-more broadcast screens every pinned pair's box-free optimum: its objective
-(a lower bound on the subproblem), whether it lies strictly inside the
-control box, on the rows and in the energy ball, and whether its predicted
-path stays on its mode sequence. A free target adds its own quadratic
-cost. Budget-augmented problems add an exact ball constraint on the
-control energy: the exact trust-region step on the rows solves it when
-that step lies in the box, and bisection on its multiplier otherwise. A
-pinned pair whose rows' least-norm solution g+ (t - phi_l) already lies
-outside its ball has no plan and is dropped with the unreachable ones.
-Subproblems are taken cheapest tail first against a running bound, and one
-whose box-free optimum cannot beat the bound stops there. An interior
-pinned optimum is its subproblem's solution, so it goes straight to the
-replay. A pinned optimum that leaves the box by e_i in coordinate i lifts
-its bound by the least cost of moving back, 0.5 e_i^2 / M_ii with M the
-inverse of the Hessian reduced to the rows' null space (per sequence, kept
-in the memo with g+); under a finite running bound, a pair whose lifted
-bound cannot beat it stops there too. Only free targets and the remaining
-box- or ball-active pinned optima reach the per-candidate box QP. A solved
-plan is replayed only if its predicted path meets its target, it lies in
-its energy ball, its path stays within model.EPS_STATE of its mode
-sequence's regions and of the state box (where the condensed prediction
-is exact) and its predicted value beats the bound.
-That replay with the set's own terminal_cost (_priced) is the one price of
-every plan, solved or seeded, so a plan earns a recorded value only by
-ending in the set. The first candidate of least value wins, and its
-replayed final state is the solution's terminal state. Every dropped candidate
-records the rule that dropped it (_RULES), and the solution's diagnostics
-count them by rule ("pruned_by").
+SolverConfig.mode_cap of them raises SearchSpaceError. The plan is
+condensed along all of them at once, as arrays stacked over the sequences,
+and every (sequence, target) pair is tested for reachability in one
+broadcast: each coordinate of its target must lie within the control box's
+reach. Each subproblem is a box-constrained quadratic program solved
+exactly. A target pinned to a sampled state adds d equality rows that put
+the terminal state on it; its box-free optimum is affine in the target and
+in x0 with maps that depend on the mode sequence alone, so they are solved
+once and kept in the caller's memo (a rollout passes one memo to all of its
+steps). One more broadcast screens every pinned pair's box-free optimum:
+its objective (a lower bound on the subproblem), whether it lies strictly
+inside the control box, on the rows and in the energy ball, whether its
+predicted path stays on its mode sequence, and, for a planar state, whether
+some box point meets its rows at all (an exact test against the zonotope
+the box reaches). A free target adds its own quadratic cost; its box-free
+optima are least-squares solves, once per target and sequence.
+Budget-augmented problems add an exact ball constraint on the control
+energy: the exact trust-region step on the rows solves it when that step
+lies in the box, and bisection on its multiplier otherwise. A pinned pair
+whose rows' least-norm solution g+ (t - phi_l) already lies outside its
+ball has no plan and is dropped with the unreachable ones. Subproblems are
+taken cheapest tail first against a running bound, and one whose box-free
+optimum cannot beat the bound stops there. An interior pinned optimum is
+its subproblem's solution, so it goes straight to the replay. A pinned
+optimum that leaves the box by e_i in coordinate i lifts its bound by the
+least cost of moving back, 0.5 e_i^2 / M_ii with M the inverse of the
+Hessian reduced to the rows' null space (per sequence, kept in the memo
+with g+); under a finite running bound, a pair whose lifted bound cannot
+beat it stops there too. So does a pair whose rows no box point meets. The
+jobs left, free targets and box-active pinned optima, need the active-set
+solve of the box QP (boxqp._box_qp), which runs over stacks of subproblems:
+when the loop first reaches such a job, every later job of its target (they
+are consecutive) that passes the same tests against the running bound joins
+it, and the group is solved _CHUNK at a time. The bound only falls along
+the loop, so the group holds every job the loop goes on to solve; each is
+finished in job order, on its ball if it has one, as if solved alone (a
+problem's result has the same bits in any stack). A pinned optimum inside
+the box and on its rows that leaves only its energy ball needs no box QP,
+which would return it as is, and goes straight to the ball. A solved plan
+is replayed only if its predicted path meets its target, it lies in its
+energy ball, its path stays within model.EPS_STATE of its mode sequence's
+regions and of the state box (where the condensed prediction is exact) and
+its predicted value beats the bound. That replay with the set's own
+terminal_cost (_priced) is the one price of every plan, solved or seeded,
+so a plan earns a recorded value only by ending in the set. The first
+candidate of least value wins, and its replayed final state is the
+solution's terminal state. Every dropped candidate records the rule that
+dropped it (_RULES), and the solution's diagnostics count them by rule
+("pruned_by").
 """
 
 from __future__ import annotations
@@ -51,223 +63,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .boxqp import (_ball_box_qp, _box_qp, _kkt_solve, _lift, _meets, _mv, _qp_obj,
+                    _row_factors)
 from .budget import base_view
 from .costs import INF
 from .errors import SearchSpaceError, SolverFailureError
 from .lookahead import LookaheadSolution, SolverConfig, base_plan, replay
 from .model import EPS_STATE, BoxControls, Policy, ProblemDef
 from .sample_sets import Target
-
-
-# ---------------------------------------------------------------------------
-# Quadratic subproblem machinery
-
-
-def _qp_obj(h, b, z) -> float:
-    return 0.5 * float(z @ h @ z) + float(b @ z)
-
-
-def _kkt_solve(h, g, top, bottom):
-    """Least-squares solution (z, lam) of [h g'; g 0] [z; lam] = [top; bottom]."""
-    n = h.shape[0]
-    kkt = np.zeros((n + g.shape[0],) * 2)
-    kkt[:n, :n], kkt[:n, n:], kkt[n:, :n] = h, g.T, g
-    sol = np.linalg.lstsq(kkt, np.concatenate([top, bottom]), rcond=None)[0]
-    return sol[:n], sol[n:]
-
-
-def _meets(z, rows) -> bool:
-    """Whether z meets rows = (g, r), g z = r to EPS_STATE in the infinity norm."""
-    return rows is None or float(np.abs(rows[0] @ z - rows[1]).max(initial=0.0)) <= EPS_STATE
-
-
-def _box_qp(h, b, lo, hi, rows=None, z=None):
-    """Minimize 0.5 z'hz + b'z over the box lo <= z <= hi and the rows
-    g z = r of rows = (g, r), if given.
-
-    The objective is a convex least squares (b lies in the range of h on
-    every face), so each face has a minimizer. The box-free optimum z (one
-    KKT solve, unless the caller has it) is returned when it is interior.
-    Otherwise a primal active-set method (Nocedal & Wright, Numerical
-    Optimization, sec. 16.5) starts from the box point nearest the rows, or
-    the clipped optimum: it minimizes on the free face under the rows, steps
-    to the first bound that blocks and holds it, and at a face minimizer
-    frees the held bound with the most negative multiplier, until none is
-    negative. A start that misses the rows by more than EPS_STATE, proving
-    that no box point meets them, is returned as is. Returns (z, converged,
-    iterations); converged is False only if a loop hits 4 (n + 1) face solves.
-    """
-    g, r = rows or (np.zeros((0, b.size)), np.zeros(0))
-    if z is None:
-        try:
-            z = _kkt_solve(h, g, -b, r)[0]
-        except np.linalg.LinAlgError:
-            return np.clip(np.zeros_like(b), lo, hi), False, 0
-    margin = 1e-12 * (1.0 + float(np.abs(z).max(initial=0.0)))
-    if np.all(z > lo + margin) and np.all(z < hi - margin) and _meets(z, rows):
-        return z, True, 1
-    z, converged, iters = (_box_qp(g.T @ g, -g.T @ r, lo, hi) if r.size
-                           else (np.clip(z, lo, hi), True, 0))
-    if not _meets(z, rows):
-        return z, converged, iters
-    at_lo, at_hi = z <= lo, z >= hi  # the working set of held bounds
-    for it in range(1, 4 * (z.size + 1) + 1):
-        free = ~(at_lo | at_hi)
-        step, lam = np.zeros_like(z), np.zeros_like(r)
-        if free.any():
-            step[free], lam = _kkt_solve(h[np.ix_(free, free)], g[:, free],
-                                         -(h @ z + b)[free], np.zeros_like(r))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            room = np.where(step < 0, (lo - z) / step,
-                            np.where(step > 0, (hi - z) / step, np.inf))
-        k = int(np.argmin(room))
-        if room[k] < 1.0:  # blocked: move to the bound and hold it
-            z = np.clip(z + room[k] * step, lo, hi)
-            if step[k] < 0:
-                z[k], at_lo[k] = lo[k], True
-            else:
-                z[k], at_hi[k] = hi[k], True
-            continue
-        z = np.clip(z + step, lo, hi)
-        grad = h @ z + b + g.T @ lam
-        # multipliers of the held bounds, forgiving rounding in the gradient
-        tol = 1e-11 * (np.abs(h) @ np.abs(z) + np.abs(b) + np.abs(g.T) @ np.abs(lam))
-        mult = np.where(at_lo, grad + tol, np.where(at_hi, tol - grad, np.inf))
-        k = int(np.argmin(mult))
-        if mult[k] >= 0.0:
-            return z, True, iters + it
-        at_lo[k] = at_hi[k] = False
-    return z, False, iters + it
-
-
-def _svd_rank(g):
-    """Full SVD of g and its numerical rank."""
-    u, sv, vt = np.linalg.svd(g)
-    return u, sv, vt, int(np.sum(sv > sv.max(initial=0.0) * max(g.shape) * np.finfo(float).eps))
-
-
-def _row_factors(h, g):
-    """The pseudoinverse g+ of terminal rows g (d x width), how far a point
-    that meets the rows only to EPS_STATE may lie from one on them in each
-    coordinate (EPS_STATE sum_j |g+_ij|), and, for a quadratic objective
-    with Hessian h, its least curvature along each coordinate on the rows.
-
-    With N an orthonormal basis of null(g), every z on the rows differs from
-    their optimum z* by N y, and moving coordinate i by e costs at least
-    e^2 / (2 M_ii), M = N (N'hN)^-1 N'. The curvature is 1 / M_ii, shrunk by
-    1e-6 against rounding, and +inf where the rows fix z_i (M_ii = 0). It is
-    zero, so it lifts nothing, when N'hN is not safely positive definite;
-    all three are zero when g is rank deficient (z* may then miss the rows)."""
-    width, d = h.shape[0], g.shape[0]
-    u, sv, vt, rank = _svd_rank(g)
-    if rank < d:
-        return np.zeros((width, d)), np.zeros(width), np.zeros(width)
-    pinv = vt[:rank].T @ (u.T / sv[:, None])
-    give = EPS_STATE * np.abs(pinv).sum(axis=1)
-    basis = vt[rank:].T
-    e, v = np.linalg.eigh(basis.T @ h @ basis)
-    if e.size and e[0] <= 1e-10 * max(1.0, float(np.abs(e).max())):
-        return pinv, give, np.zeros(width)
-    m_diag = ((basis @ v) ** 2 / e).sum(axis=1)
-    curvature = np.full(width, np.inf)
-    np.divide(1.0 - 1e-6, m_diag, out=curvature, where=m_diag > 0.0)
-    return pinv, give, curvature
-
-
-def _lift(give, curvature, z, lo, hi) -> float:
-    """How far every box point on the rows lies above the rows' optimum z
-    in objective: 0.5 max_i e_i^2 / M_ii over the coordinates z leaves the
-    box by e_i > 0 (the others add nothing, whatever their curvature). A
-    point that meets the rows only to EPS_STATE lies within give_i of one
-    on them in coordinate i, so each e_i is that much smaller."""
-    e = np.maximum(lo - z, z - hi)
-    e -= give
-    out = e > 0.0
-    e = e[out]
-    return 0.5 * float((e * e * curvature[out]).max(initial=0.0))
-
-
-def _ball_step(h, b, lo, hi, radius, rows=None):
-    """The exact trust-region step (More & Sorensen 1983; Nocedal & Wright,
-    sec. 4.3) on the rows and the ball, aimed 5e-13 inside its sphere; None
-    when it leaves the box, when the ball does not bind on the rows, or when
-    N'hN is not safely positive definite (the hard case). With z_r the
-    least-norm solution of the rows and N an orthonormal basis of their null
-    space, z = z_r + N y meets the rows and ||z||^2 = ||z_r||^2 + ||y||^2, so
-    in y the ball is a trust region of radius delta. With N'hN = V e V',
-    ||y(lam)|| is closed form, and Newton on 1/||y(lam)|| = 1/delta climbs to
-    its root from lam = 0. A box point optimal without the box is optimal
-    with it."""
-    basis, z_r = np.eye(b.size), np.zeros(b.size)
-    if rows is not None:
-        u, sv, vt, rank = _svd_rank(rows[0])
-        basis, z_r = vt[rank:].T, vt[:rank].T @ ((u[:, :rank].T @ rows[1]) / sv[:rank])
-    # aimed inside the bisection's band [radius (1 - 1e-12), radius]: a plan on
-    # the sphere to rounding can replay with less energy than its tail uses
-    delta2 = (radius * (1.0 - 5e-13)) ** 2 - float(z_r @ z_r)
-    e, v = np.linalg.eigh(basis.T @ h @ basis)
-    if delta2 <= 0.0 or e.size == 0 or e[0] <= 1e-10 * max(1.0, float(np.abs(e).max())):
-        return None
-    a, lam, delta = v.T @ (basis.T @ (h @ z_r + b)), 0.0, float(np.sqrt(delta2))
-    for _ in range(32):  # a ball that does not bind holds lam at 0 until the loop ends
-        y = a / (e + lam)  # V'y up to its sign
-        norm = float(np.linalg.norm(y))
-        if abs(norm - delta) <= 1e-13 * delta:
-            z = z_r - basis @ (v @ y)
-            return z if np.all(z >= lo) and np.all(z <= hi) and np.linalg.norm(z) <= radius else None
-        lam = max(0.0, lam + (norm / delta - 1.0) * norm ** 2 / float(y @ (y / (e + lam))))
-    return None
-
-
-def _ball_box_qp(h, b, lo, hi, radius, rows=None, z=None):
-    """Minimize over the box and the rows AND ||z|| <= radius (no ball if None).
-
-    A box QP optimum outside the ball goes to the exact trust-region step,
-    and a step inside the box is the answer, at one more face solve. When
-    the step declines, the ball multiplier is found by bisection: z(lam)
-    solves the box QP for h + 2*lam*I, ||z(lam)|| decreases in lam, and the
-    feasible-side solution comes back with its own convergence flag, so the
-    ball holds at the result, unless the least-norm point of box and rows
-    already lies outside the ball: then no point meets all three, and that
-    point is returned without a search.
-    """
-    z, conv, iters = _box_qp(h, b, lo, hi, rows, z)
-    if radius is None or float(np.linalg.norm(z)) <= radius or not _meets(z, rows):
-        return z, conv, iters
-    step = _ball_step(h, b, lo, hi, radius, rows)
-    if step is not None:
-        return step, True, iters + 1
-    least, least_conv, _ = _box_qp(np.eye(b.size), np.zeros(b.size), lo, hi, rows)
-    if float(np.linalg.norm(least)) >= radius:
-        return least, least_conv, iters
-
-    def shifted(lam):  # h + 2 lam I, scaled by 1 / (1 + 2 lam) so the rows stay well posed
-        s = 1.0 / (1.0 + 2.0 * lam)
-        return _box_qp(s * h + (1.0 - s) * np.eye(b.size), s * b, lo, hi, rows)
-
-    lam_hi = 1.0
-    while lam_hi < 1e16:
-        z, conv, it = shifted(lam_hi)
-        iters += it
-        if float(np.linalg.norm(z)) <= radius:
-            break
-        lam_hi *= 8.0
-    lam_lo = 0.0
-    best = z, conv
-    for _ in range(64):
-        if lam_hi - lam_lo <= 1e-13 * lam_hi:
-            break
-        lam = 0.5 * (lam_lo + lam_hi)
-        z, conv, it = shifted(lam)
-        iters += it
-        norm = float(np.linalg.norm(z))
-        if norm <= radius:
-            lam_hi, best = lam, (z, conv)
-            if norm >= radius * (1.0 - 1e-12):
-                break  # multiplier tight: the ball is active to spec
-        else:
-            lam_lo = lam
-    return (*best, iters)
 
 
 @dataclass(slots=True)
@@ -287,7 +90,7 @@ class _Condensed:
     reach: np.ndarray   # componentwise bound on |x_l - phi_l|, S x d
 
 
-_CHUNK = 64  # sequences per stacked product in _assemble, capping its temporaries
+_CHUNK = 64  # sequences per stacked product or box QP solve, capping their temporaries
 
 
 def _assemble(pl, x0: np.ndarray, sigmas: np.ndarray, h_r, lo_full, hi_full) -> _Condensed:
@@ -392,12 +195,33 @@ def _beyond_ball(seqs: _SequenceMaps, rhs, radii):
 @dataclass(slots=True)
 class _Screen:
     """Every pinned (sequence s, target t) pair's box-free optimum and its
-    tests; the tests are flat lists indexed by s * T + t, read once per job."""
+    tests; the tests every job reads are flat lists indexed by s * T + t."""
 
-    z: np.ndarray   # S x T x width optima
-    lb: list        # objective of z: no box point does better
-    interior: list  # z strictly inside the box, on the rows and in the ball
-    on_path: list   # z's predicted path within EPS_STATE of the regions and the state box
+    z: np.ndarray          # S x T x width optima
+    lb: list               # objective of z: no box point does better
+    interior: list         # z strictly inside the box, on the rows and in the ball
+    on_path: list          # z's predicted path within EPS_STATE of the regions and the state box
+    inside: np.ndarray     # S x T: z strictly inside the box and on the rows, in the ball or not
+    reachable: np.ndarray  # S x T: some box point may meet the rows to EPS_STATE (_planar_reach)
+
+
+def _planar_reach(gammas_l, rhs, lo, hi):
+    """Which pairs' rows g z = rhs (g S x 2 x width, rhs S x T x 2) some box
+    point meets to EPS_STATE in the infinity norm: exactly those whose
+    v = rhs - g c (c the box centre) lies in the zonotope g (box - c)
+    widened by the square of half-width EPS_STATE. That sum is a polygon,
+    so testing |w . v| against its support along each edge normal w decides
+    it: the normal (-g_1j, g_0j) of each generator column j, and the two
+    axes. Rounding in the products is allowed for."""
+    n_seq, _, width = gammas_l.shape
+    normals = np.zeros((n_seq, 2, width + 2))
+    normals[:, 0, :width], normals[:, 1, :width] = -gammas_l[:, 1], gammas_l[:, 0]
+    normals[:, 0, width] = normals[:, 1, width + 1] = 1.0
+    v = rhs - _mv(gammas_l, 0.5 * (hi + lo))[:, None]
+    support = np.abs(normals.transpose(0, 2, 1) @ gammas_l) @ (0.5 * (hi - lo))
+    room = support + EPS_STATE * np.abs(normals).sum(axis=1)
+    rounding = 1e-12 * (np.abs(v) @ np.abs(normals) + support[:, None])
+    return np.all(np.abs(v @ normals) <= room[:, None] + rounding, axis=2)
 
 
 def _screen(pl, cond: _Condensed, states, values, radii, need, memo,
@@ -435,6 +259,12 @@ def _screen(pl, cond: _Condensed, states, values, radii, need, memo,
     zt = z.transpose(0, 2, 1)
     miss = np.abs(cond.gammas[:, ell] @ zt - rhs.transpose(0, 2, 1)).max(axis=1, initial=0.0)
     interior &= miss <= EPS_STATE
+    inside, reachable = interior.copy(), np.ones_like(interior)
+    if d == 2:  # a pair whose z is inside the box and on the rows is reachable
+        active = np.flatnonzero(~inside.all(axis=1))
+        for lo in range(0, active.size, _CHUNK):
+            part = active[lo:lo + _CHUNK]
+            reachable[part] = _planar_reach(cond.gammas[part, ell], rhs[part], lo_full, hi_full)
     if np.isfinite(radii).any():
         interior &= np.sqrt((zw * zw).sum(axis=0)) <= radii
     # predicted x_1 .. x_{ell-1}, as an S x T x (ell - 1) x d view
@@ -442,7 +272,8 @@ def _screen(pl, cond: _Condensed, states, values, radii, need, memo,
     path = (path.reshape(n_seq, ell - 1, d, n_targets)
             + cond.phis[:, 1:ell, :, None]).transpose(0, 3, 1, 2)
     on_path = pl.path_excess(cond.sigmas[:, None, 1:], path) <= EPS_STATE
-    return _Screen(z, lb.ravel().tolist(), interior.ravel().tolist(), on_path.ravel().tolist())
+    return _Screen(z, lb.ravel().tolist(), interior.ravel().tolist(), on_path.ravel().tolist(),
+                   inside, reachable)
 
 
 # ---------------------------------------------------------------------------
@@ -535,34 +366,69 @@ def solve_continuous(problem: ProblemDef, sset, x, cfg: SolverConfig,
         screen = _screen(pl, cond, pinned, values, radii, kept.any(axis=1), memo,
                          lo_full, hi_full)
     column = dict(zip(pinned_at, range(len(pinned_at))))  # target -> screen column
+    free = {}  # free target -> (box-free optima, their bounds) along every sequence
+    lifts = {}  # pair -> its lifted bound
 
-    for t, s in zip(*_job_order(keep, tails)):
-        target, p = targets[t], column.get(t)
-        if p is not None:
-            if target.value >= bound:
-                continue
-            i, slack = s * len(pinned_at) + p, 1e-7 * (1.0 + abs(bound))
-            if not screen.lb[i] < bound + slack:
-                candidates.append(_pruned("bound", 0))
-                continue
-            if screen.interior[i] and not screen.on_path[i]:
-                candidates.append(_pruned("path", 1))
-                continue
-            if screen.interior[i]:  # what _box_qp returns: z itself, in one iteration
-                plan = tuple(screen.z[s, p].reshape(-1, m).copy())
-                candidates.append(_priced(problem, sset, x, plan, target.state, iterations=1,
-                                          converged=True))
-                bound = min(bound, candidates[-1][0])
-                continue
-            # a box-active optimum: every box point on the rows costs more
-            if bound < INF:
+    def gate(t, s):
+        """Job (t, s)'s tests against the running bound before the active-set
+        solve: "skip" (a pinned target valued at the bound, not a candidate),
+        the rule that drops it, "interior" (a screened optimum to replay as
+        is), "in box" (one that leaves only its ball), or None when it needs
+        the solve."""
+        p = column.get(t)
+        if p is None:  # the free optimum bounds every box point's objective from below
+            if t not in free:
+                free[t] = _free_optima(cond, targets[t])
+            return None if free[t][1][s] < bound + 1e-7 * (1.0 + abs(bound)) else "bound"
+        if targets[t].value >= bound:
+            return "skip"
+        i, slack = s * len(pinned_at) + p, 1e-7 * (1.0 + abs(bound))
+        if not screen.lb[i] < bound + slack:
+            return "bound"
+        if screen.interior[i]:
+            return "interior" if screen.on_path[i] else "path"
+        if bound < INF:  # a box-active optimum: every box point on the rows costs more
+            if i not in lifts:
                 _factor(seqs, cond, (s,))
-                lift = _lift(seqs.give[s], seqs.curvature[s], screen.z[s, p], lo_full, hi_full)
-                if not screen.lb[i] + lift < bound + slack:
-                    candidates.append(_pruned("lift", 0))
-                    continue
-        out = _solve_candidate(problem, sset, x, cond, s, target, lo_full, hi_full, m,
-                               bound=bound, z=None if p is None else screen.z[s, p])
+                lifts[i] = screen.lb[i] + _lift(seqs.give[s], seqs.curvature[s], screen.z[s, p],
+                                                lo_full, hi_full)
+            if not lifts[i] < bound + slack:
+                return "lift"
+        if not screen.reachable[s, p]:
+            return "rows"
+        return "in box" if screen.inside[s, p] else None
+
+    jobs = list(zip(*_job_order(keep, tails)))
+    boxed = {}  # the current group's box optima, by job
+    for j, (t, s) in enumerate(jobs):
+        rule = gate(t, s)
+        if rule == "skip":  # every later tail is as high: all pinned, they skip too
+            if len(pinned_at) == len(targets):
+                break
+            continue
+        target = targets[t]
+        if rule == "interior":  # what _box_qp returns: z itself, in one iteration
+            plan = tuple(screen.z[s, column[t]].reshape(-1, m).copy())
+            candidates.append(_priced(problem, sset, x, plan, target.state, iterations=1,
+                                      converged=True))
+            bound = min(bound, candidates[-1][0])
+            continue
+        if rule == "in box":  # only its ball binds: _box_qp returns z itself, in one iteration
+            solved = screen.z[s, column[t]], True, 1
+        elif rule is not None:
+            candidates.append(_pruned(rule, 0))
+            continue
+        else:
+            if (t, s) not in boxed:  # a target's jobs are consecutive: solve the rest that qualify
+                group = [s2 for t2, s2 in itertools.takewhile(lambda job: job[0] == t,
+                                                              itertools.islice(jobs, j, None))
+                         if gate(t2, s2) is None]
+                z = free[t][0] if target.state is None else screen.z[:, column[t]]
+                boxed = dict(zip(((t, s2) for s2 in group),
+                                 _solve_group(cond, target, group, z, lo_full, hi_full)))
+            solved = boxed.pop((t, s))
+        out = _solve_candidate(problem, sset, x, cond, s, target, solved, lo_full, hi_full, m,
+                               bound)
         candidates.append(out)
         bound = min(bound, out[0])
 
@@ -586,34 +452,60 @@ def solve_continuous(problem: ProblemDef, sset, x, cfg: SolverConfig,
     )
 
 
-def _solve_candidate(problem, sset, x, cond: _Condensed, s: int, target: Target,
-                     lo_full, hi_full, m, bound=INF, z=None):
-    """Solve sequence s's subproblem on its box (and ball) and price its plan by
-    replay, unless the plan provably cannot win: its predicted terminal
-    misses a pinned target, it lies outside the target's energy ball (so its
-    terminal budget falls short of the target's tail), its predicted path
-    leaves the mode sequence or the state box by more than EPS_STATE (so the
-    prediction would not hold), or its predicted value does not beat bound.
-    Those candidates come back as +inf with an empty plan. z is a pinned
-    target's box-free optimum, which _screen has found able to beat bound;
-    a free target (z None) solves for its own and stops there when it
-    cannot."""
+def _subproblems(cond: _Condensed, target: Target, s):
+    """Target's subproblem along sequence s, or stacked along an index array
+    s: (h, b, rows, const), for the objective 0.5 z'h z + b'z + c0 + const. A
+    pinned target adds d rows that put x_l on it; a free target's quad adds
+    its own cost of x_l."""
+    g_l, phi_l = cond.gammas[s, -1], cond.phis[s, -1]
+    h, b, const = cond.h0[s], cond.b0[s], target.value
+    if target.state is not None:
+        return h, b, (g_l, target.state - phi_l), const
+    if target.quad is not None:
+        w = 2.0 * (np.swapaxes(g_l, -1, -2) @ target.quad)
+        h, b = h + w @ g_l, b + _mv(w, phi_l)
+        const = const + np.einsum("...i,ij,...j->...", phi_l, target.quad, phi_l)
+    return h, b, None, const
+
+
+def _free_optima(cond: _Condensed, target: Target):
+    """A free target's box-free optimum along every sequence and its
+    objective, which no box point beats: (z, bounds). Each optimum is its
+    own least-squares solve, the same route as a pinned pair's maps take."""
+    h, b, _, const = _subproblems(cond, target, np.arange(len(cond.sigmas)))
+    z = np.array([np.linalg.lstsq(hs, -bs, rcond=None)[0] for hs, bs in zip(h, b)])
+    lb = 0.5 * np.einsum("sw,sw->s", _mv(h, z), z) + np.einsum("sw,sw->s", b, z)
+    return z, (lb + cond.c0 + const).tolist()
+
+
+def _solve_group(cond: _Condensed, target: Target, seqs, z, lo_full, hi_full) -> list:
+    """The box QP optima (z, converged, iterations) of target's subproblems
+    along the sequences seqs, in one stacked _box_qp call per _CHUNK of them;
+    z holds each sequence's box-free optimum."""
+    out = []
+    for lo in range(0, len(seqs), _CHUNK):
+        part = np.array(seqs[lo:lo + _CHUNK])
+        h, b, rows, _ = _subproblems(cond, target, part)
+        out += [(zk, bool(ck), int(ik))
+                for zk, ck, ik in zip(*_box_qp(h, b, lo_full, hi_full, rows, z[part]))]
+    return out
+
+
+def _solve_candidate(problem, sset, x, cond: _Condensed, s: int, target: Target, boxed,
+                     lo_full, hi_full, m, bound=INF):
+    """Finish sequence s's subproblem from its box QP optimum boxed = (z,
+    converged, iterations), on the target's energy ball if it has one, and
+    price its plan by replay, unless the plan provably cannot win: its
+    predicted terminal misses a pinned target, it lies outside the target's
+    energy ball (so its terminal budget falls short of the target's tail),
+    its predicted path leaves the mode sequence or the state box by more
+    than EPS_STATE (so the prediction would not hold), or its predicted
+    value does not beat bound. Those candidates come back as +inf with an
+    empty plan."""
     sigma, phis, gammas = cond.sigmas[s], cond.phis[s], cond.gammas[s]
-    g_l, phi_l = gammas[-1], phis[-1]
-    h, b, rows, const = cond.h0[s], cond.b0[s], None, target.value
+    h, b, rows, const = _subproblems(cond, target, s)
     slack = 1e-7 * (1.0 + abs(bound))
-    if target.state is not None:  # d exact rows pin x_l to the target
-        rows = (g_l, target.state - phi_l)
-    else:  # the free target's own quadratic cost of x_l
-        if target.quad is not None:
-            w = 2.0 * (g_l.T @ target.quad)
-            h, b = h + w @ g_l, b + w @ phi_l
-            const += float(phi_l @ target.quad @ phi_l)
-        z = np.linalg.lstsq(h, -b, rcond=None)[0]
-        # the box-free optimum bounds every box point's objective from below
-        if not _qp_obj(h, b, z) + cond.c0[s] + const < bound + slack:
-            return _pruned("bound", 0)
-    z, converged, it = _ball_box_qp(h, b, lo_full, hi_full, target.ball_radius, rows, z)
+    z, converged, it = _ball_box_qp(h, b, lo_full, hi_full, target.ball_radius, rows, boxed)
     path = phis[1:] + gammas[1:] @ z  # predicted x_1 .. x_ell
     if not _meets(z, rows):
         return _pruned("rows", it, converged)

@@ -309,11 +309,12 @@ def test_the_broadcast_reach_prune_keeps_the_per_pair_job_list(spiral, integrato
 @pytest.mark.parametrize("name,ell", [("spiral", 4), ("integrator", 3), ("integrator", 1)])
 def test_the_screen_agrees_with_each_pairs_own_tests(request, name, ell):
     """Each pair's screened optimum is the per-pair affine map's, bit for
-    bit; it counts as interior exactly when _box_qp would return it as is
-    (and it lies in its ball); its bound is its objective; its path test
-    is path_excess on its own predicted path. Half the targets are reachable
-    inside the box, the rest are off the reachable set (at ell = 1 the two
-    rows outnumber the one control, so the optimum misses them)."""
+    bit; it counts as inside exactly when _box_qp would return it as is, in
+    one iteration, and as interior when it also lies in its ball; its bound
+    is its objective; its path test is path_excess on its own predicted
+    path. Half the targets are reachable inside the box, the rest are off
+    the reachable set (at ell = 1 the two rows outnumber the one control, so
+    the optimum misses them)."""
     pl = request.getfixturevalue(name).problem.pl
     rng = np.random.default_rng(11)
     lo, hi = -np.ones(ell), np.ones(ell)
@@ -340,8 +341,10 @@ def test_the_screen_agrees_with_each_pairs_own_tests(request, name, ell):
             rows = (gammas[ell], states[t] - phis[ell])
             z = maps[s, :, d + 1:] @ rows[1] + maps[s, :, 1:d + 1] @ x0 + maps[s, :, 0]
             assert np.array_equal(screen.z[s, t], z)
-            as_is = shooting._box_qp(h0, b0, lo, hi, rows, z)[0] is z
+            boxed = shooting._box_qp(h0, b0, lo, hi, rows, z)
+            as_is = boxed[2] == 1 and np.array_equal(boxed[0], z)
             assert screen.interior[i] == (as_is and float(np.linalg.norm(z)) <= radii[t])
+            assert screen.inside[s, t] == as_is
             assert screen.lb[i] == pytest.approx(_qp_obj(h0, b0, z) + cond.c0[s] + values[t],
                                                  rel=1e-12, abs=1e-12)
             path = phis[1:] + gammas[1:] @ z
@@ -359,16 +362,19 @@ def _per_candidate(monkeypatch):
     """Send every job of solve_continuous through one per-candidate solve,
     the way the solver worked before the screen: the pinned optimum
     P r + Q x0 + q from its sequence's own KKT maps, then the bound, the box
-    (and ball) QP, the target, ball and path checks, and the replay."""
+    (and ball) QP, the target, ball and path checks, and the replay. The
+    reference solves its own box QP, a stack of one, so no group is solved
+    for it."""
     screen, conds, maps = shooting._screen, [], {}
 
     def no_screen(pl, cond, states, values, radii, need, memo, lo_full, hi_full):
         conds.append(cond)
         n = cond.sigmas.shape[0] * len(states)
         z = np.zeros((cond.sigmas.shape[0], len(states), cond.h0.shape[1]))
-        return shooting._Screen(z, [-INF] * n, [False] * n, [False] * n)
+        pairs = np.ones(z.shape[:2], dtype=bool)
+        return shooting._Screen(z, [-INF] * n, [False] * n, [False] * n, ~pairs, pairs)
 
-    def candidate(problem, sset, x, cond, s, target, lo_full, hi_full, m, bound=INF, z=None):
+    def candidate(problem, sset, x, cond, s, target, boxed, lo_full, hi_full, m, bound=INF):
         assert cond is conds[-1]
         sigma, ell = tuple(cond.sigmas[s].tolist()), cond.sigmas.shape[1]
         phis, gammas, c0 = cond.phis[s], cond.gammas[s], cond.c0[s]
@@ -392,8 +398,9 @@ def _per_candidate(monkeypatch):
         slack = 1e-7 * (1.0 + abs(bound))
         diag = {"mismatch": None, "iterations": 0, "converged": True}
         if _qp_obj(h, b, z) + c0 + const < bound + slack:
-            z, converged, it = shooting._ball_box_qp(h, b, lo_full, hi_full,
-                                                     target.ball_radius, rows, z)
+            z, converged, it = shooting._ball_box_qp(
+                h, b, lo_full, hi_full, target.ball_radius, rows,
+                shooting._box_qp(h, b, lo_full, hi_full, rows, z))
             diag.update(iterations=it, converged=converged)
             path = phis[1:] + gammas[1:] @ z
             if (shooting._meets(z, rows)
@@ -409,6 +416,8 @@ def _per_candidate(monkeypatch):
         return INF, (), diag, None
 
     monkeypatch.setattr(shooting, "_screen", no_screen)
+    monkeypatch.setattr(shooting, "_solve_group",
+                        lambda cond, target, seqs, *_: [None] * len(seqs))
     monkeypatch.setattr(shooting, "_solve_candidate", candidate)
 
 
@@ -473,30 +482,44 @@ def test_the_screen_changes_no_solve(spiral, integrator, monkeypatch):
 def test_only_box_active_jobs_reach_the_per_candidate_solver(spiral, monkeypatch):
     """A classical-MPC rollout (512 sequences, one origin target per step):
     a job whose box-free optimum lies strictly inside the control box is
-    settled by the screen, so every job the per-candidate solver sees is
+    settled by the screen, so every job the active-set solve sees is
     box-active. Only the first step's jobs are; every later step is settled
-    by the screen alone."""
+    by the screen alone. The first step's 512 jobs are one group, solved in
+    8 stacked box QPs of _CHUNK = 64."""
     policy = next(iter(spiral.base_policies.values()))
     cfg = replace(spiral.solver_defaults, ell=10, mode_cap=512)
-    solve_candidate, seen, steps = shooting._solve_candidate, [], []
+    solve_group, solve_candidate, box_qp = (shooting._solve_group, shooting._solve_candidate,
+                                            shooting._box_qp)
+    seen, stacks, steps = [], [], []
 
-    def record(problem, sset, x, cond, s, target, lo_full, hi_full, m, bound=INF, z=None):
-        margin = 1e-12 * (1.0 + float(np.abs(z).max()))
-        assert not (np.all(z > lo_full + margin) and np.all(z < hi_full - margin))
+    def group(cond, target, seqs, z, lo_full, hi_full):
+        for s in seqs:
+            margin = 1e-12 * (1.0 + float(np.abs(z[s]).max()))
+            assert not (np.all(z[s] > lo_full + margin) and np.all(z[s] < hi_full - margin))
+        return solve_group(cond, target, seqs, z, lo_full, hi_full)
+
+    def stacked(h, b, lo, hi, rows=None, z=None):
+        if rows is not None:  # not the start-point QP inside it
+            stacks.append((len(steps), len(b)))
+        return box_qp(h, b, lo, hi, rows, z)
+
+    def record(*args, **kwargs):
         seen.append(len(steps))
-        return solve_candidate(problem, sset, x, cond, s, target, lo_full, hi_full, m,
-                               bound=bound, z=z)
+        return solve_candidate(*args, **kwargs)
 
     def solve(*args, **kwargs):
         steps.append(lookahead.solve(*args, **kwargs))
         return steps[-1]
 
+    monkeypatch.setattr(shooting, "_solve_group", group)
+    monkeypatch.setattr(shooting, "_box_qp", stacked)
     monkeypatch.setattr(shooting, "_solve_candidate", record)
     monkeypatch.setattr(engine, "solve", solve)
     run = run_classical_mpc(spiral.problem, spiral.start_states[0], cfg, 40, terminal="origin",
                             base_policy=policy)
     assert run.status == "closed_in_set" and len(steps) == 16
     assert seen == [0] * 512
+    assert shooting._CHUNK == 64 and stacks == [(0, 64)] * 8
     assert sum(s.diagnostics["candidates"] for s in steps) > 16 * 512
 
 
@@ -538,6 +561,41 @@ def test_the_curvature_lift_changes_no_rollout(spiral, monkeypatch):
     forced, forced_calls = rollout(flat=True)
     assert repr(shipped) == repr(forced)
     assert shipped_calls <= 340 and forced_calls == 992
+
+
+def test_the_planar_reach_test_drops_only_rows_prunes(integrator, monkeypatch):
+    """The 40-step integrator trajectory rollout, as shipped and with the
+    planar reach test switched off: the runs are identical and so are the
+    rule counts, but the test drops 68 of the 71 jobs that reach the
+    active-set solve, all of which end on the rows prune after it."""
+    policy = next(iter(integrator.base_policies.values()))
+    solve_candidate = shooting._solve_candidate
+
+    def rollout(planar):
+        calls, rules = [], {}
+
+        def solve(*args, **kwargs):
+            sol = lookahead.solve(*args, **kwargs)
+            for rule, count in sol.diagnostics["pruned_by"].items():
+                rules[rule] = rules.get(rule, 0) + count
+            return sol
+
+        with monkeypatch.context() as patched:
+            patched.setattr(engine, "solve", solve)
+            patched.setattr(shooting, "_solve_candidate",
+                            lambda *a, **k: calls.append(1) or solve_candidate(*a, **k))
+            if not planar:
+                patched.setattr(shooting, "_planar_reach",
+                                lambda g, rhs, lo, hi: np.ones(rhs.shape[:2], dtype=bool))
+            run = run_rollout(integrator.problem, integrator.sample_sets["trajectory"],
+                              integrator.start_states[0],
+                              replace(integrator.solver_defaults, ell=4), 40, base_policy=policy)
+        return repr(run), rules, len(calls)
+
+    shipped, shipped_rules, shipped_calls = rollout(planar=True)
+    forced, forced_rules, forced_calls = rollout(planar=False)
+    assert shipped == forced and shipped_rules == forced_rules
+    assert shipped_rules["rows"] == 68 and (shipped_calls, forced_calls) == (3, 71)
 
 
 def test_a_classical_mpc_rollout_computes_no_lift(spiral, monkeypatch):

@@ -6,16 +6,17 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.optimize import lsq_linear, minimize
+from scipy.optimize import linprog, lsq_linear, minimize
 
 from ddrollout import AugmentedState, ExplicitSampleSet, SampleEntry, SolverConfig, run_rollout
-from ddrollout import shooting
+from ddrollout import boxqp, shooting
 from ddrollout.costs import INF
 from ddrollout.errors import SearchSpaceError
 from ddrollout.lookahead import replay
 from ddrollout.model import EPS_STATE
 from ddrollout.sample_sets import FreeTerminal, Target
-from ddrollout.shooting import _ball_box_qp, _box_qp, solve_continuous
+from ddrollout.boxqp import _ball_box_qp, _box_qp
+from ddrollout.shooting import solve_continuous
 
 
 def _cfg(ell, **kw):
@@ -252,11 +253,10 @@ def test_a_plan_off_its_path_by_two_eps_is_dropped_and_by_half_eps_replayed(
             z[0] = pl.state_box[1][1] + EPS_STATE + off - cond.phis[0, 1, 1]
         x1 = cond.phis[0, 1] + cond.gammas[0, 1] @ z
         assert pl.path_excess(sigma[1:], x1[None]) == pytest.approx(off, rel=1e-3)
-        monkeypatch.setattr(shooting, "_box_qp",
-                            lambda h, b, lo, hi, rows=None, z0=None: (z, True, 1))
-        replays.clear()
+        replays.clear()  # the box QP's optimum is z, in one iteration
         value, controls, *_ = shooting._solve_candidate(
-            problem, FreeTerminal(), x0, cond, 0, Target(), -np.ones(2), np.ones(2), 1)
+            problem, FreeTerminal(), x0, cond, 0, Target(), (z, True, 1), -np.ones(2),
+            np.ones(2), 1)
         assert len(replays) == want  # the half-eps plan's replay is its price
         if want == 0:
             assert value == INF and controls == ()
@@ -354,12 +354,146 @@ def test_box_qp_matches_face_enumeration():
             assert np.abs(g @ zb - r).max(initial=0.0) <= 1e-9
 
 
+def test_stacked_box_qps_match_face_enumeration():
+    """Stacks of problems that share the width, the row count and the box,
+    solved in one call: every problem's optimum matches the face-enumerated
+    one to 1e-9."""
+    rng = np.random.default_rng(8)
+    for n, d in itertools.product(range(1, 6), range(3)):
+        lo, hi = -rng.uniform(0.1, 2.0, n), rng.uniform(0.1, 2.0, n)
+        stack = []
+        for _ in range(12):
+            h, b, *_ = _subproblem_qp(rng, n)
+            g = rng.standard_normal((d, n))
+            stack.append((h, b, g, g @ rng.uniform(-2.0, 2.0, n)))
+        h, b, g, r = (np.array(a) for a in zip(*stack))
+        z, converged, _ = _box_qp(h, b, lo, hi, (g, r) if d else None)
+        assert converged.all()
+        assert np.all(z >= lo) and np.all(z <= hi)
+        for k in range(len(stack)):
+            ref = _face_oracle(h[k], b[k], lo, hi, g[k], r[k])
+            miss = np.abs(g[k] @ z[k] - r[k]).max(initial=0.0)
+            if ref == math.inf:
+                assert miss > 1e-9
+                continue
+            assert miss <= 1e-9
+            assert _qp_obj(h[k], b[k], z[k]) == pytest.approx(ref, rel=1e-9, abs=1e-9)
+
+
+def test_stacking_changes_no_bit(monkeypatch):
+    """A seeded mix of problems solved in one stack and one by one gives each
+    problem the same (z, converged, iterations) bits. The mix covers interior
+    optima, box-active optima, rank-deficient rows, faces with fewer free
+    coordinates than rows (the min-norm fallback), problems that finish at
+    different iterations, and one that runs to the 4 (n + 1) cap: its face
+    solves are made to step out of the box every time, so each round is
+    blocked."""
+    rng = np.random.default_rng(23)
+    n, d = 4, 2
+    lo, hi = -np.ones(n), np.ones(n)
+    problems = []
+    for k in range(40):
+        h, b, *_ = _subproblem_qp(rng, n)
+        g = rng.standard_normal((d, n))
+        r = g @ rng.uniform(-0.5, 0.5, n) if k % 5 == 0 else g @ rng.uniform(-1.5, 1.5, n)
+        if k % 5 == 0:  # an interior optimum
+            b = -h @ rng.uniform(-0.5, 0.5, n)
+        if k % 5 == 1:  # rank-deficient rows
+            g, r = np.vstack([g[:1], 2.0 * g[:1]]), np.r_[r[:1], 2.0 * r[:1]]
+        if k % 5 == 2:  # the rows meet the box only at a vertex
+            g = np.hstack([np.eye(2) + 0.3, np.zeros((2, 2))]) + np.eye(2, n, 2) * 0.5
+            r = g @ np.array([1.0, -1.0, 1.0, -1.0]) + np.array([2.0, 0.0])
+        problems.append((h, b, g, r))
+    h, b, g, r = (np.array(a) for a in zip(*problems))
+    b[-1, 0] = np.nan  # marks the problem whose face solves step out of the box
+    r[-1] = g[-1] @ rng.uniform(-0.5, 0.5, n)  # some box point meets its rows
+
+    few_free = []
+    face_solve = boxqp._face_solve
+
+    def recording(kkt, free, rhs):
+        few_free.append(bool((free.sum(axis=1) < kkt.shape[1] - free.shape[1]).any()))
+        z, lam = face_solve(kkt, free, rhs)
+        z[np.isnan(rhs).any(axis=1)] = -1.0
+        return z, lam
+
+    monkeypatch.setattr(boxqp, "_face_solve", recording)
+    stacked = _box_qp(h, b, lo, hi, (g, r))
+    alone = [_box_qp(h[k], b[k], lo, hi, (g[k], r[k])) for k in range(len(b))]
+    for k, (z, converged, iterations) in enumerate(alone):
+        assert stacked[0][k].tobytes() == z.tobytes(), k
+        assert (stacked[1][k], stacked[2][k]) == (converged, iterations), k
+    assert any(few_free)
+    iterations = stacked[2].tolist()
+    assert 1 in iterations and len(set(iterations)) > 4
+    assert not stacked[1][-1] and stacked[1][:-1].all()
+    assert stacked[2][-1] > 4 * (n + 1) > stacked[2][:-1].max()
+    rows_miss = np.abs(boxqp._mv(g, stacked[0]) - r).max(axis=1)
+    assert (rows_miss > 1e-9).any() and (rows_miss <= 1e-9).sum() > 20
+
+
+def _box_miss(g, t, lo, hi):
+    """The least infinity-norm miss of the rows g z = t over the box, by an LP."""
+    d, n = g.shape
+    # variables (z, s): minimize s with -s <= g z - t <= s
+    a_ub = np.block([[g, -np.ones((d, 1))], [-g, -np.ones((d, 1))]])
+    res = linprog(np.r_[np.zeros(n), 1.0], A_ub=a_ub, b_ub=np.r_[t, -t],
+                  bounds=[*zip(lo, hi), (0.0, None)], method="highs",
+                  options={"primal_feasibility_tolerance": 1e-10,
+                           "dual_feasibility_tolerance": 1e-10})
+    assert res.status == 0
+    return res.fun
+
+
+def test_the_planar_reach_test_agrees_with_an_lp():
+    """On random planar rows g (2 x width), boxes and targets, _planar_reach
+    keeps a target exactly when some box point meets its rows to EPS_STATE:
+    it keeps every target inside g's zonotope and every one 0.5 EPS_STATE
+    outside one of its edges, and drops every one well outside. Without the
+    EPS_STATE allowance the half-EPS targets would be dropped."""
+    rng = np.random.default_rng(41)
+    seen = dict.fromkeys(("inside", "half eps", "outside", "random kept", "random dropped"), 0)
+    for trial in range(40):
+        width = int(rng.integers(1, 6))
+        g = rng.standard_normal((2, width))
+        lo, hi = -rng.uniform(0.1, 2.0, width), rng.uniform(0.1, 2.0, width)
+        half, centre = 0.5 * (hi - lo), 0.5 * (hi + lo)
+        targets, kinds = [g @ rng.uniform(lo, hi)], ["inside"]
+        j = int(rng.integers(width))  # the edge along generator j, at its middle
+        w = np.array([-g[1, j], g[0, j]])
+        u = centre + half * np.sign(w @ g)
+        u[j] = centre[j]
+        for gap, kind in ((0.5 * EPS_STATE, "half eps"), (1e-3, "outside")):
+            targets.append(g @ u + gap * np.abs(w).sum() / (w @ w) * w)
+            kinds.append(kind)
+        for _ in range(6):
+            targets.append(g @ rng.uniform(lo, hi) + rng.normal(0.0, 0.5, 2))
+            kinds.append("random")
+        reach = shooting._planar_reach(g[None], np.array(targets)[None], lo, hi)[0]
+        for t, kind, kept in zip(targets, kinds, reach):
+            miss = _box_miss(g, t, lo, hi)
+            if kind == "half eps":  # outside the zonotope, by construction
+                assert w @ t > w @ g @ centre + np.abs(w @ g) @ half
+            if kind == "random":
+                if 0.5 * EPS_STATE < miss < 2.0 * EPS_STATE:
+                    continue  # too near the tolerance for the LP to decide
+                kind += " kept" if miss <= EPS_STATE else " dropped"
+            assert kept == (miss <= EPS_STATE), (trial, kind, miss)
+            seen[kind] += 1
+    assert all(seen.values()), seen
+
+
 def test_a_ball_below_the_least_norm_point_returns_without_a_search(monkeypatch):
     """No box point lies in a ball smaller than the box's least-norm point
     (1, 1), so that point comes back after the box QP and the least-norm QP,
     and only the first counts as iterations."""
     calls = []
-    monkeypatch.setattr(shooting, "_box_qp", lambda *a: calls.append(a) or _box_qp(*a))
+
+    def counted(h, *args):  # one problem, not the stack of one that solves it
+        calls.extend([h] if h.ndim == 2 else [])
+        return _box_qp(h, *args)
+
+    monkeypatch.setattr(boxqp, "_box_qp", counted)
     lo, hi = np.ones(2), np.full(2, 10.0)
     z, _, iterations = _ball_box_qp(np.eye(2), np.full(2, -5.0), lo, hi, 1.0)
     assert len(calls) <= 2
@@ -385,7 +519,7 @@ def test_the_bisection_reports_the_flag_of_the_plan_it_returns(monkeypatch):
         outside.append(float(np.linalg.norm(z)) > radius)
         return z, not outside[-1], 1
 
-    monkeypatch.setattr(shooting, "_box_qp", box_qp)
+    monkeypatch.setattr(boxqp, "_box_qp", box_qp)
     z, converged, _ = _ball_box_qp(np.eye(1), b, lo, hi, radius)
     assert outside[-1] and outside.count(False) >= 2  # the last solve was infeasible
     assert z.tolist() == [0.5] and converged
@@ -446,7 +580,10 @@ def test_the_ball_qp_is_optimal_by_a_kkt_certificate():
         assert np.all(zb >= lo) and np.all(zb <= hi)
         assert np.abs(g @ zb - r).max(initial=0.0) <= 1e-9
         norm = float(np.linalg.norm(zb))
-        if radius < least * (1.0 - 1e-9):  # no point meets all three
+        # no point meets all three; a radius within rounding of the least norm
+        # may find none either, as the solver's least norm can exceed the
+        # oracle's by an ulp
+        if radius < least * (1.0 - 1e-9) or radius < norm and radius <= least * (1.0 + 1e-12):
             assert norm == pytest.approx(least, rel=1e-9, abs=1e-12)
             seen["zero" if radius == 0.0 else "below least"] += 1
             continue
@@ -477,32 +614,35 @@ def test_the_exact_ball_step_matches_the_bisection_on_the_augmented_rollout(
     through the bisection: the same status, steps and samples, per-step
     values within 1e-9 relative, and every ball plan inside its ball unless
     no point of box and rows lies in it (then the least-norm point comes back
-    after two box QPs under the rows). The shipped run never bisects, and the
-    least-norm ball prune leaves no pair without a point in its ball."""
+    after one box QP under the rows past the stacked box QP). The shipped run
+    never bisects, and the least-norm ball prune leaves no pair without a
+    point in its ball."""
     policy = next(iter(integrator.base_policies.values()))
     x0 = AugmentedState(np.asarray(integrator.start_states[0], dtype=float),
                         float(integrator.budget_spec.e_max))
-    box_qp, ball_box_qp = shooting._box_qp, shooting._ball_box_qp
+    box_qp, ball_box_qp = boxqp._box_qp, boxqp._ball_box_qp
 
     def rollout():
         tally, solves = {"bisected": 0, "no point": 0, "calls": 0}, [0]
 
         def counted(h, b, lo, hi, rows=None, z=None):
-            solves[0] += rows is not None  # not the start-point QP inside _box_qp
+            # one problem under the rows: not the start-point QP inside _box_qp,
+            # nor the stack of one that solves it
+            solves[0] += rows is not None and h.ndim == 2
             return box_qp(h, b, lo, hi, rows, z)
 
-        def ball(h, b, lo, hi, radius, rows=None, z=None):
-            solves[0] = 0
-            out = ball_box_qp(h, b, lo, hi, radius, rows, z)
+        def ball(h, b, lo, hi, radius, rows=None, boxed=None):
+            solves[0] = 0  # the box QP itself ran stacked, before the call
+            out = ball_box_qp(h, b, lo, hi, radius, rows, boxed)
             tally["calls"] += 1
-            tally["bisected"] += solves[0] > 2
+            tally["bisected"] += solves[0] > 1
             if float(np.linalg.norm(out[0])) > radius:
-                assert solves[0] == 2
+                assert solves[0] == 1
                 tally["no point"] += 1
             return out
 
         with monkeypatch.context() as patched:
-            patched.setattr(shooting, "_box_qp", counted)
+            patched.setattr(boxqp, "_box_qp", counted)
             patched.setattr(shooting, "_ball_box_qp", ball)
             run = run_rollout(integrator.augmented_problem, integrator.augmented_sets["budget"],
                               x0, replace(integrator.solver_defaults, ell=4), 40,
@@ -510,7 +650,7 @@ def test_the_exact_ball_step_matches_the_bisection_on_the_augmented_rollout(
         return run, tally
 
     shipped, shipped_tally = rollout()
-    monkeypatch.setattr(shooting, "_ball_step", lambda *args, **kwargs: None)
+    monkeypatch.setattr(boxqp, "_ball_step", lambda *args, **kwargs: None)
     forced, forced_tally = rollout()
     assert (shipped.status, shipped.steps) == (forced.status, forced.steps) == ("horizon", 40)
     assert ([r["sample_id"] for r in shipped.solver_reports]
@@ -550,10 +690,10 @@ def test_the_curvature_lift_never_lifts_the_bound_above_the_box_optimum():
             k = int(rng.integers(n))  # outside by less than the rows' tolerance
             g = np.vstack([np.eye(n)[k], g[1:]])
             r = np.r_[rng.choice([rng.uniform(-2.5, 2.5), hi[k] + 1e-11, lo[k] - 1e-11]), r[1:]]
-        z = shooting._kkt_solve(h, g, -b, r)[0]
+        z = boxqp._kkt_solve(h, g, -b, r)[0]
         lb = _qp_obj(h, b, z)
-        pinv, give, curvature = shooting._row_factors(h, g)
-        lift = shooting._lift(give, curvature, z, lo, hi)
+        pinv, give, curvature = boxqp._row_factors(h, g)
+        lift = boxqp._lift(give, curvature, z, lo, hi)
         ref = _face_oracle(h, b, lo, hi, g, r)
         assert lift >= 0.0  # never NaN
         assert lb + lift <= ref + 1e-9 * (1.0 + abs(ref)), trial
@@ -593,7 +733,7 @@ def test_the_least_norm_ball_prune_drops_only_rows_that_leave_the_ball():
         if trial % 4 == 0:
             g[1] = 2.0 * g[0]
         h = np.eye(n)
-        pinv, give, _ = shooting._row_factors(h, g)
+        pinv, give, _ = boxqp._row_factors(h, g)
         seqs = shooting._SequenceMaps(np.zeros((1, n, 2 * d + 1)), np.ones(1, bool), pinv[None],
                                       give[None], np.zeros((1, n)), np.ones(1, bool))
         r = rng.uniform(-2.0, 2.0, (4, d))
