@@ -78,10 +78,11 @@ def _face_solve(kkt, free, rhs):
     kkt = np.where(kept[:, :, None] & kept[:, None, :], kkt, 0.0)
     diag = np.arange(n)
     kkt[:, diag, diag] += ~free
-    rhs = np.where(kept, rhs, 0.0)
     # one LU per system gives its solution and its inverse, for the condition number
-    eye = np.broadcast_to(np.eye(size), kkt.shape)
-    both = _lu_solve(kkt, np.concatenate([rhs[..., None], eye], axis=2))
+    rhs = np.where(kept, rhs, 0.0)
+    both = np.zeros((n_prob, size, size + 1))
+    both[:, :, 0], both[:, :, 1:] = rhs, np.eye(size)
+    both = _lu_solve(kkt, both)
     sol = both[..., 0]
     cond = np.abs(kkt).sum(axis=2).max(axis=1) * np.abs(both[..., 1:]).sum(axis=2).max(axis=1)
     rest = ~(cond <= _COND_LIMIT)  # NaN for an exactly singular system
@@ -155,38 +156,48 @@ def _box_qp(h, b, lo, hi, rows=None, z=None):
                                np.zeros(active.size, dtype=int))
     out[0][active], out[1][active], out[2][active] = z, converged, iters
     run = np.flatnonzero(_meets(z, (g, r)))  # a start off the rows is returned as is
+    if not run.size:
+        return out
     active, h, b, g, z, iters = (a[run] for a in (active, h, b, g, z, iters))
     out[1][active] = True
     kkt, gt, zeros = _kkt(h, g), g.transpose(0, 2, 1), np.zeros((len(active), g.shape[1]))
+    abs_h, abs_b, abs_gt = np.abs(h), np.abs(b), np.abs(gt)
     at_lo, at_hi = z <= lo, z >= hi  # the working sets of held bounds
-    cap = 4 * (n + 1)
+    each, cap = np.arange(len(active)), 4 * (n + 1)
     for it in range(1, cap + 1):
-        free = ~(at_lo | at_hi)
-        step, lam = _face_solve(kkt, free, np.concatenate([-(_mv(h, z) + b), zeros], axis=1))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            room = np.where(step < 0, (lo - z) / step,
-                            np.where(step > 0, (hi - z) / step, np.inf))
+        step, lam = _face_solve(kkt, ~(at_lo | at_hi),
+                                np.concatenate([-(_mv(h, z) + b), zeros], axis=1))
+        # how far along its step each coordinate may go before its bound
+        bound = np.where(step < 0, lo, hi)
+        room = np.full_like(step, np.inf)
+        np.divide(bound - z, step, out=room, where=(step < 0) | (step > 0))
         k = np.argmin(room, axis=1)
-        each = np.arange(k.size)
-        blocked = room[each, k] < 1.0  # blocked: move to the bound and hold it
-        z = np.clip(z + np.where(blocked, room[each, k], 1.0)[:, None] * step, lo, hi)
-        down, up = blocked & (step[each, k] < 0), blocked & (step[each, k] > 0)
-        z[down, k[down]], at_lo[down, k[down]] = lo[k[down]], True
-        z[up, k[up]], at_hi[up, k[up]] = hi[k[up]], True
+        frac = room[each, k]
+        blocked = frac < 1.0  # blocked: move to the bound and hold it
+        z = np.clip(z + np.where(blocked, frac, 1.0)[:, None] * step, lo, hi)
+        if blocked.any():
+            i, kb = each[blocked], k[blocked]
+            z[i, kb] = bound[i, kb]
+            at_lo[i, kb] = step[i, kb] < 0
+            at_hi[i, kb] = ~at_lo[i, kb]
+            if blocked.all():
+                continue
         grad = _mv(h, z) + b + _mv(gt, lam)
         # multipliers of the held bounds, forgiving rounding in the gradient
-        tol = 1e-11 * (_mv(np.abs(h), np.abs(z)) + np.abs(b) + _mv(np.abs(gt), np.abs(lam)))
+        tol = 1e-11 * (_mv(abs_h, np.abs(z)) + abs_b + _mv(abs_gt, np.abs(lam)))
         mult = np.where(at_lo, grad + tol, np.where(at_hi, tol - grad, np.inf))
         k = np.argmin(mult, axis=1)
         done = ~blocked & (mult[each, k] >= 0.0)
-        release = ~blocked & ~done
-        at_lo[release, k[release]] = at_hi[release, k[release]] = False
+        i = each[~blocked & ~done]
+        at_lo[i, k[i]] = at_hi[i, k[i]] = False
         if done.any():
             out[0][active[done]], out[2][active[done]] = z[done], iters[done] + it
-            active, h, b, kkt, gt, zeros, z, iters, at_lo, at_hi = (
-                a[~done] for a in (active, h, b, kkt, gt, zeros, z, iters, at_lo, at_hi))
-            if not active.size:
+            if done.all():
                 return out
+            active, h, b, kkt, gt, abs_h, abs_b, abs_gt, zeros, z, iters, at_lo, at_hi = (
+                a[~done] for a in (active, h, b, kkt, gt, abs_h, abs_b, abs_gt, zeros, z,
+                                   iters, at_lo, at_hi))
+            each = each[:active.size]
     out[0][active], out[1][active], out[2][active] = z, False, iters + cap
     return out
 
@@ -281,7 +292,9 @@ def _ball_box_qp(h, b, lo, hi, radius, rows=None, boxed=None):
     feasible-side solution comes back with its own convergence flag, so the
     ball holds at the result, unless the least-norm point of box and rows
     already lies outside the ball: then no point meets all three, and that
-    point is returned without a search.
+    point is returned without a search. A least-norm point outside by
+    rounding only (at most 1e-12 relative) is scaled to 5e-13 inside the
+    sphere, as the step is, and returned if it still meets box and rows.
     """
     z, conv, iters = _box_qp(h, b, lo, hi, rows) if boxed is None else boxed
     if radius is None or float(np.linalg.norm(z)) <= radius or not _meets(z, rows):
@@ -290,7 +303,12 @@ def _ball_box_qp(h, b, lo, hi, radius, rows=None, boxed=None):
     if step is not None:
         return step, True, iters + 1
     least, least_conv, _ = _box_qp(np.eye(b.size), np.zeros(b.size), lo, hi, rows)
-    if float(np.linalg.norm(least)) >= radius:
+    norm = float(np.linalg.norm(least))
+    if norm >= radius:
+        if 0.0 < norm <= radius * (1.0 + 1e-12):  # outside by rounding only
+            pulled = least * (radius * (1.0 - 5e-13) / norm)
+            if np.all(pulled >= lo) and np.all(pulled <= hi) and _meets(pulled, rows):
+                return pulled, least_conv, iters
         return least, least_conv, iters
 
     def shifted(lam):  # h + 2 lam I, scaled by 1 / (1 + 2 lam) so the rows stay well posed

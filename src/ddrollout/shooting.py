@@ -41,10 +41,8 @@ are consecutive) that passes the same tests against the running bound joins
 it, and the group is solved _CHUNK at a time. The bound only falls along
 the loop, so the group holds every job the loop goes on to solve; each is
 finished in job order, on its ball if it has one, as if solved alone (a
-problem's result has the same bits in any stack). A pinned optimum inside
-the box and on its rows that leaves only its energy ball needs no box QP,
-which would return it as is, and goes straight to the ball. A solved plan
-is replayed only if its predicted path meets its target, it lies in its
+problem's result has the same bits in any stack). A solved plan is
+replayed only if its predicted path meets its target, it lies in its
 energy ball, its path stays within model.EPS_STATE of its mode sequence's
 regions and of the state box (where the condensed prediction is exact) and
 its predicted value beats the bound. That replay with the set's own
@@ -201,7 +199,6 @@ class _Screen:
     lb: list               # objective of z: no box point does better
     interior: list         # z strictly inside the box, on the rows and in the ball
     on_path: list          # z's predicted path within EPS_STATE of the regions and the state box
-    inside: np.ndarray     # S x T: z strictly inside the box and on the rows, in the ball or not
     reachable: np.ndarray  # S x T: some box point may meet the rows to EPS_STATE (_planar_reach)
 
 
@@ -259,9 +256,9 @@ def _screen(pl, cond: _Condensed, states, values, radii, need, memo,
     zt = z.transpose(0, 2, 1)
     miss = np.abs(cond.gammas[:, ell] @ zt - rhs.transpose(0, 2, 1)).max(axis=1, initial=0.0)
     interior &= miss <= EPS_STATE
-    inside, reachable = interior.copy(), np.ones_like(interior)
+    reachable = np.ones_like(interior)
     if d == 2:  # a pair whose z is inside the box and on the rows is reachable
-        active = np.flatnonzero(~inside.all(axis=1))
+        active = np.flatnonzero(~interior.all(axis=1))
         for lo in range(0, active.size, _CHUNK):
             part = active[lo:lo + _CHUNK]
             reachable[part] = _planar_reach(cond.gammas[part, ell], rhs[part], lo_full, hi_full)
@@ -273,7 +270,7 @@ def _screen(pl, cond: _Condensed, states, values, radii, need, memo,
             + cond.phis[:, 1:ell, :, None]).transpose(0, 3, 1, 2)
     on_path = pl.path_excess(cond.sigmas[:, None, 1:], path) <= EPS_STATE
     return _Screen(z, lb.ravel().tolist(), interior.ravel().tolist(), on_path.ravel().tolist(),
-                   inside, reachable)
+                   reachable)
 
 
 # ---------------------------------------------------------------------------
@@ -373,8 +370,7 @@ def solve_continuous(problem: ProblemDef, sset, x, cfg: SolverConfig,
         """Job (t, s)'s tests against the running bound before the active-set
         solve: "skip" (a pinned target valued at the bound, not a candidate),
         the rule that drops it, "interior" (a screened optimum to replay as
-        is), "in box" (one that leaves only its ball), or None when it needs
-        the solve."""
+        is), or None when it needs the solve."""
         p = column.get(t)
         if p is None:  # the free optimum bounds every box point's objective from below
             if t not in free:
@@ -394,9 +390,7 @@ def solve_continuous(problem: ProblemDef, sset, x, cfg: SolverConfig,
                                                 lo_full, hi_full)
             if not lifts[i] < bound + slack:
                 return "lift"
-        if not screen.reachable[s, p]:
-            return "rows"
-        return "in box" if screen.inside[s, p] else None
+        return None if screen.reachable[s, p] else "rows"
 
     jobs = list(zip(*_job_order(keep, tails)))
     boxed = {}  # the current group's box optima, by job
@@ -413,22 +407,18 @@ def solve_continuous(problem: ProblemDef, sset, x, cfg: SolverConfig,
                                       converged=True))
             bound = min(bound, candidates[-1][0])
             continue
-        if rule == "in box":  # only its ball binds: _box_qp returns z itself, in one iteration
-            solved = screen.z[s, column[t]], True, 1
-        elif rule is not None:
+        if rule is not None:
             candidates.append(_pruned(rule, 0))
             continue
-        else:
-            if (t, s) not in boxed:  # a target's jobs are consecutive: solve the rest that qualify
-                group = [s2 for t2, s2 in itertools.takewhile(lambda job: job[0] == t,
-                                                              itertools.islice(jobs, j, None))
-                         if gate(t2, s2) is None]
-                z = free[t][0] if target.state is None else screen.z[:, column[t]]
-                boxed = dict(zip(((t, s2) for s2 in group),
-                                 _solve_group(cond, target, group, z, lo_full, hi_full)))
-            solved = boxed.pop((t, s))
-        out = _solve_candidate(problem, sset, x, cond, s, target, solved, lo_full, hi_full, m,
-                               bound)
+        if (t, s) not in boxed:  # a target's jobs are consecutive: solve the rest that qualify
+            group = [s2 for t2, s2 in itertools.takewhile(lambda job: job[0] == t,
+                                                          itertools.islice(jobs, j, None))
+                     if gate(t2, s2) is None]
+            z = free[t][0] if target.state is None else screen.z[:, column[t]]
+            boxed = dict(zip(((t, s2) for s2 in group),
+                             _solve_group(cond, target, group, z, lo_full, hi_full)))
+        out = _solve_candidate(problem, sset, x, cond, s, target, boxed.pop((t, s)), lo_full,
+                               hi_full, m, bound)
         candidates.append(out)
         bound = min(bound, out[0])
 

@@ -309,12 +309,12 @@ def test_the_broadcast_reach_prune_keeps_the_per_pair_job_list(spiral, integrato
 @pytest.mark.parametrize("name,ell", [("spiral", 4), ("integrator", 3), ("integrator", 1)])
 def test_the_screen_agrees_with_each_pairs_own_tests(request, name, ell):
     """Each pair's screened optimum is the per-pair affine map's, bit for
-    bit; it counts as inside exactly when _box_qp would return it as is, in
-    one iteration, and as interior when it also lies in its ball; its bound
-    is its objective; its path test is path_excess on its own predicted
-    path. Half the targets are reachable inside the box, the rest are off
-    the reachable set (at ell = 1 the two rows outnumber the one control, so
-    the optimum misses them)."""
+    bit; it counts as interior exactly when _box_qp would return it as is,
+    in one iteration (and it lies in its ball); its bound is its objective;
+    its path test is path_excess on its own predicted path. Half the targets
+    are reachable inside the box, the rest are off the reachable set (at
+    ell = 1 the two rows outnumber the one control, so the optimum misses
+    them)."""
     pl = request.getfixturevalue(name).problem.pl
     rng = np.random.default_rng(11)
     lo, hi = -np.ones(ell), np.ones(ell)
@@ -344,7 +344,6 @@ def test_the_screen_agrees_with_each_pairs_own_tests(request, name, ell):
             boxed = shooting._box_qp(h0, b0, lo, hi, rows, z)
             as_is = boxed[2] == 1 and np.array_equal(boxed[0], z)
             assert screen.interior[i] == (as_is and float(np.linalg.norm(z)) <= radii[t])
-            assert screen.inside[s, t] == as_is
             assert screen.lb[i] == pytest.approx(_qp_obj(h0, b0, z) + cond.c0[s] + values[t],
                                                  rel=1e-12, abs=1e-12)
             path = phis[1:] + gammas[1:] @ z
@@ -371,8 +370,8 @@ def _per_candidate(monkeypatch):
         conds.append(cond)
         n = cond.sigmas.shape[0] * len(states)
         z = np.zeros((cond.sigmas.shape[0], len(states), cond.h0.shape[1]))
-        pairs = np.ones(z.shape[:2], dtype=bool)
-        return shooting._Screen(z, [-INF] * n, [False] * n, [False] * n, ~pairs, pairs)
+        return shooting._Screen(z, [-INF] * n, [False] * n, [False] * n,
+                                np.ones(z.shape[:2], dtype=bool))
 
     def candidate(problem, sset, x, cond, s, target, boxed, lo_full, hi_full, m, bound=INF):
         assert cond is conds[-1]

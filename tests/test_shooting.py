@@ -495,6 +495,24 @@ def test_a_ball_below_the_least_norm_point_returns_without_a_search(monkeypatch)
     assert np.array_equal(z, lo) and iterations == 1
 
 
+def test_a_least_norm_point_on_the_sphere_to_rounding_comes_back_inside_the_ball():
+    """On the row z_0 + z_1 = 1.5 with z_1 <= 0.5, the box QP's optimum is the
+    least-norm point (1, 0.5). A radius 2 ulps below its norm lies within
+    rounding of it: that point comes back 5e-13 inside the sphere, still on
+    the row. A radius 1e-9 below has no point, and the point itself comes
+    back outside the ball."""
+    lo, hi = np.full(2, -1.0), np.array([2.0, 0.5])
+    rows = (np.ones((1, 2)), np.array([1.5]))
+    least = np.array([1.0, 0.5])
+    norm = float(np.linalg.norm(least))
+    h, b = np.eye(2), np.array([0.0, -10.0])
+    z, converged, _ = _ball_box_qp(h, b, lo, hi, np.nextafter(np.nextafter(norm, 0), 0), rows)
+    assert converged and np.linalg.norm(z) < norm * (1.0 - 4e-13)
+    assert np.abs(z - least).max() < 1e-12 and abs(z.sum() - 1.5) <= EPS_STATE
+    z, converged, _ = _ball_box_qp(h, b, lo, hi, norm * (1.0 - 1e-9), rows)
+    assert converged and np.array_equal(z, least)
+
+
 def test_the_bisection_reports_the_flag_of_the_plan_it_returns(monkeypatch):
     """The bisection returns its last feasible-side solve, so it must report
     that solve's convergence flag, not the flag of whichever solve came last.
@@ -575,10 +593,7 @@ def test_the_ball_qp_is_optimal_by_a_kkt_certificate():
         assert np.all(zb >= lo) and np.all(zb <= hi)
         assert np.abs(g @ zb - r).max(initial=0.0) <= 1e-9
         norm = float(np.linalg.norm(zb))
-        # no point meets all three; a radius within rounding of the least norm
-        # may find none either, as the solver's least norm can exceed the
-        # oracle's by an ulp
-        if radius < least * (1.0 - 1e-9) or radius < norm and radius <= least * (1.0 + 1e-12):
+        if radius < least * (1.0 - 1e-9):  # no point meets all three
             assert norm == pytest.approx(least, rel=1e-9, abs=1e-12)
             seen["zero" if radius == 0.0 else "below least"] += 1
             continue
