@@ -28,7 +28,7 @@ from .model import (
     Trajectory,
     states_equal,
 )
-from .sample_sets import GridIndex, Target
+from .sample_sets import GridIndex, Targets
 
 
 @dataclass(frozen=True)
@@ -138,21 +138,16 @@ class BudgetSampleSet:
     def sample_id(self, s):
         return self.match_index(s)
 
-    def shooting_targets(self, s) -> list:
+    def shooting_targets(self, s) -> Targets:
         """Every seed step whose tail usage fits the remaining budget, with
         the control-energy ball the rest of that budget allows."""
         if not isinstance(s, AugmentedState):
             raise ValueError("budget sample set requires an augmented state")
-        scale = _usage_scale(self.spec)
-        out = []
-        for k in range(len(self.seed.states)):
-            head = float(s.info) - self.tail_usages[k]
-            if head < 0.0:
-                continue  # not enough budget left to finish from this sample
-            out.append(Target(state=np.asarray(self.seed.states[k], dtype=float),
-                              value=self.seed.tail_costs[k],
-                              ball_radius=float(np.sqrt(head / scale))))
-        return out
+        head = float(s.info) - np.array(self.tail_usages, dtype=float)
+        fits = head >= 0.0  # the other steps need more budget than is left
+        return Targets(np.array(self.seed.tail_costs, dtype=float)[fits],
+                       np.array(self.seed.states, dtype=float)[fits],
+                       np.sqrt(head[fits] / _usage_scale(self.spec)))
 
     def to_doc(self) -> dict:
         from .serialization import encode_value, trajectory_to_doc

@@ -185,7 +185,8 @@ def cmd_run(args: argparse.Namespace) -> int:
         return EXIT_PROPERTY
     bundle = make_instance(opts["instance"])
     _check_counts(opts, horizon=(1, math.inf), sweeps=(0, math.inf), ell=(1, math.inf),
-                  mode_cap=(1, math.inf), start_index=(0, len(bundle.start_states)))
+                  mode_cap=(1, math.inf), mpc_horizon=(1, math.inf), disturb_step=(0, math.inf),
+                  start_index=(0, len(bundle.start_states)))
     variant = opts.get("variant", "basic")
     cfg = _solver_config(bundle, opts)
     horizon = opts.get("horizon", 200)
@@ -195,6 +196,12 @@ def cmd_run(args: argparse.Namespace) -> int:
         x0 = _parse_x0(opts["x0"])
     else:
         x0 = bundle.start_states[opts.get("start_index", 0)]
+
+    if variant == "disturbance":
+        shift = _parse_x0(opts.get("disturb", "0.5,-0.5"))
+        if not (isinstance(shift, np.ndarray) and shift.shape == np.shape(x0)):
+            raise ValueError(f"disturb must be a finite vector of x0's shape {np.shape(x0)}, "
+                             f"got {shift!r}")
 
     out_dir = opts.get("out_dir", os.path.join("runs", bundle.name))
     tag = f"{variant}-{opts.get('start_index', 0)}" if opts.get("x0") is None \
@@ -229,7 +236,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         elif variant == "disturbance":
             sset = _pick_set(bundle, opts.get("set"))
             step = opts.get("disturb_step", 3)
-            shift = _parse_x0(opts.get("disturb", "0.5,-0.5"))
 
             def bump(t, x):
                 return x + shift if t == step else x
@@ -271,7 +277,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     return EXIT_OK if chain_ok else EXIT_PROPERTY
 
 
-VERIFY_KEYS = ("instance", "set", "set_file", "trusted", "samples", "seed")
+VERIFY_KEYS = ("instance", "set", "set_file", "samples", "seed")
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -279,16 +285,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if "instance" not in opts:
         print("error: --instance is required", file=sys.stderr)
         return EXIT_PROPERTY
-    _check_counts(opts, samples=(1, math.inf))
+    _check_counts(opts, samples=(1, math.inf), seed=(0, math.inf))
     bundle = make_instance(opts["instance"])
     policies = {p.id: p for p in bundle.base_policies.values()}
 
     if opts.get("set_file"):
         try:
-            sset = sample_set_from_doc(
-                read_json(opts["set_file"]),
-                problem=bundle.problem, policies=policies,
-                trusted=bool(opts.get("trusted", False)))
+            sset = sample_set_from_doc(read_json(opts["set_file"]),
+                                       problem=bundle.problem, policies=policies)
         except SampleSetIntegrityError as exc:
             print(f"stored set rejected: {exc}", file=sys.stderr)
             return EXIT_PROPERTY
@@ -452,8 +456,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(ver)
     ver.add_argument("--set", help="named set from the instance")
     ver.add_argument("--set-file", dest="set_file", help="stored set JSON")
-    ver.add_argument("--trusted", action="store_const", const=True,
-                     help="skip re-verification on load")
     ver.add_argument("--samples", type=int)
     ver.add_argument("--seed", type=int)
     ver.set_defaults(fn=cmd_verify)

@@ -11,7 +11,7 @@ terminal of the classical baseline, answers one protocol:
 
     contains(x), terminal_cost(x)   membership and the recorded cost
     sample_id(x)                    the sample certifying x, or None
-    shooting_targets(x)             terminal targets for the shooting backend
+    shooting_targets(x)             the Targets the shooting backend solves toward
     to_doc()                        the stored document (TypeError if code)
 
 terminal_cost is the one price of a plan's final state: every backend and
@@ -62,20 +62,18 @@ class SampleEntry:
 
 
 @dataclass(frozen=True)
-class Target:
-    """A terminal target for the shooting backend.
+class Targets:
+    """A terminal set's targets for the shooting backend: T targets pinned
+    to states (T x d) at their recorded values (T), with radii (T, or None)
+    bounding each plan's control norm by the budget left after the sample's
+    tail, or one free target (states and radii None) that leaves the
+    terminal free under the quadratic cost quad (zero when None). Either way
+    the solved plan is priced by the set's terminal_cost."""
 
-    A target with a state pins the terminal state to it at the recorded
-    value; ball_radius, when set, bounds the plan's control norm by the
-    budget left after the sample's tail. A target without a state leaves
-    the terminal free under the quadratic cost quad (zero when None).
-    Either way the solved plan is priced by the set's terminal_cost.
-    """
-
-    state: np.ndarray | None = None
-    value: float = 0.0
+    values: np.ndarray
+    states: np.ndarray | None = None
+    radii: np.ndarray | None = None
     quad: np.ndarray | None = None
-    ball_radius: float | None = None
 
 
 class GridIndex:
@@ -116,6 +114,7 @@ class ExplicitSampleSet:
         self._entries: list[SampleEntry] = []
         self._by_key: dict = {}
         self._grid = GridIndex()
+        self._targets = None
         for e in entries:
             self._add(e)
         if not self._entries:
@@ -169,9 +168,14 @@ class ExplicitSampleSet:
         e = self.lookup(x)
         return state_key(e.state) if e is not None else None
 
-    def shooting_targets(self, x) -> list:
-        return [Target(state=np.asarray(e.state, dtype=float), value=e.value)
-                for e in self._entries]
+    def shooting_targets(self, x) -> Targets:
+        """Every entry, pinned; built on first use as read-only arrays."""
+        if self._targets is None:
+            states = np.array([e.state for e in self._entries], dtype=float)
+            values = np.array([e.value for e in self._entries], dtype=float)
+            states.flags.writeable = values.flags.writeable = False
+            self._targets = Targets(values, states)
+        return self._targets
 
     def to_doc(self) -> dict:
         from .serialization import encode_value
@@ -246,10 +250,10 @@ class AnalyticSampleSet:
     def sample_id(self, x):
         return None
 
-    def shooting_targets(self, x) -> list:
+    def shooting_targets(self, x) -> Targets:
         if self.quadratic is None:
             raise ValueError("analytic sample set needs a quadratic evaluator for shooting")
-        return [Target(quad=self.quadratic)]
+        return Targets(np.zeros(1), quad=self.quadratic)
 
     def to_doc(self) -> dict:
         raise TypeError(f"{type(self).__name__} is defined by code, not data; "
@@ -304,8 +308,8 @@ class FreeTerminal:
     def sample_id(self, x):
         return None
 
-    def shooting_targets(self, x) -> list:
-        return [Target(quad=self.quadratic)]
+    def shooting_targets(self, x) -> Targets:
+        return Targets(np.zeros(1), quad=self.quadratic)
 
     def to_doc(self) -> dict:
         raise TypeError(f"{type(self).__name__} is defined by code, not data; "

@@ -261,10 +261,10 @@ def _quadratic_usage(mat: np.ndarray):
     return usage
 
 
-def sample_set_from_doc(doc: dict, *, problem=None, policies=None,
-                        trusted: bool = False):
-    """Load a stored set. Its eps_state must be EPS_STATE, trusted or not:
-    membership has one tolerance, and a document cannot widen it."""
+def sample_set_from_doc(doc: dict, *, problem=None, policies=None):
+    """Load a stored set and re-verify it (an explicit set's invariance, a
+    budget set's usage ledger). Its eps_state must be EPS_STATE: membership
+    has one tolerance, and a document cannot widen it."""
     fmt = doc.get("format")
     if fmt not in ("explicit-sample-set", "budget-sample-set"):
         raise ValueError(f"not a sample-set document: format={fmt!r}")
@@ -279,16 +279,15 @@ def sample_set_from_doc(doc: dict, *, problem=None, policies=None,
             successor=None if e["successor"] is None else decode_value(e["successor"]),
         ) for e in doc["entries"]]
         sset = ExplicitSampleSet(entries, doc["label"], analytic_tail=doc["analytic_tail"])
-        if not trusted:
-            if problem is None or policies is None:
-                raise ValueError("loading an untrusted set needs the problem and "
-                                 "its policies for re-verification")
-            report = verify_invariance(problem, policies, sset)
-            if not report.passed:
-                v = report.violations[0]
-                raise SampleSetIntegrityError(
-                    f"stored set fails invariance at state {v.state!r}: {v.reason}",
-                    state=v.state)
+        if problem is None or policies is None:
+            raise ValueError("loading a set needs the problem and its policies "
+                             "for re-verification")
+        report = verify_invariance(problem, policies, sset)
+        if not report.passed:
+            v = report.violations[0]
+            raise SampleSetIntegrityError(
+                f"stored set fails invariance at state {v.state!r}: {v.reason}",
+                state=v.state)
         return sset
     mat = np.asarray(doc["usage_quad"], dtype=float)
     spec = BudgetConstraintSpec(per_step_usage=_quadratic_usage(mat),
@@ -298,8 +297,7 @@ def sample_set_from_doc(doc: dict, *, problem=None, policies=None,
     tails = tuple(float(decode_value(t)) for t in doc["tail_usages"])
     sset = BudgetSampleSet(seed, spec, usages=usages, tail_usages=tails,
                            label=doc["label"], anchor_usage=float(doc["anchor_usage"]))
-    if not trusted:
-        sset.reverify()
+    sset.reverify()
     return sset
 
 

@@ -7,45 +7,48 @@ pair. Every mode sequence that starts in the current state's mode is
 enumerated (hybrid MPC's mode-sequence enumeration); more than
 SolverConfig.mode_cap of them raises SearchSpaceError. The plan is
 condensed along all of them at once, as arrays stacked over the sequences,
-and every (sequence, target) pair is tested for reachability in one
+and every (sequence, pinned target) pair is tested for reachability in one
 broadcast: each coordinate of its target must lie within the control box's
 reach. Each subproblem is a box-constrained quadratic program solved
-exactly. A target pinned to a sampled state adds d equality rows that put
-the terminal state on it; its box-free optimum is affine in the target and
-in x0 with maps that depend on the mode sequence alone, so they are solved
-once and kept in the caller's memo (a rollout passes one memo to all of its
-steps). One more broadcast screens every pinned pair's box-free optimum:
-its objective (a lower bound on the subproblem), whether it lies strictly
-inside the control box, on the rows and in the energy ball, whether its
-predicted path stays on its mode sequence, and, for a planar state, whether
-some box point meets its rows at all (an exact test against the zonotope
-the box reaches). A free target adds its own quadratic cost; its box-free
-optima are least-squares solves, once per target and sequence.
+exactly. A set hands over its targets as one sample_sets.Targets record:
+T targets pinned to sampled states, or one free target. A pinned target
+adds d equality rows that put the terminal state on it; its box-free
+optimum is affine in the target and in x0 with maps that depend on the
+mode sequence alone, so they are solved once, for every sequence at once,
+and kept in the caller's memo (a rollout passes one memo to all of its
+steps). The free target adds its own quadratic cost and no rows; its
+box-free optimum is a least-squares solve per sequence. One more broadcast
+screens every pair's box-free optimum: its objective (a lower bound on the
+subproblem), whether it lies strictly inside the control box (for a pinned
+pair also on the rows and in the energy ball), whether its predicted path
+stays on its mode sequence, and, for a pinned pair with a planar state,
+whether some box point meets its rows at all (an exact test against the
+zonotope the box reaches).
 Budget-augmented problems add an exact ball constraint on the control
 energy: the exact trust-region step on the rows solves it when that step
 lies in the box, and bisection on its multiplier otherwise. A pinned pair
 whose rows' least-norm solution g+ (t - phi_l) already lies outside its
 ball has no plan and is dropped with the unreachable ones. Subproblems are
 taken cheapest tail first against a running bound, and one whose box-free
-optimum cannot beat the bound stops there. An interior pinned optimum is
-its subproblem's solution, so it goes straight to the replay. A pinned
+optimum cannot beat the bound stops there. An interior optimum is its
+subproblem's solution, so it goes straight to the replay. A pinned
 optimum that leaves the box by e_i in coordinate i lifts its bound by the
 least cost of moving back, 0.5 e_i^2 / M_ii with M the inverse of the
-Hessian reduced to the rows' null space (per sequence, kept in the memo
-with g+); under a finite running bound, a pair whose lifted bound cannot
-beat it stops there too. So does a pair whose rows no box point meets. The
-jobs left, free targets and box-active pinned optima, need the active-set
-solve of the box QP (boxqp._box_qp), which runs over stacks of subproblems:
-when the loop first reaches such a job, every later job of its target (they
-are consecutive) that passes the same tests against the running bound joins
-it, and the group is solved _CHUNK at a time. The bound only falls along
-the loop, so the group holds every job the loop goes on to solve; each is
-finished in job order, on its ball if it has one, as if solved alone (a
-problem's result has the same bits in any stack). A solved plan is
-replayed only if its predicted path meets its target, it lies in its
-energy ball, its path stays within model.EPS_STATE of its mode sequence's
-regions and of the state box (where the condensed prediction is exact) and
-its predicted value beats the bound. That replay with the set's own
+Hessian reduced to the rows' null space (kept in the memo with g+, for
+every sequence once one needs it); under a finite running bound, a pair
+whose lifted bound cannot beat it stops there too. So does a pair whose
+rows no box point meets. The jobs left, box-active optima, need the
+active-set solve of the box QP (boxqp._box_qp), which runs over stacks of
+subproblems: when the loop first reaches such a job, every later job of its
+target (they are consecutive) that passes the same tests against the
+running bound joins it, and the group is solved _CHUNK at a time. The
+bound only falls along the loop, so the group holds every job the loop goes
+on to solve; each is finished in job order, on its ball if it has one, as
+if solved alone (a problem's result has the same bits in any stack). A
+solved plan is replayed only if its predicted path meets its target, it
+lies in its energy ball, its path stays within model.EPS_STATE of its mode
+sequence's regions and of the state box (where the condensed prediction is
+exact) and its predicted value beats the bound. That replay with the set's own
 terminal_cost (_priced) is the one price of every plan, solved or seeded,
 so a plan earns a recorded value only by ending in the set. The first
 candidate of least value wins, and its replayed final state is the
@@ -68,7 +71,6 @@ from .costs import INF
 from .errors import SearchSpaceError, SolverFailureError
 from .lookahead import LookaheadSolution, SolverConfig, base_plan, replay
 from .model import EPS_STATE, BoxControls, Policy, ProblemDef
-from .sample_sets import Target
 
 
 @dataclass(slots=True)
@@ -145,36 +147,40 @@ def _job_order(keep, tails):
 @dataclass(slots=True)
 class _SequenceMaps:
     """Per-sequence data of the terminal rows for the S sequences that start
-    in one mode (axis 0), kept in a rollout's memo under that mode; each part
-    is filled for a sequence on its first need."""
+    in one mode (axis 0), kept in a rollout's memo under that mode. The maps
+    are solved for every sequence when the entry is made, the row factors
+    for every sequence on their first need (_row_factored)."""
 
-    maps: np.ndarray       # S x width x (2d + 1): [q_s | Q_s | P_s], the pinned optimum's maps
-    solved: np.ndarray     # S flags: maps filled
-    pinv: np.ndarray       # S x width x d: the rows' pseudoinverse, zero if rank deficient
-    give: np.ndarray       # S x width: _row_factors' room the rows' tolerance leaves
-    curvature: np.ndarray  # S x width: _row_factors' 1 / M_ii
-    factored: np.ndarray   # S flags: pinv, give and curvature filled
+    maps: np.ndarray                     # S x width x (2d + 1): [q_s | Q_s | P_s]
+    pinv: np.ndarray | None = None       # S x width x d: _row_factors' g+ of the rows
+    give: np.ndarray | None = None       # S x width: the room the rows' tolerance leaves
+    curvature: np.ndarray | None = None  # S x width: 1 / M_ii
 
 
 def _sequence_maps(memo, cond: _Condensed) -> _SequenceMaps:
-    """The memo's entry for cond's sequences, made empty on first use."""
+    """The memo's entry for cond's sequences, made on first use: sequence s's
+    pinned optimum P_s (t - phi_l) + Q_s x0 + q_s is affine in the target t
+    and in x0, with maps that depend on s alone, from one KKT solve with
+    2d + 1 right-hand sides."""
     first = int(cond.sigmas[0, 0])
     if first not in memo:
-        (n_seq, width), d = cond.b0.shape, cond.x0.size
-        memo[first] = _SequenceMaps(np.zeros((n_seq, width, 2 * d + 1)),
-                                    np.zeros(n_seq, dtype=bool), np.zeros((n_seq, width, d)),
-                                    np.zeros((n_seq, width)), np.zeros((n_seq, width)),
-                                    np.zeros(n_seq, dtype=bool))
+        d = cond.x0.size
+        top = np.zeros((*cond.b0.shape, 2 * d + 1))
+        top[..., 0], top[..., 1:d + 1] = -cond.b_c, -cond.b_x
+        bottom = np.eye(d, 2 * d + 1, d + 1)
+        memo[first] = _SequenceMaps(np.array([_kkt_solve(h, g, rhs, bottom)[0] for h, g, rhs
+                                              in zip(cond.h0, cond.gammas[:, -1], top)]))
     return memo[first]
 
 
-def _factor(seqs: _SequenceMaps, cond: _Condensed, need):
-    """Fill pinv, give and curvature for every sequence index in need."""
-    for s in need:
-        if not seqs.factored[s]:
-            seqs.pinv[s], seqs.give[s], seqs.curvature[s] = _row_factors(cond.h0[s],
-                                                                         cond.gammas[s, -1])
-            seqs.factored[s] = True
+def _row_factored(memo, cond: _Condensed) -> _SequenceMaps:
+    """The memo's entry for cond's sequences, with pinv, give and curvature
+    filled for every sequence."""
+    seqs = _sequence_maps(memo, cond)
+    if seqs.pinv is None:
+        factors = [_row_factors(h, g) for h, g in zip(cond.h0, cond.gammas[:, -1])]
+        seqs.pinv, seqs.give, seqs.curvature = (np.array(f) for f in zip(*factors))
+    return seqs
 
 
 def _beyond_ball(seqs: _SequenceMaps, rhs, radii):
@@ -183,8 +189,8 @@ def _beyond_ball(seqs: _SequenceMaps, rhs, radii):
     inf for none). The least-norm solution g+ rhs is the shortest point on
     the rows, and one that meets them only to EPS_STATE lies within give_i
     of one on them in each coordinate i, so it is shorter by at most
-    sum_i give_i. Sequences with zero g+ (rank-deficient rows, or never
-    factored) are never beyond."""
+    sum_i give_i. Sequences with zero g+ (rank-deficient rows) are never
+    beyond."""
     least = rhs @ seqs.pinv.transpose(0, 2, 1)
     least = np.sqrt(np.einsum("stw,stw->st", least, least))
     return least > radii * (1.0 + 1e-12) + seqs.give.sum(axis=1)[:, None]
@@ -192,12 +198,12 @@ def _beyond_ball(seqs: _SequenceMaps, rhs, radii):
 
 @dataclass(slots=True)
 class _Screen:
-    """Every pinned (sequence s, target t) pair's box-free optimum and its
-    tests; the tests every job reads are flat lists indexed by s * T + t."""
+    """Every (sequence s, target t) pair's box-free optimum and its tests;
+    the tests every job reads are flat lists indexed by s * T + t."""
 
     z: np.ndarray          # S x T x width optima
     lb: list               # objective of z: no box point does better
-    interior: list         # z strictly inside the box, on the rows and in the ball
+    interior: list         # z strictly inside the box (and on the rows and in the ball)
     on_path: list          # z's predicted path within EPS_STATE of the regions and the state box
     reachable: np.ndarray  # S x T: some box point may meet the rows to EPS_STATE (_planar_reach)
 
@@ -221,49 +227,47 @@ def _planar_reach(gammas_l, rhs, lo, hi):
     return np.all(np.abs(v @ normals) <= room[:, None] + rounding, axis=2)
 
 
-def _screen(pl, cond: _Condensed, states, values, radii, need, memo,
-            lo_full, hi_full) -> _Screen:
-    """Screen every (sequence, target) pair for the T pinned target states
-    (T x d, with values and ball radii, inf for none) in one broadcast.
-
-    Under the rows that pin x_l to target t, sequence s's box-free optimum
-    P_s (t - phi_l) + Q_s x0 + q_s is affine in t and in x0, with maps that
-    depend on s alone: one KKT solve with 2d + 1 right-hand sides per
-    sequence in need, kept in memo's _SequenceMaps. Sequences never in need
-    keep zero maps; their pairs are never read."""
+def _screen(pl, cond: _Condensed, targets, memo, lo_full, hi_full) -> _Screen:
+    """Screen every (sequence, target) pair in one broadcast. A pinned
+    pair's optimum comes from its sequence's maps in memo (_sequence_maps);
+    the free target's is its own least-squares solve per sequence, and it
+    has no rows to meet or miss."""
     n_seq, ell = cond.sigmas.shape
-    d, width, n_targets = cond.x0.size, cond.h0.shape[1], len(states)
-    seqs = _sequence_maps(memo, cond)
-    maps, solved = seqs.maps, seqs.solved
-    for s in np.flatnonzero(need & ~solved).tolist():
-        top = np.zeros((width, 2 * d + 1))
-        top[:, 0], top[:, 1:d + 1] = -cond.b_c[s], -cond.b_x[s]
-        maps[s] = _kkt_solve(cond.h0[s], cond.gammas[s, ell], top,
-                             np.eye(d, 2 * d + 1, d + 1))[0]
-        solved[s] = True
-    rhs = states - cond.phis[:, None, ell]  # the rows' right-hand sides, S x T x d
-    # one matrix-vector product per pair, so each optimum has the bits of its own P_s @ r
-    z = (maps[:, None, :, d + 1:] @ rhs[..., None])[..., 0]
-    z += (maps[:, :, 1:d + 1] @ cond.x0)[:, None]
-    z += maps[:, None, :, 0]
-    lb = (0.5 * np.einsum("stw,stw->st", z @ cond.h0, z) + np.einsum("stw,sw->st", z, cond.b0)
-          + cond.c0[:, None] + values)
+    d, width = cond.x0.size, cond.h0.shape[1]
+    if targets.states is None:
+        h, b, _, const = _subproblems(cond, targets, 0, slice(None))
+        z = np.array([np.linalg.lstsq(hs, -bs, rcond=None)[0] for hs, bs in zip(h, b)])
+        lb = (0.5 * np.einsum("sw,sw->s", _mv(h, z), z) + np.einsum("sw,sw->s", b, z)
+              + cond.c0 + const)[:, None]
+        z = z[:, None]
+    else:
+        maps = _sequence_maps(memo, cond).maps
+        rhs = targets.states - cond.phis[:, None, ell]  # the rows' right-hand sides, S x T x d
+        # one matrix-vector product per pair, so each optimum has the bits of its own P_s @ r
+        z = (maps[:, None, :, d + 1:] @ rhs[..., None])[..., 0]
+        z += (maps[:, :, 1:d + 1] @ cond.x0)[:, None]
+        z += maps[:, None, :, 0]
+        lb = (0.5 * np.einsum("stw,stw->st", z @ cond.h0, z)
+              + np.einsum("stw,sw->st", z, cond.b0) + cond.c0[:, None] + targets.values)
+    n_targets = z.shape[1]
     # a width-major copy: reductions over the width then run along whole rows
     zw = np.ascontiguousarray(np.moveaxis(z, 2, 0))
     margin = 1e-12 * (1.0 + np.abs(zw).max(axis=0, initial=0.0))
     interior = np.all((zw > lo_full[:, None, None] + margin)
                       & (zw < hi_full[:, None, None] - margin), axis=0)
-    zt = z.transpose(0, 2, 1)
-    miss = np.abs(cond.gammas[:, ell] @ zt - rhs.transpose(0, 2, 1)).max(axis=1, initial=0.0)
-    interior &= miss <= EPS_STATE
     reachable = np.ones_like(interior)
-    if d == 2:  # a pair whose z is inside the box and on the rows is reachable
-        active = np.flatnonzero(~interior.all(axis=1))
-        for lo in range(0, active.size, _CHUNK):
-            part = active[lo:lo + _CHUNK]
-            reachable[part] = _planar_reach(cond.gammas[part, ell], rhs[part], lo_full, hi_full)
-    if np.isfinite(radii).any():
-        interior &= np.sqrt((zw * zw).sum(axis=0)) <= radii
+    zt = z.transpose(0, 2, 1)
+    if targets.states is not None:
+        miss = np.abs(cond.gammas[:, ell] @ zt - rhs.transpose(0, 2, 1)).max(axis=1, initial=0.0)
+        interior &= miss <= EPS_STATE
+        if d == 2:  # a pair whose z is inside the box and on the rows is reachable
+            active = np.flatnonzero(~interior.all(axis=1))
+            for lo in range(0, active.size, _CHUNK):
+                part = active[lo:lo + _CHUNK]
+                reachable[part] = _planar_reach(cond.gammas[part, ell], rhs[part], lo_full,
+                                                hi_full)
+        if targets.radii is not None and np.isfinite(targets.radii).any():
+            interior &= np.sqrt((zw * zw).sum(axis=0)) <= targets.radii
     # predicted x_1 .. x_{ell-1}, as an S x T x (ell - 1) x d view
     path = cond.gammas[:, 1:ell].reshape(n_seq, -1, width) @ zt
     path = (path.reshape(n_seq, ell - 1, d, n_targets)
@@ -280,7 +284,7 @@ def _screen(pl, cond: _Condensed, states, values, radii, need, memo,
 def _mismatch(terminal, pinned) -> float | None:
     """Infinity-norm distance from a plan's terminal state to the nearest
     pinned target state, or None when no target state is pinned."""
-    if pinned is None:
+    if pinned is None or not len(pinned):
         return None
     return float(np.abs(pinned - base_view(terminal)).max(axis=-1).min())
 
@@ -329,8 +333,7 @@ def solve_continuous(problem: ProblemDef, sset, x, cfg: SolverConfig,
     cond = _assemble(pl, base_x, sigmas, h_r, lo_full, hi_full)
 
     targets = sset.shooting_targets(x)
-    pinned_at = [i for i, t in enumerate(targets) if t.state is not None]
-    pinned = np.array([targets[i].state for i in pinned_at]) if pinned_at else None
+    values, states, radii = targets.values, targets.states, targets.radii
 
     seed_plans = [tuple(s) for s in seeds if len(tuple(s)) == ell]
     if base_policy is not None:
@@ -338,72 +341,54 @@ def solve_continuous(problem: ProblemDef, sset, x, cfg: SolverConfig,
         if plan is not None:
             seed_plans.append(tuple(np.asarray(u, dtype=float) for u in plan))
 
-    candidates = [_priced(problem, sset, x, plan, pinned, converged=True, seed=True)
+    candidates = [_priced(problem, sset, x, plan, states, converged=True, seed=True)
                   for plan in seed_plans]
     bound = min((c[0] for c in candidates), default=INF)
 
-    # every (sequence, target) pair at once; free targets are always kept
-    tails = np.array([t.value for t in targets])
-    keep = np.ones((len(sigmas), len(targets)), dtype=bool)
-    screen = seqs = None
-    if pinned_at:
-        seqs = _sequence_maps(memo, cond)
-        values = tails[pinned_at]
-        radii = np.array([np.inf if targets[i].ball_radius is None else targets[i].ball_radius
-                          for i in pinned_at])
-        rhs = pinned - cond.phis[:, None, ell]  # S x targets x d
-        # stage costs are nonnegative, so a target valued at the bound cannot win
-        kept = (values < bound) & ~np.any(np.abs(rhs) > cond.reach[:, None] + EPS_STATE + 1e-12,
-                                          axis=2)
-        if np.isfinite(radii).any():
+    # every (sequence, target) pair at once; stage costs are nonnegative, so
+    # a target valued at the bound cannot win
+    keep = np.tile(values < bound, (len(sigmas), 1))
+    if states is not None:
+        rhs = states - cond.phis[:, None, ell]  # S x targets x d
+        keep &= ~np.any(np.abs(rhs) > cond.reach[:, None] + EPS_STATE + 1e-12, axis=2)
+        if radii is not None and np.isfinite(radii).any():
             # drop pairs whose rows have no point in the ball (g+ is one of the lift's factors)
-            _factor(seqs, cond, np.flatnonzero((kept & np.isfinite(radii)).any(axis=1)).tolist())
-            kept &= ~_beyond_ball(seqs, rhs, radii)
-        keep[:, pinned_at] = kept
-        screen = _screen(pl, cond, pinned, values, radii, kept.any(axis=1), memo,
-                         lo_full, hi_full)
-    column = dict(zip(pinned_at, range(len(pinned_at))))  # target -> screen column
-    free = {}  # free target -> (box-free optima, their bounds) along every sequence
+            keep &= ~_beyond_ball(_row_factored(memo, cond), rhs, radii)
+    screen = _screen(pl, cond, targets, memo, lo_full, hi_full)
     lifts = {}  # pair -> its lifted bound
 
     def gate(t, s):
         """Job (t, s)'s tests against the running bound before the active-set
-        solve: "skip" (a pinned target valued at the bound, not a candidate),
-        the rule that drops it, "interior" (a screened optimum to replay as
-        is), or None when it needs the solve."""
-        p = column.get(t)
-        if p is None:  # the free optimum bounds every box point's objective from below
-            if t not in free:
-                free[t] = _free_optima(cond, targets[t])
-            return None if free[t][1][s] < bound + 1e-7 * (1.0 + abs(bound)) else "bound"
-        if targets[t].value >= bound:
+        solve: "skip" (a target valued at the bound, not a candidate), the
+        rule that drops it, "interior" (a screened optimum to replay as is),
+        or None when it needs the solve."""
+        if values[t] >= bound:
             return "skip"
-        i, slack = s * len(pinned_at) + p, 1e-7 * (1.0 + abs(bound))
+        i, slack = s * len(values) + t, 1e-7 * (1.0 + abs(bound))
         if not screen.lb[i] < bound + slack:
             return "bound"
         if screen.interior[i]:
             return "interior" if screen.on_path[i] else "path"
-        if bound < INF:  # a box-active optimum: every box point on the rows costs more
+        if bound < INF and states is not None:
+            # a box-active pinned optimum: every box point on the rows costs more
             if i not in lifts:
-                _factor(seqs, cond, (s,))
-                lifts[i] = screen.lb[i] + _lift(seqs.give[s], seqs.curvature[s], screen.z[s, p],
+                seqs = _row_factored(memo, cond)
+                lifts[i] = screen.lb[i] + _lift(seqs.give[s], seqs.curvature[s], screen.z[s, t],
                                                 lo_full, hi_full)
             if not lifts[i] < bound + slack:
                 return "lift"
-        return None if screen.reachable[s, p] else "rows"
+        return None if screen.reachable[s, t] else "rows"
 
-    jobs = list(zip(*_job_order(keep, tails)))
+    jobs = list(zip(*_job_order(keep, values)))
     boxed = {}  # the current group's box optima, by job
     for j, (t, s) in enumerate(jobs):
         rule = gate(t, s)
-        if rule == "skip":  # every later tail is as high: all pinned, they skip too
-            if len(pinned_at) == len(targets):
-                break
-            continue
-        target = targets[t]
+        if rule == "skip":  # every later tail is as high: they skip too
+            break
         if rule == "interior":  # what _box_qp returns: z itself, in one iteration
-            plan = tuple(screen.z[s, column[t]].reshape(-1, m).copy())
-            candidates.append(_priced(problem, sset, x, plan, target.state, iterations=1,
+            plan = tuple(screen.z[s, t].reshape(-1, m).copy())
+            pinned = None if states is None else states[t]
+            candidates.append(_priced(problem, sset, x, plan, pinned, iterations=1,
                                       converged=True))
             bound = min(bound, candidates[-1][0])
             continue
@@ -414,10 +399,10 @@ def solve_continuous(problem: ProblemDef, sset, x, cfg: SolverConfig,
             group = [s2 for t2, s2 in itertools.takewhile(lambda job: job[0] == t,
                                                           itertools.islice(jobs, j, None))
                      if gate(t2, s2) is None]
-            z = free[t][0] if target.state is None else screen.z[:, column[t]]
             boxed = dict(zip(((t, s2) for s2 in group),
-                             _solve_group(cond, target, group, z, lo_full, hi_full)))
-        out = _solve_candidate(problem, sset, x, cond, s, target, boxed.pop((t, s)), lo_full,
+                             _solve_group(cond, targets, t, group, screen.z[:, t], lo_full,
+                                          hi_full)))
+        out = _solve_candidate(problem, sset, x, cond, s, targets, t, boxed.pop((t, s)), lo_full,
                                hi_full, m, bound)
         candidates.append(out)
         bound = min(bound, out[0])
@@ -442,71 +427,63 @@ def solve_continuous(problem: ProblemDef, sset, x, cfg: SolverConfig,
     )
 
 
-def _subproblems(cond: _Condensed, target: Target, s):
-    """Target's subproblem along sequence s, or stacked along an index array
-    s: (h, b, rows, const), for the objective 0.5 z'h z + b'z + c0 + const. A
-    pinned target adds d rows that put x_l on it; a free target's quad adds
-    its own cost of x_l."""
+def _subproblems(cond: _Condensed, targets, t: int, s):
+    """Target t's subproblem along sequence s, or stacked along an index
+    array or slice s: (h, b, rows, const), for the objective
+    0.5 z'h z + b'z + c0 + const. A pinned target adds d rows that put x_l
+    on it; the free target's quad adds its own cost of x_l."""
     g_l, phi_l = cond.gammas[s, -1], cond.phis[s, -1]
-    h, b, const = cond.h0[s], cond.b0[s], target.value
-    if target.state is not None:
-        return h, b, (g_l, target.state - phi_l), const
-    if target.quad is not None:
-        w = 2.0 * (np.swapaxes(g_l, -1, -2) @ target.quad)
+    h, b, const = cond.h0[s], cond.b0[s], targets.values[t]
+    if targets.states is not None:
+        return h, b, (g_l, targets.states[t] - phi_l), const
+    if targets.quad is not None:
+        w = 2.0 * (np.swapaxes(g_l, -1, -2) @ targets.quad)
         h, b = h + w @ g_l, b + _mv(w, phi_l)
-        const = const + np.einsum("...i,ij,...j->...", phi_l, target.quad, phi_l)
+        const = const + np.einsum("...i,ij,...j->...", phi_l, targets.quad, phi_l)
     return h, b, None, const
 
 
-def _free_optima(cond: _Condensed, target: Target):
-    """A free target's box-free optimum along every sequence and its
-    objective, which no box point beats: (z, bounds). Each optimum is its
-    own least-squares solve, the same route as a pinned pair's maps take."""
-    h, b, _, const = _subproblems(cond, target, np.arange(len(cond.sigmas)))
-    z = np.array([np.linalg.lstsq(hs, -bs, rcond=None)[0] for hs, bs in zip(h, b)])
-    lb = 0.5 * np.einsum("sw,sw->s", _mv(h, z), z) + np.einsum("sw,sw->s", b, z)
-    return z, (lb + cond.c0 + const).tolist()
-
-
-def _solve_group(cond: _Condensed, target: Target, seqs, z, lo_full, hi_full) -> list:
-    """The box QP optima (z, converged, iterations) of target's subproblems
+def _solve_group(cond: _Condensed, targets, t: int, seqs, z, lo_full, hi_full) -> list:
+    """The box QP optima (z, converged, iterations) of target t's subproblems
     along the sequences seqs, in one stacked _box_qp call per _CHUNK of them;
     z holds each sequence's box-free optimum."""
     out = []
     for lo in range(0, len(seqs), _CHUNK):
         part = np.array(seqs[lo:lo + _CHUNK])
-        h, b, rows, _ = _subproblems(cond, target, part)
+        h, b, rows, _ = _subproblems(cond, targets, t, part)
         out += [(zk, bool(ck), int(ik))
                 for zk, ck, ik in zip(*_box_qp(h, b, lo_full, hi_full, rows, z[part]))]
     return out
 
 
-def _solve_candidate(problem, sset, x, cond: _Condensed, s: int, target: Target, boxed,
+def _solve_candidate(problem, sset, x, cond: _Condensed, s: int, targets, t: int, boxed,
                      lo_full, hi_full, m, bound=INF):
-    """Finish sequence s's subproblem from its box QP optimum boxed = (z,
-    converged, iterations), on the target's energy ball if it has one, and
-    price its plan by replay, unless the plan provably cannot win: its
-    predicted terminal misses a pinned target, it lies outside the target's
-    energy ball (so its terminal budget falls short of the target's tail),
-    its predicted path leaves the mode sequence or the state box by more
-    than EPS_STATE (so the prediction would not hold), or its predicted
-    value does not beat bound. Those candidates come back as +inf with an
-    empty plan."""
+    """Finish target t's subproblem along sequence s from its box QP optimum
+    boxed = (z, converged, iterations), on the target's energy ball if it
+    has one, and price its plan by replay, unless the plan provably cannot
+    win: its predicted terminal misses a pinned target, it lies outside the
+    target's energy ball (so its terminal budget falls short of the
+    target's tail), its predicted path leaves the mode sequence or the
+    state box by more than EPS_STATE (so the prediction would not hold), or
+    its predicted value does not beat bound. Those candidates come back as
+    +inf with an empty plan."""
     sigma, phis, gammas = cond.sigmas[s], cond.phis[s], cond.gammas[s]
-    h, b, rows, const = _subproblems(cond, target, s)
+    h, b, rows, const = _subproblems(cond, targets, t, s)
+    radius = None if targets.radii is None else float(targets.radii[t])
     slack = 1e-7 * (1.0 + abs(bound))
-    z, converged, it = _ball_box_qp(h, b, lo_full, hi_full, target.ball_radius, rows, boxed)
+    z, converged, it = _ball_box_qp(h, b, lo_full, hi_full, radius, rows, boxed)
     path = phis[1:] + gammas[1:] @ z  # predicted x_1 .. x_ell
     if not _meets(z, rows):
         return _pruned("rows", it, converged)
-    if not (target.ball_radius is None or float(np.linalg.norm(z)) <= target.ball_radius):
+    if not (radius is None or float(np.linalg.norm(z)) <= radius):
         return _pruned("ball", it, converged)
     if not problem.pl.path_excess(sigma[1:], path[:-1]) <= EPS_STATE:
         return _pruned("path", it, converged)
     if not _qp_obj(h, b, z) + cond.c0[s] + const < bound + slack:
         return _pruned("bound", it, converged)
-    return _priced(problem, sset, x, tuple(z.reshape(-1, m).copy()), target.state,
-                   iterations=it, converged=converged)
+    return _priced(problem, sset, x, tuple(z.reshape(-1, m).copy()),
+                   None if rows is None else targets.states[t], iterations=it,
+                   converged=converged)
 
 
 def _priced(problem, sset, x, controls, pinned, **diag):

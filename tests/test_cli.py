@@ -301,6 +301,10 @@ def test_run_ending_at_x0_checks_realized_against_recorded(capsys, tmp_path):
     ("run", "--instance", "grid", "--horizon", "-2"),
     ("run", "--instance", "grid", "--variant", "multiagent", "--sweeps", "-1"),
     ("table", "--instance", "tsp", "--horizon", "0"),
+    ("run", "--instance", "integrator", "--variant", "classical-mpc", "--mpc-horizon", "0"),
+    ("run", "--instance", "spiral", "--variant", "disturbance", "--disturb-step", "-1"),
+    ("verify", "--instance", "spiral", "--seed", "-1"),
+    ("run", "--instance", "spiral", "--variant", "disturbance", "--disturb", "foo"),
 ])
 def test_out_of_range_counts_are_clean_errors(capsys, tmp_path, argv):
     code, out, err = run_cli(capsys, *argv, *(("--out-dir", str(tmp_path))
@@ -310,13 +314,22 @@ def test_out_of_range_counts_are_clean_errors(capsys, tmp_path, argv):
     assert not list(tmp_path.iterdir())
 
 
-@pytest.mark.parametrize("key,value", [("horizon", 0), ("ell", 2.5), ("ell", True),
-                                       ("ell", 0), ("mode_cap", "x"), ("mode_cap", 0)])
-def test_out_of_range_count_in_a_config_file_is_a_clean_error(capsys, tmp_path, key, value):
+_CONFIG_COUNTS = [("run", "horizon", 0, 1), ("run", "ell", 2.5, 1), ("run", "ell", True, 1),
+                  ("run", "ell", 0, 1), ("run", "mode_cap", "x", 1), ("run", "mode_cap", 0, 1),
+                  ("run", "mpc_horizon", 2.5, 1), ("run", "disturb_step", 1.5, 0),
+                  ("verify", "seed", 1.5, 0)]
+
+
+@pytest.mark.parametrize("command,key,value,low", _CONFIG_COUNTS,
+                         ids=[f"{key}-{value}" for _, key, value, _ in _CONFIG_COUNTS])
+def test_out_of_range_count_in_a_config_file_is_a_clean_error(capsys, tmp_path, command, key,
+                                                              value, low):
+    cfg = {"instance": "grid", key: value}
+    if command == "run":
+        cfg["out_dir"] = str(tmp_path / "runs")
     cfg_path = tmp_path / "job.json"
-    cfg_path.write_text(json.dumps({"instance": "grid", key: value,
-                                    "out_dir": str(tmp_path / "runs")}))
-    code, _, err = run_cli(capsys, "run", "--config", str(cfg_path))
+    cfg_path.write_text(json.dumps(cfg))
+    code, out, err = run_cli(capsys, command, "--config", str(cfg_path))
     assert code == 1
-    assert err.startswith(f"error: {key} must be an integer in [1, inf), got {value!r}")
-    assert not (tmp_path / "runs").exists()
+    assert err.startswith(f"error: {key} must be an integer in [{low}, inf), got {value!r}")
+    assert not (tmp_path / "runs").exists() and "PASS" not in out

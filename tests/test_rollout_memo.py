@@ -14,6 +14,7 @@ from ddrollout.budget import AugmentedState, base_view
 from ddrollout.cli import main
 from ddrollout.costs import INF
 from ddrollout.errors import SearchSpaceError
+from ddrollout.sample_sets import FreeTerminal, Targets
 from ddrollout.shooting import solve_continuous
 
 
@@ -117,7 +118,7 @@ def test_spiral_mpc_with_its_memo_matches_memo_less_solves(spiral, monkeypatch):
     # the 32 sequences from each of the two modes, each solved once, kept
     # stacked under their first mode
     assert all(m is seen[0] for m in seen) and sorted(seen[0]) == [0, 1]
-    assert all(len(seqs.solved) == 32 and seqs.solved.all() for seqs in seen[0].values())
+    assert all(len(seqs.maps) == 32 for seqs in seen[0].values())
 
 
 def test_rollouts_on_different_problems_do_not_share_work(spiral, integrator):
@@ -151,14 +152,14 @@ def test_no_replayed_plan_lies_outside_its_energy_ball(integrator, monkeypatch):
     radius, balls, dropped = [None], [], []
     solve_candidate, ball_box_qp = shooting._solve_candidate, shooting._ball_box_qp
 
-    def candidate(problem, sset, x, cond, s, target, *args, **kwargs):
-        radius[0] = target.ball_radius
+    def candidate(problem, sset, x, cond, s, targets, t, *args, **kwargs):
+        radius[0] = targets.radii[t]
         balls.clear()
-        out = solve_candidate(problem, sset, x, cond, s, target, *args, **kwargs)
+        out = solve_candidate(problem, sset, x, cond, s, targets, t, *args, **kwargs)
         radius[0] = None
         ell = cond.sigmas.shape[1]
         for z in balls:  # the plan the ball solve returned, if any
-            if target.ball_radius is not None and np.linalg.norm(z) > target.ball_radius:
+            if np.linalg.norm(z) > targets.radii[t]:
                 m = len(z) // ell
                 plan = tuple(z[k * m:(k + 1) * m] for k in range(ell))
                 dropped.append(lookahead.replay(problem, x, plan, sset.terminal_cost)[0])
@@ -228,17 +229,18 @@ def _reference_jobs(problem, sset, x, ell):
     for s, sigma in enumerate(sigmas):
         phis, gammas, *_ = _reference_assemble(pl, base_x, sigma, np.zeros((ell, ell)), lo, hi)
         reach_box = np.abs(gammas[ell]) @ np.maximum(np.abs(lo), np.abs(hi))
-        for t, target in enumerate(sset.shooting_targets(x)):
-            rhs = target.state - phis[ell]
+        targets = sset.shooting_targets(x)
+        for t, (state, value) in enumerate(zip(targets.states, targets.values)):
+            rhs = state - phis[ell]
             if np.any(np.abs(rhs) > reach_box + shooting.EPS_STATE + 1e-12):
                 continue
             g = gammas[ell]
-            if target.ball_radius is not None and np.linalg.matrix_rank(g) == len(g):
+            if targets.radii is not None and np.linalg.matrix_rank(g) == len(g):
                 pinv = np.linalg.pinv(g)
                 room = shooting.EPS_STATE * np.abs(pinv).sum()
-                if np.linalg.norm(pinv @ rhs) > target.ball_radius * (1.0 + 1e-12) + room:
+                if np.linalg.norm(pinv @ rhs) > targets.radii[t] * (1.0 + 1e-12) + room:
                     continue
-            jobs.append((target.value, t, s, sigma))
+            jobs.append((value, t, s, sigma))
     return [(j[3], j[0]) for j in sorted(jobs, key=lambda j: j[:3])]
 
 
@@ -298,8 +300,8 @@ def test_the_broadcast_reach_prune_keeps_the_per_pair_job_list(spiral, integrato
               for rest in itertools.product(range(len(problem.pl.modes)), repeat=ell - 1)]
     targets = sset.shooting_targets(x)
     want = _reference_jobs(problem, sset, x, ell)
-    assert [(sigmas[s], targets[t].value) for t, s in zip(t_idx, s_idx)] == want
-    assert 0 < len(want) < len(targets) * 2 ** (ell - 1)
+    assert [(sigmas[s], targets.values[t]) for t, s in zip(t_idx, s_idx)] == want
+    assert 0 < len(want) < len(targets.values) * 2 ** (ell - 1)
     # tied tail values go by target, then sequence
     rng = np.random.default_rng(5)
     keep, tails = rng.random((9, 7)) < 0.6, rng.integers(0, 3, 7).astype(float)
@@ -330,10 +332,9 @@ def test_the_screen_agrees_with_each_pairs_own_tests(request, name, ell):
         values = rng.uniform(0.0, 5.0, len(states))
         radii = np.where(rng.random(len(states)) < 0.5, rng.uniform(0.5, 2.0, len(states)), np.inf)
         memo = {}
-        screen = shooting._screen(pl, cond, states, values, radii, np.ones(len(sigmas), bool),
-                                  memo, lo, hi)
-        maps, solved = memo[int(sigmas[0, 0])].maps, memo[int(sigmas[0, 0])].solved
-        assert solved.all()
+        screen = shooting._screen(pl, cond, Targets(values, states, radii), memo, lo, hi)
+        maps = memo[int(sigmas[0, 0])].maps
+        assert len(maps) == len(sigmas)
         d = x0.size
         for s, t in itertools.product(range(len(sigmas)), range(len(states))):
             i = s * len(states) + t
@@ -366,21 +367,23 @@ def _per_candidate(monkeypatch):
     for it."""
     screen, conds, maps = shooting._screen, [], {}
 
-    def no_screen(pl, cond, states, values, radii, need, memo, lo_full, hi_full):
+    def no_screen(pl, cond, targets, memo, lo_full, hi_full):
         conds.append(cond)
-        n = cond.sigmas.shape[0] * len(states)
-        z = np.zeros((cond.sigmas.shape[0], len(states), cond.h0.shape[1]))
+        n = cond.sigmas.shape[0] * len(targets.values)
+        z = np.zeros((cond.sigmas.shape[0], len(targets.values), cond.h0.shape[1]))
         return shooting._Screen(z, [-INF] * n, [False] * n, [False] * n,
                                 np.ones(z.shape[:2], dtype=bool))
 
-    def candidate(problem, sset, x, cond, s, target, boxed, lo_full, hi_full, m, bound=INF):
+    def candidate(problem, sset, x, cond, s, targets, t, boxed, lo_full, hi_full, m, bound=INF):
         assert cond is conds[-1]
+        state = None if targets.states is None else targets.states[t]
+        radius = None if targets.radii is None else float(targets.radii[t])
         sigma, ell = tuple(cond.sigmas[s].tolist()), cond.sigmas.shape[1]
         phis, gammas, c0 = cond.phis[s], cond.gammas[s], cond.c0[s]
         g_l, phi_l = gammas[ell], phis[ell]
-        h, b, rows, const = cond.h0[s], cond.b0[s], None, target.value
-        if target.state is not None:
-            rows = (g_l, target.state - phi_l)
+        h, b, rows, const = cond.h0[s], cond.b0[s], None, targets.values[t]
+        if state is not None:
+            rows = (g_l, state - phi_l)
             d = phi_l.size
             if sigma not in maps:
                 top = np.zeros((h.shape[0], 2 * d + 1))
@@ -389,34 +392,33 @@ def _per_candidate(monkeypatch):
             affine = maps[sigma]
             z = affine[:, d + 1:] @ rows[1] + affine[:, 1:d + 1] @ cond.x0 + affine[:, 0]
         else:
-            if target.quad is not None:
-                w = 2.0 * (g_l.T @ target.quad)
+            if targets.quad is not None:
+                w = 2.0 * (g_l.T @ targets.quad)
                 h, b = h + w @ g_l, b + w @ phi_l
-                const += float(phi_l @ target.quad @ phi_l)
+                const += float(phi_l @ targets.quad @ phi_l)
             z = np.linalg.lstsq(h, -b, rcond=None)[0]
         slack = 1e-7 * (1.0 + abs(bound))
         diag = {"mismatch": None, "iterations": 0, "converged": True}
         if _qp_obj(h, b, z) + c0 + const < bound + slack:
             z, converged, it = shooting._ball_box_qp(
-                h, b, lo_full, hi_full, target.ball_radius, rows,
+                h, b, lo_full, hi_full, radius, rows,
                 shooting._box_qp(h, b, lo_full, hi_full, rows, z))
             diag.update(iterations=it, converged=converged)
             path = phis[1:] + gammas[1:] @ z
             if (shooting._meets(z, rows)
-                    and (target.ball_radius is None
-                         or float(np.linalg.norm(z)) <= target.ball_radius)
+                    and (radius is None or float(np.linalg.norm(z)) <= radius)
                     and problem.pl.path_excess(sigma[1:], path[:-1]) <= shooting.EPS_STATE
                     and _qp_obj(h, b, z) + c0 + const < bound + slack):
                 controls = tuple(z[k * m:(k + 1) * m].copy() for k in range(ell))
                 value, states, _ = shooting.replay(problem, x, controls, sset.terminal_cost)
-                diag["mismatch"] = shooting._mismatch(states[-1], target.state)
+                diag["mismatch"] = shooting._mismatch(states[-1], state)
                 return value, controls, diag, states[-1]
         diag["pruned"] = True
         return INF, (), diag, None
 
     monkeypatch.setattr(shooting, "_screen", no_screen)
     monkeypatch.setattr(shooting, "_solve_group",
-                        lambda cond, target, seqs, *_: [None] * len(seqs))
+                        lambda cond, targets, t, seqs, *_: [None] * len(seqs))
     monkeypatch.setattr(shooting, "_solve_candidate", candidate)
 
 
@@ -440,6 +442,12 @@ def _screen_cases(spiral, integrator):
         for ell in (3, 4):
             yield (integrator.augmented_problem, integrator.augmented_sets["budget"],
                    AugmentedState(base, budget), ell, policy, 128)
+    # one free target: the analytic disk, and the classical baseline's free terminal
+    for x0 in (rng.uniform(-9.0, 9.0, 2), rng.uniform(-9.0, 9.0, 2)):
+        for ell in range(3, 6):
+            yield spiral.problem, spiral.sample_sets["disk"], x0, ell, spiral_policy, 128
+    for sset in (FreeTerminal(integrator.mpc_quadratic), FreeTerminal()):
+        yield integrator.problem, sset, base, 4, policy, 128
 
 
 def _pricing(priced):
@@ -491,11 +499,11 @@ def test_only_box_active_jobs_reach_the_per_candidate_solver(spiral, monkeypatch
                                             shooting._box_qp)
     seen, stacks, steps = [], [], []
 
-    def group(cond, target, seqs, z, lo_full, hi_full):
+    def group(cond, targets, t, seqs, z, lo_full, hi_full):
         for s in seqs:
             margin = 1e-12 * (1.0 + float(np.abs(z[s]).max()))
             assert not (np.all(z[s] > lo_full + margin) and np.all(z[s] < hi_full - margin))
-        return solve_group(cond, target, seqs, z, lo_full, hi_full)
+        return solve_group(cond, targets, t, seqs, z, lo_full, hi_full)
 
     def stacked(h, b, lo, hi, rows=None, z=None):
         if rows is not None:  # not the start-point QP inside it

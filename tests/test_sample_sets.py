@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +8,9 @@ from hypothesis import strategies as st
 from ddrollout import (
     AnalyticSampleSet,
     AugmentedState,
+    BudgetSampleSet,
     ExplicitSampleSet,
+    FreeTerminal,
     Policy,
     SampleEntry,
     UnusableTrajectoryError,
@@ -15,6 +19,7 @@ from ddrollout import (
     simulate_policy,
     verify_invariance,
 )
+from ddrollout import shooting
 from ddrollout.costs import INF
 from ddrollout.model import Trajectory
 
@@ -192,3 +197,62 @@ def test_member_cost_is_the_value_of_its_certifying_sample(kind, request):
     sid = sset.sample_id(x)
     assert (sid is None) == (kind == "analytic")  # a predicate set has no samples
     assert sset.terminal_cost(x) < INF
+
+
+def _shooting_sets(spiral, integrator):
+    """(set, state) for every terminal set the shooting solver meets."""
+    x = np.array([2.0, -1.0])
+    for sset in spiral.sample_sets.values():
+        yield sset, x
+    yield merge([spiral.sample_sets["trajectory-0"], spiral.sample_sets["trajectory-1"]]), x
+    yield integrator.sample_sets["trajectory"], x
+    budget = integrator.augmented_sets["budget"]
+    for e in (0.0, 0.1, budget.spec.e_max, INF):
+        yield budget, AugmentedState(x, e)
+    yield FreeTerminal(integrator.mpc_quadratic), x
+    yield FreeTerminal(), x
+
+
+def test_every_set_gives_one_kind_of_shooting_target(spiral, integrator):
+    """One free target with no state or radius, or T pinned states (T x d)
+    with their values, and radii only from a budget set; an explicit set's
+    arrays are read-only and the same on every call."""
+    for sset, x in _shooting_sets(spiral, integrator):
+        targets = sset.shooting_targets(x)
+        if targets.states is None:
+            assert targets.radii is None and targets.values.shape == (1,)
+        else:
+            assert targets.states.shape == (len(targets.values), 2)
+            assert (targets.radii is None) == (not isinstance(sset, BudgetSampleSet))
+        if isinstance(sset, ExplicitSampleSet):
+            again = sset.shooting_targets(np.zeros(2))
+            assert again.states is targets.states and again.values is targets.values
+            assert not (targets.states.flags.writeable or targets.values.flags.writeable)
+            assert [tuple(s) for s in targets.states] == [tuple(e.state) for e in sset.entries()]
+            assert targets.values.tolist() == [e.value for e in sset.entries()]
+
+
+def test_budget_targets_are_the_steps_the_budget_left_can_finish(integrator):
+    budget = integrator.augmented_sets["budget"]
+    scale = float(budget.spec.usage_quad[0, 0])
+    for e in (0.0, 0.05, 0.1, 0.3, budget.spec.e_max, INF):
+        targets = budget.shooting_targets(AugmentedState(np.zeros(2), e))
+        kept = [k for k, tail in enumerate(budget.tail_usages) if not tail > e]
+        assert targets.radii.tolist() == [math.sqrt((e - budget.tail_usages[k]) / scale)
+                                          for k in kept]
+        assert targets.values.tolist() == [budget.seed.tail_costs[k] for k in kept]
+        assert np.array_equal(targets.states, np.array([budget.seed.states[k] for k in kept])
+                              .reshape(-1, 2))
+        if e == 0.0:  # the seed's frontier still needs its anchor usage
+            assert not kept and targets.states.shape == (0, 2)
+        if e >= budget.spec.e_max:
+            assert len(kept) == len(budget.seed.states)
+
+
+def test_no_pinned_state_means_no_mismatch(spiral, integrator):
+    for sset, x in _shooting_sets(spiral, integrator):
+        states = sset.shooting_targets(x).states
+        if states is None or not len(states):
+            assert shooting._mismatch(x, states) is None
+        else:
+            assert shooting._mismatch(x, states) >= 0.0

@@ -109,7 +109,7 @@ def test_explicit_set_roundtrip_reverifies(spiral):
     back = sample_set_from_doc(doc, problem=spiral.problem, policies=policies)
     for e, f in zip(sset.entries(), back.entries()):
         assert f.value == e.value and np.array_equal(f.state, e.state)
-    # untrusted load without context has nothing to verify against
+    # a load without context has nothing to verify against
     with pytest.raises(ValueError):
         sample_set_from_doc(doc)
 
@@ -123,20 +123,17 @@ def test_explicit_set_corruption_is_caught(spiral):
     doc["entries"][1]["successor"] = {"__vector__": [40.0, 40.0]}
     with pytest.raises(SampleSetIntegrityError):
         sample_set_from_doc(doc, problem=spiral.problem, policies=policies)
-    # trusted loads skip the check by design, so the tamper goes through
-    assert sample_set_from_doc(doc, trusted=True) is not None
 
 
-@pytest.mark.parametrize("trusted", [False, True])
-def test_a_stored_set_cannot_widen_the_state_tolerance(spiral, integrator, trusted):
+def test_a_stored_set_cannot_widen_the_state_tolerance(spiral, integrator):
     policies = {p.id: p for p in spiral.base_policies.values()}
     doc = widened_doc(spiral.sample_sets["trajectory-0"])
     with pytest.raises(SampleSetIntegrityError, match="eps_state"):
-        sample_set_from_doc(doc, problem=spiral.problem, policies=policies, trusted=trusted)
+        sample_set_from_doc(doc, problem=spiral.problem, policies=policies)
     budget = integrator.augmented_sets["budget"].to_doc()
     budget["eps_state"] = 1e-3
     with pytest.raises(SampleSetIntegrityError, match="eps_state"):
-        sample_set_from_doc(budget, trusted=trusted)
+        sample_set_from_doc(budget)
 
 
 def test_analytic_sets_do_not_serialize(spiral):

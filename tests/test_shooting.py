@@ -14,7 +14,7 @@ from ddrollout.costs import INF
 from ddrollout.errors import SearchSpaceError
 from ddrollout.lookahead import replay
 from ddrollout.model import EPS_STATE
-from ddrollout.sample_sets import FreeTerminal, Target
+from ddrollout.sample_sets import FreeTerminal
 from ddrollout.boxqp import _ball_box_qp, _box_qp
 from ddrollout.shooting import solve_continuous
 
@@ -254,8 +254,9 @@ def test_a_plan_off_its_path_by_two_eps_is_dropped_and_by_half_eps_replayed(
         x1 = cond.phis[0, 1] + cond.gammas[0, 1] @ z
         assert pl.path_excess(sigma[1:], x1[None]) == pytest.approx(off, rel=1e-3)
         replays.clear()  # the box QP's optimum is z, in one iteration
+        free = FreeTerminal()
         value, controls, *_ = shooting._solve_candidate(
-            problem, FreeTerminal(), x0, cond, 0, Target(), (z, True, 1), -np.ones(2),
+            problem, free, x0, cond, 0, free.shooting_targets(x0), 0, (z, True, 1), -np.ones(2),
             np.ones(2), 1)
         assert len(replays) == want  # the half-eps plan's replay is its price
         if want == 0:
@@ -744,8 +745,8 @@ def test_the_least_norm_ball_prune_drops_only_rows_that_leave_the_ball():
             g[1] = 2.0 * g[0]
         h = np.eye(n)
         pinv, give, _ = boxqp._row_factors(h, g)
-        seqs = shooting._SequenceMaps(np.zeros((1, n, 2 * d + 1)), np.ones(1, bool), pinv[None],
-                                      give[None], np.zeros((1, n)), np.ones(1, bool))
+        seqs = shooting._SequenceMaps(np.zeros((1, n, 2 * d + 1)), pinv[None], give[None],
+                                      np.zeros((1, n)))
         r = rng.uniform(-2.0, 2.0, (4, d))
         least = np.linalg.norm(r @ pinv.T, axis=1)
         # a point meeting the rows to EPS_STATE may be up to give.sum() shorter
