@@ -193,7 +193,11 @@ def cmd_run(args: argparse.Namespace) -> int:
     policy = _default_policy(bundle)
 
     if opts.get("x0") is not None:
-        x0 = _parse_x0(opts["x0"])
+        x0, start = _parse_x0(opts["x0"]), bundle.start_states[0]
+        if isinstance(start, np.ndarray) and not (isinstance(x0, np.ndarray)
+                                                  and x0.shape == start.shape):
+            raise ValueError(f"x0 must be a finite vector of the start state's shape "
+                             f"{start.shape}, got {opts['x0']!r}")
     else:
         x0 = bundle.start_states[opts.get("start_index", 0)]
 

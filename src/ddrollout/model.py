@@ -10,6 +10,7 @@ problems), or resource-augmented pairs built by the budget module.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, Union
 
@@ -186,6 +187,22 @@ class PiecewiseLinearStructure:
             worst = np.maximum(worst, np.maximum(xs - hi, lo - xs).max(axis=(-2, -1), initial=-INF)
                                - EPS_STATE)
         return float(worst) if np.ndim(worst) == 0 else worst
+
+    @functools.cached_property
+    def path_rows(self):
+        """The rows f x <= g that path_excess tests, with the allowance it
+        gives each, as (f, g) stacked over the modes (modes x rows x d,
+        modes x rows): each mode's region rows, g widened by EPS_STATE, then
+        the state box's faces, widened by 2 EPS_STATE."""
+        f, g = self.region_f, self.region_g + EPS_STATE
+        if self.state_box is not None:
+            n_modes, _, d = f.shape
+            lo, hi = (np.broadcast_to(v, d) for v in self.state_box)
+            faces = np.broadcast_to(np.vstack([np.eye(d), -np.eye(d)]), (n_modes, 2 * d, d))
+            f = np.concatenate([f, faces], axis=1)
+            g = np.concatenate([g, np.tile(np.concatenate([hi, -lo]) + 2.0 * EPS_STATE,
+                                           (n_modes, 1))], axis=1)
+        return f, g
 
 
 # ---------------------------------------------------------------------------

@@ -6,16 +6,24 @@ into independent subproblems, one per (mode sequence, terminal target)
 pair. Every mode sequence that starts in the current state's mode is
 enumerated (hybrid MPC's mode-sequence enumeration); more than
 SolverConfig.mode_cap of them raises SearchSpaceError. The plan is
-condensed along all of them at once, as arrays stacked over the sequences,
-and every (sequence, pinned target) pair is tested for reachability in one
-broadcast: each coordinate of its target must lie within the control box's
-reach. Each subproblem is a box-constrained quadratic program solved
-exactly. A set hands over its targets as one sample_sets.Targets record:
-T targets pinned to sampled states, or one free target. A pinned target
-adds d equality rows that put the terminal state on it; its box-free
-optimum is affine in the target and in x0 with maps that depend on the
-mode sequence alone, so they are solved once, for every sequence at once,
-and kept in the caller's memo (a rollout passes one memo to all of its
+condensed along all of them at once, step by step, as arrays stacked over
+the sequences' distinct prefixes. Where there is more than one mode, a
+sequence goes at the first step k < l where no control-box point keeps x_k
+on its mode's region rows to EPS_STATE or in the state box to 2 EPS_STATE,
+the allowance the path test gives; per row, the least value over the box
+is the support function of the zonotope the box reaches. No plan along
+such a sequence could pass its path test, so it is never condensed further,
+solved or screened; its pairs with a target valued below the seeds' bound
+count as dropped by the rule "sequence". Every (sequence, pinned target)
+pair left is tested for reachability in one broadcast: each coordinate of
+its target must lie within the control box's reach. Each subproblem is a
+box-constrained quadratic program solved exactly. A set hands over its
+targets as one sample_sets.Targets record: T targets pinned to sampled
+states, or one free target. A pinned target adds d equality rows that put
+the terminal state on it; its box-free optimum is affine in the target and
+in x0 with maps that depend on the mode sequence alone, so they are solved
+once per sequence, by the first solve that keeps it, and kept in the
+caller's memo under the sequence (a rollout passes one memo to all of its
 steps). The free target adds its own quadratic cost and no rows; its
 box-free optimum is a least-squares solve per sequence. One more broadcast
 screens every pair's box-free optimum: its objective (a lower bound on the
@@ -34,15 +42,15 @@ optimum cannot beat the bound stops there. An interior optimum is its
 subproblem's solution, so it goes straight to the replay. A pinned
 optimum that leaves the box by e_i in coordinate i lifts its bound by the
 least cost of moving back, 0.5 e_i^2 / M_ii with M the inverse of the
-Hessian reduced to the rows' null space (kept in the memo with g+, for
-every sequence once one needs it); under a finite running bound, a pair
-whose lifted bound cannot beat it stops there too. So does a pair whose
-rows no box point meets. The jobs left, box-active optima, need the
-active-set solve of the box QP (boxqp._box_qp), which runs over stacks of
-subproblems: when the loop first reaches such a job, every later job of its
-target (they are consecutive) that passes the same tests against the
-running bound joins it, and the group is solved _CHUNK at a time. The
-bound only falls along the loop, so the group holds every job the loop goes
+Hessian reduced to the rows' null space (kept in each sequence's memo
+entry with g+, made for all of a solve's sequences once one needs it);
+under a finite running bound, a pair whose lifted bound cannot beat it
+stops there too. So does a pair whose rows no box point meets. The jobs
+left, box-active optima, need the active-set solve of the box QP
+(boxqp._box_qp), which runs over stacks of subproblems: when the loop
+first reaches such a job, every later job of its target (they are
+consecutive) that passes the same tests against the running bound joins
+it, and the group is solved _CHUNK at a time. The bound only falls along the loop, so the group holds every job the loop goes
 on to solve; each is finished in job order, on its ball if it has one, as
 if solved alone (a problem's result has the same bits in any stack). A
 solved plan is replayed only if its predicted path meets its target, it
@@ -59,6 +67,7 @@ dropped it (_RULES), and the solution's diagnostics count them by rule
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -96,27 +105,68 @@ _CHUNK = 64  # sequences per stacked product or box QP solve, capping their temp
 def _assemble(pl, x0: np.ndarray, sigmas: np.ndarray, h_r, lo_full, hi_full) -> _Condensed:
     """Condense the plan along every mode sequence in sigmas (S x ell) at
     once; h_r is the control-cost Hessian, which does not depend on sigma.
-    The running-cost products go _CHUNK sequences at a time: each stacked
-    product is computed per sequence, so chunking changes no bit."""
-    n_seq, ell = sigmas.shape
+    Neighbouring sequences that share their first k modes share x_k's maps,
+    so each step is computed once per such prefix (sigmas in lexicographic
+    order, as enumerated, share the most) and then copied out to the
+    sequences. Where the enumeration branches (more than one mode), a
+    prefix is dropped with its sequences at the first step k in 1 .. ell - 1
+    where no box point keeps x_k on its path (_box_keeps), and is not
+    condensed further; the result holds only the sequences left. The
+    running-cost products go _CHUNK sequences at a time. Every product is
+    computed per prefix or per sequence, so sharing, chunking or dropping
+    changes no bit."""
+    ell = sigmas.shape[1]
     d = x0.size
     m = pl.modes[0].b.shape[1]
     a, b, c = (np.stack([getattr(mode, f) for mode in pl.modes]) for f in "abc")
-    # columns of each step's state map: the offset at x0, the response to
+    branches = len(pl.modes) > 1
+    if branches:
+        rows = _path_rows(pl)
+        centre, half = 0.5 * (hi_full + lo_full), 0.5 * (hi_full - lo_full)
+        starts = np.zeros(len(sigmas), dtype=bool)  # where a run of one prefix starts
+        starts[0] = True
+    # columns of each prefix's state map: the offset at x0, the response to
     # x0, the offset at x0 = 0 (phis, and b0 split as b_x x0 + b_c)
-    cols = np.zeros((n_seq, ell + 1, d, d + 2))
-    cols[:, 0, :, 0], cols[:, 0, :, 1:d + 1] = x0, np.eye(d)
-    gammas = np.zeros((n_seq, ell + 1, d, ell * m))
-    for k, modes in enumerate(sigmas.T):
-        cols[:, k + 1] = a[modes] @ cols[:, k]
-        cols[:, k + 1, :, 0] += c[modes]
-        cols[:, k + 1, :, -1] += c[modes]
+    cols = np.zeros((1, d, d + 2))
+    cols[0, :, 0], cols[0, :, 1:d + 1] = x0, np.eye(d)
+    gam = np.zeros((1, d, ell * m))
+    node = np.zeros(len(sigmas), dtype=np.intp)  # each sequence's prefix, numbered per step
+    parent, modes = slice(None), np.zeros(1, dtype=np.intp)  # with one mode, one prefix
+    nodes, maps = [node], [(cols, gam)]
+    for k in range(ell):
+        if branches:
+            starts[1:] |= sigmas[1:, k] != sigmas[:-1, k]
+            first = np.flatnonzero(starts)
+            parent, modes = node[first], sigmas[first, k]
+            if k > 0:
+                kept = _box_keeps(rows, modes, cols[parent, :, 0], gam[parent, :, :k * m],
+                                  centre[:k * m], half[:k * m])
+                if not kept.all():
+                    alive = kept[np.cumsum(starts) - 1]
+                    sigmas, starts = sigmas[alive], starts[alive]
+                    nodes = [n[alive] for n in nodes]
+                    parent, modes = parent[kept], modes[kept]
+            node = np.cumsum(starts) - 1
+        cols_k = a[modes] @ cols[parent]
+        cols_k[:, :, 0] += c[modes]
+        cols_k[:, :, -1] += c[modes]
         # only the first k control blocks reach x_k
-        gammas[:, k + 1, :, :k * m] = a[modes] @ gammas[:, k, :, :k * m]
-        gammas[:, k + 1, :, k * m:(k + 1) * m] = b[modes]
+        gam_k = np.zeros((len(modes), d, ell * m))
+        gam_k[:, :, :k * m] = a[modes] @ gam[parent, :, :k * m]
+        gam_k[:, :, k * m:(k + 1) * m] = b[modes]
+        cols, gam = cols_k, gam_k
+        nodes.append(node)
+        maps.append((cols, gam))
+    # every sequence's maps at every step, gathered from its prefixes'
+    if branches:
+        at = np.stack(nodes, axis=1) + np.cumsum([0] + [len(p) for p, _ in maps[:-1]])
+        cols, gammas = (np.concatenate(step_maps)[at] for step_maps in zip(*maps))
+    else:  # one prefix per step
+        cols, gammas = (np.stack(step_maps, axis=1)[node] for step_maps in zip(*maps))
+    n_seq = len(sigmas)
     phis = cols[..., 0].copy()  # a copy, so cols can go when _assemble returns
     # running cost sum_k x_k' q x_k over k < ell, as stacked products
-    run_g = gammas[:, :ell].reshape(n_seq, ell * d, -1).transpose(0, 2, 1)
+    run_g = gammas[:, :ell].reshape(n_seq, ell * d, ell * m).transpose(0, 2, 1)
     h0 = np.empty((n_seq, ell * m, ell * m))
     lin = np.empty((n_seq, ell * m, d + 2))
     c0 = np.empty(n_seq)
@@ -135,6 +185,34 @@ def _assemble(pl, x0: np.ndarray, sigmas: np.ndarray, h_r, lo_full, hi_full) -> 
                       lin[..., -1], x0, reach)
 
 
+def _path_rows(pl):
+    """pl.path_rows for _box_keeps: (f, |f|, g, modes) with the rows of all
+    modes stacked mode-major, f rows x d and g a column widened by its
+    rounding."""
+    f, g = pl.path_rows
+    f, g = f.reshape(-1, f.shape[2]), g.reshape(-1, 1)
+    return f, np.abs(f), g + 1e-12 * np.abs(g), len(pl.modes)
+
+
+def _box_keeps(rows, modes, phi, gamma, centre, half):
+    """Which sequences some box point z (centre +- half) may keep on their
+    path rows (_path_rows) at one step, where x = phi + gamma z (phi S x d,
+    gamma S x d x width, modes the S modes of the step). Over the box, f x
+    falls no lower than f phi + f gamma c - sum_j |f gamma|_j half_j (the
+    support function of the zonotope the box reaches), so a sequence whose
+    least value exceeds some row's g has no point on that row. Every mode's
+    rows are taken along every sequence in a few flat products, and each
+    sequence reads its own mode's. Rounding in the products is allowed for."""
+    f, f_abs, g, n_modes = rows
+    n_seq, d, width = gamma.shape
+    g_t = gamma.transpose(1, 2, 0)  # d x width x S: every product runs along the sequences
+    spread = half @ np.abs((f @ g_t.reshape(d, -1)).reshape(len(f), width, n_seq))
+    least = f @ (phi.T + centre @ g_t) - spread
+    least -= 1e-12 * (f_abs @ (np.abs(phi.T) + (np.abs(centre) + half) @ np.abs(g_t)))
+    worst = (least - g).reshape(n_modes, len(f) // n_modes, n_seq).max(axis=1)
+    return worst[modes, np.arange(n_seq)] <= 0.0
+
+
 def _job_order(keep, tails):
     """The (target, sequence) indices of the kept pairs, cheapest tail
     first so the running bound can retire the rest early; ties go by
@@ -146,41 +224,39 @@ def _job_order(keep, tails):
 
 @dataclass(slots=True)
 class _SequenceMaps:
-    """Per-sequence data of the terminal rows for the S sequences that start
-    in one mode (axis 0), kept in a rollout's memo under that mode. The maps
-    are solved for every sequence when the entry is made, the row factors
-    for every sequence on their first need (_row_factored)."""
+    """One mode sequence's data of its terminal rows, kept in a rollout's
+    memo under the sequence (a tuple of modes). The maps are solved when the
+    entry is made, the row factors on their first need; _sequence_maps hands
+    over many sequences' entries stacked along a new axis 0."""
 
-    maps: np.ndarray                     # S x width x (2d + 1): [q_s | Q_s | P_s]
-    pinv: np.ndarray | None = None       # S x width x d: _row_factors' g+ of the rows
-    give: np.ndarray | None = None       # S x width: the room the rows' tolerance leaves
-    curvature: np.ndarray | None = None  # S x width: 1 / M_ii
-
-
-def _sequence_maps(memo, cond: _Condensed) -> _SequenceMaps:
-    """The memo's entry for cond's sequences, made on first use: sequence s's
-    pinned optimum P_s (t - phi_l) + Q_s x0 + q_s is affine in the target t
-    and in x0, with maps that depend on s alone, from one KKT solve with
-    2d + 1 right-hand sides."""
-    first = int(cond.sigmas[0, 0])
-    if first not in memo:
-        d = cond.x0.size
-        top = np.zeros((*cond.b0.shape, 2 * d + 1))
-        top[..., 0], top[..., 1:d + 1] = -cond.b_c, -cond.b_x
-        bottom = np.eye(d, 2 * d + 1, d + 1)
-        memo[first] = _SequenceMaps(np.array([_kkt_solve(h, g, rhs, bottom)[0] for h, g, rhs
-                                              in zip(cond.h0, cond.gammas[:, -1], top)]))
-    return memo[first]
+    maps: np.ndarray                     # width x (2d + 1): [q_s | Q_s | P_s]
+    pinv: np.ndarray | None = None       # width x d: _row_factors' g+ of the rows
+    give: np.ndarray | None = None       # width: the room the rows' tolerance leaves
+    curvature: np.ndarray | None = None  # width: 1 / M_ii
 
 
-def _row_factored(memo, cond: _Condensed) -> _SequenceMaps:
-    """The memo's entry for cond's sequences, with pinv, give and curvature
-    filled for every sequence."""
-    seqs = _sequence_maps(memo, cond)
-    if seqs.pinv is None:
-        factors = [_row_factors(h, g) for h, g in zip(cond.h0, cond.gammas[:, -1])]
-        seqs.pinv, seqs.give, seqs.curvature = (np.array(f) for f in zip(*factors))
-    return seqs
+def _sequence_maps(memo, cond: _Condensed, factored=False) -> _SequenceMaps:
+    """The memo's entries for cond's sequences, stacked, each made on first
+    use: sequence s's pinned optimum P_s (t - phi_l) + Q_s x0 + q_s is affine
+    in the target t and in x0, with maps that depend on s alone, from one
+    KKT solve with 2d + 1 right-hand sides. factored: with every sequence's
+    pinv, give and curvature too."""
+    n_seq, d, width = len(cond.sigmas), cond.x0.size, cond.h0.shape[1]
+    entries = []
+    for s, key in enumerate(map(tuple, cond.sigmas.tolist())):
+        seq = memo.get(key)
+        if seq is None:
+            top = np.zeros((width, 2 * d + 1))
+            top[:, 0], top[:, 1:d + 1] = -cond.b_c[s], -cond.b_x[s]
+            maps = _kkt_solve(cond.h0[s], cond.gammas[s, -1], top, np.eye(d, 2 * d + 1, d + 1))[0]
+            seq = memo[key] = _SequenceMaps(maps.copy())  # a copy: the solve's multipliers go
+        if factored and seq.pinv is None:
+            seq.pinv, seq.give, seq.curvature = _row_factors(cond.h0[s], cond.gammas[s, -1])
+        entries.append(seq)
+    fields = ("maps", "pinv", "give", "curvature")[:4 if factored else 1]
+    shapes = ((width, 2 * d + 1), (width, d), (width,), (width,))
+    return _SequenceMaps(*(np.array([getattr(e, f) for e in entries]).reshape(n_seq, *shape)
+                           for f, shape in zip(fields, shapes)))
 
 
 def _beyond_ball(seqs: _SequenceMaps, rhs, radii):
@@ -236,7 +312,8 @@ def _screen(pl, cond: _Condensed, targets, memo, lo_full, hi_full) -> _Screen:
     d, width = cond.x0.size, cond.h0.shape[1]
     if targets.states is None:
         h, b, _, const = _subproblems(cond, targets, 0, slice(None))
-        z = np.array([np.linalg.lstsq(hs, -bs, rcond=None)[0] for hs, bs in zip(h, b)])
+        z = np.array([np.linalg.lstsq(hs, -bs, rcond=None)[0]
+                      for hs, bs in zip(h, b)]).reshape(n_seq, width)
         lb = (0.5 * np.einsum("sw,sw->s", _mv(h, z), z) + np.einsum("sw,sw->s", b, z)
               + cond.c0 + const)[:, None]
         z = z[:, None]
@@ -269,7 +346,7 @@ def _screen(pl, cond: _Condensed, targets, memo, lo_full, hi_full) -> _Screen:
         if targets.radii is not None and np.isfinite(targets.radii).any():
             interior &= np.sqrt((zw * zw).sum(axis=0)) <= targets.radii
     # predicted x_1 .. x_{ell-1}, as an S x T x (ell - 1) x d view
-    path = cond.gammas[:, 1:ell].reshape(n_seq, -1, width) @ zt
+    path = cond.gammas[:, 1:ell].reshape(n_seq, (ell - 1) * d, width) @ zt
     path = (path.reshape(n_seq, ell - 1, d, n_targets)
             + cond.phis[:, 1:ell, :, None]).transpose(0, 3, 1, 2)
     on_path = pl.path_excess(cond.sigmas[:, None, 1:], path) <= EPS_STATE
@@ -344,16 +421,22 @@ def solve_continuous(problem: ProblemDef, sset, x, cfg: SolverConfig,
     candidates = [_priced(problem, sset, x, plan, states, converged=True, seed=True)
                   for plan in seed_plans]
     bound = min((c[0] for c in candidates), default=INF)
+    # stage costs are nonnegative, so a target valued at the bound cannot
+    # win; along the sequences _assemble dropped, every other pair is dropped
+    below = values < bound
+    candidates += [_pruned("sequence", 0)] * ((n_sequences - len(cond.sigmas))
+                                              * int(np.count_nonzero(below)))
 
-    # every (sequence, target) pair at once; stage costs are nonnegative, so
-    # a target valued at the bound cannot win
-    keep = np.tile(values < bound, (len(sigmas), 1))
+    # every (sequence, target) pair left at once
+    keep = np.tile(below, (len(cond.sigmas), 1))
+    # cond's stacked memo entries with their row factors, made on first need
+    row_factored = functools.cache(lambda: _sequence_maps(memo, cond, factored=True))
     if states is not None:
         rhs = states - cond.phis[:, None, ell]  # S x targets x d
         keep &= ~np.any(np.abs(rhs) > cond.reach[:, None] + EPS_STATE + 1e-12, axis=2)
         if radii is not None and np.isfinite(radii).any():
             # drop pairs whose rows have no point in the ball (g+ is one of the lift's factors)
-            keep &= ~_beyond_ball(_row_factored(memo, cond), rhs, radii)
+            keep &= ~_beyond_ball(row_factored(), rhs, radii)
     screen = _screen(pl, cond, targets, memo, lo_full, hi_full)
     lifts = {}  # pair -> its lifted bound
 
@@ -372,7 +455,7 @@ def solve_continuous(problem: ProblemDef, sset, x, cfg: SolverConfig,
         if bound < INF and states is not None:
             # a box-active pinned optimum: every box point on the rows costs more
             if i not in lifts:
-                seqs = _row_factored(memo, cond)
+                seqs = row_factored()
                 lifts[i] = screen.lb[i] + _lift(seqs.give[s], seqs.curvature[s], screen.z[s, t],
                                                 lo_full, hi_full)
             if not lifts[i] < bound + slack:
@@ -494,7 +577,7 @@ def _priced(problem, sset, x, controls, pinned, **diag):
     return value, controls, {"mismatch": _mismatch(states[-1], pinned), **diag}, states[-1]
 
 
-_RULES = ("bound", "lift", "path", "rows", "ball")
+_RULES = ("sequence", "bound", "lift", "path", "rows", "ball")
 
 
 def _pruned(rule, iterations, converged=True):

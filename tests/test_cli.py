@@ -185,6 +185,22 @@ def test_non_finite_x0_is_a_clean_error(capsys, tmp_path, x0):
     assert err.startswith("error: ") and "must be finite" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("--instance", "spiral", "--x0", "1,2,3"),
+    ("--instance", "spiral", "--x0", "5"),
+    ("--instance", "integrator", "--x0", "3"),
+    ("--instance", "spiral", "--variant", "disturbance", "--x0", "1,2,3"),
+])
+def test_an_x0_of_the_wrong_shape_is_a_clean_error(capsys, tmp_path, argv):
+    """A vector x0 is checked against the start state's shape before the
+    run: the error names x0, not a numpy product or --disturb."""
+    code, out, err = run_cli(capsys, "run", *argv, "--horizon", "2", "--out-dir", str(tmp_path))
+    assert code == 1 and "PASS" not in out
+    assert err.startswith("error: x0 must be a finite vector of the start state's shape (2,), "
+                          f"got '{argv[-1]}'")
+    assert not list(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("budget", ["nan", "-1", "-inf", "config:-0.5"])
 def test_a_negative_or_nan_budget_is_a_clean_error(capsys, tmp_path, budget):
     argv = ["run", "--instance", "integrator", "--variant", "augmented",

@@ -50,7 +50,8 @@ def test_batched_condensation_matches_a_per_sequence_loop(request, name, ell):
     sigmas = np.array(list(itertools.product(range(len(pl.modes)), repeat=ell)))
     for x0 in rng.uniform(-9.0, 9.0, (4, 2)):
         cond = shooting._assemble(pl, x0, sigmas, h_r, lo, hi)
-        for i, sigma in enumerate(sigmas):
+        assert len(cond.sigmas) > 0
+        for i, sigma in enumerate(cond.sigmas):  # the sequences _assemble keeps
             ref = _reference_assemble(pl, x0, tuple(sigma), h_r, lo, hi)
             got = (cond.phis[i], cond.gammas[i], cond.h0[i], cond.b0[i], cond.c0[i],
                    cond.reach[i])
@@ -107,7 +108,7 @@ def test_spiral_mpc_with_its_memo_matches_memo_less_solves(spiral, monkeypatch):
     monkeypatch.setattr(shooting, "_kkt_solve", counting)
     seen = _solves(monkeypatch, share=True)
     shared = run()
-    assert len(map_solves) == 64
+    assert len(map_solves) == 48
     _solves(monkeypatch, share=False)
     alone = run()
     assert shared.status == alone.status == "closed_in_set"
@@ -115,10 +116,11 @@ def test_spiral_mpc_with_its_memo_matches_memo_less_solves(spiral, monkeypatch):
     np.testing.assert_allclose(shared.per_step_values, alone.per_step_values, rtol=1e-12)
     assert [r["sample_id"] for r in shared.solver_reports] == \
         [r["sample_id"] for r in alone.solver_reports]
-    # the 32 sequences from each of the two modes, each solved once, kept
-    # stacked under their first mode
-    assert all(m is seen[0] for m in seen) and sorted(seen[0]) == [0, 1]
-    assert all(len(seqs.maps) == 32 for seqs in seen[0].values())
+    # the 48 sequences the box ever keeps on their path (of the 32 from each
+    # of the two modes), each solved once and kept under the sequence
+    assert all(m is seen[0] for m in seen) and len(seen[0]) == 48
+    assert {len(sigma) for sigma in seen[0]} == {6} and {sigma[0] for sigma in seen[0]} == {0, 1}
+    assert all(seqs.maps.shape == (6, 5) for seqs in seen[0].values())
 
 
 def test_rollouts_on_different_problems_do_not_share_work(spiral, integrator):
@@ -284,7 +286,7 @@ def test_the_broadcast_reach_prune_keeps_the_per_pair_job_list(spiral, integrato
     else:
         problem, sset, ell = integrator.augmented_problem, integrator.augmented_sets["budget"], 4
         x = AugmentedState(np.asarray(integrator.start_states[0], dtype=float), 0.2)
-    job_order, orders = shooting._job_order, []
+    job_order, assemble, orders, conds = shooting._job_order, shooting._assemble, [], []
 
     def record(keep, tails):
         out = job_order(keep, tails)
@@ -292,14 +294,13 @@ def test_the_broadcast_reach_prune_keeps_the_per_pair_job_list(spiral, integrato
         return out
 
     monkeypatch.setattr(shooting, "_job_order", record)
+    monkeypatch.setattr(shooting, "_assemble", lambda *a: conds.append(assemble(*a)) or conds[-1])
     shooting.solve_continuous(problem, sset, x, replace(SolverConfig(), ell=ell))
     (keep, tails, (t_idx, s_idx)), = orders
     assert list(zip(t_idx, s_idx)) == _sorted_jobs(keep, tails)
-    first = problem.pl.mode_of(base_view(x))
-    sigmas = [(first,) + rest
-              for rest in itertools.product(range(len(problem.pl.modes)), repeat=ell - 1)]
+    sigmas = list(map(tuple, conds[0].sigmas.tolist()))  # the sequences _assemble keeps
     targets = sset.shooting_targets(x)
-    want = _reference_jobs(problem, sset, x, ell)
+    want = [job for job in _reference_jobs(problem, sset, x, ell) if job[0] in sigmas]
     assert [(sigmas[s], targets.values[t]) for t, s in zip(t_idx, s_idx)] == want
     assert 0 < len(want) < len(targets.values) * 2 ** (ell - 1)
     # tied tail values go by target, then sequence
@@ -326,6 +327,7 @@ def test_the_screen_agrees_with_each_pairs_own_tests(request, name, ell):
         sigmas = np.array([(pl.mode_of(x0),) + rest
                            for rest in itertools.product(range(len(pl.modes)), repeat=ell - 1)])
         cond = shooting._assemble(pl, x0, sigmas, h_r, lo, hi)
+        sigmas = cond.sigmas  # the sequences _assemble keeps
         s0 = int(rng.integers(len(sigmas)))
         reachable = cond.phis[s0, ell] + rng.uniform(-0.3, 0.3, (6, ell)) @ cond.gammas[s0, ell].T
         states = np.concatenate([reachable, reachable + rng.normal(0.0, 0.05, (6, 2))])
@@ -333,8 +335,9 @@ def test_the_screen_agrees_with_each_pairs_own_tests(request, name, ell):
         radii = np.where(rng.random(len(states)) < 0.5, rng.uniform(0.5, 2.0, len(states)), np.inf)
         memo = {}
         screen = shooting._screen(pl, cond, Targets(values, states, radii), memo, lo, hi)
-        maps = memo[int(sigmas[0, 0])].maps
-        assert len(maps) == len(sigmas)
+        # each sequence kept has its own memo entry
+        maps = np.array([memo[sigma].maps for sigma in map(tuple, sigmas.tolist())])
+        assert len(memo) == len(sigmas) > 0
         d = x0.size
         for s, t in itertools.product(range(len(sigmas)), range(len(states))):
             i = s * len(states) + t
@@ -491,8 +494,9 @@ def test_only_box_active_jobs_reach_the_per_candidate_solver(spiral, monkeypatch
     a job whose box-free optimum lies strictly inside the control box is
     settled by the screen, so every job the active-set solve sees is
     box-active. Only the first step's jobs are; every later step is settled
-    by the screen alone. The first step's 512 jobs are one group, solved in
-    8 stacked box QPs of _CHUNK = 64."""
+    by the screen alone. The first step's 256 jobs, one for each sequence
+    the box keeps on its path, are one group, solved in 4 stacked box QPs of
+    _CHUNK = 64."""
     policy = next(iter(spiral.base_policies.values()))
     cfg = replace(spiral.solver_defaults, ell=10, mode_cap=512)
     solve_group, solve_candidate, box_qp = (shooting._solve_group, shooting._solve_candidate,
@@ -525,29 +529,42 @@ def test_only_box_active_jobs_reach_the_per_candidate_solver(spiral, monkeypatch
     run = run_classical_mpc(spiral.problem, spiral.start_states[0], cfg, 40, terminal="origin",
                             base_policy=policy)
     assert run.status == "closed_in_set" and len(steps) == 16
-    assert seen == [0] * 512
-    assert shooting._CHUNK == 64 and stacks == [(0, 64)] * 8
-    assert sum(s.diagnostics["candidates"] for s in steps) > 16 * 512
+    assert seen == [0] * 256
+    assert shooting._CHUNK == 64 and stacks == [(0, 64)] * 4
+    left = [s.diagnostics["candidates"] - s.diagnostics["pruned_by"]["sequence"] for s in steps]
+    assert sum(left) > 16 * 256
 
 
 def test_assembling_in_chunks_changes_no_bit(spiral):
+    """Of 700 sequences from (3, 1), _assemble keeps 224 (three full
+    _CHUNKs and part of a fourth). Each one it keeps has the bits it gets
+    alone, and each one it drops is dropped alone too."""
     pl, ell = spiral.problem.pl, 10
-    sigmas = np.array(list(itertools.product(range(2), repeat=ell)))[:3 * shooting._CHUNK + 5]
+    sigmas = np.array(list(itertools.product(range(2), repeat=ell)))[:700]
     lo, hi = -np.ones(ell), np.ones(ell)
     h_r = 2.0 * np.kron(np.eye(ell), pl.r)
-    x0 = np.array([2.5, -1.5])
+    x0 = np.array([3.0, 1.0])
     whole = shooting._assemble(pl, x0, sigmas, h_r, lo, hi)
-    for i, sigma in enumerate(sigmas[::37]):
+    kept = whole.sigmas.tolist()
+    assert shooting._CHUNK == 64 and len(kept) == 224
+    outcomes = set()
+    for sigma in sigmas[::37]:
         alone = shooting._assemble(pl, x0, sigma[None], h_r, lo, hi)
+        outcomes.add(len(alone.sigmas))
+        if sigma.tolist() not in kept:
+            assert len(alone.sigmas) == 0
+            continue
+        i = kept.index(sigma.tolist())
         for f in ("phis", "gammas", "h0", "b0", "c0", "b_x", "b_c", "reach"):
-            assert np.array_equal(getattr(whole, f)[37 * i], getattr(alone, f)[0]), f
+            assert np.array_equal(getattr(whole, f)[i], getattr(alone, f)[0]), f
+    assert outcomes == {0, 1}
 
 
 def test_the_curvature_lift_changes_no_rollout(spiral, monkeypatch):
     """The 40-step spiral trajectory-0 rollout from (1, 1) at ell = 5, as
     shipped and with every sequence's curvature forced to zero (so the lift
-    prunes nothing): the runs are identical, and the lift keeps two thirds
-    of the box-active jobs from the per-candidate solver."""
+    prunes nothing): the runs are identical, and the lift keeps a third of
+    the box-active jobs from the per-candidate solver."""
     policy = next(iter(spiral.base_policies.values()))
     solve_candidate, row_factors = shooting._solve_candidate, shooting._row_factors
 
@@ -567,7 +584,7 @@ def test_the_curvature_lift_changes_no_rollout(spiral, monkeypatch):
     shipped, shipped_calls = rollout(flat=False)
     forced, forced_calls = rollout(flat=True)
     assert repr(shipped) == repr(forced)
-    assert shipped_calls <= 340 and forced_calls == 992
+    assert shipped_calls <= 340 and forced_calls == 496
 
 
 def test_the_planar_reach_test_drops_only_rows_prunes(integrator, monkeypatch):

@@ -13,7 +13,7 @@ from ddrollout import boxqp, shooting
 from ddrollout.costs import INF
 from ddrollout.errors import SearchSpaceError
 from ddrollout.lookahead import replay
-from ddrollout.model import EPS_STATE
+from ddrollout.model import EPS_STATE, LinearMode, PiecewiseLinearStructure
 from ddrollout.sample_sets import FreeTerminal
 from ddrollout.boxqp import _ball_box_qp, _box_qp
 from ddrollout.shooting import solve_continuous
@@ -236,6 +236,9 @@ def test_first_spiral_solve_replays_only_plans_that_can_win(spiral, monkeypatch)
 @pytest.mark.parametrize("side", ["region", "box"])
 def test_a_plan_off_its_path_by_two_eps_is_dropped_and_by_half_eps_replayed(
         spiral, monkeypatch, side):
+    """A control box of the one point z, whose x_1 lies off its sequence's
+    path by 2 or 0.5 EPS_STATE: _assemble drops the sequence 2 EPS_STATE off
+    and keeps the one 0.5 EPS_STATE off, whose plan z is replayed."""
     problem = spiral.problem
     pl, eps = problem.pl, EPS_STATE
     sin60 = math.sin(math.pi / 3.0)
@@ -246,21 +249,111 @@ def test_a_plan_off_its_path_by_two_eps_is_dropped_and_by_half_eps_replayed(
             x0, sigma = np.array([1.0, (0.5 + off / 0.8) / sin60]), (0, 0)
         else:  # x_1 inside mode 1, x_1[1] = hi + EPS_STATE + off
             x0, sigma = np.array([9.0, 7.0]), (0, 1)
-        cond = shooting._assemble(pl, x0, np.array([sigma]), np.zeros((2, 2)),
-                                  -np.ones(2), np.ones(2))
+        mode = pl.modes[sigma[0]]
         z = np.zeros(2)
         if side == "box":
-            z[0] = pl.state_box[1][1] + EPS_STATE + off - cond.phis[0, 1, 1]
-        x1 = cond.phis[0, 1] + cond.gammas[0, 1] @ z
+            z[0] = pl.state_box[1][1] + EPS_STATE + off - (mode.a @ x0)[1]
+        x1 = mode.a @ x0 + mode.b @ z[:1] + mode.c
         assert pl.path_excess(sigma[1:], x1[None]) == pytest.approx(off, rel=1e-3)
-        replays.clear()  # the box QP's optimum is z, in one iteration
-        free = FreeTerminal()
-        value, controls, *_ = shooting._solve_candidate(
-            problem, free, x0, cond, 0, free.shooting_targets(x0), 0, (z, True, 1), -np.ones(2),
-            np.ones(2), 1)
-        assert len(replays) == want  # the half-eps plan's replay is its price
-        if want == 0:
-            assert value == INF and controls == ()
+        cond = shooting._assemble(pl, x0, np.array([sigma]), np.zeros((2, 2)), z, z)
+        assert len(cond.sigmas) == want
+        if want:  # the box QP's optimum is z, in one iteration
+            replays.clear()
+            free = FreeTerminal()
+            shooting._solve_candidate(problem, free, x0, cond, 0, free.shooting_targets(x0), 0,
+                                      (z, True, 1), z, z, 1)
+            assert len(replays) == 1  # the half-eps plan's replay is its price
+
+
+def _lp_least(f, phi, gamma, lo, hi):
+    """The least value of f (phi + gamma z) over the box lo <= z <= hi, by LP."""
+    res = linprog(f @ gamma, bounds=list(zip(lo, hi)), method="highs")
+    assert res.status == 0
+    return float(f @ phi) + res.fun
+
+
+def test_the_sequence_test_agrees_with_an_lp():
+    """On random region rows, state boxes, steps x = phi + gamma z and
+    control boxes, _box_keeps drops a sequence exactly when the least value
+    over the box of one of its path rows, as linprog finds it, exceeds the
+    row's bound (g + EPS_STATE for a region row, a state-box face plus
+    2 EPS_STATE): a step placed 0.5 EPS_STATE past one row is dropped and
+    one 0.5 EPS_STATE short of it kept, for region rows and faces alike.
+    Random steps are checked outside a 1e-10 band around the bound, wider
+    than the test's rounding allowance; there the LP cannot decide."""
+    rng = np.random.default_rng(43)
+    seen = dict.fromkeys(("region kept", "region dropped", "face kept", "face dropped",
+                          "random kept", "random dropped"), 0)
+    for trial in range(20):
+        d, width = int(rng.integers(1, 4)), int(rng.integers(1, 6))
+        n_modes, n_rows = int(rng.integers(2, 4)), int(rng.integers(1, 4))
+        mode = LinearMode(np.eye(d), np.zeros((d, 1)), np.zeros(d))
+        pl = PiecewiseLinearStructure(
+            modes=(mode,) * n_modes, q=np.eye(d), r=np.eye(1),
+            state_box=(-rng.uniform(2.0, 4.0, d), rng.uniform(2.0, 4.0, d)),
+            region_f=rng.standard_normal((n_modes, n_rows, d)),
+            region_g=rng.uniform(0.0, 2.0, (n_modes, n_rows)))
+        # each mode's path rows and their bounds, as path_excess allows them
+        faces = np.vstack([np.eye(d), -np.eye(d)])
+        f_all = [np.vstack([f, faces]) for f in pl.region_f]
+        g_all = [np.concatenate([g + EPS_STATE, np.concatenate([pl.state_box[1],
+                                                                -pl.state_box[0]]) + 2 * EPS_STATE])
+                 for g in pl.region_g]
+        lo, hi = -rng.uniform(0.1, 1.0, width), rng.uniform(0.1, 1.0, width)
+        centre, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
+        n_seq = 8
+        modes = rng.integers(n_modes, size=n_seq)
+        gamma = 0.3 * rng.standard_normal((n_seq, d, width))
+        phi = rng.normal(0.0, 1.0, (n_seq, d))
+        kinds = ["random"] * n_seq
+        # four steps placed at one row: a region row or a face, on either side of its bound
+        for s, (kind, gap) in enumerate((("region", -0.5), ("region", 0.5), ("face", -0.5),
+                                         ("face", 0.5))):
+            row = int(rng.integers(n_rows)) if kind == "region" else n_rows + int(
+                rng.integers(2 * d))
+            f, g = f_all[modes[s]][row], g_all[modes[s]][row]
+            fg = f @ gamma[s]
+            least = f @ phi[s] + fg @ centre - np.abs(fg) @ half
+            phi[s] += (g + gap * EPS_STATE - least) * f / (f @ f)
+            kinds[s] = (kind, row)
+        keeps = shooting._box_keeps(shooting._path_rows(pl), modes, phi, gamma, centre, half)
+        for s in range(n_seq):
+            excess = np.array([_lp_least(f, phi[s], gamma[s], lo, hi) - g
+                               for f, g in zip(f_all[modes[s]], g_all[modes[s]])])
+            if kinds[s] == "random":
+                if abs(excess.max()) <= 1e-10:
+                    continue
+                assert keeps[s] == (excess.max() <= 0.0), (trial, s, excess)
+                seen["random kept" if keeps[s] else "random dropped"] += 1
+                continue
+            kind, row = kinds[s]
+            assert excess[row] == pytest.approx(-0.5 * EPS_STATE if s % 2 == 0
+                                                else 0.5 * EPS_STATE, abs=1e-11)
+            if np.delete(excess, row).max(initial=-INF) < -1e-6:  # the other rows are slack
+                assert keeps[s] == (s % 2 == 0), (trial, s, excess)
+                seen[kind + (" kept" if keeps[s] else " dropped")] += 1
+    assert all(seen.values()), seen
+
+
+@pytest.mark.parametrize("name", ["disk", "trajectory-0"])
+def test_a_start_whose_box_keeps_no_sequence_has_no_plan(spiral, monkeypatch, name):
+    """From (-10, -10) and (10, -10) every x_1 leaves the state box, so
+    _assemble keeps no sequence. The screen and the job loop take the empty
+    stack, and the solve has no plan, as when every pair was dropped after
+    its screen: each pair counts as dropped by the sequence rule."""
+    assemble, kept = shooting._assemble, []
+    monkeypatch.setattr(shooting, "_assemble",
+                        lambda *a: kept.append(assemble(*a)) or kept[-1])
+    policy = next(iter(spiral.base_policies.values()))
+    sset = spiral.sample_sets[name]
+    for x0, ell in itertools.product(([-10.0, -10.0], [10.0, -10.0]), (2, 3, 5)):
+        x0 = np.array(x0)
+        sol = solve_continuous(spiral.problem, sset, x0, replace(spiral.solver_defaults, ell=ell),
+                               base_policy=policy)
+        assert len(kept[-1].sigmas) == 0 and kept[-1].h0.shape == (0, ell, ell)
+        assert sol.value == INF and sol.controls == () and sol.terminal_state is None
+        pairs = 2 ** (ell - 1) * len(sset.shooting_targets(x0).values)
+        assert sol.diagnostics["candidates"] == sol.diagnostics["pruned_by"]["sequence"] == pairs
 
 
 def test_budget_solve_replays_to_its_value(integrator):
