@@ -178,6 +178,16 @@ RUN_KEYS = ("instance", "variant", "x0", "start_index", "horizon", "set", "sweep
             "summary") + SOLVER_KEYS
 
 
+def _same_form(x, start) -> bool:
+    """Whether a parsed state x has start's form: a vector of its shape, or
+    tuples nested and sized alike down to leaves of the same type."""
+    if isinstance(start, np.ndarray):
+        return isinstance(x, np.ndarray) and x.shape == start.shape
+    if isinstance(start, tuple):
+        return isinstance(x, tuple) and len(x) == len(start) and all(map(_same_form, x, start))
+    return type(x) is type(start)
+
+
 def cmd_run(args: argparse.Namespace) -> int:
     opts = _merge_config(args, RUN_KEYS)
     if "instance" not in opts:
@@ -194,10 +204,10 @@ def cmd_run(args: argparse.Namespace) -> int:
 
     if opts.get("x0") is not None:
         x0, start = _parse_x0(opts["x0"]), bundle.start_states[0]
-        if isinstance(start, np.ndarray) and not (isinstance(x0, np.ndarray)
-                                                  and x0.shape == start.shape):
-            raise ValueError(f"x0 must be a finite vector of the start state's shape "
-                             f"{start.shape}, got {opts['x0']!r}")
+        if not _same_form(x0, start):
+            want = (f"be a finite vector of the start state's shape {start.shape}"
+                    if isinstance(start, np.ndarray) else f"have the start state's form {start!r}")
+            raise ValueError(f"x0 must {want}, got {opts['x0']!r}")
     else:
         x0 = bundle.start_states[opts.get("start_index", 0)]
 

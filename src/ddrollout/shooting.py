@@ -58,11 +58,12 @@ lies in its energy ball, its path stays within model.EPS_STATE of its mode
 sequence's regions and of the state box (where the condensed prediction is
 exact) and its predicted value beats the bound. That replay with the set's own
 terminal_cost (_priced) is the one price of every plan, solved or seeded,
-so a plan earns a recorded value only by ending in the set. The first
-candidate of least value wins, and its replayed final state is the
-solution's terminal state. Every dropped candidate records the rule that
-dropped it (_RULES), and the solution's diagnostics count them by rule
-("pruned_by").
+so a plan earns a recorded value only by ending in the set. The solve
+holds one incumbent, the first priced plan of least value, whose value is
+the running bound; it wins, and its replayed final state is the solution's
+terminal state. Dropped candidates are only counted, per rule (_RULES), in
+the solution's diagnostics ("pruned_by"). With no finite plan, a solve
+whose every candidate was an unconverged box QP raises SolverFailureError.
 """
 
 from __future__ import annotations
@@ -376,10 +377,10 @@ def solve_continuous(problem: ProblemDef, sset, x, cfg: SolverConfig,
     """Solve the l-step lookahead by shooting over every mode sequence.
 
     seeds are concrete control plans (tuples of control vectors) evaluated
-    exactly and entered into the candidate pool; the recorded base policy,
-    when given, contributes its own rollout plan. These anchors keep the
-    returned value at or below every supplied plan, which is what the
-    stepwise-descent guarantee needs from an approximate solver. memo keeps
+    exactly; the first of least value is the first incumbent. The recorded
+    base policy, when given, contributes its own rollout plan. These anchors
+    keep the returned value at or below every supplied plan, which is what
+    the stepwise-descent guarantee needs from an approximate solver. memo keeps
     each mode sequence's pinned-optimum maps for later solves of the same
     problem and config; without it they last for this solve only.
     """
@@ -418,14 +419,16 @@ def solve_continuous(problem: ProblemDef, sset, x, cfg: SolverConfig,
         if plan is not None:
             seed_plans.append(tuple(np.asarray(u, dtype=float) for u in plan))
 
-    candidates = [_priced(problem, sset, x, plan, states, converged=True, seed=True)
-                  for plan in seed_plans]
-    bound = min((c[0] for c in candidates), default=INF)
+    # the incumbent: the first plan of least value; the running bound is its value
+    incumbent = min((_priced(problem, sset, x, plan, states, converged=True, seed=True)
+                     for plan in seed_plans), key=lambda c: c[0], default=None)
+    bound = INF if incumbent is None else incumbent[0]
     # stage costs are nonnegative, so a target valued at the bound cannot
     # win; along the sequences _assemble dropped, every other pair is dropped
     below = values < bound
-    candidates += [_pruned("sequence", 0)] * ((n_sequences - len(cond.sigmas))
-                                              * int(np.count_nonzero(below)))
+    pruned_by = dict.fromkeys(_RULES, 0)
+    pruned_by["sequence"] = (n_sequences - len(cond.sigmas)) * int(np.count_nonzero(below))
+    candidates, unconverged = len(seed_plans) + pruned_by["sequence"], 0
 
     # every (sequence, target) pair left at once
     keep = np.tile(below, (len(cond.sigmas), 1))
@@ -465,49 +468,39 @@ def solve_continuous(problem: ProblemDef, sset, x, cfg: SolverConfig,
     jobs = list(zip(*_job_order(keep, values)))
     boxed = {}  # the current group's box optima, by job
     for j, (t, s) in enumerate(jobs):
-        rule = gate(t, s)
-        if rule == "skip":  # every later tail is as high: they skip too
+        out = gate(t, s)
+        if out == "skip":  # every later tail is as high: they skip too
             break
-        if rule == "interior":  # what _box_qp returns: z itself, in one iteration
+        candidates += 1
+        if out == "interior":  # what _box_qp returns: z itself, in one iteration
             plan = tuple(screen.z[s, t].reshape(-1, m).copy())
-            pinned = None if states is None else states[t]
-            candidates.append(_priced(problem, sset, x, plan, pinned, iterations=1,
-                                      converged=True))
-            bound = min(bound, candidates[-1][0])
-            continue
-        if rule is not None:
-            candidates.append(_pruned(rule, 0))
-            continue
-        if (t, s) not in boxed:  # a target's jobs are consecutive: solve the rest that qualify
-            group = [s2 for t2, s2 in itertools.takewhile(lambda job: job[0] == t,
-                                                          itertools.islice(jobs, j, None))
-                     if gate(t2, s2) is None]
-            boxed = dict(zip(((t, s2) for s2 in group),
-                             _solve_group(cond, targets, t, group, screen.z[:, t], lo_full,
-                                          hi_full)))
-        out = _solve_candidate(problem, sset, x, cond, s, targets, t, boxed.pop((t, s)), lo_full,
-                               hi_full, m, bound)
-        candidates.append(out)
-        bound = min(bound, out[0])
+            out = _priced(problem, sset, x, plan, None if states is None else states[t],
+                          iterations=1, converged=True)
+        elif out is None:
+            if (t, s) not in boxed:  # a target's jobs are consecutive: solve the rest that qualify
+                group = [s2 for t2, s2 in itertools.takewhile(lambda job: job[0] == t,
+                                                              itertools.islice(jobs, j, None))
+                         if gate(t2, s2) is None]
+                boxed = dict(zip(((t, s2) for s2 in group),
+                                 _solve_group(cond, targets, t, group, screen.z[:, t], lo_full,
+                                              hi_full)))
+            out, converged = _solve_candidate(problem, sset, x, cond, s, targets, t,
+                                              boxed.pop((t, s)), lo_full, hi_full, m, bound)
+            unconverged += not converged
+        if isinstance(out, str):  # the rule that dropped the job
+            pruned_by[out] += 1
+        elif incumbent is None or out[0] < bound:
+            incumbent, bound = out, out[0]
 
-    # the first candidate of least value
-    best = min(candidates, key=lambda c: c[0]) if candidates else None
-    if best is None or best[0] == INF:
-        if candidates and not any(c[2].get("converged", True) for c in candidates):
-            raise SolverFailureError("no shooting subproblem converged",
-                                     incumbent=best)
-        return LookaheadSolution(controls=(), terminal_state=None, value=INF,
-                                 diagnostics={"candidates": len(candidates),
-                                              "pruned_by": _pruned_by(candidates)})
-
-    value, controls, diag, terminal = best
-    return LookaheadSolution(
-        controls=controls,
-        terminal_state=terminal,
-        value=value,
-        terminal_sample_id=sset.sample_id(terminal),
-        diagnostics={**diag, "candidates": len(candidates), "pruned_by": _pruned_by(candidates)},
-    )
+    counts = {"candidates": candidates, "pruned_by": pruned_by}
+    if bound == INF:  # no finite plan
+        if candidates and unconverged == candidates:
+            raise SolverFailureError("no shooting subproblem converged", incumbent=incumbent)
+        return LookaheadSolution(controls=(), terminal_state=None, value=INF, diagnostics=counts)
+    value, controls, diag, terminal = incumbent
+    return LookaheadSolution(controls=controls, terminal_state=terminal, value=value,
+                             terminal_sample_id=sset.sample_id(terminal),
+                             diagnostics={**diag, **counts})
 
 
 def _subproblems(cond: _Condensed, targets, t: int, s):
@@ -548,8 +541,8 @@ def _solve_candidate(problem, sset, x, cond: _Condensed, s: int, targets, t: int
     target's energy ball (so its terminal budget falls short of the
     target's tail), its predicted path leaves the mode sequence or the
     state box by more than EPS_STATE (so the prediction would not hold), or
-    its predicted value does not beat bound. Those candidates come back as
-    +inf with an empty plan."""
+    its predicted value does not beat bound. Returns the priced plan, or the
+    rule that dropped it, with the box QP's converged flag."""
     sigma, phis, gammas = cond.sigmas[s], cond.phis[s], cond.gammas[s]
     h, b, rows, const = _subproblems(cond, targets, t, s)
     radius = None if targets.radii is None else float(targets.radii[t])
@@ -557,16 +550,16 @@ def _solve_candidate(problem, sset, x, cond: _Condensed, s: int, targets, t: int
     z, converged, it = _ball_box_qp(h, b, lo_full, hi_full, radius, rows, boxed)
     path = phis[1:] + gammas[1:] @ z  # predicted x_1 .. x_ell
     if not _meets(z, rows):
-        return _pruned("rows", it, converged)
+        return "rows", converged
     if not (radius is None or float(np.linalg.norm(z)) <= radius):
-        return _pruned("ball", it, converged)
+        return "ball", converged
     if not problem.pl.path_excess(sigma[1:], path[:-1]) <= EPS_STATE:
-        return _pruned("path", it, converged)
+        return "path", converged
     if not _qp_obj(h, b, z) + cond.c0[s] + const < bound + slack:
-        return _pruned("bound", it, converged)
+        return "bound", converged
     return _priced(problem, sset, x, tuple(z.reshape(-1, m).copy()),
                    None if rows is None else targets.states[t], iterations=it,
-                   converged=converged)
+                   converged=converged), converged
 
 
 def _priced(problem, sset, x, controls, pinned, **diag):
@@ -577,16 +570,4 @@ def _priced(problem, sset, x, controls, pinned, **diag):
     return value, controls, {"mismatch": _mismatch(states[-1], pinned), **diag}, states[-1]
 
 
-_RULES = ("sequence", "bound", "lift", "path", "rows", "ball")
-
-
-def _pruned(rule, iterations, converged=True):
-    """A candidate dropped unpriced, with the rule (one of _RULES) that dropped it."""
-    return INF, (), {"mismatch": None, "iterations": iterations, "converged": converged,
-                     "pruned": rule}, None
-
-
-def _pruned_by(candidates) -> dict:
-    """How many candidates each rule dropped."""
-    rules = [c[2].get("pruned") for c in candidates]
-    return {rule: rules.count(rule) for rule in _RULES}
+_RULES = ("sequence", "bound", "lift", "path", "rows", "ball")  # the rules that drop a candidate

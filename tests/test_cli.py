@@ -201,6 +201,26 @@ def test_an_x0_of_the_wrong_shape_is_a_clean_error(capsys, tmp_path, argv):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("argv", [
+    ("--instance", "tsp", "--x0", "1,2"),
+    ("--instance", "tsp", "--x0", "5"),
+    ("--instance", "grid", "--x0", "Z"),
+    ("--instance", "grid", "--x0", "1,2"),
+    ("--instance", "grid", "--x0", "[[0,2]]"),
+    ("--instance", "grid", "--x0", "[[0,2],[2,0],[1,1]]"),
+    ("--instance", "grid", "--x0", "[[0.5,2],[2,0]]"),
+    ("--instance", "grid", "--x0", "[[true,2],[2,0]]"),
+])
+def test_an_x0_of_the_wrong_form_is_a_clean_error(capsys, tmp_path, argv):
+    """A token or tuple x0 is checked against the start state's form (leaf
+    types, tuple nesting and lengths) before the run."""
+    code, out, err = run_cli(capsys, "run", *argv, "--horizon", "2", "--out-dir", str(tmp_path))
+    assert code == 1 and "PASS" not in out
+    assert err.startswith("error: x0 must have the start state's form ")
+    assert err.rstrip().endswith(f"got '{argv[-1]}'")
+    assert not list(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("budget", ["nan", "-1", "-inf", "config:-0.5"])
 def test_a_negative_or_nan_budget_is_a_clean_error(capsys, tmp_path, budget):
     argv = ["run", "--instance", "integrator", "--variant", "augmented",

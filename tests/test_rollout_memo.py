@@ -367,7 +367,7 @@ def _per_candidate(monkeypatch):
     P r + Q x0 + q from its sequence's own KKT maps, then the bound, the box
     (and ball) QP, the target, ball and path checks, and the replay. The
     reference solves its own box QP, a stack of one, so no group is solved
-    for it."""
+    for it. It does not tell its drops apart: each counts as "bound"."""
     screen, conds, maps = shooting._screen, [], {}
 
     def no_screen(pl, cond, targets, memo, lo_full, hi_full):
@@ -401,23 +401,22 @@ def _per_candidate(monkeypatch):
                 const += float(phi_l @ targets.quad @ phi_l)
             z = np.linalg.lstsq(h, -b, rcond=None)[0]
         slack = 1e-7 * (1.0 + abs(bound))
-        diag = {"mismatch": None, "iterations": 0, "converged": True}
-        if _qp_obj(h, b, z) + c0 + const < bound + slack:
-            z, converged, it = shooting._ball_box_qp(
-                h, b, lo_full, hi_full, radius, rows,
-                shooting._box_qp(h, b, lo_full, hi_full, rows, z))
-            diag.update(iterations=it, converged=converged)
-            path = phis[1:] + gammas[1:] @ z
-            if (shooting._meets(z, rows)
-                    and (radius is None or float(np.linalg.norm(z)) <= radius)
-                    and problem.pl.path_excess(sigma[1:], path[:-1]) <= shooting.EPS_STATE
-                    and _qp_obj(h, b, z) + c0 + const < bound + slack):
-                controls = tuple(z[k * m:(k + 1) * m].copy() for k in range(ell))
-                value, states, _ = shooting.replay(problem, x, controls, sset.terminal_cost)
-                diag["mismatch"] = shooting._mismatch(states[-1], state)
-                return value, controls, diag, states[-1]
-        diag["pruned"] = True
-        return INF, (), diag, None
+        if not _qp_obj(h, b, z) + c0 + const < bound + slack:
+            return "bound", True
+        z, converged, it = shooting._ball_box_qp(
+            h, b, lo_full, hi_full, radius, rows,
+            shooting._box_qp(h, b, lo_full, hi_full, rows, z))
+        path = phis[1:] + gammas[1:] @ z
+        if not (shooting._meets(z, rows)
+                and (radius is None or float(np.linalg.norm(z)) <= radius)
+                and problem.pl.path_excess(sigma[1:], path[:-1]) <= shooting.EPS_STATE
+                and _qp_obj(h, b, z) + c0 + const < bound + slack):
+            return "bound", converged
+        controls = tuple(z[k * m:(k + 1) * m].copy() for k in range(ell))
+        value, states, _ = shooting.replay(problem, x, controls, sset.terminal_cost)
+        diag = {"mismatch": shooting._mismatch(states[-1], state), "iterations": it,
+                "converged": converged}
+        return (value, controls, diag, states[-1]), converged
 
     monkeypatch.setattr(shooting, "_screen", no_screen)
     monkeypatch.setattr(shooting, "_solve_group",
@@ -636,26 +635,60 @@ def test_a_classical_mpc_rollout_computes_no_lift(spiral, monkeypatch):
     assert run.status == "closed_in_set"
 
 
-def test_every_candidate_is_a_seed_a_replay_or_pruned_by_one_rule(spiral, monkeypatch):
-    """On the first spiral trajectory-0 solve, the per-rule prune counts,
-    the replayed jobs and the seeds add up to the candidates; the run's
-    step report still copies only its four solver keys."""
+def test_every_candidate_is_a_seed_a_replay_or_pruned_by_one_rule(spiral, integrator,
+                                                                  monkeypatch):
+    """On the first spiral trajectory-0 solve, and on every step of short
+    rollouts (spiral trajectory-0 and disk, classical MPC at ell = 6, the
+    integrator's augmented budget and trajectory set), the per-rule prune
+    counts, the replayed jobs and the seeds add up to the candidates; the
+    run's step report still copies only its four solver keys."""
     priced, counts = shooting._priced, {"replayed": 0, "seeds": 0}
 
     def counted(*args, **diag):
         counts["seeds" if diag.get("seed") else "replayed"] += 1
         return priced(*args, **diag)
 
+    def add_up(sol):
+        rules = sol.diagnostics["pruned_by"]
+        assert sorted(rules) == sorted(shooting._RULES)
+        assert sum(rules.values()) + counts["replayed"] + counts["seeds"] == \
+            sol.diagnostics["candidates"]
+        return rules
+
     monkeypatch.setattr(shooting, "_priced", counted)
     policy = next(iter(spiral.base_policies.values()))
     sol = solve_continuous(spiral.problem, spiral.sample_sets["trajectory-0"],
                            np.array([1.0, 1.0]), replace(spiral.solver_defaults, ell=5),
                            base_policy=policy)
-    rules = sol.diagnostics["pruned_by"]
-    assert sorted(rules) == sorted(shooting._RULES)
+    rules = add_up(sol)
     assert all(rules[r] > 0 for r in ("bound", "lift", "path"))
     assert counts["seeds"] == 1
-    assert sum(rules.values()) + counts["replayed"] + counts["seeds"] == \
-        sol.diagnostics["candidates"]
     assert set(engine._report_of(sol)) == {"value", "sample_id", "mismatch", "iterations",
                                            "candidates", "converged"}
+
+    steps = []
+
+    def solve(*args, **kwargs):
+        counts.update(replayed=0, seeds=0)
+        sol = lookahead.solve(*args, **kwargs)
+        steps.append(add_up(sol))
+        return sol
+
+    monkeypatch.setattr(engine, "solve", solve)
+    int_policy = next(iter(integrator.base_policies.values()))
+    int_x0 = np.asarray(integrator.start_states[0], dtype=float)
+    for name in ("trajectory-0", "disk"):
+        run_rollout(spiral.problem, spiral.sample_sets[name], np.array([1.0, 1.0]),
+                    replace(spiral.solver_defaults, ell=5), 6, base_policy=policy)
+    run_classical_mpc(spiral.problem, np.array([1.0, 1.0]),
+                      replace(spiral.solver_defaults, ell=6), 6, terminal="origin",
+                      base_policy=policy)
+    run_rollout(integrator.augmented_problem, integrator.augmented_sets["budget"],
+                AugmentedState(int_x0, float(integrator.budget_spec.e_max)),
+                replace(integrator.solver_defaults, ell=4), 6, base_policy=int_policy,
+                variant="augmented")
+    run_rollout(integrator.problem, integrator.sample_sets["trajectory"], int_x0,
+                replace(integrator.solver_defaults, ell=4), 6, base_policy=int_policy)
+    assert len(steps) == 30
+    # every rule but "ball" (which the least-norm prune leaves nothing to drop here) fires
+    assert all(sum(r[k] for r in steps) > 0 for k in ("sequence", "bound", "lift", "path", "rows"))

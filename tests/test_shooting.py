@@ -11,7 +11,8 @@ from scipy.optimize import linprog, lsq_linear, minimize
 from ddrollout import AugmentedState, ExplicitSampleSet, SampleEntry, SolverConfig, run_rollout
 from ddrollout import boxqp, shooting
 from ddrollout.costs import INF
-from ddrollout.errors import SearchSpaceError
+from ddrollout.cli import EXIT_SOLVER, main
+from ddrollout.errors import SearchSpaceError, SolverFailureError
 from ddrollout.lookahead import replay
 from ddrollout.model import EPS_STATE, LinearMode, PiecewiseLinearStructure
 from ddrollout.sample_sets import FreeTerminal
@@ -354,6 +355,42 @@ def test_a_start_whose_box_keeps_no_sequence_has_no_plan(spiral, monkeypatch, na
         assert sol.value == INF and sol.controls == () and sol.terminal_state is None
         pairs = 2 ** (ell - 1) * len(sset.shooting_targets(x0).values)
         assert sol.diagnostics["candidates"] == sol.diagnostics["pruned_by"]["sequence"] == pairs
+
+
+def test_a_solve_whose_every_box_qp_fails_to_converge(integrator, monkeypatch, tmp_path, capsys):
+    """With the screen stubbed out and every box QP unconverged at z = 0,
+    every job of the integrator trajectory solve ends as an unconverged
+    rows drop. Without seeds the solve raises SolverFailureError with no
+    incumbent (no plan was priced), and `ddrollout run` exits 3; the base
+    policy's plan is a converged candidate, so with it the solve returns
+    that plan's value."""
+    def no_screen(pl, cond, targets, memo, lo_full, hi_full):
+        z = np.zeros((len(cond.sigmas), len(targets.values), cond.h0.shape[1]))
+        n = z.shape[0] * z.shape[1]
+        return shooting._Screen(z, [-INF] * n, [False] * n, [False] * n,
+                                np.ones(z.shape[:2], dtype=bool))
+
+    monkeypatch.setattr(shooting, "_screen", no_screen)
+    monkeypatch.setattr(shooting, "_solve_group", lambda cond, targets, t, seqs, z, *_:
+                        [(np.zeros_like(z[s]), False, 99) for s in seqs])
+    sset, x0 = integrator.sample_sets["trajectory"], integrator.start_states[0]
+    with pytest.raises(SolverFailureError) as failure:
+        solve_continuous(integrator.problem, sset, x0, _cfg(4))
+    assert failure.value.incumbent is None
+
+    policy = next(iter(integrator.base_policies.values()))
+    sol = solve_continuous(integrator.problem, sset, x0, _cfg(4), base_policy=policy)
+    plan = shooting.base_plan(integrator.problem, policy, x0, 4)
+    assert sol.value == replay(integrator.problem, x0, plan, sset.terminal_cost)[0] < INF
+    counts = sol.diagnostics["pruned_by"]
+    assert sol.diagnostics["candidates"] == 1 + counts["rows"] and counts["rows"] > 0
+
+    monkeypatch.setattr(shooting, "base_plan", lambda *a: None)
+    code = main(["run", "--instance", "integrator", "--horizon", "2",
+                 "--out-dir", str(tmp_path)])
+    assert code == EXIT_SOLVER == 3
+    assert capsys.readouterr().err.startswith("solver failure: ")
+    assert not list(tmp_path.iterdir())
 
 
 def test_budget_solve_replays_to_its_value(integrator):
