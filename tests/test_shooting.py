@@ -358,12 +358,13 @@ def test_a_start_whose_box_keeps_no_sequence_has_no_plan(spiral, monkeypatch, na
 
 
 def test_a_solve_whose_every_box_qp_fails_to_converge(integrator, monkeypatch, tmp_path, capsys):
-    """With the screen stubbed out and every box QP unconverged at z = 0,
-    every job of the integrator trajectory solve ends as an unconverged
-    rows drop. Without seeds the solve raises SolverFailureError with no
-    incumbent (no plan was priced), and `ddrollout run` exits 3; the base
-    policy's plan is a converged candidate, so with it the solve returns
-    that plan's value."""
+    """With the screen stubbed out and every box QP returning z = 0, every
+    job of the integrator trajectory solve ends as a rows drop. When no box
+    QP converged and there are no seeds, the solve raises SolverFailureError
+    with no incumbent (no plan was priced), and `ddrollout run` exits 3.
+    When they converged, the solve just has no plan. The base policy's plan
+    is a converged candidate, so with it the solve returns that plan's
+    value."""
     def no_screen(pl, cond, targets, memo, lo_full, hi_full):
         z = np.zeros((len(cond.sigmas), len(targets.values), cond.h0.shape[1]))
         n = z.shape[0] * z.shape[1]
@@ -371,12 +372,18 @@ def test_a_solve_whose_every_box_qp_fails_to_converge(integrator, monkeypatch, t
                                 np.ones(z.shape[:2], dtype=bool))
 
     monkeypatch.setattr(shooting, "_screen", no_screen)
+    converged = [False]
     monkeypatch.setattr(shooting, "_solve_group", lambda cond, targets, t, seqs, z, *_:
-                        [(np.zeros_like(z[s]), False, 99) for s in seqs])
+                        [(np.zeros_like(z[s]), converged[0], 99) for s in seqs])
     sset, x0 = integrator.sample_sets["trajectory"], integrator.start_states[0]
     with pytest.raises(SolverFailureError) as failure:
         solve_continuous(integrator.problem, sset, x0, _cfg(4))
     assert failure.value.incumbent is None
+    converged[0] = True  # the same drops after converged solves: no plan, no failure
+    sol = solve_continuous(integrator.problem, sset, x0, _cfg(4))
+    counts = sol.diagnostics["pruned_by"]
+    assert sol.value == INF and sol.diagnostics["candidates"] == counts["rows"] > 0
+    converged[0] = False
 
     policy = next(iter(integrator.base_policies.values()))
     sol = solve_continuous(integrator.problem, sset, x0, _cfg(4), base_policy=policy)
