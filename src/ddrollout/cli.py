@@ -135,17 +135,19 @@ def _run_mpc(bundle: InstanceBundle, x0, cfg: SolverConfig, horizon: int, policy
                              base_policy=policy)
 
 
-def _report_chain(run, set_value: float, gate: bool = True) -> bool:
+def _report_chain(run, set_value: float, gate: bool = True, closed: bool = True) -> bool:
     """Print realized cost <= lookahead value at x0 <= set value at x0; the
     slack scales with the finite terms only. A run that ended at x0 has no
-    lookahead and checks realized <= recorded."""
+    lookahead and checks realized <= recorded. An unclosed run's realized
+    cost is truncated, so it can fail the chain but never pass it: a chain
+    that holds reads UNCLOSED, and the return value counts only a FAIL."""
     total = run.total_cost
     first = run.per_step_values[0] if run.per_step_values else set_value
     shown = f"{first:.6f}" if run.per_step_values else "n/a"
     slack = CHAIN_SLACK * max([1.0] + [abs(v) for v in (first, set_value)
                                        if math.isfinite(v)])
     ok = total <= first + slack and first <= set_value + slack
-    verdict = "PASS" if ok else "FAIL"
+    verdict = ("PASS" if closed else "UNCLOSED") if ok else "FAIL"
     if not gate:
         verdict = "not gated after disturbance"
     print(f"improvement chain: realized {total:.6f} <= lookahead {shown} "
@@ -283,7 +285,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         _report_chain(run, set_value, gate=False)
         chain_ok = True
     else:
-        chain_ok = _report_chain(run, set_value)
+        chain_ok = _report_chain(run, set_value, closed=run.status != "horizon")
     _write_artifacts(run, bundle, x0, out_dir, tag, opts.get("summary"))
     if run.status == "infeasible_after_disturbance":
         print("run flagged: disturbance left the sampled region", file=sys.stderr)

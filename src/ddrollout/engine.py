@@ -1,11 +1,16 @@
 """Rollout driving loops.
 
 Each loop applies the first control of a fresh lookahead solve, steps the
-dynamics, and repeats. Runs close out in one of four ways: the state enters
-the stopping region ("stopped"), the sample set already prices the state
-below EPS_TAIL ("closed_in_set", the recorded tail is appended to the cost),
-the step horizon runs out ("horizon"), or a disturbance pushes the state
-somewhere the solver cannot price ("infeasible_after_disturbance").
+dynamics, and repeats. Once a solve's value is at most EPS_TAIL, the plan's
+exact replay ends on a sampled state at a recorded tail that small: the run
+applies the whole plan and solves no more (not under a disturbance, nor
+under a free terminal, which certifies nothing). Runs close out in one of
+four ways: the state enters the stopping region ("stopped"), the state is
+one the sample set prices at most EPS_TAIL, either on arrival or at the end
+of a certified plan ("closed_in_set", the recorded tail is appended to the
+cost), the horizon runs out of solves ("horizon", the cost is truncated),
+or a disturbance pushes the state somewhere the solver cannot price
+("infeasible_after_disturbance").
 """
 
 from __future__ import annotations
@@ -35,7 +40,9 @@ EPS_TAIL = 1e-6  # residual tail cost that closes a rollout run
 @dataclass(frozen=True)
 class RolloutRun:
     """Everything produced by one rollout: the realized trajectory, the
-    per-step lookahead values, solver diagnostics, and how the run ended."""
+    lookahead value and solver report of each solve, and how the run ended.
+    A certified plan is applied whole after one solve, so per_step_values
+    and solver_reports can be shorter than the trajectory."""
 
     trajectory: Trajectory
     per_step_values: tuple
@@ -70,7 +77,12 @@ def _drive(problem: ProblemDef, sset, x0, cfg: SolverConfig, horizon: int, step,
 
     step(x, prev) returns the lookahead solution at x (prev is the previous
     step's solution, or None) and the report recorded for it; the loop
-    applies its first control.
+    applies its first control. With residual_close and no disturbance, a
+    solution of value at most EPS_TAIL is applied whole, since its replay
+    ends in the set: the run stops early if a state on the way is a
+    stopping state, and otherwise closes in the set at the final state's
+    recorded value. horizon bounds the solves, so such a plan may run up to
+    ell - 1 steps past it.
     """
     states = [x0]
     controls, stage_costs, values, reports = [], [], [], []
@@ -101,19 +113,29 @@ def _drive(problem: ProblemDef, sset, x0, cfg: SolverConfig, horizon: int, step,
                 break
             raise InfeasibleStepError(t, x)
 
-        u = sol.controls[0]
-        g = problem.stage_cost(x, u)
-        if g == INF:  # defensive: a finite solve must have a feasible first step
-            raise InfeasibleStepError(t, x)
-        nxt = problem.dynamics(x, u)
-        if disturbance is not None:
-            nxt = disturbance(t, nxt)
-        states.append(nxt)
-        controls.append(u)
-        stage_costs.append(g)
         values.append(sol.value)
         reports.append(report)
         prev = sol
+        # a plan whose exact replay ends in the set is applied whole
+        certified = residual_close and disturbance is None and sol.value <= EPS_TAIL
+        for u in sol.controls if certified else sol.controls[:1]:
+            x = states[-1]
+            g = problem.stage_cost(x, u)
+            if g == INF:  # defensive: a finite solve must have feasible steps
+                raise InfeasibleStepError(len(controls), x)
+            nxt = problem.dynamics(x, u)
+            if disturbance is not None:
+                nxt = disturbance(t, nxt)
+            states.append(nxt)
+            controls.append(u)
+            stage_costs.append(g)
+            if certified and problem.is_stopping(nxt):
+                status = "stopped"
+                break
+        if certified:
+            if status == "horizon":
+                status, closing = "closed_in_set", sset.terminal_cost(states[-1])
+            break
 
     tails = None
     if status in ("stopped", "closed_in_set"):
@@ -149,7 +171,7 @@ def run_rollout(problem: ProblemDef, sset, x0, cfg: SolverConfig, horizon: int,
                 base_policy: Policy | None = None, disturbance=None,
                 residual_close: bool = True, variant: str = "basic",
                 policy_id: str = "rollout") -> RolloutRun:
-    """Roll the lookahead policy forward from x0 for at most horizon steps.
+    """Roll the lookahead policy forward from x0 for at most horizon solves.
 
     disturbance, when given, is called as disturbance(t, x_next) after each
     nominal transition and its return value replaces the state; an

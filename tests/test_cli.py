@@ -320,6 +320,29 @@ def test_chain_slack_ignores_an_infinite_recorded_value(capsys):
     assert _report_chain(run, math.inf)
 
 
+@pytest.mark.parametrize("horizon,status,verdict", [
+    ("40", "status=closed_in_set steps=10", ": PASS"),
+    ("2", "status=horizon steps=2", ": UNCLOSED"),
+])
+def test_only_a_closed_run_passes_the_chain(capsys, tmp_path, horizon, status, verdict):
+    """A run cut off at its horizon has a truncated cost: its chain line
+    reads UNCLOSED, never PASS, and the exit code stays 0."""
+    code, out, err = run_cli(capsys, "run", "--instance", "spiral", "--set", "trajectory-0",
+                             "--horizon", horizon, "--out-dir", str(tmp_path))
+    assert code == 0, err
+    assert status in out and verdict in out
+    assert out.count(": PASS") == (verdict == ": PASS")
+
+
+def test_an_unclosed_run_can_still_fail_the_chain(capsys):
+    run = SimpleNamespace(total_cost=6.0, per_step_values=(5.0,))
+    assert not _report_chain(run, 7.0, closed=False)
+    assert ": FAIL" in capsys.readouterr().out
+    run = SimpleNamespace(total_cost=4.0, per_step_values=(5.0,))
+    assert _report_chain(run, 7.0, closed=False)
+    assert ": UNCLOSED" in capsys.readouterr().out
+
+
 def test_run_ending_at_x0_checks_realized_against_recorded(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "run", "--instance", "spiral", "--x0", "0,0",
                            "--out-dir", str(tmp_path))

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from ddrollout import (
+    FiniteControls,
+    ProblemDef,
     SolverConfig,
     run_classical_mpc,
     run_multiagent,
@@ -13,6 +15,8 @@ from ddrollout import (
 )
 from ddrollout.budget import AugmentedState
 from ddrollout.costs import INF
+from ddrollout.engine import EPS_TAIL
+from ddrollout.sample_sets import ExplicitSampleSet, SampleEntry
 
 from conftest import make_random_instance, nested_pair
 
@@ -62,6 +66,53 @@ def test_spiral_rollout_closes_inside_the_disk(spiral):
     for k in range(len(vals) - 1):
         assert vals[k + 1] <= vals[k] + 1e-6 * max(1.0, abs(vals[k]))
     assert run.total_cost <= spiral.notes["base_costs"][(1.0, 1.0)]
+
+
+def _trajectory_0_run(spiral, **kwargs):
+    policy = next(iter(spiral.base_policies.values()))
+    cfg = replace(spiral.solver_defaults, ell=5)
+    return run_rollout(spiral.problem, spiral.sample_sets["trajectory-0"],
+                       np.array([1.0, 1.0]), cfg, 40, base_policy=policy, **kwargs)
+
+
+def test_a_certified_plan_is_applied_whole_and_closes_on_its_sample(spiral):
+    """The sixth solve's value is at most EPS_TAIL: its replay ends on a
+    sample, so the run applies all five controls and solves no more."""
+    run = _trajectory_0_run(spiral)
+    assert run.status == "closed_in_set"
+    assert run.steps == 10
+    assert len(run.per_step_values) == len(run.solver_reports) == 6
+    assert run.per_step_values[-1] <= EPS_TAIL < run.per_step_values[-2]
+    sset = spiral.sample_sets["trajectory-0"]
+    final = run.trajectory.states[-1]
+    assert sset.contains(final)
+    assert run.closing_tail == sset.terminal_cost(final)
+    assert run.trajectory.tail_costs[0] == pytest.approx(run.total_cost, rel=1e-12)
+    assert run.total_cost <= run.per_step_values[0] <= run.initial_set_value
+
+
+def test_a_disturbed_run_never_applies_a_whole_plan(spiral):
+    """Under a disturbance nothing certifies the plan's path, so the run
+    re-solves at every step, even when the disturbance changes nothing."""
+    closed = _trajectory_0_run(spiral)
+    run = _trajectory_0_run(spiral, disturbance=lambda t, x: x, variant="disturbance")
+    assert run.status == "horizon"
+    assert run.steps == len(run.per_step_values) == 40
+    assert run.per_step_values[:6] == closed.per_step_values
+
+
+def test_a_certified_plan_stops_at_a_stopping_state_on_its_way():
+    """States 0 -> 1 -> 2 -> 3 at no cost; 2 stops the run and 3 is the one
+    sample. The solve at 0 certifies a plan to 3, and the run stops at 2."""
+    problem = ProblemDef(dynamics=lambda x, u: x + u, stage_cost=lambda x, u: 0.0,
+                         control_set=lambda x: FiniteControls((1,)),
+                         stopping_predicate=lambda x: x == 2)
+    sset = ExplicitSampleSet([SampleEntry(3, 0.0, "end")], label="end")
+    run = run_rollout(problem, sset, 0, SolverConfig(ell=3), 5)
+    assert run.status == "stopped"
+    assert run.trajectory.states == (0, 1, 2)
+    assert run.per_step_values == (0.0,)
+    assert run.closing_tail == 0.0
 
 
 def test_disturbance_inside_coverage_recovers(spiral):

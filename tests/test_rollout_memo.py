@@ -108,7 +108,7 @@ def test_spiral_mpc_with_its_memo_matches_memo_less_solves(spiral, monkeypatch):
     monkeypatch.setattr(shooting, "_kkt_solve", counting)
     seen = _solves(monkeypatch, share=True)
     shared = run()
-    assert len(map_solves) == 48
+    assert len(map_solves) == 32
     _solves(monkeypatch, share=False)
     alone = run()
     assert shared.status == alone.status == "closed_in_set"
@@ -116,9 +116,10 @@ def test_spiral_mpc_with_its_memo_matches_memo_less_solves(spiral, monkeypatch):
     np.testing.assert_allclose(shared.per_step_values, alone.per_step_values, rtol=1e-12)
     assert [r["sample_id"] for r in shared.solver_reports] == \
         [r["sample_id"] for r in alone.solver_reports]
-    # the 48 sequences the box ever keeps on their path (of the 32 from each
-    # of the two modes), each solved once and kept under the sequence
-    assert all(m is seen[0] for m in seen) and len(seen[0]) == 48
+    # the 32 sequences the box keeps on their path over the run's solves (of
+    # the 32 from each of the two modes), each solved once and kept under the
+    # sequence
+    assert all(m is seen[0] for m in seen) and len(seen[0]) == 32
     assert {len(sigma) for sigma in seen[0]} == {6} and {sigma[0] for sigma in seen[0]} == {0, 1}
     assert all(seqs.maps.shape == (6, 5) for seqs in seen[0].values())
 
@@ -527,11 +528,11 @@ def test_only_box_active_jobs_reach_the_per_candidate_solver(spiral, monkeypatch
     monkeypatch.setattr(engine, "solve", solve)
     run = run_classical_mpc(spiral.problem, spiral.start_states[0], cfg, 40, terminal="origin",
                             base_policy=policy)
-    assert run.status == "closed_in_set" and len(steps) == 16
+    assert run.status == "closed_in_set" and run.steps == 15 and len(steps) == 6
     assert seen == [0] * 256
     assert shooting._CHUNK == 64 and stacks == [(0, 64)] * 4
     left = [s.diagnostics["candidates"] - s.diagnostics["pruned_by"]["sequence"] for s in steps]
-    assert sum(left) > 16 * 256
+    assert sum(left) > 6 * 256
 
 
 def test_assembling_in_chunks_changes_no_bit(spiral):
