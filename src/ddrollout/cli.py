@@ -338,8 +338,18 @@ def cmd_verify(args: argparse.Namespace) -> int:
 TABLE_KEYS = ("instance", "out_dir", "horizon")
 
 
+TRUNCATED_NOTE = "* the run ended at the horizon: its cost is truncated"
+
+
 def _fmt(v) -> str:
     return "" if v is None else f"{v:.4f}"
+
+
+def _fmt_run(run) -> str:
+    """A run's total cost, marked "*" if the run ended at the horizon."""
+    if run is None:
+        return ""
+    return _fmt(run.total_cost) + ("*" if run.status == "horizon" else "")
 
 
 def _start_label(x0) -> str:
@@ -358,7 +368,7 @@ def _base_cost(bundle: InstanceBundle, policy, x0) -> float:
 
 
 def _table_rows(bundle: InstanceBundle, horizon: int):
-    """(x0 label, base cost, rollout cost, baseline cost) rows for one instance.
+    """(x0 label, base cost, rollout run, baseline run) rows for one instance.
 
     Each start is rolled out on the default set and on every merged set;
     bundles with an agent partition roll out agent by agent, and bundles
@@ -380,9 +390,9 @@ def _table_rows(bundle: InstanceBundle, horizon: int):
                                   base_policy=policy)
             mpc = None
             if "mpc_terminal" in bundle.notes:
-                mpc = _run_mpc(bundle, x0, cfg, horizon, policy).total_cost
+                mpc = _run_mpc(bundle, x0, cfg, horizon, policy)
             label = _start_label(x0) + (f" [{name}]" if len(names) > 1 else "")
-            rows.append((label, base, run.total_cost, mpc))
+            rows.append((label, base, run, mpc))
     return rows
 
 
@@ -396,20 +406,21 @@ def cmd_table(args: argparse.Namespace) -> int:
     rows = _table_rows(bundle, opts.get("horizon", 200))
 
     header = ("instance", "x0", "base_cost", "rollout_cost", "baseline_mpc_cost")
-    cells = [[bundle.name, label, _fmt(b), _fmt(r), _fmt(m)]
+    cells = [[bundle.name, label, _fmt(b), _fmt_run(r), _fmt_run(m)]
              for label, b, r, m in rows]
+    notes = [TRUNCATED_NOTE] if any(v.endswith("*") for c in cells for v in c[3:]) else []
     widths = [max(len(h), *(len(c[i]) for c in cells)) if cells else len(h)
               for i, h in enumerate(header)]
     lines = ["  ".join(h.ljust(w) for h, w in zip(header, widths))]
     for c in cells:
         lines.append("  ".join(v.ljust(w) for v, w in zip(c, widths)))
-    text = "\n".join(lines) + "\n"
+    text = "\n".join(lines + notes) + "\n"
 
     # artifacts first, so a closed stdout pipe cannot skip them
     out_dir = opts.get("out_dir", os.path.join("runs", bundle.name))
     os.makedirs(out_dir, exist_ok=True)
     csv_lines = [",".join(header)]
-    csv_lines += [",".join(c) for c in cells]
+    csv_lines += [",".join(c) for c in cells] + notes
     write_text("\n".join(csv_lines) + "\n", os.path.join(out_dir, "table.csv"))
     write_text(text, os.path.join(out_dir, "table.txt"))
     print(text, end="")

@@ -26,7 +26,7 @@ from .errors import InfeasibleStepError, InitialInfeasibilityError
 from .lookahead import (
     LookaheadSolution,
     SolverConfig,
-    _discrete_minimize,
+    _Search,
     base_plan,
     replay,
     solve,
@@ -279,8 +279,8 @@ def run_multiagent(problem: ProblemDef, sset, x0, cfg: SolverConfig, horizon: in
                     return FiniteControls(tuple(
                         partition.combine(_plan[k], _agent, o) for o in opts))
 
-                _, rec = _discrete_minimize(problem, sset, cfg.ell, controls_at)
-                v, ctrl, _term, _sid = rec(x, cfg.ell)
+                search = _Search(problem, sset, cfg.ell, controls_at, by_step=True)
+                v, ctrl, _term, _sid = search.best(x, cfg.ell)
                 if v < value:
                     value, plan = v, ctrl
             sweep_values.append(value)

@@ -8,12 +8,19 @@ where terminal() is the sample set's recorded cost (+inf off the set).
 solve() picks the solver from the problem itself: a problem with
 piecewise-linear structure (problem.pl) goes to the shooting module, any
 other is solved exactly by memoized enumeration of its finite controls.
+The enumeration meets each state at up to l + 1 depths. It computes the
+state's feasible moves (control, stage cost, successor) on the first
+expansion only, into a transition table that every later expansion reads,
+so stage_cost and dynamics run once per (state, control) pair. (A control
+map that reads the step, as the agent-by-agent search's does, gets no
+table: each of its nodes is expanded once anyway.)
 
 Much of a solve does not depend on the state it starts from: the value of
-(state, depth) in the enumeration, and each mode sequence's KKT maps in
-shooting. A caller that solves the same problem, set and config many times
-(engine.run_rollout, once per step) passes one memo dict to every solve, and
-that work is done once; without a memo each solve starts afresh.
+(state, depth) and each state's transition table in the enumeration, and
+each mode sequence's KKT maps in shooting. A caller that solves the same
+problem, set and config many times (engine.run_rollout, once per step)
+passes one memo dict to every solve, and that work is done once; without a
+memo each solve starts afresh.
 """
 
 from __future__ import annotations
@@ -113,65 +120,101 @@ def _sorted_controls(spec) -> tuple:
     return tuple(sorted(spec.controls))
 
 
-def _discrete_minimize(problem: ProblemDef, sset, ell: int, controls_at: Callable,
-                       memo: dict | None = None) -> tuple[dict, Callable]:
-    """Memoized exact minimization; returns the memo and the recursion.
+class _Search:
+    """Memoized exact minimization over a finite control map.
 
-    Values are computed with right-associated additions so a later
-    replay of the returned plan reproduces them bit for bit. Among
-    minimizing plans the one deferring the least cost wins (smallest
-    continuation value, so free self-loops cannot postpone progress
-    forever), then the earliest in sorted control order. memo may come from
-    earlier solves whose control map gave the same controls at every
-    (state, depth). Expanding more than NODE_CAP nodes (memo misses) raises
-    SearchSpaceError.
+    best(state, depth) is the best depth-step plan from state as (value,
+    controls, terminal state, terminal sample id). Values are computed with
+    right-associated additions so a later replay of the returned plan
+    reproduces them bit for bit. Among minimizing plans the one deferring
+    the least cost wins (smallest continuation value, so free self-loops
+    cannot postpone progress forever), then the earliest in sorted control
+    order.
+
+    The memo holds three kinds of entry, under keys that cannot collide: a
+    node's result under (state key, depth); a state's transition table
+    under (state key, None), its feasible moves (u, g, next state, next key)
+    in sorted control order, moves priced +inf left out; and under (state
+    key,) the first state object seen with that key, which every table
+    holds as that successor. A state's table is built on its first
+    expansion and read at every later one, at any depth and in any later
+    solve sharing the memo, so memo may only come from earlier solves whose
+    control map gave the same controls at every state. controls_at(state,
+    step) may read the step only if by_step is set, and then no table is
+    kept: each (state, depth) node is expanded once anyway. Expanding more
+    than NODE_CAP nodes (memo misses) raises SearchSpaceError.
+
+    Nothing here refers back to the search, so a finished search and its
+    memo are freed as soon as the last reference to them goes.
     """
-    memo = {} if memo is None else memo
-    expanded = 0
 
-    def rec(state, depth_left: int):
-        nonlocal expanded
-        key = (state_key(state), depth_left)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        expanded += 1
-        if expanded > NODE_CAP:
+    def __init__(self, problem: ProblemDef, sset, ell: int, controls_at: Callable,
+                 memo: dict | None = None, by_step: bool = False):
+        self.problem, self.sset, self.ell = problem, sset, ell
+        self.controls_at, self.by_step = controls_at, by_step
+        self.memo = {} if memo is None else memo
+        self.expanded = 0
+
+    def best(self, state, depth: int) -> tuple:
+        skey = state_key(state)
+        hit = self.memo.get((skey, depth))
+        return self._rec(state, skey, depth) if hit is None else hit
+
+    def _moves(self, state, skey, step: int) -> tuple:
+        memo, tkey = self.memo, (skey, None)
+        moves = None if self.by_step else memo.get(tkey)
+        if moves is None:
+            problem, out = self.problem, []
+            for u in _sorted_controls(self.controls_at(state, step)):
+                g = problem.stage_cost(state, u)
+                if g == INF:
+                    continue
+                nxt = problem.dynamics(state, u)
+                nkey = state_key(nxt)
+                out.append((u, g, memo.setdefault((nkey,), nxt), nkey))
+            moves = tuple(out)
+            if not self.by_step:
+                memo[tkey] = moves
+        return moves
+
+    def _rec(self, state, skey, depth_left: int) -> tuple:
+        """Expand a node the memo does not hold yet."""
+        memo = self.memo
+        self.expanded += 1
+        if self.expanded > NODE_CAP:
             raise SearchSpaceError(f"discrete search expanded more than "
                                    f"NODE_CAP={NODE_CAP} nodes")
         if depth_left == 0:
+            sset = self.sset
             v = sset.terminal_cost(state)
-            out = (v, (), state if v < INF else None, sset.sample_id(state) if v < INF else None)
-            memo[key] = out
+            out = (v, (), state, sset.sample_id(state)) if v < INF else (v, (), None, None)
+            memo[(skey, 0)] = out
             return out
-        step = ell - depth_left
         best = (INF, (), None, None)
         best_tail = INF
-        for u in _sorted_controls(controls_at(state, step)):
-            g = problem.stage_cost(state, u)
-            if g == INF:
-                continue
-            tail_v, tail_us, term, sid = rec(problem.dynamics(state, u), depth_left - 1)
+        below = depth_left - 1
+        for u, g, nxt, nkey in self._moves(state, skey, self.ell - depth_left):
+            tail = memo.get((nkey, below))
+            if tail is None:
+                tail = self._rec(nxt, nkey, below)
+            tail_v, tail_us, term, sid = tail
             if tail_v == INF:
                 continue
             v = g + tail_v
             if v < best[0] or (v == best[0] and tail_v < best_tail):
                 best = (v, (u,) + tail_us, term, sid)
                 best_tail = tail_v
-        memo[key] = best
+        memo[(skey, depth_left)] = best
         return best
-
-    return memo, rec
 
 
 def solve_discrete(problem: ProblemDef, sset, x, cfg: SolverConfig,
                    memo: dict | None = None) -> LookaheadSolution:
     """Exact l-step lookahead by depth-bounded enumeration with memoization;
     memo may be shared by solves of the same problem and set."""
-    _, rec = _discrete_minimize(problem, sset, cfg.ell,
-                                lambda s, k: problem.control_set(s), memo)
-    value, controls, terminal, sid = rec(x, cfg.ell)
-    stages = tuple(rec(x, k)[0] for k in range(cfg.ell + 1))
+    search = _Search(problem, sset, cfg.ell, lambda s, k: problem.control_set(s), memo)
+    value, controls, terminal, sid = search.best(x, cfg.ell)
+    stages = tuple(search.best(x, k)[0] for k in range(cfg.ell + 1))
     return LookaheadSolution(
         controls=controls,
         terminal_state=terminal,
@@ -187,8 +230,8 @@ def vi_sequence(problem: ProblemDef, sset, states: Iterable, ell: int) -> dict:
     J_0 is the sample set's terminal cost and J_k the k-step lookahead
     value, all computed from one shared memo table.
     """
-    _, rec = _discrete_minimize(problem, sset, ell, lambda s, k: problem.control_set(s))
-    return {state_key(x): [rec(x, k)[0] for k in range(ell + 1)] for x in states}
+    search = _Search(problem, sset, ell, lambda s, k: problem.control_set(s))
+    return {state_key(x): [search.best(x, k)[0] for k in range(ell + 1)] for x in states}
 
 
 def solve_restricted(problem: ProblemDef, sset, x, restricted_controls: Callable,
@@ -207,8 +250,7 @@ def solve_restricted(problem: ProblemDef, sset, x, restricted_controls: Callable
                 raise AssumptionViolationError(state, policy.action(state))
         return spec
 
-    _, rec = _discrete_minimize(problem, sset, cfg.ell, controls_at)
-    value, controls, terminal, sid = rec(x, cfg.ell)
+    value, controls, terminal, sid = _Search(problem, sset, cfg.ell, controls_at).best(x, cfg.ell)
     return LookaheadSolution(controls=controls, terminal_state=terminal,
                              value=value, terminal_sample_id=sid)
 

@@ -136,6 +136,24 @@ def test_table_runs_for_the_tour_instance(capsys, tmp_path):
     assert (tmp_path / "table.csv").exists()
 
 
+def test_table_marks_the_cost_of_a_run_that_ended_at_the_horizon(capsys, tmp_path):
+    # the free-terminal baseline stops at the horizon; the rollout closes
+    code, out, _ = run_cli(capsys, "table", "--instance", "integrator", "--horizon", "40",
+                           "--out-dir", str(tmp_path))
+    assert code == 0
+    note = "* the run ended at the horizon: its cost is truncated"
+    lines = out.splitlines()
+    assert lines[1].split()[3:] == ["49.9311", "49.9186*"]
+    assert lines[2] == note and len(lines) == 4
+    assert (tmp_path / "table.txt").read_text() == "\n".join(lines[:3]) + "\n"
+    csv = (tmp_path / "table.csv").read_text().splitlines()
+    assert csv[1].endswith(",49.9311,49.9186*") and csv[2] == note and len(csv) == 3
+    # nothing is marked once every run closed or stopped
+    code, out, _ = run_cli(capsys, "table", "--instance", "grid", "--horizon", "40",
+                           "--out-dir", str(tmp_path))
+    assert code == 0 and "*" not in out and "*" not in (tmp_path / "table.csv").read_text()
+
+
 def test_list_instances_names_all_four(capsys):
     code, out, _ = run_cli(capsys, "list-instances")
     assert code == 0

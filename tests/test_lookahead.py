@@ -145,6 +145,26 @@ def test_restriction_must_keep_the_base_action_at_members():
         solve_restricted(problem, sset, n - 1, no_base, _cfg(2), policy=base)
 
 
+def test_a_restricted_search_stops_at_the_first_member_it_expands(grid):
+    """The search checks a state's restricted set on the state's first
+    expansion, depth first in sorted control order. With the base action
+    dropped at every member but the start, the first member expanded is
+    two or three steps down the recorded run, not the start's successor."""
+    policy = next(iter(grid.base_policies.values()))
+    sset, x0 = grid.sample_sets["trajectory"], grid.start_states[0]
+
+    def drop_base(state):
+        spec = grid.problem.control_set(state)
+        if state == x0 or not sset.contains(state):
+            return spec
+        return FiniteControls(tuple(u for u in spec.controls if u != policy.action(state)))
+
+    for ell, state in ((4, ((2, 2), (3, 1))), (6, ((3, 2), (2, 1)))):
+        with pytest.raises(AssumptionViolationError) as err:
+            solve_restricted(grid.problem, sset, x0, drop_base, _cfg(ell), policy=policy)
+        assert err.value.state == state
+
+
 def test_restricted_value_is_sandwiched():
     problem, base, n, m = make_random_instance(17)
     sset = build_from_trajectory(simulate_policy(problem, base, n - 1))
