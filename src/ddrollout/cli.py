@@ -9,7 +9,9 @@ config values. Exit codes: 0 success, 1 property violation, 2 infeasibility,
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
+import io
 import json
 import math
 import os
@@ -419,9 +421,10 @@ def cmd_table(args: argparse.Namespace) -> int:
     # artifacts first, so a closed stdout pipe cannot skip them
     out_dir = opts.get("out_dir", os.path.join("runs", bundle.name))
     os.makedirs(out_dir, exist_ok=True)
-    csv_lines = [",".join(header)]
-    csv_lines += [",".join(c) for c in cells] + notes
-    write_text("\n".join(csv_lines) + "\n", os.path.join(out_dir, "table.csv"))
+    csv_text = io.StringIO()
+    csv.writer(csv_text, lineterminator="\n").writerows([header, *cells])
+    csv_text.writelines(n + "\n" for n in notes)
+    write_text(csv_text.getvalue(), os.path.join(out_dir, "table.csv"))
     write_text(text, os.path.join(out_dir, "table.txt"))
     print(text, end="")
     print(f"wrote {os.path.join(out_dir, 'table.csv')}")

@@ -257,8 +257,12 @@ def run_multiagent(problem: ProblemDef, sset, x0, cfg: SolverConfig, horizon: in
     previous plan, then lets every agent re-optimize its own control sequence
     while the others hold theirs fixed, repeated for the given number of
     sweeps. The incumbent only ever improves, so the step value stays at or
-    below the base policy's.
+    below the base policy's. An agent's search reads only x and the plan, so
+    while the plan is still the one that agent's last search left, searching
+    again would change nothing and is skipped. Every search of the run shares
+    one table of each state's moves per control set (see lookahead._Search).
     """
+    tables: dict = {}
 
     def step(x, prev):
         value, plan = INF, None
@@ -272,17 +276,22 @@ def run_multiagent(problem: ProblemDef, sset, x0, cfg: SolverConfig, horizon: in
             return LookaheadSolution(controls=(), terminal_state=None, value=INF), None
 
         sweep_values = [value]
+        left = {}  # agent -> the plan its last search left
         for _ in range(sweeps):
             for agent in partition.agents:
+                if left.get(agent) is plan:
+                    continue
+
                 def controls_at(state, k, _plan=plan, _agent=agent):
                     opts = partition.options(state, _agent)
                     return FiniteControls(tuple(
                         partition.combine(_plan[k], _agent, o) for o in opts))
 
-                search = _Search(problem, sset, cfg.ell, controls_at, by_step=True)
+                search = _Search(problem, sset, cfg.ell, controls_at, tables=tables)
                 v, ctrl, _term, _sid = search.best(x, cfg.ell)
                 if v < value:
                     value, plan = v, ctrl
+                left[agent] = plan
             sweep_values.append(value)
 
         _, visited, _ = replay(problem, x, plan, sset.terminal_cost)

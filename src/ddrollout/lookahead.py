@@ -11,9 +11,10 @@ other is solved exactly by memoized enumeration of its finite controls.
 The enumeration meets each state at up to l + 1 depths. It computes the
 state's feasible moves (control, stage cost, successor) on the first
 expansion only, into a transition table that every later expansion reads,
-so stage_cost and dynamics run once per (state, control) pair. (A control
-map that reads the step, as the agent-by-agent search's does, gets no
-table: each of its nodes is expanded once anyway.)
+so stage_cost and dynamics run once per (state, control) pair. A control
+map that reads the step, as the agent-by-agent search's does, tables a
+state's moves per control set instead, in a dict that every search of one
+rollout shares (engine.run_multiagent).
 
 Much of a solve does not depend on the state it starts from: the value of
 (state, depth) and each state's transition table in the enumeration, and
@@ -140,19 +141,23 @@ class _Search:
     expansion and read at every later one, at any depth and in any later
     solve sharing the memo, so memo may only come from earlier solves whose
     control map gave the same controls at every state. controls_at(state,
-    step) may read the step only if by_step is set, and then no table is
-    kept: each (state, depth) node is expanded once anyway. Expanding more
-    than NODE_CAP nodes (memo misses) raises SearchSpaceError.
+    step) may read the step only if a tables dict is passed: the search then
+    asks for the control set at every expansion and keeps a state's moves,
+    and its successors' first objects, in tables under (state key, sorted
+    control tuple). Those depend on nothing but the problem, so searches
+    with different control maps may share tables, while each keeps its own
+    node results in memo. Expanding more than NODE_CAP nodes (memo misses)
+    raises SearchSpaceError.
 
     Nothing here refers back to the search, so a finished search and its
     memo are freed as soon as the last reference to them goes.
     """
 
     def __init__(self, problem: ProblemDef, sset, ell: int, controls_at: Callable,
-                 memo: dict | None = None, by_step: bool = False):
-        self.problem, self.sset, self.ell = problem, sset, ell
-        self.controls_at, self.by_step = controls_at, by_step
+                 memo: dict | None = None, tables: dict | None = None):
+        self.problem, self.sset, self.ell, self.controls_at = problem, sset, ell, controls_at
         self.memo = {} if memo is None else memo
+        self.tables = self.memo if tables is None else tables
         self.expanded = 0
 
     def best(self, state, depth: int) -> tuple:
@@ -161,20 +166,19 @@ class _Search:
         return self._rec(state, skey, depth) if hit is None else hit
 
     def _moves(self, state, skey, step: int) -> tuple:
-        memo, tkey = self.memo, (skey, None)
-        moves = None if self.by_step else memo.get(tkey)
+        tables = self.tables
+        ctrls = None if tables is self.memo else _sorted_controls(self.controls_at(state, step))
+        moves = tables.get((skey, ctrls))
         if moves is None:
             problem, out = self.problem, []
-            for u in _sorted_controls(self.controls_at(state, step)):
+            for u in ctrls or _sorted_controls(self.controls_at(state, step)):
                 g = problem.stage_cost(state, u)
                 if g == INF:
                     continue
                 nxt = problem.dynamics(state, u)
                 nkey = state_key(nxt)
-                out.append((u, g, memo.setdefault((nkey,), nxt), nkey))
-            moves = tuple(out)
-            if not self.by_step:
-                memo[tkey] = moves
+                out.append((u, g, tables.setdefault((nkey,), nxt), nkey))
+            moves = tables[(skey, ctrls)] = tuple(out)
         return moves
 
     def _rec(self, state, skey, depth_left: int) -> tuple:

@@ -1,6 +1,7 @@
 """Command-line harness, exercised in process via main(argv)."""
 
 import copy
+import csv
 import json
 import math
 import os
@@ -152,6 +153,32 @@ def test_table_marks_the_cost_of_a_run_that_ended_at_the_horizon(capsys, tmp_pat
     code, out, _ = run_cli(capsys, "table", "--instance", "grid", "--horizon", "40",
                            "--out-dir", str(tmp_path))
     assert code == 0 and "*" not in out and "*" not in (tmp_path / "table.csv").read_text()
+
+
+def test_table_csv_quotes_a_start_label_that_holds_a_comma(capsys, tmp_path):
+    note = "* the run ended at the horizon: its cost is truncated"
+    for instance, want_note in (("integrator", True), ("spiral", False)):
+        out_dir = tmp_path / instance
+        code, _, _ = run_cli(capsys, "table", "--instance", instance, "--horizon", "40",
+                             "--out-dir", str(out_dir))
+        assert code == 0
+        text = (out_dir / "table.csv").read_text()
+        lines = text.splitlines()
+        assert (lines[-1] == note) == want_note
+        rows = list(csv.reader(lines[:-1] if want_note else lines))
+        assert rows[0] == ["instance", "x0", "base_cost", "rollout_cost",
+                           "baseline_mpc_cost"]
+        assert len(rows) > 1 and all(len(r) == len(rows[0]) for r in rows[1:])
+        assert all("," in r[1] for r in rows[1:])  # the vector start survives whole
+
+
+def test_the_package_runs_as_a_module(tmp_path):
+    pkg_root = str(Path(ddrollout.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=pkg_root)
+    proc = subprocess.run([sys.executable, "-m", "ddrollout", "list-instances"],
+                          capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "two-vehicle-grid" in proc.stdout
 
 
 def test_list_instances_names_all_four(capsys):

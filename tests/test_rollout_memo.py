@@ -10,9 +10,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from ddrollout import (ExplicitSampleSet, FiniteControls, SampleEntry, SolverConfig, engine,
-                       lookahead, run_classical_mpc, run_multiagent, run_rollout, shooting,
-                       solve_restricted, vi_sequence)
+from ddrollout import (AgentPartition, ExplicitSampleSet, FiniteControls, Policy, ProblemDef,
+                       SampleEntry, SolverConfig, engine, lookahead, run_classical_mpc,
+                       run_multiagent, run_rollout, shooting, solve_restricted, vi_sequence)
 from ddrollout.budget import AugmentedState, base_view
 from ddrollout.cli import main
 from ddrollout.costs import INF
@@ -132,6 +132,125 @@ def test_a_rollout_computes_each_move_of_the_discrete_search_once(grid, monkeypa
     # only the moves stage_cost prices finite have a successor
     assert set(calls["dynamics"]) < set(calls["stage_cost"])
     assert sum(calls["stage_cost"].values()) < 10_000
+
+
+def test_the_agent_by_agent_search_tables_each_move_once(grid, monkeypatch):
+    """Every search of an agent-by-agent rollout shares one table of each
+    state's moves per control set, so over the whole rollout the searches
+    call stage_cost and dynamics at most once per (state, control set); and
+    a search whose plan has not moved since that agent's last one is
+    skipped. (Without either, the searches make 9,435 stage_cost calls
+    here, up to 99 for one pair, in 20 searches.)"""
+    calls = {"stage_cost": Counter(), "dynamics": Counter()}
+    searching = [False]
+    control_set = {}
+    searches = []
+
+    class Search(lookahead._Search):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            searches.append(self)
+            controls_at = self.controls_at
+
+            def noted(state, k):
+                spec = controls_at(state, k)
+                control_set[state] = tuple(sorted(spec.controls))
+                return spec
+            self.controls_at = noted
+
+        def best(self, state, depth):
+            searching[0] = True
+            try:
+                return super().best(state, depth)
+            finally:
+                searching[0] = False
+
+    def counted(name, fn):
+        def wrapped(x, u):
+            if searching[0]:
+                calls[name][(x, control_set[x], u)] += 1
+            return fn(x, u)
+        return wrapped
+
+    monkeypatch.setattr(engine, "_Search", Search)
+    problem = replace(grid.problem, **{name: counted(name, getattr(grid.problem, name))
+                                       for name in calls})
+    policy = next(iter(grid.base_policies.values()))
+    run = run_multiagent(problem, grid.sample_sets["trajectory"], grid.start_states[0],
+                         replace(grid.solver_defaults, ell=8), 40, grid.partition, policy)
+    assert run.status == "stopped"
+    assert len(searches) == 11
+    assert max(calls["stage_cost"].values()) == max(calls["dynamics"].values()) == 1
+    assert sum(calls["stage_cost"].values()) < 1_000
+
+
+def _naive_multiagent(problem, sset, x0, cfg, horizon, partition, policy, sweeps):
+    """Agent-by-agent rollout with a fresh search, and a fresh move table,
+    for every agent in every sweep."""
+
+    def step(x, prev):
+        value, plan = INF, None
+        for cand in (lookahead.base_plan(problem, policy, x, cfg.ell),
+                     engine._shifted_plan(prev, policy, cfg.ell)):
+            if cand is not None:
+                v = lookahead.replay(problem, x, cand, sset.terminal_cost)[0]
+                if plan is None or v < value:
+                    value, plan = v, cand
+        if value == INF:
+            return lookahead.LookaheadSolution((), None, INF), None
+        sweep_values = [value]
+        for _ in range(sweeps):
+            for agent in partition.agents:
+                def controls_at(state, k, _plan=plan, _agent=agent):
+                    return FiniteControls(tuple(partition.combine(_plan[k], _agent, o)
+                                                for o in partition.options(state, _agent)))
+                search = lookahead._Search(problem, sset, cfg.ell, controls_at, tables={})
+                v, ctrl, _, _ = search.best(x, cfg.ell)
+                if v < value:
+                    value, plan = v, ctrl
+            sweep_values.append(value)
+        terminal = lookahead.replay(problem, x, plan, sset.terminal_cost)[1][-1]
+        return (lookahead.LookaheadSolution(plan, terminal, value),
+                {"value": value, "sweep_values": tuple(sweep_values)})
+
+    return engine._drive(problem, sset, x0, cfg, horizon, step, variant="multiagent",
+                         policy_id="multiagent-rollout")
+
+
+@pytest.mark.parametrize("ell", [4, 8])
+@pytest.mark.parametrize("sweeps", [0, 1, 2, 3])
+def test_skipping_searches_and_sharing_their_tables_changes_no_rollout(grid, ell, sweeps):
+    args = (grid.problem, grid.sample_sets["trajectory"], grid.start_states[0],
+            replace(grid.solver_defaults, ell=ell), 40, grid.partition,
+            next(iter(grid.base_policies.values())))
+    run = run_multiagent(*args, sweeps=sweeps)
+    naive = _naive_multiagent(*args, sweeps)
+    assert run.trajectory == naive.trajectory and run.status == naive.status
+    assert run.per_step_values == naive.per_step_values
+    assert run.solver_reports == naive.solver_reports
+
+
+def test_an_agent_searches_again_once_another_agent_moved_the_plan():
+    """One joint step of two agents choosing 0 or 1. From the base plan
+    (0, 0) only agent 1 can improve alone, to (0, 1); only then can agent 0
+    reach (1, 1). Sweep 2 must therefore search agent 0 again."""
+    price = {(0, 0): 3.0, (0, 1): 2.0, (1, 0): 4.0, (1, 1): 0.0}
+    problem = ProblemDef(
+        dynamics=lambda x, u: "end",
+        stage_cost=lambda x, u: price[u] if x == "start" else INF,
+        control_set=lambda x: FiniteControls(tuple(price)),
+        stopping_predicate=lambda x: x == "end")
+    sset = ExplicitSampleSet([SampleEntry("start", 3.0, "base", "end"),
+                              SampleEntry("end", 0.0, "base")], label="relay")
+    partition = AgentPartition(
+        agents=(0, 1), options=lambda x, agent: (0, 1),
+        combine=lambda joint, agent, move: (move, joint[1]) if agent == 0 else (joint[0], move))
+    policy = Policy(action=lambda x: (0, 0), id="base")
+    args = (problem, sset, "start", SolverConfig(ell=1), 5, partition, policy)
+    run = run_multiagent(*args, sweeps=3)
+    assert run.solver_reports[0]["sweep_values"] == (3.0, 2.0, 0.0, 0.0)
+    assert run.trajectory.controls == ((1, 1),) and run.status == "stopped"
+    assert run == _naive_multiagent(*args, 3)
 
 
 def test_a_finished_search_is_freed_without_the_cycle_collector(grid):
