@@ -15,14 +15,13 @@ from typing import Callable
 
 import numpy as np
 
-from .costs import INF, ensure_cost
+from .costs import INF, ensure_cost, tails_from
 from .errors import (
     InfeasibleSeedError,
     SampleSetIntegrityError,
     UnusableTrajectoryError,
 )
 from .model import (
-    EPS_STATE,
     AugmentedState,
     ProblemDef,
     Trajectory,
@@ -149,25 +148,6 @@ class BudgetSampleSet:
                        np.array(self.seed.states, dtype=float)[fits],
                        np.sqrt(head[fits] / _usage_scale(self.spec)))
 
-    def to_doc(self) -> dict:
-        from .serialization import encode_value, trajectory_to_doc
-        spec = self.spec
-        if spec.usage_quad is None:
-            raise TypeError("only quadratic usage specs serialize; "
-                            "general usage callables are code, not data")
-        return {
-            "format": "budget-sample-set",
-            "version": 1,
-            "label": self.label,
-            "eps_state": EPS_STATE,
-            "anchor_usage": self.anchor_usage,
-            "e_max": spec.e_max,
-            "usage_quad": [[float(c) for c in row] for row in spec.usage_quad],
-            "seed": trajectory_to_doc(self.seed),
-            "usages": [encode_value(u) for u in self.usages],
-            "tail_usages": [encode_value(t) for t in self.tail_usages],
-        }
-
     def reverify(self) -> None:
         """Membership is reconstructed from the seed: recompute the usage
         ledger and demand exact agreement with the stored one."""
@@ -224,10 +204,7 @@ def _ledger(seed: Trajectory, spec: BudgetConstraintSpec, anchor: float):
     """The seed's per-step usages and its remaining usage from each state:
     tail_k = usage_k + tail_{k+1}, ending at anchor."""
     usages = [ensure_cost(spec.per_step_usage(x, u)) for x, u in zip(seed.states, seed.controls)]
-    tails = [anchor]
-    for u in reversed(usages):
-        tails.append(u + tails[-1])
-    return usages, tails[::-1]
+    return usages, tails_from(usages, anchor)
 
 
 def augment_sample_set(traj: Trajectory, spec: BudgetConstraintSpec, *,

@@ -81,27 +81,23 @@ def _parse_x0(raw):
     return tup(raw)
 
 
-def _merge_config(args: argparse.Namespace, keys) -> dict:
-    """Config-file values fill in; explicit command-line flags override."""
+def _merge_config(args: argparse.Namespace) -> dict:
+    """Config-file values fill in the subcommand's flags; given flags override."""
+    flags = {k: v for k, v in vars(args).items() if k not in ("command", "config", "fn")}
     merged = {}
-    if getattr(args, "config", None):
+    if args.config:
         file_cfg = read_json(args.config)
-        unknown = set(file_cfg) - set(keys)
+        unknown = set(file_cfg) - set(flags)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         merged.update(file_cfg)
-    for k in keys:
-        v = getattr(args, k, None)
-        if v is not None:
-            merged[k] = v
+    merged.update((k, v) for k, v in flags.items() if v is not None)
     return merged
 
 
-SOLVER_KEYS = tuple(f.name for f in dataclasses.fields(SolverConfig))
-
-
 def _solver_config(bundle: InstanceBundle, opts: dict) -> SolverConfig:
-    overrides = {k: opts[k] for k in SOLVER_KEYS if k in opts}
+    overrides = {f.name: opts[f.name] for f in dataclasses.fields(SolverConfig)
+                 if f.name in opts}
     return dataclasses.replace(bundle.solver_defaults, **overrides)
 
 
@@ -125,12 +121,12 @@ def _default_policy(bundle: InstanceBundle):
 
 
 def _run_mpc(bundle: InstanceBundle, x0, cfg: SolverConfig, horizon: int, policy,
-             ell: int | None = None):
-    """The classical receding-horizon baseline under the bundle's MPC notes."""
+             opts: dict):
+    """The classical receding-horizon baseline; opts win over the MPC notes."""
     notes = bundle.notes
     mpc_cfg = dataclasses.replace(
-        cfg, ell=ell if ell is not None else notes.get("mpc_ell", cfg.ell),
-        mode_cap=notes.get("mpc_mode_cap", cfg.mode_cap))
+        cfg, ell=opts.get("mpc_horizon", opts.get("ell", notes.get("mpc_ell", cfg.ell))),
+        mode_cap=opts.get("mode_cap", notes.get("mpc_mode_cap", cfg.mode_cap)))
     return run_classical_mpc(bundle.problem, x0, mpc_cfg, horizon,
                              terminal=notes.get("mpc_terminal", "origin"),
                              terminal_quadratic=bundle.mpc_quadratic,
@@ -177,11 +173,6 @@ def _write_artifacts(run, bundle, x0, out_dir: str, tag: str, summary: str | Non
     print(f"wrote {csv_path}")
 
 
-RUN_KEYS = ("instance", "variant", "x0", "start_index", "horizon", "set", "sweeps",
-            "mpc_horizon", "budget", "disturb_step", "disturb", "out_dir",
-            "summary") + SOLVER_KEYS
-
-
 def _same_form(x, start) -> bool:
     """Whether a parsed state x has start's form: a vector of its shape, or
     tuples nested and sized alike down to leaves of the same type."""
@@ -193,7 +184,7 @@ def _same_form(x, start) -> bool:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    opts = _merge_config(args, RUN_KEYS)
+    opts = _merge_config(args)
     if "instance" not in opts:
         print("error: --instance is required", file=sys.stderr)
         return EXIT_PROPERTY
@@ -250,7 +241,7 @@ def cmd_run(args: argparse.Namespace) -> int:
                               AugmentedState(np.asarray(x0, dtype=float), cap),
                               cfg, horizon, base_policy=policy, variant="augmented")
         elif variant == "classical-mpc":
-            run = _run_mpc(bundle, x0, cfg, horizon, policy, opts.get("mpc_horizon"))
+            run = _run_mpc(bundle, x0, cfg, horizon, policy, opts)
         elif variant == "disturbance":
             sset = _pick_set(bundle, opts.get("set"))
             step = opts.get("disturb_step", 3)
@@ -295,11 +286,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     return EXIT_OK if chain_ok else EXIT_PROPERTY
 
 
-VERIFY_KEYS = ("instance", "set", "set_file", "samples", "seed")
-
-
 def cmd_verify(args: argparse.Namespace) -> int:
-    opts = _merge_config(args, VERIFY_KEYS)
+    opts = _merge_config(args)
     if "instance" not in opts:
         print("error: --instance is required", file=sys.stderr)
         return EXIT_PROPERTY
@@ -337,9 +325,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-TABLE_KEYS = ("instance", "out_dir", "horizon")
-
-
 TRUNCATED_NOTE = "* the run ended at the horizon: its cost is truncated"
 
 
@@ -361,14 +346,6 @@ def _start_label(x0) -> str:
     return x0 if isinstance(x0, str) else "start"
 
 
-def _base_cost(bundle: InstanceBundle, policy, x0) -> float:
-    """The recorded base cost from x0, one number or keyed by policy or start."""
-    if "base_cost" in bundle.notes:
-        return bundle.notes["base_cost"]
-    costs = bundle.notes["base_costs"]
-    return costs[policy.id] if policy.id in costs else costs[tuple(x0)]
-
-
 def _table_rows(bundle: InstanceBundle, horizon: int):
     """(x0 label, base cost, rollout run, baseline run) rows for one instance.
 
@@ -381,7 +358,7 @@ def _table_rows(bundle: InstanceBundle, horizon: int):
     names = [bundle.default_set] + [n for n in bundle.sample_sets if n.startswith("merged")]
     rows = []
     for x0 in bundle.start_states:
-        base = _base_cost(bundle, policy, x0)
+        base = bundle.sample_sets[bundle.default_set].terminal_cost(x0)
         for name in names:
             sset = bundle.sample_sets[name]
             if bundle.partition is not None:
@@ -392,14 +369,14 @@ def _table_rows(bundle: InstanceBundle, horizon: int):
                                   base_policy=policy)
             mpc = None
             if "mpc_terminal" in bundle.notes:
-                mpc = _run_mpc(bundle, x0, cfg, horizon, policy)
+                mpc = _run_mpc(bundle, x0, cfg, horizon, policy, {})
             label = _start_label(x0) + (f" [{name}]" if len(names) > 1 else "")
             rows.append((label, base, run, mpc))
     return rows
 
 
 def cmd_table(args: argparse.Namespace) -> int:
-    opts = _merge_config(args, TABLE_KEYS)
+    opts = _merge_config(args)
     if "instance" not in opts:
         print("error: --instance is required", file=sys.stderr)
         return EXIT_PROPERTY

@@ -27,3 +27,11 @@ def sum_costs(costs: Iterable[float]) -> float:
     if any(c == INF for c in vals):
         return INF
     return math.fsum(vals)
+
+
+def tails_from(stage_costs, terminal: float = 0.0) -> tuple:
+    """Right-to-left tail sums: tail_k = g_k + tail_{k+1}, ending at terminal."""
+    tails = [terminal]
+    for g in reversed(stage_costs):
+        tails.append(g + tails[-1])
+    return tuple(reversed(tails))

@@ -21,7 +21,7 @@ from math import fsum
 import numpy as np
 
 from .budget import base_view
-from .costs import INF
+from .costs import INF, tails_from
 from .errors import InfeasibleStepError, InitialInfeasibilityError
 from .lookahead import (
     LookaheadSolution,
@@ -62,28 +62,21 @@ class RolloutRun:
         return len(self.trajectory)
 
 
-def _tails_from(stage_costs, terminal_tail):
-    tails = [terminal_tail]
-    for g in reversed(stage_costs):
-        tails.append(g + tails[-1])
-    tails.reverse()
-    return tuple(tails)
-
-
 def _drive(problem: ProblemDef, sset, x0, cfg: SolverConfig, horizon: int, step,
-           disturbance=None, residual_close: bool = True, variant: str = "basic",
+           disturbance=None, variant: str = "basic",
            policy_id: str = "rollout") -> RolloutRun:
     """The rollout driving loop shared by every variant.
 
     step(x, prev) returns the lookahead solution at x (prev is the previous
     step's solution, or None) and the report recorded for it; the loop
-    applies its first control. With residual_close and no disturbance, a
-    solution of value at most EPS_TAIL is applied whole, since its replay
-    ends in the set: the run stops early if a state on the way is a
-    stopping state, and otherwise closes in the set at the final state's
-    recorded value. horizon bounds the solves, so such a plan may run up to
-    ell - 1 steps past it.
+    applies its first control. Unless sset has no policy_ids (it certifies
+    nothing) or there is a disturbance, a solution of value at most EPS_TAIL
+    is applied whole, since its replay ends in the set: the run stops early
+    if a state on the way is a stopping state, and otherwise closes in the
+    set at the final state's recorded value. horizon bounds the solves, so
+    such a plan may run up to ell - 1 steps past it.
     """
+    certifies = bool(sset.policy_ids)
     states = [x0]
     controls, stage_costs, values, reports = [], [], [], []
     initial_set_value = sset.terminal_cost(x0)
@@ -96,7 +89,7 @@ def _drive(problem: ProblemDef, sset, x0, cfg: SolverConfig, horizon: int, step,
         if problem.is_stopping(x):
             status = "stopped"
             break
-        if residual_close:
+        if certifies:
             tc = sset.terminal_cost(x)
             if tc <= EPS_TAIL:
                 status = "closed_in_set"
@@ -117,7 +110,7 @@ def _drive(problem: ProblemDef, sset, x0, cfg: SolverConfig, horizon: int, step,
         reports.append(report)
         prev = sol
         # a plan whose exact replay ends in the set is applied whole
-        certified = residual_close and disturbance is None and sol.value <= EPS_TAIL
+        certified = certifies and disturbance is None and sol.value <= EPS_TAIL
         for u in sol.controls if certified else sol.controls[:1]:
             x = states[-1]
             g = problem.stage_cost(x, u)
@@ -139,7 +132,7 @@ def _drive(problem: ProblemDef, sset, x0, cfg: SolverConfig, horizon: int, step,
 
     tails = None
     if status in ("stopped", "closed_in_set"):
-        tails = _tails_from(stage_costs, closing)
+        tails = tails_from(stage_costs, closing)
     traj = Trajectory(
         states=tuple(states),
         controls=tuple(controls),
@@ -169,8 +162,7 @@ def _shifted_plan(prev, base_policy: Policy | None, ell: int):
 
 def run_rollout(problem: ProblemDef, sset, x0, cfg: SolverConfig, horizon: int,
                 base_policy: Policy | None = None, disturbance=None,
-                residual_close: bool = True, variant: str = "basic",
-                policy_id: str = "rollout") -> RolloutRun:
+                variant: str = "basic", policy_id: str = "rollout") -> RolloutRun:
     """Roll the lookahead policy forward from x0 for at most horizon solves.
 
     disturbance, when given, is called as disturbance(t, x_next) after each
@@ -191,7 +183,7 @@ def run_rollout(problem: ProblemDef, sset, x0, cfg: SolverConfig, horizon: int,
         return sol, _report_of(sol)
 
     return _drive(problem, sset, x0, cfg, horizon, step, disturbance=disturbance,
-                  residual_close=residual_close, variant=variant, policy_id=policy_id)
+                  variant=variant, policy_id=policy_id)
 
 
 def _report_of(sol):
@@ -218,15 +210,12 @@ def run_classical_mpc(problem: ProblemDef, x0, cfg: SolverConfig, horizon: int,
         dim = np.asarray(x0, dtype=float).size
         tset = ExplicitSampleSet([SampleEntry(np.zeros(dim), 0.0, "terminal")],
                                  label="origin")
-        residual = True
     elif terminal == "free":
         tset = FreeTerminal(terminal_quadratic)
-        residual = False
     else:
         raise ValueError(f"unknown terminal mode {terminal!r}")
     return run_rollout(problem, tset, x0, cfg, horizon, base_policy=base_policy,
-                       residual_close=residual, variant="classical-mpc",
-                       policy_id="classical-mpc")
+                       variant="classical-mpc", policy_id="classical-mpc")
 
 
 # ---------------------------------------------------------------------------
@@ -265,13 +254,13 @@ def run_multiagent(problem: ProblemDef, sset, x0, cfg: SolverConfig, horizon: in
     tables: dict = {}
 
     def step(x, prev):
-        value, plan = INF, None
+        value, plan, term = INF, None, None
         for cand in (base_plan(problem, base_policy, x, cfg.ell),
                      _shifted_plan(prev, base_policy, cfg.ell)):
             if cand is not None:
-                v, _, _ = replay(problem, x, cand, sset.terminal_cost)
+                v, visited, _ = replay(problem, x, cand, sset.terminal_cost)
                 if plan is None or v < value:
-                    value, plan = v, cand
+                    value, plan, term = v, cand, visited[-1]
         if value == INF:
             return LookaheadSolution(controls=(), terminal_state=None, value=INF), None
 
@@ -288,14 +277,13 @@ def run_multiagent(problem: ProblemDef, sset, x0, cfg: SolverConfig, horizon: in
                         partition.combine(_plan[k], _agent, o) for o in opts))
 
                 search = _Search(problem, sset, cfg.ell, controls_at, tables=tables)
-                v, ctrl, _term, _sid = search.best(x, cfg.ell)
+                v, ctrl, end, _sid = search.best(x, cfg.ell)
                 if v < value:
-                    value, plan = v, ctrl
+                    value, plan, term = v, ctrl, end
                 left[agent] = plan
             sweep_values.append(value)
 
-        _, visited, _ = replay(problem, x, plan, sset.terminal_cost)
-        sol = LookaheadSolution(controls=plan, terminal_state=visited[-1], value=value)
+        sol = LookaheadSolution(controls=plan, terminal_state=term, value=value)
         return sol, {"value": value, "sweep_values": tuple(sweep_values)}
 
     return _drive(problem, sset, x0, cfg, horizon, step, variant="multiagent",

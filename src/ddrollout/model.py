@@ -16,7 +16,7 @@ from typing import Callable, Hashable, Iterable, Union
 
 import numpy as np
 
-from .costs import INF, ensure_cost, sum_costs
+from .costs import INF, ensure_cost, sum_costs, tails_from
 from .errors import ConstraintViolationError, InfeasibleTrajectoryError
 
 #: The one state tolerance (infinity norm): vector-state equality, sample
@@ -303,9 +303,7 @@ def simulate_policy(problem: ProblemDef, policy: Policy, x0, max_steps: int = 10
 
     tail = None
     if terminated:
-        tail = [0.0] * len(states)
-        for k in range(len(controls) - 1, -1, -1):
-            tail[k] = stage_costs[k] + tail[k + 1]
+        tail = tails_from(stage_costs)
     elif policy.analytic_cost is not None:
         tail = [ensure_cost(policy.analytic_cost(s)) for s in states]
 

@@ -12,7 +12,7 @@ terminal of the classical baseline, answers one protocol:
     contains(x), terminal_cost(x)   membership and the recorded cost
     sample_id(x)                    the sample certifying x, or None
     shooting_targets(x)             the Targets the shooting backend solves toward
-    to_doc()                        the stored document (TypeError if code)
+    policy_ids                      the certifying base policies; () if none
 
 terminal_cost is the one price of a plan's final state: every backend and
 every audit replays a plan and hands its terminal state to it, so a plan
@@ -96,7 +96,11 @@ class GridIndex:
         """Positions of the added states that may match x."""
         if not is_vector_state(x):
             return self._cells.get(state_key(x), [])
-        return [i for cell in itertools.product(*((c - 1, c, c + 1) for c in self._cell(x)))
+        try:
+            home = self._cell(x)
+        except OverflowError:  # a component past every cell add() can index
+            return []
+        return [i for cell in itertools.product(*((c - 1, c, c + 1) for c in home))
                 for i in self._cells.get(cell, ())]
 
 
@@ -177,23 +181,6 @@ class ExplicitSampleSet:
             self._targets = Targets(values, states)
         return self._targets
 
-    def to_doc(self) -> dict:
-        from .serialization import encode_value
-        return {
-            "format": "explicit-sample-set",
-            "version": 1,
-            "label": self.label,
-            "eps_state": EPS_STATE,
-            "analytic_tail": self.analytic_tail,
-            "policy_ids": list(self.policy_ids),
-            "entries": [{
-                "state": encode_value(e.state),
-                "value": encode_value(e.value),
-                "policy_id": e.policy_id,
-                "successor": None if e.successor is None else encode_value(e.successor),
-            } for e in self._entries],
-        }
-
     def verify(self, problem: ProblemDef, policies, rng, samples: int):
         """Invariance, then the fixed-point (one policy) or upper-bound
         (merged policies) certificate on every member with a successor."""
@@ -255,10 +242,6 @@ class AnalyticSampleSet:
             raise ValueError("analytic sample set needs a quadratic evaluator for shooting")
         return Targets(np.zeros(1), quad=self.quadratic)
 
-    def to_doc(self) -> dict:
-        raise TypeError(f"{type(self).__name__} is defined by code, not data; "
-                        "reconstruct it from its instance in the catalog")
-
     def verify(self, problem: ProblemDef, policies, rng, samples: int):
         """Invariance, then the fixed-point certificate, on the same randomly
         drawn members."""
@@ -310,10 +293,6 @@ class FreeTerminal:
 
     def shooting_targets(self, x) -> Targets:
         return Targets(np.zeros(1), quad=self.quadratic)
-
-    def to_doc(self) -> dict:
-        raise TypeError(f"{type(self).__name__} is defined by code, not data; "
-                        "reconstruct it from its instance in the catalog")
 
 
 def build_from_trajectory(traj: Trajectory, label: str | None = None) -> ExplicitSampleSet:

@@ -261,6 +261,44 @@ def _quadratic_usage(mat: np.ndarray):
     return usage
 
 
+def sample_set_to_doc(sset) -> dict:
+    """An explicit or quadratic-usage budget set's document; TypeError otherwise."""
+    if isinstance(sset, ExplicitSampleSet):
+        return {
+            "format": "explicit-sample-set",
+            "version": 1,
+            "label": sset.label,
+            "eps_state": EPS_STATE,
+            "analytic_tail": sset.analytic_tail,
+            "policy_ids": list(sset.policy_ids),
+            "entries": [{
+                "state": encode_value(e.state),
+                "value": encode_value(e.value),
+                "policy_id": e.policy_id,
+                "successor": None if e.successor is None else encode_value(e.successor),
+            } for e in sset.entries()],
+        }
+    if not isinstance(sset, BudgetSampleSet):
+        raise TypeError(f"{type(sset).__name__} is defined by code, not data; "
+                        "reconstruct it from its instance in the catalog")
+    spec = sset.spec
+    if spec.usage_quad is None:
+        raise TypeError("only quadratic usage specs serialize; "
+                        "general usage callables are code, not data")
+    return {
+        "format": "budget-sample-set",
+        "version": 1,
+        "label": sset.label,
+        "eps_state": EPS_STATE,
+        "anchor_usage": sset.anchor_usage,
+        "e_max": spec.e_max,
+        "usage_quad": [[float(c) for c in row] for row in spec.usage_quad],
+        "seed": trajectory_to_doc(sset.seed),
+        "usages": [encode_value(u) for u in sset.usages],
+        "tail_usages": [encode_value(t) for t in sset.tail_usages],
+    }
+
+
 def sample_set_from_doc(doc: dict, *, problem=None, policies=None):
     """Load a stored set and re-verify it (an explicit set's invariance, a
     budget set's usage ledger). Its eps_state must be EPS_STATE: membership

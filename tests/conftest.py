@@ -23,6 +23,7 @@ from ddrollout import (
     simulate_policy,
 )
 from ddrollout.costs import INF
+from ddrollout.serialization import sample_set_to_doc
 
 
 def make_random_instance(seed, max_states=30, max_controls=4):
@@ -89,7 +90,7 @@ def plain_lookahead(problem, sset, x, ell):
 def widened_doc(sset, shift=5e-4, eps_state=1e-3) -> dict:
     """sset's document with every recorded successor moved by shift and a
     stored eps_state wide enough to forgive the move."""
-    doc = copy.deepcopy(sset.to_doc())
+    doc = copy.deepcopy(sample_set_to_doc(sset))
     doc["eps_state"] = eps_state
     for e in doc["entries"]:
         if e["successor"] is not None:

@@ -72,6 +72,13 @@ def test_membership_requires_state_match_and_budget_cover(integrator):
     assert bset.terminal_cost(AugmentedState(seed_state, need * 0.5)) == INF
 
 
+def test_membership_far_past_the_grid_is_no_member(integrator, recwarn):
+    bset = integrator.augmented_sets["budget"]
+    far = AugmentedState(np.array([1e300, 0.0]), bset.spec.e_max)
+    assert not bset.contains(far) and bset.terminal_cost(far) == INF
+    assert not recwarn.list
+
+
 def test_match_is_the_earliest_seed_step_that_matches_and_fits():
     """The grid-indexed match agrees with a scan of the seed in step order,
     on a seed that revisits states and on queries straddling grid cells."""

@@ -1,5 +1,6 @@
 """Command-line harness, exercised in process via main(argv)."""
 
+import argparse
 import copy
 import csv
 import json
@@ -14,8 +15,8 @@ import pytest
 
 import ddrollout
 from ddrollout import make_instance
-from ddrollout.cli import _report_chain, main
-from ddrollout.serialization import dumps_json, read_json, write_text
+from ddrollout.cli import _merge_config, _report_chain, build_parser, main
+from ddrollout.serialization import dumps_json, read_json, sample_set_to_doc, write_text
 
 from conftest import widened_doc
 
@@ -96,7 +97,7 @@ def test_verify_passes_on_every_named_set(capsys):
 
 def test_verify_rejects_a_tampered_set_file(capsys, tmp_path):
     bundle = make_instance("spiral")
-    doc = copy.deepcopy(bundle.sample_sets["trajectory-0"].to_doc())
+    doc = copy.deepcopy(sample_set_to_doc(bundle.sample_sets["trajectory-0"]))
     doc["entries"][2]["successor"] = {"__vector__": [50.0, 50.0]}
     path = tmp_path / "bad-set.json"
     write_text(dumps_json(doc), str(path))
@@ -118,7 +119,7 @@ def test_verify_rejects_a_set_file_that_widens_the_state_tolerance(capsys, tmp_p
 
 def test_verify_accepts_the_same_file_untampered(capsys, tmp_path):
     bundle = make_instance("spiral")
-    doc = bundle.sample_sets["trajectory-0"].to_doc()
+    doc = sample_set_to_doc(bundle.sample_sets["trajectory-0"])
     path = tmp_path / "good-set.json"
     write_text(dumps_json(doc), str(path))
     code, _, err = run_cli(capsys, "verify", "--instance", "spiral",
@@ -314,6 +315,41 @@ def test_config_file_x0_list_runs_like_the_flag_string(capsys, tmp_path):
         outs.append(out)
     assert outs[0] == outs[1]
     assert "x0=array([-3.95, -0.05])" in outs[0]
+
+
+@pytest.mark.parametrize("command", ["run", "verify", "table"])
+def test_every_flag_is_a_config_key(tmp_path, command):
+    parser = build_parser()
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction)).choices[command]
+    flags = {a.dest: 1 for a in sub._actions if a.dest not in ("help", "config")}
+    assert "instance" in flags and ("ell" in flags) == (command == "run")
+    cfg_path = tmp_path / "job.json"
+    cfg_path.write_text(json.dumps(flags))
+    assert _merge_config(parser.parse_args([command, "--config", str(cfg_path)])) == flags
+    cfg_path.write_text(json.dumps({"instance": "grid", "fn": 1}))
+    with pytest.raises(ValueError, match=r"unknown config keys: \['fn'\]"):
+        _merge_config(parser.parse_args([command, "--config", str(cfg_path)]))
+
+
+@pytest.mark.parametrize("argv,config", [
+    (("--mode-cap", "64", "--mpc-horizon", "4"), {"ell": 4, "mode_cap": 64}),
+    (("--ell", "4"), {"ell": 4, "mode_cap": 512}),
+    (("--ell", "4", "--mpc-horizon", "3"), {"ell": 3, "mode_cap": 512}),
+])
+def test_classical_mpc_flags_win_over_the_bundle_notes(capsys, tmp_path, argv, config):
+    """The spiral's notes ask for ell=10 and mode_cap=512 under MPC; a value
+    the user gave wins, and --mpc-horizon wins over --ell."""
+    code, _, err = run_cli(capsys, "run", "--instance", "spiral", "--variant", "classical-mpc",
+                           "--horizon", "2", *argv, "--out-dir", str(tmp_path))
+    assert code == 0, err
+    assert read_json(tmp_path / "classical-mpc-0.json")["config"] == config
+
+
+def test_a_start_far_past_the_sample_grid_is_a_clean_error(capsys, tmp_path):
+    code, out, err = run_cli(capsys, "run", "--instance", "integrator", "--x0", "1e300,0",
+                             "--horizon", "2", "--out-dir", str(tmp_path))
+    assert code in (1, 2) and "Traceback" not in err and "PASS" not in out
 
 
 def test_mode_sequences_over_the_cap_are_a_clean_error(capsys, tmp_path):

@@ -150,6 +150,18 @@ def test_classical_mpc_free_terminal_runs_the_integrator(integrator):
     assert run.total_cost < integrator.notes["base_cost"]
 
 
+def test_only_a_set_with_recorded_members_closes_a_run(integrator):
+    """From the origin, the origin set closes the run at once; the free
+    terminal certifies nothing, so its run solves until the horizon."""
+    origin = np.zeros(2)
+    cfg = replace(integrator.solver_defaults, ell=2)
+    pinned = run_classical_mpc(integrator.problem, origin, cfg, 3)
+    assert (pinned.status, pinned.steps, pinned.per_step_values) == ("closed_in_set", 0, ())
+    free = run_classical_mpc(integrator.problem, origin, cfg, 3, terminal="free",
+                             terminal_quadratic=integrator.mpc_quadratic)
+    assert (free.status, free.steps, free.per_step_values) == ("horizon", 3, (0.0,) * 3)
+
+
 def test_classical_mpc_rejects_unknown_terminal(integrator):
     with pytest.raises(ValueError):
         run_classical_mpc(integrator.problem, integrator.start_states[0],

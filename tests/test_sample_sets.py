@@ -59,6 +59,16 @@ def test_vector_lookup_tolerates_eps_perturbation():
     assert sset.terminal_cost(np.array([5.0, 5.0])) == INF
 
 
+def test_lookup_far_past_the_grid_is_no_member(recwarn):
+    """A component whose cell index overflows a float (above ~1.8e299 at
+    EPS_STATE = 1e-9) is beyond every indexed state: no member, no warning."""
+    sset = ExplicitSampleSet([SampleEntry(np.array([1.0, -2.0]), 3.0, "p")], label="one")
+    for x in ([1e300, -2.0], [-1e308, 0.0], [1.0, np.inf]):
+        assert sset.lookup(np.array(x)) is None
+        assert sset.terminal_cost(np.array(x)) == INF
+    assert not recwarn.list
+
+
 def test_duplicate_states_rejected():
     e = SampleEntry("A", 1.0, "p", "A")
     with pytest.raises(ValueError):

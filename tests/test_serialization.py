@@ -10,6 +10,7 @@ import pytest
 from ddrollout import (
     INF,
     AugmentedState,
+    FreeTerminal,
     SampleSetIntegrityError,
     SolverConfig,
     run_rollout,
@@ -25,6 +26,7 @@ from ddrollout.serialization import (
     run_from_doc,
     run_to_doc,
     sample_set_from_doc,
+    sample_set_to_doc,
     summary_row,
     trajectory_from_csv,
     trajectory_from_doc,
@@ -104,7 +106,7 @@ def test_trajectory_csv_roundtrip_token_states(tour):
 
 def test_explicit_set_roundtrip_reverifies(spiral):
     sset = spiral.sample_sets["trajectory-0"]
-    doc = json.loads(dumps_json(sset.to_doc()))
+    doc = json.loads(dumps_json(sample_set_to_doc(sset)))
     policies = {p.id: p for p in spiral.base_policies.values()}
     back = sample_set_from_doc(doc, problem=spiral.problem, policies=policies)
     for e, f in zip(sset.entries(), back.entries()):
@@ -119,7 +121,7 @@ def test_explicit_set_corruption_is_caught(spiral):
     # pointing outside the set must be rejected
     sset = spiral.sample_sets["trajectory-0"]
     policies = {p.id: p for p in spiral.base_policies.values()}
-    doc = copy.deepcopy(sset.to_doc())
+    doc = copy.deepcopy(sample_set_to_doc(sset))
     doc["entries"][1]["successor"] = {"__vector__": [40.0, 40.0]}
     with pytest.raises(SampleSetIntegrityError):
         sample_set_from_doc(doc, problem=spiral.problem, policies=policies)
@@ -130,20 +132,22 @@ def test_a_stored_set_cannot_widen_the_state_tolerance(spiral, integrator):
     doc = widened_doc(spiral.sample_sets["trajectory-0"])
     with pytest.raises(SampleSetIntegrityError, match="eps_state"):
         sample_set_from_doc(doc, problem=spiral.problem, policies=policies)
-    budget = integrator.augmented_sets["budget"].to_doc()
+    budget = sample_set_to_doc(integrator.augmented_sets["budget"])
     budget["eps_state"] = 1e-3
     with pytest.raises(SampleSetIntegrityError, match="eps_state"):
         sample_set_from_doc(budget)
 
 
 def test_analytic_sets_do_not_serialize(spiral):
-    with pytest.raises(TypeError):
-        spiral.sample_sets["disk"].to_doc()
+    with pytest.raises(TypeError, match="AnalyticSampleSet is defined by code"):
+        sample_set_to_doc(spiral.sample_sets["disk"])
+    with pytest.raises(TypeError, match="FreeTerminal is defined by code"):
+        sample_set_to_doc(FreeTerminal())
 
 
 def test_budget_set_roundtrip_and_tamper_detection(integrator):
     sset = integrator.augmented_sets["budget"]
-    doc = json.loads(dumps_json(sset.to_doc()))
+    doc = json.loads(dumps_json(sample_set_to_doc(sset)))
     back = sample_set_from_doc(doc)
     assert back.tail_usages == sset.tail_usages
     assert back.spec.e_max == sset.spec.e_max
@@ -181,7 +185,7 @@ def test_run_roundtrip_and_summary(grid, tmp_path):
 
 
 def test_dumps_json_is_deterministic(integrator):
-    doc = integrator.augmented_sets["budget"].to_doc()
+    doc = sample_set_to_doc(integrator.augmented_sets["budget"])
     assert dumps_json(doc) == dumps_json(copy.deepcopy(doc))
 
 
