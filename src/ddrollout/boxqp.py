@@ -4,13 +4,13 @@ Each minimizes 0.5 z'h z + b'z over a box lo <= z <= hi, optionally under
 equality rows g z = r and an energy ball ||z|| <= radius. _box_qp solves
 stacks of such problems that share the width, the row count and the box,
 by one primal active-set method run per problem with one batched face
-solve per round (_face_solve: LU, or the min-norm least-squares solution
-where a face is singular); a single problem is a stack of one, and a
-problem's result has the same bits in any stack. _ball_box_qp adds the ball
-by the exact trust-region step or, failing that, by bisection on its
-multiplier. _row_factors and _lift bound how far every box point on the
-rows lies above the rows' optimum, and _kkt_solve gives least-squares KKT
-solutions with many right-hand sides.
+solve per round; a single problem is a stack of one. _face_solve (LU, or
+the min-norm least-squares solution where a system is singular) solves
+stacks of KKT systems with any number of right-hand sides, shooting's maps
+and free optima too, each with the same bits in any stack. _ball_box_qp
+adds the ball by the exact trust-region step or, failing that, by bisection
+on its multiplier. _row_factors and _lift bound how far every box point on
+the rows lies above the rows' optimum.
 """
 
 from __future__ import annotations
@@ -22,15 +22,6 @@ from .model import EPS_STATE
 
 def _qp_obj(h, b, z) -> float:
     return 0.5 * float(z @ h @ z) + float(b @ z)
-
-
-def _kkt_solve(h, g, top, bottom):
-    """Least-squares solution (z, lam) of [h g'; g 0] [z; lam] = [top; bottom]."""
-    n = h.shape[0]
-    kkt = np.zeros((n + g.shape[0],) * 2)
-    kkt[:n, :n], kkt[:n, n:], kkt[n:, :n] = h, g.T, g
-    sol = np.linalg.lstsq(kkt, np.concatenate([top, bottom]), rcond=None)[0]
-    return sol[:n], sol[n:]
 
 
 def _mv(a, v):
@@ -64,34 +55,35 @@ def _kkt(h, g):
 
 def _face_solve(kkt, free, rhs):
     """Solutions (z, lam) of the S stacked KKT systems kkt [z; lam] = rhs
-    (kkt from _kkt) restricted to the faces free (S x n masks): a held
-    coordinate's row and column become the identity's and its right-hand
-    side 0, so its z is exactly 0. A system with an LU-safe condition number
-    (_COND_LIMIT) is solved by LU; any other, such as one with fewer free
-    coordinates than rows, gets the least-squares min-norm solution that
-    numpy.linalg.lstsq gives (SVD, singular values below N eps of the
-    largest count as zero). Each system's solution has the same bits in any
-    stack."""
-    (n_prob, n), size = free.shape, kkt.shape[1]
+    (kkt from _kkt, rhs S x N x k) restricted to the faces free (S x n
+    masks): a held coordinate's row and column become the identity's and its
+    right-hand sides 0, so its z is exactly 0. A system with an LU-safe
+    condition number (_COND_LIMIT) is solved by LU; any other, such as one
+    with fewer free coordinates than rows, gets the least-squares min-norm
+    solution that numpy.linalg.lstsq gives (SVD, singular values below N eps
+    of the largest count as zero). Each system's solution has the same bits
+    in any stack (but a column of a k-column solve need not have the bits of
+    that column solved alone)."""
+    (n_prob, n), (size, k) = free.shape, rhs.shape[1:]
     kept = np.ones((n_prob, size), dtype=bool)
     kept[:, :n] = free
     kkt = np.where(kept[:, :, None] & kept[:, None, :], kkt, 0.0)
     diag = np.arange(n)
     kkt[:, diag, diag] += ~free
     # one LU per system gives its solution and its inverse, for the condition number
-    rhs = np.where(kept, rhs, 0.0)
-    both = np.zeros((n_prob, size, size + 1))
-    both[:, :, 0], both[:, :, 1:] = rhs, np.eye(size)
+    rhs = np.where(kept[:, :, None], rhs, 0.0)
+    both = np.zeros((n_prob, size, k + size))
+    both[:, :, :k], both[:, :, k:] = rhs, np.eye(size)
     both = _lu_solve(kkt, both)
-    sol = both[..., 0]
-    cond = np.abs(kkt).sum(axis=2).max(axis=1) * np.abs(both[..., 1:]).sum(axis=2).max(axis=1)
+    sol = both[..., :k]
+    cond = np.abs(kkt).sum(axis=2).max(axis=1) * np.abs(both[..., k:]).sum(axis=2).max(axis=1)
     rest = ~(cond <= _COND_LIMIT)  # NaN for an exactly singular system
     if rest.any():
         u, sv, vt = np.linalg.svd(kkt[rest])
-        scaled = np.zeros_like(sv)
-        np.divide(_mv(u.transpose(0, 2, 1), rhs[rest]), sv, out=scaled,
-                  where=sv > sv[:, :1] * (size * np.finfo(float).eps))
-        sol[rest] = _mv(vt.transpose(0, 2, 1), scaled)
+        scaled = np.zeros((len(sv), size, k))
+        np.divide(u.transpose(0, 2, 1) @ rhs[rest], sv[:, :, None], out=scaled,
+                  where=(sv > sv[:, :1] * (size * np.finfo(float).eps))[:, :, None])
+        sol[rest] = vt.transpose(0, 2, 1) @ scaled
     z = sol[:, :n]
     z[~free] = 0.0
     return z, sol[:, n:]
@@ -140,7 +132,7 @@ def _box_qp(h, b, lo, hi, rows=None, z=None):
     g, r = rows or (np.zeros((n_prob, 0, n)), np.zeros((n_prob, 0)))
     if z is None:
         z = _face_solve(_kkt(h, g), np.ones((n_prob, n), dtype=bool),
-                        np.concatenate([-b, r], axis=1))[0]
+                        np.concatenate([-b, r], axis=1)[..., None])[0][..., 0]
     out = z.copy(), np.ones(n_prob, dtype=bool), np.ones(n_prob, dtype=int)
     margin = (1e-12 * (1.0 + np.abs(z).max(axis=1, initial=0.0)))[:, None]
     active = np.flatnonzero(~(((z > lo + margin) & (z < hi - margin)).all(axis=1)
@@ -165,8 +157,8 @@ def _box_qp(h, b, lo, hi, rows=None, z=None):
     at_lo, at_hi = z <= lo, z >= hi  # the working sets of held bounds
     each, cap = np.arange(len(active)), 4 * (n + 1)
     for it in range(1, cap + 1):
-        step, lam = _face_solve(kkt, ~(at_lo | at_hi),
-                                np.concatenate([-(_mv(h, z) + b), zeros], axis=1))
+        step, lam = (a[..., 0] for a in _face_solve(
+            kkt, ~(at_lo | at_hi), np.concatenate([-(_mv(h, z) + b), zeros], axis=1)[..., None]))
         # how far along its step each coordinate may go before its bound
         bound = np.where(step < 0, lo, hi)
         room = np.full_like(step, np.inf)

@@ -336,18 +336,13 @@ def make_two_vehicle_grid() -> InstanceBundle:
 
     def base_action(state):
         p0, p1 = state
-        if p0 == targets[0]:
-            m0, n0 = "stay", p0
-        else:
-            m0, n0 = "stay", p0
+        (m0, n0), m1 = ("stay", p0), "stay"
+        if p0 != targets[0]:
             for _, m, nxt in ranked_moves(p0, targets[0]):
                 if nxt != p1:  # priority vehicle only dodges the occupied cell
                     m0, n0 = m, nxt
                     break
-        if p1 == targets[1]:
-            m1 = "stay"
-        else:
-            m1 = "stay"
+        if p1 != targets[1]:
             for _, m, nxt in ranked_moves(p1, targets[1]):
                 if nxt != n0 and nxt != p0:
                     m1 = m

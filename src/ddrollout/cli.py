@@ -82,7 +82,8 @@ def _parse_x0(raw):
 
 
 def _merge_config(args: argparse.Namespace) -> dict:
-    """Config-file values fill in the subcommand's flags; given flags override."""
+    """Config-file values fill in the subcommand's flags; given flags override.
+    Every subcommand needs an instance, from either."""
     flags = {k: v for k, v in vars(args).items() if k not in ("command", "config", "fn")}
     merged = {}
     if args.config:
@@ -92,6 +93,8 @@ def _merge_config(args: argparse.Namespace) -> dict:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         merged.update(file_cfg)
     merged.update((k, v) for k, v in flags.items() if v is not None)
+    if "instance" not in merged:
+        raise ValueError("--instance is required")
     return merged
 
 
@@ -185,9 +188,6 @@ def _same_form(x, start) -> bool:
 
 def cmd_run(args: argparse.Namespace) -> int:
     opts = _merge_config(args)
-    if "instance" not in opts:
-        print("error: --instance is required", file=sys.stderr)
-        return EXIT_PROPERTY
     bundle = make_instance(opts["instance"])
     _check_counts(opts, horizon=(1, math.inf), sweeps=(0, math.inf), ell=(1, math.inf),
                   mode_cap=(1, math.inf), mpc_horizon=(1, math.inf), disturb_step=(0, math.inf),
@@ -288,9 +288,6 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     opts = _merge_config(args)
-    if "instance" not in opts:
-        print("error: --instance is required", file=sys.stderr)
-        return EXIT_PROPERTY
     _check_counts(opts, samples=(1, math.inf), seed=(0, math.inf))
     bundle = make_instance(opts["instance"])
     policies = {p.id: p for p in bundle.base_policies.values()}
@@ -377,9 +374,6 @@ def _table_rows(bundle: InstanceBundle, horizon: int):
 
 def cmd_table(args: argparse.Namespace) -> int:
     opts = _merge_config(args)
-    if "instance" not in opts:
-        print("error: --instance is required", file=sys.stderr)
-        return EXIT_PROPERTY
     _check_counts(opts, horizon=(1, math.inf))
     bundle = make_instance(opts["instance"])
     rows = _table_rows(bundle, opts.get("horizon", 200))

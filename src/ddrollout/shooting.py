@@ -24,8 +24,9 @@ the terminal state on it; its box-free optimum is affine in the target and
 in x0 with maps that depend on the mode sequence alone, so they are solved
 once per sequence, by the first solve that keeps it, and kept in the
 caller's memo under the sequence (a rollout passes one memo to all of its
-steps). The free target adds its own quadratic cost and no rows; its
-box-free optimum is a least-squares solve per sequence. One more broadcast
+steps). The free target adds its own quadratic cost and no rows. The maps,
+the free target's box-free optimum and every box QP face are stacked KKT
+solves by boxqp._face_solve. One more broadcast
 screens every pair's box-free optimum: its objective (a lower bound on the
 subproblem), whether it lies strictly inside the control box (for a pinned
 pair also on the rows and in the energy ball), whether its predicted path
@@ -74,7 +75,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boxqp import (_ball_box_qp, _box_qp, _kkt_solve, _lift, _meets, _mv, _qp_obj,
+from .boxqp import (_ball_box_qp, _box_qp, _face_solve, _kkt, _lift, _meets, _mv, _qp_obj,
                     _row_factors)
 from .budget import base_view
 from .costs import INF
@@ -240,20 +241,25 @@ def _sequence_maps(memo, cond: _Condensed, factored=False) -> _SequenceMaps:
     """The memo's entries for cond's sequences, stacked, each made on first
     use: sequence s's pinned optimum P_s (t - phi_l) + Q_s x0 + q_s is affine
     in the target t and in x0, with maps that depend on s alone, from one
-    KKT solve with 2d + 1 right-hand sides. factored: with every sequence's
-    pinv, give and curvature too."""
+    KKT solve with 2d + 1 right-hand sides. The sequences missing from the
+    memo are solved in stacked _face_solve calls of _CHUNK. factored: with
+    every sequence's pinv, give and curvature too."""
     n_seq, d, width = len(cond.sigmas), cond.x0.size, cond.h0.shape[1]
-    entries = []
-    for s, key in enumerate(map(tuple, cond.sigmas.tolist())):
-        seq = memo.get(key)
-        if seq is None:
-            top = np.zeros((width, 2 * d + 1))
-            top[:, 0], top[:, 1:d + 1] = -cond.b_c[s], -cond.b_x[s]
-            maps = _kkt_solve(cond.h0[s], cond.gammas[s, -1], top, np.eye(d, 2 * d + 1, d + 1))[0]
-            seq = memo[key] = _SequenceMaps(maps.copy())  # a copy: the solve's multipliers go
+    keys = list(map(tuple, cond.sigmas.tolist()))
+    missing = [s for s, key in enumerate(keys) if key not in memo]
+    for lo in range(0, len(missing), _CHUNK):
+        part = missing[lo:lo + _CHUNK]
+        rhs = np.zeros((len(part), width + d, 2 * d + 1))
+        rhs[:, :width, 0], rhs[:, :width, 1:d + 1] = -cond.b_c[part], -cond.b_x[part]
+        rhs[:, width:, d + 1:] = np.eye(d)
+        maps = _face_solve(_kkt(cond.h0[part], cond.gammas[part, -1]),
+                           np.ones((len(part), width), dtype=bool), rhs)[0]
+        for s, maps_s in zip(part, maps):
+            memo[keys[s]] = _SequenceMaps(maps_s.copy())  # a copy: the solve's stack goes
+    entries = [memo[key] for key in keys]
+    for s, seq in enumerate(entries):
         if factored and seq.pinv is None:
             seq.pinv, seq.give, seq.curvature = _row_factors(cond.h0[s], cond.gammas[s, -1])
-        entries.append(seq)
     fields = ("maps", "pinv", "give", "curvature")[:4 if factored else 1]
     shapes = ((width, 2 * d + 1), (width, d), (width,), (width,))
     return _SequenceMaps(*(np.array([getattr(e, f) for e in entries]).reshape(n_seq, *shape)
@@ -307,14 +313,13 @@ def _planar_reach(gammas_l, rhs, lo, hi):
 def _screen(pl, cond: _Condensed, targets, memo, lo_full, hi_full) -> _Screen:
     """Screen every (sequence, target) pair in one broadcast. A pinned
     pair's optimum comes from its sequence's maps in memo (_sequence_maps);
-    the free target's is its own least-squares solve per sequence, and it
-    has no rows to meet or miss."""
+    the free target's from one stacked _face_solve with no rows (its KKT
+    matrix is h itself), and it has no rows to meet or miss."""
     n_seq, ell = cond.sigmas.shape
     d, width = cond.x0.size, cond.h0.shape[1]
     if targets.states is None:
         h, b, _, const = _subproblems(cond, targets, 0, slice(None))
-        z = np.array([np.linalg.lstsq(hs, -bs, rcond=None)[0]
-                      for hs, bs in zip(h, b)]).reshape(n_seq, width)
+        z = _face_solve(h, np.ones((n_seq, width), dtype=bool), -b[..., None])[0][..., 0]
         lb = (0.5 * np.einsum("sw,sw->s", _mv(h, z), z) + np.einsum("sw,sw->s", b, z)
               + cond.c0 + const)[:, None]
         z = z[:, None]

@@ -196,6 +196,14 @@ def test_unknown_instance_is_a_clean_error(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("command", ["run", "verify", "table"])
+def test_a_missing_instance_is_a_clean_error(capsys, tmp_path, monkeypatch, command):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, command)
+    assert (code, out, err) == (1, "", "error: --instance is required\n")
+    assert not any(tmp_path.iterdir())
+
+
 def test_config_file_merges_and_flags_override(capsys, tmp_path):
     cfg_path = tmp_path / "job.json"
     cfg_path.write_text(json.dumps({
@@ -384,7 +392,8 @@ def test_closed_stdout_pipe_ends_quietly(tmp_path, argv):
     proc = subprocess.Popen([sys.executable, "-m", "ddrollout.cli", *argv],
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
     proc.stdout.close()
-    err = proc.stderr.read().decode()
+    with proc.stderr:
+        err = proc.stderr.read().decode()
     assert proc.wait(timeout=120) == 0, err
     assert "Traceback" not in err and "BrokenPipeError" not in err
     if argv[0] == "table":  # artifacts are written before anything is printed

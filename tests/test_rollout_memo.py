@@ -289,17 +289,17 @@ def test_spiral_mpc_with_its_memo_matches_memo_less_solves(spiral, monkeypatch):
                                  replace(spiral.solver_defaults, ell=6), 30,
                                  terminal="origin", base_policy=policy)
 
-    kkt_solve, map_solves = shooting._kkt_solve, []
+    face_solve, map_solves = shooting._face_solve, []
 
-    def counting(h, g, top, bottom):
-        if top.ndim == 2:  # a sequence's maps; active-set faces have one right-hand side
-            map_solves.append(top.shape)
-        return kkt_solve(h, g, top, bottom)
+    def counting(kkt, free, rhs):
+        if rhs.shape[2] > 1:  # sequences' maps; other solves have one right-hand side
+            map_solves.append(len(rhs))
+        return face_solve(kkt, free, rhs)
 
-    monkeypatch.setattr(shooting, "_kkt_solve", counting)
+    monkeypatch.setattr(shooting, "_face_solve", counting)
     seen = _solves(monkeypatch, share=True)
     shared = run()
-    assert len(map_solves) == 32
+    assert sum(map_solves) == 32
     _solves(monkeypatch, share=False)
     alone = run()
     assert shared.status == alone.status == "closed_in_set"
@@ -581,9 +581,12 @@ def _per_candidate(monkeypatch):
             rows = (g_l, state - phi_l)
             d = phi_l.size
             if sigma not in maps:
-                top = np.zeros((h.shape[0], 2 * d + 1))
-                top[:, 0], top[:, 1:d + 1] = -cond.b_c[s], -cond.b_x[s]
-                maps[sigma] = shooting._kkt_solve(h, g_l, top, np.eye(d, 2 * d + 1, d + 1))[0]
+                rhs = np.zeros((h.shape[0] + d, 2 * d + 1))
+                rhs[:h.shape[0], 0], rhs[:h.shape[0], 1:d + 1] = -cond.b_c[s], -cond.b_x[s]
+                rhs[h.shape[0]:, d + 1:] = np.eye(d)
+                maps[sigma] = shooting._face_solve(shooting._kkt(h[None], g_l[None]),
+                                                   np.ones((1, h.shape[0]), dtype=bool),
+                                                   rhs[None])[0][0]
             affine = maps[sigma]
             z = affine[:, d + 1:] @ rows[1] + affine[:, 1:d + 1] @ cond.x0 + affine[:, 0]
         else:
@@ -591,7 +594,8 @@ def _per_candidate(monkeypatch):
                 w = 2.0 * (g_l.T @ targets.quad)
                 h, b = h + w @ g_l, b + w @ phi_l
                 const += float(phi_l @ targets.quad @ phi_l)
-            z = np.linalg.lstsq(h, -b, rcond=None)[0]
+            z = shooting._face_solve(h[None], np.ones((1, b.size), dtype=bool),
+                                     -b[None, :, None])[0][0, :, 0]
         slack = 1e-7 * (1.0 + abs(bound))
         if not _qp_obj(h, b, z) + c0 + const < bound + slack:
             return "bound", True

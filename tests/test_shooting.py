@@ -547,7 +547,7 @@ def test_stacking_changes_no_bit(monkeypatch):
     def recording(kkt, free, rhs):
         few_free.append(bool((free.sum(axis=1) < kkt.shape[1] - free.shape[1]).any()))
         z, lam = face_solve(kkt, free, rhs)
-        z[np.isnan(rhs).any(axis=1)] = -1.0
+        z[np.isnan(rhs).any(axis=(1, 2))] = -1.0
         return z, lam
 
     monkeypatch.setattr(boxqp, "_face_solve", recording)
@@ -563,6 +563,47 @@ def test_stacking_changes_no_bit(monkeypatch):
     assert stacked[2][-1] > 4 * (n + 1) > stacked[2][:-1].max()
     rows_miss = np.abs(boxqp._mv(g, stacked[0]) - r).max(axis=1)
     assert (rows_miss > 1e-9).any() and (rows_miss <= 1e-9).sum() > 20
+
+
+def test_the_face_solve_is_the_min_norm_solution_in_any_stack():
+    """On seeded stacks of 64 KKT systems with k right-hand sides, each
+    restricted to a random face, _face_solve gives every system the same
+    bits alone as in the stack, and its solution matches numpy.linalg.lstsq's
+    min-norm solution of the masked system (a held coordinate's row and
+    column the identity's, its right-hand sides 0) to 1e-9 relative. The
+    stacks mix regular systems, a singular h, rank-deficient rows, rows
+    1e-13 from rank-deficient (a numerically singular system), rows 1e-6
+    from it (past the LU limit, yet regular), and faces with more rows than
+    free coordinates."""
+    rng = np.random.default_rng(53)
+    d = 2
+    for trial in range(6):
+        n, k = int(rng.integers(2, 7)), int(rng.integers(1, 6))
+        h, g = np.empty((64, n, n)), rng.standard_normal((64, d, n))
+        free = rng.random((64, n)) < 0.8
+        for i in range(64):
+            m = rng.standard_normal((1 if i % 6 == 1 else n + 1, n))  # 1: a singular h
+            h[i] = 2.0 * m.T @ m
+            if i % 6 == 2:  # rank-deficient rows
+                g[i, 1] = 2.0 * g[i, 0]
+            elif i % 6 in (3, 4):  # rows 1e-13 or 1e-6 from rank-deficient
+                g[i, 1] = 2.0 * g[i, 0] + (1e-13, 1e-6)[i % 6 - 3] * rng.standard_normal(n)
+            elif i % 6 == 5:  # one free coordinate under two rows
+                free[i] = np.arange(n) == rng.integers(n)
+        rhs = rng.standard_normal((64, n + d, k))
+        kkt = boxqp._kkt(h, g)
+        z, lam = boxqp._face_solve(kkt, free, rhs)
+        assert z.shape == (64, n, k) and lam.shape == (64, d, k)
+        for i in range(64):
+            alone = boxqp._face_solve(kkt[i:i + 1], free[i:i + 1], rhs[i:i + 1])
+            assert alone[0][0].tobytes() == z[i].tobytes(), (trial, i)
+            assert alone[1][0].tobytes() == lam[i].tobytes(), (trial, i)
+            kept = np.r_[free[i], np.ones(d, dtype=bool)]
+            masked = np.where(kept[:, None] & kept, kkt[i], 0.0)
+            masked[~kept, ~kept] = 1.0
+            want = np.linalg.lstsq(masked, np.where(kept[:, None], rhs[i], 0.0), rcond=None)[0]
+            got = np.concatenate([z[i], lam[i]])
+            assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max(), (trial, i)
 
 
 def _box_miss(g, t, lo, hi):
@@ -838,7 +879,8 @@ def test_the_curvature_lift_never_lifts_the_bound_above_the_box_optimum():
             k = int(rng.integers(n))  # outside by less than the rows' tolerance
             g = np.vstack([np.eye(n)[k], g[1:]])
             r = np.r_[rng.choice([rng.uniform(-2.5, 2.5), hi[k] + 1e-11, lo[k] - 1e-11]), r[1:]]
-        z = boxqp._kkt_solve(h, g, -b, r)[0]
+        z = boxqp._face_solve(boxqp._kkt(h[None], g[None]), np.ones((1, n), dtype=bool),
+                              np.r_[-b, r][None, :, None])[0][0, :, 0]
         lb = _qp_obj(h, b, z)
         pinv, give, curvature = boxqp._row_factors(h, g)
         lift = boxqp._lift(give, curvature, z, lo, hi)
