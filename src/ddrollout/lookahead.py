@@ -7,17 +7,19 @@ The l-step problem from x minimizes
 where terminal() is the sample set's recorded cost (+inf off the set).
 solve() picks the solver from the problem itself: a problem with
 piecewise-linear structure (problem.pl) goes to the shooting module, any
-other is solved exactly by memoized enumeration of its finite controls.
-The enumeration meets each state at up to l + 1 depths. It computes the
-state's feasible moves (control, stage cost, successor) on the first
-expansion only, into a transition table that every later expansion reads,
-so stage_cost and dynamics run once per (state, control) pair. A control
-map that reads the step, as the agent-by-agent search's does, tables a
-state's moves per control set instead, in a dict that every search of one
-rollout shares (engine.run_multiagent).
+other is solved exactly over its finite controls by value iteration in
+layers (_Search): the iterates J_k = T J_{k-1} from the sample set's
+terminal cost J_0, evaluated one depth at a time in numpy over integer
+state ids, at just the (state, depth) nodes the start reaches. A state's
+feasible moves (control, stage cost, successor) are tabled once, as one row
+of flat arrays that every later depth and solve reads, so stage_cost and
+dynamics run once per (state, control) pair. A control map that reads the
+step, as the agent-by-agent search's does, tables a state's moves per
+control set instead, in a table that every search of one rollout shares
+(engine.run_multiagent).
 
 Much of a solve does not depend on the state it starts from: the value of
-(state, depth) and each state's transition table in the enumeration, and
+each (state, depth) node and the move table in the discrete search, and
 each mode sequence's KKT maps in shooting. A caller that solves the same
 problem, set and config many times (engine.run_rollout, once per step)
 passes one memo dict to every solve, and that work is done once; without a
@@ -28,6 +30,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
+
+import numpy as np
 
 from .budget import base_view
 from .costs import INF
@@ -121,8 +125,101 @@ def _sorted_controls(spec) -> tuple:
     return tuple(sorted(spec.controls))
 
 
+class _Column:
+    """A 1-D numpy array that grows by doubling; data[:n] is in use."""
+
+    __slots__ = ("data", "n")
+
+    def __init__(self, dtype):
+        self.data, self.n = np.empty(64, dtype), 0
+
+    def extend(self, values) -> None:
+        n, k = self.n, len(values)
+        if n + k > len(self.data):
+            grown = np.empty(max(n + k, 2 * len(self.data)), self.data.dtype)
+            grown[:n] = self.data[:n]
+            self.data = grown
+        self.data[n:n + k] = values
+        self.n = n + k
+
+
+class _Table:
+    """What searches learn of the problem alone.
+
+    Each state key gets an integer id, and states[id] is the first object
+    seen under it. A row is one state's feasible moves in sorted control
+    order, moves priced +inf left out: row r's moves are the flat indices
+    start[r] to start[r + 1], with their stage cost, successor id and
+    control in cost, succ and controls. rows maps a state id, or (id,
+    sorted control tuple) for a control map that reads the step, to its row.
+    """
+
+    def __init__(self):
+        self.ids, self.states, self.rows, self.controls = {}, [], {}, []
+        self.start, self.cost, self.succ = (_Column(np.int64), _Column(np.float64),
+                                            _Column(np.int64))
+        self.start.extend((0,))
+
+    def id_of(self, state) -> int:
+        key = state_key(state)
+        i = self.ids.get(key)
+        if i is None:
+            i = self.ids[key] = len(self.states)
+            self.states.append(state)
+        return i
+
+    def moves(self, rows: np.ndarray) -> tuple:
+        """The flat indices of the rows' moves, row after row; for each move
+        its row's position in rows; and for each row where its moves begin in
+        that list and how many there are."""
+        start = self.start.data
+        lo = start[rows]
+        lens = start[rows + 1] - lo
+        first = np.cumsum(lens) - lens
+        owner = np.repeat(np.arange(len(rows)), lens)
+        return np.arange(len(owner)) + (lo - first)[owner], owner, first, lens
+
+
+class _Nodes:
+    """The evaluated (state, depth) nodes of one control map.
+
+    levels[depth] holds the sorted ids of the states evaluated at that
+    depth and their slots. A slot holds the node's value, its chosen move
+    (a flat move index; -1 at depth 0 and for a node without moves) and the slot of the
+    node that move leads to. Following the chosen moves from a node gives
+    its plan, which is no plan if they end at a node valued +inf.
+    """
+
+    def __init__(self):
+        self.levels = {}
+        self.value = _Column(np.float64)
+        self.move = _Column(np.int64)
+        self.next = _Column(np.int64)
+
+
+def _entry(memo: dict, cls):
+    """memo's one instance of cls (the class is its key), made on first need."""
+    out = memo.get(cls)
+    if out is None:
+        out = memo[cls] = cls()
+    return out
+
+
+_NO_LEVEL = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
+
+
+def _missing(level, ids: np.ndarray) -> np.ndarray:
+    """The sorted ids that a level's sorted ids do not hold."""
+    if level is None:
+        return ids
+    have = level[0]
+    pos = np.searchsorted(have, ids)
+    np.minimum(pos, len(have) - 1, out=pos)
+    return ids[have[pos] != ids]
+
+
 class _Search:
-    """Memoized exact minimization over a finite control map.
+    """Exact minimization over a finite control map, by value iteration.
 
     best(state, depth) is the best depth-step plan from state as (value,
     controls, terminal state, terminal sample id). Values are computed with
@@ -132,22 +229,30 @@ class _Search:
     cannot postpone progress forever), then the earliest in sorted control
     order.
 
-    The memo holds three kinds of entry, under keys that cannot collide: a
-    node's result under (state key, depth); a state's transition table
-    under (state key, None), its feasible moves (u, g, next state, next key)
-    in sorted control order, moves priced +inf left out; and under (state
-    key,) the first state object seen with that key, which every table
-    holds as that successor. A state's table is built on its first
-    expansion and read at every later one, at any depth and in any later
-    solve sharing the memo, so memo may only come from earlier solves whose
-    control map gave the same controls at every state. controls_at(state,
-    step) may read the step only if a tables dict is passed: the search then
-    asks for the control set at every expansion and keeps a state's moves,
-    and its successors' first objects, in tables under (state key, sorted
-    control tuple). Those depend on nothing but the problem, so searches
-    with different control maps may share tables, while each keeps its own
-    node results in memo. Expanding more than NODE_CAP nodes (memo misses)
-    raises SearchSpaceError.
+    The values are the iterates J_k = T J_{k-1} from the sample set's
+    terminal cost J_0, computed at the (state, depth) nodes the roots reach
+    and nowhere else. The forward pass walks from the deepest root down and
+    collects, one depth at a time, the nodes the memo does not hold yet:
+    the roots at that depth and the successors of the new nodes one depth
+    up. Nodes at depth >= 1 have their states' moves tabled (_Table) on
+    first need; collecting more than NODE_CAP new nodes raises
+    SearchSpaceError before a layer is tabled. The backward pass evaluates
+    each layer in one numpy pass, from depth 0 up: g + tail for every move,
+    then per node the lexicographic minimum of (g + tail, tail, position in
+    sorted control order), which is the rule above with the same IEEE
+    additions. The plan is read back by following the chosen moves from the
+    root. Nothing recurses, so the depth has no limit but NODE_CAP, and the
+    search holds a few integers per node it evaluated, never an array over
+    depths times states.
+
+    memo holds the node results (_Nodes) and, unless tables is passed, the
+    move table, so memo may only come from earlier solves whose control map
+    gave the same controls at every state. controls_at(state, step) may read
+    the step only if a tables dict is passed: the search then asks for the
+    control set of every node it collects and keeps one row per (state,
+    sorted control tuple) in the table in tables. That depends on nothing
+    but the problem, so searches with different control maps may share
+    tables, while each keeps its own node results in memo.
 
     Nothing here refers back to the search, so a finished search and its
     memo are freed as soon as the last reference to them goes.
@@ -156,75 +261,149 @@ class _Search:
     def __init__(self, problem: ProblemDef, sset, ell: int, controls_at: Callable,
                  memo: dict | None = None, tables: dict | None = None):
         self.problem, self.sset, self.ell, self.controls_at = problem, sset, ell, controls_at
-        self.memo = {} if memo is None else memo
-        self.tables = self.memo if tables is None else tables
-        self.expanded = 0
+        memo = {} if memo is None else memo
+        self.per_step = tables is not None
+        self.nodes = _entry(memo, _Nodes)
+        self.table = _entry(memo if tables is None else tables, _Table)
+        self.evaluated = self.tabled = 0  # new nodes and rows, over all calls
 
     def best(self, state, depth: int) -> tuple:
-        skey = state_key(state)
-        hit = self.memo.get((skey, depth))
-        return self._rec(state, skey, depth) if hit is None else hit
+        return self._plan(state, self._evaluate([state], range(depth, depth + 1))[0, 0])
 
-    def _moves(self, state, skey, step: int) -> tuple:
-        tables = self.tables
-        ctrls = None if tables is self.memo else _sorted_controls(self.controls_at(state, step))
-        moves = tables.get((skey, ctrls))
-        if moves is None:
-            problem, out = self.problem, []
-            for u in ctrls or _sorted_controls(self.controls_at(state, step)):
-                g = problem.stage_cost(state, u)
-                if g == INF:
-                    continue
-                nxt = problem.dynamics(state, u)
-                nkey = state_key(nxt)
-                out.append((u, g, tables.setdefault((nkey,), nxt), nkey))
-            moves = tables[(skey, ctrls)] = tuple(out)
-        return moves
-
-    def _rec(self, state, skey, depth_left: int) -> tuple:
-        """Expand a node the memo does not hold yet."""
-        memo = self.memo
-        self.expanded += 1
-        if self.expanded > NODE_CAP:
-            raise SearchSpaceError(f"discrete search expanded more than "
-                                   f"NODE_CAP={NODE_CAP} nodes")
-        if depth_left == 0:
-            sset = self.sset
-            v = sset.terminal_cost(state)
-            out = (v, (), state, sset.sample_id(state)) if v < INF else (v, (), None, None)
-            memo[(skey, 0)] = out
-            return out
-        best = (INF, (), None, None)
-        best_tail = INF
-        below = depth_left - 1
-        for u, g, nxt, nkey in self._moves(state, skey, self.ell - depth_left):
-            tail = memo.get((nkey, below))
-            if tail is None:
-                tail = self._rec(nxt, nkey, below)
-            tail_v, tail_us, term, sid = tail
-            if tail_v == INF:
+    def _evaluate(self, states, depths: range) -> np.ndarray:
+        """Evaluate each state at each of the depths; their slots, one row
+        per depth."""
+        table, nodes, levels = self.table, self.nodes, self.nodes.levels
+        roots = np.array([table.id_of(s) for s in states], dtype=np.int64)
+        layers = []  # (depth, new ids, first slot, their rows), deepest first
+        succ, slot = None, nodes.value.n
+        for d in range(depths[-1], -1, -1):
+            if d in depths:
+                cand = roots if succ is None else np.concatenate((succ, roots))
+            elif succ is not None:
+                cand = succ
+            elif d < depths[0]:
+                break
+            else:
                 continue
-            v = g + tail_v
-            if v < best[0] or (v == best[0] and tail_v < best_tail):
-                best = (v, (u,) + tail_us, term, sid)
-                best_tail = tail_v
-        memo[(skey, depth_left)] = best
-        return best
+            ids = _missing(levels.get(d), np.unique(cand))
+            succ = None
+            if not len(ids):
+                continue
+            self.evaluated += len(ids)
+            if self.evaluated > NODE_CAP:
+                raise SearchSpaceError(f"discrete search expanded more than "
+                                       f"NODE_CAP={NODE_CAP} nodes")
+            rows = self._table_rows(ids, self.ell - d) if d else None
+            layers.append((d, ids, slot, rows))
+            slot += len(ids)
+            if d:
+                succ = table.succ.data[table.moves(rows)[0]]
+        if layers:
+            self._backward(layers, slot - nodes.value.n)
+        out = np.empty((len(depths), len(roots)), dtype=np.int64)
+        for j, d in enumerate(depths):
+            have, slots = levels[d]
+            out[j] = slots[np.searchsorted(have, roots)]
+        return out
+
+    def _table_rows(self, ids: np.ndarray, step: int) -> np.ndarray:
+        """The rows of the states ids at step, tabling the missing ones."""
+        table, problem, controls_at = self.table, self.problem, self.controls_at
+        states, rows, per_step = table.states, table.rows, self.per_step
+        cost, succ, controls, stops, made = [], [], [], [], {}
+        first_move, first_row = table.cost.n, table.start.n - 1
+        out = []
+        for i in ids.tolist():
+            state = states[i]
+            ctrls = _sorted_controls(controls_at(state, step)) if per_step else None
+            key = (i, ctrls) if per_step else i
+            r = rows.get(key)
+            if r is None:
+                for u in ctrls or _sorted_controls(controls_at(state, step)):
+                    g = problem.stage_cost(state, u)
+                    if g == INF:
+                        continue
+                    cost.append(g)
+                    succ.append(table.id_of(problem.dynamics(state, u)))
+                    controls.append(u)
+                r = made[key] = first_row + len(stops)
+                stops.append(first_move + len(cost))
+            out.append(r)
+        if made:
+            table.cost.extend(cost)
+            table.succ.extend(succ)
+            table.controls += controls
+            table.start.extend(stops)
+            rows.update(made)
+            self.tabled += len(made)
+        return np.array(out, dtype=np.int64)
+
+    def _backward(self, layers: list, fresh: int) -> None:
+        """Evaluate the collected layers from depth 0 up, each merged into its
+        level once its values are in."""
+        nodes, table, levels = self.nodes, self.table, self.nodes.levels
+        for col in (nodes.value, nodes.move, nodes.next):
+            col.extend(np.empty(fresh, dtype=col.data.dtype))
+        value, move, nxt = nodes.value.data, nodes.move.data, nodes.next.data
+        for d, ids, slot, rows in reversed(layers):
+            new = slice(slot, slot + len(ids))
+            if d == 0:
+                terminal, states = self.sset.terminal_cost, table.states
+                value[new] = [terminal(states[i]) for i in ids.tolist()]
+                move[new] = -1
+            else:
+                idx, owner, first, lens = table.moves(rows)
+                have, slots = levels.get(d - 1, _NO_LEVEL)  # none if no row has a move
+                tail_slot = slots[np.searchsorted(have, table.succ.data[idx])]
+                tail = value[tail_slot]
+                v = table.cost.data[idx] + tail
+                has = lens > 0
+                # per node with moves, the first of its moves in (v, tail, order)
+                w = np.lexsort((tail, v, owner))[first[has]]
+                value[new], move[new] = INF, -1
+                value[new][has], move[new][has], nxt[new][has] = v[w], idx[w], tail_slot[w]
+            level = levels.get(d)
+            slots = np.arange(new.start, new.stop)
+            if level is not None:
+                ids, slots = np.concatenate((level[0], ids)), np.concatenate((level[1], slots))
+                order = np.argsort(ids, kind="stable")
+                ids, slots = ids[order], slots[order]
+            levels[d] = (ids, slots)
+
+    def _plan(self, state, slot) -> tuple:
+        """The plan the chosen moves make from a root node."""
+        nodes, table = self.nodes, self.table
+        move, nxt = nodes.move.data, nodes.next.data
+        value = float(nodes.value.data[slot])
+        controls = []
+        m = move[slot]
+        while m >= 0:
+            controls.append(table.controls[m])
+            state = table.states[table.succ.data[m]]
+            slot = nxt[slot]
+            m = move[slot]
+        if nodes.value.data[slot] == INF:
+            return value, (), None, None
+        return value, tuple(controls), state, self.sset.sample_id(state)
 
 
 def solve_discrete(problem: ProblemDef, sset, x, cfg: SolverConfig,
                    memo: dict | None = None) -> LookaheadSolution:
-    """Exact l-step lookahead by depth-bounded enumeration with memoization;
-    memo may be shared by solves of the same problem and set."""
+    """Exact l-step lookahead by layered value iteration; memo may be shared
+    by solves of the same problem and set. One pass evaluates x at every
+    depth, so per_stage_values come with the plan; diagnostics count the
+    nodes evaluated and the move rows tabled by this solve."""
     search = _Search(problem, sset, cfg.ell, lambda s, k: problem.control_set(s), memo)
-    value, controls, terminal, sid = search.best(x, cfg.ell)
-    stages = tuple(search.best(x, k)[0] for k in range(cfg.ell + 1))
+    slots = search._evaluate([x], range(cfg.ell + 1))[:, 0]
+    value, controls, terminal, sid = search._plan(x, slots[-1])
     return LookaheadSolution(
         controls=controls,
         terminal_state=terminal,
         value=value,
         terminal_sample_id=sid,
-        per_stage_values=stages,
+        per_stage_values=tuple(search.nodes.value.data[slots].tolist()),
+        diagnostics={"nodes": search.evaluated, "rows": search.tabled},
     )
 
 
@@ -232,10 +411,13 @@ def vi_sequence(problem: ProblemDef, sset, states: Iterable, ell: int) -> dict:
     """Value-iteration iterates J_0..J_ell at the given states.
 
     J_0 is the sample set's terminal cost and J_k the k-step lookahead
-    value, all computed from one shared memo table.
+    value, all computed in one layered pass.
     """
+    states = list(states)
     search = _Search(problem, sset, ell, lambda s, k: problem.control_set(s))
-    return {state_key(x): [search.best(x, k)[0] for k in range(ell + 1)] for x in states}
+    slots = search._evaluate(states, range(ell + 1))
+    values = search.nodes.value.data[slots]
+    return {state_key(x): values[:, j].tolist() for j, x in enumerate(states)}
 
 
 def solve_restricted(problem: ProblemDef, sset, x, restricted_controls: Callable,

@@ -2,6 +2,7 @@
 
 import ast
 import dataclasses
+import random
 from dataclasses import replace
 from pathlib import Path
 
@@ -22,11 +23,13 @@ from ddrollout import (
 )
 from ddrollout.costs import INF
 from ddrollout.lookahead import (
+    _Search,
     solve,
     solve_discrete,
     solve_restricted,
     vi_sequence,
 )
+from ddrollout.model import state_key
 from ddrollout.shooting import solve_continuous
 
 from conftest import make_random_instance, nested_pair, plain_lookahead
@@ -146,10 +149,11 @@ def test_restriction_must_keep_the_base_action_at_members():
 
 
 def test_a_restricted_search_stops_at_the_first_member_it_expands(grid):
-    """The search checks a state's restricted set on the state's first
-    expansion, depth first in sorted control order. With the base action
-    dropped at every member but the start, the first member expanded is
-    two or three steps down the recorded run, not the start's successor."""
+    """The search checks a state's restricted set when it first tables the
+    state's moves, one depth at a time from the root down. With the base
+    action dropped at every member but the start, the first member tabled
+    is the start's successor on the recorded run, one depth below the
+    root, at both lookahead depths."""
     policy = next(iter(grid.base_policies.values()))
     sset, x0 = grid.sample_sets["trajectory"], grid.start_states[0]
 
@@ -159,10 +163,115 @@ def test_a_restricted_search_stops_at_the_first_member_it_expands(grid):
             return spec
         return FiniteControls(tuple(u for u in spec.controls if u != policy.action(state)))
 
-    for ell, state in ((4, ((2, 2), (3, 1))), (6, ((3, 2), (2, 1)))):
+    for ell, state in ((4, ((1, 2), (2, 1))), (6, ((1, 2), (2, 1)))):
         with pytest.raises(AssumptionViolationError) as err:
             solve_restricted(grid.problem, sset, x0, drop_base, _cfg(ell), policy=policy)
         assert err.value.state == state
+
+
+def _tied_instance(seed):
+    """A make_random_instance-style problem whose stage costs are 0, 1, 2 or
+    +inf, so equal values, and equal tails, are common."""
+    rnd = random.Random(seed)
+    n, m = rnd.randint(4, 12), rnd.randint(2, 4)
+    nxt = [[rnd.randrange(n) for _ in range(m)] for _ in range(n)]
+    cost = [[rnd.choice((0.0, 1.0, 1.0, 2.0, INF)) for _ in range(m)] for _ in range(n)]
+    for x in range(1, n):
+        nxt[x][0], cost[x][0] = rnd.randrange(x), float(rnd.randint(0, 2))
+    problem = ProblemDef(dynamics=lambda x, u: nxt[x][u], stage_cost=lambda x, u: cost[x][u],
+                         control_set=lambda x: FiniteControls(tuple(range(m))),
+                         stopping_predicate=lambda x: x == 0)
+    base = ddrollout.Policy(action=lambda x: 0, id="tree")
+    return problem, build_from_trajectory(simulate_policy(problem, base, n - 1)), n, m
+
+
+class _Reference:
+    """The documented rule by plain recursion: least value, then least tail,
+    then first in sorted control order. expanded counts the (state, depth)
+    nodes it evaluates, each once."""
+
+    def __init__(self, problem, sset, ell, controls_at):
+        self.problem, self.sset, self.ell, self.controls_at = problem, sset, ell, controls_at
+        self.memo, self.expanded = {}, 0
+
+    def best(self, x, depth):
+        if (state_key(x), depth) not in self.memo:
+            self.memo[(state_key(x), depth)] = self._expand(x, depth)
+        return self.memo[(state_key(x), depth)]
+
+    def _expand(self, x, depth):
+        self.expanded += 1
+        if depth == 0:
+            v = self.sset.terminal_cost(x)
+            return (v, (), x, self.sset.sample_id(x)) if v < INF else (v, (), None, None)
+        out, out_tail = (INF, (), None, None), INF
+        for u in sorted(self.controls_at(x, self.ell - depth).controls):
+            g = self.problem.stage_cost(x, u)
+            if g == INF:
+                continue
+            tail = self.best(self.problem.dynamics(x, u), depth - 1)
+            if tail[0] < INF and (g + tail[0], tail[0]) < (out[0], out_tail):
+                out, out_tail = (g + tail[0], (u,) + tail[1], tail[2], tail[3]), tail[0]
+        return out
+
+
+def _bits(value, controls, terminal, sid):
+    return repr((value, controls, None if terminal is None else state_key(terminal), sid))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10_000), st.integers(1, 4))
+def test_the_layered_search_matches_a_recursive_reference(seed, ell):
+    """Values, plans, terminal states and sample ids agree bit for bit with
+    the rule's plain recursion, for step-independent, step-dependent and
+    restricted control maps, and the search evaluates exactly the nodes the
+    recursion expands: over solves sharing one memo, and over searches of
+    different step-dependent maps sharing one move table."""
+    problem, sset, n, m = _tied_instance(seed)
+    full = _Reference(problem, sset, ell, lambda x, k: problem.control_set(x))
+    memo = {}
+    for x in range(n):
+        before = full.expanded
+        sol = solve_discrete(problem, sset, x, _cfg(ell), memo=memo)
+        assert _bits(sol.value, sol.controls, sol.terminal_state, sol.terminal_sample_id) \
+            == _bits(*full.best(x, ell))
+        assert repr(sol.per_stage_values) == repr(tuple(full.best(x, k)[0]
+                                                        for k in range(ell + 1)))
+        assert sol.diagnostics["nodes"] == full.expanded - before
+    vi = _Reference(problem, sset, ell, lambda x, k: problem.control_set(x))
+    assert repr(vi_sequence(problem, sset, range(n), ell)) == \
+        repr({x: [vi.best(x, k)[0] for k in range(ell + 1)] for x in range(n)})
+
+    tables = {}
+    for shift in (0, 1):
+        def by_step(x, k, _shift=shift):
+            return FiniteControls(tuple(u for u in range(m) if u == 0 or (x + k + _shift) % u))
+        for x in range(n):
+            ref = _Reference(problem, sset, ell, by_step)
+            search = _Search(problem, sset, ell, by_step, tables=tables)
+            assert _bits(*search.best(x, ell)) == _bits(*ref.best(x, ell))
+            assert search.evaluated == ref.expanded
+
+    def odd_out(x):
+        return FiniteControls(tuple(u for u in range(m) if u == 0 or (x + u) % 2))
+    for x in range(n):
+        sol = solve_restricted(problem, sset, x, odd_out, _cfg(ell))
+        ref = _Reference(problem, sset, ell, lambda s, k: odd_out(s))
+        assert _bits(sol.value, sol.controls, sol.terminal_state, sol.terminal_sample_id) \
+            == _bits(*ref.best(x, ell))
+
+
+def test_a_deep_lookahead_has_no_depth_limit(tour):
+    """Nothing in the search recurses, so Python's recursion limit does not
+    bound its depth (a recursive search overflowed at l = 992). At l = 2000
+    each stored tour set gives its l = 991 value: completed tours are
+    absorbing and cost-free."""
+    want = {"cdb": 11.0, "bcd": 7.0, "merged": 7.0, "merged+abd": 4.0, "abd": 4.0}
+    assert set(tour.sample_sets) == set(want)
+    for name, sset in tour.sample_sets.items():
+        sol = solve(tour.problem, sset, "A", _cfg(2000))
+        assert sol.value == want[name] and len(sol.controls) == 2000
+        assert sol.recompute(tour.problem, sset, "A") == sol.value
 
 
 def test_restricted_value_is_sandwiched():

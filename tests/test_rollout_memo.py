@@ -3,6 +3,7 @@ per run, and sharing it changes no result."""
 
 import gc
 import itertools
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 from types import SimpleNamespace
@@ -405,6 +406,57 @@ def test_a_discrete_search_past_the_node_cap_raises(grid, monkeypatch, capsys, t
                  "--out-dir", str(tmp_path)])
     assert code == 1
     assert capsys.readouterr().err.startswith("error: discrete search expanded more than")
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("instance,set_name,ell,nodes,rows", [
+    ("grid", "trajectory", 6, 2715, 600),
+    ("grid", "trajectory", 8, 3915, 600),
+    ("tour", "cdb", 2, 25, 8),
+])
+def test_discrete_solves_count_their_nodes_and_rows(request, monkeypatch, instance, set_name,
+                                                     ell, nodes, rows):
+    """Each discrete solve reports the (state, depth) nodes it evaluated and
+    the move rows it tabled. Over a rollout sharing one memo the nodes sum to
+    what a memoized recursion expands, and each state is tabled once; the
+    run's reports keep only their own keys."""
+    bundle = request.getfixturevalue(instance)
+    seen = []
+
+    def solve(*args, **kwargs):
+        sol = lookahead.solve(*args, **kwargs)
+        seen.append(sol.diagnostics)
+        return sol
+
+    monkeypatch.setattr(engine, "solve", solve)
+    run = run_rollout(bundle.problem, bundle.sample_sets[set_name], bundle.start_states[0],
+                      replace(bundle.solver_defaults, ell=ell), 40,
+                      base_policy=next(iter(bundle.base_policies.values())))
+    assert sum(d["nodes"] for d in seen) == nodes
+    assert sum(d["rows"] for d in seen) == rows
+    assert all(isinstance(d["nodes"], int) and isinstance(d["rows"], int) for d in seen)
+    assert set(run.solver_reports[0]) == {"value", "sample_id", "per_stage_values"}
+
+
+def test_a_deep_search_past_the_node_cap_is_a_clean_error(monkeypatch, capsys, tmp_path):
+    """At l = 2000 the search stops at NODE_CAP, not at Python's stack
+    limit. At l = 100000 its memory grows with the nodes it collects, not
+    with depth times states: a dense (l + 1) x 600-state array of values
+    alone would take 480 MB."""
+    args = ["run", "--instance", "two-vehicle-grid", "--out-dir", str(tmp_path), "--ell"]
+    assert main(args + ["2000"]) == 1
+    assert capsys.readouterr().err == (f"error: discrete search expanded more than "
+                                       f"NODE_CAP={lookahead.NODE_CAP} nodes\n")
+    monkeypatch.setattr(lookahead, "NODE_CAP", 200_000)
+    tracemalloc.start()
+    try:
+        assert main(args + ["100000"]) == 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert capsys.readouterr().err == ("error: discrete search expanded more than "
+                                       "NODE_CAP=200000 nodes\n")
+    assert peak < 32e6
     assert not any(tmp_path.iterdir())
 
 
