@@ -348,10 +348,10 @@ class _Search:
         value, move, nxt = nodes.value.data, nodes.move.data, nodes.next.data
         for d, ids, slot, rows in reversed(layers):
             new = slice(slot, slot + len(ids))
+            move[new] = -1
             if d == 0:
                 terminal, states = self.sset.terminal_cost, table.states
                 value[new] = [terminal(states[i]) for i in ids.tolist()]
-                move[new] = -1
             else:
                 idx, owner, first, lens = table.moves(rows)
                 have, slots = levels.get(d - 1, _NO_LEVEL)  # none if no row has a move
@@ -361,7 +361,7 @@ class _Search:
                 has = lens > 0
                 # per node with moves, the first of its moves in (v, tail, order)
                 w = np.lexsort((tail, v, owner))[first[has]]
-                value[new], move[new] = INF, -1
+                value[new] = INF
                 value[new][has], move[new][has], nxt[new][has] = v[w], idx[w], tail_slot[w]
             level = levels.get(d)
             slots = np.arange(new.start, new.stop)
