@@ -51,6 +51,14 @@ EXIT_PROPERTY = 1
 EXIT_INFEASIBLE = 2
 EXIT_SOLVER = 3
 
+# the exit code and stderr prefix of each error main() reports; first match wins
+_ERRORS = (
+    ((InitialInfeasibilityError, InfeasibleStepError), EXIT_INFEASIBLE, "infeasible"),
+    (SolverFailureError, EXIT_SOLVER, "solver failure"),
+    (SampleSetIntegrityError, EXIT_PROPERTY, "stored set rejected"),
+    ((RolloutError, KeyError, ValueError), EXIT_PROPERTY, "error"),
+)
+
 CHAIN_SLACK = 1e-6  # relative tolerance for the improvement-chain report
 
 
@@ -119,23 +127,6 @@ def _pick_set(bundle: InstanceBundle, names: str | None):
     return merge(sets, label="+".join(parts))
 
 
-def _default_policy(bundle: InstanceBundle):
-    return next(iter(bundle.base_policies.values()))
-
-
-def _run_mpc(bundle: InstanceBundle, x0, cfg: SolverConfig, horizon: int, policy,
-             opts: dict):
-    """The classical receding-horizon baseline; opts win over the MPC notes."""
-    notes = bundle.notes
-    mpc_cfg = dataclasses.replace(
-        cfg, ell=opts.get("mpc_horizon", opts.get("ell", notes.get("mpc_ell", cfg.ell))),
-        mode_cap=opts.get("mode_cap", notes.get("mpc_mode_cap", cfg.mode_cap)))
-    return run_classical_mpc(bundle.problem, x0, mpc_cfg, horizon,
-                             terminal=notes.get("mpc_terminal", "origin"),
-                             terminal_quadratic=bundle.mpc_quadratic,
-                             base_policy=policy)
-
-
 def _report_chain(run, set_value: float, gate: bool = True, closed: bool = True) -> bool:
     """Print realized cost <= lookahead value at x0 <= set value at x0; the
     slack scales with the finite terms only. A run that ended at x0 has no
@@ -186,6 +177,61 @@ def _same_form(x, start) -> bool:
     return type(x) is type(start)
 
 
+VARIANTS = ("basic", "multi-policy", "augmented", "multiagent", "classical-mpc",
+            "disturbance")
+
+
+def _run_variant(bundle: InstanceBundle, variant: str, x0, cfg: SolverConfig, horizon: int,
+                 opts: dict):
+    """One run of a variant from x0; opts holds the flags it reads. Every
+    rollout variant is run_rollout on its own problem, set, start and bump;
+    classical-mpc is the receding-horizon baseline, whose opts win over the
+    instance's MPC notes."""
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}")
+    if "set" in opts and variant in ("augmented", "classical-mpc"):
+        raise ValueError(f"--variant {variant} takes no --set")
+    problem, names, bump = bundle.problem, opts.get("set"), None
+    policy = next(iter(bundle.base_policies.values()))
+    if variant == "classical-mpc":
+        notes = bundle.notes
+        mpc_cfg = dataclasses.replace(
+            cfg, ell=opts.get("mpc_horizon", opts.get("ell", notes.get("mpc_ell", cfg.ell))),
+            mode_cap=opts.get("mode_cap", notes.get("mpc_mode_cap", cfg.mode_cap)))
+        return run_classical_mpc(problem, x0, mpc_cfg, horizon,
+                                 terminal=notes.get("mpc_terminal", "origin"),
+                                 terminal_quadratic=bundle.mpc_quadratic, base_policy=policy)
+    if variant == "multiagent":
+        if bundle.partition is None:
+            raise ValueError(f"{bundle.name} has no agent partition")
+        return run_multiagent(problem, _pick_set(bundle, names), x0, cfg, horizon,
+                              bundle.partition, policy, sweeps=opts.get("sweeps", 2))
+    if variant == "augmented":
+        if bundle.augmented_problem is None:
+            raise ValueError(f"{bundle.name} has no budget augmentation")
+        cap = float(opts.get("budget", bundle.budget_spec.e_max))
+        if not cap >= 0.0:  # NaN fails too; inf is a budget that never binds
+            raise ValueError(f"budget must be nonnegative or inf, got {cap!r}")
+        problem, sset = bundle.augmented_problem, bundle.augmented_sets["budget"]
+        x0 = AugmentedState(np.asarray(x0, dtype=float), cap)
+    else:
+        if variant == "multi-policy" and not names:
+            if "merged" not in bundle.sample_sets:
+                raise ValueError("multi-policy needs --set naming the sets to merge")
+            names = "merged"
+        if variant == "disturbance":
+            shift, step = _parse_x0(opts.get("disturb", "0.5,-0.5")), opts.get("disturb_step", 3)
+            if not (isinstance(shift, np.ndarray) and shift.shape == np.shape(x0)):
+                raise ValueError(f"disturb must be a finite vector of x0's shape "
+                                 f"{np.shape(x0)}, got {shift!r}")
+
+            def bump(t, x):
+                return x + shift if t == step else x
+        sset = _pick_set(bundle, names)
+    return run_rollout(problem, sset, x0, cfg, horizon, base_policy=policy,
+                       disturbance=bump, variant=variant)
+
+
 def cmd_run(args: argparse.Namespace) -> int:
     opts = _merge_config(args)
     bundle = make_instance(opts["instance"])
@@ -193,9 +239,6 @@ def cmd_run(args: argparse.Namespace) -> int:
                   mode_cap=(1, math.inf), mpc_horizon=(1, math.inf), disturb_step=(0, math.inf),
                   start_index=(0, len(bundle.start_states)))
     variant = opts.get("variant", "basic")
-    cfg = _solver_config(bundle, opts)
-    horizon = opts.get("horizon", 200)
-    policy = _default_policy(bundle)
 
     if opts.get("x0") is not None:
         x0, start = _parse_x0(opts["x0"]), bundle.start_states[0]
@@ -206,66 +249,11 @@ def cmd_run(args: argparse.Namespace) -> int:
     else:
         x0 = bundle.start_states[opts.get("start_index", 0)]
 
-    if variant == "disturbance":
-        shift = _parse_x0(opts.get("disturb", "0.5,-0.5"))
-        if not (isinstance(shift, np.ndarray) and shift.shape == np.shape(x0)):
-            raise ValueError(f"disturb must be a finite vector of x0's shape {np.shape(x0)}, "
-                             f"got {shift!r}")
-
     out_dir = opts.get("out_dir", os.path.join("runs", bundle.name))
     tag = f"{variant}-{opts.get('start_index', 0)}" if opts.get("x0") is None \
         else f"{variant}-custom"
-
-    try:
-        if variant == "basic":
-            sset = _pick_set(bundle, opts.get("set"))
-            run = run_rollout(bundle.problem, sset, x0, cfg, horizon,
-                              base_policy=policy)
-        elif variant == "multi-policy":
-            names = opts.get("set")
-            if not names and "merged" in bundle.sample_sets:
-                names = "merged"
-            if not names:
-                raise ValueError("multi-policy needs --set naming the sets to merge")
-            sset = _pick_set(bundle, names)
-            run = run_rollout(bundle.problem, sset, x0, cfg, horizon,
-                              base_policy=policy, variant="multi-policy")
-        elif variant == "augmented":
-            if bundle.augmented_problem is None:
-                raise ValueError(f"{bundle.name} has no budget augmentation")
-            cap = float(opts.get("budget", bundle.budget_spec.e_max))
-            if not cap >= 0.0:  # NaN fails too; inf is a budget that never binds
-                raise ValueError(f"budget must be nonnegative or inf, got {cap!r}")
-            sset = bundle.augmented_sets["budget"]
-            run = run_rollout(bundle.augmented_problem, sset,
-                              AugmentedState(np.asarray(x0, dtype=float), cap),
-                              cfg, horizon, base_policy=policy, variant="augmented")
-        elif variant == "classical-mpc":
-            run = _run_mpc(bundle, x0, cfg, horizon, policy, opts)
-        elif variant == "disturbance":
-            sset = _pick_set(bundle, opts.get("set"))
-            step = opts.get("disturb_step", 3)
-
-            def bump(t, x):
-                return x + shift if t == step else x
-
-            run = run_rollout(bundle.problem, sset, x0, cfg, horizon, base_policy=policy,
-                              disturbance=bump, variant="disturbance")
-        elif variant == "multiagent":
-            if bundle.partition is None:
-                raise ValueError(f"{bundle.name} has no agent partition")
-            sset = _pick_set(bundle, opts.get("set"))
-            run = run_multiagent(bundle.problem, sset, x0, cfg, horizon,
-                                 bundle.partition, policy,
-                                 sweeps=opts.get("sweeps", 2))
-        else:
-            raise ValueError(f"unknown variant {variant!r}")
-    except (InitialInfeasibilityError, InfeasibleStepError) as exc:
-        print(f"infeasible: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except SolverFailureError as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
+    run = _run_variant(bundle, variant, x0, _solver_config(bundle, opts),
+                       opts.get("horizon", 200), opts)
 
     print(f"instance={bundle.name} variant={variant} x0={x0!r}")
     print(f"status={run.status} steps={run.steps} total_cost={run.total_cost:.6f}")
@@ -293,21 +281,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
     policies = {p.id: p for p in bundle.base_policies.values()}
 
     if opts.get("set_file"):
-        try:
-            sset = sample_set_from_doc(read_json(opts["set_file"]),
-                                       problem=bundle.problem, policies=policies)
-        except SampleSetIntegrityError as exc:
-            print(f"stored set rejected: {exc}", file=sys.stderr)
-            return EXIT_PROPERTY
+        sset = sample_set_from_doc(read_json(opts["set_file"]),
+                                   problem=bundle.problem, policies=policies)
     else:
         name = opts.get("set", bundle.default_set)
         pool = dict(bundle.sample_sets)
         if bundle.augmented_sets:
             pool.update(bundle.augmented_sets)
         if name not in pool:
-            print(f"error: unknown sample set {name!r}; known: "
-                  f"{', '.join(sorted(pool))}", file=sys.stderr)
-            return EXIT_PROPERTY
+            raise KeyError(f"unknown sample set {name!r}; known: {', '.join(sorted(pool))}")
         sset = pool[name]
 
     rng = np.random.default_rng(opts.get("seed", 0))
@@ -346,27 +328,21 @@ def _start_label(x0) -> str:
 def _table_rows(bundle: InstanceBundle, horizon: int):
     """(x0 label, base cost, rollout run, baseline run) rows for one instance.
 
-    Each start is rolled out on the default set and on every merged set;
-    bundles with an agent partition roll out agent by agent, and bundles
-    whose notes name an MPC terminal also get the classical baseline.
+    Each start is rolled out, as `run` would, on the default set and on
+    every merged set; bundles with an agent partition roll out agent by
+    agent, and bundles whose notes name an MPC terminal also get the
+    classical baseline, once per start.
     """
     cfg = bundle.solver_defaults
-    policy = _default_policy(bundle)
+    variant = "multiagent" if bundle.partition is not None else "basic"
     names = [bundle.default_set] + [n for n in bundle.sample_sets if n.startswith("merged")]
     rows = []
     for x0 in bundle.start_states:
         base = bundle.sample_sets[bundle.default_set].terminal_cost(x0)
+        mpc = (_run_variant(bundle, "classical-mpc", x0, cfg, horizon, {})
+               if "mpc_terminal" in bundle.notes else None)
         for name in names:
-            sset = bundle.sample_sets[name]
-            if bundle.partition is not None:
-                run = run_multiagent(bundle.problem, sset, x0, cfg, horizon,
-                                     bundle.partition, policy)
-            else:
-                run = run_rollout(bundle.problem, sset, x0, cfg, horizon,
-                                  base_policy=policy)
-            mpc = None
-            if "mpc_terminal" in bundle.notes:
-                mpc = _run_mpc(bundle, x0, cfg, horizon, policy, {})
+            run = _run_variant(bundle, variant, x0, cfg, horizon, {"set": name})
             label = _start_label(x0) + (f" [{name}]" if len(names) > 1 else "")
             rows.append((label, base, run, mpc))
     return rows
@@ -434,9 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="execute one rollout experiment")
     add_common(run)
-    run.add_argument("--variant", choices=("basic", "multi-policy", "augmented",
-                                           "multiagent", "classical-mpc",
-                                           "disturbance"))
+    run.add_argument("--variant", choices=VARIANTS)
     run.add_argument("--x0", help="initial state: '1,1', 'A', or JSON")
     run.add_argument("--start-index", type=int, dest="start_index")
     run.add_argument("--ell", type=int)
@@ -483,12 +457,12 @@ def main(argv=None) -> int:
         # and point stdout at devnull so the final flush at exit cannot fail
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_OK
-    except RolloutError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PROPERTY
-    except (KeyError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PROPERTY
+    except (RolloutError, KeyError, ValueError) as exc:
+        code, prefix = next((c, p) for kinds, c, p in _ERRORS if isinstance(exc, kinds))
+        # a KeyError's str() is its repr; print the message it carries
+        msg = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        print(f"{prefix}: {msg}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -177,39 +177,34 @@ def _cell(v) -> str:
     return json.dumps(encode_value(v), sort_keys=True)
 
 
+def _csv_layout(traj: Trajectory):
+    """A trajectory's CSV value columns, the cells of one value, and the
+    control width: uniform vectors get a column per component (expanded),
+    anything else one JSON cell per value (token)."""
+    d = _uniform_vector_dim(traj.states)
+    m = _uniform_vector_dim(traj.controls) if traj.controls else 0
+    if d is not None and m is not None:
+        return ([f"x{i}" for i in range(d)] + [f"u{i}" for i in range(m)],
+                lambda v: [repr(float(c)) for c in v], m)
+    return ["state", "control"], lambda v: [_cell(v)], 1
+
+
 def trajectory_to_csv(traj: Trajectory) -> str:
     meta = {"policy_id": traj.policy_id,
             "terminated_in_stopping_set": traj.terminated_in_stopping_set,
             "has_tail_costs": traj.tail_costs is not None}
-    d = _uniform_vector_dim(traj.states)
-    m = _uniform_vector_dim(traj.controls) if traj.controls else None
-    expanded = d is not None and (m is not None or not traj.controls)
+    columns, cells, m = _csv_layout(traj)
     buf = io.StringIO()
     buf.write("# " + json.dumps(meta, sort_keys=True) + "\n")
     w = csv.writer(buf, lineterminator="\n")
-    if expanded:
-        header = (["step"] + [f"x{i}" for i in range(d)]
-                  + [f"u{i}" for i in range(m or 0)] + ["stage_cost", "tail_cost"])
-    else:
-        header = ["step", "state", "control", "stage_cost", "tail_cost"]
-    w.writerow(header)
+    w.writerow(["step", *columns, "stage_cost", "tail_cost"])
     n = len(traj.controls)
     for k in range(n + 1):
+        # the final row has a state and a tail but no control or stage cost
+        step = (cells(traj.controls[k]) + [repr(float(traj.stage_costs[k]))] if k < n
+                else [""] * (m + 1))
         tail = "" if traj.tail_costs is None else repr(float(traj.tail_costs[k]))
-        if expanded:
-            row = [str(k)] + [repr(float(c)) for c in traj.states[k]]
-            if k < n:
-                row += [repr(float(c)) for c in traj.controls[k]]
-                row += [repr(float(traj.stage_costs[k])), tail]
-            else:
-                row += [""] * (m or 0) + ["", tail]
-        else:
-            if k < n:
-                row = [str(k), _cell(traj.states[k]), _cell(traj.controls[k]),
-                       repr(float(traj.stage_costs[k])), tail]
-            else:
-                row = [str(k), _cell(traj.states[k]), "", "", tail]
-        w.writerow(row)
+        w.writerow([str(k), *cells(traj.states[k]), *step, tail])
     return buf.getvalue()
 
 
@@ -220,26 +215,24 @@ def trajectory_from_csv(text: str) -> Trajectory:
     meta = json.loads(lines[0][2:])
     rows = list(csv.reader(lines[1:]))
     header, rows = rows[0], rows[1:]
-    expanded = header[1].startswith("x")
-    states, controls, stage_costs, tails = [], [], [], []
-    if expanded:
-        d = sum(1 for h in header if h.startswith("x"))
-        m = sum(1 for h in header if h.startswith("u"))
-        for row in rows:
-            states.append(np.asarray([float(c) for c in row[1:1 + d]]))
-            if row[1 + d] != "":
-                controls.append(np.asarray([float(c) for c in row[1 + d:1 + d + m]]))
-                stage_costs.append(float(row[1 + d + m]))
-            if meta["has_tail_costs"]:
-                tails.append(float(row[-1]))
+    if header[1].startswith("x"):
+        d, m = sum(h.startswith("x") for h in header), sum(h.startswith("u") for h in header)
+
+        def value(cells):
+            return np.asarray([float(c) for c in cells])
     else:
-        for row in rows:
-            states.append(decode_value(json.loads(row[1])))
-            if row[2] != "":
-                controls.append(decode_value(json.loads(row[2])))
-                stage_costs.append(float(row[3]))
-            if meta["has_tail_costs"]:
-                tails.append(float(row[4]))
+        d = m = 1
+
+        def value(cells):
+            return decode_value(json.loads(cells[0]))
+    states, controls, stage_costs, tails = [], [], [], []
+    for row in rows:
+        states.append(value(row[1:1 + d]))
+        if row[1 + d] != "":
+            controls.append(value(row[1 + d:1 + d + m]))
+            stage_costs.append(float(row[1 + d + m]))
+        if meta["has_tail_costs"]:
+            tails.append(float(row[-1]))
     return Trajectory(
         states=tuple(states),
         controls=tuple(controls),

@@ -14,9 +14,15 @@ from types import SimpleNamespace
 import pytest
 
 import ddrollout
-from ddrollout import make_instance
+from ddrollout import cli, make_instance
 from ddrollout.cli import _merge_config, _report_chain, build_parser, main
-from ddrollout.serialization import dumps_json, read_json, sample_set_to_doc, write_text
+from ddrollout.serialization import (
+    dumps_json,
+    read_json,
+    run_from_doc,
+    sample_set_to_doc,
+    write_text,
+)
 
 from conftest import widened_doc
 
@@ -482,3 +488,75 @@ def test_out_of_range_count_in_a_config_file_is_a_clean_error(capsys, tmp_path, 
     assert code == 1
     assert err.startswith(f"error: {key} must be an integer in [{low}, inf), got {value!r}")
     assert not (tmp_path / "runs").exists() and "PASS" not in out
+
+
+@pytest.mark.parametrize("argv,kind,name", [
+    (("run", "--instance", "foo"), "instance", "foo"),
+    (("table", "--instance", "foo"), "instance", "foo"),
+    (("verify", "--instance", "foo"), "instance", "foo"),
+    (("run", "--instance", "tsp", "--set", "nope"), "sample set", "nope"),
+])
+def test_an_unknown_name_prints_the_message_not_its_repr(capsys, tmp_path, monkeypatch, argv,
+                                                         kind, name):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    head, known = err.split("; known: ")
+    assert head == f"error: unknown {kind} '{name}'"
+    assert known.endswith("\n") and '"' not in err and known.strip()
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("variant", ["augmented", "classical-mpc"])
+def test_a_set_on_a_variant_that_takes_none_is_rejected(capsys, tmp_path, variant):
+    code, out, err = run_cli(capsys, "run", "--instance", "integrator", "--variant", variant,
+                             "--set", "nope", "--out-dir", str(tmp_path / "runs"))
+    assert (code, out, err) == (1, "", f"error: --variant {variant} takes no --set\n")
+    assert not (tmp_path / "runs").exists()
+
+
+def test_a_config_file_naming_an_unknown_variant_is_rejected(capsys, tmp_path):
+    cfg_path = tmp_path / "job.json"
+    cfg_path.write_text(json.dumps({"instance": "grid", "variant": "bogus",
+                                    "out_dir": str(tmp_path / "runs")}))
+    code, out, err = run_cli(capsys, "run", "--config", str(cfg_path))
+    assert (code, out, err) == (1, "", "error: unknown variant 'bogus'\n")
+    assert not (tmp_path / "runs").exists()
+
+
+def test_the_variant_flag_offers_exactly_the_variants_run_accepts():
+    run = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction)).choices["run"]
+    assert next(a for a in run._actions if a.dest == "variant").choices == cli.VARIANTS
+
+
+@pytest.mark.parametrize("instance", ["spiral", "integrator", "grid", "tsp"])
+def test_table_cells_are_the_costs_of_the_matching_runs(capsys, tmp_path, instance):
+    """Every table row is the run `run` makes for that start and set: the
+    rollout (agent by agent where the instance has a partition) and, where
+    the instance has one, the classical baseline."""
+    code, _, _ = run_cli(capsys, "table", "--instance", instance, "--horizon", "40",
+                         "--out-dir", str(tmp_path / "table"))
+    assert code == 0
+    rows = [r for r in csv.reader((tmp_path / "table" / "table.csv").read_text().splitlines())
+            if len(r) == 5][1:]
+    bundle = make_instance(instance)
+    labels = [cli._start_label(x0) for x0 in bundle.start_states]
+    rollout = "multiagent" if bundle.partition is not None else "basic"
+    assert rows
+
+    def cell_of(variant, start, *extra):
+        out_dir = tmp_path / f"{variant}-{start}-{len(extra)}"
+        run_cli(capsys, "run", "--instance", instance, "--variant", variant, "--horizon", "40",
+                "--start-index", str(start), *extra, "--out-dir", str(out_dir))
+        run = run_from_doc(read_json(out_dir / f"{variant}-{start}.json"))
+        return f"{run.total_cost:.4f}" + ("*" if run.status == "horizon" else "")
+
+    for _, label, _, rollout_cell, baseline_cell in rows:
+        start_label, _, name = label.partition(" [")
+        start = labels.index(start_label)
+        assert rollout_cell == cell_of(rollout, start, "--set",
+                                       name.rstrip("]") or bundle.default_set)
+        if baseline_cell:
+            assert baseline_cell == cell_of("classical-mpc", start)
+    assert any(r[4] for r in rows) == ("mpc_terminal" in bundle.notes)

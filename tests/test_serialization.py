@@ -13,6 +13,7 @@ from ddrollout import (
     FreeTerminal,
     SampleSetIntegrityError,
     SolverConfig,
+    Trajectory,
     run_rollout,
     simulate_policy,
 )
@@ -102,6 +103,47 @@ def test_trajectory_csv_roundtrip_token_states(tour):
     assert back.states == traj.states
     assert back.controls == traj.controls
     assert back.tail_costs == traj.tail_costs
+
+
+def _assert_same_trajectory(back, traj):
+    def same(a, b):
+        return np.array_equal(a, b) if isinstance(b, np.ndarray) else a == b
+    for field in ("states", "controls"):
+        got, want = getattr(back, field), getattr(traj, field)
+        assert len(got) == len(want) and all(map(same, got, want)), field
+    assert back.stage_costs == traj.stage_costs
+    assert back.tail_costs == traj.tail_costs
+    assert back.policy_id == traj.policy_id
+    assert back.terminated_in_stopping_set == traj.terminated_in_stopping_set
+
+
+def test_trajectory_csv_roundtrip_keeps_vector_controls(integrator):
+    traj = _vector_traj(integrator)
+    assert len(traj.controls) > 0
+    _assert_same_trajectory(trajectory_from_csv(trajectory_to_csv(traj)), traj)
+
+
+@pytest.mark.parametrize("state,layout", [
+    (np.array([1.5, -2.0]), ["step", "x0", "x1", "stage_cost", "tail_cost"]),
+    ("A", ["step", "state", "control", "stage_cost", "tail_cost"]),
+])
+@pytest.mark.parametrize("tails", [None, (0.0,)])
+def test_trajectory_csv_roundtrip_without_controls(state, layout, tails):
+    traj = Trajectory(states=(state,), controls=(), stage_costs=(), policy_id="p",
+                      terminated_in_stopping_set=True, tail_costs=tails)
+    text = trajectory_to_csv(traj)
+    assert text.splitlines()[1].split(",") == layout
+    _assert_same_trajectory(trajectory_from_csv(text), traj)
+
+
+def test_trajectory_csv_controls_of_mixed_size_fall_back_to_tokens():
+    traj = Trajectory(states=(np.array([0.0, 1.0]), np.array([1.0, 1.0]), np.array([1.0, 3.0])),
+                      controls=(np.array([1.0]), np.array([0.5, 2.0])),
+                      stage_costs=(1.0, 4.25), policy_id="mixed",
+                      terminated_in_stopping_set=False, tail_costs=(5.25, 4.25, 0.0))
+    text = trajectory_to_csv(traj)
+    assert text.splitlines()[1].split(",")[:3] == ["step", "state", "control"]
+    _assert_same_trajectory(trajectory_from_csv(text), traj)
 
 
 def test_explicit_set_roundtrip_reverifies(spiral):
