@@ -265,6 +265,26 @@ _MOVES = {
     "stay": (0, 0),
     "up": (-1, 0),
 }
+_GRID_SIDE = 5
+_TARGETS = ((4, 2), (2, 4))
+
+# The grid's move graph, built once: each cell's successor under each move
+# that keeps it on the grid, and each vehicle's sorted on-grid moves from each
+# cell (only "stay" at its target). The grid's callbacks index these, and a
+# cell they do not hold is off the grid.
+_NEXT = {(r, c): {m: (r + dr, c + dc) for m, (dr, dc) in _MOVES.items()
+                  if 0 <= r + dr < _GRID_SIDE and 0 <= c + dc < _GRID_SIDE}
+         for r in range(_GRID_SIDE) for c in range(_GRID_SIDE)}
+_OPTIONS = tuple({cell: ("stay",) if cell == target else tuple(sorted(succ))
+                  for cell, succ in _NEXT.items()} for target in _TARGETS)
+
+
+def _check_on_grid(state) -> None:
+    """Raise ValueError naming the first of state's cells off the grid."""
+    for cell in state:
+        if cell not in _NEXT:
+            raise ValueError(f"grid state {state!r} has a vehicle off the "
+                             f"{_GRID_SIDE}x{_GRID_SIDE} grid at {cell!r}")
 
 
 def make_two_vehicle_grid() -> InstanceBundle:
@@ -273,41 +293,52 @@ def make_two_vehicle_grid() -> InstanceBundle:
     Cost counts moves (waiting is free). Landing on the same cell or
     swapping cells is forbidden. The recorded policy routes vehicle one
     greedily and lets vehicle two dodge, which wastes moves; a joint
-    lookahead discovers that waiting is cheaper than dodging.
+    lookahead discovers that waiting is cheaper than dodging. A state with
+    a vehicle off the grid is an error in every callback.
     """
     start = ((0, 2), (2, 0))
-    targets = ((4, 2), (2, 4))
+    targets = _TARGETS
 
     def on_grid(cell) -> bool:
-        return 0 <= cell[0] < 5 and 0 <= cell[1] < 5
+        return 0 <= cell[0] < _GRID_SIDE and 0 <= cell[1] < _GRID_SIDE
 
     def apply_move(cell, move):
         d = _MOVES[move]
         return (cell[0] + d[0], cell[1] + d[1])
 
     def vehicle_options(state, agent):
-        pos = state[agent]
-        if pos == targets[agent]:
-            return ("stay",)
-        return tuple(m for m in sorted(_MOVES) if on_grid(apply_move(pos, m)))
+        try:
+            return _OPTIONS[agent][state[agent]]
+        except KeyError:
+            _check_on_grid(state)
+            raise
 
     def control_set(state):
         pairs = itertools.product(vehicle_options(state, 0), vehicle_options(state, 1))
         return FiniteControls(tuple(pairs))
 
     def dynamics(state, joint):
-        return (apply_move(state[0], joint[0]), apply_move(state[1], joint[1]))
+        try:
+            return (_NEXT[state[0]][joint[0]], _NEXT[state[1]][joint[1]])
+        except KeyError:
+            _check_on_grid(state)
+            raise ValueError(f"joint move {joint!r} leaves the grid from {state!r}") from None
 
     def stage_cost(state, joint):
-        n0 = apply_move(state[0], joint[0])
-        n1 = apply_move(state[1], joint[1])
-        if not (on_grid(n0) and on_grid(n1)):
-            return INF
+        p0, p1 = state
+        m0, m1 = joint
+        try:
+            n0, n1 = _NEXT[p0][m0], _NEXT[p1][m1]
+        except KeyError:
+            _check_on_grid(state)
+            if m0 not in _MOVES or m1 not in _MOVES:
+                raise
+            return INF  # a move off the grid
         if n0 == n1:
             return INF
-        if n0 == state[1] and n1 == state[0]:  # swap
+        if n0 == p1 and n1 == p0:  # swap
             return INF
-        return float((joint[0] != "stay") + (joint[1] != "stay"))
+        return float((m0 != "stay") + (m1 != "stay"))
 
     def stopping(state) -> bool:
         return state == targets

@@ -179,6 +179,16 @@ def _same_form(x, start) -> bool:
 
 VARIANTS = ("basic", "multi-policy", "augmented", "multiagent", "classical-mpc",
             "disturbance")
+# the variants that read each option only some of them take; run rejects the
+# option, from a flag or the config file, on any other variant
+_READ_BY = {
+    "set": ("basic", "multi-policy", "multiagent", "disturbance"),
+    "budget": ("augmented",),
+    "sweeps": ("multiagent",),
+    "disturb": ("disturbance",),
+    "disturb_step": ("disturbance",),
+    "mpc_horizon": ("classical-mpc",),
+}
 
 
 def _run_variant(bundle: InstanceBundle, variant: str, x0, cfg: SolverConfig, horizon: int,
@@ -189,8 +199,9 @@ def _run_variant(bundle: InstanceBundle, variant: str, x0, cfg: SolverConfig, ho
     instance's MPC notes."""
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
-    if "set" in opts and variant in ("augmented", "classical-mpc"):
-        raise ValueError(f"--variant {variant} takes no --set")
+    for key, readers in _READ_BY.items():
+        if key in opts and variant not in readers:
+            raise ValueError(f"--variant {variant} takes no --{key.replace('_', '-')}")
     problem, names, bump = bundle.problem, opts.get("set"), None
     policy = next(iter(bundle.base_policies.values()))
     if variant == "classical-mpc":

@@ -15,7 +15,7 @@ or a disturbance pushes the state somewhere the solver cannot price
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import fsum
 
 import numpy as np
@@ -31,10 +31,11 @@ from .lookahead import (
     replay,
     solve,
 )
-from .model import FiniteControls, Policy, ProblemDef, Trajectory
+from .model import FiniteControls, Policy, ProblemDef, Trajectory, is_vector_state
 from .sample_sets import ExplicitSampleSet, FreeTerminal, SampleEntry
 
 EPS_TAIL = 1e-6  # residual tail cost that closes a rollout run
+WORK_KEYS = ("nodes", "rows")  # the counts a discrete solve's diagnostics carry
 
 
 @dataclass(frozen=True)
@@ -42,7 +43,13 @@ class RolloutRun:
     """Everything produced by one rollout: the realized trajectory, the
     lookahead value and solver report of each solve, and how the run ended.
     A certified plan is applied whole after one solve, so per_step_values
-    and solver_reports can be shorter than the trajectory."""
+    and solver_reports can be shorter than the trajectory.
+
+    work holds, per solve, the discrete search's counts of the nodes it
+    evaluated and the move rows it tabled (empty for other solvers). They
+    depend on what the rollout's memo already held, not on the run, so
+    they are no part of the run's repr or equality; the run JSON writes
+    them into each solve's report."""
 
     trajectory: Trajectory
     per_step_values: tuple
@@ -52,6 +59,7 @@ class RolloutRun:
     closing_tail: float = 0.0
     variant: str = "basic"
     initial_set_value: float = INF
+    work: tuple = field(default=(), repr=False, compare=False)
 
     @property
     def total_cost(self) -> float:
@@ -78,7 +86,7 @@ def _drive(problem: ProblemDef, sset, x0, cfg: SolverConfig, horizon: int, step,
     """
     certifies = bool(sset.policy_ids)
     states = [x0]
-    controls, stage_costs, values, reports = [], [], [], []
+    controls, stage_costs, values, reports, work = [], [], [], [], []
     initial_set_value = sset.terminal_cost(x0)
     prev = None
     status = "horizon"
@@ -108,6 +116,8 @@ def _drive(problem: ProblemDef, sset, x0, cfg: SolverConfig, horizon: int, step,
 
         values.append(sol.value)
         reports.append(report)
+        diag = sol.diagnostics or {}
+        work.append({k: diag[k] for k in WORK_KEYS if k in diag})
         prev = sol
         # a plan whose exact replay ends in the set is applied whole
         certified = certifies and disturbance is None and sol.value <= EPS_TAIL
@@ -150,6 +160,7 @@ def _drive(problem: ProblemDef, sset, x0, cfg: SolverConfig, horizon: int, step,
         closing_tail=closing,
         variant=variant,
         initial_set_value=initial_set_value,
+        work=tuple(work),
     )
 
 
@@ -204,8 +215,12 @@ def run_classical_mpc(problem: ProblemDef, x0, cfg: SolverConfig, horizon: int,
 
     terminal="origin" pins the lookahead's final state to zero (the
     textbook stabilizing terminal constraint); terminal="free" leaves it
-    unconstrained under a designed quadratic cost (zero by default).
+    unconstrained under a designed quadratic cost (zero by default). Both
+    need a vector start state.
     """
+    if not is_vector_state(x0):
+        raise ValueError(f"the classical MPC baseline needs a vector start state, "
+                         f"got {x0!r}")
     if terminal == "origin":
         dim = np.asarray(x0, dtype=float).size
         tset = ExplicitSampleSet([SampleEntry(np.zeros(dim), 0.0, "terminal")],

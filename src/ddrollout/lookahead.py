@@ -45,6 +45,8 @@ from .model import (
 )
 
 NODE_CAP = 1_000_000  # most (state, depth) nodes one discrete solve may expand
+# token state types: state_key(x) is x itself for an x of exactly these types
+_SELF_KEYED = frozenset((tuple, str, int, float))
 
 
 @dataclass(frozen=True)
@@ -308,9 +310,14 @@ class _Search:
         return out
 
     def _table_rows(self, ids: np.ndarray, step: int) -> np.ndarray:
-        """The rows of the states ids at step, tabling the missing ones."""
-        table, problem, controls_at = self.table, self.problem, self.controls_at
-        states, rows, per_step = table.states, table.rows, self.per_step
+        """The rows of the states ids at step, tabling the missing ones.
+
+        Each move costs one stage_cost, one dynamics and one lookup of its
+        successor's id; a successor of a type whose state_key is itself (a
+        token state) is its own key."""
+        table, controls_at, per_step = self.table, self.controls_at, self.per_step
+        stage_cost, dynamics = self.problem.stage_cost, self.problem.dynamics
+        states, rows, ids_of = table.states, table.rows, table.ids
         cost, succ, controls, stops, made = [], [], [], [], {}
         first_move, first_row = table.cost.n, table.start.n - 1
         out = []
@@ -321,11 +328,17 @@ class _Search:
             r = rows.get(key)
             if r is None:
                 for u in ctrls or _sorted_controls(controls_at(state, step)):
-                    g = problem.stage_cost(state, u)
+                    g = stage_cost(state, u)
                     if g == INF:
                         continue
+                    nxt = dynamics(state, u)
+                    k = nxt if type(nxt) in _SELF_KEYED else state_key(nxt)
+                    j = ids_of.get(k)
+                    if j is None:
+                        j = ids_of[k] = len(states)
+                        states.append(nxt)
                     cost.append(g)
-                    succ.append(table.id_of(problem.dynamics(state, u)))
+                    succ.append(j)
                     controls.append(u)
                 r = made[key] = first_row + len(stops)
                 stops.append(first_move + len(cost))

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import math
 import os
@@ -368,23 +369,27 @@ def run_to_doc(run) -> dict:
         "per_step_values": [encode_value(v) for v in run.per_step_values],
         "config": config_to_dict(run.config),
         "trajectory": trajectory_to_doc(run.trajectory),
-        "solver_reports": [encode_value(r) for r in run.solver_reports],
+        "solver_reports": [encode_value({**r, **w}) for r, w in
+                           itertools.zip_longest(run.solver_reports, run.work, fillvalue={})],
     }
 
 
 def run_from_doc(doc: dict):
-    from .engine import RolloutRun
+    from .engine import WORK_KEYS, RolloutRun
     if doc.get("format") != "rollout-run":
         raise ValueError(f"not a rollout-run document: format={doc.get('format')!r}")
+    reports = [decode_value(r) for r in doc["solver_reports"]]
+    work = tuple({k: r.pop(k) for k in WORK_KEYS if k in r} for r in reports)
     return RolloutRun(
         trajectory=trajectory_from_doc(doc["trajectory"]),
         per_step_values=tuple(decode_value(v) for v in doc["per_step_values"]),
-        solver_reports=tuple(decode_value(r) for r in doc["solver_reports"]),
+        solver_reports=tuple(reports),
         config=config_from_dict(doc["config"]),
         status=doc["status"],
         closing_tail=float(decode_value(doc["closing_tail"])),
         variant=doc["variant"],
         initial_set_value=float(decode_value(doc["initial_set_value"])),
+        work=work,
     )
 
 

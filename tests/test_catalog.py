@@ -1,5 +1,8 @@
 """Built-in instances: recorded values, aliases, structural invariants."""
 
+import itertools
+import re
+
 import numpy as np
 import pytest
 
@@ -103,3 +106,71 @@ def test_tour_base_policies_realize_their_recorded_tours(tour):
         traj = simulate_policy(tour.problem, policy, tour.start_states[0])
         assert traj.terminated_in_stopping_set
         assert trajectory_cost(traj) == tour.notes["base_costs"][pid]
+
+
+# The grid's callbacks as tuple arithmetic, the way they were first written.
+_REF_MOVES = {"down": (1, 0), "left": (0, -1), "right": (0, 1), "stay": (0, 0), "up": (-1, 0)}
+_CELLS = [(r, c) for r in range(5) for c in range(5)]
+
+
+def _ref_step(cell, move):
+    d = _REF_MOVES[move]
+    return (cell[0] + d[0], cell[1] + d[1])
+
+
+def _ref_on_grid(cell):
+    return 0 <= cell[0] < 5 and 0 <= cell[1] < 5
+
+
+def _ref_stage_cost(state, joint):
+    n0, n1 = _ref_step(state[0], joint[0]), _ref_step(state[1], joint[1])
+    if not (_ref_on_grid(n0) and _ref_on_grid(n1)) or n0 == n1:
+        return float("inf")
+    if n0 == state[1] and n1 == state[0]:
+        return float("inf")
+    return float((joint[0] != "stay") + (joint[1] != "stay"))
+
+
+def _ref_options(state, agent, targets):
+    if state[agent] == targets[agent]:
+        return ("stay",)
+    return tuple(m for m in sorted(_REF_MOVES) if _ref_on_grid(_ref_step(state[agent], m)))
+
+
+def test_the_grid_move_graph_prices_and_moves_like_tuple_arithmetic(grid):
+    """Every ordered pair of cells under every joint move, and every
+    on-grid state's control set and per-vehicle options."""
+    problem, targets = grid.problem, grid.notes["targets"]
+    joints = [(a, b) for a in sorted(_REF_MOVES) for b in sorted(_REF_MOVES)]
+    for state in itertools.product(_CELLS, _CELLS):
+        for joint in joints:
+            g = problem.stage_cost(state, joint)
+            assert g == _ref_stage_cost(state, joint), (state, joint)
+            if g < float("inf"):
+                assert problem.dynamics(state, joint) == tuple(map(_ref_step, state, joint))
+        opts = [_ref_options(state, a, targets) for a in (0, 1)]
+        assert [grid.partition.options(state, a) for a in (0, 1)] == opts
+        assert problem.control_set(state).controls == tuple(itertools.product(*opts))
+
+
+@pytest.mark.parametrize("state,cell", [
+    (((-1, 2), (2, 0)), (-1, 2)), (((9, 9), (2, 0)), (9, 9)), (((0, 2), (2, 5)), (2, 5)),
+])
+def test_a_grid_state_off_the_grid_is_an_error_in_every_callback(grid, state, cell):
+    problem = grid.problem
+    calls = [lambda: problem.stage_cost(state, ("stay", "stay")),
+             lambda: problem.dynamics(state, ("stay", "stay")),
+             lambda: problem.control_set(state),
+             lambda: grid.partition.options(state, state.index(cell))]
+    for call in calls:
+        with pytest.raises(ValueError, match=re.escape(f"off the 5x5 grid at {cell!r}")):
+            call()
+
+
+def test_a_grid_move_off_the_grid_prices_at_infinity_and_cannot_be_applied(grid):
+    state = ((0, 2), (2, 0))
+    assert grid.problem.stage_cost(state, ("up", "stay")) == float("inf")
+    with pytest.raises(ValueError, match="leaves the grid"):
+        grid.problem.dynamics(state, ("up", "stay"))
+    with pytest.raises(KeyError):
+        grid.problem.stage_cost(state, ("jump", "stay"))

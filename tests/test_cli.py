@@ -560,3 +560,62 @@ def test_table_cells_are_the_costs_of_the_matching_runs(capsys, tmp_path, instan
         if baseline_cell:
             assert baseline_cell == cell_of("classical-mpc", start)
     assert any(r[4] for r in rows) == ("mpc_terminal" in bundle.notes)
+
+
+@pytest.mark.parametrize("variant", ["basic", "multiagent"])
+@pytest.mark.parametrize("x0,cell", [("[[-1,2],[2,0]]", "(-1, 2)"), ("[[9,9],[2,0]]", "(9, 9)")])
+def test_a_grid_start_off_the_grid_is_an_error(capsys, tmp_path, variant, x0, cell):
+    code, out, err = run_cli(capsys, "run", "--instance", "grid", "--variant", variant,
+                             "--x0", x0, "--out-dir", str(tmp_path / "runs"))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and f"off the 5x5 grid at {cell}" in err
+    assert not (tmp_path / "runs").exists()
+
+
+_IGNORED = [("basic", "budget", "2.0"), ("basic", "sweeps", "5"), ("basic", "disturb", "9,9"),
+            ("basic", "disturb_step", "1"), ("basic", "mpc_horizon", "3"),
+            ("multiagent", "budget", "2.0"), ("augmented", "sweeps", "1"),
+            ("classical-mpc", "disturb", "0.1,0.1"), ("disturbance", "mpc_horizon", "3")]
+
+
+@pytest.mark.parametrize("via_config", [False, True])
+@pytest.mark.parametrize("variant,key,value", _IGNORED,
+                         ids=[f"{v}-{k}" for v, k, _ in _IGNORED])
+def test_an_option_the_variant_does_not_read_is_rejected(capsys, tmp_path, variant, key,
+                                                        value, via_config):
+    flag = "--" + key.replace("_", "-")
+    argv = ["run", "--instance", "grid" if variant == "multiagent" else "integrator",
+            "--variant", variant, "--horizon", "2", "--out-dir", str(tmp_path / "runs")]
+    if via_config:
+        cfg_path = tmp_path / "job.json"
+        cfg_path.write_text(json.dumps({key: value if key == "disturb" else
+                                        float(value) if key == "budget" else int(value)}))
+        argv += ["--config", str(cfg_path)]
+    else:
+        argv += [flag, value]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (1, "", f"error: --variant {variant} takes no {flag}\n")
+    assert not (tmp_path / "runs").exists()
+
+
+def test_the_classical_baseline_on_the_tour_asks_for_a_vector_start(capsys, tmp_path):
+    code, out, err = run_cli(capsys, "run", "--instance", "tsp", "--variant", "classical-mpc",
+                             "--out-dir", str(tmp_path / "runs"))
+    assert (code, out) == (1, "")
+    assert err == "error: the classical MPC baseline needs a vector start state, got 'A'\n"
+    assert not (tmp_path / "runs").exists()
+
+
+def test_the_run_json_carries_each_discrete_solves_nodes_and_rows(capsys, tmp_path):
+    """Counts fixed by the search: the first solve tables all 600 joint
+    states, and the later solves find every row in the rollout's memo."""
+    code, _, _ = run_cli(capsys, "run", "--instance", "grid", "--ell", "8",
+                         "--out-dir", str(tmp_path))
+    assert code == 0
+    doc = read_json(tmp_path / "basic-0.json")
+    reports = [r["__map__"] for r in doc["solver_reports"]]
+    assert [r["nodes"] for r in reports] == [2929, 521, 194, 261, 10]
+    assert [r["rows"] for r in reports] == [600, 0, 0, 0, 0]
+    run = run_from_doc(doc)
+    assert run.work == tuple({"nodes": r["nodes"], "rows": r["rows"]} for r in reports)
+    assert all(set(r) == {"value", "sample_id", "per_stage_values"} for r in run.solver_reports)

@@ -14,7 +14,9 @@ from hypothesis import strategies as st
 import ddrollout
 from ddrollout import (
     AssumptionViolationError,
+    AugmentedState,
     FiniteControls,
+    Policy,
     ProblemDef,
     SolverConfig,
     build_from_trajectory,
@@ -23,6 +25,7 @@ from ddrollout import (
 )
 from ddrollout.costs import INF
 from ddrollout.lookahead import (
+    _SELF_KEYED,
     _Search,
     solve,
     solve_discrete,
@@ -329,3 +332,50 @@ def test_every_solver_config_field_is_read():
                     read.add(node.attr)
     unread = {f.name for f in dataclasses.fields(SolverConfig)} - read
     assert not unread, f"SolverConfig fields nothing reads: {sorted(unread)}"
+
+
+def _restated(problem, base, wrap, unwrap):
+    """problem and its base policy over the states wrap(x)."""
+    return (ProblemDef(dynamics=lambda s, u: wrap(problem.dynamics(unwrap(s), u)),
+                       stage_cost=lambda s, u: problem.stage_cost(unwrap(s), u),
+                       control_set=lambda s: problem.control_set(unwrap(s)),
+                       stopping_predicate=lambda s: problem.is_stopping(unwrap(s)),
+                       name=problem.name),
+            Policy(action=lambda s: base.action(unwrap(s)), id=base.id))
+
+
+_FORMS = {
+    "vector": (lambda x: np.array([float(x)]), lambda s: int(s[0])),
+    "augmented": (lambda x: AugmentedState(x, 1.0), lambda s: s.base),
+    "augmented vector": (lambda x: AugmentedState(np.array([float(x)]), 1.0),
+                         lambda s: int(s.base[0])),
+}
+
+
+@pytest.mark.parametrize("form", sorted(_FORMS))
+@pytest.mark.parametrize("seed", range(6))
+def test_a_problem_restated_over_other_states_searches_alike(form, seed):
+    """The same problem over int states and over 1-D vectors or augmented
+    states: one key per state whatever its type, so the same values, plans
+    and rows over a run of solves sharing a memo."""
+    wrap, unwrap = _FORMS[form]
+    problem, base, n, _ = make_random_instance(seed)
+    other, other_base = _restated(problem, base, wrap, unwrap)
+    starts = random.Random(seed).sample(range(1, n), min(3, n - 1))
+    sets = [build_from_trajectory(simulate_policy(p, b, x(starts[0])))
+            for p, b, x in ((problem, base, int), (other, other_base, wrap))]
+    memos = [{}, {}]
+    for x in starts:
+        sols = [solve_discrete(p, s, x0, _cfg(3), memo=m)
+                for p, s, x0, m in zip((problem, other), sets, (x, wrap(x)), memos)]
+        a, b = sols
+        assert (a.value, a.controls, a.per_stage_values, a.diagnostics) == \
+            (b.value, b.controls, b.per_stage_values, b.diagnostics)
+        assert a.terminal_state == (None if b.terminal_state is None
+                                    else unwrap(b.terminal_state))
+
+
+def test_a_token_state_is_its_own_key():
+    """The search keys a successor of a token type by the state itself."""
+    for x in (((0, 2), (2, 0)), "ABD", 3, 2.5):
+        assert type(x) in _SELF_KEYED and state_key(x) is x
