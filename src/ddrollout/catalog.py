@@ -423,12 +423,32 @@ def _tour_complete(seq: str) -> bool:
     return len(seq) > 1 and seq.endswith("A") and all(c in seq for c in _CITIES)
 
 
+# Every tour state, mapped to whether it is a complete tour: a string of the
+# cities with none twice and A only first, or one holding every city closed by
+# the return to A. The tour's stopping test reads it, so a run asks it of its
+# start first, and a string it does not hold is an error.
+_OPEN_TOURS = ["".join(p) for k in range(1, len(_CITIES) + 1)
+               for p in itertools.permutations(_CITIES, k) if "A" not in p[1:]]
+_TOUR_STATES = dict.fromkeys(_OPEN_TOURS, False) | dict.fromkeys(
+    (seq + "A" for seq in _OPEN_TOURS if set(_CITIES[1:]) <= set(seq)), True)
+
+
+def _stops_tour(seq) -> bool:
+    try:
+        return _TOUR_STATES[seq]
+    except (KeyError, TypeError):  # TypeError: an unhashable seq
+        raise ValueError(f"{seq!r} is not a tour state: a string of the cities "
+                         f"{', '.join(_CITIES)} with none twice and A only first, "
+                         f"or last to end the tour") from None
+
+
 def make_tsp_variant() -> InstanceBundle:
     """Shortest closed tour over four cities, framed as control: a state is
     the visit sequence so far and a control names the next city. Illegal
     moves (revisits, early return) price at infinity; completed tours are
     absorbing and cost-free. Leg costs are asymmetric so the optimum is a
-    single tour rather than a reversal pair.
+    single tour rather than a reversal pair. A string that is no tour state
+    (_TOUR_STATES) is an error in the stopping test.
     """
 
     def dynamics(seq, city):
@@ -448,7 +468,7 @@ def make_tsp_variant() -> InstanceBundle:
         dynamics=dynamics,
         stage_cost=stage_cost,
         control_set=lambda seq: FiniteControls(_CITIES),
-        stopping_predicate=_tour_complete,
+        stopping_predicate=_stops_tour,
         name="four-city-tour",
     )
 

@@ -34,6 +34,7 @@ from .errors import (
     SolverFailureError,
 )
 from .lookahead import SolverConfig
+from .model import is_vector_state
 from .sample_sets import merge
 from .serialization import (
     append_summary,
@@ -231,6 +232,9 @@ def _run_variant(bundle: InstanceBundle, variant: str, x0, cfg: SolverConfig, ho
                 raise ValueError("multi-policy needs --set naming the sets to merge")
             names = "merged"
         if variant == "disturbance":
+            if not is_vector_state(x0):
+                raise ValueError(f"the disturbance variant needs a vector start state, "
+                                 f"got {x0!r}")
             shift, step = _parse_x0(opts.get("disturb", "0.5,-0.5")), opts.get("disturb_step", 3)
             if not (isinstance(shift, np.ndarray) and shift.shape == np.shape(x0)):
                 raise ValueError(f"disturb must be a finite vector of x0's shape "

@@ -49,15 +49,17 @@ under a finite running bound, a pair whose lifted bound cannot beat it
 stops there too. So does a pair whose rows no box point meets. The jobs
 left, box-active optima, need the active-set solve of the box QP
 (boxqp._box_qp), which runs over stacks of subproblems: when the loop
-first reaches such a job, every later job of its target (they are
-consecutive) that passes the same tests against the running bound joins
-it, and the group is solved _CHUNK at a time. The bound only falls along the loop, so the group holds every job the loop goes
-on to solve; each is finished in job order, on its ball if it has one, as
-if solved alone (a problem's result has the same bits in any stack). A
+reaches such a job with no optimum yet, the next jobs of any target that
+pass the same tests against the running bound join it, up to _CHUNK in
+all, and the group is solved in one call. The bound only falls along the
+loop, so every job it goes on to solve up to the group's last is in the
+group; each is finished in job order, on its ball if it has one, as if
+solved alone (a problem's result has the same bits in any stack). A
 solved plan is replayed only if its predicted path meets its target, it
 lies in its energy ball, its path stays within model.EPS_STATE of its mode
 sequence's regions and of the state box (where the condensed prediction is
-exact) and its predicted value beats the bound. That replay with the set's own
+exact) and its predicted value beats the bound up to PRICE_SLACK, the
+rounding between prediction and replay. That replay with the set's own
 terminal_cost (_priced) is the one price of every plan, solved or seeded,
 so a plan earns a recorded value only by ending in the set. The solve
 holds one incumbent, the first priced plan of least value, whose value is
@@ -102,6 +104,12 @@ class _Condensed:
 
 
 _CHUNK = 64  # sequences per stacked product or box QP solve, capping their temporaries
+# A job goes on to its solve and replay only while its screened bound, lifted
+# bound and predicted value lie below bound + PRICE_SLACK * (1 + |bound|). The
+# slack covers the rounding between a condensed prediction and its exact
+# replay, at most about 1.4e-15 relative on the test cases, so no plan it
+# drops could have lowered the bound.
+PRICE_SLACK = 1e-9
 
 
 def _assemble(pl, x0: np.ndarray, sigmas: np.ndarray, h_r, lo_full, hi_full) -> _Condensed:
@@ -455,7 +463,7 @@ def solve_continuous(problem: ProblemDef, sset, x, cfg: SolverConfig,
         or None when it needs the solve."""
         if values[t] >= bound:
             return "skip"
-        i, slack = s * len(values) + t, 1e-7 * (1.0 + abs(bound))
+        i, slack = s * len(values) + t, PRICE_SLACK * (1.0 + abs(bound))
         if not screen.lb[i] < bound + slack:
             return "bound"
         if screen.interior[i]:
@@ -482,13 +490,19 @@ def solve_continuous(problem: ProblemDef, sset, x, cfg: SolverConfig,
             out = _priced(problem, sset, x, plan, None if states is None else states[t],
                           iterations=1, converged=True)
         elif out is None:
-            if (t, s) not in boxed:  # a target's jobs are consecutive: solve the rest that qualify
-                group = [s2 for t2, s2 in itertools.takewhile(lambda job: job[0] == t,
-                                                              itertools.islice(jobs, j, None))
-                         if gate(t2, s2) is None]
-                boxed = dict(zip(((t, s2) for s2 in group),
-                                 _solve_group(cond, targets, t, group, screen.z[:, t], lo_full,
-                                              hi_full)))
+            if (t, s) not in boxed:  # solve it with the next _CHUNK - 1 jobs that need it too
+                group = []
+                for job in itertools.islice(jobs, j, None):
+                    rule = gate(*job)
+                    if rule == "skip":
+                        break
+                    if rule is None:
+                        group.append(job)
+                        if len(group) == _CHUNK:
+                            break
+                ts, ss = np.array(group).T
+                boxed = dict(zip(group, _solve_group(cond, targets, ts, ss, screen.z[ss, ts],
+                                                     lo_full, hi_full)))
             out, converged = _solve_candidate(problem, sset, x, cond, s, targets, t,
                                               boxed.pop((t, s)), lo_full, hi_full, m, bound)
             unconverged += not converged
@@ -508,9 +522,9 @@ def solve_continuous(problem: ProblemDef, sset, x, cfg: SolverConfig,
                              diagnostics={**diag, **counts})
 
 
-def _subproblems(cond: _Condensed, targets, t: int, s):
-    """Target t's subproblem along sequence s, or stacked along an index
-    array or slice s: (h, b, rows, const), for the objective
+def _subproblems(cond: _Condensed, targets, t, s):
+    """Target t's subproblem along sequence s, or stacked along paired index
+    arrays t and s (or a slice s): (h, b, rows, const), for the objective
     0.5 z'h z + b'z + c0 + const. A pinned target adds d rows that put x_l
     on it; the free target's quad adds its own cost of x_l."""
     g_l, phi_l = cond.gammas[s, -1], cond.phis[s, -1]
@@ -524,17 +538,14 @@ def _subproblems(cond: _Condensed, targets, t: int, s):
     return h, b, None, const
 
 
-def _solve_group(cond: _Condensed, targets, t: int, seqs, z, lo_full, hi_full) -> list:
-    """The box QP optima (z, converged, iterations) of target t's subproblems
-    along the sequences seqs, in one stacked _box_qp call per _CHUNK of them;
-    z holds each sequence's box-free optimum."""
-    out = []
-    for lo in range(0, len(seqs), _CHUNK):
-        part = np.array(seqs[lo:lo + _CHUNK])
-        h, b, rows, _ = _subproblems(cond, targets, t, part)
-        out += [(zk, bool(ck), int(ik))
-                for zk, ck, ik in zip(*_box_qp(h, b, lo_full, hi_full, rows, z[part]))]
-    return out
+def _solve_group(cond: _Condensed, targets, t, s, z, lo_full, hi_full) -> list:
+    """The box QP optima (z, converged, iterations) of the subproblems of
+    the paired targets t and sequences s (index arrays of at most _CHUNK
+    jobs, of any targets), in one stacked _box_qp call; z holds each job's
+    box-free optimum."""
+    h, b, rows, _ = _subproblems(cond, targets, t, s)
+    return [(zk, bool(ck), int(ik))
+            for zk, ck, ik in zip(*_box_qp(h, b, lo_full, hi_full, rows, z))]
 
 
 def _solve_candidate(problem, sset, x, cond: _Condensed, s: int, targets, t: int, boxed,
@@ -551,7 +562,7 @@ def _solve_candidate(problem, sset, x, cond: _Condensed, s: int, targets, t: int
     sigma, phis, gammas = cond.sigmas[s], cond.phis[s], cond.gammas[s]
     h, b, rows, const = _subproblems(cond, targets, t, s)
     radius = None if targets.radii is None else float(targets.radii[t])
-    slack = 1e-7 * (1.0 + abs(bound))
+    slack = PRICE_SLACK * (1.0 + abs(bound))
     z, converged, it = _ball_box_qp(h, b, lo_full, hi_full, radius, rows, boxed)
     path = phis[1:] + gammas[1:] @ z  # predicted x_1 .. x_ell
     if not _meets(z, rows):

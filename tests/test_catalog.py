@@ -174,3 +174,27 @@ def test_a_grid_move_off_the_grid_prices_at_infinity_and_cannot_be_applied(grid)
         grid.problem.dynamics(state, ("up", "stay"))
     with pytest.raises(KeyError):
         grid.problem.stage_cost(state, ("jump", "stay"))
+
+
+
+def test_the_tour_states_are_closed_under_every_finite_move(tour):
+    """The tour's stopping test holds every state a run can reach: every
+    recorded sample is a tour state, and so is the successor of every
+    finite-cost move from one. It reads whether the state is a complete
+    tour, and raises a ValueError naming anything else."""
+    problem = tour.problem
+    frontier = [e.state for sset in tour.sample_sets.values() for e in sset.entries()] + ["B"]
+    seen = set()
+    while frontier:
+        seq = frontier.pop()
+        if seq in seen:
+            continue
+        seen.add(seq)
+        assert problem.is_stopping(seq) == (seq[1:].endswith("A") and set(seq) == set("ABCD"))
+        for city in problem.control_set(seq).controls:
+            if problem.stage_cost(seq, city) < float("inf"):
+                frontier.append(problem.dynamics(seq, city))
+    assert {"A", "ABDCA", "BCDA"} <= seen and len(seen) > 20
+    for bad in ("Z", "ZA", "", "AA", "ABB", "ABCDAA", "BA", ["A"]):
+        with pytest.raises(ValueError, match="is not a tour state"):
+            problem.is_stopping(bad)

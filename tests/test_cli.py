@@ -572,6 +572,15 @@ def test_a_grid_start_off_the_grid_is_an_error(capsys, tmp_path, variant, x0, ce
     assert not (tmp_path / "runs").exists()
 
 
+@pytest.mark.parametrize("x0", ["Z", "ZA", "ABB", "AA", "ABCDAA"])
+def test_a_tour_start_that_is_no_tour_state_is_an_error(capsys, tmp_path, x0):
+    code, out, err = run_cli(capsys, "run", "--instance", "tsp", "--x0", x0,
+                             "--out-dir", str(tmp_path / "runs"))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {x0!r} is not a tour state: ")
+    assert not (tmp_path / "runs").exists()
+
+
 _IGNORED = [("basic", "budget", "2.0"), ("basic", "sweeps", "5"), ("basic", "disturb", "9,9"),
             ("basic", "disturb_step", "1"), ("basic", "mpc_horizon", "3"),
             ("multiagent", "budget", "2.0"), ("augmented", "sweeps", "1"),
@@ -603,6 +612,18 @@ def test_the_classical_baseline_on_the_tour_asks_for_a_vector_start(capsys, tmp_
                              "--out-dir", str(tmp_path / "runs"))
     assert (code, out) == (1, "")
     assert err == "error: the classical MPC baseline needs a vector start state, got 'A'\n"
+    assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize("instance,start", [("tsp", "'A'"), ("grid", "((0, 2), (2, 0))")])
+@pytest.mark.parametrize("disturb", [None, "0,1,0,0"])
+def test_the_disturbance_variant_asks_for_a_vector_start(capsys, tmp_path, instance, start,
+                                                         disturb):
+    argv = ["run", "--instance", instance, "--variant", "disturbance",
+            "--out-dir", str(tmp_path / "runs")] + (["--disturb", disturb] if disturb else [])
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == f"error: the disturbance variant needs a vector start state, got {start}\n"
     assert not (tmp_path / "runs").exists()
 
 

@@ -648,7 +648,7 @@ def _per_candidate(monkeypatch):
                 const += float(phi_l @ targets.quad @ phi_l)
             z = shooting._face_solve(h[None], np.ones((1, b.size), dtype=bool),
                                      -b[None, :, None])[0][0, :, 0]
-        slack = 1e-7 * (1.0 + abs(bound))
+        slack = shooting.PRICE_SLACK * (1.0 + abs(bound))
         if not _qp_obj(h, b, z) + c0 + const < bound + slack:
             return "bound", True
         z, converged, it = shooting._ball_box_qp(
@@ -668,7 +668,7 @@ def _per_candidate(monkeypatch):
 
     monkeypatch.setattr(shooting, "_screen", no_screen)
     monkeypatch.setattr(shooting, "_solve_group",
-                        lambda cond, targets, t, seqs, *_: [None] * len(seqs))
+                        lambda cond, targets, t, s, *_: [None] * len(s))
     monkeypatch.setattr(shooting, "_solve_candidate", candidate)
 
 
@@ -736,25 +736,74 @@ def test_the_screen_changes_no_solve(spiral, integrator, monkeypatch):
     assert fast_paths > 0  # some jobs never reached the per-candidate solver
 
 
+def test_every_priced_plan_replays_to_its_prediction_within_a_thousandth_of_the_slack(
+        spiral, integrator, monkeypatch):
+    """Over the screen's cases, each plan a solve prices (the seeds aside)
+    replays to within PRICE_SLACK / 1000, relative, of the value the solve
+    predicted for it: the screened bound of an interior optimum, or the
+    condensed objective of a solved one. So the slack only covers rounding,
+    and no plan it keeps from the replay could have won."""
+    screen, solve_candidate, priced = shooting._screen, shooting._solve_candidate, shooting._priced
+    screens, jobs, gaps = [], [], {"solved": [], "interior": []}
+
+    def screened(*args):
+        screens.append(screen(*args))
+        return screens[-1]
+
+    def candidate(problem, sset, x, cond, s, targets, t, *args, **kwargs):
+        jobs.append((cond, s, targets, t))
+        try:
+            return solve_candidate(problem, sset, x, cond, s, targets, t, *args, **kwargs)
+        finally:
+            jobs.pop()
+
+    def price(problem, sset, x, controls, pinned, **diag):
+        out = priced(problem, sset, x, controls, pinned, **diag)
+        if diag.get("seed"):
+            return out
+        z = np.concatenate(controls)
+        if jobs:  # solved: the objective _solve_candidate tested against the bound
+            cond, s, targets, t = jobs[-1]
+            h, b, _, const = shooting._subproblems(cond, targets, t, s)
+            kind, predicted = "solved", [_qp_obj(h, b, z) + cond.c0[s] + const]
+        else:  # interior: the screened bound of the pair whose optimum it is
+            last = screens[-1]
+            same = np.all(last.z == z, axis=2).ravel()
+            kind, predicted = "interior", [last.lb[i] for i in np.flatnonzero(same)
+                                           if last.interior[i]]
+        assert predicted
+        gaps[kind].append(min(abs(out[0] - p) / (1.0 + abs(p)) for p in predicted))
+        return out
+
+    monkeypatch.setattr(shooting, "_screen", screened)
+    monkeypatch.setattr(shooting, "_solve_candidate", candidate)
+    monkeypatch.setattr(shooting, "_priced", price)
+    for problem, sset, x0, ell, policy, cap in _screen_cases(spiral, integrator):
+        solve_continuous(problem, sset, x0, replace(SolverConfig(), ell=ell, mode_cap=cap),
+                         base_policy=policy)
+    assert all(gaps.values())
+    assert max(max(g) for g in gaps.values()) <= shooting.PRICE_SLACK / 1000
+
+
 def test_only_box_active_jobs_reach_the_per_candidate_solver(spiral, monkeypatch):
     """A classical-MPC rollout (512 sequences, one origin target per step):
     a job whose box-free optimum lies strictly inside the control box is
     settled by the screen, so every job the active-set solve sees is
     box-active. Only the first step's jobs are; every later step is settled
     by the screen alone. The first step's 256 jobs, one for each sequence
-    the box keeps on its path, are one group, solved in 4 stacked box QPs of
-    _CHUNK = 64."""
+    the box keeps on its path, are 4 groups of _CHUNK = 64, each solved in
+    one stacked box QP."""
     policy = next(iter(spiral.base_policies.values()))
     cfg = replace(spiral.solver_defaults, ell=10, mode_cap=512)
     solve_group, solve_candidate, box_qp = (shooting._solve_group, shooting._solve_candidate,
                                             shooting._box_qp)
     seen, stacks, steps = [], [], []
 
-    def group(cond, targets, t, seqs, z, lo_full, hi_full):
-        for s in seqs:
-            margin = 1e-12 * (1.0 + float(np.abs(z[s]).max()))
-            assert not (np.all(z[s] > lo_full + margin) and np.all(z[s] < hi_full - margin))
-        return solve_group(cond, targets, t, seqs, z, lo_full, hi_full)
+    def group(cond, targets, t, s, z, lo_full, hi_full):
+        for zk in z:
+            margin = 1e-12 * (1.0 + float(np.abs(zk).max()))
+            assert not (np.all(zk > lo_full + margin) and np.all(zk < hi_full - margin))
+        return solve_group(cond, targets, t, s, z, lo_full, hi_full)
 
     def stacked(h, b, lo, hi, rows=None, z=None):
         if rows is not None:  # not the start-point QP inside it
@@ -832,6 +881,35 @@ def test_the_curvature_lift_changes_no_rollout(spiral, monkeypatch):
     forced, forced_calls = rollout(flat=True)
     assert repr(shipped) == repr(forced)
     assert shipped_calls <= 340 and forced_calls == 496
+
+
+def test_stacking_box_active_jobs_across_targets_changes_no_rollout(spiral, monkeypatch):
+    """The 40-step spiral trajectory-0 rollout from (1, 1) at ell = 5, as
+    shipped and with every box-active job solved in a group of its own
+    (_CHUNK = 1): the runs are identical. Shipped, the jobs that need the
+    active-set solve are stacked across targets into at most 6 groups."""
+    policy = next(iter(spiral.base_policies.values()))
+    solve_group = shooting._solve_group
+
+    def rollout(chunk):
+        groups = []
+        with monkeypatch.context() as patched:
+            patched.setattr(shooting, "_CHUNK", chunk)
+            patched.setattr(shooting, "_solve_group",
+                            lambda cond, targets, t, *a: groups.append(t) or
+                            solve_group(cond, targets, t, *a))
+            run = run_rollout(spiral.problem, spiral.sample_sets["trajectory-0"],
+                              np.array([1.0, 1.0]), replace(spiral.solver_defaults, ell=5), 40,
+                              base_policy=policy)
+        return run, groups
+
+    shipped, shipped_groups = rollout(shooting._CHUNK)
+    alone, alone_groups = rollout(1)
+    assert repr(shipped) == repr(alone)
+    assert len(shipped_groups) <= 6 and max(len(set(t.tolist())) for t in shipped_groups) > 1
+    assert {len(t) for t in alone_groups} == {1}
+    # a group holds every job the loop goes on to solve, and may hold some the bound then drops
+    assert len(alone_groups) <= sum(map(len, shipped_groups))
 
 
 def test_the_planar_reach_test_drops_only_rows_prunes(integrator, monkeypatch):

@@ -373,8 +373,8 @@ def test_a_solve_whose_every_box_qp_fails_to_converge(integrator, monkeypatch, t
 
     monkeypatch.setattr(shooting, "_screen", no_screen)
     converged = [False]
-    monkeypatch.setattr(shooting, "_solve_group", lambda cond, targets, t, seqs, z, *_:
-                        [(np.zeros_like(z[s]), converged[0], 99) for s in seqs])
+    monkeypatch.setattr(shooting, "_solve_group", lambda cond, targets, t, s, z, *_:
+                        [(np.zeros_like(zk), converged[0], 99) for zk in z])
     sset, x0 = integrator.sample_sets["trajectory"], integrator.start_states[0]
     with pytest.raises(SolverFailureError) as failure:
         solve_continuous(integrator.problem, sset, x0, _cfg(4))
