@@ -7,8 +7,10 @@ every pair and, per end-to-end metric, each side's median and quartiles and
 how many pairs the change ran lower or higher. With --traced-seconds, one
 traced pass per side and workload (seed 1) adds the per-layer metrics.
 Both checkouts should be clean git clones: the file is named after the
-change's commit. A file of the same name from the same two commits is
-extended, so workloads can be run one at a time.
+change's commit. Two clones of one commit make an A/A run, written to
+BENCH_AA_<short-sha>.json: its gaps are checkout drift alone, the band a
+change's gap must clear. A file of the same name from the same two commits
+is extended, so workloads can be run one at a time.
 
 Usage:
     python3 scripts/bench_pairs.py --parent DIR --change DIR \\
@@ -79,6 +81,11 @@ def summarize(pairs: list) -> dict:
     return out
 
 
+def out_name(parent: str, change: str) -> str:
+    """The file a run of these two commits writes: an A/A run when both are one."""
+    return f"BENCH_AA_{change}.json" if parent == change else f"BENCH_{change}.json"
+
+
 def short_sha(root: Path) -> str:
     return subprocess.run(["git", "-C", str(root), "rev-parse", "--short", "HEAD"],
                           check=True, capture_output=True, text=True).stdout.strip()
@@ -114,7 +121,7 @@ def main(argv=None) -> int:
 
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     shas = {side: short_sha(root) for side, root in sides.items()}
-    path = args.out_dir / f"BENCH_{shas['change']}.json"
+    path = args.out_dir / out_name(shas["parent"], shas["change"])
     doc = json.loads(path.read_text()) if path.is_file() else {}
     if (doc.get("parent"), doc.get("change")) != (shas["parent"], shas["change"]):
         doc = {}

@@ -20,10 +20,6 @@ import numpy as np
 from .model import EPS_STATE
 
 
-def _qp_obj(h, b, z) -> float:
-    return 0.5 * float(z @ h @ z) + float(b @ z)
-
-
 def _mv(a, v):
     """a @ v for stacked matrices a (... x p x q) and vectors v (... x q)."""
     return (a @ v[..., None])[..., 0]
@@ -53,7 +49,7 @@ def _kkt(h, g):
     return kkt
 
 
-def _face_solve(kkt, free, rhs):
+def _face_solve(kkt, free, rhs, rank=None):
     """Solutions (z, lam) of the S stacked KKT systems kkt [z; lam] = rhs
     (kkt from _kkt, rhs S x N x k) restricted to the faces free (S x n
     masks): a held coordinate's row and column become the identity's and its
@@ -61,8 +57,10 @@ def _face_solve(kkt, free, rhs):
     condition number (_COND_LIMIT) is solved by LU; any other, such as one
     with fewer free coordinates than rows, gets the least-squares min-norm
     solution that numpy.linalg.lstsq gives (SVD, singular values below N eps
-    of the largest count as zero). Each system's solution has the same bits
-    in any stack (but a column of a k-column solve need not have the bits of
+    of the largest count as zero). rank, given for systems with no rows,
+    bounds the rank of h: a face with more free coordinates is singular and
+    goes straight to the SVD. Each system's solution has the same bits in
+    any stack (but a column of a k-column solve need not have the bits of
     that column solved alone)."""
     (n_prob, n), (size, k) = free.shape, rhs.shape[1:]
     kept = np.ones((n_prob, size), dtype=bool)
@@ -70,14 +68,19 @@ def _face_solve(kkt, free, rhs):
     kkt = np.where(kept[:, :, None] & kept[:, None, :], kkt, 0.0)
     diag = np.arange(n)
     kkt[:, diag, diag] += ~free
-    # one LU per system gives its solution and its inverse, for the condition number
     rhs = np.where(kept[:, :, None], rhs, 0.0)
-    both = np.zeros((n_prob, size, k + size))
-    both[:, :, :k], both[:, :, k:] = rhs, np.eye(size)
-    both = _lu_solve(kkt, both)
-    sol = both[..., :k]
-    cond = np.abs(kkt).sum(axis=2).max(axis=1) * np.abs(both[..., k:]).sum(axis=2).max(axis=1)
-    rest = ~(cond <= _COND_LIMIT)  # NaN for an exactly singular system
+    sol = np.empty((n_prob, size, k))
+    rest = np.ones(n_prob, dtype=bool)  # the systems left to the SVD
+    lu = slice(None) if rank is None else np.flatnonzero(free.sum(axis=1) <= rank)
+    a = kkt[lu]
+    if len(a):
+        # one LU per system gives its solution and its inverse, for the condition number
+        both = np.zeros((len(a), size, k + size))
+        both[:, :, :k], both[:, :, k:] = rhs[lu], np.eye(size)
+        both = _lu_solve(a, both)
+        sol[lu] = both[..., :k]
+        cond = np.abs(a).sum(axis=2).max(axis=1) * np.abs(both[..., k:]).sum(axis=2).max(axis=1)
+        rest[lu] = ~(cond <= _COND_LIMIT)  # NaN for an exactly singular system
     if rest.any():
         u, sv, vt = np.linalg.svd(kkt[rest])
         scaled = np.zeros((len(sv), size, k))
@@ -101,7 +104,7 @@ def _lu_solve(a, rhs):
         return out
 
 
-def _box_qp(h, b, lo, hi, rows=None, z=None):
+def _box_qp(h, b, lo, hi, rows=None, z=None, rank=None):
     """Minimize 0.5 z'h z + b'z over the box lo <= z <= hi and the rows
     g z = r of rows = (g, r), if given, for S problems at once: h is
     S x n x n, b and z are S x n, g is S x d x n and r is S x d, and all
@@ -119,20 +122,21 @@ def _box_qp(h, b, lo, hi, rows=None, z=None):
     set, and each round makes one stacked face solve (_face_solve) for the
     problems still running. A start that misses the rows by more than
     EPS_STATE, proving that no box point meets them, is returned as is.
-    Returns (z, converged, iterations), one entry per problem; converged is
-    False only if a loop hits 4 (n + 1) face solves. A problem's result has
-    the same bits in any stack.
+    rank, given with no rows, bounds the rank of h (_face_solve); the start
+    point's QP passes g's row count. Returns (z, converged, iterations), one
+    entry per problem; converged is False only if a loop hits 4 (n + 1) face
+    solves. A problem's result has the same bits in any stack.
     """
     if h.ndim == 2:
         z, converged, iters = _box_qp(h[None], b[None], lo, hi,
                                       rows and (rows[0][None], rows[1][None]),
-                                      None if z is None else z[None])
+                                      None if z is None else z[None], rank)
         return z[0], bool(converged[0]), int(iters[0])
     n_prob, n = b.shape
     g, r = rows or (np.zeros((n_prob, 0, n)), np.zeros((n_prob, 0)))
     if z is None:
         z = _face_solve(_kkt(h, g), np.ones((n_prob, n), dtype=bool),
-                        np.concatenate([-b, r], axis=1)[..., None])[0][..., 0]
+                        np.concatenate([-b, r], axis=1)[..., None], rank)[0][..., 0]
     out = z.copy(), np.ones(n_prob, dtype=bool), np.ones(n_prob, dtype=int)
     margin = (1e-12 * (1.0 + np.abs(z).max(axis=1, initial=0.0)))[:, None]
     active = np.flatnonzero(~(((z > lo + margin) & (z < hi - margin)).all(axis=1)
@@ -142,7 +146,7 @@ def _box_qp(h, b, lo, hi, rows=None, z=None):
     h, b, g, r = h[active], b[active], g[active], r[active]
     if r.shape[1]:
         gt = g.transpose(0, 2, 1)
-        z, converged, iters = _box_qp(gt @ g, -_mv(gt, r), lo, hi)
+        z, converged, iters = _box_qp(gt @ g, -_mv(gt, r), lo, hi, rank=r.shape[1])
     else:
         z, converged, iters = (np.clip(z[active], lo, hi), np.ones(active.size, dtype=bool),
                                np.zeros(active.size, dtype=int))
@@ -158,7 +162,8 @@ def _box_qp(h, b, lo, hi, rows=None, z=None):
     each, cap = np.arange(len(active)), 4 * (n + 1)
     for it in range(1, cap + 1):
         step, lam = (a[..., 0] for a in _face_solve(
-            kkt, ~(at_lo | at_hi), np.concatenate([-(_mv(h, z) + b), zeros], axis=1)[..., None]))
+            kkt, ~(at_lo | at_hi), np.concatenate([-(_mv(h, z) + b), zeros], axis=1)[..., None],
+            rank))
         # how far along its step each coordinate may go before its bound
         bound = np.where(step < 0, lo, hi)
         room = np.full_like(step, np.inf)

@@ -107,6 +107,7 @@ class BudgetSampleSet:
         self.label = label
         self.anchor_usage = anchor_usage
         self._policy_id = seed.policy_id
+        self._targets = None  # shooting_targets' arrays that do not depend on the state
         self._grid = GridIndex()
         for k, xk in enumerate(seed.states):
             self._grid.add(xk, k)
@@ -142,11 +143,14 @@ class BudgetSampleSet:
         the control-energy ball the rest of that budget allows."""
         if not isinstance(s, AugmentedState):
             raise ValueError("budget sample set requires an augmented state")
-        head = float(s.info) - np.array(self.tail_usages, dtype=float)
+        if self._targets is None:  # built on first use
+            self._targets = (np.array(self.seed.tail_costs, dtype=float),
+                             np.array(self.seed.states, dtype=float),
+                             np.array(self.tail_usages, dtype=float), _usage_scale(self.spec))
+        values, states, tail_usages, scale = self._targets
+        head = float(s.info) - tail_usages
         fits = head >= 0.0  # the other steps need more budget than is left
-        return Targets(np.array(self.seed.tail_costs, dtype=float)[fits],
-                       np.array(self.seed.states, dtype=float)[fits],
-                       np.sqrt(head[fits] / _usage_scale(self.spec)))
+        return Targets(values[fits], states[fits], np.sqrt(head[fits] / scale))
 
     def reverify(self) -> None:
         """Membership is reconstructed from the seed: recompute the usage

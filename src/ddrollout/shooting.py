@@ -77,8 +77,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boxqp import (_ball_box_qp, _box_qp, _face_solve, _kkt, _lift, _meets, _mv, _qp_obj,
-                    _row_factors)
+from .boxqp import _ball_box_qp, _box_qp, _face_solve, _kkt, _lift, _meets, _mv, _row_factors
 from .budget import base_view
 from .costs import INF
 from .errors import SearchSpaceError, SolverFailureError
@@ -101,6 +100,7 @@ class _Condensed:
     b_c: np.ndarray     # b0 at x0 = 0
     x0: np.ndarray
     reach: np.ndarray   # componentwise bound on |x_l - phi_l|, S x d
+    pl: object          # the structure condensed: its path test judges the plans
 
 
 _CHUNK = 64  # sequences per stacked product or box QP solve, capping their temporaries
@@ -192,7 +192,7 @@ def _assemble(pl, x0: np.ndarray, sigmas: np.ndarray, h_r, lo_full, hi_full) -> 
     u_abs = np.maximum(np.abs(lo_full), np.abs(hi_full))
     reach = np.abs(gammas[:, ell]) @ u_abs
     return _Condensed(sigmas, phis, gammas, h0, lin[..., 0], c0, lin[..., 1:d + 1],
-                      lin[..., -1], x0, reach)
+                      lin[..., -1], x0, reach, pl)
 
 
 def _path_rows(pl):
@@ -456,6 +456,7 @@ def solve_continuous(problem: ProblemDef, sset, x, cfg: SolverConfig,
     screen = _screen(pl, cond, targets, memo, lo_full, hi_full)
     lifts = {}  # pair -> its lifted bound
 
+    @functools.cache  # each job once per value of the running bound: cleared when it falls
     def gate(t, s):
         """Job (t, s)'s tests against the running bound before the active-set
         solve: "skip" (a target valued at the bound, not a candidate), the
@@ -479,7 +480,7 @@ def solve_continuous(problem: ProblemDef, sset, x, cfg: SolverConfig,
         return None if screen.reachable[s, t] else "rows"
 
     jobs = list(zip(*_job_order(keep, values)))
-    boxed = {}  # the current group's box optima, by job
+    boxed = {}  # the current group's box optima and their verdicts, by job
     for j, (t, s) in enumerate(jobs):
         out = gate(t, s)
         if out == "skip":  # every later tail is as high: they skip too
@@ -510,6 +511,7 @@ def solve_continuous(problem: ProblemDef, sset, x, cfg: SolverConfig,
             pruned_by[out] += 1
         elif incumbent is None or out[0] < bound:
             incumbent, bound = out, out[0]
+            gate.cache_clear()
 
     counts = {"candidates": candidates, "pruned_by": pruned_by}
     if bound == INF:  # no finite plan
@@ -517,9 +519,11 @@ def solve_continuous(problem: ProblemDef, sset, x, cfg: SolverConfig,
             raise SolverFailureError("no shooting subproblem converged", incumbent=incumbent)
         return LookaheadSolution(controls=(), terminal_state=None, value=INF, diagnostics=counts)
     value, controls, diag, terminal = incumbent
+    # the winner's mismatch to the target states it was priced against
+    diag = {"mismatch": _mismatch(terminal, diag.get("pinned")), **diag, **counts}
+    diag.pop("pinned", None)
     return LookaheadSolution(controls=controls, terminal_state=terminal, value=value,
-                             terminal_sample_id=sset.sample_id(terminal),
-                             diagnostics={**diag, **counts})
+                             terminal_sample_id=sset.sample_id(terminal), diagnostics=diag)
 
 
 def _subproblems(cond: _Condensed, targets, t, s):
@@ -539,51 +543,70 @@ def _subproblems(cond: _Condensed, targets, t, s):
 
 
 def _solve_group(cond: _Condensed, targets, t, s, z, lo_full, hi_full) -> list:
-    """The box QP optima (z, converged, iterations) of the subproblems of
-    the paired targets t and sequences s (index arrays of at most _CHUNK
-    jobs, of any targets), in one stacked _box_qp call; z holds each job's
-    box-free optimum."""
-    h, b, rows, _ = _subproblems(cond, targets, t, s)
-    return [(zk, bool(ck), int(ik))
-            for zk, ck, ik in zip(*_box_qp(h, b, lo_full, hi_full, rows, z))]
+    """The box QP optima of the subproblems of the paired targets t and
+    sequences s (index arrays of at most _CHUNK jobs, of any targets), in
+    one stacked _box_qp call from their box-free optima z, with their tests
+    (_verdicts) in one more stacked pass: per job (z, converged, iterations,
+    verdict)."""
+    sub = h, b, rows, _ = _subproblems(cond, targets, t, s)
+    z, converged, iters = _box_qp(h, b, lo_full, hi_full, rows, z)
+    return list(zip(z, converged.tolist(), iters.tolist(), _verdicts(cond, targets, t, s, z, sub)))
+
+
+def _verdicts(cond: _Condensed, targets, t, s, z, sub) -> list:
+    """The tests of the plans z (J x width) of the jobs of paired targets t
+    and sequences s, sub = _subproblems(cond, targets, t, s), in one stacked
+    pass. Per job, the first rule that drops it: "rows" (its predicted
+    terminal misses its pinned target), "ball" (it lies outside its
+    target's energy ball, so its terminal budget falls short of the
+    target's tail) or "path" (its predicted path leaves the mode sequence or
+    the state box by more than EPS_STATE, so the prediction would not
+    hold); else its predicted value, for the bound test. Every product is
+    taken per job, so a job's verdict does not depend on its stack."""
+    h, b, rows, const = sub
+    ell = cond.sigmas.shape[1]
+    row, col = z[:, None, :], z[:, :, None]  # each plan as a 1 x width and a width x 1 matrix
+    meets = _meets(z, rows)
+    in_ball = True if targets.radii is None else np.sqrt((row @ col)[:, 0, 0]) <= targets.radii[t]
+    path = cond.phis[s, 1:ell] + (cond.gammas[s, 1:ell] @ z[:, None, :, None])[..., 0]
+    on_path = cond.pl.path_excess(cond.sigmas[s, 1:], path) <= EPS_STATE
+    value = 0.5 * (row @ h @ col)[:, 0, 0] + (b[:, None, :] @ col)[:, 0, 0] + cond.c0[s] + const
+    rules = np.where(meets, np.where(in_ball, np.where(on_path, "", "path"), "ball"), "rows")
+    return [rule or v for rule, v in zip(rules.tolist(), value.tolist())]
 
 
 def _solve_candidate(problem, sset, x, cond: _Condensed, s: int, targets, t: int, boxed,
                      lo_full, hi_full, m, bound=INF):
-    """Finish target t's subproblem along sequence s from its box QP optimum
-    boxed = (z, converged, iterations), on the target's energy ball if it
-    has one, and price its plan by replay, unless the plan provably cannot
-    win: its predicted terminal misses a pinned target, it lies outside the
-    target's energy ball (so its terminal budget falls short of the
-    target's tail), its predicted path leaves the mode sequence or the
-    state box by more than EPS_STATE (so the prediction would not hold), or
-    its predicted value does not beat bound. Returns the priced plan, or the
+    """Finish target t's subproblem along sequence s from boxed = (z,
+    converged, iterations, verdict), its box QP optimum and that plan's
+    verdict (_verdicts). A plan outside its target's energy ball goes on to
+    the ball (_ball_box_qp), and the ball's plan takes the same tests as a
+    stack of one. A plan no rule drops is priced by replay if its predicted
+    value beats bound up to PRICE_SLACK. Returns the priced plan, or the
     rule that dropped it, with the box QP's converged flag."""
-    sigma, phis, gammas = cond.sigmas[s], cond.phis[s], cond.gammas[s]
-    h, b, rows, const = _subproblems(cond, targets, t, s)
-    radius = None if targets.radii is None else float(targets.radii[t])
-    slack = PRICE_SLACK * (1.0 + abs(bound))
-    z, converged, it = _ball_box_qp(h, b, lo_full, hi_full, radius, rows, boxed)
-    path = phis[1:] + gammas[1:] @ z  # predicted x_1 .. x_ell
-    if not _meets(z, rows):
-        return "rows", converged
-    if not (radius is None or float(np.linalg.norm(z)) <= radius):
-        return "ball", converged
-    if not problem.pl.path_excess(sigma[1:], path[:-1]) <= EPS_STATE:
-        return "path", converged
-    if not _qp_obj(h, b, z) + cond.c0[s] + const < bound + slack:
+    z, converged, it, verdict = boxed
+    if verdict == "ball":
+        ts, ss = np.array([t]), np.array([s])
+        sub = h, b, (g, r), _ = _subproblems(cond, targets, ts, ss)
+        z, converged, it = _ball_box_qp(h[0], b[0], lo_full, hi_full, float(targets.radii[t]),
+                                        (g[0], r[0]), (z, converged, it))
+        verdict = _verdicts(cond, targets, ts, ss, z[None], sub)[0]
+    if isinstance(verdict, str):
+        return verdict, converged
+    if not verdict < bound + PRICE_SLACK * (1.0 + abs(bound)):
         return "bound", converged
     return _priced(problem, sset, x, tuple(z.reshape(-1, m).copy()),
-                   None if rows is None else targets.states[t], iterations=it,
+                   None if targets.states is None else targets.states[t], iterations=it,
                    converged=converged), converged
 
 
 def _priced(problem, sset, x, controls, pinned, **diag):
     """A candidate: the plan priced by its exact replay with the set's
     terminal_cost, as (value, controls, diagnostics, terminal state); the
-    diagnostics add the terminal's mismatch to the pinned target states."""
+    diagnostics keep the pinned target states, from which the solve measures
+    its winner's mismatch (_mismatch)."""
     value, states, _ = replay(problem, x, controls, sset.terminal_cost)
-    return value, controls, {"mismatch": _mismatch(states[-1], pinned), **diag}, states[-1]
+    return value, controls, {"pinned": pinned, **diag}, states[-1]
 
 
 _RULES = ("sequence", "bound", "lift", "path", "rows", "ball")  # the rules that drop a candidate

@@ -74,3 +74,8 @@ def test_seed_lists(text, want):
 def test_a_run_that_printed_nothing_is_an_error():
     with pytest.raises(ValueError):
         bench_pairs.last_json("\n")
+
+
+def test_two_checkouts_of_one_commit_write_an_a_a_file():
+    assert bench_pairs.out_name("8f418d2", "66b62d4") == "BENCH_66b62d4.json"
+    assert bench_pairs.out_name("8f418d2", "8f418d2") == "BENCH_AA_8f418d2.json"

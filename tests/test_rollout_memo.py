@@ -785,6 +785,48 @@ def test_every_priced_plan_replays_to_its_prediction_within_a_thousandth_of_the_
     assert max(max(g) for g in gaps.values()) <= shooting.PRICE_SLACK / 1000
 
 
+def _own_verdict(problem, cond, targets, t, s, z):
+    """Job (t, s)'s tests on its plan z, one job at a time: the first rule
+    that drops it, else its predicted value."""
+    sigma, phis, gammas = cond.sigmas[s], cond.phis[s], cond.gammas[s]
+    h, b, rows, const = shooting._subproblems(cond, targets, t, s)
+    path = phis[1:] + gammas[1:] @ z
+    if not shooting._meets(z, rows):
+        return "rows"
+    if targets.radii is not None and float(np.linalg.norm(z)) > float(targets.radii[t]):
+        return "ball"
+    if not problem.pl.path_excess(sigma[1:], path[:-1]) <= shooting.EPS_STATE:
+        return "path"
+    return _qp_obj(h, b, z) + cond.c0[s] + const
+
+
+def test_each_stacked_verdict_is_the_jobs_own(spiral, integrator, monkeypatch):
+    """Over the screen's cases, every verdict of the stacked tests, on a
+    group's box optima or on a ball plan as a stack of one, is what the
+    job's own tests give on the same z: the same rule, or the same
+    predicted value up to the rounding of b'z (one job's b is a strided
+    view, which BLAS sums in another order)."""
+    verdicts, seen = shooting._verdicts, Counter()
+
+    def checked(cond, targets, t, s, z, sub):
+        out = verdicts(cond, targets, t, s, z, sub)
+        for tk, sk, zk, got in zip(t.tolist(), s.tolist(), z, out):
+            want = _own_verdict(problem, cond, targets, tk, sk, zk)
+            if isinstance(want, str):
+                assert got == want
+            else:
+                assert got == pytest.approx(want, rel=1e-15, abs=1e-15)
+            seen[got if isinstance(got, str) else "value"] += 1
+            seen["alone" if len(z) == 1 else "stacked"] += 1
+        return out
+
+    monkeypatch.setattr(shooting, "_verdicts", checked)
+    for problem, sset, x0, ell, policy, cap in _screen_cases(spiral, integrator):
+        solve_continuous(problem, sset, x0, replace(SolverConfig(), ell=ell, mode_cap=cap),
+                         base_policy=policy)
+    assert all(seen[k] > 0 for k in ("ball", "path", "value", "stacked", "alone")), seen
+
+
 def test_only_box_active_jobs_reach_the_per_candidate_solver(spiral, monkeypatch):
     """A classical-MPC rollout (512 sequences, one origin target per step):
     a job whose box-free optimum lies strictly inside the control box is
@@ -829,6 +871,63 @@ def test_only_box_active_jobs_reach_the_per_candidate_solver(spiral, monkeypatch
     assert shooting._CHUNK == 64 and stacks == [(0, 64)] * 4
     left = [s.diagnostics["candidates"] - s.diagnostics["pruned_by"]["sequence"] for s in steps]
     assert sum(left) > 6 * 256
+
+
+def test_each_group_of_box_active_jobs_takes_one_path_test(spiral, monkeypatch):
+    """On the classical-MPC rollout, the first step's 256 box-active jobs
+    (4 groups of _CHUNK = 64) take their path test in 4 stacked path_excess
+    calls, one per group, beside the screen's one; every later step makes
+    the screen's call alone."""
+    policy = next(iter(spiral.base_policies.values()))
+    cfg = replace(spiral.solver_defaults, ell=10, mode_cap=512)
+    path_excess, calls, steps = type(spiral.problem.pl).path_excess, [], []
+
+    def counted(pl, sigma, xs):
+        calls.append((len(steps), np.shape(sigma)))
+        return path_excess(pl, sigma, xs)
+
+    def solve(*args, **kwargs):
+        steps.append(lookahead.solve(*args, **kwargs))
+        return steps[-1]
+
+    monkeypatch.setattr(type(spiral.problem.pl), "path_excess", counted)
+    monkeypatch.setattr(engine, "solve", solve)
+    run_classical_mpc(spiral.problem, spiral.start_states[0], cfg, 40, terminal="origin",
+                      base_policy=policy)
+    assert len(steps) == 6
+    assert Counter(step for step, _ in calls) == {0: 5, **{k: 1 for k in range(1, 6)}}
+    assert [shape for step, shape in calls if step == 0][1:] == [(64, 9)] * 4
+
+
+def test_a_solve_measures_only_its_winners_mismatch(integrator, monkeypatch):
+    """Each solve of the augmented rollout prices several plans but measures
+    one mismatch, its winner's, after the job loop; the report carries it
+    and no pinned states."""
+    mismatch, priced, steps = shooting._mismatch, shooting._priced, []
+    counts = Counter()
+
+    def solve(*args, **kwargs):
+        counts.clear()
+        steps.append(lookahead.solve(*args, **kwargs))
+        steps[-1].diagnostics["counted"] = dict(counts)
+        return steps[-1]
+
+    monkeypatch.setattr(engine, "solve", solve)
+    monkeypatch.setattr(shooting, "_mismatch",
+                        lambda *a: counts.update(["mismatch"]) or mismatch(*a))
+    monkeypatch.setattr(shooting, "_priced",
+                        lambda *a, **k: counts.update(["priced"]) or priced(*a, **k))
+    x0 = AugmentedState(np.asarray(integrator.start_states[0], dtype=float),
+                        float(integrator.budget_spec.e_max))
+    run = run_rollout(integrator.augmented_problem, integrator.augmented_sets["budget"], x0,
+                      replace(integrator.solver_defaults, ell=4), 10,
+                      base_policy=next(iter(integrator.base_policies.values())),
+                      variant="augmented")
+    assert len(steps) == run.steps == 10
+    assert all(s.diagnostics["counted"]["mismatch"] == 1 for s in steps)
+    assert sum(s.diagnostics["counted"]["priced"] for s in steps) > 2 * len(steps)
+    assert all("pinned" not in s.diagnostics and 0.0 <= s.diagnostics["mismatch"] <= 1e-9
+               for s in steps)
 
 
 def test_assembling_in_chunks_changes_no_bit(spiral):

@@ -19,6 +19,7 @@ from ddrollout import (
     simulate_policy,
     verify_invariance,
 )
+from ddrollout import budget as budget_module
 from ddrollout import shooting
 from ddrollout.costs import INF
 from ddrollout.model import Trajectory
@@ -257,6 +258,26 @@ def test_budget_targets_are_the_steps_the_budget_left_can_finish(integrator):
             assert not kept and targets.states.shape == (0, 2)
         if e >= budget.spec.e_max:
             assert len(kept) == len(budget.seed.states)
+
+
+def test_a_budget_set_builds_its_target_arrays_once(integrator, monkeypatch):
+    """The values, states, tail usages and usage scale are built on the first
+    call; later calls, at any budget, only select the steps that fit and
+    size their balls, and give what another set of the same seed gives."""
+    budget = integrator.augmented_sets["budget"]
+    budgets = (0.05, budget.spec.e_max, 0.3, 0.05)
+    want = [budget.shooting_targets(AugmentedState(np.zeros(2), e)) for e in budgets]
+    fresh = BudgetSampleSet(budget.seed, budget.spec, usages=budget.usages,
+                            tail_usages=budget.tail_usages, label="fresh",
+                            anchor_usage=budget.anchor_usage)
+    scales, usage_scale = [], budget_module._usage_scale
+    monkeypatch.setattr(budget_module, "_usage_scale",
+                        lambda spec: scales.append(spec) or usage_scale(spec))
+    for e, targets in zip(budgets, want):
+        got = fresh.shooting_targets(AugmentedState(np.zeros(2), e))
+        for field in ("values", "states", "radii"):
+            assert getattr(got, field).tobytes() == getattr(targets, field).tobytes()
+    assert len(scales) == 1
 
 
 def test_no_pinned_state_means_no_mismatch(spiral, integrator):

@@ -258,11 +258,14 @@ def test_a_plan_off_its_path_by_two_eps_is_dropped_and_by_half_eps_replayed(
         assert pl.path_excess(sigma[1:], x1[None]) == pytest.approx(off, rel=1e-3)
         cond = shooting._assemble(pl, x0, np.array([sigma]), np.zeros((2, 2)), z, z)
         assert len(cond.sigmas) == want
-        if want:  # the box QP's optimum is z, in one iteration
+        if want:  # the box QP's optimum is z, in one iteration, with its verdict
             replays.clear()
             free = FreeTerminal()
-            shooting._solve_candidate(problem, free, x0, cond, 0, free.shooting_targets(x0), 0,
-                                      (z, True, 1), z, z, 1)
+            targets, job = free.shooting_targets(x0), (np.array([0]), np.array([0]))
+            verdict = shooting._verdicts(cond, targets, *job, z[None],
+                                         shooting._subproblems(cond, targets, *job))[0]
+            shooting._solve_candidate(problem, free, x0, cond, 0, targets, 0,
+                                      (z, True, 1, verdict), z, z, 1)
             assert len(replays) == 1  # the half-eps plan's replay is its price
 
 
@@ -373,8 +376,8 @@ def test_a_solve_whose_every_box_qp_fails_to_converge(integrator, monkeypatch, t
 
     monkeypatch.setattr(shooting, "_screen", no_screen)
     converged = [False]
-    monkeypatch.setattr(shooting, "_solve_group", lambda cond, targets, t, s, z, *_:
-                        [(np.zeros_like(zk), converged[0], 99) for zk in z])
+    monkeypatch.setattr(shooting, "_box_qp", lambda h, b, lo, hi, rows, z:
+                        (np.zeros_like(z), np.full(len(z), converged[0]), np.full(len(z), 99)))
     sset, x0 = integrator.sample_sets["trajectory"], integrator.start_states[0]
     with pytest.raises(SolverFailureError) as failure:
         solve_continuous(integrator.problem, sset, x0, _cfg(4))
@@ -544,9 +547,9 @@ def test_stacking_changes_no_bit(monkeypatch):
     few_free = []
     face_solve = boxqp._face_solve
 
-    def recording(kkt, free, rhs):
+    def recording(kkt, free, rhs, rank=None):
         few_free.append(bool((free.sum(axis=1) < kkt.shape[1] - free.shape[1]).any()))
-        z, lam = face_solve(kkt, free, rhs)
+        z, lam = face_solve(kkt, free, rhs, rank)
         z[np.isnan(rhs).any(axis=(1, 2))] = -1.0
         return z, lam
 
@@ -604,6 +607,37 @@ def test_the_face_solve_is_the_min_norm_solution_in_any_stack():
             want = np.linalg.lstsq(masked, np.where(kept[:, None], rhs[i], 0.0), rcond=None)[0]
             got = np.concatenate([z[i], lam[i]])
             assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max(), (trial, i)
+
+
+def test_faces_past_the_rank_skip_the_lu_and_keep_their_bits(monkeypatch):
+    """Stacks of the start point's g'g systems (no rows, h of rank d), with
+    faces of up to d free coordinates (regular, solved by LU) and faces of
+    more (singular): told the rank, _face_solve sends the singular faces
+    straight to the SVD, and every system gets the same bits and the SVD
+    takes the same systems as without it."""
+    rng = np.random.default_rng(59)
+    svd, took = np.linalg.svd, []
+    monkeypatch.setattr(np.linalg, "svd", lambda a, *args: took.append(len(a)) or svd(a, *args))
+    d, seen = 2, {"regular": 0, "singular": 0}
+    for trial in range(6):
+        n, k = int(rng.integers(3, 11)), int(rng.integers(1, 4))
+        g = rng.standard_normal((64, d, n))
+        h = g.transpose(0, 2, 1) @ g
+        free = rng.random((64, n)) < rng.uniform(0.1, 0.9, (64, 1))
+        rhs = rng.standard_normal((64, n, k))
+        kkt = boxqp._kkt(h, np.zeros((64, 0, n)))
+        took.clear()
+        want = boxqp._face_solve(kkt, free, rhs)
+        svd_without = took.copy()
+        took.clear()
+        got = boxqp._face_solve(kkt, free, rhs, rank=d)
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1].shape == want[1].shape == (64, 0, k)
+        assert sum(took) == sum(svd_without)
+        singular = int((free.sum(axis=1) > d).sum())
+        seen["singular"] += singular
+        seen["regular"] += 64 - singular
+    assert min(seen.values()) > 50
 
 
 def _box_miss(g, t, lo, hi):
@@ -814,11 +848,11 @@ def test_the_exact_ball_step_matches_the_bisection_on_the_augmented_rollout(
     def rollout():
         tally, solves = {"bisected": 0, "no point": 0, "calls": 0}, [0]
 
-        def counted(h, b, lo, hi, rows=None, z=None):
+        def counted(h, b, lo, hi, rows=None, z=None, rank=None):
             # one problem under the rows: not the start-point QP inside _box_qp,
             # nor the stack of one that solves it
             solves[0] += rows is not None and h.ndim == 2
-            return box_qp(h, b, lo, hi, rows, z)
+            return box_qp(h, b, lo, hi, rows, z, rank)
 
         def ball(h, b, lo, hi, radius, rows=None, boxed=None):
             solves[0] = 0  # the box QP itself ran stacked, before the call
