@@ -51,22 +51,29 @@ left, box-active optima, need the active-set solve of the box QP
 (boxqp._box_qp), which runs over stacks of subproblems: when the loop
 reaches such a job with no optimum yet, the next jobs of any target that
 pass the same tests against the running bound join it, up to _CHUNK in
-all, and the group is solved in one call. The bound only falls along the
-loop, so every job it goes on to solve up to the group's last is in the
-group; each is finished in job order, on its ball if it has one, as if
-solved alone (a problem's result has the same bits in any stack). A
-solved plan is replayed only if its predicted path meets its target, it
-lies in its energy ball, its path stays within model.EPS_STATE of its mode
-sequence's regions and of the state box (where the condensed prediction is
-exact) and its predicted value beats the bound up to PRICE_SLACK, the
-rounding between prediction and replay. That replay with the set's own
-terminal_cost (_priced) is the one price of every plan, solved or seeded,
-so a plan earns a recorded value only by ending in the set. The solve
-holds one incumbent, the first priced plan of least value, whose value is
-the running bound; it wins, and its replayed final state is the solution's
-terminal state. Dropped candidates are only counted, per rule (_RULES), in
-the solution's diagnostics ("pruned_by"). With no finite plan, a solve
-whose every candidate was an unconverged box QP raises SolverFailureError.
+all, and the group is solved in one call. Until the bound moves, the loop
+reuses those tests' results. The group's optima take their own tests in
+one more stacked pass (_verdicts): whether the predicted path meets the
+target, whether the plan lies in its energy ball, and whether its path
+stays within model.EPS_STATE of its mode sequence's regions and of the
+state box (where the condensed prediction is exact); a plan that passes
+them is given its predicted value. A plan outside its ball goes on to the
+ball's solve, and its new plan takes the same tests as a stack of one. The
+bound only falls along the loop, so every job it goes on to solve up to
+the group's last is in the group; each is finished in job order as if
+solved alone (a problem's result and verdict have the same bits in any
+stack). A solved plan is replayed only if it passes its tests and its
+predicted value beats the bound up to PRICE_SLACK, the rounding between
+prediction and replay. That replay with the set's own terminal_cost
+(_priced) is the one price of every plan, solved or seeded, so a plan
+earns a recorded value only by ending in the set. The solve holds one
+incumbent, the first priced plan of least value, whose value is the
+running bound; it wins, its replayed final state is the solution's
+terminal state, and its distance to the target states it was priced
+against is measured once, after the loop ("mismatch"). Dropped candidates
+are only counted, per rule (_RULES), in the solution's diagnostics
+("pruned_by"). With no finite plan, a solve whose every candidate was an
+unconverged box QP raises SolverFailureError.
 """
 
 from __future__ import annotations
