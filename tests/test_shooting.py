@@ -612,12 +612,16 @@ def test_the_face_solve_is_the_min_norm_solution_in_any_stack():
 def test_faces_past_the_rank_skip_the_lu_and_keep_their_bits(monkeypatch):
     """Stacks of the start point's g'g systems (no rows, h of rank d), with
     faces of up to d free coordinates (regular, solved by LU) and faces of
-    more (singular): told the rank, _face_solve sends the singular faces
-    straight to the SVD, and every system gets the same bits and the SVD
-    takes the same systems as without it."""
+    more (singular): told the rank, _face_solve gives the LU only the
+    regular faces and sends the singular ones straight to the SVD, and every
+    system gets the same bits and the SVD takes the same systems as without
+    it."""
     rng = np.random.default_rng(59)
-    svd, took = np.linalg.svd, []
-    monkeypatch.setattr(np.linalg, "svd", lambda a, *args: took.append(len(a)) or svd(a, *args))
+    svd, lu_solve, took = np.linalg.svd, boxqp._lu_solve, {"svd": 0, "lu": 0}
+    monkeypatch.setattr(np.linalg, "svd", lambda a, *args: took.update(svd=took["svd"] + len(a))
+                        or svd(a, *args))
+    monkeypatch.setattr(boxqp, "_lu_solve", lambda a, rhs: took.update(lu=took["lu"] + len(a))
+                        or lu_solve(a, rhs))
     d, seen = 2, {"regular": 0, "singular": 0}
     for trial in range(6):
         n, k = int(rng.integers(3, 11)), int(rng.integers(1, 4))
@@ -626,15 +630,16 @@ def test_faces_past_the_rank_skip_the_lu_and_keep_their_bits(monkeypatch):
         free = rng.random((64, n)) < rng.uniform(0.1, 0.9, (64, 1))
         rhs = rng.standard_normal((64, n, k))
         kkt = boxqp._kkt(h, np.zeros((64, 0, n)))
-        took.clear()
+        singular = int((free.sum(axis=1) > d).sum())
+        took.update(svd=0, lu=0)
         want = boxqp._face_solve(kkt, free, rhs)
-        svd_without = took.copy()
-        took.clear()
+        svd_without = took["svd"]
+        assert took["lu"] == 64
+        took.update(svd=0, lu=0)
         got = boxqp._face_solve(kkt, free, rhs, rank=d)
+        assert took == {"svd": svd_without, "lu": 64 - singular}
         assert got[0].tobytes() == want[0].tobytes()
         assert got[1].shape == want[1].shape == (64, 0, k)
-        assert sum(took) == sum(svd_without)
-        singular = int((free.sum(axis=1) > d).sum())
         seen["singular"] += singular
         seen["regular"] += 64 - singular
     assert min(seen.values()) > 50
