@@ -205,11 +205,22 @@ def _svd_rank(g):
     return u, sv, vt, int(np.sum(sv > sv.max(initial=0.0) * max(g.shape) * np.finfo(float).eps))
 
 
-def _row_factors(h, g):
+def _null_factors(h, g):
+    """What the ball step and _row_factors read of rows g and Hessian h:
+    (u, sv, vt, rank), g's full SVD and numerical rank, and (e, v), the
+    eigensystem N'hN = V e V' of h reduced to the basis N = vt[rank:]' of
+    g's null space."""
+    u, sv, vt, rank = _svd_rank(g)
+    basis = vt[rank:].T
+    return u, sv, vt, rank, *np.linalg.eigh(basis.T @ h @ basis)
+
+
+def _row_factors(h, g, factors=None):
     """The pseudoinverse g+ of terminal rows g (d x width), how far a point
     that meets the rows only to EPS_STATE may lie from one on them in each
     coordinate (EPS_STATE sum_j |g+_ij|), and, for a quadratic objective
-    with Hessian h, its least curvature along each coordinate on the rows.
+    with Hessian h, its least curvature along each coordinate on the rows;
+    all from factors, _null_factors(h, g), made here unless passed.
 
     With N an orthonormal basis of null(g), every z on the rows differs from
     their optimum z* by N y, and moving coordinate i by e costs at least
@@ -218,16 +229,14 @@ def _row_factors(h, g):
     zero, so it lifts nothing, when N'hN is not safely positive definite;
     all three are zero when g is rank deficient (z* may then miss the rows)."""
     width, d = h.shape[0], g.shape[0]
-    u, sv, vt, rank = _svd_rank(g)
+    u, sv, vt, rank, e, v = _null_factors(h, g) if factors is None else factors
     if rank < d:
         return np.zeros((width, d)), np.zeros(width), np.zeros(width)
     pinv = vt[:rank].T @ (u.T / sv[:, None])
     give = EPS_STATE * np.abs(pinv).sum(axis=1)
-    basis = vt[rank:].T
-    e, v = np.linalg.eigh(basis.T @ h @ basis)
     if e.size and e[0] <= 1e-10 * max(1.0, float(np.abs(e).max())):
         return pinv, give, np.zeros(width)
-    m_diag = ((basis @ v) ** 2 / e).sum(axis=1)
+    m_diag = ((vt[rank:].T @ v) ** 2 / e).sum(axis=1)
     curvature = np.full(width, np.inf)
     np.divide(1.0 - 1e-6, m_diag, out=curvature, where=m_diag > 0.0)
     return pinv, give, curvature
@@ -246,7 +255,7 @@ def _lift(give, curvature, z, lo, hi) -> float:
     return 0.5 * float((e * e * curvature[out]).max(initial=0.0))
 
 
-def _ball_step(h, b, lo, hi, radius, rows=None):
+def _ball_step(h, b, lo, hi, radius, rows=None, factors=None):
     """The exact trust-region step (More & Sorensen 1983; Nocedal & Wright,
     sec. 4.3) on the rows and the ball, aimed 5e-13 inside its sphere; None
     when it leaves the box, when the ball does not bind on the rows, or when
@@ -256,15 +265,17 @@ def _ball_step(h, b, lo, hi, radius, rows=None):
     in y the ball is a trust region of radius delta. With N'hN = V e V',
     ||y(lam)|| is closed form, and Newton on 1/||y(lam)|| = 1/delta climbs to
     its root from lam = 0. A box point optimal without the box is optimal
-    with it."""
-    basis, z_r = np.eye(b.size), np.zeros(b.size)
-    if rows is not None:
-        u, sv, vt, rank = _svd_rank(rows[0])
+    with it. factors, _null_factors(h, rows[0]) when the caller has them,
+    spare their SVD and eigendecomposition."""
+    if rows is None:
+        basis, z_r = np.eye(b.size), np.zeros(b.size)
+        e, v = np.linalg.eigh(basis.T @ h @ basis)
+    else:
+        u, sv, vt, rank, e, v = _null_factors(h, rows[0]) if factors is None else factors
         basis, z_r = vt[rank:].T, vt[:rank].T @ ((u[:, :rank].T @ rows[1]) / sv[:rank])
     # aimed inside the bisection's band [radius (1 - 1e-12), radius]: a plan on
     # the sphere to rounding can replay with less energy than its tail uses
     delta2 = (radius * (1.0 - 5e-13)) ** 2 - float(z_r @ z_r)
-    e, v = np.linalg.eigh(basis.T @ h @ basis)
     if delta2 <= 0.0 or e.size == 0 or e[0] <= 1e-10 * max(1.0, float(np.abs(e).max())):
         return None
     a, lam, delta = v.T @ (basis.T @ (h @ z_r + b)), 0.0, float(np.sqrt(delta2))
@@ -278,12 +289,13 @@ def _ball_step(h, b, lo, hi, radius, rows=None):
     return None
 
 
-def _ball_box_qp(h, b, lo, hi, radius, rows=None, boxed=None):
+def _ball_box_qp(h, b, lo, hi, radius, rows=None, boxed=None, factors=None):
     """Minimize over the box and the rows AND ||z|| <= radius (no ball if None).
 
-    boxed is the box QP's result (z, converged, iterations) when the caller
-    has it. A box QP optimum outside the ball goes to the exact trust-region
-    step, and a step inside the box is the answer, at one more face solve. When
+    boxed is the box QP's result (z, converged, iterations) and factors the
+    rows' _null_factors, when the caller has them. A box QP optimum outside
+    the ball goes to the exact trust-region step, and a step inside the box
+    is the answer, at one more face solve. When
     the step declines, the ball multiplier is found by bisection: z(lam)
     solves the box QP for h + 2*lam*I, ||z(lam)|| decreases in lam, and the
     feasible-side solution comes back with its own convergence flag, so the
@@ -296,7 +308,7 @@ def _ball_box_qp(h, b, lo, hi, radius, rows=None, boxed=None):
     z, conv, iters = _box_qp(h, b, lo, hi, rows) if boxed is None else boxed
     if radius is None or float(np.linalg.norm(z)) <= radius or not _meets(z, rows):
         return z, conv, iters
-    step = _ball_step(h, b, lo, hi, radius, rows)
+    step = _ball_step(h, b, lo, hi, radius, rows, factors)
     if step is not None:
         return step, True, iters + 1
     least, least_conv, _ = _box_qp(np.eye(b.size), np.zeros(b.size), lo, hi, rows)

@@ -26,10 +26,11 @@ from .errors import InfeasibleStepError, InitialInfeasibilityError
 from .lookahead import (
     LookaheadSolution,
     SolverConfig,
+    Walk,
     _Search,
     base_plan,
-    replay,
     solve,
+    walk,
 )
 from .model import FiniteControls, Policy, ProblemDef, Trajectory, is_vector_state
 from .sample_sets import ExplicitSampleSet, FreeTerminal, SampleEntry
@@ -77,12 +78,13 @@ def _drive(problem: ProblemDef, sset, x0, cfg: SolverConfig, horizon: int, step,
 
     step(x, prev) returns the lookahead solution at x (prev is the previous
     step's solution, or None) and the report recorded for it; the loop
-    applies its first control. Unless sset has no policy_ids (it certifies
-    nothing) or there is a disturbance, a solution of value at most EPS_TAIL
-    is applied whole, since its replay ends in the set: the run stops early
-    if a state on the way is a stopping state, and otherwise closes in the
-    set at the final state's recorded value. horizon bounds the solves, so
-    such a plan may run up to ell - 1 steps past it.
+    applies its first control, with the move's stage cost and next state
+    read from the solution's walk when it has one. Unless sset has no
+    policy_ids (it certifies nothing) or there is a disturbance, a solution
+    of value at most EPS_TAIL is applied whole, since its replay ends in the
+    set: the run stops early if a state on the way is a stopping state, and
+    otherwise closes in the set at the final state's recorded value. horizon
+    bounds the solves, so such a plan may run up to ell - 1 steps past it.
     """
     certifies = bool(sset.policy_ids)
     states = [x0]
@@ -119,14 +121,16 @@ def _drive(problem: ProblemDef, sset, x0, cfg: SolverConfig, horizon: int, step,
         diag = sol.diagnostics or {}
         work.append({k: diag[k] for k in WORK_KEYS if k in diag})
         prev = sol
-        # a plan whose exact replay ends in the set is applied whole
+        # a plan whose exact replay ends in the set is applied whole; its
+        # walk, when the solver gives one, already holds every move
         certified = certifies and disturbance is None and sol.value <= EPS_TAIL
-        for u in sol.controls if certified else sol.controls[:1]:
+        walked = sol.walk
+        for k, u in enumerate(sol.controls if certified else sol.controls[:1]):
             x = states[-1]
-            g = problem.stage_cost(x, u)
+            g = problem.stage_cost(x, u) if walked is None else walked.costs[k]
             if g == INF:  # defensive: a finite solve must have feasible steps
                 raise InfeasibleStepError(len(controls), x)
-            nxt = problem.dynamics(x, u)
+            nxt = problem.dynamics(x, u) if walked is None else walked.states[k + 1]
             if disturbance is not None:
                 nxt = disturbance(t, nxt)
             states.append(nxt)
@@ -171,6 +175,19 @@ def _shifted_plan(prev, base_policy: Policy | None, ell: int):
     return tuple(prev.controls[1:]) + (base_policy.action(base_view(prev.terminal_state)),)
 
 
+def _shifted_seed(problem: ProblemDef, prev, base_policy: Policy | None, ell: int, x):
+    """_shifted_plan as a seed from x. When x is the previous solution's
+    walk's states[1] (no disturbance moved it), the seed is that walk one
+    step on, with only the appended step simulated; else the plan alone,
+    for the solver to replay."""
+    plan = _shifted_plan(prev, base_policy, ell)
+    if plan is None or prev.walk is None or x is not prev.walk.states[1]:
+        return plan
+    end, u = prev.walk.states[-1], plan[-1]
+    return Walk(plan, prev.walk.states[1:] + (problem.dynamics(end, u),),
+                prev.walk.costs[1:] + (problem.stage_cost(end, u),))
+
+
 def run_rollout(problem: ProblemDef, sset, x0, cfg: SolverConfig, horizon: int,
                 base_policy: Policy | None = None, disturbance=None,
                 variant: str = "basic", policy_id: str = "rollout") -> RolloutRun:
@@ -187,7 +204,7 @@ def run_rollout(problem: ProblemDef, sset, x0, cfg: SolverConfig, horizon: int,
     def step(x, prev):
         seeds = []
         if problem.pl is not None:  # only shooting takes seeds
-            shifted = _shifted_plan(prev, base_policy, cfg.ell)
+            shifted = _shifted_seed(problem, prev, base_policy, cfg.ell, x)
             if shifted is not None:
                 seeds.append(shifted)
         sol = solve(problem, sset, x, cfg, seeds=seeds, base_policy=base_policy, memo=memo)
@@ -270,12 +287,13 @@ def run_multiagent(problem: ProblemDef, sset, x0, cfg: SolverConfig, horizon: in
 
     def step(x, prev):
         value, plan, term = INF, None, None
+        shifted = _shifted_plan(prev, base_policy, cfg.ell)
         for cand in (base_plan(problem, base_policy, x, cfg.ell),
-                     _shifted_plan(prev, base_policy, cfg.ell)):
+                     None if shifted is None else walk(problem, x, shifted)):
             if cand is not None:
-                v, visited, _ = replay(problem, x, cand, sset.terminal_cost)
+                v = cand.price(sset.terminal_cost)
                 if plan is None or v < value:
-                    value, plan, term = v, cand, visited[-1]
+                    value, plan, term = v, cand, cand.states[-1]
         if value == INF:
             return LookaheadSolution(controls=(), terminal_state=None, value=INF), None
 
@@ -298,7 +316,7 @@ def run_multiagent(problem: ProblemDef, sset, x0, cfg: SolverConfig, horizon: in
                 left[agent] = plan
             sweep_values.append(value)
 
-        sol = LookaheadSolution(controls=plan, terminal_state=term, value=value)
+        sol = LookaheadSolution(controls=tuple(plan), terminal_state=term, value=value)
         return sol, {"value": value, "sweep_values": tuple(sweep_values)}
 
     return _drive(problem, sset, x0, cfg, horizon, step, variant="multiagent",

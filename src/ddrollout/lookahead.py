@@ -28,7 +28,7 @@ memo each solve starts afresh.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -69,7 +69,9 @@ class LookaheadSolution:
 
     value is the exact objective of the plan: stage costs accumulated
     right-to-left plus the terminal set's cost of its final state. An infeasible
-    problem is reported as value +inf with an empty plan.
+    problem is reported as value +inf with an empty plan. walk, when the
+    solver has it, is the plan's Walk from the state solved at, the one that
+    priced it; it is no part of the solution's repr or equality.
     """
 
     controls: tuple
@@ -78,6 +80,7 @@ class LookaheadSolution:
     terminal_sample_id: object | None = None
     per_stage_values: tuple | None = None
     diagnostics: dict | None = None
+    walk: Walk | None = field(default=None, repr=False, compare=False)
 
     def recompute(self, problem: ProblemDef, sset, x) -> float:
         """Re-evaluate the plan's objective from scratch (for audits)."""
@@ -86,35 +89,60 @@ class LookaheadSolution:
         return replay(problem, x, self.controls, sset.terminal_cost)[0]
 
 
-def replay(problem: ProblemDef, x, controls, terminal: Callable) -> tuple[float, list, list]:
-    """Exact objective of a concrete plan from x, with the states it visits
-    and its stage costs.
+class Walk(tuple):
+    """A plan, the tuple of its controls, with what simulating it from its
+    start gave: states, the start and the state after each control, and
+    costs, each step's stage cost. The problems are deterministic, so a
+    walk stands for every later simulation of its plan from that start:
+    price() gives its replay's value bit for bit, and a rollout applies its
+    winner's moves from its walk and extends that walk into the next seed
+    rather than simulating the plan again."""
 
-    terminal prices the final state. Stage costs are added right to left as
-    g + total, the association the discrete search uses, so replaying one
-    of its plans reproduces the value bit for bit.
-    """
+    def __new__(cls, controls, states, costs):
+        self = super().__new__(cls, controls)
+        self.states, self.costs = tuple(states), tuple(costs)
+        return self
+
+    def price(self, terminal: Callable) -> float:
+        """The plan's exact objective: terminal prices the final state, and
+        the stage costs are added right to left as g + total, the association
+        the discrete search uses, so pricing one of its plans reproduces its
+        value bit for bit."""
+        total = terminal(self.states[-1])
+        for g in reversed(self.costs):
+            total = g + total
+        return total
+
+
+def walk(problem: ProblemDef, x, controls) -> Walk:
+    """The plan simulated from x."""
     states = [x]
     for u in controls:
         states.append(problem.dynamics(states[-1], u))
-    costs = [problem.stage_cost(s, u) for s, u in zip(states, controls)]
-    total = terminal(states[-1])
-    for g in reversed(costs):
-        total = g + total
-    return total, states, costs
+    return Walk(controls, states, [problem.stage_cost(s, u) for s, u in zip(states, controls)])
 
 
-def base_plan(problem: ProblemDef, policy: Policy, x, ell: int) -> tuple | None:
-    """The base policy's ell-step plan from x; None if a step is infeasible."""
-    plan = []
-    cur = x
+def replay(problem: ProblemDef, x, controls, terminal: Callable) -> tuple[float, tuple, tuple]:
+    """Exact objective of a concrete plan from x (Walk.price), with the
+    states it visits and its stage costs."""
+    w = walk(problem, x, controls)
+    return w.price(terminal), w.states, w.costs
+
+
+def base_plan(problem: ProblemDef, policy: Policy, x, ell: int) -> Walk | None:
+    """The base policy's ell-step plan from x, as the walk that builds it;
+    None if a step is infeasible."""
+    plan, states, costs = [], [x], []
     for _ in range(ell):
+        cur = states[-1]
         u = policy.action(base_view(cur))
-        if problem.stage_cost(cur, u) == INF:
+        g = problem.stage_cost(cur, u)
+        if g == INF:
             return None
         plan.append(u)
-        cur = problem.dynamics(cur, u)
-    return tuple(plan)
+        costs.append(g)
+        states.append(problem.dynamics(cur, u))
+    return Walk(plan, states, costs)
 
 
 def _sorted_controls(spec) -> tuple:

@@ -35,7 +35,10 @@ whether some box point meets its rows at all (an exact test against the
 zonotope the box reaches).
 Budget-augmented problems add an exact ball constraint on the control
 energy: the exact trust-region step on the rows solves it when that step
-lies in the box, and bisection on its multiplier otherwise. A pinned pair
+lies in the box, and bisection on its multiplier otherwise. The step reads
+the SVD of the rows and the eigensystem of the Hessian reduced to their
+null space from the sequence's memo entry, where they were made with the
+entry's row factors (boxqp._null_factors). A pinned pair
 whose rows' least-norm solution g+ (t - phi_l) already lies outside its
 ball has no plan and is dropped with the unreachable ones. Subproblems are
 taken cheapest tail first against a running bound, and one whose box-free
@@ -55,25 +58,33 @@ all, and the group is solved in one call. Until the bound moves, the loop
 reuses those tests' results. The group's optima take their own tests in
 one more stacked pass (_verdicts): whether the predicted path meets the
 target, whether the plan lies in its energy ball, and whether its path
-stays within model.EPS_STATE of its mode sequence's regions and of the
-state box (where the condensed prediction is exact); a plan that passes
-them is given its predicted value. A plan outside its ball goes on to the
-ball's solve, and its new plan takes the same tests as a stack of one. The
-bound only falls along the loop, so every job it goes on to solve up to
-the group's last is in the group; each is finished in job order as if
-solved alone (a problem's result and verdict have the same bits in any
-stack). A solved plan is replayed only if it passes its tests and its
-predicted value beats the bound up to PRICE_SLACK, the rounding between
-prediction and replay. That replay with the set's own terminal_cost
-(_priced) is the one price of every plan, solved or seeded, so a plan
-earns a recorded value only by ending in the set. The solve holds one
-incumbent, the first priced plan of least value, whose value is the
-running bound; it wins, its replayed final state is the solution's
-terminal state, and its distance to the target states it was priced
-against is measured once, after the loop ("mismatch"). Dropped candidates
-are only counted, per rule (_RULES), in the solution's diagnostics
-("pruned_by"). With no finite plan, a solve whose every candidate was an
-unconverged box QP raises SolverFailureError.
+stays within model.EPS_STATE of its mode sequence's regions and within
+2 EPS_STATE of the state box (the path test); a plan that passes them is
+given its predicted value. The condensed prediction is exact only inside
+the regions and the box: the path test's margins admit a state that
+mode_of and the dynamics put in the neighbouring mode, or one that
+stage_cost prices +inf, so there the replay, not the prediction, prices
+the plan. A plan outside its ball goes on to the ball's solve, and its
+new plan takes the same tests as a stack of one. The bound only falls
+along the loop, so every job it goes on to solve up to the group's last
+is in the group; each is finished in job order as if solved alone (a
+problem's result and verdict have the same bits in any stack). A solved
+plan is replayed only if it passes its tests and its predicted value
+beats the bound up to PRICE_SLACK, the rounding between prediction and
+replay. _priced is the one price of every plan, solved or seeded, with
+the set's own terminal_cost, so a plan earns a recorded value only by
+ending in the set: a plan's exact replay, or, for a seed that comes as
+its walk (lookahead.Walk: the base policy's plan, walked once as it is
+built, or a rollout's shifted plan), that walk priced as it stands, which
+gives the replay's value bit for bit. The solve holds one incumbent, the
+first priced plan of least value, whose value is the running bound; it
+wins, its walk goes with the solution (the rollout applies its moves and
+extends it into the next shifted seed), its final state is the
+solution's terminal state, and its distance to the target states it was
+priced against is measured once, after the loop ("mismatch"). Dropped
+candidates are only counted, per rule (_RULES), in the solution's
+diagnostics ("pruned_by"). With no finite plan, a solve whose every
+candidate was an unconverged box QP raises SolverFailureError.
 """
 
 from __future__ import annotations
@@ -84,11 +95,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boxqp import _ball_box_qp, _box_qp, _face_solve, _kkt, _lift, _meets, _mv, _row_factors
+from .boxqp import (_ball_box_qp, _box_qp, _face_solve, _kkt, _lift, _meets, _mv, _null_factors,
+                    _row_factors)
 from .budget import base_view
 from .costs import INF
 from .errors import SearchSpaceError, SolverFailureError
-from .lookahead import LookaheadSolution, SolverConfig, base_plan, replay
+from .lookahead import LookaheadSolution, SolverConfig, Walk, base_plan, replay
 from .model import EPS_STATE, BoxControls, Policy, ProblemDef
 
 
@@ -108,6 +120,7 @@ class _Condensed:
     x0: np.ndarray
     reach: np.ndarray   # componentwise bound on |x_l - phi_l|, S x d
     pl: object          # the structure condensed: its path test judges the plans
+    memo: dict | None = None  # the memo of its sequences' entries, set by solve_continuous
 
 
 _CHUNK = 64  # sequences per stacked product or box QP solve, capping their temporaries
@@ -250,6 +263,7 @@ class _SequenceMaps:
     pinv: np.ndarray | None = None       # width x d: _row_factors' g+ of the rows
     give: np.ndarray | None = None       # width: the room the rows' tolerance leaves
     curvature: np.ndarray | None = None  # width: 1 / M_ii
+    factors: tuple | None = None         # the rows' _null_factors, which the ball step reads
 
 
 def _sequence_maps(memo, cond: _Condensed, factored=False) -> _SequenceMaps:
@@ -258,7 +272,8 @@ def _sequence_maps(memo, cond: _Condensed, factored=False) -> _SequenceMaps:
     in the target t and in x0, with maps that depend on s alone, from one
     KKT solve with 2d + 1 right-hand sides. The sequences missing from the
     memo are solved in stacked _face_solve calls of _CHUNK. factored: with
-    every sequence's pinv, give and curvature too."""
+    every sequence's pinv, give and curvature too (its factors stay in its
+    entry, unstacked)."""
     n_seq, d, width = len(cond.sigmas), cond.x0.size, cond.h0.shape[1]
     keys = list(map(tuple, cond.sigmas.tolist()))
     missing = [s for s, key in enumerate(keys) if key not in memo]
@@ -274,7 +289,9 @@ def _sequence_maps(memo, cond: _Condensed, factored=False) -> _SequenceMaps:
     entries = [memo[key] for key in keys]
     for s, seq in enumerate(entries):
         if factored and seq.pinv is None:
-            seq.pinv, seq.give, seq.curvature = _row_factors(cond.h0[s], cond.gammas[s, -1])
+            h, g = cond.h0[s], cond.gammas[s, -1]
+            seq.factors = _null_factors(h, g)
+            seq.pinv, seq.give, seq.curvature = _row_factors(h, g, seq.factors)
     fields = ("maps", "pinv", "give", "curvature")[:4 if factored else 1]
     shapes = ((width, 2 * d + 1), (width, d), (width,), (width,))
     return _SequenceMaps(*(np.array([getattr(e, f) for e in entries]).reshape(n_seq, *shape)
@@ -396,13 +413,15 @@ def solve_continuous(problem: ProblemDef, sset, x, cfg: SolverConfig,
                      memo: dict | None = None) -> LookaheadSolution:
     """Solve the l-step lookahead by shooting over every mode sequence.
 
-    seeds are concrete control plans (tuples of control vectors) evaluated
+    seeds are concrete control plans (tuples of control vectors, or
+    lookahead.Walks from x, which are priced without a replay) evaluated
     exactly; the first of least value is the first incumbent. The recorded
-    base policy, when given, contributes its own rollout plan. These anchors
-    keep the returned value at or below every supplied plan, which is what
-    the stepwise-descent guarantee needs from an approximate solver. memo keeps
-    each mode sequence's pinned-optimum maps for later solves of the same
-    problem and config; without it they last for this solve only.
+    base policy, when given, contributes its own rollout plan, priced by the
+    walk that builds it. These anchors keep the returned value at or below
+    every supplied plan, which is what the stepwise-descent guarantee needs
+    from an approximate solver. The solution carries its winner's walk.
+    memo keeps each mode sequence's pinned-optimum maps for later solves of
+    the same problem and config; without it they last for this solve only.
     """
     pl = problem.pl
     if pl is None:
@@ -429,15 +448,17 @@ def solve_continuous(problem: ProblemDef, sset, x, cfg: SolverConfig,
     sigmas = np.array([(first,) + rest
                        for rest in itertools.product(range(n_modes), repeat=ell - 1)])
     cond = _assemble(pl, base_x, sigmas, h_r, lo_full, hi_full)
+    cond.memo = memo
 
     targets = sset.shooting_targets(x)
     values, states, radii = targets.values, targets.states, targets.radii
 
-    seed_plans = [tuple(s) for s in seeds if len(tuple(s)) == ell]
+    seed_plans = [s if isinstance(s, Walk) else tuple(s) for s in seeds if len(s) == ell]
     if base_policy is not None:
         plan = base_plan(problem, base_policy, x, ell)
-        if plan is not None:
-            seed_plans.append(tuple(np.asarray(u, dtype=float) for u in plan))
+        if plan is not None:  # np.asarray keeps a float array control: the walk still holds
+            seed_plans.append(Walk([np.asarray(u, dtype=float) for u in plan], plan.states,
+                                   plan.costs))
 
     # the incumbent: the first plan of least value; the running bound is its value
     incumbent = min((_priced(problem, sset, x, plan, states, converged=True, seed=True)
@@ -525,12 +546,13 @@ def solve_continuous(problem: ProblemDef, sset, x, cfg: SolverConfig,
         if candidates and unconverged == candidates:
             raise SolverFailureError("no shooting subproblem converged", incumbent=incumbent)
         return LookaheadSolution(controls=(), terminal_state=None, value=INF, diagnostics=counts)
-    value, controls, diag, terminal = incumbent
+    value, plan, diag, terminal = incumbent
     # the winner's mismatch to the target states it was priced against
     diag = {"mismatch": _mismatch(terminal, diag.get("pinned")), **diag, **counts}
     diag.pop("pinned", None)
-    return LookaheadSolution(controls=controls, terminal_state=terminal, value=value,
-                             terminal_sample_id=sset.sample_id(terminal), diagnostics=diag)
+    return LookaheadSolution(controls=tuple(plan), terminal_state=terminal, value=value,
+                             terminal_sample_id=sset.sample_id(terminal), diagnostics=diag,
+                             walk=plan)
 
 
 def _subproblems(cond: _Condensed, targets, t, s):
@@ -568,13 +590,17 @@ def _verdicts(cond: _Condensed, targets, t, s, z, sub) -> list:
     target's energy ball, so its terminal budget falls short of the
     target's tail) or "path" (its predicted path leaves the mode sequence or
     the state box by more than EPS_STATE, so the prediction would not
-    hold); else its predicted value, for the bound test. Every product is
-    taken per job, so a job's verdict does not depend on its stack."""
+    hold); else its predicted value, for the bound test. A stack in which
+    no plan meets its rows inside its ball takes neither the path test nor
+    the value. Every product is taken per job, so a job's verdict does not
+    depend on its stack."""
     h, b, rows, const = sub
     ell = cond.sigmas.shape[1]
     row, col = z[:, None, :], z[:, :, None]  # each plan as a 1 x width and a width x 1 matrix
-    meets = _meets(z, rows)
+    meets = np.broadcast_to(_meets(z, rows), len(z))
     in_ball = True if targets.radii is None else np.sqrt((row @ col)[:, 0, 0]) <= targets.radii[t]
+    if not np.any(meets & in_ball):  # every plan is dropped before the path test
+        return np.where(meets, "ball", "rows").tolist()
     path = cond.phis[s, 1:ell] + (cond.gammas[s, 1:ell] @ z[:, None, :, None])[..., 0]
     on_path = cond.pl.path_excess(cond.sigmas[s, 1:], path) <= EPS_STATE
     value = 0.5 * (row @ h @ col)[:, 0, 0] + (b[:, None, :] @ col)[:, 0, 0] + cond.c0[s] + const
@@ -595,8 +621,10 @@ def _solve_candidate(problem, sset, x, cond: _Condensed, s: int, targets, t: int
     if verdict == "ball":
         ts, ss = np.array([t]), np.array([s])
         sub = h, b, (g, r), _ = _subproblems(cond, targets, ts, ss)
+        seq = (cond.memo or {}).get(tuple(cond.sigmas[s].tolist()))
         z, converged, it = _ball_box_qp(h[0], b[0], lo_full, hi_full, float(targets.radii[t]),
-                                        (g[0], r[0]), (z, converged, it))
+                                        (g[0], r[0]), (z, converged, it),
+                                        None if seq is None else seq.factors)
         verdict = _verdicts(cond, targets, ts, ss, z[None], sub)[0]
     if isinstance(verdict, str):
         return verdict, converged
@@ -607,13 +635,18 @@ def _solve_candidate(problem, sset, x, cond: _Condensed, s: int, targets, t: int
                    converged=converged), converged
 
 
-def _priced(problem, sset, x, controls, pinned, **diag):
-    """A candidate: the plan priced by its exact replay with the set's
-    terminal_cost, as (value, controls, diagnostics, terminal state); the
-    diagnostics keep the pinned target states, from which the solve measures
-    its winner's mismatch (_mismatch)."""
-    value, states, _ = replay(problem, x, controls, sset.terminal_cost)
-    return value, controls, {"pinned": pinned, **diag}, states[-1]
+def _priced(problem, sset, x, plan, pinned, **diag):
+    """A candidate: the plan priced with the set's terminal_cost, as (value,
+    walk, diagnostics, terminal state). A Walk from x is priced as it stands
+    (Walk.price); any other plan by its exact replay, whose walk it keeps.
+    The diagnostics keep the pinned target states, from which the solve
+    measures its winner's mismatch (_mismatch)."""
+    if isinstance(plan, Walk):
+        value = plan.price(sset.terminal_cost)
+    else:
+        value, states, costs = replay(problem, x, plan, sset.terminal_cost)
+        plan = Walk(plan, states, costs)
+    return value, plan, {"pinned": pinned, **diag}, plan.states[-1]
 
 
 _RULES = ("sequence", "bound", "lift", "path", "rows", "ball")  # the rules that drop a candidate

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from ddrollout import (AgentPartition, ExplicitSampleSet, FiniteControls, Policy, ProblemDef,
-                       SampleEntry, SolverConfig, engine, lookahead, run_classical_mpc,
+                       SampleEntry, SolverConfig, boxqp, engine, lookahead, run_classical_mpc,
                        run_multiagent, run_rollout, shooting, solve_restricted, vi_sequence)
 from ddrollout.budget import AugmentedState, base_view
 from ddrollout.cli import main
@@ -827,6 +827,37 @@ def test_each_stacked_verdict_is_the_jobs_own(spiral, integrator, monkeypatch):
     assert all(seen[k] > 0 for k in ("ball", "path", "value", "stacked", "alone")), seen
 
 
+def test_a_stack_with_no_plan_on_its_rows_in_its_ball_takes_no_path_test(integrator,
+                                                                        monkeypatch):
+    """On the 40-step augmented rollout, a stack of verdicts in which no plan
+    meets its rows inside its ball runs no path test; every other stack
+    runs one. Each of the 40 solves stacks one group, whose plans all go on
+    to the ball, and then tests its ball plan as a stack of one."""
+    verdicts, path_excess = shooting._verdicts, type(integrator.problem.pl).path_excess
+    calls, stacks = [0], Counter()
+
+    def checked(cond, targets, t, s, z, sub):
+        calls[0] = 0
+        out = verdicts(cond, targets, t, s, z, sub)
+        kept = any(not isinstance(v, str) or v == "path" for v in out)
+        assert calls[0] == kept
+        stacks[kept] += 1
+        return out
+
+    def counted(self, sigma, xs):
+        calls[0] += 1
+        return path_excess(self, sigma, xs)
+
+    monkeypatch.setattr(shooting, "_verdicts", checked)
+    monkeypatch.setattr(type(integrator.problem.pl), "path_excess", counted)
+    run_rollout(integrator.augmented_problem, integrator.augmented_sets["budget"],
+                AugmentedState(np.asarray(integrator.start_states[0], dtype=float),
+                               float(integrator.budget_spec.e_max)),
+                replace(integrator.solver_defaults, ell=4), 40,
+                base_policy=next(iter(integrator.base_policies.values())), variant="augmented")
+    assert stacks == {False: 40, True: 40}
+
+
 def test_only_box_active_jobs_reach_the_per_candidate_solver(spiral, monkeypatch):
     """A classical-MPC rollout (512 sequences, one origin target per step):
     a job whose box-free optimum lies strictly inside the control box is
@@ -969,8 +1000,8 @@ def test_the_curvature_lift_changes_no_rollout(spiral, monkeypatch):
             patched.setattr(shooting, "_solve_candidate",
                             lambda *a, **k: calls.append(1) or solve_candidate(*a, **k))
             if flat:
-                patched.setattr(shooting, "_row_factors",
-                                lambda h, g: (*row_factors(h, g)[:2], np.zeros(h.shape[0])))
+                patched.setattr(shooting, "_row_factors", lambda h, g, factors=None: (
+                    *row_factors(h, g, factors)[:2], np.zeros(h.shape[0])))
             run = run_rollout(spiral.problem, spiral.sample_sets["trajectory-0"],
                               np.array([1.0, 1.0]), replace(spiral.solver_defaults, ell=5), 40,
                               base_policy=policy)
@@ -1117,3 +1148,138 @@ def test_every_candidate_is_a_seed_a_replay_or_pruned_by_one_rule(spiral, integr
     assert len(steps) == 30
     # every rule but "ball" (which the least-norm prune leaves nothing to drop here) fires
     assert all(sum(r[k] for r in steps) > 0 for k in ("sequence", "bound", "lift", "path", "rows"))
+
+
+def _without_walks(patched):
+    """Take the carried walks away: each solution reaches the engine without
+    its walk, so the engine simulates every move it applies and hands the
+    shifted plan over as a plan, and shooting replays every seed, the base
+    policy's too, as a plain plan."""
+    solve, priced = engine.solve, shooting._priced
+    patched.setattr(engine, "solve", lambda *a, **k: replace(solve(*a, **k), walk=None))
+    patched.setattr(shooting, "_priced", lambda problem, sset, x, plan, *a, **k:
+                    priced(problem, sset, x, tuple(plan), *a, **k))
+
+
+def _walk_cases(spiral, integrator):
+    """(problem, set, x0, cfg, policy, variant) of the integrator's augmented
+    and trajectory rollouts and the spiral trajectory-0 rollout."""
+    policy = next(iter(integrator.base_policies.values()))
+    cfg, x0 = replace(integrator.solver_defaults, ell=4), integrator.start_states[0]
+    yield (integrator.augmented_problem, integrator.augmented_sets["budget"],
+           AugmentedState(np.asarray(x0, dtype=float), float(integrator.budget_spec.e_max)),
+           cfg, policy, "augmented")
+    yield integrator.problem, integrator.sample_sets["trajectory"], x0, cfg, policy, "basic"
+    yield (spiral.problem, spiral.sample_sets["trajectory-0"], np.array([1.0, 1.0]),
+           replace(spiral.solver_defaults, ell=5), next(iter(spiral.base_policies.values())),
+           "basic")
+
+
+def test_reusing_the_winners_walks_changes_no_rollout(spiral, integrator, monkeypatch):
+    """Each 40-step rollout of _walk_cases, as shipped and with the carried
+    walks taken away (_without_walks): the runs are identical, and the
+    shipped one spares exactly the dynamics calls of every applied move, of
+    each base plan's replay, and of the ell - 1 steps each shifted seed
+    shares with the previous winner's walk."""
+    for problem, sset, x0, cfg, policy, variant in _walk_cases(spiral, integrator):
+        def rollout():
+            calls = []
+            counted = replace(problem, dynamics=lambda x, u: calls.append(1) or
+                              problem.dynamics(x, u))
+            return run_rollout(counted, sset, x0, cfg, 40, base_policy=policy,
+                               variant=variant), len(calls)
+
+        shipped, shipped_calls = rollout()
+        with monkeypatch.context() as patched:
+            _without_walks(patched)
+            again, again_calls = rollout()
+        assert repr(shipped) == repr(again), variant
+        solves, ell = len(shipped.per_step_values), cfg.ell
+        spared = shipped.steps + ell * solves + (ell - 1) * (solves - 1)
+        assert again_calls - shipped_calls == spared, variant
+
+
+def test_after_a_disturbance_the_shifted_seed_walks_from_the_disturbed_state(
+        spiral, monkeypatch):
+    """The spiral trajectory-0 rollout from (1, 1), bumped by (0.5, -0.5)
+    after its fourth move as the disturbance variant bumps it: every seed is
+    priced by a walk from the state its solve starts at. Where no
+    disturbance acted that state is the previous winner's walk's states[1],
+    and the shifted seed extends that walk; after the bump it is replayed
+    from the bumped state. The run is identical to one with the carried
+    walks taken away."""
+    shift, solve, priced, solves = np.array([0.5, -0.5]), engine.solve, shooting._priced, []
+
+    def solving(problem, sset, x, cfg, seeds=(), **kwargs):
+        solves.append(SimpleNamespace(x=x, seeds=list(seeds), walks=[]))
+        solves[-1].sol = solve(problem, sset, x, cfg, seeds=seeds, **kwargs)
+        return solves[-1].sol
+
+    def pricing(problem, sset, x, plan, pinned, **diag):
+        out = priced(problem, sset, x, plan, pinned, **diag)
+        if diag.get("seed"):
+            solves[-1].walks.append(out[1])
+        return out
+
+    def rollout():
+        return repr(run_rollout(spiral.problem, spiral.sample_sets["trajectory-0"],
+                                np.array([1.0, 1.0]), replace(spiral.solver_defaults, ell=5), 8,
+                                base_policy=next(iter(spiral.base_policies.values())),
+                                disturbance=lambda t, x: x + shift if t == 3 else x,
+                                variant="disturbance"))
+
+    with monkeypatch.context() as patched:
+        patched.setattr(engine, "solve", solving)
+        patched.setattr(shooting, "_priced", pricing)
+        shipped = rollout()
+    assert len(solves) == 8
+    for prev, now in zip(solves, solves[1:]):
+        shifted, carried = now.seeds[0], prev.sol.walk
+        assert len(now.walks) == 2 and all(w.states[0] is now.x for w in now.walks)
+        if now is solves[4]:  # the bumped state: the plan alone, replayed from there
+            assert not isinstance(shifted, lookahead.Walk)
+            assert all(u is v for u, v in zip(now.walks[0], shifted))
+            assert np.array_equal(now.x, carried.states[1] + shift)
+        else:  # the carried walk, one step on, and the appended step
+            assert shifted is now.walks[0] and now.x is carried.states[1]
+            assert all(a is b for a, b in zip(shifted.states[:-1], carried.states[1:]))
+    with monkeypatch.context() as patched:
+        _without_walks(patched)
+        assert rollout() == shipped
+
+
+def test_a_sequences_ball_steps_read_its_memo_entrys_factors(integrator, monkeypatch):
+    """The 40-step augmented rollout factors its one sequence's rows once
+    (one _svd_rank, one eigh) into the sequence's memo entry, and its 40 ball
+    steps read them there and factor nothing; the run is identical to one
+    whose ball steps factor the rows afresh."""
+    svd_rank, eigh, ball_step = boxqp._svd_rank, np.linalg.eigh, boxqp._ball_step
+    counts, where = Counter(), ["solve"]
+
+    def stepping(*args, **kwargs):
+        counts["ball steps"] += 1
+        where[0] = "ball step"
+        try:
+            return ball_step(*args, **kwargs)
+        finally:
+            where[0] = "solve"
+
+    def rollout():
+        return repr(run_rollout(
+            integrator.augmented_problem, integrator.augmented_sets["budget"],
+            AugmentedState(np.asarray(integrator.start_states[0], dtype=float),
+                           float(integrator.budget_spec.e_max)),
+            replace(integrator.solver_defaults, ell=4), 40,
+            base_policy=next(iter(integrator.base_policies.values())), variant="augmented"))
+
+    with monkeypatch.context() as patched:
+        patched.setattr(boxqp, "_svd_rank",
+                        lambda g: counts.update([("svd", where[0])]) or svd_rank(g))
+        patched.setattr(np.linalg, "eigh",
+                        lambda a: counts.update([("eigh", where[0])]) or eigh(a))
+        patched.setattr(boxqp, "_ball_step", stepping)
+        shipped = rollout()
+    assert counts == {"ball steps": 40, ("svd", "solve"): 1, ("eigh", "solve"): 1}
+    with monkeypatch.context() as patched:
+        patched.setattr(boxqp, "_ball_step", lambda *args: ball_step(*args[:6]))
+        assert rollout() == shipped

@@ -269,6 +269,43 @@ def test_a_plan_off_its_path_by_two_eps_is_dropped_and_by_half_eps_replayed(
             assert len(replays) == 1  # the half-eps plan's replay is its price
 
 
+@pytest.mark.parametrize("side", ["region", "box"])
+def test_the_replay_not_the_prediction_prices_a_plan_within_the_path_tests_margins(
+        spiral, integrator, side):
+    """The path test admits a state up to EPS_STATE on the wrong side of a
+    region boundary and up to 2 EPS_STATE past the state box, where the
+    condensed prediction is not exact: the spiral's x_1 = (-5e-10, 1) passes
+    for mode 0, but mode_of and the dynamics take mode 1 there, and the
+    integrator's x_1 = (4 + 1.5e-9, 0) passes, but stage_cost prices it +inf.
+    A control box of the one point z that reaches such an x_1 gives a plan
+    that passes every test with a finite predicted value, and the plan is
+    priced by its exact replay."""
+    if side == "region":  # u_0 = 0 and x_1 = a_0 x0 = (-5e-10, 1) to rounding
+        problem, z = spiral.problem, np.zeros(2)
+        x0 = np.linalg.solve(problem.pl.modes[0].a, np.array([-5e-10, 1.0]))
+        # x_2 = 0.8 R(+-60 deg) x_1 + (0, u_1): this terminal cost tells the modes apart
+        free = FreeTerminal(np.array([[1.0, 0.5], [0.5, 1.0]]))
+    else:  # u_0 = -1.5e-9 cancels x0's velocity
+        problem, x0, z = integrator.problem, np.array([4.0, 1.5e-9]), np.array([-1.5e-9, 0.0])
+        free = FreeTerminal()
+    pl, plan = problem.pl, (z[:1], z[1:])
+    x1 = problem.dynamics(x0, plan[0])
+    assert pl.path_excess((0,), x1[None]) <= EPS_STATE
+    if side == "region":
+        assert x1[0] < 0.0 and pl.mode_of(x0) == 0 and pl.mode_of(x1) == 1
+    else:
+        assert x1.tolist() == [4.0 + 1.5e-9, 0.0] and problem.stage_cost(x1, plan[1]) == INF
+    cond = shooting._assemble(pl, x0, np.array([(0, 0)]), 2.0 * np.kron(np.eye(2), pl.r), z, z)
+    targets, job = free.shooting_targets(x0), (np.array([0]), np.array([0]))
+    predicted = shooting._verdicts(cond, targets, *job, z[None],
+                                   shooting._subproblems(cond, targets, *job))[0]
+    priced, converged = shooting._solve_candidate(problem, free, x0, cond, 0, targets, 0,
+                                                  (z, True, 1, predicted), z, z, 1)
+    value = replay(problem, x0, plan, free.terminal_cost)[0]
+    assert converged and isinstance(predicted, float) and predicted < INF
+    assert priced[0] == value and abs(value - predicted) > 1e-3
+
+
 def _lp_least(f, phi, gamma, lo, hi):
     """The least value of f (phi + gamma z) over the box lo <= z <= hi, by LP."""
     res = linprog(f @ gamma, bounds=list(zip(lo, hi)), method="highs")
@@ -859,9 +896,9 @@ def test_the_exact_ball_step_matches_the_bisection_on_the_augmented_rollout(
             solves[0] += rows is not None and h.ndim == 2
             return box_qp(h, b, lo, hi, rows, z, rank)
 
-        def ball(h, b, lo, hi, radius, rows=None, boxed=None):
+        def ball(h, b, lo, hi, radius, rows=None, boxed=None, factors=None):
             solves[0] = 0  # the box QP itself ran stacked, before the call
-            out = ball_box_qp(h, b, lo, hi, radius, rows, boxed)
+            out = ball_box_qp(h, b, lo, hi, radius, rows, boxed, factors)
             tally["calls"] += 1
             tally["bisected"] += solves[0] > 1
             if float(np.linalg.norm(out[0])) > radius:
