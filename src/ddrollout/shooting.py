@@ -456,7 +456,9 @@ def solve_continuous(problem: ProblemDef, sset, x, cfg: SolverConfig,
     seed_plans = [s if isinstance(s, Walk) else tuple(s) for s in seeds if len(s) == ell]
     if base_policy is not None:
         plan = base_plan(problem, base_policy, x, ell)
-        if plan is not None:  # np.asarray keeps a float array control: the walk still holds
+        if plan is not None:
+            # controls as float arrays, as solved plans hold them; asarray returns a
+            # float array control as it is, so the walk's states and costs still hold
             seed_plans.append(Walk([np.asarray(u, dtype=float) for u in plan], plan.states,
                                    plan.costs))
 

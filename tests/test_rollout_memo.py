@@ -18,6 +18,7 @@ from ddrollout.budget import AugmentedState, base_view
 from ddrollout.cli import main
 from ddrollout.costs import INF
 from ddrollout.errors import SearchSpaceError
+from ddrollout.model import state_key
 from ddrollout.sample_sets import FreeTerminal, Targets
 from ddrollout.shooting import solve_continuous
 
@@ -1180,7 +1181,11 @@ def test_reusing_the_winners_walks_changes_no_rollout(spiral, integrator, monkey
     walks taken away (_without_walks): the runs are identical, and the
     shipped one spares exactly the dynamics calls of every applied move, of
     each base plan's replay, and of the ell - 1 steps each shifted seed
-    shares with the previous winner's walk."""
+    shares with the previous winner's walk. Every walk priced as it stands
+    holds, bit for bit, the states and stage costs of its plan's replay."""
+    def fresh(walk):
+        return [state_key(s) for s in walk.states], walk.costs
+
     for problem, sset, x0, cfg, policy, variant in _walk_cases(spiral, integrator):
         def rollout():
             calls = []
@@ -1189,7 +1194,17 @@ def test_reusing_the_winners_walks_changes_no_rollout(spiral, integrator, monkey
             return run_rollout(counted, sset, x0, cfg, 40, base_policy=policy,
                                variant=variant), len(calls)
 
-        shipped, shipped_calls = rollout()
+        priced, walks = shooting._priced, []
+
+        def checked(problem_, sset_, x, plan, *args, **kwargs):
+            if isinstance(plan, lookahead.Walk):
+                walks.append(fresh(plan) == fresh(lookahead.walk(problem, x, plan)))
+            return priced(problem_, sset_, x, plan, *args, **kwargs)
+
+        with monkeypatch.context() as patched:
+            patched.setattr(shooting, "_priced", checked)
+            shipped, shipped_calls = rollout()
+        assert walks and all(walks), variant
         with monkeypatch.context() as patched:
             _without_walks(patched)
             again, again_calls = rollout()
