@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_discrete_lyapunov
 
 from .budget import BudgetConstraintSpec, augment_problem, augment_sample_set
 from .costs import INF
@@ -178,8 +177,10 @@ def make_constrained_double_integrator() -> InstanceBundle:
     a_cl = a - b @ k_gain
     if max(abs(np.linalg.eigvals(a_cl))) >= 1.0:
         raise ValueError("recorded gain is not stabilizing")
-    p_tail = solve_discrete_lyapunov(a_cl.T, q + k_gain.T @ r @ k_gain)
-    p_usage = solve_discrete_lyapunov(a_cl.T, k_gain.T @ k_gain)
+    # P = W + A_cl' P A_cl, solved as vec P = (I - A_cl' (x) A_cl')^-1 vec W
+    lyap = np.eye(4) - np.kron(a_cl.T, a_cl.T)
+    p_tail = np.linalg.solve(lyap, (q + k_gain.T @ r @ k_gain).ravel()).reshape(2, 2)
+    p_usage = np.linalg.solve(lyap, (k_gain.T @ k_gain).ravel()).reshape(2, 2)
 
     def dynamics(x, u):
         return a @ x + b @ np.asarray(u, dtype=float)

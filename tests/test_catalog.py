@@ -71,6 +71,33 @@ def test_integrator_tail_matrix_solves_the_lyapunov_identity(integrator):
     assert integrator.notes["base_cost"] == float(x0 @ p @ x0)
 
 
+def test_integrator_usage_matrix_solves_the_lyapunov_identity(integrator):
+    # P_u = K'K + (A-BK)' P_u (A-BK): exactness of the recorded tail energies
+    a = np.array([[1.0, 1.0], [0.0, 1.0]])
+    b = np.array([[0.0], [1.0]])
+    k = np.array([[0.05, 0.3]])
+    acl = a - b @ k
+    pu = integrator.notes["usage_matrix"]
+    resid = pu - (k.T @ k + acl.T @ pu @ acl)
+    assert float(np.max(np.abs(resid))) < 1e-9
+
+
+def test_integrator_lyapunov_solves_match_scipy_bit_for_bit(integrator):
+    # the instance solves both equations with numpy alone; scipy, a test
+    # dependency, gives the same bytes on the same two equations
+    from scipy.linalg import solve_discrete_lyapunov
+
+    a = np.array([[1.0, 1.0], [0.0, 1.0]])
+    b = np.array([[0.0], [1.0]])
+    k = np.array([[0.05, 0.3]])
+    r = np.array([[1.0]])
+    acl = a - b @ k
+    tail = solve_discrete_lyapunov(acl.T, np.eye(2) + k.T @ r @ k)
+    usage = solve_discrete_lyapunov(acl.T, k.T @ k)
+    assert integrator.notes["tail_matrix"].tobytes() == tail.tobytes()
+    assert integrator.notes["usage_matrix"].tobytes() == usage.tobytes()
+
+
 def test_integrator_base_energy_is_under_the_cap(integrator):
     assert integrator.notes["base_energy"] <= integrator.budget_spec.e_max
     pu = integrator.notes["usage_matrix"]

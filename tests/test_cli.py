@@ -188,6 +188,32 @@ def test_the_package_runs_as_a_module(tmp_path):
     assert "two-vehicle-grid" in proc.stdout
 
 
+_IMPORT_PROBE = """
+import json, sys
+import ddrollout
+from ddrollout import catalog, cli
+for name in catalog.INSTANCES:
+    catalog.make_instance(name)
+code = cli.main(["run", "--instance", "double-integrator", "--variant", "augmented",
+                 "--horizon", "3", "--out-dir", sys.argv[1]])
+print(json.dumps({"code": code, "scipy": sorted(
+    m for m in sys.modules if m == "scipy" or m.startswith("scipy."))}))
+"""
+
+
+def test_a_run_imports_no_scipy(tmp_path):
+    # scipy is a test dependency only; this process already holds it through
+    # test_shooting.py, so the import graph is read in a fresh interpreter
+    pkg_root = str(Path(ddrollout.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=pkg_root)
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, str(tmp_path)],
+                          capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result == {"code": 0, "scipy": []}
+    assert (tmp_path / "summary.csv").exists()
+
+
 def test_list_instances_names_all_four(capsys):
     code, out, _ = run_cli(capsys, "list-instances")
     assert code == 0
