@@ -58,12 +58,14 @@ def test_spiral_dynamics_apply_the_mode_its_regions_name(spiral):
     assert [pl.mode_of(x) for x in edge] == [0, 0, 0, 1]
 
 
+# the double integrator's recorded gain K and closed loop A - BK
+_K = np.array([[0.05, 0.3]])
+_ACL = np.array([[1.0, 1.0], [0.0, 1.0]]) - np.array([[0.0], [1.0]]) @ _K
+
+
 def test_integrator_tail_matrix_solves_the_lyapunov_identity(integrator):
     # P = Q + K'RK + (A-BK)' P (A-BK): exactness of the recorded tails
-    a = np.array([[1.0, 1.0], [0.0, 1.0]])
-    b = np.array([[0.0], [1.0]])
-    k = np.array([[0.05, 0.3]])
-    acl = a - b @ k
+    k, acl = _K, _ACL
     p = integrator.notes["tail_matrix"]
     resid = p - (np.eye(2) + k.T @ k + acl.T @ p @ acl)
     assert float(np.max(np.abs(resid))) < 1e-9
@@ -73,10 +75,7 @@ def test_integrator_tail_matrix_solves_the_lyapunov_identity(integrator):
 
 def test_integrator_usage_matrix_solves_the_lyapunov_identity(integrator):
     # P_u = K'K + (A-BK)' P_u (A-BK): exactness of the recorded tail energies
-    a = np.array([[1.0, 1.0], [0.0, 1.0]])
-    b = np.array([[0.0], [1.0]])
-    k = np.array([[0.05, 0.3]])
-    acl = a - b @ k
+    k, acl = _K, _ACL
     pu = integrator.notes["usage_matrix"]
     resid = pu - (k.T @ k + acl.T @ pu @ acl)
     assert float(np.max(np.abs(resid))) < 1e-9
@@ -87,12 +86,8 @@ def test_integrator_lyapunov_solves_match_scipy_bit_for_bit(integrator):
     # dependency, gives the same bytes on the same two equations
     from scipy.linalg import solve_discrete_lyapunov
 
-    a = np.array([[1.0, 1.0], [0.0, 1.0]])
-    b = np.array([[0.0], [1.0]])
-    k = np.array([[0.05, 0.3]])
-    r = np.array([[1.0]])
-    acl = a - b @ k
-    tail = solve_discrete_lyapunov(acl.T, np.eye(2) + k.T @ r @ k)
+    k, acl = _K, _ACL
+    tail = solve_discrete_lyapunov(acl.T, np.eye(2) + k.T @ k)
     usage = solve_discrete_lyapunov(acl.T, k.T @ k)
     assert integrator.notes["tail_matrix"].tobytes() == tail.tobytes()
     assert integrator.notes["usage_matrix"].tobytes() == usage.tobytes()
