@@ -23,7 +23,6 @@ from .catalog import (
     INSTANCES,
     InstanceBundle,
     make_instance,
-    optimal_cost,
     resolve_instance_name,
 )
 from .costs import INF, ensure_cost
@@ -53,7 +52,6 @@ from .lookahead import (
     solve,
     solve_discrete,
     solve_restricted,
-    vi_sequence,
 )
 from .model import (
     BoxControls,
@@ -124,7 +122,6 @@ __all__ = [
     "ensure_cost",
     "make_instance",
     "merge",
-    "optimal_cost",
     "resolve_instance_name",
     "run_classical_mpc",
     "run_multiagent",
@@ -136,5 +133,4 @@ __all__ = [
     "solve_restricted",
     "trajectory_cost",
     "verify_invariance",
-    "vi_sequence",
 ]

@@ -9,7 +9,6 @@ stored in the bundle notes are always freshly computed rather than assumed.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -19,11 +18,10 @@ import numpy as np
 from .budget import BudgetConstraintSpec, augment_problem, augment_sample_set
 from .costs import INF
 from .engine import AgentPartition
-from .errors import SearchSpaceError
 from .lookahead import SolverConfig
 from .model import (EPS_STATE, BoxControls, FiniteControls, LinearMode,
                     PiecewiseLinearStructure, Policy, ProblemDef,
-                    simulate_policy, state_key, trajectory_cost)
+                    simulate_policy, trajectory_cost)
 from .sample_sets import AnalyticSampleSet, build_from_trajectory, merge
 
 
@@ -300,13 +298,6 @@ def make_two_vehicle_grid() -> InstanceBundle:
     start = ((0, 2), (2, 0))
     targets = _TARGETS
 
-    def on_grid(cell) -> bool:
-        return 0 <= cell[0] < _GRID_SIDE and 0 <= cell[1] < _GRID_SIDE
-
-    def apply_move(cell, move):
-        d = _MOVES[move]
-        return (cell[0] + d[0], cell[1] + d[1])
-
     def vehicle_options(state, agent):
         try:
             return _OPTIONS[agent][state[agent]]
@@ -352,33 +343,27 @@ def make_two_vehicle_grid() -> InstanceBundle:
         name="two-vehicle-grid",
     )
 
-    def manhattan(cell, tgt) -> int:
-        return abs(cell[0] - tgt[0]) + abs(cell[1] - tgt[1])
-
     def ranked_moves(pos, tgt):
-        out = []
-        for m in sorted(_MOVES):
-            if m == "stay":
-                continue
-            nxt = apply_move(pos, m)
-            if on_grid(nxt):
-                out.append((manhattan(nxt, tgt), m, nxt))
-        out.sort()
-        return out
+        return sorted((abs(n[0] - tgt[0]) + abs(n[1] - tgt[1]), m, n)
+                      for m, n in _NEXT[pos].items() if m != "stay")
 
     def base_action(state):
         p0, p1 = state
         (m0, n0), m1 = ("stay", p0), "stay"
-        if p0 != targets[0]:
-            for _, m, nxt in ranked_moves(p0, targets[0]):
-                if nxt != p1:  # priority vehicle only dodges the occupied cell
-                    m0, n0 = m, nxt
-                    break
-        if p1 != targets[1]:
-            for _, m, nxt in ranked_moves(p1, targets[1]):
-                if nxt != n0 and nxt != p0:
-                    m1 = m
-                    break
+        try:
+            if p0 != targets[0]:
+                for _, m, nxt in ranked_moves(p0, targets[0]):
+                    if nxt != p1:  # priority vehicle only dodges the occupied cell
+                        m0, n0 = m, nxt
+                        break
+            if p1 != targets[1]:
+                for _, m, nxt in ranked_moves(p1, targets[1]):
+                    if nxt != n0 and nxt != p0:
+                        m1 = m
+                        break
+        except KeyError:
+            _check_on_grid(state)
+            raise
         return (m0, m1)
 
     base = Policy(action=base_action, id="priority-greedy")
@@ -560,55 +545,3 @@ def make_instance(name: str) -> InstanceBundle:
         known = ", ".join(sorted(INSTANCES))
         raise KeyError(f"unknown instance {name!r}; known: {known}")
     return INSTANCES[name]()
-
-
-def optimal_cost(problem: ProblemDef, x0, node_cap: int = 500_000):
-    """Exact optimal cost-to-reach-stopping by uniform-cost search.
-
-    Only for finite control sets. Returns (cost, states, controls) along
-    one optimal path; raises SearchSpaceError past the node cap.
-    """
-    if problem.stopping_predicate is None:
-        raise ValueError("optimal search needs a stopping predicate")
-    counter = itertools.count()
-    start_key = state_key(x0)
-    frontier = [(0.0, next(counter), x0)]
-    dist = {start_key: 0.0}
-    came = {start_key: None}         # key -> (parent key, control)
-    known = {start_key: x0}
-    pops = 0
-    while frontier:
-        acc, _, state = heapq.heappop(frontier)
-        key = state_key(state)
-        if acc > dist.get(key, INF):
-            continue
-        pops += 1
-        if pops > node_cap:
-            raise SearchSpaceError(f"search exceeded {node_cap} expansions")
-        if problem.is_stopping(state):
-            states, controls = [state], []
-            k = key
-            while came[k] is not None:
-                pk, ctrl = came[k]
-                controls.append(ctrl)
-                states.append(known[pk])
-                k = pk
-            states.reverse()
-            controls.reverse()
-            return acc, tuple(states), tuple(controls)
-        spec = problem.control_set(state)
-        if not isinstance(spec, FiniteControls):
-            raise ValueError("optimal search requires finite control sets")
-        for u in sorted(spec.controls):
-            g = problem.stage_cost(state, u)
-            if g == INF:
-                continue
-            nxt = problem.dynamics(state, u)
-            nk = state_key(nxt)
-            cand = acc + g
-            if cand < dist.get(nk, INF):
-                dist[nk] = cand
-                came[nk] = (key, u)
-                known[nk] = nxt
-                heapq.heappush(frontier, (cand, next(counter), nxt))
-    return INF, (), ()

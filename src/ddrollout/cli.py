@@ -65,7 +65,8 @@ CHAIN_SLACK = 1e-6  # relative tolerance for the improvement-chain report
 
 def _parse_x0(raw):
     """A state from a flag or a config file: '1,1' or [1, 1] (vector, every
-    component finite), 'A' (token), or JSON for structured states."""
+    component a finite int or float, not a bool), 'A' (token), or JSON for
+    structured states."""
     if isinstance(raw, str):
         try:
             value = json.loads(raw)
@@ -79,7 +80,7 @@ def _parse_x0(raw):
         raw = value
     if not isinstance(raw, list):
         return raw
-    if all(isinstance(c, (int, float)) for c in raw):
+    if all(isinstance(c, (int, float)) and not isinstance(c, bool) for c in raw):
         x = np.asarray(raw, dtype=float)
         if not np.isfinite(x).all():
             raise ValueError(f"state components must be finite, got {raw!r}")

@@ -29,7 +29,7 @@ memo each solve starts afresh.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -81,12 +81,6 @@ class LookaheadSolution:
     per_stage_values: tuple | None = None
     diagnostics: dict | None = None
     walk: Walk | None = field(default=None, repr=False, compare=False)
-
-    def recompute(self, problem: ProblemDef, sset, x) -> float:
-        """Re-evaluate the plan's objective from scratch (for audits)."""
-        if self.value == INF:
-            return INF
-        return replay(problem, x, self.controls, sset.terminal_cost)[0]
 
 
 class Walk(tuple):
@@ -260,20 +254,20 @@ class _Search:
     order.
 
     The values are the iterates J_k = T J_{k-1} from the sample set's
-    terminal cost J_0, computed at the (state, depth) nodes the roots reach
-    and nowhere else. The forward pass walks from the deepest root down and
-    collects, one depth at a time, the nodes the memo does not hold yet:
-    the roots at that depth and the successors of the new nodes one depth
-    up. Nodes at depth >= 1 have their states' moves tabled (_Table) on
-    first need; collecting more than NODE_CAP new nodes raises
-    SearchSpaceError before a layer is tabled. The backward pass evaluates
-    each layer in one numpy pass, from depth 0 up: g + tail for every move,
-    then per node the lexicographic minimum of (g + tail, tail, position in
-    sorted control order), which is the rule above with the same IEEE
-    additions. The plan is read back by following the chosen moves from the
-    root. Nothing recurses, so the depth has no limit but NODE_CAP, and the
-    search holds a few integers per node it evaluated, never an array over
-    depths times states.
+    terminal cost J_0, computed at the (state, depth) nodes the root, the
+    start state at the asked depths, reaches and nowhere else. The forward
+    pass walks from the deepest depth asked down and collects, one depth at
+    a time, the nodes the memo does not hold yet: the root if that depth is
+    asked and the successors of the new nodes one depth up. Nodes at depth
+    >= 1 have their states' moves tabled (_Table) on first need; collecting
+    more than NODE_CAP new nodes raises SearchSpaceError before a layer is
+    tabled. The backward pass evaluates each layer in one numpy pass, from
+    depth 0 up: g + tail for every move, then per node the lexicographic
+    minimum of (g + tail, tail, position in sorted control order), which is
+    the rule above with the same IEEE additions. The plan is read back by
+    following the chosen moves from the root. Nothing recurses, so the depth
+    has no limit but NODE_CAP, and the search holds a few integers per node
+    it evaluated, never an array over depths times states.
 
     memo holds the node results (_Nodes) and, unless tables is passed, the
     move table, so memo may only come from earlier solves whose control map
@@ -298,24 +292,22 @@ class _Search:
         self.evaluated = self.tabled = 0  # new nodes and rows, over all calls
 
     def best(self, state, depth: int) -> tuple:
-        return self._plan(state, self._evaluate([state], range(depth, depth + 1))[0, 0])
+        return self._plan(state, self._evaluate(state, range(depth, depth + 1))[0])
 
-    def _evaluate(self, states, depths: range) -> np.ndarray:
-        """Evaluate each state at each of the depths; their slots, one row
-        per depth."""
+    def _evaluate(self, state, depths: range) -> np.ndarray:
+        """Evaluate state at each of the depths, a range; its slots, one per
+        depth."""
         table, nodes, levels = self.table, self.nodes, self.nodes.levels
-        roots = np.array([table.id_of(s) for s in states], dtype=np.int64)
+        root = np.array([table.id_of(state)], dtype=np.int64)
         layers = []  # (depth, new ids, first slot, their rows), deepest first
         succ, slot = None, nodes.value.n
         for d in range(depths[-1], -1, -1):
             if d in depths:
-                cand = roots if succ is None else np.concatenate((succ, roots))
-            elif succ is not None:
-                cand = succ
-            elif d < depths[0]:
+                cand = root if succ is None else np.concatenate((succ, root))
+            elif succ is None:
                 break
             else:
-                continue
+                cand = succ
             ids = _missing(levels.get(d), np.unique(cand))
             succ = None
             if not len(ids):
@@ -331,11 +323,7 @@ class _Search:
                 succ = table.succ.data[table.moves(rows)[0]]
         if layers:
             self._backward(layers, slot - nodes.value.n)
-        out = np.empty((len(depths), len(roots)), dtype=np.int64)
-        for j, d in enumerate(depths):
-            have, slots = levels[d]
-            out[j] = slots[np.searchsorted(have, roots)]
-        return out
+        return np.array([levels[d][1][np.searchsorted(levels[d][0], root[0])] for d in depths])
 
     def _table_rows(self, ids: np.ndarray, step: int) -> np.ndarray:
         """The rows of the states ids at step, tabling the missing ones.
@@ -436,7 +424,7 @@ def solve_discrete(problem: ProblemDef, sset, x, cfg: SolverConfig,
     depth, so per_stage_values come with the plan; diagnostics count the
     nodes evaluated and the move rows tabled by this solve."""
     search = _Search(problem, sset, cfg.ell, lambda s, k: problem.control_set(s), memo)
-    slots = search._evaluate([x], range(cfg.ell + 1))[:, 0]
+    slots = search._evaluate(x, range(cfg.ell + 1))
     value, controls, terminal, sid = search._plan(x, slots[-1])
     return LookaheadSolution(
         controls=controls,
@@ -446,19 +434,6 @@ def solve_discrete(problem: ProblemDef, sset, x, cfg: SolverConfig,
         per_stage_values=tuple(search.nodes.value.data[slots].tolist()),
         diagnostics={"nodes": search.evaluated, "rows": search.tabled},
     )
-
-
-def vi_sequence(problem: ProblemDef, sset, states: Iterable, ell: int) -> dict:
-    """Value-iteration iterates J_0..J_ell at the given states.
-
-    J_0 is the sample set's terminal cost and J_k the k-step lookahead
-    value, all computed in one layered pass.
-    """
-    states = list(states)
-    search = _Search(problem, sset, ell, lambda s, k: problem.control_set(s))
-    slots = search._evaluate(states, range(ell + 1))
-    values = search.nodes.value.data[slots]
-    return {state_key(x): values[:, j].tolist() for j, x in enumerate(states)}
 
 
 def solve_restricted(problem: ProblemDef, sset, x, restricted_controls: Callable,

@@ -21,8 +21,11 @@ otherwise states and controls are JSON-encoded tokens in single columns.
 The final state occupies a last row with empty control and stage-cost
 cells. Both layouts round-trip.
 
-All writes are atomic (temp file + rename in the destination directory)
-and byte-deterministic: sorted keys, repr floats, no timestamps.
+Whole-file writes (write_text, write_json: run documents, trajectory CSVs,
+tables) are atomic, a temp file renamed in the destination directory.
+append_summary is not: it appends one row to the summary CSV in place, so a
+write cut short can leave a partial last line. All output is
+byte-deterministic: sorted keys, repr floats, no timestamps.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Shared fixtures and the random finite-instance generator.
+"""Shared fixtures, the random finite-instance generator and exact oracles.
 
 Random instances are small absorbing-target shortest-path problems:
 state 0 is the stopping state, control 0 follows a random in-tree over
@@ -9,6 +9,8 @@ can demand bit equality.
 """
 
 import copy
+import heapq
+import itertools
 import random
 
 import pytest
@@ -23,6 +25,7 @@ from ddrollout import (
     simulate_policy,
 )
 from ddrollout.costs import INF
+from ddrollout.model import state_key
 from ddrollout.serialization import sample_set_to_doc
 
 
@@ -85,6 +88,29 @@ def plain_lookahead(problem, sset, x, ell):
         if v < best:
             best = v
     return best
+
+
+def optimal_cost(problem, x0):
+    """Exact optimal cost from x0 to the stopping set by uniform-cost search
+    over finite control sets; +inf if no stopping state is reachable."""
+    counter = itertools.count()
+    frontier = [(0.0, next(counter), x0)]
+    dist = {state_key(x0): 0.0}
+    while frontier:
+        acc, _, state = heapq.heappop(frontier)
+        if acc > dist[state_key(state)]:
+            continue
+        if problem.is_stopping(state):
+            return acc
+        for u in problem.control_set(state).controls:
+            g = problem.stage_cost(state, u)
+            if g == INF:
+                continue
+            nxt, cand = problem.dynamics(state, u), acc + g
+            if cand < dist.get(state_key(nxt), INF):
+                dist[state_key(nxt)] = cand
+                heapq.heappush(frontier, (cand, next(counter), nxt))
+    return INF
 
 
 def widened_doc(sset, shift=5e-4, eps_state=1e-3) -> dict:

@@ -18,16 +18,15 @@ from ddrollout import (
     FiniteControls,
     SolverConfig,
     merge,
-    optimal_cost,
     run_multiagent,
     run_rollout,
     simulate_policy,
     trajectory_cost,
 )
 from ddrollout.costs import INF
-from ddrollout.lookahead import solve, solve_restricted, vi_sequence
+from ddrollout.lookahead import solve, solve_discrete, solve_restricted
 
-from conftest import make_random_instance, nested_pair, plain_lookahead
+from conftest import make_random_instance, nested_pair, optimal_cost, plain_lookahead
 
 # previously recorded closed-loop results for the same configurations;
 # proximity is reported, never gated (a better result is fine)
@@ -242,7 +241,7 @@ def test_criterion_08_multiagent_and_restricted_sandwich(runs, grid):
     start = grid.start_states[0]
     base_value = grid.notes["base_cost"]
     multi = runs["grid-multi"]
-    opt, _, _ = optimal_cost(grid.problem, start)
+    opt = optimal_cost(grid.problem, start)
 
     gpol = next(iter(grid.base_policies.values()))
 
@@ -267,8 +266,9 @@ def test_criterion_09_value_iteration_monotone():
     for seed in range(10):
         problem, base, n, m = make_random_instance(seed)
         _, big = nested_pair(problem, base, n, seed)
-        rows = vi_sequence(problem, big, range(n), 4)
-        for key, row in rows.items():
+        memo = {}
+        for x in range(n):
+            row = solve_discrete(problem, big, x, SolverConfig(ell=4), memo=memo).per_stage_values
             for a, b in zip(row, row[1:]):
                 ok = ok and b <= a
     assert report(9, "value-iteration iterates pointwise nonincreasing", ok)

@@ -183,7 +183,8 @@ def test_a_grid_state_off_the_grid_is_an_error_in_every_callback(grid, state, ce
     calls = [lambda: problem.stage_cost(state, ("stay", "stay")),
              lambda: problem.dynamics(state, ("stay", "stay")),
              lambda: problem.control_set(state),
-             lambda: grid.partition.options(state, state.index(cell))]
+             lambda: grid.partition.options(state, state.index(cell)),
+             lambda: grid.base_policies["priority-greedy"].action(state)]
     for call in calls:
         with pytest.raises(ValueError, match=re.escape(f"off the 5x5 grid at {cell!r}")):
             call()

@@ -276,6 +276,7 @@ def test_non_finite_x0_is_a_clean_error(capsys, tmp_path, x0):
     ("--instance", "spiral", "--x0", "5"),
     ("--instance", "integrator", "--x0", "3"),
     ("--instance", "spiral", "--variant", "disturbance", "--x0", "1,2,3"),
+    ("--instance", "spiral", "--x0", "[true,1]"),
 ])
 def test_an_x0_of_the_wrong_shape_is_a_clean_error(capsys, tmp_path, argv):
     """A vector x0 is checked against the start state's shape before the
@@ -486,6 +487,7 @@ def test_run_ending_at_x0_checks_realized_against_recorded(capsys, tmp_path):
     ("run", "--instance", "spiral", "--variant", "disturbance", "--disturb-step", "-1"),
     ("verify", "--instance", "spiral", "--seed", "-1"),
     ("run", "--instance", "spiral", "--variant", "disturbance", "--disturb", "foo"),
+    ("run", "--instance", "spiral", "--variant", "disturbance", "--disturb", "[true,0]"),
 ])
 def test_out_of_range_counts_are_clean_errors(capsys, tmp_path, argv):
     code, out, err = run_cli(capsys, *argv, *(("--out-dir", str(tmp_path))

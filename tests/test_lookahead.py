@@ -27,10 +27,10 @@ from ddrollout.costs import INF
 from ddrollout.lookahead import (
     _SELF_KEYED,
     _Search,
+    replay,
     solve,
     solve_discrete,
     solve_restricted,
-    vi_sequence,
 )
 from ddrollout.model import state_key
 from ddrollout.shooting import solve_continuous
@@ -58,7 +58,7 @@ def test_value_is_the_plan_objective():
     sset = build_from_trajectory(simulate_policy(problem, base, n - 1))
     sol = solve_discrete(problem, sset, n - 1, _cfg(3))
     # replaying the returned plan reproduces the reported value exactly
-    assert sol.recompute(problem, sset, n - 1) == sol.value
+    assert replay(problem, n - 1, sol.controls, sset.terminal_cost)[0] == sol.value
 
 
 def test_infeasible_when_terminal_unreachable():
@@ -119,18 +119,20 @@ def test_richer_sample_sets_never_hurt(seed, ell):
 def test_value_iteration_is_pointwise_monotone(seed):
     problem, base, n, _ = make_random_instance(seed)
     sset = build_from_trajectory(simulate_policy(problem, base, n - 1))
-    rows = vi_sequence(problem, sset, range(n), ell=4)
-    for key, js in rows.items():
+    memo = {}
+    for x in range(n):
+        js = solve_discrete(problem, sset, x, _cfg(4), memo=memo).per_stage_values
         for k in range(4):
-            assert js[k + 1] <= js[k], (key, js)
+            assert js[k + 1] <= js[k], (x, js)
 
 
 def test_vi_row_zero_is_the_terminal_cost():
     problem, base, n, _ = make_random_instance(13)
     sset = build_from_trajectory(simulate_policy(problem, base, n - 1))
-    rows = vi_sequence(problem, sset, range(n), ell=2)
+    memo = {}
     for x in range(n):
-        assert rows[x][0] == sset.terminal_cost(x)
+        js = solve_discrete(problem, sset, x, _cfg(2), memo=memo).per_stage_values
+        assert js[0] == sset.terminal_cost(x)
 
 
 def test_restriction_to_the_base_control_reproduces_recorded_values():
@@ -241,9 +243,6 @@ def test_the_layered_search_matches_a_recursive_reference(seed, ell):
         assert repr(sol.per_stage_values) == repr(tuple(full.best(x, k)[0]
                                                         for k in range(ell + 1)))
         assert sol.diagnostics["nodes"] == full.expanded - before
-    vi = _Reference(problem, sset, ell, lambda x, k: problem.control_set(x))
-    assert repr(vi_sequence(problem, sset, range(n), ell)) == \
-        repr({x: [vi.best(x, k)[0] for k in range(ell + 1)] for x in range(n)})
 
     tables = {}
     for shift in (0, 1):
@@ -274,7 +273,7 @@ def test_a_deep_lookahead_has_no_depth_limit(tour):
     for name, sset in tour.sample_sets.items():
         sol = solve(tour.problem, sset, "A", _cfg(2000))
         assert sol.value == want[name] and len(sol.controls) == 2000
-        assert sol.recompute(tour.problem, sset, "A") == sol.value
+        assert replay(tour.problem, "A", sol.controls, sset.terminal_cost)[0] == sol.value
 
 
 def test_restricted_value_is_sandwiched():

@@ -13,7 +13,7 @@ import pytest
 
 from ddrollout import (AgentPartition, ExplicitSampleSet, FiniteControls, Policy, ProblemDef,
                        SampleEntry, SolverConfig, boxqp, engine, lookahead, run_classical_mpc,
-                       run_multiagent, run_rollout, shooting, solve_restricted, vi_sequence)
+                       run_multiagent, run_rollout, shooting, solve_restricted)
 from ddrollout.budget import AugmentedState, base_view
 from ddrollout.cli import main
 from ddrollout.costs import INF
@@ -271,7 +271,8 @@ def test_a_finished_search_is_freed_without_the_cycle_collector(grid):
         run_rollout(grid.problem, sset, x0, replace(grid.solver_defaults, ell=8), 40,
                     base_policy=policy)
         assert gc.collect() == 0
-        vi_sequence(grid.problem, sset, [x0], 4)
+        lookahead.solve_discrete(grid.problem, sset, x0, replace(grid.solver_defaults, ell=4),
+                                 memo={}).per_stage_values
         assert gc.collect() == 0
         solve_restricted(grid.problem, sset, x0, pin_second,
                          replace(grid.solver_defaults, ell=4), policy=policy)

@@ -145,7 +145,7 @@ def test_sample_targets_beat_every_exact_interior_certificate(integrator):
     assert min(np.abs(sol.terminal_state - e.state).max() for e in sset.entries()) <= 1e-12
     assert sol.terminal_sample_id == sset.sample_id(sol.terminal_state)
     # replaying the plan with the set's terminal cost reproduces the value
-    assert sol.recompute(problem, sset, x0) == sol.value
+    assert replay(problem, x0, sol.controls, sset.terminal_cost)[0] == sol.value
     bound = min(_kkt_reach_value(problem, x0, e.state, 4) + e.value
                 for e in sset.entries())
     assert sol.value <= bound + 1e-5 * max(1.0, abs(bound))
@@ -184,7 +184,8 @@ def test_hybrid_modes_replay_exactly(spiral):
     assert sol.value < INF
     # audit: rolling the plan through the true sign-switching dynamics
     # reproduces the claimed objective, so the mode sequence was right
-    assert sol.recompute(problem, sset, x0) == pytest.approx(sol.value, rel=1e-8)
+    assert replay(problem, x0, sol.controls, sset.terminal_cost)[0] == \
+        pytest.approx(sol.value, rel=1e-8)
     assert sol.value <= spiral.notes["base_costs"][(1.0, 1.0)] + 1e-9
 
 
@@ -203,7 +204,7 @@ def test_mode_enumeration_is_capped_by_mode_cap(spiral):
     sol = solve_continuous(problem, disk, x0, replace(at_cap, ell=9, mode_cap=256))
     assert sol.value < INF and sol.diagnostics["candidates"] == 2 ** 8
     assert disk.contains(sol.terminal_state)
-    assert sol.recompute(problem, disk, x0) == sol.value
+    assert replay(problem, x0, sol.controls, disk.terminal_cost)[0] == sol.value
 
 
 def test_disk_terminal_lands_inside_the_disk(spiral):
@@ -451,7 +452,7 @@ def test_budget_solve_replays_to_its_value(integrator):
     # covers that step's tail usage, so the replay prices it at that tail
     assert sset.contains(sol.terminal_state)
     assert sol.terminal_sample_id is not None
-    assert sol.recompute(problem, sset, x0) == sol.value
+    assert replay(problem, x0, sol.controls, sset.terminal_cost)[0] == sol.value
 
 
 def test_origin_terminal_is_reached_to_the_state_tolerance(spiral):
@@ -464,7 +465,7 @@ def test_origin_terminal_is_reached_to_the_state_tolerance(spiral):
     assert sol.value < INF
     assert origin.contains(sol.terminal_state)
     assert np.abs(sol.terminal_state).max() <= 1e-12  # on it, up to rounding
-    assert sol.recompute(problem, origin, x0) == sol.value
+    assert replay(problem, x0, sol.controls, origin.terminal_cost)[0] == sol.value
 
 
 def _qp_obj(h, b, z):
