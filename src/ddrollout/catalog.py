@@ -269,8 +269,8 @@ _TARGETS = ((4, 2), (2, 4))
 
 # The grid's move graph, built once: each cell's successor under each move
 # that keeps it on the grid, and each vehicle's sorted on-grid moves from each
-# cell (only "stay" at its target). The grid's callbacks index these, and a
-# cell they do not hold is off the grid.
+# cell (only "stay" at its target). The grid's callbacks and base policy index
+# these, and a cell they do not hold is off the grid.
 _NEXT = {(r, c): {m: (r + dr, c + dc) for m, (dr, dc) in _MOVES.items()
                   if 0 <= r + dr < _GRID_SIDE and 0 <= c + dc < _GRID_SIDE}
          for r in range(_GRID_SIDE) for c in range(_GRID_SIDE)}
@@ -292,8 +292,8 @@ def make_two_vehicle_grid() -> InstanceBundle:
     Cost counts moves (waiting is free). Landing on the same cell or
     swapping cells is forbidden. The recorded policy routes vehicle one
     greedily and lets vehicle two dodge, which wastes moves; a joint
-    lookahead discovers that waiting is cheaper than dodging. A state with
-    a vehicle off the grid is an error in every callback.
+    lookahead discovers that waiting is cheaper than dodging. A vehicle off
+    the grid is an error in every callback and in the base policy.
     """
     start = ((0, 2), (2, 0))
     targets = _TARGETS

@@ -254,11 +254,11 @@ class _Search:
     order.
 
     The values are the iterates J_k = T J_{k-1} from the sample set's
-    terminal cost J_0, computed at the (state, depth) nodes the root, the
-    start state at the asked depths, reaches and nowhere else. The forward
+    terminal cost J_0, computed at the (state, depth) nodes that the roots,
+    the start state at each depth asked, reach and nowhere else. The forward
     pass walks from the deepest depth asked down and collects, one depth at
-    a time, the nodes the memo does not hold yet: the root if that depth is
-    asked and the successors of the new nodes one depth up. Nodes at depth
+    a time, the nodes the memo does not hold yet: the root at that depth, if
+    asked, and the successors of the new nodes one depth up. Nodes at depth
     >= 1 have their states' moves tabled (_Table) on first need; collecting
     more than NODE_CAP new nodes raises SearchSpaceError before a layer is
     tabled. The backward pass evaluates each layer in one numpy pass, from

@@ -271,8 +271,7 @@ def test_a_finished_search_is_freed_without_the_cycle_collector(grid):
         run_rollout(grid.problem, sset, x0, replace(grid.solver_defaults, ell=8), 40,
                     base_policy=policy)
         assert gc.collect() == 0
-        lookahead.solve_discrete(grid.problem, sset, x0, replace(grid.solver_defaults, ell=4),
-                                 memo={}).per_stage_values
+        lookahead.solve_discrete(grid.problem, sset, x0, replace(grid.solver_defaults, ell=4))
         assert gc.collect() == 0
         solve_restricted(grid.problem, sset, x0, pin_second,
                          replace(grid.solver_defaults, ell=4), policy=policy)
