@@ -1,16 +1,16 @@
 """Rollout driving loops.
 
-Each loop applies the first control of a fresh lookahead solve, steps the
-dynamics, and repeats. Once a solve's value is at most EPS_TAIL, the plan's
-exact replay ends on a sampled state at a recorded tail that small: the run
-applies the whole plan and solves no more (not under a disturbance, nor
-under a free terminal, which certifies nothing). Runs close out in one of
-four ways: the state enters the stopping region ("stopped"), the state is
-one the sample set prices at most EPS_TAIL, either on arrival or at the end
-of a certified plan ("closed_in_set", the recorded tail is appended to the
-cost), the horizon runs out of solves ("horizon", the cost is truncated),
-or a disturbance pushes the state somewhere the solver cannot price
-("infeasible_after_disturbance").
+Each loop applies the first move of a fresh lookahead solve, as the walk
+that priced the solve's plan holds it, and repeats. Once a solve's value is
+at most EPS_TAIL, that walk ends on a sampled state at a recorded tail that
+small: the run applies the whole plan and solves no more (not under a
+disturbance, nor under a free terminal, which certifies nothing). Runs
+close out in one of four ways: the state enters the stopping region
+("stopped"), the state is one the sample set prices at most EPS_TAIL,
+either on arrival or at the end of a certified plan ("closed_in_set", the
+recorded tail is appended to the cost), the horizon runs out of solves
+("horizon", the cost is truncated), or a disturbance pushes the state
+somewhere the solver cannot price ("infeasible_after_disturbance").
 """
 
 from __future__ import annotations
@@ -78,10 +78,10 @@ def _drive(problem: ProblemDef, sset, x0, cfg: SolverConfig, horizon: int, step,
 
     step(x, prev) returns the lookahead solution at x (prev is the previous
     step's solution, or None) and the report recorded for it; the loop
-    applies its first control, with the move's stage cost and next state
-    read from the solution's walk when it has one. Unless sset has no
+    applies its first move as the solution's walk holds it, control, stage
+    cost and next state, and simulates nothing. Unless sset has no
     policy_ids (it certifies nothing) or there is a disturbance, a solution
-    of value at most EPS_TAIL is applied whole, since its replay ends in the
+    of value at most EPS_TAIL is applied whole, since its walk ends in the
     set: the run stops early if a state on the way is a stopping state, and
     otherwise closes in the set at the final state's recorded value. horizon
     bounds the solves, so such a plan may run up to ell - 1 steps past it.
@@ -121,21 +121,16 @@ def _drive(problem: ProblemDef, sset, x0, cfg: SolverConfig, horizon: int, step,
         diag = sol.diagnostics or {}
         work.append({k: diag[k] for k in WORK_KEYS if k in diag})
         prev = sol
-        # a plan whose exact replay ends in the set is applied whole; its
-        # walk, when the solver gives one, already holds every move
+        # a plan whose walk ends in the set is applied whole
         certified = certifies and disturbance is None and sol.value <= EPS_TAIL
-        walked = sol.walk
-        for k, u in enumerate(sol.controls if certified else sol.controls[:1]):
-            x = states[-1]
-            g = problem.stage_cost(x, u) if walked is None else walked.costs[k]
-            if g == INF:  # defensive: a finite solve must have feasible steps
-                raise InfeasibleStepError(len(controls), x)
-            nxt = problem.dynamics(x, u) if walked is None else walked.states[k + 1]
+        plan = sol.walk
+        for k in range(len(plan) if certified else 1):
+            nxt = plan.states[k + 1]
             if disturbance is not None:
                 nxt = disturbance(t, nxt)
             states.append(nxt)
-            controls.append(u)
-            stage_costs.append(g)
+            controls.append(plan[k])
+            stage_costs.append(plan.costs[k])
             if certified and problem.is_stopping(nxt):
                 status = "stopped"
                 break
@@ -168,24 +163,20 @@ def _drive(problem: ProblemDef, sset, x0, cfg: SolverConfig, horizon: int, step,
     )
 
 
-def _shifted_plan(prev, base_policy: Policy | None, ell: int):
-    """The previous plan moved one step on and extended by the base policy."""
-    if prev is None or base_policy is None or len(prev.controls) != ell:
+def _shifted_seed(problem: ProblemDef, prev, base_policy: Policy | None, x) -> Walk | None:
+    """The previous plan moved one step on and extended by the base policy,
+    as its walk from x. When x is the previous walk's states[1] (no
+    disturbance moved it), that walk one step on with only the appended step
+    simulated; else the plan simulated from x."""
+    if prev is None or base_policy is None:
         return None
-    return tuple(prev.controls[1:]) + (base_policy.action(base_view(prev.terminal_state)),)
-
-
-def _shifted_seed(problem: ProblemDef, prev, base_policy: Policy | None, ell: int, x):
-    """_shifted_plan as a seed from x. When x is the previous solution's
-    walk's states[1] (no disturbance moved it), the seed is that walk one
-    step on, with only the appended step simulated; else the plan alone,
-    for the solver to replay."""
-    plan = _shifted_plan(prev, base_policy, ell)
-    if plan is None or prev.walk is None or x is not prev.walk.states[1]:
-        return plan
-    end, u = prev.walk.states[-1], plan[-1]
-    return Walk(plan, prev.walk.states[1:] + (problem.dynamics(end, u),),
-                prev.walk.costs[1:] + (problem.stage_cost(end, u),))
+    old = prev.walk
+    plan = old[1:] + (base_policy.action(base_view(old.states[-1])),)
+    if x is not old.states[1]:
+        return walk(problem, x, plan)
+    end, u = old.states[-1], plan[-1]
+    return Walk(plan, old.states[1:] + (problem.dynamics(end, u),),
+                old.costs[1:] + (problem.stage_cost(end, u),))
 
 
 def run_rollout(problem: ProblemDef, sset, x0, cfg: SolverConfig, horizon: int,
@@ -204,7 +195,7 @@ def run_rollout(problem: ProblemDef, sset, x0, cfg: SolverConfig, horizon: int,
     def step(x, prev):
         seeds = []
         if problem.pl is not None:  # only shooting takes seeds
-            shifted = _shifted_seed(problem, prev, base_policy, cfg.ell, x)
+            shifted = _shifted_seed(problem, prev, base_policy, x)
             if shifted is not None:
                 seeds.append(shifted)
         sol = solve(problem, sset, x, cfg, seeds=seeds, base_policy=base_policy, memo=memo)
@@ -282,20 +273,21 @@ def run_multiagent(problem: ProblemDef, sset, x0, cfg: SolverConfig, horizon: in
     while the plan is still the one that agent's last search left, searching
     again would change nothing and is skipped. Every search of the run shares
     one table of each state's moves per control set (see lookahead._Search).
+    Every plan the step holds comes as its walk from x: the base policy's, the
+    shifted one (_shifted_seed) or a search's.
     """
     tables: dict = {}
 
     def step(x, prev):
-        value, plan, term = INF, None, None
-        shifted = _shifted_plan(prev, base_policy, cfg.ell)
+        value, plan = INF, None
         for cand in (base_plan(problem, base_policy, x, cfg.ell),
-                     None if shifted is None else walk(problem, x, shifted)):
+                     _shifted_seed(problem, prev, base_policy, x)):
             if cand is not None:
                 v = cand.price(sset.terminal_cost)
                 if plan is None or v < value:
-                    value, plan, term = v, cand, cand.states[-1]
+                    value, plan = v, cand
         if value == INF:
-            return LookaheadSolution(controls=(), terminal_state=None, value=INF), None
+            return LookaheadSolution(value=INF), None
 
         sweep_values = [value]
         left = {}  # agent -> the plan its last search left
@@ -310,13 +302,13 @@ def run_multiagent(problem: ProblemDef, sset, x0, cfg: SolverConfig, horizon: in
                         partition.combine(_plan[k], _agent, o) for o in opts))
 
                 search = _Search(problem, sset, cfg.ell, controls_at, tables=tables)
-                v, ctrl, end, _sid = search.best(x, cfg.ell)
+                v, found, _sid = search.best(x, cfg.ell)
                 if v < value:
-                    value, plan, term = v, ctrl, end
+                    value, plan = v, found
                 left[agent] = plan
             sweep_values.append(value)
 
-        sol = LookaheadSolution(controls=tuple(plan), terminal_state=term, value=value)
+        sol = LookaheadSolution(value=value, walk=plan)
         return sol, {"value": value, "sweep_values": tuple(sweep_values)}
 
     return _drive(problem, sset, x0, cfg, horizon, step, variant="multiagent",

@@ -28,7 +28,7 @@ memo each solve starts afresh.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -68,19 +68,25 @@ class LookaheadSolution:
     """An l-step control plan with its achieved value.
 
     value is the exact objective of the plan: stage costs accumulated
-    right-to-left plus the terminal set's cost of its final state. An infeasible
-    problem is reported as value +inf with an empty plan. walk, when the
-    solver has it, is the plan's Walk from the state solved at, the one that
-    priced it; it is no part of the solution's repr or equality.
+    right-to-left plus the terminal set's cost of its final state. walk is
+    the plan's Walk from the state solved at, the one that priced it, so
+    walk.price(terminal cost) is value; an infeasible problem is reported as
+    value +inf with no walk.
     """
 
-    controls: tuple
-    terminal_state: object | None
     value: float
+    walk: Walk | None = None
     terminal_sample_id: object | None = None
     per_stage_values: tuple | None = None
     diagnostics: dict | None = None
-    walk: Walk | None = field(default=None, repr=False, compare=False)
+
+    @property
+    def controls(self) -> tuple:
+        return () if self.walk is None else self.walk
+
+    @property
+    def terminal_state(self):
+        return None if self.walk is None else self.walk.states[-1]
 
 
 class Walk(tuple):
@@ -88,9 +94,9 @@ class Walk(tuple):
     start gave: states, the start and the state after each control, and
     costs, each step's stage cost. The problems are deterministic, so a
     walk stands for every later simulation of its plan from that start:
-    price() gives its replay's value bit for bit, and a rollout applies its
-    winner's moves from its walk and extends that walk into the next seed
-    rather than simulating the plan again."""
+    price() gives a fresh simulation's value bit for bit, and a rollout
+    applies each solution's moves from its walk and extends that walk into
+    the next seed rather than simulating the plan again."""
 
     def __new__(cls, controls, states, costs):
         self = super().__new__(cls, controls)
@@ -114,13 +120,6 @@ def walk(problem: ProblemDef, x, controls) -> Walk:
     for u in controls:
         states.append(problem.dynamics(states[-1], u))
     return Walk(controls, states, [problem.stage_cost(s, u) for s, u in zip(states, controls)])
-
-
-def replay(problem: ProblemDef, x, controls, terminal: Callable) -> tuple[float, tuple, tuple]:
-    """Exact objective of a concrete plan from x (Walk.price), with the
-    states it visits and its stage costs."""
-    w = walk(problem, x, controls)
-    return w.price(terminal), w.states, w.costs
 
 
 def base_plan(problem: ProblemDef, policy: Policy, x, ell: int) -> Walk | None:
@@ -246,12 +245,13 @@ class _Search:
     """Exact minimization over a finite control map, by value iteration.
 
     best(state, depth) is the best depth-step plan from state as (value,
-    controls, terminal state, terminal sample id). Values are computed with
-    right-associated additions so a later replay of the returned plan
-    reproduces them bit for bit. Among minimizing plans the one deferring
-    the least cost wins (smallest continuation value, so free self-loops
-    cannot postpone progress forever), then the earliest in sorted control
-    order.
+    its Walk from state, terminal sample id), with no walk and no id if no
+    plan is finite. The walk is read from the move table, so it costs no
+    simulation. Values are computed with right-associated additions, so
+    Walk.price reproduces them bit for bit. Among minimizing plans the one
+    deferring the least cost wins (smallest continuation value, so free
+    self-loops cannot postpone progress forever), then the earliest in
+    sorted control order.
 
     The values are the iterates J_k = T J_{k-1} from the sample set's
     terminal cost J_0, computed at the (state, depth) nodes that the roots,
@@ -264,10 +264,10 @@ class _Search:
     tabled. The backward pass evaluates each layer in one numpy pass, from
     depth 0 up: g + tail for every move, then per node the lexicographic
     minimum of (g + tail, tail, position in sorted control order), which is
-    the rule above with the same IEEE additions. The plan is read back by
-    following the chosen moves from the root. Nothing recurses, so the depth
-    has no limit but NODE_CAP, and the search holds a few integers per node
-    it evaluated, never an array over depths times states.
+    the rule above with the same IEEE additions. The plan and its walk are
+    read back by following the chosen moves from the root. Nothing recurses,
+    so the depth has no limit but NODE_CAP, and the search holds a few
+    integers per node it evaluated, never an array over depths times states.
 
     memo holds the node results (_Nodes) and, unless tables is passed, the
     move table, so memo may only come from earlier solves whose control map
@@ -401,20 +401,22 @@ class _Search:
             levels[d] = (ids, slots)
 
     def _plan(self, state, slot) -> tuple:
-        """The plan the chosen moves make from a root node."""
+        """best's result for the plan the chosen moves make from a root
+        node. The walk's costs are Python floats, as stage_cost gives them."""
         nodes, table = self.nodes, self.table
         move, nxt = nodes.move.data, nodes.next.data
         value = float(nodes.value.data[slot])
-        controls = []
+        moves = []
         m = move[slot]
         while m >= 0:
-            controls.append(table.controls[m])
-            state = table.states[table.succ.data[m]]
+            moves.append(m)
             slot = nxt[slot]
             m = move[slot]
         if nodes.value.data[slot] == INF:
-            return value, (), None, None
-        return value, tuple(controls), state, self.sset.sample_id(state)
+            return value, None, None
+        states = [state] + [table.states[j] for j in table.succ.data[moves].tolist()]
+        plan = Walk([table.controls[m] for m in moves], states, table.cost.data[moves].tolist())
+        return value, plan, self.sset.sample_id(states[-1])
 
 
 def solve_discrete(problem: ProblemDef, sset, x, cfg: SolverConfig,
@@ -425,11 +427,10 @@ def solve_discrete(problem: ProblemDef, sset, x, cfg: SolverConfig,
     nodes evaluated and the move rows tabled by this solve."""
     search = _Search(problem, sset, cfg.ell, lambda s, k: problem.control_set(s), memo)
     slots = search._evaluate(x, range(cfg.ell + 1))
-    value, controls, terminal, sid = search._plan(x, slots[-1])
+    value, plan, sid = search._plan(x, slots[-1])
     return LookaheadSolution(
-        controls=controls,
-        terminal_state=terminal,
         value=value,
+        walk=plan,
         terminal_sample_id=sid,
         per_stage_values=tuple(search.nodes.value.data[slots].tolist()),
         diagnostics={"nodes": search.evaluated, "rows": search.tabled},
@@ -452,9 +453,8 @@ def solve_restricted(problem: ProblemDef, sset, x, restricted_controls: Callable
                 raise AssumptionViolationError(state, policy.action(state))
         return spec
 
-    value, controls, terminal, sid = _Search(problem, sset, cfg.ell, controls_at).best(x, cfg.ell)
-    return LookaheadSolution(controls=controls, terminal_state=terminal,
-                             value=value, terminal_sample_id=sid)
+    value, plan, sid = _Search(problem, sset, cfg.ell, controls_at).best(x, cfg.ell)
+    return LookaheadSolution(value=value, walk=plan, terminal_sample_id=sid)
 
 
 def solve(problem: ProblemDef, sset, x, cfg: SolverConfig,

@@ -14,9 +14,9 @@ terminal of the classical baseline, answers one protocol:
     shooting_targets(x)             the Targets the shooting backend solves toward
     policy_ids                      the certifying base policies; () if none
 
-terminal_cost is the one price of a plan's final state: every backend and
-every audit replays a plan and hands its terminal state to it, so a plan
-earns a recorded value only by ending within model.EPS_STATE of a member.
+terminal_cost is the one price of a plan's final state: every backend
+hands a plan's terminal state to it, so a plan earns a recorded value
+only by ending within model.EPS_STATE of a member.
 
 Sets holding recorded data also answer verify(problem, policies, rng,
 samples): their certificate checks in order, each yielded as (passed,
@@ -193,7 +193,7 @@ class ExplicitSampleSet:
         kind = "upper-bound" if multi else "fixed-point"
         failures = []
         for pid in self.policy_ids:
-            pol = policies[pid]
+            pol = _policy_for(policies, pid)
             own = [e.state for e in self._entries
                    if e.policy_id == pid and e.successor is not None]
             if own:

@@ -29,10 +29,8 @@ the free target's box-free optimum and every box QP face are stacked KKT
 solves by boxqp._face_solve. One more broadcast
 screens every pair's box-free optimum: its objective (a lower bound on the
 subproblem), whether it lies strictly inside the control box (for a pinned
-pair also on the rows and in the energy ball), whether its predicted path
-stays on its mode sequence, and, for a pinned pair with a planar state,
-whether some box point meets its rows at all (an exact test against the
-zonotope the box reaches).
+pair also on the rows and in the energy ball), and whether its predicted
+path stays on its mode sequence.
 Budget-augmented problems add an exact ball constraint on the control
 energy: the exact trust-region step on the rows solves it when that step
 lies in the box, and bisection on its multiplier otherwise. The step reads
@@ -49,13 +47,13 @@ least cost of moving back, 0.5 e_i^2 / M_ii with M the inverse of the
 Hessian reduced to the rows' null space (kept in each sequence's memo
 entry with g+, made for all of a solve's sequences once one needs it);
 under a finite running bound, a pair whose lifted bound cannot beat it
-stops there too. So does a pair whose rows no box point meets. The jobs
-left, box-active optima, need the active-set solve of the box QP
-(boxqp._box_qp), which runs over stacks of subproblems: when the loop
-reaches such a job with no optimum yet, the next jobs of any target that
-pass the same tests against the running bound join it, up to _CHUNK in
-all, and the group is solved in one call. Until the bound moves, the loop
-reuses those tests' results. The group's optima take their own tests in
+stops there too. The jobs left, box-active optima, need the active-set
+solve of the box QP (boxqp._box_qp), which runs over stacks of
+subproblems (a job whose rows no box point meets fails its rows test
+there): when the loop reaches such a job with no optimum yet, the next
+jobs of any target that pass the same tests against the running bound
+join it, up to _CHUNK in all, and the group is solved in one call. Until
+the bound moves, the loop reuses those tests' results. The group's optima take their own tests in
 one more stacked pass (_verdicts): whether the predicted path meets the
 target, whether the plan lies in its energy ball, and whether its path
 stays within model.EPS_STATE of its mode sequence's regions and within
@@ -73,18 +71,18 @@ plan is replayed only if it passes its tests and its predicted value
 beats the bound up to PRICE_SLACK, the rounding between prediction and
 replay. _priced is the one price of every plan, solved or seeded, with
 the set's own terminal_cost, so a plan earns a recorded value only by
-ending in the set: a plan's exact replay, or, for a seed that comes as
-its walk (lookahead.Walk: the base policy's plan, walked once as it is
-built, or a rollout's shifted plan), that walk priced as it stands, which
-gives the replay's value bit for bit. The solve holds one incumbent, the
-first priced plan of least value, whose value is the running bound; it
-wins, its walk goes with the solution (the rollout applies its moves and
-extends it into the next shifted seed), its final state is the
-solution's terminal state, and its distance to the target states it was
-priced against is measured once, after the loop ("mismatch"). Dropped
-candidates are only counted, per rule (_RULES), in the solution's
-diagnostics ("pruned_by"). With no finite plan, a solve whose every
-candidate was an unconverged box QP raises SolverFailureError.
+ending in the set: a plan's walk (lookahead.walk, its exact replay), or,
+for a seed that comes as its walk (lookahead.Walk: the base policy's plan,
+walked once as it is built, or a rollout's shifted plan), that walk
+priced as it stands. The solve holds one incumbent, the first priced
+plan of least value, whose value is the running bound; it wins, its walk
+goes with the solution (the rollout applies its moves and extends it into
+the next shifted seed), its final state is the solution's terminal state,
+and its distance to the target states it was priced against is measured
+once, after the loop ("mismatch"). Dropped candidates are only counted,
+per rule (_RULES), in the solution's diagnostics ("pruned_by"). With no
+finite plan, a solve whose every candidate was an unconverged box QP
+raises SolverFailureError.
 """
 
 from __future__ import annotations
@@ -100,7 +98,7 @@ from .boxqp import (_ball_box_qp, _box_qp, _face_solve, _kkt, _lift, _meets, _mv
 from .budget import base_view
 from .costs import INF
 from .errors import SearchSpaceError, SolverFailureError
-from .lookahead import LookaheadSolution, SolverConfig, Walk, base_plan, replay
+from .lookahead import LookaheadSolution, SolverConfig, Walk, base_plan, walk
 from .model import EPS_STATE, BoxControls, Policy, ProblemDef
 
 
@@ -320,26 +318,6 @@ class _Screen:
     lb: list               # objective of z: no box point does better
     interior: list         # z strictly inside the box (and on the rows and in the ball)
     on_path: list          # z's predicted path within EPS_STATE of the regions and the state box
-    reachable: np.ndarray  # S x T: some box point may meet the rows to EPS_STATE (_planar_reach)
-
-
-def _planar_reach(gammas_l, rhs, lo, hi):
-    """Which pairs' rows g z = rhs (g S x 2 x width, rhs S x T x 2) some box
-    point meets to EPS_STATE in the infinity norm: exactly those whose
-    v = rhs - g c (c the box centre) lies in the zonotope g (box - c)
-    widened by the square of half-width EPS_STATE. That sum is a polygon,
-    so testing |w . v| against its support along each edge normal w decides
-    it: the normal (-g_1j, g_0j) of each generator column j, and the two
-    axes. Rounding in the products is allowed for."""
-    n_seq, _, width = gammas_l.shape
-    normals = np.zeros((n_seq, 2, width + 2))
-    normals[:, 0, :width], normals[:, 1, :width] = -gammas_l[:, 1], gammas_l[:, 0]
-    normals[:, 0, width] = normals[:, 1, width + 1] = 1.0
-    v = rhs - _mv(gammas_l, 0.5 * (hi + lo))[:, None]
-    support = np.abs(normals.transpose(0, 2, 1) @ gammas_l) @ (0.5 * (hi - lo))
-    room = support + EPS_STATE * np.abs(normals).sum(axis=1)
-    rounding = 1e-12 * (np.abs(v) @ np.abs(normals) + support[:, None])
-    return np.all(np.abs(v @ normals) <= room[:, None] + rounding, axis=2)
 
 
 def _screen(pl, cond: _Condensed, targets, memo, lo_full, hi_full) -> _Screen:
@@ -370,17 +348,10 @@ def _screen(pl, cond: _Condensed, targets, memo, lo_full, hi_full) -> _Screen:
     margin = 1e-12 * (1.0 + np.abs(zw).max(axis=0, initial=0.0))
     interior = np.all((zw > lo_full[:, None, None] + margin)
                       & (zw < hi_full[:, None, None] - margin), axis=0)
-    reachable = np.ones_like(interior)
     zt = z.transpose(0, 2, 1)
     if targets.states is not None:
         miss = np.abs(cond.gammas[:, ell] @ zt - rhs.transpose(0, 2, 1)).max(axis=1, initial=0.0)
         interior &= miss <= EPS_STATE
-        if d == 2:  # a pair whose z is inside the box and on the rows is reachable
-            active = np.flatnonzero(~interior.all(axis=1))
-            for lo in range(0, active.size, _CHUNK):
-                part = active[lo:lo + _CHUNK]
-                reachable[part] = _planar_reach(cond.gammas[part, ell], rhs[part], lo_full,
-                                                hi_full)
         if targets.radii is not None and np.isfinite(targets.radii).any():
             interior &= np.sqrt((zw * zw).sum(axis=0)) <= targets.radii
     # predicted x_1 .. x_{ell-1}, as an S x T x (ell - 1) x d view
@@ -388,8 +359,7 @@ def _screen(pl, cond: _Condensed, targets, memo, lo_full, hi_full) -> _Screen:
     path = (path.reshape(n_seq, ell - 1, d, n_targets)
             + cond.phis[:, 1:ell, :, None]).transpose(0, 3, 1, 2)
     on_path = pl.path_excess(cond.sigmas[:, None, 1:], path) <= EPS_STATE
-    return _Screen(z, lb.ravel().tolist(), interior.ravel().tolist(), on_path.ravel().tolist(),
-                   reachable)
+    return _Screen(z, lb.ravel().tolist(), interior.ravel().tolist(), on_path.ravel().tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -507,7 +477,7 @@ def solve_continuous(problem: ProblemDef, sset, x, cfg: SolverConfig,
                                                 lo_full, hi_full)
             if not lifts[i] < bound + slack:
                 return "lift"
-        return None if screen.reachable[s, t] else "rows"
+        return None
 
     jobs = list(zip(*_job_order(keep, values)))
     boxed = {}  # the current group's box optima and their verdicts, by job
@@ -547,14 +517,13 @@ def solve_continuous(problem: ProblemDef, sset, x, cfg: SolverConfig,
     if bound == INF:  # no finite plan
         if candidates and unconverged == candidates:
             raise SolverFailureError("no shooting subproblem converged", incumbent=incumbent)
-        return LookaheadSolution(controls=(), terminal_state=None, value=INF, diagnostics=counts)
+        return LookaheadSolution(value=INF, diagnostics=counts)
     value, plan, diag, terminal = incumbent
     # the winner's mismatch to the target states it was priced against
     diag = {"mismatch": _mismatch(terminal, diag.get("pinned")), **diag, **counts}
     diag.pop("pinned", None)
-    return LookaheadSolution(controls=tuple(plan), terminal_state=terminal, value=value,
-                             terminal_sample_id=sset.sample_id(terminal), diagnostics=diag,
-                             walk=plan)
+    return LookaheadSolution(value=value, walk=plan, terminal_sample_id=sset.sample_id(terminal),
+                             diagnostics=diag)
 
 
 def _subproblems(cond: _Condensed, targets, t, s):
@@ -640,15 +609,12 @@ def _solve_candidate(problem, sset, x, cond: _Condensed, s: int, targets, t: int
 def _priced(problem, sset, x, plan, pinned, **diag):
     """A candidate: the plan priced with the set's terminal_cost, as (value,
     walk, diagnostics, terminal state). A Walk from x is priced as it stands
-    (Walk.price); any other plan by its exact replay, whose walk it keeps.
-    The diagnostics keep the pinned target states, from which the solve
-    measures its winner's mismatch (_mismatch)."""
-    if isinstance(plan, Walk):
-        value = plan.price(sset.terminal_cost)
-    else:
-        value, states, costs = replay(problem, x, plan, sset.terminal_cost)
-        plan = Walk(plan, states, costs)
-    return value, plan, {"pinned": pinned, **diag}, plan.states[-1]
+    (Walk.price); any other plan by its walk from x (lookahead.walk), its
+    exact replay. The diagnostics keep the pinned target states, from which
+    the solve measures its winner's mismatch (_mismatch)."""
+    if not isinstance(plan, Walk):
+        plan = walk(problem, x, plan)
+    return plan.price(sset.terminal_cost), plan, {"pinned": pinned, **diag}, plan.states[-1]
 
 
 _RULES = ("sequence", "bound", "lift", "path", "rows", "ball")  # the rules that drop a candidate

@@ -16,21 +16,26 @@ from ddrollout import (
     AssumptionViolationError,
     AugmentedState,
     FiniteControls,
+    InitialInfeasibilityError,
     Policy,
     ProblemDef,
     SolverConfig,
     build_from_trajectory,
+    engine,
     merge,
+    run_multiagent,
     simulate_policy,
 )
+from ddrollout.catalog import _NEXT
 from ddrollout.costs import INF
 from ddrollout.lookahead import (
     _SELF_KEYED,
+    LookaheadSolution,
     _Search,
-    replay,
     solve,
     solve_discrete,
     solve_restricted,
+    walk,
 )
 from ddrollout.model import state_key
 from ddrollout.shooting import solve_continuous
@@ -58,7 +63,7 @@ def test_value_is_the_plan_objective():
     sset = build_from_trajectory(simulate_policy(problem, base, n - 1))
     sol = solve_discrete(problem, sset, n - 1, _cfg(3))
     # replaying the returned plan reproduces the reported value exactly
-    assert replay(problem, n - 1, sol.controls, sset.terminal_cost)[0] == sol.value
+    assert walk(problem, n - 1, sol.controls).price(sset.terminal_cost) == sol.value
 
 
 def test_infeasible_when_terminal_unreachable():
@@ -251,7 +256,9 @@ def test_the_layered_search_matches_a_recursive_reference(seed, ell):
         for x in range(n):
             ref = _Reference(problem, sset, ell, by_step)
             search = _Search(problem, sset, ell, by_step, tables=tables)
-            assert _bits(*search.best(x, ell)) == _bits(*ref.best(x, ell))
+            found = LookaheadSolution(*search.best(x, ell))  # (value, walk, sample id)
+            assert _bits(found.value, found.controls, found.terminal_state,
+                         found.terminal_sample_id) == _bits(*ref.best(x, ell))
             assert search.evaluated == ref.expanded
 
     def odd_out(x):
@@ -273,7 +280,74 @@ def test_a_deep_lookahead_has_no_depth_limit(tour):
     for name, sset in tour.sample_sets.items():
         sol = solve(tour.problem, sset, "A", _cfg(2000))
         assert sol.value == want[name] and len(sol.controls) == 2000
-        assert replay(tour.problem, "A", sol.controls, sset.terminal_cost)[0] == sol.value
+        assert walk(tour.problem, "A", sol.controls).price(sset.terminal_cost) == sol.value
+
+
+def _walks_its_plan(problem, sset, x, sol) -> bool:
+    """Whether sol carries its plan simulated afresh from x: the same states
+    (by state_key) and stage costs, as Python floats, with its walk pricing
+    to its value bit for bit. An infeasible solution has no walk."""
+    if sol.value == INF:
+        return sol.walk is None
+    fresh = walk(problem, x, tuple(sol.controls))
+    return ([state_key(s) for s in sol.walk.states] == [state_key(s) for s in fresh.states]
+            and sol.walk.costs == fresh.costs
+            and all(type(g) is float for g in sol.walk.costs)
+            and sol.walk.price(sset.terminal_cost) == sol.value)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.integers(0, 10_000), st.integers(1, 4))
+def test_every_discrete_solution_walks_its_plan(seed, ell):
+    """Every exact and restricted solve on a random instance returns the walk
+    of its plan, read from its move table, as a fresh simulation gives it."""
+    problem, base, n, m = make_random_instance(seed)
+    sset = build_from_trajectory(simulate_policy(problem, base, n - 1))
+    memo = {}
+    for x in range(n):
+        sol = solve_discrete(problem, sset, x, _cfg(ell), memo=memo)
+        assert _walks_its_plan(problem, sset, x, sol)
+        odd_out = solve_restricted(problem, sset, x, lambda s: FiniteControls(
+            tuple(u for u in range(m) if u == 0 or (s + u) % 2)), _cfg(ell))
+        assert _walks_its_plan(problem, sset, x, odd_out)
+
+
+_CELLS = sorted(_NEXT)
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(st.lists(st.sampled_from(_CELLS), min_size=2, max_size=2, unique=True),
+       st.integers(1, 6))
+def test_every_grid_solution_walks_its_plan(grid, cells, ell):
+    """From a random two-vehicle start, every step of an agent-by-agent
+    rollout and a restricted solve that pins the second vehicle to its base
+    move return the walk of their plans, as a fresh simulation gives it."""
+    problem, sset = grid.problem, grid.sample_sets["trajectory"]
+    policy, x0 = next(iter(grid.base_policies.values())), tuple(cells)
+    drive, steps = engine._drive, []
+
+    def noting(*args, **kwargs):
+        step = args[5]
+
+        def noted(x, prev):
+            sol, report = step(x, prev)
+            steps.append((x, sol))
+            return sol, report
+        return drive(*args[:5], noted, *args[6:], **kwargs)
+
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr(engine, "_drive", noting)
+        try:
+            run_multiagent(problem, sset, x0, _cfg(ell), 6, grid.partition, policy)
+        except InitialInfeasibilityError:
+            pass
+    assert steps and all(_walks_its_plan(problem, sset, x, sol) for x, sol in steps)
+
+    def pin_second(state):
+        fixed = policy.action(state)[1]
+        return FiniteControls(tuple((m, fixed) for m in grid.partition.options(state, 0)))
+    sol = solve_restricted(problem, sset, x0, pin_second, _cfg(ell))
+    assert _walks_its_plan(problem, sset, x0, sol)
 
 
 def test_restricted_value_is_sandwiched():

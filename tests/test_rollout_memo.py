@@ -188,18 +188,19 @@ def test_the_agent_by_agent_search_tables_each_move_once(grid, monkeypatch):
 
 def _naive_multiagent(problem, sset, x0, cfg, horizon, partition, policy, sweeps):
     """Agent-by-agent rollout with a fresh search, and a fresh move table,
-    for every agent in every sweep."""
+    for every agent in every sweep, and every plan simulated afresh."""
 
     def step(x, prev):
         value, plan = INF, None
-        for cand in (lookahead.base_plan(problem, policy, x, cfg.ell),
-                     engine._shifted_plan(prev, policy, cfg.ell)):
+        shifted = None if prev is None else \
+            prev.controls[1:] + (policy.action(base_view(prev.terminal_state)),)
+        for cand in (lookahead.base_plan(problem, policy, x, cfg.ell), shifted):
             if cand is not None:
-                v = lookahead.replay(problem, x, cand, sset.terminal_cost)[0]
+                v = lookahead.walk(problem, x, cand).price(sset.terminal_cost)
                 if plan is None or v < value:
                     value, plan = v, cand
         if value == INF:
-            return lookahead.LookaheadSolution((), None, INF), None
+            return lookahead.LookaheadSolution(INF), None
         sweep_values = [value]
         for _ in range(sweeps):
             for agent in partition.agents:
@@ -207,12 +208,11 @@ def _naive_multiagent(problem, sset, x0, cfg, horizon, partition, policy, sweeps
                     return FiniteControls(tuple(partition.combine(_plan[k], _agent, o)
                                                 for o in partition.options(state, _agent)))
                 search = lookahead._Search(problem, sset, cfg.ell, controls_at, tables={})
-                v, ctrl, _, _ = search.best(x, cfg.ell)
+                v, found, _ = search.best(x, cfg.ell)
                 if v < value:
-                    value, plan = v, ctrl
+                    value, plan = v, found
             sweep_values.append(value)
-        terminal = lookahead.replay(problem, x, plan, sset.terminal_cost)[1][-1]
-        return (lookahead.LookaheadSolution(plan, terminal, value),
+        return (lookahead.LookaheadSolution(value, lookahead.walk(problem, x, tuple(plan))),
                 {"value": value, "sweep_values": tuple(sweep_values)})
 
     return engine._drive(problem, sset, x0, cfg, horizon, step, variant="multiagent",
@@ -358,7 +358,7 @@ def test_no_replayed_plan_lies_outside_its_energy_ball(integrator, monkeypatch):
             if np.linalg.norm(z) > targets.radii[t]:
                 m = len(z) // ell
                 plan = tuple(z[k * m:(k + 1) * m] for k in range(ell))
-                dropped.append(lookahead.replay(problem, x, plan, sset.terminal_cost)[0])
+                dropped.append(lookahead.walk(problem, x, plan).price(sset.terminal_cost))
         return out
 
     def ball(*args, **kwargs):
@@ -366,14 +366,14 @@ def test_no_replayed_plan_lies_outside_its_energy_ball(integrator, monkeypatch):
         balls.append(out[0])
         return out
 
-    def priced(problem, x, controls, terminal):
+    def priced(problem, x, controls):
         if radius[0] is not None:
             assert np.linalg.norm(np.concatenate(controls)) <= radius[0]
-        return lookahead.replay(problem, x, controls, terminal)
+        return lookahead.walk(problem, x, controls)
 
     monkeypatch.setattr(shooting, "_solve_candidate", candidate)
     monkeypatch.setattr(shooting, "_ball_box_qp", ball)
-    monkeypatch.setattr(shooting, "replay", priced)
+    monkeypatch.setattr(shooting, "walk", priced)
     policy = next(iter(integrator.base_policies.values()))
     x0 = AugmentedState(np.asarray(integrator.start_states[0], dtype=float),
                         float(integrator.budget_spec.e_max))
@@ -619,8 +619,7 @@ def _per_candidate(monkeypatch):
         conds.append(cond)
         n = cond.sigmas.shape[0] * len(targets.values)
         z = np.zeros((cond.sigmas.shape[0], len(targets.values), cond.h0.shape[1]))
-        return shooting._Screen(z, [-INF] * n, [False] * n, [False] * n,
-                                np.ones(z.shape[:2], dtype=bool))
+        return shooting._Screen(z, [-INF] * n, [False] * n, [False] * n)
 
     def candidate(problem, sset, x, cond, s, targets, t, boxed, lo_full, hi_full, m, bound=INF):
         assert cond is conds[-1]
@@ -662,10 +661,10 @@ def _per_candidate(monkeypatch):
                 and _qp_obj(h, b, z) + c0 + const < bound + slack):
             return "bound", converged
         controls = tuple(z[k * m:(k + 1) * m].copy() for k in range(ell))
-        value, states, _ = shooting.replay(problem, x, controls, sset.terminal_cost)
-        diag = {"mismatch": shooting._mismatch(states[-1], state), "iterations": it,
+        plan = shooting.walk(problem, x, controls)
+        diag = {"mismatch": shooting._mismatch(plan.states[-1], state), "iterations": it,
                 "converged": converged}
-        return (value, controls, diag, states[-1]), converged
+        return (plan.price(sset.terminal_cost), plan, diag, plan.states[-1]), converged
 
     monkeypatch.setattr(shooting, "_screen", no_screen)
     monkeypatch.setattr(shooting, "_solve_group",
@@ -702,11 +701,11 @@ def _screen_cases(spiral, integrator):
 
 
 def _pricing(priced):
-    """lookahead.replay, recording the bytes of every plan it prices."""
-    def replay(problem, x, controls, terminal):
+    """lookahead.walk, recording the bytes of every plan it walks for its price."""
+    def walk(problem, x, controls):
         priced.append(b"".join(np.asarray(u, dtype=float).tobytes() for u in controls))
-        return lookahead.replay(problem, x, controls, terminal)
-    return replay
+        return lookahead.walk(problem, x, controls)
+    return walk
 
 
 def test_the_screen_changes_no_solve(spiral, integrator, monkeypatch):
@@ -720,11 +719,11 @@ def test_the_screen_changes_no_solve(spiral, integrator, monkeypatch):
         with monkeypatch.context() as patched:
             patched.setattr(shooting, "_solve_candidate",
                             lambda *a, **k: calls.append(1) or solve_candidate(*a, **k))
-            patched.setattr(shooting, "replay", _pricing(got_priced))
+            patched.setattr(shooting, "walk", _pricing(got_priced))
             got = solve_continuous(problem, sset, x0, cfg, base_policy=policy)
         with monkeypatch.context() as patched:
             _per_candidate(patched)
-            patched.setattr(shooting, "replay", _pricing(want_priced))
+            patched.setattr(shooting, "walk", _pricing(want_priced))
             want = solve_continuous(problem, sset, x0, cfg, base_policy=policy)
         # the same plans are priced, in the same order
         assert got_priced == want_priced
@@ -1043,41 +1042,6 @@ def test_stacking_box_active_jobs_across_targets_changes_no_rollout(spiral, monk
     assert len(alone_groups) <= sum(map(len, shipped_groups))
 
 
-def test_the_planar_reach_test_drops_only_rows_prunes(integrator, monkeypatch):
-    """The 40-step integrator trajectory rollout, as shipped and with the
-    planar reach test switched off: the runs are identical and so are the
-    rule counts, but the test drops 68 of the 71 jobs that reach the
-    active-set solve, all of which end on the rows prune after it."""
-    policy = next(iter(integrator.base_policies.values()))
-    solve_candidate = shooting._solve_candidate
-
-    def rollout(planar):
-        calls, rules = [], {}
-
-        def solve(*args, **kwargs):
-            sol = lookahead.solve(*args, **kwargs)
-            for rule, count in sol.diagnostics["pruned_by"].items():
-                rules[rule] = rules.get(rule, 0) + count
-            return sol
-
-        with monkeypatch.context() as patched:
-            patched.setattr(engine, "solve", solve)
-            patched.setattr(shooting, "_solve_candidate",
-                            lambda *a, **k: calls.append(1) or solve_candidate(*a, **k))
-            if not planar:
-                patched.setattr(shooting, "_planar_reach",
-                                lambda g, rhs, lo, hi: np.ones(rhs.shape[:2], dtype=bool))
-            run = run_rollout(integrator.problem, integrator.sample_sets["trajectory"],
-                              integrator.start_states[0],
-                              replace(integrator.solver_defaults, ell=4), 40, base_policy=policy)
-        return repr(run), rules, len(calls)
-
-    shipped, shipped_rules, shipped_calls = rollout(planar=True)
-    forced, forced_rules, forced_calls = rollout(planar=False)
-    assert shipped == forced and shipped_rules == forced_rules
-    assert shipped_rules["rows"] == 68 and (shipped_calls, forced_calls) == (3, 71)
-
-
 def test_a_classical_mpc_rollout_computes_no_lift(spiral, monkeypatch):
     """Every box-active job of the classical-MPC benchmark rollout meets an
     infinite running bound, so no sequence's curvature is ever computed."""
@@ -1152,12 +1116,18 @@ def test_every_candidate_is_a_seed_a_replay_or_pruned_by_one_rule(spiral, integr
 
 
 def _without_walks(patched):
-    """Take the carried walks away: each solution reaches the engine without
-    its walk, so the engine simulates every move it applies and hands the
-    shifted plan over as a plan, and shooting replays every seed, the base
-    policy's too, as a plain plan."""
+    """A re-simulating reference for the carried walks: each solution
+    reaches the engine with its plan simulated afresh from its start, and
+    shooting replays every seed, the base policy's and the shifted one, as
+    a plain plan."""
     solve, priced = engine.solve, shooting._priced
-    patched.setattr(engine, "solve", lambda *a, **k: replace(solve(*a, **k), walk=None))
+
+    def resimulated(problem, sset, x, cfg, **kwargs):
+        sol = solve(problem, sset, x, cfg, **kwargs)
+        return sol if sol.walk is None else \
+            replace(sol, walk=lookahead.walk(problem, x, tuple(sol.controls)))
+
+    patched.setattr(engine, "solve", resimulated)
     patched.setattr(shooting, "_priced", lambda problem, sset, x, plan, *a, **k:
                     priced(problem, sset, x, tuple(plan), *a, **k))
 
@@ -1178,11 +1148,11 @@ def _walk_cases(spiral, integrator):
 
 def test_reusing_the_winners_walks_changes_no_rollout(spiral, integrator, monkeypatch):
     """Each 40-step rollout of _walk_cases, as shipped and with the carried
-    walks taken away (_without_walks): the runs are identical, and the
-    shipped one spares exactly the dynamics calls of every applied move, of
-    each base plan's replay, and of the ell - 1 steps each shifted seed
-    shares with the previous winner's walk. Every walk priced as it stands
-    holds, bit for bit, the states and stage costs of its plan's replay."""
+    walks re-simulated (_without_walks): the runs are identical, and the
+    shipped one spares exactly the ell dynamics calls of each solution's
+    re-simulation, of each base plan's replay and of each shifted seed's
+    replay. Every walk priced as it stands holds, bit for bit, the states
+    and stage costs of its plan's replay."""
     def fresh(walk):
         return [state_key(s) for s in walk.states], walk.costs
 
@@ -1210,19 +1180,19 @@ def test_reusing_the_winners_walks_changes_no_rollout(spiral, integrator, monkey
             again, again_calls = rollout()
         assert repr(shipped) == repr(again), variant
         solves, ell = len(shipped.per_step_values), cfg.ell
-        spared = shipped.steps + ell * solves + (ell - 1) * (solves - 1)
+        spared = ell * solves + ell * solves + ell * (solves - 1)
         assert again_calls - shipped_calls == spared, variant
 
 
 def test_after_a_disturbance_the_shifted_seed_walks_from_the_disturbed_state(
         spiral, monkeypatch):
     """The spiral trajectory-0 rollout from (1, 1), bumped by (0.5, -0.5)
-    after its fourth move as the disturbance variant bumps it: every seed is
-    priced by a walk from the state its solve starts at. Where no
-    disturbance acted that state is the previous winner's walk's states[1],
-    and the shifted seed extends that walk; after the bump it is replayed
-    from the bumped state. The run is identical to one with the carried
-    walks taken away."""
+    after its fourth move as the disturbance variant bumps it: every seed
+    comes as its walk from the state its solve starts at and is priced as it
+    stands. Where no disturbance acted that state is the previous winner's
+    walk's states[1], and the shifted seed extends that walk; after the bump
+    the shifted plan is walked from the bumped state. The run is identical
+    to one with the carried walks re-simulated."""
     shift, solve, priced, solves = np.array([0.5, -0.5]), engine.solve, shooting._priced, []
 
     def solving(problem, sset, x, cfg, seeds=(), **kwargs):
@@ -1251,12 +1221,12 @@ def test_after_a_disturbance_the_shifted_seed_walks_from_the_disturbed_state(
     for prev, now in zip(solves, solves[1:]):
         shifted, carried = now.seeds[0], prev.sol.walk
         assert len(now.walks) == 2 and all(w.states[0] is now.x for w in now.walks)
-        if now is solves[4]:  # the bumped state: the plan alone, replayed from there
-            assert not isinstance(shifted, lookahead.Walk)
-            assert all(u is v for u, v in zip(now.walks[0], shifted))
+        assert shifted is now.walks[0]
+        if now is solves[4]:  # the bumped state: the shifted plan, walked from there
+            assert all(u is v for u, v in zip(shifted, carried[1:]))
             assert np.array_equal(now.x, carried.states[1] + shift)
         else:  # the carried walk, one step on, and the appended step
-            assert shifted is now.walks[0] and now.x is carried.states[1]
+            assert now.x is carried.states[1]
             assert all(a is b for a, b in zip(shifted.states[:-1], carried.states[1:]))
     with monkeypatch.context() as patched:
         _without_walks(patched)

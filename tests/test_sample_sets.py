@@ -127,6 +127,21 @@ def test_invariance_requires_a_policy_per_id():
         verify_invariance(problem, [base], sset)
 
 
+def test_explicit_verify_takes_one_policy_or_a_mapping_by_id():
+    """As verify_invariance does, verify reads a single Policy as every id's
+    policy, and a mapping without the set's policy id is a KeyError naming
+    the id."""
+    problem, base, sset = _base_set(5)
+    checks = list(sset.verify(problem, base, np.random.default_rng(0), 10))
+    assert checks == list(sset.verify(problem, {"tree": base}, np.random.default_rng(0), 10))
+    checked = sum(e.successor is not None for e in sset.entries())
+    assert [(passed, line) for passed, line, _ in checks] == [
+        (True, f"invariance: PASS ({len(sset)} members)"),
+        (True, f"fixed-point: PASS ({checked} states checked)")]
+    with pytest.raises(KeyError, match="'tree'"):
+        list(sset.verify(problem, {"other": base}, np.random.default_rng(0), 10))
+
+
 def test_analytic_set_membership_and_sampled_invariance():
     # closed disk under a linear contraction: invariant and quadratic-valued
     p = np.eye(2) * 2.0

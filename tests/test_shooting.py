@@ -13,7 +13,7 @@ from ddrollout import boxqp, shooting
 from ddrollout.costs import INF
 from ddrollout.cli import EXIT_SOLVER, main
 from ddrollout.errors import SearchSpaceError, SolverFailureError
-from ddrollout.lookahead import replay
+from ddrollout.lookahead import walk
 from ddrollout.model import EPS_STATE, LinearMode, PiecewiseLinearStructure
 from ddrollout.sample_sets import FreeTerminal
 from ddrollout.boxqp import _ball_box_qp, _box_qp
@@ -145,7 +145,7 @@ def test_sample_targets_beat_every_exact_interior_certificate(integrator):
     assert min(np.abs(sol.terminal_state - e.state).max() for e in sset.entries()) <= 1e-12
     assert sol.terminal_sample_id == sset.sample_id(sol.terminal_state)
     # replaying the plan with the set's terminal cost reproduces the value
-    assert replay(problem, x0, sol.controls, sset.terminal_cost)[0] == sol.value
+    assert walk(problem, x0, sol.controls).price(sset.terminal_cost) == sol.value
     bound = min(_kkt_reach_value(problem, x0, e.state, 4) + e.value
                 for e in sset.entries())
     assert sol.value <= bound + 1e-5 * max(1.0, abs(bound))
@@ -184,7 +184,7 @@ def test_hybrid_modes_replay_exactly(spiral):
     assert sol.value < INF
     # audit: rolling the plan through the true sign-switching dynamics
     # reproduces the claimed objective, so the mode sequence was right
-    assert replay(problem, x0, sol.controls, sset.terminal_cost)[0] == \
+    assert walk(problem, x0, sol.controls).price(sset.terminal_cost) == \
         pytest.approx(sol.value, rel=1e-8)
     assert sol.value <= spiral.notes["base_costs"][(1.0, 1.0)] + 1e-9
 
@@ -204,7 +204,7 @@ def test_mode_enumeration_is_capped_by_mode_cap(spiral):
     sol = solve_continuous(problem, disk, x0, replace(at_cap, ell=9, mode_cap=256))
     assert sol.value < INF and sol.diagnostics["candidates"] == 2 ** 8
     assert disk.contains(sol.terminal_state)
-    assert replay(problem, x0, sol.controls, disk.terminal_cost)[0] == sol.value
+    assert walk(problem, x0, sol.controls).price(disk.terminal_cost) == sol.value
 
 
 def test_disk_terminal_lands_inside_the_disk(spiral):
@@ -219,19 +219,13 @@ def test_disk_terminal_lands_inside_the_disk(spiral):
 def test_first_spiral_solve_replays_only_plans_that_can_win(spiral, monkeypatch):
     """From (1,1) on trajectory-0 most subproblem plans leave the mode
     sequence they were solved under; none of those is replayed."""
-    prices = []
-
-    def counting(*args):
-        out = replay(*args)
-        prices.append(out[0])
-        return out
-
-    monkeypatch.setattr(shooting, "replay", counting)
+    walks, sset = [], spiral.sample_sets["trajectory-0"]
+    monkeypatch.setattr(shooting, "walk", lambda *a: walks.append(walk(*a)) or walks[-1])
     policy = next(iter(spiral.base_policies.values()))
-    sol = solve_continuous(spiral.problem, spiral.sample_sets["trajectory-0"],
-                           np.array([1.0, 1.0]), replace(spiral.solver_defaults, ell=5),
-                           base_policy=policy)
+    sol = solve_continuous(spiral.problem, sset, np.array([1.0, 1.0]),
+                           replace(spiral.solver_defaults, ell=5), base_policy=policy)
     assert sol.value == 2.0974762193515346
+    prices = [w.price(sset.terminal_cost) for w in walks]
     assert len(prices) <= 100 and INF not in prices
 
 
@@ -245,7 +239,7 @@ def test_a_plan_off_its_path_by_two_eps_is_dropped_and_by_half_eps_replayed(
     pl, eps = problem.pl, EPS_STATE
     sin60 = math.sin(math.pi / 3.0)
     replays = []
-    monkeypatch.setattr(shooting, "replay", lambda *a: replays.append(a) or replay(*a))
+    monkeypatch.setattr(shooting, "walk", lambda *a: replays.append(a) or walk(*a))
     for off, want in ((2.0 * eps, 0), (0.5 * eps, 1)):
         if side == "region":  # x_1[0] = -off, outside mode 0's x[0] >= 0
             x0, sigma = np.array([1.0, (0.5 + off / 0.8) / sin60]), (0, 0)
@@ -302,7 +296,7 @@ def test_the_replay_not_the_prediction_prices_a_plan_within_the_path_tests_margi
                                    shooting._subproblems(cond, targets, *job))[0]
     priced, converged = shooting._solve_candidate(problem, free, x0, cond, 0, targets, 0,
                                                   (z, True, 1, predicted), z, z, 1)
-    value = replay(problem, x0, plan, free.terminal_cost)[0]
+    value = walk(problem, x0, plan).price(free.terminal_cost)
     assert converged and isinstance(predicted, float) and predicted < INF
     assert priced[0] == value and abs(value - predicted) > 1e-3
 
@@ -409,8 +403,7 @@ def test_a_solve_whose_every_box_qp_fails_to_converge(integrator, monkeypatch, t
     def no_screen(pl, cond, targets, memo, lo_full, hi_full):
         z = np.zeros((len(cond.sigmas), len(targets.values), cond.h0.shape[1]))
         n = z.shape[0] * z.shape[1]
-        return shooting._Screen(z, [-INF] * n, [False] * n, [False] * n,
-                                np.ones(z.shape[:2], dtype=bool))
+        return shooting._Screen(z, [-INF] * n, [False] * n, [False] * n)
 
     monkeypatch.setattr(shooting, "_screen", no_screen)
     converged = [False]
@@ -429,7 +422,7 @@ def test_a_solve_whose_every_box_qp_fails_to_converge(integrator, monkeypatch, t
     policy = next(iter(integrator.base_policies.values()))
     sol = solve_continuous(integrator.problem, sset, x0, _cfg(4), base_policy=policy)
     plan = shooting.base_plan(integrator.problem, policy, x0, 4)
-    assert sol.value == replay(integrator.problem, x0, plan, sset.terminal_cost)[0] < INF
+    assert sol.value == walk(integrator.problem, x0, plan).price(sset.terminal_cost) < INF
     counts = sol.diagnostics["pruned_by"]
     assert sol.diagnostics["candidates"] == 1 + counts["rows"] and counts["rows"] > 0
 
@@ -452,7 +445,7 @@ def test_budget_solve_replays_to_its_value(integrator):
     # covers that step's tail usage, so the replay prices it at that tail
     assert sset.contains(sol.terminal_state)
     assert sol.terminal_sample_id is not None
-    assert replay(problem, x0, sol.controls, sset.terminal_cost)[0] == sol.value
+    assert walk(problem, x0, sol.controls).price(sset.terminal_cost) == sol.value
 
 
 def test_origin_terminal_is_reached_to_the_state_tolerance(spiral):
@@ -465,7 +458,7 @@ def test_origin_terminal_is_reached_to_the_state_tolerance(spiral):
     assert sol.value < INF
     assert origin.contains(sol.terminal_state)
     assert np.abs(sol.terminal_state).max() <= 1e-12  # on it, up to rounding
-    assert replay(problem, x0, sol.controls, origin.terminal_cost)[0] == sol.value
+    assert walk(problem, x0, sol.controls).price(origin.terminal_cost) == sol.value
 
 
 def _qp_obj(h, b, z):
@@ -681,57 +674,6 @@ def test_faces_past_the_rank_skip_the_lu_and_keep_their_bits(monkeypatch):
         seen["singular"] += singular
         seen["regular"] += 64 - singular
     assert min(seen.values()) > 50
-
-
-def _box_miss(g, t, lo, hi):
-    """The least infinity-norm miss of the rows g z = t over the box, by an LP."""
-    d, n = g.shape
-    # variables (z, s): minimize s with -s <= g z - t <= s
-    a_ub = np.block([[g, -np.ones((d, 1))], [-g, -np.ones((d, 1))]])
-    res = linprog(np.r_[np.zeros(n), 1.0], A_ub=a_ub, b_ub=np.r_[t, -t],
-                  bounds=[*zip(lo, hi), (0.0, None)], method="highs",
-                  options={"primal_feasibility_tolerance": 1e-10,
-                           "dual_feasibility_tolerance": 1e-10})
-    assert res.status == 0
-    return res.fun
-
-
-def test_the_planar_reach_test_agrees_with_an_lp():
-    """On random planar rows g (2 x width), boxes and targets, _planar_reach
-    keeps a target exactly when some box point meets its rows to EPS_STATE:
-    it keeps every target inside g's zonotope and every one 0.5 EPS_STATE
-    outside one of its edges, and drops every one well outside. Without the
-    EPS_STATE allowance the half-EPS targets would be dropped."""
-    rng = np.random.default_rng(41)
-    seen = dict.fromkeys(("inside", "half eps", "outside", "random kept", "random dropped"), 0)
-    for trial in range(40):
-        width = int(rng.integers(1, 6))
-        g = rng.standard_normal((2, width))
-        lo, hi = -rng.uniform(0.1, 2.0, width), rng.uniform(0.1, 2.0, width)
-        half, centre = 0.5 * (hi - lo), 0.5 * (hi + lo)
-        targets, kinds = [g @ rng.uniform(lo, hi)], ["inside"]
-        j = int(rng.integers(width))  # the edge along generator j, at its middle
-        w = np.array([-g[1, j], g[0, j]])
-        u = centre + half * np.sign(w @ g)
-        u[j] = centre[j]
-        for gap, kind in ((0.5 * EPS_STATE, "half eps"), (1e-3, "outside")):
-            targets.append(g @ u + gap * np.abs(w).sum() / (w @ w) * w)
-            kinds.append(kind)
-        for _ in range(6):
-            targets.append(g @ rng.uniform(lo, hi) + rng.normal(0.0, 0.5, 2))
-            kinds.append("random")
-        reach = shooting._planar_reach(g[None], np.array(targets)[None], lo, hi)[0]
-        for t, kind, kept in zip(targets, kinds, reach):
-            miss = _box_miss(g, t, lo, hi)
-            if kind == "half eps":  # outside the zonotope, by construction
-                assert w @ t > w @ g @ centre + np.abs(w @ g) @ half
-            if kind == "random":
-                if 0.5 * EPS_STATE < miss < 2.0 * EPS_STATE:
-                    continue  # too near the tolerance for the LP to decide
-                kind += " kept" if miss <= EPS_STATE else " dropped"
-            assert kept == (miss <= EPS_STATE), (trial, kind, miss)
-            seen[kind] += 1
-    assert all(seen.values()), seen
 
 
 def test_a_ball_below_the_least_norm_point_returns_without_a_search(monkeypatch):
