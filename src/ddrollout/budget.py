@@ -167,8 +167,7 @@ class BudgetSampleSet:
             k = next((k for k, (a, b) in enumerate(zip(stored, measured)) if a != b), None)
             if k is not None:
                 raise SampleSetIntegrityError(
-                    f"stored {what} at step {k} is {stored[k]!r}, recomputed {measured[k]!r}",
-                    state=self.seed.states[k])
+                    f"stored {what} at step {k} is {stored[k]!r}, recomputed {measured[k]!r}")
         if tails[0] > self.spec.e_max:
             raise SampleSetIntegrityError(
                 f"seed needs {tails[0]!r} of resource, budget is {self.spec.e_max!r}")
@@ -231,7 +230,8 @@ def augment_sample_set(traj: Trajectory, spec: BudgetConstraintSpec, *,
         anchor = ensure_cost(tail_usage_anchor(traj.states[-1]))
     usages, tail_usages = _ledger(traj, spec, anchor)
     if tail_usages[0] > spec.e_max:
-        raise InfeasibleSeedError(tail_usages[0], spec.e_max)
+        raise InfeasibleSeedError(f"seed trajectory uses {tail_usages[0]:.6g} of resource, "
+                                  f"budget is {spec.e_max:.6g}")
     return BudgetSampleSet(
         traj, spec, usages=usages, tail_usages=tail_usages,
         label=label or f"budget[{traj.policy_id}]", anchor_usage=anchor,

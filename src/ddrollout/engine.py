@@ -1,16 +1,19 @@
 """Rollout driving loops.
 
 Each loop applies the first move of a fresh lookahead solve, as the walk
-that priced the solve's plan holds it, and repeats. Once a solve's value is
-at most EPS_TAIL, that walk ends on a sampled state at a recorded tail that
-small: the run applies the whole plan and solves no more (not under a
-disturbance, nor under a free terminal, which certifies nothing). Runs
-close out in one of four ways: the state enters the stopping region
-("stopped"), the state is one the sample set prices at most EPS_TAIL,
-either on arrival or at the end of a certified plan ("closed_in_set", the
-recorded tail is appended to the cost), the horizon runs out of solves
-("horizon", the cost is truncated), or a disturbance pushes the state
-somewhere the solver cannot price ("infeasible_after_disturbance").
+that priced the solve's plan holds it, and repeats. Every step's solve
+starts no worse than the plans _seeds builds, the previous plan shifted one
+step and the base policy's plan. Once a solve's value is at most EPS_TAIL,
+that walk ends on a sampled state at a recorded tail that small: the run
+applies the whole plan and solves no more (not under a disturbance, nor
+under a free terminal, which certifies nothing). A run is tested for its
+end at x0 and at the last state each solve's move, or certified plan,
+reaches, the last allowed solve's included: it ends when that state is in
+the stopping region ("stopped") or is one the sample set prices at most
+EPS_TAIL ("closed_in_set", the recorded tail is appended to the cost).
+Otherwise it ends when the horizon runs out of solves ("horizon", the cost
+is truncated), or when a disturbance pushes the state somewhere the solver
+cannot price ("infeasible_after_disturbance").
 """
 
 from __future__ import annotations
@@ -82,63 +85,65 @@ def _drive(problem: ProblemDef, sset, x0, cfg: SolverConfig, horizon: int, step,
     cost and next state, and simulates nothing. Unless sset has no
     policy_ids (it certifies nothing) or there is a disturbance, a solution
     of value at most EPS_TAIL is applied whole, since its walk ends in the
-    set: the run stops early if a state on the way is a stopping state, and
-    otherwise closes in the set at the final state's recorded value. horizon
-    bounds the solves, so such a plan may run up to ell - 1 steps past it.
+    set; the run stops early if a state on the way is a stopping state.
+    One test decides whether the run ends at a state, x0 and the last state
+    each solve's move or plan reaches: stopped, or closed in the set at its
+    recorded tail if that is at most EPS_TAIL. horizon bounds the solves,
+    so a certified plan may run up to ell - 1 steps past it.
     """
     certifies = bool(sset.policy_ids)
+
+    def ending(x):
+        """(status, recorded tail) if the run ends at x, else None."""
+        if problem.is_stopping(x):
+            return "stopped", 0.0
+        if certifies:
+            tc = sset.terminal_cost(x)
+            if tc <= EPS_TAIL:
+                return "closed_in_set", tc
+        return None
+
     states = [x0]
     controls, stage_costs, values, reports, work = [], [], [], [], []
     initial_set_value = sset.terminal_cost(x0)
     prev = None
-    status = "horizon"
-    closing = 0.0
+    end = ending(x0)
 
     for t in range(horizon):
-        x = states[-1]
-        if problem.is_stopping(x):
-            status = "stopped"
+        if end is not None:
             break
-        if certifies:
-            tc = sset.terminal_cost(x)
-            if tc <= EPS_TAIL:
-                status = "closed_in_set"
-                closing = tc
-                break
-
+        x = states[-1]
         sol, report = step(x, prev)
 
         if sol.value == INF:
             if t == 0:
-                raise InitialInfeasibilityError(x)
+                raise InitialInfeasibilityError(
+                    f"no feasible lookahead solution from initial state {x!r}")
             if disturbance is not None:
-                status = "infeasible_after_disturbance"
+                end = "infeasible_after_disturbance", 0.0
                 break
-            raise InfeasibleStepError(t, x)
+            raise InfeasibleStepError(f"lookahead infeasible at step {t}, state {x!r}")
 
         values.append(sol.value)
         reports.append(report)
         diag = sol.diagnostics or {}
         work.append({k: diag[k] for k in WORK_KEYS if k in diag})
         prev = sol
-        # a plan whose walk ends in the set is applied whole
-        certified = certifies and disturbance is None and sol.value <= EPS_TAIL
+        # a plan whose walk ends in the set is applied whole; ending tests its last state
         plan = sol.walk
-        for k in range(len(plan) if certified else 1):
+        n = len(plan) if certifies and disturbance is None and sol.value <= EPS_TAIL else 1
+        for k in range(n):
             nxt = plan.states[k + 1]
             if disturbance is not None:
                 nxt = disturbance(t, nxt)
             states.append(nxt)
             controls.append(plan[k])
             stage_costs.append(plan.costs[k])
-            if certified and problem.is_stopping(nxt):
-                status = "stopped"
+            if k < n - 1 and problem.is_stopping(nxt):
                 break
-        if certified:
-            if status == "horizon":
-                status, closing = "closed_in_set", sset.terminal_cost(states[-1])
-            break
+        end = ending(states[-1])
 
+    status, closing = end or ("horizon", 0.0)
     tails = None
     if status in ("stopped", "closed_in_set"):
         tails = tails_from(stage_costs, closing)
@@ -163,13 +168,23 @@ def _drive(problem: ProblemDef, sset, x0, cfg: SolverConfig, horizon: int, step,
     )
 
 
-def _shifted_seed(problem: ProblemDef, prev, base_policy: Policy | None, x) -> Walk | None:
+def _seeds(problem: ProblemDef, prev, base_policy: Policy | None, x, ell: int) -> list:
+    """The plans a step's lookahead starts no worse than, as walks from x:
+    the previous plan shifted one step (_shifted_seed), then the base
+    policy's plan (lookahead.base_plan), each left out where there is none.
+    Its solver keeps the first of least value among them."""
+    if base_policy is None:
+        return []
+    seeds = [] if prev is None else [_shifted_seed(problem, prev, base_policy, x)]
+    seeds.append(base_plan(problem, base_policy, x, ell))
+    return [seed for seed in seeds if seed is not None]
+
+
+def _shifted_seed(problem: ProblemDef, prev, base_policy: Policy, x) -> Walk:
     """The previous plan moved one step on and extended by the base policy,
     as its walk from x. When x is the previous walk's states[1] (no
     disturbance moved it), that walk one step on with only the appended step
     simulated; else the plan simulated from x."""
-    if prev is None or base_policy is None:
-        return None
     old = prev.walk
     plan = old[1:] + (base_policy.action(base_view(old.states[-1])),)
     if x is not old.states[1]:
@@ -193,12 +208,9 @@ def run_rollout(problem: ProblemDef, sset, x0, cfg: SolverConfig, horizon: int,
     memo: dict = {}
 
     def step(x, prev):
-        seeds = []
-        if problem.pl is not None:  # only shooting takes seeds
-            shifted = _shifted_seed(problem, prev, base_policy, x)
-            if shifted is not None:
-                seeds.append(shifted)
-        sol = solve(problem, sset, x, cfg, seeds=seeds, base_policy=base_policy, memo=memo)
+        # only shooting takes seeds
+        seeds = () if problem.pl is None else _seeds(problem, prev, base_policy, x, cfg.ell)
+        sol = solve(problem, sset, x, cfg, seeds=seeds, memo=memo)
         return sol, _report_of(sol)
 
     return _drive(problem, sset, x0, cfg, horizon, step, disturbance=disturbance,
@@ -265,27 +277,24 @@ def run_multiagent(problem: ProblemDef, sset, x0, cfg: SolverConfig, horizon: in
                    sweeps: int = 2) -> RolloutRun:
     """Rollout with agent-by-agent coordinate descent on the joint plan.
 
-    Each step starts from the better of the base-policy plan and the shifted
-    previous plan, then lets every agent re-optimize its own control sequence
+    Each step starts from the first of least value among its seeds (_seeds:
+    the shifted previous plan, then the base policy's plan), as shooting
+    does, then lets every agent re-optimize its own control sequence
     while the others hold theirs fixed, repeated for the given number of
     sweeps. The incumbent only ever improves, so the step value stays at or
     below the base policy's. An agent's search reads only x and the plan, so
     while the plan is still the one that agent's last search left, searching
     again would change nothing and is skipped. Every search of the run shares
     one table of each state's moves per control set (see lookahead._Search).
-    Every plan the step holds comes as its walk from x: the base policy's, the
-    shifted one (_shifted_seed) or a search's.
+    Every plan the step holds comes as its walk from x, a seed's or a
+    search's, and the step's report names the sample its plan ends on.
     """
     tables: dict = {}
 
     def step(x, prev):
-        value, plan = INF, None
-        for cand in (base_plan(problem, base_policy, x, cfg.ell),
-                     _shifted_seed(problem, prev, base_policy, x)):
-            if cand is not None:
-                v = cand.price(sset.terminal_cost)
-                if plan is None or v < value:
-                    value, plan = v, cand
+        priced = [(seed.price(sset.terminal_cost), seed)
+                  for seed in _seeds(problem, prev, base_policy, x, cfg.ell)]
+        value, plan = min(priced, key=lambda c: c[0], default=(INF, None))
         if value == INF:
             return LookaheadSolution(value=INF), None
 
@@ -302,14 +311,15 @@ def run_multiagent(problem: ProblemDef, sset, x0, cfg: SolverConfig, horizon: in
                         partition.combine(_plan[k], _agent, o) for o in opts))
 
                 search = _Search(problem, sset, cfg.ell, controls_at, tables=tables)
-                v, found, _sid = search.best(x, cfg.ell)
+                v, found, _ = search.best(x, cfg.ell)
                 if v < value:
                     value, plan = v, found
                 left[agent] = plan
             sweep_values.append(value)
 
-        sol = LookaheadSolution(value=value, walk=plan)
-        return sol, {"value": value, "sweep_values": tuple(sweep_values)}
+        sol = LookaheadSolution(value=value, walk=plan,
+                                terminal_sample_id=sset.sample_id(plan.states[-1]))
+        return sol, {**_report_of(sol), "sweep_values": tuple(sweep_values)}
 
     return _drive(problem, sset, x0, cfg, horizon, step, variant="multiagent",
                   policy_id="multiagent-rollout")

@@ -449,23 +449,24 @@ def solve_restricted(problem: ProblemDef, sset, x, restricted_controls: Callable
     def controls_at(state, step):
         spec = restricted_controls(state)
         if policy is not None and sset.contains(state):
-            if not spec.contains(policy.action(state)):
-                raise AssumptionViolationError(state, policy.action(state))
+            u = policy.action(state)
+            if not spec.contains(u):
+                raise AssumptionViolationError(
+                    f"restricted control set at member state {state!r} omits base action {u!r}")
         return spec
 
     value, plan, sid = _Search(problem, sset, cfg.ell, controls_at).best(x, cfg.ell)
     return LookaheadSolution(value=value, walk=plan, terminal_sample_id=sid)
 
 
-def solve(problem: ProblemDef, sset, x, cfg: SolverConfig,
-          seeds: Sequence = (), base_policy: Policy | None = None,
+def solve(problem: ProblemDef, sset, x, cfg: SolverConfig, seeds: Sequence = (),
           memo: dict | None = None) -> LookaheadSolution:
     """Shooting for piecewise-linear problems, exact enumeration otherwise;
-    only shooting reads seeds and base_policy. memo, when given, must only
-    ever be passed with this problem, sset and cfg (see the module doc)."""
+    only shooting reads seeds, the plans its value may not exceed (a
+    rollout's engine._seeds). memo, when given, must only ever be passed
+    with this problem, sset and cfg (see the module doc)."""
     if problem.pl is None:
         return solve_discrete(problem, sset, x, cfg, memo=memo)
     from .shooting import solve_continuous
 
-    return solve_continuous(problem, sset, x, cfg, seeds=seeds, base_policy=base_policy,
-                            memo=memo)
+    return solve_continuous(problem, sset, x, cfg, seeds=seeds, memo=memo)

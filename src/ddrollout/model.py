@@ -272,7 +272,7 @@ class Trajectory:
 def _check_admissible(problem: ProblemDef, x, u, step: int) -> None:
     spec = problem.control_set(x)
     if not spec.contains(u):
-        raise ConstraintViolationError(step, x, u)
+        raise ConstraintViolationError(f"control {u!r} not admissible at state {x!r} (step {step})")
 
 
 def simulate_policy(problem: ProblemDef, policy: Policy, x0, max_steps: int = 10_000) -> Trajectory:
@@ -293,7 +293,8 @@ def simulate_policy(problem: ProblemDef, policy: Policy, x0, max_steps: int = 10
         _check_admissible(problem, x, u, step)
         g = ensure_cost(problem.stage_cost(x, u))
         if g == INF:
-            raise InfeasibleTrajectoryError(step, x, u)
+            raise InfeasibleTrajectoryError(
+                f"infinite stage cost at state {x!r}, control {u!r} (step {step})")
         controls.append(u)
         stage_costs.append(g)
         x = problem.dynamics(x, u)

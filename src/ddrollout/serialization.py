@@ -321,8 +321,7 @@ def sample_set_from_doc(doc: dict, *, problem=None, policies=None):
         if not report.passed:
             v = report.violations[0]
             raise SampleSetIntegrityError(
-                f"stored set fails invariance at state {v.state!r}: {v.reason}",
-                state=v.state)
+                f"stored set fails invariance at state {v.state!r}: {v.reason}")
         return sset
     mat = np.asarray(doc["usage_quad"], dtype=float)
     spec = BudgetConstraintSpec(per_step_usage=_quadratic_usage(mat),

@@ -72,17 +72,17 @@ beats the bound up to PRICE_SLACK, the rounding between prediction and
 replay. _priced is the one price of every plan, solved or seeded, with
 the set's own terminal_cost, so a plan earns a recorded value only by
 ending in the set: a plan's walk (lookahead.walk, its exact replay), or,
-for a seed that comes as its walk (lookahead.Walk: the base policy's plan,
-walked once as it is built, or a rollout's shifted plan), that walk
-priced as it stands. The solve holds one incumbent, the first priced
-plan of least value, whose value is the running bound; it wins, its walk
-goes with the solution (the rollout applies its moves and extends it into
-the next shifted seed), its final state is the solution's terminal state,
-and its distance to the target states it was priced against is measured
-once, after the loop ("mismatch"). Dropped candidates are only counted,
-per rule (_RULES), in the solution's diagnostics ("pruned_by"). With no
-finite plan, a solve whose every candidate was an unconverged box QP
-raises SolverFailureError.
+for a seed that comes as its walk (lookahead.Walk: a rollout's seeds from
+engine._seeds, the shifted plan and the base policy's plan, walked once as
+it is built), that walk priced as it stands. The solve holds one
+incumbent, the first priced plan of least value, whose value is the
+running bound; it wins, its walk goes with the solution (the rollout
+applies its moves and extends it into the next shifted seed), its final
+state is the solution's terminal state, and its distance to the target
+states it was priced against is measured once, after the loop
+("mismatch"). Dropped candidates are only counted, per rule (_RULES), in
+the solution's diagnostics ("pruned_by"). With no finite plan, a solve
+whose every candidate was an unconverged box QP raises SolverFailureError.
 """
 
 from __future__ import annotations
@@ -98,8 +98,8 @@ from .boxqp import (_ball_box_qp, _box_qp, _face_solve, _kkt, _lift, _meets, _mv
 from .budget import base_view
 from .costs import INF
 from .errors import SearchSpaceError, SolverFailureError
-from .lookahead import LookaheadSolution, SolverConfig, Walk, base_plan, walk
-from .model import EPS_STATE, BoxControls, Policy, ProblemDef
+from .lookahead import LookaheadSolution, SolverConfig, Walk, walk
+from .model import EPS_STATE, BoxControls, ProblemDef
 
 
 @dataclass(slots=True)
@@ -378,18 +378,18 @@ def _mismatch(terminal, pinned) -> float | None:
 # Main entry
 
 
-def solve_continuous(problem: ProblemDef, sset, x, cfg: SolverConfig,
-                     seeds=(), base_policy: Policy | None = None,
+def solve_continuous(problem: ProblemDef, sset, x, cfg: SolverConfig, seeds=(),
                      memo: dict | None = None) -> LookaheadSolution:
     """Solve the l-step lookahead by shooting over every mode sequence.
 
     seeds are concrete control plans (tuples of control vectors, or
     lookahead.Walks from x, which are priced without a replay) evaluated
-    exactly; the first of least value is the first incumbent. The recorded
-    base policy, when given, contributes its own rollout plan, priced by the
-    walk that builds it. These anchors keep the returned value at or below
-    every supplied plan, which is what the stepwise-descent guarantee needs
-    from an approximate solver. The solution carries its winner's walk.
+    exactly; the first of least value is the first incumbent. A rollout
+    passes the shifted previous plan and the base policy's plan
+    (engine._seeds); shooting takes no base policy of its own. These
+    anchors keep the returned value at or below every supplied plan, which
+    is what the stepwise-descent guarantee needs from an approximate
+    solver. The solution carries its winner's walk.
     memo keeps each mode sequence's pinned-optimum maps for later solves of
     the same problem and config; without it they last for this solve only.
     """
@@ -424,13 +424,6 @@ def solve_continuous(problem: ProblemDef, sset, x, cfg: SolverConfig,
     values, states, radii = targets.values, targets.states, targets.radii
 
     seed_plans = [s if isinstance(s, Walk) else tuple(s) for s in seeds if len(s) == ell]
-    if base_policy is not None:
-        plan = base_plan(problem, base_policy, x, ell)
-        if plan is not None:
-            # controls as float arrays, as solved plans hold them; asarray returns a
-            # float array control as it is, so the walk's states and costs still hold
-            seed_plans.append(Walk([np.asarray(u, dtype=float) for u in plan], plan.states,
-                                   plan.costs))
 
     # the incumbent: the first plan of least value; the running bound is its value
     incumbent = min((_priced(problem, sset, x, plan, states, converged=True, seed=True)
@@ -516,7 +509,7 @@ def solve_continuous(problem: ProblemDef, sset, x, cfg: SolverConfig,
     counts = {"candidates": candidates, "pruned_by": pruned_by}
     if bound == INF:  # no finite plan
         if candidates and unconverged == candidates:
-            raise SolverFailureError("no shooting subproblem converged", incumbent=incumbent)
+            raise SolverFailureError("no shooting subproblem converged")
         return LookaheadSolution(value=INF, diagnostics=counts)
     value, plan, diag, terminal = incumbent
     # the winner's mismatch to the target states it was priced against

@@ -457,6 +457,23 @@ def test_only_a_closed_run_passes_the_chain(capsys, tmp_path, horizon, status, v
     assert out.count(": PASS") == (verdict == ": PASS")
 
 
+@pytest.mark.parametrize("argv,name", [
+    (("--instance", "tsp", "--horizon", "4"), "basic-0"),
+    (("--instance", "grid", "--horizon", "5"), "basic-0"),
+    (("--instance", "grid", "--variant", "multiagent", "--horizon", "5"), "multiagent-0"),
+])
+def test_a_run_that_finishes_on_its_last_allowed_move_stops(capsys, tmp_path, argv, name):
+    """The last allowed solve's move reaches the stopping set: the run stops
+    there with exact tail costs and passes its chain, as it would with a
+    longer horizon."""
+    code, out, err = run_cli(capsys, "run", *argv, "--out-dir", str(tmp_path))
+    assert code == 0, err
+    assert f"status=stopped steps={argv[-1]} " in out and ": PASS" in out
+    traj = run_from_doc(read_json(tmp_path / f"{name}.json")).trajectory
+    assert traj.terminated_in_stopping_set
+    assert traj.tail_costs is not None and traj.tail_costs[-1] == 0.0
+
+
 def test_an_unclosed_run_can_still_fail_the_chain(capsys):
     run = SimpleNamespace(total_cost=6.0, per_step_values=(5.0,))
     assert not _report_chain(run, 7.0, closed=False)

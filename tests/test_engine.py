@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from ddrollout import (
+    AgentPartition,
     FiniteControls,
     ProblemDef,
     SolverConfig,
+    engine,
     run_classical_mpc,
     run_multiagent,
     run_rollout,
@@ -16,7 +18,8 @@ from ddrollout import (
 from ddrollout.budget import AugmentedState
 from ddrollout.costs import INF
 from ddrollout.engine import EPS_TAIL
-from ddrollout.sample_sets import ExplicitSampleSet, SampleEntry
+from ddrollout.lookahead import base_plan, solve_discrete, walk
+from ddrollout.sample_sets import ExplicitSampleSet, FreeTerminal, SampleEntry
 
 from conftest import make_random_instance, nested_pair
 
@@ -113,6 +116,65 @@ def test_a_certified_plan_stops_at_a_stopping_state_on_its_way():
     assert run.trajectory.states == (0, 1, 2)
     assert run.per_step_values == (0.0,)
     assert run.closing_tail == 0.0
+
+
+def test_a_run_whose_last_allowed_move_lands_on_a_member_closes_in_the_set():
+    """The one solve a horizon of 1 allows moves onto a member recorded at a
+    tail of at most EPS_TAIL. The state it reaches is tested like every
+    other, so the run closes there with that tail appended instead of
+    ending at the horizon on a truncated cost."""
+    problem, _, n, _ = make_random_instance(5)
+    x0 = next(x for x in range(n - 1, 0, -1) if problem.dynamics(x, 0) != 0)
+    member, tail = problem.dynamics(x0, 0), EPS_TAIL / 2
+    sset = ExplicitSampleSet([SampleEntry(member, tail, "p")], label="one")
+    run = run_rollout(problem, sset, x0, SolverConfig(ell=1), 1)
+    assert run.per_step_values[0] > EPS_TAIL  # not a certified plan
+    assert run.status == "closed_in_set" and run.trajectory.states == (x0, member)
+    assert run.closing_tail == run.trajectory.tail_costs[-1] == tail
+    assert run.total_cost == run.trajectory.tail_costs[0] == run.per_step_values[0]
+
+
+def test_a_steps_seeds_are_the_shifted_plan_then_the_base_plan(grid, monkeypatch):
+    """_seeds lists the previous plan shifted one step, then the base
+    policy's plan, each as its walk from x, and leaves out whichever is
+    missing: no previous solution, a base plan that hits an infeasible
+    step, or no base policy at all."""
+    problem, policy, ell = grid.problem, next(iter(grid.base_policies.values())), 3
+    x0 = grid.start_states[0]
+    prev = solve_discrete(problem, grid.sample_sets["trajectory"], x0, SolverConfig(ell=ell))
+    x = prev.walk.states[1]
+    shifted = engine._shifted_seed(problem, prev, policy, x)
+    base = base_plan(problem, policy, x, ell)
+    assert shifted != base  # so the order shows
+    seeds = engine._seeds(problem, prev, policy, x, ell)
+    assert seeds == [shifted, base]
+    assert [s.states for s in seeds] == [shifted.states, base.states]
+    assert [s.costs for s in seeds] == [shifted.costs, base.costs]
+    assert engine._seeds(problem, None, policy, x, ell) == [base]
+    assert engine._seeds(problem, prev, None, x, ell) == []
+    monkeypatch.setattr(engine, "base_plan", lambda *a: None)
+    assert engine._seeds(problem, prev, policy, x, ell) == [shifted]
+    assert engine._seeds(problem, None, policy, x, ell) == []
+
+
+def test_shooting_and_the_agent_by_agent_step_keep_the_same_seed_of_a_tie(integrator,
+                                                                         monkeypatch):
+    """Two different plans that every stage prices at 1.0 tie, and no plan
+    can beat them. Shooting and the agent-by-agent step (with no sweeps)
+    both start from the first of least value among the seeds, so both
+    apply the first plan's first move."""
+    problem = replace(integrator.problem, stage_cost=lambda x, u: 1.0)
+    policy = next(iter(integrator.base_policies.values()))
+    x0, cfg = integrator.start_states[0], replace(integrator.solver_defaults, ell=4)
+    tied = [walk(problem, x0, (np.array([u]),) * 4) for u in (0.25, -0.25)]
+    monkeypatch.setattr(engine, "_seeds", lambda *a: tied)
+    shot = run_rollout(problem, FreeTerminal(), x0, cfg, 1, base_policy=policy)
+    agents = run_multiagent(problem, FreeTerminal(), x0, cfg, 1,
+                            AgentPartition((), None, None), policy, sweeps=0)
+    for run in (shot, agents):
+        assert run.per_step_values == (4.0,) and len(run.trajectory.controls) == 1
+        assert np.array_equal(run.trajectory.controls[0], tied[0][0])
+        assert np.array_equal(run.trajectory.states[1], tied[0].states[1])
 
 
 def test_disturbance_inside_coverage_recovers(spiral):

@@ -212,8 +212,10 @@ def _naive_multiagent(problem, sset, x0, cfg, horizon, partition, policy, sweeps
                 if v < value:
                     value, plan = v, found
             sweep_values.append(value)
-        return (lookahead.LookaheadSolution(value, lookahead.walk(problem, x, tuple(plan))),
-                {"value": value, "sweep_values": tuple(sweep_values)})
+        plan = lookahead.walk(problem, x, tuple(plan))
+        return (lookahead.LookaheadSolution(value, plan),
+                {"value": value, "sample_id": sset.sample_id(plan.states[-1]),
+                 "sweep_values": tuple(sweep_values)})
 
     return engine._drive(problem, sset, x0, cfg, horizon, step, variant="multiagent",
                          policy_id="multiagent-rollout")
@@ -715,16 +717,17 @@ def test_the_screen_changes_no_solve(spiral, integrator, monkeypatch):
     for problem, sset, x0, ell, policy, cap in _screen_cases(spiral, integrator):
         cfg = replace(SolverConfig(), ell=ell, mode_cap=cap)
         calls, got_priced, want_priced = [], [], []
+        seeds = engine._seeds(problem, None, policy, x0, ell)  # the base policy's plan
         solve_candidate = shooting._solve_candidate
         with monkeypatch.context() as patched:
             patched.setattr(shooting, "_solve_candidate",
                             lambda *a, **k: calls.append(1) or solve_candidate(*a, **k))
             patched.setattr(shooting, "walk", _pricing(got_priced))
-            got = solve_continuous(problem, sset, x0, cfg, base_policy=policy)
+            got = solve_continuous(problem, sset, x0, cfg, seeds=seeds)
         with monkeypatch.context() as patched:
             _per_candidate(patched)
             patched.setattr(shooting, "walk", _pricing(want_priced))
-            want = solve_continuous(problem, sset, x0, cfg, base_policy=policy)
+            want = solve_continuous(problem, sset, x0, cfg, seeds=seeds)
         # the same plans are priced, in the same order
         assert got_priced == want_priced
         assert got.value == want.value
@@ -780,7 +783,7 @@ def test_every_priced_plan_replays_to_its_prediction_within_a_thousandth_of_the_
     monkeypatch.setattr(shooting, "_priced", price)
     for problem, sset, x0, ell, policy, cap in _screen_cases(spiral, integrator):
         solve_continuous(problem, sset, x0, replace(SolverConfig(), ell=ell, mode_cap=cap),
-                         base_policy=policy)
+                         seeds=engine._seeds(problem, None, policy, x0, ell))
     assert all(gaps.values())
     assert max(max(g) for g in gaps.values()) <= shooting.PRICE_SLACK / 1000
 
@@ -823,7 +826,7 @@ def test_each_stacked_verdict_is_the_jobs_own(spiral, integrator, monkeypatch):
     monkeypatch.setattr(shooting, "_verdicts", checked)
     for problem, sset, x0, ell, policy, cap in _screen_cases(spiral, integrator):
         solve_continuous(problem, sset, x0, replace(SolverConfig(), ell=ell, mode_cap=cap),
-                         base_policy=policy)
+                         seeds=engine._seeds(problem, None, policy, x0, ell))
     assert all(seen[k] > 0 for k in ("ball", "path", "value", "stacked", "alone")), seen
 
 
@@ -1078,9 +1081,10 @@ def test_every_candidate_is_a_seed_a_replay_or_pruned_by_one_rule(spiral, integr
 
     monkeypatch.setattr(shooting, "_priced", counted)
     policy = next(iter(spiral.base_policies.values()))
-    sol = solve_continuous(spiral.problem, spiral.sample_sets["trajectory-0"],
-                           np.array([1.0, 1.0]), replace(spiral.solver_defaults, ell=5),
-                           base_policy=policy)
+    x0 = np.array([1.0, 1.0])
+    sol = solve_continuous(spiral.problem, spiral.sample_sets["trajectory-0"], x0,
+                           replace(spiral.solver_defaults, ell=5),
+                           seeds=[lookahead.base_plan(spiral.problem, policy, x0, 5)])
     rules = add_up(sol)
     assert all(rules[r] > 0 for r in ("bound", "lift", "path"))
     assert counts["seeds"] == 1

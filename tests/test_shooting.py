@@ -9,11 +9,11 @@ import pytest
 from scipy.optimize import linprog, lsq_linear, minimize
 
 from ddrollout import AugmentedState, ExplicitSampleSet, SampleEntry, SolverConfig, run_rollout
-from ddrollout import boxqp, shooting
+from ddrollout import boxqp, engine, shooting
 from ddrollout.costs import INF
 from ddrollout.cli import EXIT_SOLVER, main
 from ddrollout.errors import SearchSpaceError, SolverFailureError
-from ddrollout.lookahead import walk
+from ddrollout.lookahead import base_plan, walk
 from ddrollout.model import EPS_STATE, LinearMode, PiecewiseLinearStructure
 from ddrollout.sample_sets import FreeTerminal
 from ddrollout.boxqp import _ball_box_qp, _box_qp
@@ -222,8 +222,9 @@ def test_first_spiral_solve_replays_only_plans_that_can_win(spiral, monkeypatch)
     walks, sset = [], spiral.sample_sets["trajectory-0"]
     monkeypatch.setattr(shooting, "walk", lambda *a: walks.append(walk(*a)) or walks[-1])
     policy = next(iter(spiral.base_policies.values()))
-    sol = solve_continuous(spiral.problem, sset, np.array([1.0, 1.0]),
-                           replace(spiral.solver_defaults, ell=5), base_policy=policy)
+    x0 = np.array([1.0, 1.0])
+    sol = solve_continuous(spiral.problem, sset, x0, replace(spiral.solver_defaults, ell=5),
+                           seeds=[base_plan(spiral.problem, policy, x0, 5)])
     assert sol.value == 2.0974762193515346
     prices = [w.price(sset.terminal_cost) for w in walks]
     assert len(prices) <= 100 and INF not in prices
@@ -385,7 +386,7 @@ def test_a_start_whose_box_keeps_no_sequence_has_no_plan(spiral, monkeypatch, na
     for x0, ell in itertools.product(([-10.0, -10.0], [10.0, -10.0]), (2, 3, 5)):
         x0 = np.array(x0)
         sol = solve_continuous(spiral.problem, sset, x0, replace(spiral.solver_defaults, ell=ell),
-                               base_policy=policy)
+                               seeds=engine._seeds(spiral.problem, None, policy, x0, ell))
         assert len(kept[-1].sigmas) == 0 and kept[-1].h0.shape == (0, ell, ell)
         assert sol.value == INF and sol.controls == () and sol.terminal_state is None
         pairs = 2 ** (ell - 1) * len(sset.shooting_targets(x0).values)
@@ -395,8 +396,8 @@ def test_a_start_whose_box_keeps_no_sequence_has_no_plan(spiral, monkeypatch, na
 def test_a_solve_whose_every_box_qp_fails_to_converge(integrator, monkeypatch, tmp_path, capsys):
     """With the screen stubbed out and every box QP returning z = 0, every
     job of the integrator trajectory solve ends as a rows drop. When no box
-    QP converged and there are no seeds, the solve raises SolverFailureError
-    with no incumbent (no plan was priced), and `ddrollout run` exits 3.
+    QP converged and there are no seeds, the solve raises SolverFailureError,
+    and `ddrollout run` exits 3.
     When they converged, the solve just has no plan. The base policy's plan
     is a converged candidate, so with it the solve returns that plan's
     value."""
@@ -412,7 +413,6 @@ def test_a_solve_whose_every_box_qp_fails_to_converge(integrator, monkeypatch, t
     sset, x0 = integrator.sample_sets["trajectory"], integrator.start_states[0]
     with pytest.raises(SolverFailureError) as failure:
         solve_continuous(integrator.problem, sset, x0, _cfg(4))
-    assert failure.value.incumbent is None
     converged[0] = True  # the same drops after converged solves: no plan, no failure
     sol = solve_continuous(integrator.problem, sset, x0, _cfg(4))
     counts = sol.diagnostics["pruned_by"]
@@ -420,13 +420,13 @@ def test_a_solve_whose_every_box_qp_fails_to_converge(integrator, monkeypatch, t
     converged[0] = False
 
     policy = next(iter(integrator.base_policies.values()))
-    sol = solve_continuous(integrator.problem, sset, x0, _cfg(4), base_policy=policy)
-    plan = shooting.base_plan(integrator.problem, policy, x0, 4)
+    plan = base_plan(integrator.problem, policy, x0, 4)
+    sol = solve_continuous(integrator.problem, sset, x0, _cfg(4), seeds=[plan])
     assert sol.value == walk(integrator.problem, x0, plan).price(sset.terminal_cost) < INF
     counts = sol.diagnostics["pruned_by"]
     assert sol.diagnostics["candidates"] == 1 + counts["rows"] and counts["rows"] > 0
 
-    monkeypatch.setattr(shooting, "base_plan", lambda *a: None)
+    monkeypatch.setattr(engine, "base_plan", lambda *a: None)
     code = main(["run", "--instance", "integrator", "--horizon", "2",
                  "--out-dir", str(tmp_path)])
     assert code == EXIT_SOLVER == 3
@@ -439,7 +439,7 @@ def test_budget_solve_replays_to_its_value(integrator):
     sset = integrator.augmented_sets["budget"]
     policy = next(iter(integrator.base_policies.values()))
     x0 = AugmentedState(integrator.start_states[0], integrator.budget_spec.e_max)
-    sol = solve_continuous(problem, sset, x0, _cfg(4), base_policy=policy)
+    sol = solve_continuous(problem, sset, x0, _cfg(4), seeds=[base_plan(problem, policy, x0, 4)])
     assert sol.value < INF
     # a member: the base state matches a seed step and the remaining budget
     # covers that step's tail usage, so the replay prices it at that tail
