@@ -4,13 +4,19 @@ Runs each checkout's own perfbench/run.py once per workload and seed,
 alternating which side goes first (odd seeds the parent, even seeds the
 change), and reads the JSON object each run prints last. The file keeps
 every pair and, per end-to-end metric, each side's median and quartiles and
-how many pairs the change ran lower or higher. With --traced-seconds, one
+how many pairs the change ran lower or higher, and whether the claim rule
+holds for it ("claim_met"). With --traced-seconds, one
 traced pass per side and workload (seed 1) adds the per-layer metrics.
 Both checkouts should be clean git clones: the file is named after the
 change's commit. Two clones of one commit make an A/A run, written to
 BENCH_AA_<short-sha>.json: its gaps are checkout drift alone, the band a
 change's gap must clear. A file of the same name from the same two commits
 is extended, so workloads can be run one at a time.
+
+The claim rule: every metric here is better lower, and a change counts as
+better on a metric when it ran lower than the parent in at least 9 of every
+10 pairs (ties count for neither side) and its median lies below the
+parent's by more than the parent's interquartile range.
 
 Usage:
     python3 scripts/bench_pairs.py --parent DIR --change DIR \\
@@ -81,6 +87,13 @@ def summarize(pairs: list) -> dict:
     return out
 
 
+def claim_met(metric: dict) -> bool:
+    """The claim rule (see the module docstring) on one metric's summary."""
+    parent, change = metric["parent"], metric["change"]
+    return (10 * metric["change_lower_in"] >= 9 * metric["pairs"]
+            and parent["median"] - change["median"] > parent["iqr"])
+
+
 def out_name(parent: str, change: str) -> str:
     """The file a run of these two commits writes: an A/A run when both are one."""
     return f"BENCH_AA_{change}.json" if parent == change else f"BENCH_{change}.json"
@@ -145,7 +158,10 @@ def main(argv=None) -> int:
             pairs.append({k: pair[k] for k in ("seed", "parent", "change")})
             print(f"{workload} seed {seed}: run_s parent {pair['parent'].get('run_s')} "
                   f"change {pair['change'].get('run_s')}", flush=True)
-        workloads[workload] = {"pairs": pairs, "metrics": summarize(pairs)}
+        metrics = summarize(pairs)
+        for metric in metrics.values():
+            metric["claim_met"] = claim_met(metric)
+        workloads[workload] = {"pairs": pairs, "metrics": metrics}
         if args.traced_seconds > 0:
             traced = doc.setdefault("per_layer_one_traced_pass", {
                 "command": f"python3 perfbench/run.py --workload <w> --seed 1 "

@@ -39,23 +39,31 @@ null space from the sequence's memo entry, where they were made with the
 entry's row factors (boxqp._null_factors). A pinned pair
 whose rows' least-norm solution g+ (t - phi_l) already lies outside its
 ball has no plan and is dropped with the unreachable ones. Subproblems are
-taken cheapest tail first against a running bound, and one whose box-free
-optimum cannot beat the bound stops there. An interior optimum is its
+taken best first against a running bound (best-first branch and bound):
+lowest screened bound first, ties in tail order (_job_order: cheapest tail,
+then target, then sequence), a job's place in which is its tie rank. A job
+whose target is valued at the bound is passed over, as no candidate. The
+first job whose box-free optimum cannot beat the bound ends the loop:
+every later job's screened bound is as high, so those whose tail lies
+below the bound are dropped with it by "bound". An interior optimum is its
 subproblem's solution, so it goes straight to the replay. A pinned
 optimum that leaves the box by e_i in coordinate i lifts its bound by the
 least cost of moving back, 0.5 e_i^2 / M_ii with M the inverse of the
 Hessian reduced to the rows' null space (kept in each sequence's memo
 entry with g+, made for all of a solve's sequences once one needs it);
-under a finite running bound, a pair whose lifted bound cannot beat it
-stops there too. The jobs left, box-active optima, need the active-set
+under a finite running bound, a pair whose lifted bound cannot beat it is
+dropped there. The jobs left, box-active optima, need the active-set
 solve of the box QP (boxqp._box_qp), which runs over stacks of
 subproblems (a job whose rows no box point meets fails its rows test
 there): when the loop reaches such a job with no optimum yet, the next
 jobs of any target that pass the same tests against the running bound
-join it, up to _CHUNK in all, and the group is solved in one call. Until
-the bound moves, the loop reuses those tests' results. The group's optima take their own tests in
-one more stacked pass (_verdicts): whether the predicted path meets the
-target, whether the plan lies in its energy ball, and whether its path
+join it, up to _CHUNK in all or up to the first job the bound drops, and
+the group is solved in one call. Until the bound moves, the loop reuses
+those tests' results; a job whose box optimum its group already holds
+takes no lift, which would spare it no solve. The group's optima take
+their own tests in one more stacked pass (_verdicts): whether the
+predicted path meets the target, whether the plan lies in its energy
+ball, and whether its path
 stays within model.EPS_STATE of its mode sequence's regions and within
 2 EPS_STATE of the state box (the path test); a plan that passes them is
 given its predicted value. The condensed prediction is exact only inside
@@ -75,14 +83,17 @@ ending in the set: a plan's walk (lookahead.walk, its exact replay), or,
 for a seed that comes as its walk (lookahead.Walk: a rollout's seeds from
 engine._seeds, the shifted plan and the base policy's plan, walked once as
 it is built), that walk priced as it stands. The solve holds one
-incumbent, the first priced plan of least value, whose value is the
-running bound; it wins, its walk goes with the solution (the rollout
-applies its moves and extends it into the next shifted seed), its final
-state is the solution's terminal state, and its distance to the target
-states it was priced against is measured once, after the loop
-("mismatch"). Dropped candidates are only counted, per rule (_RULES), in
-the solution's diagnostics ("pruned_by"). With no finite plan, a solve
-whose every candidate was an unconverged box QP raises SolverFailureError.
+incumbent, whose value is the running bound: the priced plan of least
+value, a tie going to a seed, then to the job of lowest tie rank, which is
+the plan a walk in tail order keeps. It wins, its walk goes with the
+solution (the rollout applies its moves and extends it into the next
+shifted seed), its final state is the solution's terminal state, and its
+distance to the target states it was priced against is measured once,
+after the loop ("mismatch"). Dropped candidates are only counted, per
+rule (_RULES), in the solution's diagnostics ("pruned_by"), beside the
+count of plans priced by replay, the seeds aside ("replayed"). With no
+finite plan, a solve whose every candidate was an unconverged box QP
+raises SolverFailureError.
 """
 
 from __future__ import annotations
@@ -243,8 +254,9 @@ def _box_keeps(rows, modes, phi, gamma, centre, half):
 
 def _job_order(keep, tails):
     """The (target, sequence) indices of the kept pairs, cheapest tail
-    first so the running bound can retire the rest early; ties go by
-    target, then sequence."""
+    first, ties by target, then sequence: the tie rank of solve_continuous's
+    best-first walk, which takes the jobs in this order stably sorted by
+    their screened bounds."""
     s, t = np.nonzero(keep)
     order = np.lexsort((s, t, tails[t]))
     return t[order].tolist(), s[order].tolist()
@@ -435,6 +447,7 @@ def solve_continuous(problem: ProblemDef, sset, x, cfg: SolverConfig, seeds=(),
     pruned_by = dict.fromkeys(_RULES, 0)
     pruned_by["sequence"] = (n_sequences - len(cond.sigmas)) * int(np.count_nonzero(below))
     candidates, unconverged = len(seed_plans) + pruned_by["sequence"], 0
+    replayed = 0  # plans priced by replay, the seeds aside
 
     # every (sequence, target) pair left at once
     keep = np.tile(below, (len(cond.sigmas), 1))
@@ -453,8 +466,10 @@ def solve_continuous(problem: ProblemDef, sset, x, cfg: SolverConfig, seeds=(),
     def gate(t, s):
         """Job (t, s)'s tests against the running bound before the active-set
         solve: "skip" (a target valued at the bound, not a candidate), the
-        rule that drops it, "interior" (a screened optimum to replay as is),
-        or None when it needs the solve."""
+        rule that drops it ("bound" ends the best-first walk), "interior" (a
+        screened optimum to replay as is), or None when it needs the solve.
+        A job the current group has solved takes no lift: it would spare no
+        solve."""
         if values[t] >= bound:
             return "skip"
         i, slack = s * len(values) + t, PRICE_SLACK * (1.0 + abs(bound))
@@ -462,7 +477,7 @@ def solve_continuous(problem: ProblemDef, sset, x, cfg: SolverConfig, seeds=(),
             return "bound"
         if screen.interior[i]:
             return "interior" if screen.on_path[i] else "path"
-        if bound < INF and states is not None:
+        if bound < INF and states is not None and (t, s) not in boxed:
             # a box-active pinned optimum: every box point on the rows costs more
             if i not in lifts:
                 seqs = row_factored()
@@ -472,11 +487,23 @@ def solve_continuous(problem: ProblemDef, sset, x, cfg: SolverConfig, seeds=(),
                 return "lift"
         return None
 
-    jobs = list(zip(*_job_order(keep, values)))
+    # best first: lowest screened bound first, ties in tail order, a job's place in which
+    # is its tie rank
+    by_tail = list(zip(*_job_order(keep, values)))
+    order = np.argsort([screen.lb[s * len(values) + t] for t, s in by_tail],
+                       kind="stable").tolist()
+    jobs = [by_tail[r] for r in order]
+    job_tails = values[[t for t, _ in jobs]]
+    rank = -1  # the incumbent's tie rank: a seed wins every tie
     boxed = {}  # the current group's box optima and their verdicts, by job
     for j, (t, s) in enumerate(jobs):
         out = gate(t, s)
-        if out == "skip":  # every later tail is as high: they skip too
+        if out == "skip":
+            continue
+        if out == "bound":  # every later job's screened bound is as high: it ends the loop
+            dropped = 1 + int(np.count_nonzero(job_tails[j + 1:] < bound))
+            candidates += dropped
+            pruned_by["bound"] += dropped
             break
         candidates += 1
         if out == "interior":  # what _box_qp returns: z itself, in one iteration
@@ -488,7 +515,7 @@ def solve_continuous(problem: ProblemDef, sset, x, cfg: SolverConfig, seeds=(),
                 group = []
                 for job in itertools.islice(jobs, j, None):
                     rule = gate(*job)
-                    if rule == "skip":
+                    if rule == "bound":
                         break
                     if rule is None:
                         group.append(job)
@@ -502,11 +529,15 @@ def solve_continuous(problem: ProblemDef, sset, x, cfg: SolverConfig, seeds=(),
             unconverged += not converged
         if isinstance(out, str):  # the rule that dropped the job
             pruned_by[out] += 1
-        elif incumbent is None or out[0] < bound:
-            incumbent, bound = out, out[0]
+            continue
+        replayed += 1
+        if incumbent is None or out[0] < bound:
+            incumbent, bound, rank = out, out[0], order[j]
             gate.cache_clear()
+        elif out[0] == bound and order[j] < rank:  # the bound stays: so does gate's cache
+            incumbent, rank = out, order[j]
 
-    counts = {"candidates": candidates, "pruned_by": pruned_by}
+    counts = {"candidates": candidates, "replayed": replayed, "pruned_by": pruned_by}
     if bound == INF:  # no finite plan
         if candidates and unconverged == candidates:
             raise SolverFailureError("no shooting subproblem converged")

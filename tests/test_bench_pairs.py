@@ -43,6 +43,23 @@ def test_pairs_aggregate_into_medians_quartiles_and_wins():
             metrics["lookahead_value"]["change_higher_in"]) == (0, 0)
 
 
+def _claim(parent, change):
+    pairs = [{"seed": i + 1, "parent": {"run_s": p}, "change": {"run_s": c}}
+             for i, (p, c) in enumerate(zip(parent, change))]
+    return bench_pairs.claim_met(bench_pairs.summarize(pairs)["run_s"])
+
+
+def test_the_claim_rule_needs_nine_of_ten_pairs_lower_and_a_gap_past_the_parents_iqr():
+    parent = [1.0, 1.02, 0.98, 1.01, 0.99, 1.03, 0.97, 1.0, 1.02, 0.98]  # IQR 0.035
+    assert _claim(parent, [p - 0.1 for p in parent])
+    # 9 of 10 lower is enough; a tie counts for neither side
+    assert _claim(parent, [p - 0.1 for p in parent[:9]] + [parent[9]])
+    # lower in only 8 of 10, however wide the gap
+    assert not _claim(parent, [p - 0.5 for p in parent[:8]] + [p + 0.01 for p in parent[8:]])
+    # lower in 10 of 10, but the medians differ by less than the parent's IQR
+    assert not _claim(parent, [p - 0.03 for p in parent])
+
+
 def test_a_metric_a_failed_run_left_undefined_is_left_out_of_its_pairs():
     pairs = [{"seed": s, "parent": bench_pairs.record(bench_pairs.last_json(_stdout(1.0 + s))),
               "change": bench_pairs.record(bench_pairs.last_json(_stdout(1.0, value=None)))}

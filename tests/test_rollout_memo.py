@@ -712,8 +712,11 @@ def _pricing(priced):
 
 def test_the_screen_changes_no_solve(spiral, integrator, monkeypatch):
     """Every case solved with the screen and with every job sent through
-    the per-candidate reference gives the same plan, value and report."""
-    fast_paths = 0
+    the per-candidate reference gives the same plan, value and report. The
+    reference screens every pair at -inf, so it visits its jobs in tail
+    order; the solve visits them best first and prices only plans the
+    reference prices too, and no more of them."""
+    fast_paths, priced = 0, Counter()
     for problem, sset, x0, ell, policy, cap in _screen_cases(spiral, integrator):
         cfg = replace(SolverConfig(), ell=ell, mode_cap=cap)
         calls, got_priced, want_priced = [], [], []
@@ -728,8 +731,8 @@ def test_the_screen_changes_no_solve(spiral, integrator, monkeypatch):
             _per_candidate(patched)
             patched.setattr(shooting, "walk", _pricing(want_priced))
             want = solve_continuous(problem, sset, x0, cfg, seeds=seeds)
-        # the same plans are priced, in the same order
-        assert got_priced == want_priced
+        assert Counter(got_priced) <= Counter(want_priced)
+        priced.update(got=len(got_priced), want=len(want_priced))
         assert got.value == want.value
         assert len(got.controls) == len(want.controls)
         assert all(np.array_equal(u, v) for u, v in zip(got.controls, want.controls))
@@ -737,6 +740,7 @@ def test_the_screen_changes_no_solve(spiral, integrator, monkeypatch):
         assert [got.diagnostics.get(k) for k in keys] == [want.diagnostics.get(k) for k in keys]
         fast_paths += got.diagnostics["candidates"] - len(calls)
     assert fast_paths > 0  # some jobs never reached the per-candidate solver
+    assert priced["got"] < priced["want"]
 
 
 def test_every_priced_plan_replays_to_its_prediction_within_a_thousandth_of_the_slack(
@@ -1046,12 +1050,15 @@ def test_stacking_box_active_jobs_across_targets_changes_no_rollout(spiral, monk
 
 
 def test_a_classical_mpc_rollout_computes_no_lift(spiral, monkeypatch):
-    """Every box-active job of the classical-MPC benchmark rollout meets an
-    infinite running bound, so no sequence's curvature is ever computed."""
+    """The classical-MPC benchmark rollout factors no sequence's rows. Its
+    first step solves its first group of box-active jobs at an infinite
+    running bound; once a plan lowers the bound, the group's other jobs
+    skip the curvature lift, which would factor every sequence's rows to
+    spare a box QP already solved."""
     def no_lift(h, g):
-        raise AssertionError("lift computed")
+        raise AssertionError("rows factored")
 
-    monkeypatch.setattr(shooting, "_row_factors", no_lift)
+    monkeypatch.setattr(shooting, "_null_factors", no_lift)
     policy = next(iter(spiral.base_policies.values()))
     run = run_classical_mpc(spiral.problem, spiral.start_states[0],
                             replace(spiral.solver_defaults, ell=10, mode_cap=512), 40,
@@ -1064,8 +1071,9 @@ def test_every_candidate_is_a_seed_a_replay_or_pruned_by_one_rule(spiral, integr
     """On the first spiral trajectory-0 solve, and on every step of short
     rollouts (spiral trajectory-0 and disk, classical MPC at ell = 6, the
     integrator's augmented budget and trajectory set), the per-rule prune
-    counts, the replayed jobs and the seeds add up to the candidates; the
-    run's step report still copies only its four solver keys."""
+    counts (Python ints), the replayed jobs and the seeds add up to the
+    candidates, and the solve's "replayed" count is its replays; the run's
+    step report still copies only its four solver keys."""
     priced, counts = shooting._priced, {"replayed": 0, "seeds": 0}
 
     def counted(*args, **diag):
@@ -1075,6 +1083,8 @@ def test_every_candidate_is_a_seed_a_replay_or_pruned_by_one_rule(spiral, integr
     def add_up(sol):
         rules = sol.diagnostics["pruned_by"]
         assert sorted(rules) == sorted(shooting._RULES)
+        assert all(type(n) is int for n in rules.values())
+        assert sol.diagnostics["replayed"] == counts["replayed"]
         assert sum(rules.values()) + counts["replayed"] + counts["seeds"] == \
             sol.diagnostics["candidates"]
         return rules

@@ -230,6 +230,48 @@ def test_first_spiral_solve_replays_only_plans_that_can_win(spiral, monkeypatch)
     assert len(prices) <= 100 and INF not in prices
 
 
+def test_the_first_spiral_solve_visits_its_jobs_best_first(spiral, monkeypatch):
+    """From (1,1) on trajectory-0, with the base plan as its seed, the jobs
+    taken lowest screened bound first reach the winner in one stacked group
+    of _CHUNK box-active jobs and two replays beside the seed; the first job
+    the bound drops ends the loop, and the jobs after it still count as
+    candidates pruned by the bound."""
+    groups, priced = [], []
+    solve_group, price = shooting._solve_group, shooting._priced
+    monkeypatch.setattr(shooting, "_solve_group",
+                        lambda cond, targets, t, s, *a: groups.append(len(s))
+                        or solve_group(cond, targets, t, s, *a))
+    monkeypatch.setattr(shooting, "_priced", lambda *a, **k: priced.append(k) or price(*a, **k))
+    policy = next(iter(spiral.base_policies.values()))
+    x0 = np.array([1.0, 1.0])
+    sol = solve_continuous(spiral.problem, spiral.sample_sets["trajectory-0"], x0,
+                           replace(spiral.solver_defaults, ell=5),
+                           seeds=[base_plan(spiral.problem, policy, x0, 5)])
+    assert sol.value == 2.0974762193515346 and sol.diagnostics["candidates"] == 1273
+    assert groups == [shooting._CHUNK] == [64]
+    assert len(priced) == 3 and [k.get("seed", False) for k in priced] == [True, False, False]
+    assert sol.diagnostics["replayed"] == 2
+
+
+def test_a_tie_goes_to_the_job_first_in_tail_order(integrator, monkeypatch):
+    """Every stage prices at 100, so two targets of one tail tie at any plan
+    that reaches them, while the screen's quadratic costs rank the second
+    target's job first. It is priced first; the first target's plan then
+    ties the bound and, being first in tail order, replaces it: the solve
+    keeps the plan the tail order would have kept."""
+    problem = replace(integrator.problem, stage_cost=lambda x, u: 100.0)
+    x0 = np.asarray(integrator.start_states[0], dtype=float)
+    states = [walk(problem, x0, (np.array([u]),) * 4).states[-1] for u in (0.2, 0.8)]
+    sset = ExplicitSampleSet([SampleEntry(s, 1.0, "p") for s in states], label="two")
+    walked = []
+    monkeypatch.setattr(shooting, "walk", lambda *a: walked.append(walk(*a)) or walked[-1])
+    sol = solve_continuous(problem, sset, x0, _cfg(4))
+    assert [w.price(sset.terminal_cost) for w in walked] == [401.0, 401.0]
+    assert np.abs(walked[0].states[-1] - states[1]).max() < 1e-12  # the second target first
+    assert sol.value == 401.0 and sol.walk is walked[1]
+    assert sol.diagnostics["replayed"] == 2
+
+
 @pytest.mark.parametrize("side", ["region", "box"])
 def test_a_plan_off_its_path_by_two_eps_is_dropped_and_by_half_eps_replayed(
         spiral, monkeypatch, side):
