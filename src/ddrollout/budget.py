@@ -27,7 +27,7 @@ from .model import (
     Trajectory,
     states_equal,
 )
-from .sample_sets import GridIndex, Targets
+from .sample_sets import GridIndex, Targets, build_from_trajectory
 
 
 @dataclass(frozen=True)
@@ -173,23 +173,16 @@ class BudgetSampleSet:
                 f"seed needs {tails[0]!r} of resource, budget is {self.spec.e_max!r}")
 
     def verify(self, problem: ProblemDef, policies, rng, samples: int):
-        """Exact usage accounting, then membership of drawn members."""
+        """Exact usage accounting, then the seed's checks as an explicit set
+        (invariance and fixed point): its recorded states and tail costs are
+        what every member's terminal_cost returns."""
         try:
             self.reverify()
         except SampleSetIntegrityError as exc:
             yield False, None, [f"usage accounting violation: {exc}"]
             return
         yield True, f"usage accounting: PASS ({len(self)} members)", []
-        inside = sum(1 for _ in range(samples) if self.contains(self.sample_member(rng)))
-        yield (inside == samples,
-               f"sampled membership: {inside}/{samples} drawn members contained", [])
-
-    def sample_member(self, rng: np.random.Generator) -> AugmentedState:
-        # Frontier entries have no recorded successor, so sample before it.
-        k = int(rng.integers(0, max(1, len(self.seed.controls))))
-        lo = self.tail_usages[k]
-        e = float(lo + rng.uniform(0.0, max(0.0, self.spec.e_max - lo)))
-        return AugmentedState(self.seed.states[k], e)
+        yield from build_from_trajectory(self.seed).verify(problem, policies, rng, samples)
 
 
 def _usage_scale(spec: BudgetConstraintSpec) -> float:

@@ -8,7 +8,6 @@ finite cost, so no large sentinel constants appear anywhere.
 from __future__ import annotations
 
 import math
-from typing import Iterable
 
 INF = math.inf
 
@@ -19,14 +18,6 @@ def ensure_cost(v) -> float:
     if math.isnan(f) or f < 0.0:
         raise ValueError(f"invalid cost {v!r}: costs must lie in [0, +inf]")
     return f
-
-
-def sum_costs(costs: Iterable[float]) -> float:
-    """Accurate saturating sum of costs (fsum; +inf absorbs)."""
-    vals = list(costs)
-    if any(c == INF for c in vals):
-        return INF
-    return math.fsum(vals)
 
 
 def tails_from(stage_costs, terminal: float = 0.0) -> tuple:

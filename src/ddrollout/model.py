@@ -11,12 +11,13 @@ problems), or resource-augmented pairs built by the budget module.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, Union
 
 import numpy as np
 
-from .costs import INF, ensure_cost, sum_costs, tails_from
+from .costs import INF, ensure_cost, tails_from
 from .errors import ConstraintViolationError, InfeasibleTrajectoryError
 
 #: The one state tolerance (infinity norm): vector-state equality, sample
@@ -322,12 +323,12 @@ def trajectory_cost(traj: Trajectory) -> float:
     """Total cost of the trajectory.
 
     With tail costs present this is tail_costs[0], which includes the exact
-    cost of the unrecorded continuation; otherwise it is the saturating sum
-    of the recorded stage costs.
+    cost of the unrecorded continuation; otherwise it is the accurate sum
+    (math.fsum) of the recorded stage costs, +inf if any is.
     """
     if traj.tail_costs is not None:
         return traj.tail_costs[0]
-    return sum_costs(traj.stage_costs)
+    return math.fsum(traj.stage_costs)
 
 
 @dataclass(frozen=True)

@@ -35,15 +35,15 @@ Budget-augmented problems add an exact ball constraint on the control
 energy: the exact trust-region step on the rows solves it when that step
 lies in the box, and bisection on its multiplier otherwise. The step reads
 the SVD of the rows and the eigensystem of the Hessian reduced to their
-null space from the sequence's memo entry, where they were made with the
-entry's row factors (boxqp._null_factors). A pinned pair
-whose rows' least-norm solution g+ (t - phi_l) already lies outside its
-ball has no plan and is dropped with the unreachable ones. Subproblems are
-taken best first against a running bound (best-first branch and bound):
-lowest screened bound first, ties in tail order (_job_order: cheapest tail,
-then target, then sequence), a job's place in which is its tie rank. A job
-whose target is valued at the bound is passed over, as no candidate. The
-first job whose box-free optimum cannot beat the bound ends the loop:
+null space, the row factors (boxqp._null_factors) that _sequence_maps
+hands over with the sequences' memo entries. A pinned pair whose rows'
+least-norm solution g+ (t - phi_l) already lies outside its ball has no
+plan and is dropped with the unreachable ones. Subproblems are taken best
+first against a running bound (best-first branch and bound): lowest
+screened bound first, ties by cheapest tail, then target, then sequence
+(_job_order). A job whose target is valued at the bound is passed over,
+as no candidate. The first job whose box-free optimum cannot beat the
+bound ends the loop:
 every later job's screened bound is as high, so those whose tail lies
 below the bound are dropped with it by "bound". An interior optimum is its
 subproblem's solution, so it goes straight to the replay. A pinned
@@ -84,16 +84,15 @@ for a seed that comes as its walk (lookahead.Walk: a rollout's seeds from
 engine._seeds, the shifted plan and the base policy's plan, walked once as
 it is built), that walk priced as it stands. The solve holds one
 incumbent, whose value is the running bound: the priced plan of least
-value, a tie going to a seed, then to the job of lowest tie rank, which is
-the plan a walk in tail order keeps. It wins, its walk goes with the
-solution (the rollout applies its moves and extends it into the next
-shifted seed), its final state is the solution's terminal state, and its
-distance to the target states it was priced against is measured once,
-after the loop ("mismatch"). Dropped candidates are only counted, per
-rule (_RULES), in the solution's diagnostics ("pruned_by"), beside the
-count of plans priced by replay, the seeds aside ("replayed"). With no
-finite plan, a solve whose every candidate was an unconverged box QP
-raises SolverFailureError.
+value, a tie going to a seed, then to the plan priced first. It wins, its
+walk goes with the solution (the rollout applies its moves and extends it
+into the next shifted seed), the walk's last state is the solution's
+terminal state, and its distance to the target states it was priced
+against is measured once, after the loop ("mismatch"). Dropped candidates
+are only counted, per rule (_RULES), in the solution's diagnostics
+("pruned_by"), beside the count of plans priced by replay, the seeds aside
+("replayed"). With no finite plan, a solve whose every candidate was an
+unconverged box QP raises SolverFailureError.
 """
 
 from __future__ import annotations
@@ -129,7 +128,6 @@ class _Condensed:
     x0: np.ndarray
     reach: np.ndarray   # componentwise bound on |x_l - phi_l|, S x d
     pl: object          # the structure condensed: its path test judges the plans
-    memo: dict | None = None  # the memo of its sequences' entries, set by solve_continuous
 
 
 _CHUNK = 64  # sequences per stacked product or box QP solve, capping their temporaries
@@ -197,11 +195,8 @@ def _assemble(pl, x0: np.ndarray, sigmas: np.ndarray, h_r, lo_full, hi_full) -> 
         nodes.append(node)
         maps.append((cols, gam))
     # every sequence's maps at every step, gathered from its prefixes'
-    if branches:
-        at = np.stack(nodes, axis=1) + np.cumsum([0] + [len(p) for p, _ in maps[:-1]])
-        cols, gammas = (np.concatenate(step_maps)[at] for step_maps in zip(*maps))
-    else:  # one prefix per step
-        cols, gammas = (np.stack(step_maps, axis=1)[node] for step_maps in zip(*maps))
+    at = np.stack(nodes, axis=1) + np.cumsum([0] + [len(p) for p, _ in maps[:-1]])
+    cols, gammas = (np.concatenate(step_maps)[at] for step_maps in zip(*maps))
     n_seq = len(sigmas)
     phis = cols[..., 0].copy()  # a copy, so cols can go when _assemble returns
     # running cost sum_k x_k' q x_k over k < ell, as stacked products
@@ -252,13 +247,13 @@ def _box_keeps(rows, modes, phi, gamma, centre, half):
     return worst[modes, np.arange(n_seq)] <= 0.0
 
 
-def _job_order(keep, tails):
-    """The (target, sequence) indices of the kept pairs, cheapest tail
-    first, ties by target, then sequence: the tie rank of solve_continuous's
-    best-first walk, which takes the jobs in this order stably sorted by
-    their screened bounds."""
+def _job_order(keep, tails, lb):
+    """The (target, sequence) indices of the kept pairs (keep, S x T) in
+    solve_continuous's best-first order: lowest screened bound first (lb,
+    flat by s * T + t), ties by cheapest tail, then target, then
+    sequence."""
     s, t = np.nonzero(keep)
-    order = np.lexsort((s, t, tails[t]))
+    order = np.lexsort((s, t, tails[t], lb[s * keep.shape[1] + t]))
     return t[order].tolist(), s[order].tolist()
 
 
@@ -273,7 +268,7 @@ class _SequenceMaps:
     pinv: np.ndarray | None = None       # width x d: _row_factors' g+ of the rows
     give: np.ndarray | None = None       # width: the room the rows' tolerance leaves
     curvature: np.ndarray | None = None  # width: 1 / M_ii
-    factors: tuple | None = None         # the rows' _null_factors, which the ball step reads
+    factors: tuple | list | None = None  # the rows' _null_factors, which the ball step reads
 
 
 def _sequence_maps(memo, cond: _Condensed, factored=False) -> _SequenceMaps:
@@ -305,7 +300,8 @@ def _sequence_maps(memo, cond: _Condensed, factored=False) -> _SequenceMaps:
     fields = ("maps", "pinv", "give", "curvature")[:4 if factored else 1]
     shapes = ((width, 2 * d + 1), (width, d), (width,), (width,))
     return _SequenceMaps(*(np.array([getattr(e, f) for e in entries]).reshape(n_seq, *shape)
-                           for f, shape in zip(fields, shapes)))
+                           for f, shape in zip(fields, shapes)),
+                         factors=[e.factors for e in entries] if factored else None)
 
 
 def _beyond_ball(seqs: _SequenceMaps, rhs, radii):
@@ -430,7 +426,6 @@ def solve_continuous(problem: ProblemDef, sset, x, cfg: SolverConfig, seeds=(),
     sigmas = np.array([(first,) + rest
                        for rest in itertools.product(range(n_modes), repeat=ell - 1)])
     cond = _assemble(pl, base_x, sigmas, h_r, lo_full, hi_full)
-    cond.memo = memo
 
     targets = sset.shooting_targets(x)
     values, states, radii = targets.values, targets.states, targets.radii
@@ -466,10 +461,11 @@ def solve_continuous(problem: ProblemDef, sset, x, cfg: SolverConfig, seeds=(),
     def gate(t, s):
         """Job (t, s)'s tests against the running bound before the active-set
         solve: "skip" (a target valued at the bound, not a candidate), the
-        rule that drops it ("bound" ends the best-first walk), "interior" (a
-        screened optimum to replay as is), or None when it needs the solve.
-        A job the current group has solved takes no lift: it would spare no
-        solve."""
+        rule that drops it ("bound" ends the loop: the jobs come in
+        _job_order, so every later one's screened bound is as high),
+        "interior" (a screened optimum to replay as is), or None when it
+        needs the solve. A job the current group has solved takes no lift:
+        it would spare no solve."""
         if values[t] >= bound:
             return "skip"
         i, slack = s * len(values) + t, PRICE_SLACK * (1.0 + abs(bound))
@@ -487,14 +483,8 @@ def solve_continuous(problem: ProblemDef, sset, x, cfg: SolverConfig, seeds=(),
                 return "lift"
         return None
 
-    # best first: lowest screened bound first, ties in tail order, a job's place in which
-    # is its tie rank
-    by_tail = list(zip(*_job_order(keep, values)))
-    order = np.argsort([screen.lb[s * len(values) + t] for t, s in by_tail],
-                       kind="stable").tolist()
-    jobs = [by_tail[r] for r in order]
-    job_tails = values[[t for t, _ in jobs]]
-    rank = -1  # the incumbent's tie rank: a seed wins every tie
+    job_targets, job_sequences = _job_order(keep, values, np.array(screen.lb))
+    jobs, job_tails = list(zip(job_targets, job_sequences)), values[job_targets]
     boxed = {}  # the current group's box optima and their verdicts, by job
     for j, (t, s) in enumerate(jobs):
         out = gate(t, s)
@@ -525,24 +515,24 @@ def solve_continuous(problem: ProblemDef, sset, x, cfg: SolverConfig, seeds=(),
                 boxed = dict(zip(group, _solve_group(cond, targets, ts, ss, screen.z[ss, ts],
                                                      lo_full, hi_full)))
             out, converged = _solve_candidate(problem, sset, x, cond, s, targets, t,
-                                              boxed.pop((t, s)), lo_full, hi_full, m, bound)
+                                              boxed.pop((t, s)), lo_full, hi_full, m, bound,
+                                              row_factored)
             unconverged += not converged
         if isinstance(out, str):  # the rule that dropped the job
             pruned_by[out] += 1
             continue
         replayed += 1
-        if incumbent is None or out[0] < bound:
-            incumbent, bound, rank = out, out[0], order[j]
+        if out[0] < bound:  # a tie keeps the plan priced first
+            incumbent, bound = out, out[0]
             gate.cache_clear()
-        elif out[0] == bound and order[j] < rank:  # the bound stays: so does gate's cache
-            incumbent, rank = out, order[j]
 
     counts = {"candidates": candidates, "replayed": replayed, "pruned_by": pruned_by}
     if bound == INF:  # no finite plan
         if candidates and unconverged == candidates:
             raise SolverFailureError("no shooting subproblem converged")
         return LookaheadSolution(value=INF, diagnostics=counts)
-    value, plan, diag, terminal = incumbent
+    value, plan, diag = incumbent
+    terminal = plan.states[-1]
     # the winner's mismatch to the target states it was priced against
     diag = {"mismatch": _mismatch(terminal, diag.get("pinned")), **diag, **counts}
     diag.pop("pinned", None)
@@ -604,22 +594,22 @@ def _verdicts(cond: _Condensed, targets, t, s, z, sub) -> list:
 
 
 def _solve_candidate(problem, sset, x, cond: _Condensed, s: int, targets, t: int, boxed,
-                     lo_full, hi_full, m, bound=INF):
+                     lo_full, hi_full, m, bound=INF, row_factored=None):
     """Finish target t's subproblem along sequence s from boxed = (z,
     converged, iterations, verdict), its box QP optimum and that plan's
     verdict (_verdicts). A plan outside its target's energy ball goes on to
-    the ball (_ball_box_qp), and the ball's plan takes the same tests as a
-    stack of one. A plan no rule drops is priced by replay if its predicted
-    value beats bound up to PRICE_SLACK. Returns the priced plan, or the
-    rule that dropped it, with the box QP's converged flag."""
+    the ball (_ball_box_qp, with the row factors of row_factored()), and the
+    ball's plan takes the same tests as a stack of one. A plan no rule drops
+    is priced by replay if its predicted value beats bound up to
+    PRICE_SLACK. Returns the priced plan, or the rule that dropped it, with
+    the box QP's converged flag."""
     z, converged, it, verdict = boxed
     if verdict == "ball":
         ts, ss = np.array([t]), np.array([s])
         sub = h, b, (g, r), _ = _subproblems(cond, targets, ts, ss)
-        seq = (cond.memo or {}).get(tuple(cond.sigmas[s].tolist()))
         z, converged, it = _ball_box_qp(h[0], b[0], lo_full, hi_full, float(targets.radii[t]),
                                         (g[0], r[0]), (z, converged, it),
-                                        None if seq is None else seq.factors)
+                                        None if row_factored is None else row_factored().factors[s])
         verdict = _verdicts(cond, targets, ts, ss, z[None], sub)[0]
     if isinstance(verdict, str):
         return verdict, converged
@@ -632,13 +622,13 @@ def _solve_candidate(problem, sset, x, cond: _Condensed, s: int, targets, t: int
 
 def _priced(problem, sset, x, plan, pinned, **diag):
     """A candidate: the plan priced with the set's terminal_cost, as (value,
-    walk, diagnostics, terminal state). A Walk from x is priced as it stands
-    (Walk.price); any other plan by its walk from x (lookahead.walk), its
-    exact replay. The diagnostics keep the pinned target states, from which
-    the solve measures its winner's mismatch (_mismatch)."""
+    walk, diagnostics). A Walk from x is priced as it stands (Walk.price);
+    any other plan by its walk from x (lookahead.walk), its exact replay.
+    The diagnostics keep the pinned target states, from which the solve
+    measures its winner's mismatch (_mismatch)."""
     if not isinstance(plan, Walk):
         plan = walk(problem, x, plan)
-    return plan.price(sset.terminal_cost), plan, {"pinned": pinned, **diag}, plan.states[-1]
+    return plan.price(sset.terminal_cost), plan, {"pinned": pinned, **diag}
 
 
 _RULES = ("sequence", "bound", "lift", "path", "rows", "ball")  # the rules that drop a candidate

@@ -133,6 +133,32 @@ def test_verify_accepts_the_same_file_untampered(capsys, tmp_path):
     assert code == 0, err
 
 
+@pytest.mark.parametrize("tamper,message", [
+    ("cost", "fixed-point violation at state array([-3.11225  ,  0.4642375]): "
+             "residual 3.313e-01"),
+    ("state", "invariance violation at array([-2.16743375,  0.46880575]): "
+              "recorded successor mismatch"),
+], ids=("cost", "state"))
+def test_verify_rejects_a_budget_set_file_whose_seed_is_tampered(capsys, tmp_path, tamper,
+                                                                 message):
+    """A budget set's members are valued at its seed's recorded tail costs:
+    a stored seed with one tail cost halved, or one state moved, keeps its
+    usage ledger but fails the seed's own certificate, naming the state."""
+    doc = copy.deepcopy(sample_set_to_doc(make_instance("integrator").augmented_sets["budget"]))
+    seed = doc["seed"]
+    if tamper == "cost":
+        seed["tail_costs"][5] *= 0.5
+    else:
+        seed["states"][7]["__vector__"][0] += 0.25
+    path = tmp_path / "bad-budget-set.json"
+    write_text(dumps_json(doc), str(path))
+    code, out, err = run_cli(capsys, "verify", "--instance", "integrator",
+                             "--set-file", str(path), "--samples", "5")
+    assert code == 1
+    assert "usage accounting: PASS (81 members)" in out
+    assert message in err
+
+
 def test_table_runs_for_the_tour_instance(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "table", "--instance", "tsp",
                            "--out-dir", str(tmp_path))
@@ -436,11 +462,12 @@ def test_closed_stdout_pipe_ends_quietly(tmp_path, argv):
 def test_chain_slack_ignores_an_infinite_recorded_value(capsys):
     # realized above the lookahead by 1e-3 relative: an infinite recorded
     # value must not widen the slack enough to pass it
-    run = SimpleNamespace(total_cost=5.0 * (1.0 + 1e-3), per_step_values=(5.0,))
-    assert not _report_chain(run, math.inf)
+    closed = dict(initial_set_value=math.inf, variant="basic", status="closed_in_set")
+    run = SimpleNamespace(total_cost=5.0 * (1.0 + 1e-3), per_step_values=(5.0,), **closed)
+    assert not _report_chain(run)
     assert ": FAIL" in capsys.readouterr().out
-    run = SimpleNamespace(total_cost=5.0, per_step_values=(5.0,))
-    assert _report_chain(run, math.inf)
+    run = SimpleNamespace(total_cost=5.0, per_step_values=(5.0,), **closed)
+    assert _report_chain(run)
 
 
 @pytest.mark.parametrize("horizon,status,verdict", [
@@ -475,11 +502,12 @@ def test_a_run_that_finishes_on_its_last_allowed_move_stops(capsys, tmp_path, ar
 
 
 def test_an_unclosed_run_can_still_fail_the_chain(capsys):
-    run = SimpleNamespace(total_cost=6.0, per_step_values=(5.0,))
-    assert not _report_chain(run, 7.0, closed=False)
+    unclosed = dict(initial_set_value=7.0, variant="basic", status="horizon")
+    run = SimpleNamespace(total_cost=6.0, per_step_values=(5.0,), **unclosed)
+    assert not _report_chain(run)
     assert ": FAIL" in capsys.readouterr().out
-    run = SimpleNamespace(total_cost=4.0, per_step_values=(5.0,))
-    assert _report_chain(run, 7.0, closed=False)
+    run = SimpleNamespace(total_cost=4.0, per_step_values=(5.0,), **unclosed)
+    assert _report_chain(run)
     assert ": UNCLOSED" in capsys.readouterr().out
 
 

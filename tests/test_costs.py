@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ddrollout.costs import INF, ensure_cost, sum_costs
+from ddrollout.costs import INF, ensure_cost
+from ddrollout.model import Trajectory, trajectory_cost
 
 
 def test_infinity_is_a_valid_cost():
@@ -18,11 +19,19 @@ def test_negative_and_nan_rejected():
         ensure_cost(math.nan)
 
 
+def _total(costs):
+    """trajectory_cost of a trajectory with these stage costs and no tail costs."""
+    n = len(costs)
+    return trajectory_cost(Trajectory(states=(0,) * (n + 1), controls=(0,) * n,
+                                      stage_costs=tuple(costs), policy_id="p",
+                                      terminated_in_stopping_set=False))
+
+
 def test_sum_absorbs_infinity():
-    assert sum_costs([1.0, INF, 2.0]) == INF
-    assert sum_costs([]) == 0.0
+    assert _total([1.0, INF, 2.0]) == INF
+    assert _total([]) == 0.0
 
 
 @given(st.lists(st.floats(min_value=0.0, max_value=1e12), max_size=20))
 def test_sum_is_fsum_on_finite_lists(costs):
-    assert sum_costs(costs) == math.fsum(costs)
+    assert _total(costs) == math.fsum(costs)

@@ -464,7 +464,7 @@ def test_a_deep_search_past_the_node_cap_is_a_clean_error(monkeypatch, capsys, t
 
 
 def _reference_jobs(problem, sset, x, ell):
-    """The (sequence, target) pairs per-pair tests keep, in job order: the
+    """The (sequence, target index) pairs per-pair tests keep: the
     componentwise box reach, and for a target with an energy ball, full-rank
     rows whose least-norm solution lies in the ball widened by the room the
     rows' tolerance leaves."""
@@ -475,11 +475,11 @@ def _reference_jobs(problem, sset, x, ell):
     first = pl.mode_of(base_x)
     sigmas = [(first,) + rest for rest in itertools.product(range(len(pl.modes)), repeat=ell - 1)]
     jobs = []
-    for s, sigma in enumerate(sigmas):
+    for sigma in sigmas:
         phis, gammas, *_ = _reference_assemble(pl, base_x, sigma, np.zeros((ell, ell)), lo, hi)
         reach_box = np.abs(gammas[ell]) @ np.maximum(np.abs(lo), np.abs(hi))
         targets = sset.shooting_targets(x)
-        for t, (state, value) in enumerate(zip(targets.states, targets.values)):
+        for t, state in enumerate(targets.states):
             rhs = state - phis[ell]
             if np.any(np.abs(rhs) > reach_box + shooting.EPS_STATE + 1e-12):
                 continue
@@ -489,8 +489,8 @@ def _reference_jobs(problem, sset, x, ell):
                 room = shooting.EPS_STATE * np.abs(pinv).sum()
                 if np.linalg.norm(pinv @ rhs) > targets.radii[t] * (1.0 + 1e-12) + room:
                     continue
-            jobs.append((value, t, s, sigma))
-    return [(j[3], j[0]) for j in sorted(jobs, key=lambda j: j[:3])]
+            jobs.append((sigma, t))
+    return jobs
 
 
 def test_the_least_norm_ball_test_drops_every_pair_a_cauchy_schwarz_bound_would():
@@ -518,10 +518,12 @@ def test_the_least_norm_ball_test_drops_every_pair_a_cauchy_schwarz_bound_would(
             assert (beyond & ~cauchy_schwarz).any()
 
 
-def _sorted_jobs(keep, tails):
-    """The job order as a sort of (tail value, target, sequence) tuples."""
-    return [(t, s) for _, t, s in sorted((tails[t], int(t), int(s))
-                                         for s, t in zip(*np.nonzero(keep)))]
+def _sorted_jobs(keep, tails, lb):
+    """The job order as a sort of (screened bound, tail value, target,
+    sequence) tuples."""
+    n_targets = keep.shape[1]
+    return [(t, s) for _, _, t, s in sorted((lb[s * n_targets + t], tails[t], int(t), int(s))
+                                            for s, t in zip(*np.nonzero(keep)))]
 
 
 @pytest.mark.parametrize("case", ["spiral", "budget"])
@@ -535,25 +537,29 @@ def test_the_broadcast_reach_prune_keeps_the_per_pair_job_list(spiral, integrato
         x = AugmentedState(np.asarray(integrator.start_states[0], dtype=float), 0.2)
     job_order, assemble, orders, conds = shooting._job_order, shooting._assemble, [], []
 
-    def record(keep, tails):
-        out = job_order(keep, tails)
-        orders.append((keep, tails, out))
+    def record(keep, tails, lb):
+        out = job_order(keep, tails, lb)
+        orders.append((keep, tails, lb, out))
         return out
 
     monkeypatch.setattr(shooting, "_job_order", record)
     monkeypatch.setattr(shooting, "_assemble", lambda *a: conds.append(assemble(*a)) or conds[-1])
     shooting.solve_continuous(problem, sset, x, replace(SolverConfig(), ell=ell))
-    (keep, tails, (t_idx, s_idx)), = orders
-    assert list(zip(t_idx, s_idx)) == _sorted_jobs(keep, tails)
-    sigmas = list(map(tuple, conds[0].sigmas.tolist()))  # the sequences _assemble keeps
-    targets = sset.shooting_targets(x)
-    want = [job for job in _reference_jobs(problem, sset, x, ell) if job[0] in sigmas]
-    assert [(sigmas[s], targets.values[t]) for t, s in zip(t_idx, s_idx)] == want
-    assert 0 < len(want) < len(targets.values) * 2 ** (ell - 1)
-    # tied tail values go by target, then sequence
+    (keep, tails, lb, (t_idx, s_idx)), = orders
+    assert list(zip(t_idx, s_idx)) == _sorted_jobs(keep, tails, lb)
+    # the sequences _assemble keeps, by their index in cond
+    at = {sigma: s for s, sigma in enumerate(map(tuple, conds[0].sigmas.tolist()))}
+    n_targets = len(tails)
+    want = sorted(((t, at[sigma]) for sigma, t in _reference_jobs(problem, sset, x, ell)
+                   if sigma in at),
+                  key=lambda j: (lb[j[1] * n_targets + j[0]], tails[j[0]], j[0], j[1]))
+    assert list(zip(t_idx, s_idx)) == want
+    assert 0 < len(want) < n_targets * 2 ** (ell - 1)
+    # tied screened bounds go by tail value, tied tail values by target, then sequence
     rng = np.random.default_rng(5)
     keep, tails = rng.random((9, 7)) < 0.6, rng.integers(0, 3, 7).astype(float)
-    assert list(zip(*job_order(keep, tails))) == _sorted_jobs(keep, tails)
+    lb = rng.integers(0, 4, keep.size).astype(float)
+    assert list(zip(*job_order(keep, tails, lb))) == _sorted_jobs(keep, tails, lb)
 
 
 @pytest.mark.parametrize("name,ell", [("spiral", 4), ("integrator", 3), ("integrator", 1)])
@@ -623,7 +629,8 @@ def _per_candidate(monkeypatch):
         z = np.zeros((cond.sigmas.shape[0], len(targets.values), cond.h0.shape[1]))
         return shooting._Screen(z, [-INF] * n, [False] * n, [False] * n)
 
-    def candidate(problem, sset, x, cond, s, targets, t, boxed, lo_full, hi_full, m, bound=INF):
+    def candidate(problem, sset, x, cond, s, targets, t, boxed, lo_full, hi_full, m, bound=INF,
+                  row_factored=None):
         assert cond is conds[-1]
         state = None if targets.states is None else targets.states[t]
         radius = None if targets.radii is None else float(targets.radii[t])
@@ -666,7 +673,7 @@ def _per_candidate(monkeypatch):
         plan = shooting.walk(problem, x, controls)
         diag = {"mismatch": shooting._mismatch(plan.states[-1], state), "iterations": it,
                 "converged": converged}
-        return (plan.price(sset.terminal_cost), plan, diag, plan.states[-1]), converged
+        return (plan.price(sset.terminal_cost), plan, diag), converged
 
     monkeypatch.setattr(shooting, "_screen", no_screen)
     monkeypatch.setattr(shooting, "_solve_group",

@@ -253,12 +253,12 @@ def test_the_first_spiral_solve_visits_its_jobs_best_first(spiral, monkeypatch):
     assert sol.diagnostics["replayed"] == 2
 
 
-def test_a_tie_goes_to_the_job_first_in_tail_order(integrator, monkeypatch):
+def test_a_tie_goes_to_the_plan_priced_first(integrator, monkeypatch):
     """Every stage prices at 100, so two targets of one tail tie at any plan
     that reaches them, while the screen's quadratic costs rank the second
     target's job first. It is priced first; the first target's plan then
-    ties the bound and, being first in tail order, replaces it: the solve
-    keeps the plan the tail order would have kept."""
+    ties the bound and does not replace it: the solve keeps the plan priced
+    first."""
     problem = replace(integrator.problem, stage_cost=lambda x, u: 100.0)
     x0 = np.asarray(integrator.start_states[0], dtype=float)
     states = [walk(problem, x0, (np.array([u]),) * 4).states[-1] for u in (0.2, 0.8)]
@@ -268,7 +268,7 @@ def test_a_tie_goes_to_the_job_first_in_tail_order(integrator, monkeypatch):
     sol = solve_continuous(problem, sset, x0, _cfg(4))
     assert [w.price(sset.terminal_cost) for w in walked] == [401.0, 401.0]
     assert np.abs(walked[0].states[-1] - states[1]).max() < 1e-12  # the second target first
-    assert sol.value == 401.0 and sol.walk is walked[1]
+    assert sol.value == 401.0 and sol.walk is walked[0]
     assert sol.diagnostics["replayed"] == 2
 
 
